@@ -61,7 +61,7 @@ fn is_volatile_field(key: &str) -> bool {
         "writer_wall_us",
         "maintenance_wall_us",
         "round_wall_us",
-        "pr3_wall_us",
+        "per_delta_wall_us",
         "pipeline_wall_us",
         "read_p99_us",
         // The overhead cell's raw walls and percentage swing with the
@@ -75,6 +75,9 @@ fn is_volatile_field(key: &str) -> bool {
         "wall_speedup",
         "serial_fraction",
         "mean_lag",
+        // E7: the serial/epoch backend gap is a quotient of walls.
+        "epoch_over_serial_update",
+        "epoch_over_serial_query",
         // E11 (serving): everything scheduling- or machine-derived — the
         // calibrated capacity, the offered/achieved rates built from it,
         // admission counts, and the latency percentiles of a live socket
@@ -107,19 +110,10 @@ fn is_volatile_field(key: &str) -> bool {
         "durable_wall_us",
         "overhead_ratio",
         "recover_wall_us",
-        // E13 (bitmap scan): plan-phase walls are micro-scale and the
-        // speedups are their quotients; `cores` is whatever machine ran
-        // the report. The gated verdicts are `meets_threshold`,
-        // `split_gate_ok`, and the deterministic maintenance counts
-        // (`groups_patched`, `rows_inserted`, …), which stay exact.
+        // E13 (bitmap scan): plan-phase walls are micro-scale. The gate
+        // is the deterministic maintenance counts (`groups_patched`,
+        // `rows_inserted`, …), which stay exact.
         "plan_wall_us",
-        "plan_speedup",
-        "sparse_runwalk_plan_us",
-        "sparse_bitmap_plan_us",
-        "split_split1_plan_us",
-        "split_deepest_plan_us",
-        "split_speedup",
-        "cores",
         // E14 (selection at scale): selector walls and their quotient are
         // machine-paced, and the anytime search's move/restart/pricing
         // counters shift whenever the search internals are tuned — the

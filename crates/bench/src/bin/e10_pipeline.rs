@@ -1,19 +1,15 @@
-//! E10 — the two-phase maintenance pipeline: batched epochs vs. the PR 3
-//! per-delta path, and bounded-staleness serving.
+//! E10 — the two-phase maintenance pipeline: batched epochs vs. one
+//! epoch per delta, and bounded-staleness serving.
 //!
-//! Two sweeps share one dataset, view catalog, and pre-generated update
+//! Three sweeps share one dataset, view catalog, and pre-generated update
 //! stream:
 //!
-//! * **maintenance modes** (shards × writer-threads × batch size): the
-//!   same stream flows through
-//!   - `pr3` — the PR 3 architecture, faithfully: per delta, sharded
-//!     binding scans (`apply_sharded`), a *serial* per-view group-patch
-//!     pass (`maintain`), and one epoch publish (master clone + swap);
-//!   - `two-phase` — `batch` deltas coalesced per epoch
-//!     (`EpochStore::begin_batch`): scans per delta, row deltas *merged*
-//!     (intra-batch churn cancels), one parallel-plan / serial-apply
-//!     maintenance pass (`maintain_pipelined`), ONE publish.
-//!
+//! * **batched maintenance** (shards × writer-threads × batch size):
+//!   `batch` deltas coalesced per epoch (`EpochStore::begin_batch`):
+//!   scans per delta, row deltas *merged* (intra-batch churn cancels),
+//!   one parallel-plan / serial-apply maintenance pass
+//!   (`maintain_pipelined`), ONE publish. Batch 1 is the per-delta
+//!   baseline: one pass and one publish (master clone + swap) per delta.
 //!   Each cell reports maintenance wall-clock and the pipeline's measured
 //!   serial fraction — the figure `sofos_cost::ShardedMaintenance`
 //!   should replace its 0.4 prior with.
@@ -28,11 +24,12 @@
 //!   vs a disabled `MetricsHandle`; the wall-clock ratio must stay within
 //!   a generous budget (`metrics_overhead_ok`, gated by `bench_diff`).
 //!
-//! The summary row records the acceptance criterion: two-phase batched
-//! maintenance at 4 shards / batch 4 must beat the PR 3 path by ≥1.3× on
-//! maintenance wall-clock (full runs; `--smoke` gates a 1.1× floor so a
-//! shared CI runner's noise cannot flake the job — a genuine regression
-//! lands near 1×, the full-run margin is measured well above the gate).
+//! The summary row records the acceptance criterion: at 4 shards / 2
+//! threads, batching 4 deltas per epoch must beat one epoch per delta by
+//! ≥1.3× on maintenance wall-clock (full runs; `--smoke` gates a 1.1×
+//! floor so a shared CI runner's noise cannot flake the job — a genuine
+//! regression lands near 1×, the full-run margin is measured well above
+//! the gate).
 //!
 //! Run with: `cargo run -p sofos-bench --release --bin e10_pipeline [--smoke]`
 
@@ -97,41 +94,6 @@ fn catalog_matches_reevaluation(
             .map(|stats| stats.rows == rows)
             .unwrap_or(false)
     })
-}
-
-/// The PR 3 path: per delta — sharded scans, serial per-view patching,
-/// one epoch.
-fn run_pr3(
-    expanded: &Dataset,
-    facet: &Facet,
-    catalog: &[(ViewMask, usize)],
-    deltas: Vec<Delta>,
-    shards: usize,
-    threads: usize,
-) -> ModeOutcome {
-    let store = EpochStore::new(expanded.clone(), shards);
-    let router = ShardRouter::new(shards);
-    let mut maintainer = Maintainer::new(facet);
-    let mut views = catalog.to_vec();
-    let mut wall_us = 0u64;
-    for delta in deltas {
-        let start = Instant::now();
-        let mut txn = store.begin();
-        let sharded = maintainer.apply_sharded(txn.dataset(), delta, &router, threads);
-        maintainer
-            .maintain(txn.dataset(), sharded.outcome.rows.as_ref(), &mut views)
-            .expect("serial maintenance succeeds");
-        txn.touch_changes(&sharded.outcome.changes);
-        txn.publish();
-        wall_us += start.elapsed().as_micros() as u64;
-    }
-    ModeOutcome {
-        maintenance_wall_us: wall_us,
-        epochs_published: store.epoch(),
-        telemetry: PipelineTelemetry::default(),
-        final_base_len: store.pin().dataset().default_graph().len(),
-        all_valid: catalog_matches_reevaluation(&store, facet, &views),
-    }
 }
 
 /// The two-phase path: `batch` deltas per epoch — merged row delta,
@@ -230,7 +192,7 @@ fn main() {
     let mut report = BenchReport::new(
         "pipeline",
         format!(
-            "two-phase batched maintenance vs the PR 3 per-delta path; shards x \
+            "two-phase batched maintenance vs one epoch per delta; shards x \
              writer-threads x deltas-per-epoch over {rounds} batches of \
              {update_batch_size} zipf-skewed ops, plus bounded-staleness serving \
              cells sweeping the lag budget"
@@ -243,43 +205,11 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     let deltas = update_schedule(&base, &facet, update_batch_size, rounds);
 
-    // ---- Sweep A: maintenance modes -------------------------------------
-    let mut headline_pr3: Option<u64> = None;
+    // ---- Sweep A: batched maintenance -----------------------------------
+    let mut headline_per_delta: Option<u64> = None;
     let mut headline_pipeline: Option<u64> = None;
     let mut reference_base_len: Option<usize> = None;
     for &(shards, threads) in &shard_configs {
-        let pr3 = run_pr3(&expanded, &facet, &catalog, deltas.clone(), shards, threads);
-        match reference_base_len {
-            None => reference_base_len = Some(pr3.final_base_len),
-            Some(len) => assert_eq!(len, pr3.final_base_len, "modes apply the same stream"),
-        }
-        assert!(pr3.all_valid, "pr3 {shards}x{threads}: stale catalog");
-        if (shards, threads) == (4, 2) {
-            headline_pr3 = Some(pr3.maintenance_wall_us);
-        }
-        rows.push(vec![
-            "pr3".into(),
-            shards.to_string(),
-            threads.to_string(),
-            "1".into(),
-            String::new(),
-            pr3.epochs_published.to_string(),
-            ms(pr3.maintenance_wall_us),
-            String::new(),
-            String::new(),
-            "yes".into(),
-        ]);
-        report.push(Json::object([
-            ("mode", Json::from("pr3")),
-            ("shards", Json::from(shards)),
-            ("writer_threads", Json::from(threads)),
-            ("batch_size", Json::from(1usize)),
-            ("batches_applied", Json::from(rounds)),
-            ("epochs_published", Json::from(pr3.epochs_published)),
-            ("maintenance_wall_us", Json::from(pr3.maintenance_wall_us)),
-            ("all_valid", Json::from(pr3.all_valid)),
-        ]));
-
         for &batch in &batch_sizes {
             let cell = run_two_phase(
                 &expanded,
@@ -292,7 +222,7 @@ fn main() {
             );
             assert_eq!(
                 cell.final_base_len,
-                reference_base_len.expect("set above"),
+                *reference_base_len.get_or_insert(cell.final_base_len),
                 "two-phase {shards}x{threads} batch {batch}: base diverged"
             );
             assert!(
@@ -300,8 +230,10 @@ fn main() {
                 "two-phase {shards}x{threads} batch {batch}: stale catalog"
             );
             let fraction = cell.telemetry.serial_fraction().unwrap_or(1.0);
-            if (shards, threads, batch) == (4, 2, 4) {
-                headline_pipeline = Some(cell.maintenance_wall_us);
+            match (shards, threads, batch) {
+                (4, 2, 1) => headline_per_delta = Some(cell.maintenance_wall_us),
+                (4, 2, 4) => headline_pipeline = Some(cell.maintenance_wall_us),
+                _ => {}
             }
             rows.push(vec![
                 "two-phase".into(),
@@ -524,9 +456,9 @@ fn main() {
 
     // ---- Summary: the acceptance criterion --------------------------------
     let threshold = sized(1.3, 1.1);
-    let pr3_wall = headline_pr3.expect("sweep includes 4x2");
+    let per_delta_wall = headline_per_delta.expect("sweep includes 4x2 batch 1");
     let pipeline_wall = headline_pipeline.expect("sweep includes 4x2 batch 4");
-    let speedup = pr3_wall as f64 / pipeline_wall.max(1) as f64;
+    let speedup = per_delta_wall as f64 / pipeline_wall.max(1) as f64;
     rows.push(vec![
         "summary".into(),
         "4".into(),
@@ -548,7 +480,7 @@ fn main() {
         ("shards", Json::from(4usize)),
         ("writer_threads", Json::from(2usize)),
         ("batch_size", Json::from(4usize)),
-        ("pr3_wall_us", Json::from(pr3_wall)),
+        ("per_delta_wall_us", Json::from(per_delta_wall)),
         ("pipeline_wall_us", Json::from(pipeline_wall)),
         ("wall_speedup", Json::from(speedup)),
         ("threshold", Json::from(threshold)),
@@ -556,20 +488,20 @@ fn main() {
     ]));
 
     print_table(
-        "E10 · two-phase pipeline: batched epochs vs PR 3 per-delta maintenance",
+        "E10 · two-phase pipeline: batched epochs vs one epoch per delta",
         &headers,
         &rows,
     );
     assert!(
         speedup >= threshold,
-        "two-phase batched maintenance must beat the PR 3 path by >={threshold}x on \
-         wall-clock at 4 shards / batch 4 (pr3 {pr3_wall}us vs pipeline {pipeline_wall}us)"
+        "batching 4 deltas per epoch must beat one epoch per delta by >={threshold}x on \
+         wall-clock at 4 shards (per-delta {per_delta_wall}us vs batched {pipeline_wall}us)"
     );
     println!(
-        "Reading: 'pr3' pays one serial group-patch pass and one epoch publish per\n\
-         delta; 'two-phase' merges each batch's row deltas (churn cancels), plans\n\
+        "Reading: 'two-phase' merges each batch's row deltas (churn cancels), plans\n\
          every view's patch in parallel, applies serially, and publishes ONE epoch\n\
-         per batch. 'ser-frac' is the measured Amdahl floor the sharded maintenance\n\
+         per batch; batch 1 pays a maintenance pass and a publish per delta.\n\
+         'ser-frac' is the measured Amdahl floor the sharded maintenance\n\
          cost model now consumes instead of its 0.4 prior. 'bounded' rows serve\n\
          reads from pinned snapshots with freshness tags; max-lag never exceeds the\n\
          configured bound (lag percentiles come straight from the engine's\n\

@@ -1,27 +1,29 @@
 //! # sofos-bench — the SOFOS experiment harness
 //!
-//! One Criterion bench and/or experiment binary per demo-scenario station
-//! (see `DESIGN.md` §3 for the experiment index and `EXPERIMENTS.md` for
-//! recorded results):
+//! One experiment binary per demo-scenario station (the committed
+//! `BENCH_<experiment>.json` files at the repo root hold the recorded
+//! results):
 //!
-//! | id | binary | bench |
-//! |----|--------|-------|
-//! | E1 cost-model comparison     | `e1_cost_models`  | `benches/cost_models.rs` |
-//! | E2 full-lattice exploration  | `e2_lattice`      | `benches/lattice.rs` |
-//! | E3 budget sweep / sweet spot | `e3_budget_sweep` | — |
-//! | E4 learned-model quality     | `e4_learned`      | `benches/learned.rs` |
-//! | E5 cost↛time fidelity        | `e5_fidelity`     | — |
-//! | E6 hands-on challenge oracle | `e6_challenge`    | — |
-//! | E7 maintenance sweep         | `e7_maintenance`  | — |
-//! | E8 adaptive re-selection     | `e8_adaptive`     | — |
-//! | E9 concurrent serving        | `e9_concurrency`  | — |
-//! | E10 two-phase pipeline       | `e10_pipeline`    | — |
-//! | E11 network serving          | `e11_serving`     | — |
-//! | E12 durability               | `e12_durability`  | — |
-//! | E13 bitmap scan planning     | `e13_bitmap_scan` | — |
-//! | E14 selection at scale       | `e14_select_scale`| — |
-//! | CI bench-regression gate     | `bench_diff`      | — |
-//! | substrate micro-benches      | —                 | `benches/store.rs`, `benches/sparql.rs` |
+//! | id | binary |
+//! |----|--------|
+//! | E1 cost-model comparison     | `e1_cost_models`  |
+//! | E2 full-lattice exploration  | `e2_lattice`      |
+//! | E3 budget sweep / sweet spot | `e3_budget_sweep` |
+//! | E4 learned-model quality     | `e4_learned`      |
+//! | E5 cost↛time fidelity        | `e5_fidelity`     |
+//! | E6 hands-on challenge oracle | `e6_challenge`    |
+//! | E7 maintenance sweep         | `e7_maintenance`  |
+//! | E8 adaptive re-selection     | `e8_adaptive`     |
+//! | E9 concurrent serving        | `e9_concurrency`  |
+//! | E10 two-phase pipeline       | `e10_pipeline`    |
+//! | E11 network serving          | `e11_serving`     |
+//! | E12 durability               | `e12_durability`  |
+//! | E13 bitmap scan planning     | `e13_bitmap_scan` |
+//! | E14 selection at scale       | `e14_select_scale`|
+//! | CI bench-regression gate     | `bench_diff`      |
+//!
+//! Store and SPARQL substrate timings live in the claim benchmark's
+//! `store.*` / `sparql.*` per-layer metrics (`benchmarks/sofos-e2e`).
 //!
 //! The library part hosts shared helpers for the binaries, including the
 //! [`json`] report writer *and parser* (`BENCH_<experiment>.json` files

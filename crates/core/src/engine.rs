@@ -369,7 +369,6 @@ pub struct EngineBuilder {
     clock: Option<Arc<dyn Clock>>,
     metrics: Option<MetricsHandle>,
     durability: Option<DurabilityConfig>,
-    plan_split: usize,
 }
 
 impl EngineBuilder {
@@ -438,17 +437,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Within-view plan parallelism for the epoch backend's pipelined
-    /// maintenance (default 1 = unsplit): each view's plan phase is
-    /// split into this many group-key chunks so a catalog dominated by
-    /// one hot view still fills the writer's thread pool (see
-    /// [`sofos_maintain::Maintainer::maintain_pipelined_split`]).
-    /// Ignored by [`Backend::Serial`].
-    pub fn plan_split(mut self, split: usize) -> EngineBuilder {
-        self.plan_split = split.max(1);
-        self
-    }
-
     /// Assemble the engine.
     pub fn build(self) -> Result<Engine, EngineBuildError> {
         let dataset = self.dataset.ok_or(EngineBuildError::MissingDataset)?;
@@ -475,6 +463,9 @@ impl EngineBuilder {
                 instruments,
             )),
             Backend::Epoch { shards, threads } => {
+                // `threads` is clamped by the backend; a store needs at
+                // least one shard too.
+                let shards = shards.max(1);
                 let (store, catalog) = match self.durability {
                     None => (EpochStore::new(dataset, shards), self.catalog),
                     Some(config) => {
@@ -490,7 +481,6 @@ impl EngineBuilder {
                     catalog,
                     self.policy,
                     threads,
-                    self.plan_split,
                     clock,
                     instruments,
                 ))
@@ -638,7 +628,6 @@ impl Engine {
             clock: None,
             metrics: None,
             durability: None,
-            plan_split: 1,
         }
     }
 
@@ -916,6 +905,19 @@ mod tests {
         let (engine, _) = setup(StalenessPolicy::Eager, Backend::Serial);
         assert_eq!(engine.backend_name(), "serial");
         assert!(format!("{engine:?}").contains("serial"));
+    }
+
+    #[test]
+    fn zero_shards_and_threads_are_clamped_to_one() {
+        let (engine, workload) = setup(
+            StalenessPolicy::Eager,
+            Backend::Epoch {
+                shards: 0,
+                threads: 0,
+            },
+        );
+        engine.update(session_delta(0)).unwrap();
+        assert_answers_match_base(&engine, &workload);
     }
 
     #[test]

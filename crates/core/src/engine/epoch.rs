@@ -110,10 +110,6 @@ pub(crate) struct EpochBackend {
     facet: Facet,
     policy: StalenessPolicy,
     writer_threads: usize,
-    /// Within-view plan parallelism: each view's planning is split into
-    /// this many group-key chunks (see
-    /// [`Maintainer::maintain_pipelined_split`]). 1 = unsplit.
-    plan_split: usize,
     clock: Arc<dyn Clock>,
     writer: Mutex<WriterSide>,
     serving: Mutex<ServingState>,
@@ -128,14 +124,12 @@ impl EpochBackend {
     /// ([`EpochStore::recovered`]); the backend is agnostic, every
     /// publish path already routes its change sets through
     /// `touch_changes`, which is all the durable store needs.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         store: EpochStore,
         facet: Facet,
         views: Vec<(ViewMask, usize)>,
         policy: StalenessPolicy,
         writer_threads: usize,
-        plan_split: usize,
         clock: Arc<dyn Clock>,
         metrics: EngineInstruments,
     ) -> EpochBackend {
@@ -160,7 +154,6 @@ impl EpochBackend {
             facet,
             policy,
             writer_threads: writer_threads.max(1),
-            plan_split: plan_split.max(1),
             clock,
             metrics,
         }
@@ -294,12 +287,11 @@ impl EpochBackend {
                 // view mutator holds the write transaction — so working on
                 // a clone and installing it back is race-free.
                 let mut views = self.lock_serving().views.clone();
-                let result = writer.maintainer.maintain_pipelined_split(
+                let result = writer.maintainer.maintain_pipelined(
                     txn.dataset(),
                     sharded.outcome.rows.as_ref(),
                     &mut views,
                     self.writer_threads,
-                    self.plan_split,
                 );
                 txn.touch_changes(&sharded.outcome.changes);
                 // Snapshot construction (the clone) happens before the
@@ -460,12 +452,11 @@ impl EpochBackend {
             }
         }
         let mut views = self.lock_serving().views.clone();
-        let result = writer.maintainer.maintain_pipelined_split(
+        let result = writer.maintainer.maintain_pipelined(
             batch.dataset(),
             merged.as_ref(),
             &mut views,
             self.writer_threads,
-            self.plan_split,
         );
         match result {
             Ok(outcome) => {
@@ -1006,7 +997,6 @@ mod tests {
                 offline.view_catalog(),
                 policy,
                 threads,
-                2, // exercise within-view split planning in backend tests
                 system_clock(),
                 EngineInstruments::new(sofos_telemetry::MetricsHandle::new(), "epoch"),
             ),

@@ -21,22 +21,6 @@ use sofos_sparql::{CompareOp, Evaluator, Expr, PatternElement, SparqlError};
 use sofos_store::{Bitmap, ChangeSet, Dataset, Delta, GraphStore, IdPattern};
 use std::time::Instant;
 
-/// How the planner locates groups and pre-filters star-scan subjects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanIndexMode {
-    /// Intersect bitmap posting lists ([`sofos_store::posting`]): group
-    /// location via per-(dimension, value) subject bitmaps, scan
-    /// candidates via per-predicate bitmaps. Sub-linear in view/dataset
-    /// size for sparse deltas. The default.
-    #[default]
-    Bitmap,
-    /// Walk permutation-index runs per pattern — the pre-bitmap planner,
-    /// kept as the comparison baseline for `e13_bitmap_scan` and the
-    /// bitmap≡run-walk equivalence proptest. Also skips posting-list
-    /// registration so the baseline pays no index upkeep it won't use.
-    RunWalk,
-}
-
 /// The net effect of a batch on the facet pattern's binding multiset:
 /// `(dimension values, measure) → net multiplicity` (positive = asserted,
 /// negative = retracted). Dimension values are in facet dimension order.
@@ -132,7 +116,9 @@ pub struct Maintainer {
     facet: Facet,
     star: Option<StarPattern>,
     fresh: u64,
-    index_mode: PlanIndexMode,
+    /// Locate groups by walking index runs instead of intersecting
+    /// posting lists — only [`Maintainer::run_walk_reference`] sets it.
+    run_walk: bool,
 }
 
 impl Maintainer {
@@ -143,20 +129,19 @@ impl Maintainer {
             star: StarPattern::detect(facet),
             facet: facet.clone(),
             fresh: 0,
-            index_mode: PlanIndexMode::default(),
+            run_walk: false,
         }
     }
 
-    /// Select how plans locate groups and filter scan candidates. Both
-    /// modes produce bit-equal view graphs; `RunWalk` exists for
-    /// benchmarking the bitmap path against its predecessor.
-    pub fn set_index_mode(&mut self, mode: PlanIndexMode) {
-        self.index_mode = mode;
-    }
-
-    /// The active [`PlanIndexMode`].
-    pub fn index_mode(&self) -> PlanIndexMode {
-        self.index_mode
+    /// Test hook, not an option: a maintainer whose plans locate groups
+    /// with the pre-posting-list run walk. It is the reference arm of
+    /// the `bitmap_planning_equals_run_walk` proptest and nothing else.
+    #[doc(hidden)]
+    pub fn run_walk_reference(facet: &Facet) -> Maintainer {
+        Maintainer {
+            run_walk: true,
+            ..Maintainer::new(facet)
+        }
     }
 
     /// Does this facet admit the counting algorithm?
@@ -195,10 +180,10 @@ impl Maintainer {
         let affected = star.affected_subjects(dataset, &delta);
         let leg_ids = star.leg_ids(dataset);
 
-        let candidates = scan_candidates(self.index_mode, dataset.default_graph(), &leg_ids);
+        let candidates = scan_candidates(dataset.default_graph(), &leg_ids);
         let mut pre: Vec<(Vec<TermId>, TermId, i64)> = Vec::new();
         for &subject in &affected {
-            if skip_subject(&candidates, subject) {
+            if !candidates.contains(subject.0) {
                 continue;
             }
             star.subject_rows(dataset.default_graph(), &leg_ids, subject, &mut pre);
@@ -206,10 +191,10 @@ impl Maintainer {
         let changes = dataset.apply(delta);
         let mut rows = RowDelta::default();
         if !changes.default_graph.is_empty() {
-            let candidates = scan_candidates(self.index_mode, dataset.default_graph(), &leg_ids);
+            let candidates = scan_candidates(dataset.default_graph(), &leg_ids);
             let mut post: Vec<(Vec<TermId>, TermId, i64)> = Vec::new();
             for &subject in &affected {
-                if skip_subject(&candidates, subject) {
+                if !candidates.contains(subject.0) {
                     continue;
                 }
                 star.subject_rows(dataset.default_graph(), &leg_ids, subject, &mut post);
@@ -270,9 +255,6 @@ impl Maintainer {
     ) -> Result<MaintenanceCost, SparqlError> {
         let start = Instant::now();
         let ids = ViewIds::prepare(dataset, &self.facet, view.0);
-        if self.index_mode == PlanIndexMode::Bitmap {
-            ids.register_value_preds(dataset);
-        }
         let patch = self.plan_view(dataset, rows, *view, &ids, self.fresh)?;
         if patch.cost.strategy == MaintenanceStrategy::Noop {
             return Ok(patch.cost);
@@ -292,42 +274,18 @@ impl Maintainer {
         ids: &ViewIds,
         fresh_start: u64,
     ) -> Result<ViewPatch, SparqlError> {
-        self.plan_view_chunk(dataset, rows, view, ids, fresh_start, Chunking::whole())
-    }
-
-    /// [`Maintainer::plan_view`] restricted to one [`Chunking`] chunk:
-    /// the chunk's contiguous slice of the view's sorted group keys.
-    /// Non-chunkable strategies (refresh, noop) are planned whole by
-    /// the leader chunk while sibling chunks return no-ops; the decision
-    /// is deterministic across chunks because each one inspects the full
-    /// delta before slicing.
-    pub(crate) fn plan_view_chunk(
-        &self,
-        dataset: &Dataset,
-        rows: Option<&RowDelta>,
-        view: (ViewMask, usize),
-        ids: &ViewIds,
-        fresh_start: u64,
-        chunking: Chunking,
-    ) -> Result<ViewPatch, SparqlError> {
         let (mask, catalog_rows) = view;
         match rows {
-            None if chunking.leader() => {
-                self.plan_full_refresh(dataset, ids, catalog_rows, fresh_start)
-            }
-            None => Ok(ViewPatch::noop(mask, ids.graph, fresh_start, catalog_rows)),
+            None => self.plan_full_refresh(dataset, ids, catalog_rows, fresh_start),
             Some(rows) if rows.is_empty() => {
                 Ok(ViewPatch::noop(mask, ids.graph, fresh_start, catalog_rows))
             }
             Some(rows) => {
-                match self.plan_counting(dataset, rows, ids, catalog_rows, fresh_start, chunking)? {
+                match self.plan_counting(dataset, rows, ids, catalog_rows, fresh_start)? {
                     Some(patch) => Ok(patch),
                     // Counting declined (non-numeric measure in the delta,
                     // or the view graph is missing).
-                    None if chunking.leader() => {
-                        self.plan_full_refresh(dataset, ids, catalog_rows, fresh_start)
-                    }
-                    None => Ok(ViewPatch::noop(mask, ids.graph, fresh_start, catalog_rows)),
+                    None => self.plan_full_refresh(dataset, ids, catalog_rows, fresh_start),
                 }
             }
         }
@@ -413,12 +371,9 @@ impl Maintainer {
         })
     }
 
-    /// Plan the counting algorithm over one view — or, under a split
-    /// plan, over one [`Chunking`] chunk of the view's sorted group
-    /// keys. Returns `Ok(None)` when the delta contains a non-numeric
-    /// measure or the view graph is absent (caller falls back to a
-    /// refresh plan); both checks cover the *full* delta so every chunk
-    /// declines identically.
+    /// Plan the counting algorithm over one view. Returns `Ok(None)`
+    /// when the delta contains a non-numeric measure or the view graph
+    /// is absent (caller falls back to a refresh plan).
     fn plan_counting(
         &self,
         dataset: &Dataset,
@@ -426,7 +381,6 @@ impl Maintainer {
         ids: &ViewIds,
         catalog_rows: usize,
         fresh_start: u64,
-        chunking: Chunking,
     ) -> Result<Option<ViewPatch>, SparqlError> {
         if dataset.graph(Some(ids.graph)).is_none() {
             // Catalog view that was never (or no longer is) materialized:
@@ -455,16 +409,11 @@ impl Maintainer {
             }
         }
 
-        // 2. Plan this chunk's contiguous slice of the sorted group keys
-        // (the whole list when unsplit).
+        // 2. Plan every group, in sorted key order.
         let mut builder = PatchBuilder::new(ids.mask, fresh_start);
-        if chunking.split > 1 {
-            builder.label_tag = format!("s{}", chunking.chunk);
-        }
         let mut keys: Vec<Vec<TermId>> = groups.keys().cloned().collect();
         keys.sort_unstable(); // deterministic patch order
-        let (lo, hi) = chunk_range(keys.len(), chunking.chunk, chunking.split);
-        for key in &keys[lo..hi] {
+        for key in &keys {
             let group = &groups[key];
             self.plan_group(dataset, ids, key, group, &mut builder)?;
         }
@@ -482,7 +431,7 @@ impl Maintainer {
         group: &GroupDelta,
         builder: &mut PatchBuilder,
     ) -> Result<(), SparqlError> {
-        let obs = find_obs(dataset, ids, key, self.index_mode);
+        let obs = find_obs(dataset, ids, key, self.run_walk);
         let needs_reeval = match self.facet.agg.components() {
             // SUM-only views cannot witness group emptiness (no stored
             // count), and MIN/MAX are not invertible under deletes.
@@ -706,15 +655,9 @@ impl Maintainer {
         // `m`-prefixed labels cannot collide with the materializer's
         // row-indexed ones; the loop guards against label reuse across
         // maintainer instances on the same graph. Labels minted within
-        // this patch never collide either — the counter only advances —
-        // and sibling chunks of a split plan mint in disjoint `s<chunk>`
-        // namespaces (the tag is empty unsplit, preserving the historical
-        // format).
+        // this patch never collide either — the counter only advances.
         let label = loop {
-            let label = format!(
-                "v{}_{}_{}m{}",
-                self.facet.id, ids.mask.0, builder.label_tag, builder.next_fresh
-            );
+            let label = format!("v{}_{}_m{}", self.facet.id, ids.mask.0, builder.next_fresh);
             builder.next_fresh += 1;
             let in_use = dataset
                 .dict()
@@ -811,7 +754,7 @@ impl ViewIds {
             .iter()
             .map(|&d| dataset.intern_iri(&sofos::dim(d)))
             .collect();
-        ViewIds {
+        let ids = ViewIds {
             mask,
             graph: dataset.intern_iri(&sofos::view_graph(&facet.id, mask.0)),
             type_pred: dataset.intern_iri(rdf::TYPE),
@@ -822,7 +765,16 @@ impl ViewIds {
             count: dataset.intern_iri(sofos::COUNT),
             min: dataset.intern_iri(sofos::MIN),
             max: dataset.intern_iri(sofos::MAX),
-        }
+        };
+        // Group location reads per-(predicate, value) posting lists of
+        // the dimension predicates plus `rdf:type` (the apex lookup keys
+        // on `sofos:Observation`). Registering is idempotent and must
+        // rerun every pass: a `Replace` commit rebuilds the graph with
+        // empty registrations. No-op while the graph does not exist.
+        let mut preds = ids.dim_preds.clone();
+        preds.push(ids.type_pred);
+        dataset.register_value_preds(Some(ids.graph), &preds);
+        ids
     }
 
     fn component(&self, component: MaterialComponent) -> TermId {
@@ -833,40 +785,51 @@ impl ViewIds {
             MaterialComponent::Max => self.max,
         }
     }
-
-    /// Register the group-location predicates — the dimension predicates
-    /// plus `rdf:type` (the apex lookup keys on `sofos:Observation`) — for
-    /// per-(predicate, value) bitmaps on the view graph. Idempotent;
-    /// re-run after every `Replace` commit because a rebuilt graph starts
-    /// with empty registrations. No-op while the graph does not exist.
-    pub(crate) fn register_value_preds(&self, dataset: &mut Dataset) {
-        let mut preds = self.dim_preds.clone();
-        preds.push(self.type_pred);
-        dataset.register_value_preds(Some(self.graph), &preds);
-    }
 }
 
 /// Find the observation node of a group in the view graph (read-only —
-/// the dimension predicates were interned by [`ViewIds::prepare`]).
-///
-/// In [`PlanIndexMode::Bitmap`] the lookup intersects the view graph's
-/// per-(dimension, value) subject bitmaps — O(intersection) instead of
-/// O(matching triples) per leg — falling back to the run walk when a
-/// predicate is not registered yet (first pass after recovery).
-fn find_obs(
-    dataset: &Dataset,
-    ids: &ViewIds,
-    key: &[TermId],
-    mode: PlanIndexMode,
-) -> Option<TermId> {
+/// [`ViewIds::prepare`] interned the predicates and registered their
+/// posting lists).
+fn find_obs(dataset: &Dataset, ids: &ViewIds, key: &[TermId], run_walk: bool) -> Option<TermId> {
     let store = dataset.graph(Some(ids.graph))?;
-    if mode == PlanIndexMode::Bitmap {
-        if let Some(found) = find_obs_bitmap(store, ids, key) {
-            return found;
-        }
+    if run_walk {
+        find_obs_run_walk(store, ids, key)
+    } else {
+        find_obs_bitmap(store, ids, key)
     }
+}
+
+/// Group location over the posting lists: a progressive AND of the view
+/// graph's per-(dimension, value) subject bitmaps with early exit on
+/// empty — O(intersection) instead of O(matching triples) per leg.
+fn find_obs_bitmap(store: &GraphStore, ids: &ViewIds, key: &[TermId]) -> Option<TermId> {
     if ids.mask_dims.is_empty() {
         // Apex: the (single) observation node.
+        return store
+            .value_subjects(ids.type_pred, ids.observation)
+            .and_then(Bitmap::min)
+            .map(TermId);
+    }
+    let mut acc: Option<Bitmap> = None;
+    for (&pred, &value) in ids.dim_preds.iter().zip(key) {
+        let bm = store.value_subjects(pred, value)?;
+        let next = match acc {
+            None => bm.clone(),
+            Some(prev) => prev.and(bm),
+        };
+        if next.is_empty() {
+            return None;
+        }
+        acc = Some(next);
+    }
+    acc.and_then(|bm| bm.min()).map(TermId)
+}
+
+/// Group location by walking the permutation-index runs per dimension —
+/// the planner posting lists replaced, kept as the reference that
+/// [`Maintainer::run_walk_reference`] plans with.
+fn find_obs_run_walk(store: &GraphStore, ids: &ViewIds, key: &[TermId]) -> Option<TermId> {
+    if ids.mask_dims.is_empty() {
         return store
             .scan(IdPattern::new(
                 None,
@@ -898,51 +861,12 @@ fn find_obs(
     candidates.and_then(|c| c.into_iter().min())
 }
 
-/// Bitmap-indexed group location. Outer `None` means the index cannot
-/// answer (a lookup predicate is unregistered on this graph) and the
-/// caller must run-walk; `Some(None)` is a definitive "no observation".
-fn find_obs_bitmap(store: &GraphStore, ids: &ViewIds, key: &[TermId]) -> Option<Option<TermId>> {
-    if ids.mask_dims.is_empty() {
-        if !store.has_value_pred(ids.type_pred) {
-            return None;
-        }
-        let min = store
-            .value_subjects(ids.type_pred, ids.observation)
-            .and_then(Bitmap::min);
-        return Some(min.map(TermId));
-    }
-    let mut acc: Option<Bitmap> = None;
-    for (&pred, &value) in ids.dim_preds.iter().zip(key) {
-        if !store.has_value_pred(pred) {
-            return None;
-        }
-        let Some(bm) = store.value_subjects(pred, value) else {
-            return Some(None);
-        };
-        let next = match acc {
-            None => bm.clone(),
-            Some(prev) => prev.and(bm),
-        };
-        if next.is_empty() {
-            return Some(None);
-        }
-        acc = Some(next);
-    }
-    Some(acc.and_then(|bm| bm.min()).map(TermId))
-}
-
 /// Intersection of the star legs' per-predicate subject bitmaps on the
 /// base graph: the subjects that can possibly bind a complete star row
-/// (every leg present at least once). `None` disables filtering
-/// ([`PlanIndexMode::RunWalk`]); an empty bitmap rules out every subject.
-pub(crate) fn scan_candidates(
-    mode: PlanIndexMode,
-    base: &GraphStore,
-    leg_ids: &[TermId],
-) -> Option<Bitmap> {
-    if mode == PlanIndexMode::RunWalk {
-        return None;
-    }
+/// (every leg present at least once). Skipping a subject outside it is
+/// equivalent to `StarPattern::subject_rows`' empty-leg early return —
+/// the filter only rules out subjects that would bind no row anyway.
+pub(crate) fn scan_candidates(base: &GraphStore, leg_ids: &[TermId]) -> Bitmap {
     let mut acc: Option<Bitmap> = None;
     for &pred in leg_ids {
         let bm = base.pred_subjects(pred).cloned().unwrap_or_default();
@@ -951,46 +875,11 @@ pub(crate) fn scan_candidates(
             Some(prev) => prev.and(&bm),
         };
         if next.is_empty() {
-            return Some(next);
+            return next;
         }
         acc = Some(next);
     }
-    Some(acc.unwrap_or_default())
-}
-
-/// Should this subject be skipped by the candidate pre-filter?
-/// Equivalent to `StarPattern::subject_rows`' empty-leg early return —
-/// the filter only rules out subjects that would bind no row anyway.
-pub(crate) fn skip_subject(candidates: &Option<Bitmap>, subject: TermId) -> bool {
-    candidates.as_ref().is_some_and(|c| !c.contains(subject.0))
-}
-
-/// One slice of a `split`-way within-view plan: chunk `chunk` of the
-/// view's sorted group keys. [`Chunking::whole`] is the unsplit case;
-/// the [`Chunking::leader`] chunk owns non-chunkable strategies
-/// (refresh, noop) while its siblings plan no-ops.
-#[derive(Clone, Copy)]
-pub(crate) struct Chunking {
-    pub(crate) chunk: usize,
-    pub(crate) split: usize,
-}
-
-impl Chunking {
-    /// The unsplit plan: one chunk covering every group key.
-    pub(crate) fn whole() -> Self {
-        Chunking { chunk: 0, split: 1 }
-    }
-
-    /// Whether this chunk plans whole-view (non-chunkable) strategies.
-    fn leader(self) -> bool {
-        self.chunk == 0
-    }
-}
-
-/// Chunk `chunk` of `split`'s half-open slice of `len` sorted keys —
-/// balanced contiguous ranges that partition `0..len`.
-fn chunk_range(len: usize, chunk: usize, split: usize) -> (usize, usize) {
-    (chunk * len / split, (chunk + 1) * len / split)
+    acc.unwrap_or_default()
 }
 
 /// Read a component value of an observation.

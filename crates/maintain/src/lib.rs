@@ -43,7 +43,7 @@ mod parallel;
 mod pipeline;
 mod star;
 
-pub use engine::{ApplyOutcome, Maintainer, PlanIndexMode, RowDelta};
+pub use engine::{ApplyOutcome, Maintainer, RowDelta};
 pub use parallel::{ShardScanCost, ShardedApplyOutcome};
 pub use pipeline::{PipelineOutcome, PipelineTelemetry, ViewPatch};
 pub use star::StarPattern;

@@ -42,7 +42,7 @@
 //! [`PipelineTelemetry::serial_fraction`] replaces the fixed Amdahl floor
 //! in `sofos_cost::ShardedMaintenance`.
 
-use crate::engine::{scan_candidates, skip_subject, Chunking, PlanIndexMode, RowDelta, ViewIds};
+use crate::engine::{scan_candidates, RowDelta, ViewIds};
 use crate::{Maintainer, MaintenanceCost, MaintenanceReport, MaintenanceStrategy};
 use sofos_cube::ViewMask;
 use sofos_rdf::{Graph, Term, TermId};
@@ -135,10 +135,6 @@ pub(crate) struct PatchBuilder {
     pub(crate) fresh: Vec<String>,
     pub(crate) cost: MaintenanceCost,
     pub(crate) next_fresh: u64,
-    /// Blank-label namespace (empty unsplit; `s<chunk>` under a split
-    /// plan so sibling chunks minting from the same counter never
-    /// collide).
-    pub(crate) label_tag: String,
 }
 
 impl PatchBuilder {
@@ -146,7 +142,6 @@ impl PatchBuilder {
         PatchBuilder {
             ops: Vec::new(),
             fresh: Vec::new(),
-            label_tag: String::new(),
             cost: MaintenanceCost {
                 view,
                 strategy: MaintenanceStrategy::Counting,
@@ -266,13 +261,13 @@ impl Maintainer {
         // legs' per-predicate subject bitmaps cannot bind a complete star
         // row, so its per-leg scans are skipped entirely. Computed once
         // per stage against the graph state this stage scans.
-        let candidates = scan_candidates(self.index_mode(), dataset.default_graph(), &plan.leg_ids);
+        let candidates = scan_candidates(dataset.default_graph(), &plan.leg_ids);
         parallel_indexed(plan.buckets.len(), threads, |shard| {
             let bucket = &plan.buckets[shard];
             let start = Instant::now();
             let mut rows = Vec::new();
             for &subject in bucket {
-                if skip_subject(&candidates, subject) {
+                if !candidates.contains(subject.0) {
                     continue;
                 }
                 star.subject_rows(dataset.default_graph(), &plan.leg_ids, subject, &mut rows);
@@ -300,58 +295,26 @@ impl Maintainer {
         views: &mut [(ViewMask, usize)],
         threads: usize,
     ) -> Result<PipelineOutcome, SparqlError> {
-        self.maintain_pipelined_split(dataset, rows, views, threads, 1)
-    }
-
-    /// [`Maintainer::maintain_pipelined`] with *within-view* plan
-    /// parallelism: each view's planning is split into `split` chunks of
-    /// its sorted group-key range, so a catalog dominated by one hot view
-    /// still fills the pool (`views × split` tasks). Chunks re-group the
-    /// delta independently (cheap, deterministic) and plan disjoint
-    /// contiguous key ranges; their patches are concatenated in key order,
-    /// so the merged patch is op-for-op the unsplit plan up to blank-node
-    /// labels (chunks mint in per-chunk namespaces). `split = 1` is
-    /// exactly the unsplit pipeline.
-    pub fn maintain_pipelined_split(
-        &mut self,
-        dataset: &mut Dataset,
-        rows: Option<&RowDelta>,
-        views: &mut [(ViewMask, usize)],
-        threads: usize,
-        split: usize,
-    ) -> Result<PipelineOutcome, SparqlError> {
-        let split = split.max(1);
         let pass_start = Instant::now();
 
-        // Serial prologue: interning (and posting-list registration)
-        // needs the writer's dictionary.
+        // Serial prologue: interning and posting-list registration need
+        // the writer's dictionary.
         let serial_start = Instant::now();
         let ids: Vec<ViewIds> = views
             .iter()
-            .map(|&(mask, _)| {
-                let ids = ViewIds::prepare(dataset, self.facet(), mask);
-                if self.index_mode() == PlanIndexMode::Bitmap {
-                    ids.register_value_preds(dataset);
-                }
-                ids
-            })
+            .map(|&(mask, _)| ViewIds::prepare(dataset, self.facet(), mask))
             .collect();
         let mut serial_us = serial_start.elapsed().as_micros() as u64;
 
-        // Phase 1: plan all patch chunks against the immutable dataset.
+        // Phase 1: plan all patches against the immutable dataset.
         let plan_start = Instant::now();
-        let planned = self.plan_all(dataset, rows, views, &ids, threads, split);
+        let planned = self.plan_all(dataset, rows, views, &ids, threads);
         let parallel_wall_us = plan_start.elapsed().as_micros() as u64;
         let parallel_work_us = planned.iter().map(|(_, work)| work).sum();
-        let mut chunk_patches = planned.into_iter().map(|(patch, _)| patch);
-        let mut patches: Vec<ViewPatch> = Vec::with_capacity(views.len());
-        for &(_, catalog_rows) in views.iter() {
-            let chunks: Vec<ViewPatch> = chunk_patches
-                .by_ref()
-                .take(split)
-                .collect::<Result<_, _>>()?;
-            patches.push(merge_chunk_patches(chunks, catalog_rows));
-        }
+        let patches: Vec<ViewPatch> = planned
+            .into_iter()
+            .map(|(patch, _)| patch)
+            .collect::<Result<_, _>>()?;
 
         // Phase 2: apply serially, in catalog order.
         let apply_start = Instant::now();
@@ -374,10 +337,8 @@ impl Maintainer {
         })
     }
 
-    /// Plan every view's patch chunks, each timed, distributing the
-    /// `views × split` tasks over at most `threads` workers (round-robin
-    /// by task index). Task `t` plans chunk `t % split` of view
-    /// `t / split`, so results arrive grouped by view in chunk order.
+    /// Plan every view's patch, each timed, distributing views over at
+    /// most `threads` workers (round-robin by catalog index).
     #[allow(clippy::type_complexity)]
     fn plan_all(
         &self,
@@ -386,73 +347,14 @@ impl Maintainer {
         views: &[(ViewMask, usize)],
         ids: &[ViewIds],
         threads: usize,
-        split: usize,
     ) -> Vec<(Result<ViewPatch, SparqlError>, u64)> {
         let fresh_start = self.fresh_counter();
-        parallel_indexed(views.len() * split, threads, |task| {
-            let (index, chunk) = (task / split, task % split);
+        parallel_indexed(views.len(), threads, |index| {
             let start = Instant::now();
-            let patch = self.plan_view_chunk(
-                dataset,
-                rows,
-                views[index],
-                &ids[index],
-                fresh_start,
-                Chunking { chunk, split },
-            );
+            let patch = self.plan_view(dataset, rows, views[index], &ids[index], fresh_start);
             (patch, start.elapsed().as_micros() as u64)
         })
     }
-}
-
-/// Fold one view's chunk patches back into a single patch equivalent to
-/// the unsplit plan. Refresh plans are whole by construction (chunk 0
-/// plans them, siblings no-op); counting chunks concatenate — their key
-/// ranges partition the sorted key list, so op order matches the unsplit
-/// plan and only blank-node indices need remapping.
-fn merge_chunk_patches(mut chunks: Vec<ViewPatch>, catalog_rows: usize) -> ViewPatch {
-    if chunks.len() == 1 {
-        return chunks.pop().expect("at least one chunk per view");
-    }
-    if let Some(pos) = chunks
-        .iter()
-        .position(|p| p.cost.strategy == MaintenanceStrategy::FullRefresh)
-    {
-        return chunks.swap_remove(pos);
-    }
-    if chunks
-        .iter()
-        .all(|p| p.cost.strategy == MaintenanceStrategy::Noop)
-    {
-        return chunks.swap_remove(0);
-    }
-    let mut merged = chunks.remove(0);
-    for patch in chunks {
-        let offset = merged.fresh.len();
-        merged.fresh.extend(patch.fresh);
-        merged.ops.extend(patch.ops.into_iter().map(|op| match op {
-            PatchOp::Insert {
-                node: NodeRef::Fresh(i),
-                pred,
-                object,
-            } => PatchOp::Insert {
-                node: NodeRef::Fresh(i + offset),
-                pred,
-                object,
-            },
-            other => other,
-        }));
-        merged.cost.triples_touched += patch.cost.triples_touched;
-        merged.cost.groups_patched += patch.cost.groups_patched;
-        merged.cost.groups_reevaluated += patch.cost.groups_reevaluated;
-        merged.cost.rows_inserted += patch.cost.rows_inserted;
-        merged.cost.rows_retracted += patch.cost.rows_retracted;
-        merged.cost.wall_us += patch.cost.wall_us;
-        merged.fresh_end = merged.fresh_end.max(patch.fresh_end);
-    }
-    merged.rows =
-        (catalog_rows + merged.cost.rows_inserted).saturating_sub(merged.cost.rows_retracted);
-    merged
 }
 
 /// Run `task(0..n)` on at most `threads` scoped workers, round-robin by

@@ -565,12 +565,12 @@ proptest! {
         prop_assert_eq!(serial_catalog, piped_catalog);
     }
 
-    /// The bitmap-indexed planner (posting-list group location + scan
-    /// candidate pre-filter + within-view split planning) is bit-equal to
-    /// the run-walking planner it replaced: across shard × thread ×
-    /// split × delta-mix grids, two datasets maintained through the two
-    /// [`sofos_maintain::PlanIndexMode`]s end up with identical view
-    /// graphs and catalogs at every batch boundary.
+    /// Posting-list group location is bit-equal to the run walk it
+    /// replaced: across shard × thread × delta-mix grids, a dataset
+    /// maintained by the planner and one maintained by its run-walking
+    /// reference (`Maintainer::run_walk_reference`, a hidden test hook)
+    /// end up with identical view graphs and catalogs at every batch
+    /// boundary.
     #[test]
     fn bitmap_planning_equals_run_walk(
         batches in proptest::collection::vec(
@@ -583,9 +583,8 @@ proptest! {
         batch_size in 1usize..5,
         shards in 1usize..6,
         threads in 1usize..4,
-        split in 1usize..5,
     ) {
-        use sofos_maintain::{PlanIndexMode, RowDelta};
+        use sofos_maintain::RowDelta;
         use sofos_store::ShardRouter;
         let agg = AggOp::Avg; // SUM+COUNT components exercise both patch paths
         let facet = facet(3, agg);
@@ -602,10 +601,8 @@ proptest! {
             let v = materialize_view(&mut bitmap_ds, &facet, mask).unwrap();
             bitmap_catalog.push((mask, v.stats.rows));
         }
-        let mut walk = Maintainer::new(&facet);
-        walk.set_index_mode(PlanIndexMode::RunWalk);
+        let mut walk = Maintainer::run_walk_reference(&facet);
         let mut bitmap = Maintainer::new(&facet);
-        assert_eq!(bitmap.index_mode(), PlanIndexMode::Bitmap, "bitmap is the default");
 
         // Deltas are rebuilt per dataset so both intern identically.
         let build_delta = |ops: &[(bool, Vec<u8>, i64)], next: &mut usize, live: &mut Vec<Option<(Vec<u8>, i64)>>| {
@@ -630,7 +627,7 @@ proptest! {
         let (mut next_b, mut live_b) = (0usize, Vec::new());
         for chunk in batches.chunks(batch_size) {
             // Both sides coalesce the chunk and run one pipelined pass;
-            // only the index mode (and the bitmap side's split) differ.
+            // only the group lookup differs.
             let mut merged_a = RowDelta::default();
             for ops in chunk {
                 let delta = build_delta(ops, &mut next_a, &mut live_a);
@@ -647,17 +644,15 @@ proptest! {
                 merged_b.merge(outcome.outcome.rows.as_ref().expect("star facet"));
             }
             bitmap
-                .maintain_pipelined_split(
-                    &mut bitmap_ds, Some(&merged_b), &mut bitmap_catalog, threads, split,
-                )
+                .maintain_pipelined(&mut bitmap_ds, Some(&merged_b), &mut bitmap_catalog, threads)
                 .expect("bitmap maintenance succeeds");
 
             for &mask in &masks {
                 prop_assert_eq!(
                     view_signature(&walk_ds, &facet, mask),
                     view_signature(&bitmap_ds, &facet, mask),
-                    "shards={} threads={} split={} view {} diverged",
-                    shards, threads, split, mask
+                    "shards={} threads={} view {} diverged",
+                    shards, threads, mask
                 );
             }
         }
