@@ -5,14 +5,15 @@
 //! stream:
 //!
 //! * **batched maintenance** (shards × writer-threads × batch size):
-//!   `batch` deltas coalesced per epoch (`EpochStore::begin_batch`):
-//!   scans per delta, row deltas *merged* (intra-batch churn cancels),
-//!   one parallel-plan / serial-apply maintenance pass
-//!   (`maintain_pipelined`), ONE publish. Batch 1 is the per-delta
-//!   baseline: one pass and one publish (master clone + swap) per delta.
-//!   Each cell reports maintenance wall-clock and the pipeline's measured
-//!   serial fraction — the figure `sofos_cost::ShardedMaintenance`
-//!   should replace its 0.4 prior with.
+//!   `batch` deltas coalesced per epoch inside one `WriteTxn`:
+//!   `Maintainer::apply` per delta (its binding scans run inline), row
+//!   deltas *merged* (intra-batch churn cancels), one parallel-plan /
+//!   serial-apply maintenance pass (`maintain_pipelined`), ONE publish.
+//!   Batch 1 is the per-delta baseline: one pass and one publish (master
+//!   clone + swap) per delta. `shards` only sets the store's per-shard
+//!   epoch stamps; `threads` sizes the per-view planning pool. Each cell
+//!   reports maintenance wall-clock and the pipeline's measured serial
+//!   fraction (the applies count as serial work).
 //! * **bounded staleness** (lag bound sweep at the headline shard
 //!   config): an epoch-backend `Engine` under
 //!   `StalenessPolicy::Bounded { max_batches, max_epoch_lag }` serves an
@@ -44,7 +45,7 @@ use sofos_maintain::{Maintainer, PipelineTelemetry, RowDelta};
 use sofos_materialize::virtual_view_stats;
 use sofos_select::WorkloadProfile;
 use sofos_sparql::Evaluator;
-use sofos_store::{Dataset, Delta, EpochStore, ShardRouter};
+use sofos_store::{Dataset, Delta, EpochStore};
 use std::time::Instant;
 
 /// Pre-generate `rounds` update batches, cycling through freshly-seeded
@@ -108,24 +109,20 @@ fn run_two_phase(
     batch: usize,
 ) -> ModeOutcome {
     let store = EpochStore::new(expanded.clone(), shards);
-    let router = ShardRouter::new(shards);
     let mut maintainer = Maintainer::new(facet);
     let mut views = catalog.to_vec();
     let mut wall_us = 0u64;
     let mut telemetry = PipelineTelemetry::default();
     for chunk in deltas.chunks(batch.max(1)) {
         let start = Instant::now();
-        let mut txn = store.begin_batch();
+        let mut txn = store.begin();
         let mut merged = RowDelta::default();
         for delta in chunk {
-            let sharded = maintainer.apply_sharded(txn.dataset(), delta.clone(), &router, threads);
-            telemetry.merge(&PipelineTelemetry {
-                serial_us: sharded.serial_us,
-                parallel_work_us: sharded.scan_work_us(),
-                parallel_wall_us: sharded.scan_wall_us,
-            });
-            txn.absorb(&sharded.outcome.changes);
-            merged.merge(sharded.outcome.rows.as_ref().expect("star facet"));
+            let apply_start = Instant::now();
+            let applied = maintainer.apply(txn.dataset(), delta.clone());
+            telemetry.serial_us += apply_start.elapsed().as_micros() as u64;
+            txn.touch_changes(&applied.changes);
+            merged.merge(applied.rows.as_ref().expect("star facet"));
         }
         let outcome = maintainer
             .maintain_pipelined(txn.dataset(), Some(&merged), &mut views, threads)
@@ -501,9 +498,9 @@ fn main() {
         "Reading: 'two-phase' merges each batch's row deltas (churn cancels), plans\n\
          every view's patch in parallel, applies serially, and publishes ONE epoch\n\
          per batch; batch 1 pays a maintenance pass and a publish per delta.\n\
-         'ser-frac' is the measured Amdahl floor the sharded maintenance\n\
-         cost model now consumes instead of its 0.4 prior. 'bounded' rows serve\n\
-         reads from pinned snapshots with freshness tags; max-lag never exceeds the\n\
+         'ser-frac' is the measured serial share of that work (delta applies\n\
+         and patch application). 'bounded' rows serve reads from pinned\n\
+         snapshots with freshness tags; max-lag never exceeds the\n\
          configured bound (lag percentiles come straight from the engine's\n\
          sofos_freshness_lag histogram). 'metrics' compares the serve loop with\n\
          recording on vs a disabled handle; the ser-frac column shows the measured\n\

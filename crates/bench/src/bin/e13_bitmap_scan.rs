@@ -31,7 +31,7 @@ use sofos_bench::{finish_report, ms, print_table, sized, BenchReport, Json};
 use sofos_cube::{AggOp, Facet, ViewMask};
 use sofos_maintain::{Maintainer, PipelineTelemetry};
 use sofos_materialize::{materialize_view, virtual_view_stats};
-use sofos_store::{Dataset, Delta, ShardRouter};
+use sofos_store::{Dataset, Delta};
 use sofos_workload::{generate_update_stream, synthetic, UpdateStreamConfig};
 use std::time::Instant;
 
@@ -43,8 +43,6 @@ const MASKS: [ViewMask; 4] = [
     ViewMask(0b110),
     ViewMask::APEX,
 ];
-
-const SHARDS: usize = 4;
 
 /// One cell's measurements: the plan-phase wall, the end-to-end
 /// maintenance wall, and the deterministic maintenance counts.
@@ -70,7 +68,6 @@ fn run_cell(
     let threads = 1;
     let mut ds = seeded.clone();
     let mut views = catalog.to_vec();
-    let router = ShardRouter::new(SHARDS);
     let mut maintainer = Maintainer::new(facet);
     let mut plan = PipelineTelemetry::default();
     let mut cell = Cell {
@@ -85,14 +82,15 @@ fn run_cell(
     };
     for delta in deltas {
         let start = Instant::now();
-        let sharded = maintainer.apply_sharded(&mut ds, delta.clone(), &router, threads);
-        let rows = sharded.outcome.rows.expect("star facet");
+        let rows = maintainer
+            .apply(&mut ds, delta.clone())
+            .rows
+            .expect("star facet");
         let outcome = maintainer
             .maintain_pipelined(&mut ds, Some(&rows), &mut views, threads)
             .expect("pipelined maintenance succeeds");
         cell.maint_wall_us += start.elapsed().as_micros() as u64;
-        // The pipelined pass's parallel wall IS the plan phase (the
-        // sharded scans report their own telemetry, not merged here).
+        // The pipelined pass's parallel wall IS the plan phase.
         plan.merge(&outcome.telemetry);
         for cost in &outcome.report.per_view {
             cell.groups_patched += cost.groups_patched;

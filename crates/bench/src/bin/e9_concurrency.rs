@@ -9,8 +9,9 @@
 //!   maintenance batch (and every other query) — the pre-epoch
 //!   architecture.
 //! * **epoch** — [`Backend::Epoch`]: queries pin immutable epoch
-//!   snapshots and never wait for the writer; maintenance splits
-//!   per-shard binding scans across a scoped thread pool.
+//!   snapshots and never wait for the writer. Its `shards` only stamp
+//!   per-shard epochs and its writer `threads` size the per-view planning
+//!   pool; each delta's binding scans run inline on the writer.
 //!
 //! The sweep crosses shards × writer-threads × read-mix and reports read
 //! latency percentiles, writer throughput, and epoch accounting. The

@@ -33,9 +33,12 @@
 //! * [`Backend::Serial`] — one mutable dataset behind a mutex. Queries
 //!   and updates serialize; simple, and exactly the paper's single-node
 //!   regime (the `e9_concurrency` baseline).
-//! * [`Backend::Epoch`] — the sharded epoch store: readers pin immutable
+//! * [`Backend::Epoch`] — the epoch store: readers pin immutable
 //!   snapshots and never wait for the writer; maintenance runs two-phase
-//!   and publishes whole batches as single epochs.
+//!   and publishes whole batches as single epochs. Its `threads` size the
+//!   per-view planning pool and its `shards` only stamp per-shard epochs
+//!   ([`Freshness::oldest_shard_epoch`]); each delta's binding scans run
+//!   inline on the writer.
 //!
 //! Wall-clock staleness ([`StalenessPolicy::Bounded`]'s `max_lag_ms`) is
 //! driven by an injected [`Clock`] ([`EngineBuilder::clock`]), so
@@ -272,13 +275,15 @@ pub trait ServingBackend: sealed::Sealed + Send + Sync {
 pub enum Backend {
     /// One mutable dataset behind a mutex: queries and updates serialize.
     Serial,
-    /// The sharded epoch store: readers pin immutable snapshots while the
-    /// writer publishes epochs; maintenance scans split across `threads`
-    /// workers over `shards` subject-hash shards.
+    /// The epoch store: readers pin immutable snapshots while the writer
+    /// publishes epochs.
     Epoch {
-        /// Subject-hash shard count (min 1).
+        /// Subject-hash shard count (min 1). Shards only keep per-shard
+        /// epoch stamps ([`Freshness::oldest_shard_epoch`]); they split
+        /// no work.
         shards: usize,
-        /// Maintenance worker threads per batch (min 1).
+        /// Worker threads of the per-view planning pool of each
+        /// maintenance pass (min 1).
         threads: usize,
     },
 }

@@ -7,11 +7,12 @@
 //! * **queries** pin an immutable epoch [`sofos_store::Snapshot`] and
 //!   evaluate against it — they never wait for a writer, only for the
 //!   pointer swap of a publish and a short catalog-routing lock;
-//! * **updates** run inside a write transaction: the delta's binding
-//!   scans are split by subject shard and run on a scoped thread pool
-//!   ([`sofos_maintain::Maintainer::apply_sharded`]), views are patched
-//!   on the writer's master, and the whole batch becomes visible
-//!   atomically at publish;
+//! * **updates** run inside a write transaction: the delta is applied
+//!   with its binding scans ([`sofos_maintain::Maintainer::apply`]), views
+//!   are patched on the writer's master by the pipelined planner (per-view
+//!   plans on a pool of the backend's `threads` workers), and the whole
+//!   batch becomes visible atomically at publish. The store's `shards`
+//!   only stamp per-shard epochs ([`Freshness::oldest_shard_epoch`]);
 //! * the **staleness policies** are the shared [`crate::policy`] state
 //!   machines expressed over epochs. *Eager* maintains inside the update
 //!   transaction. *Lazy* publishes the base change immediately and
@@ -37,7 +38,7 @@ use crate::policy::{Clock, FlushMeter, Freshness, PendingLog, ProfileWindows, St
 use crate::timing::measure_once;
 use sofos_cost::UpdateRates;
 use sofos_cube::{Facet, ViewMask};
-use sofos_maintain::{Maintainer, MaintenanceReport, PipelineTelemetry, RowDelta, ShardScanCost};
+use sofos_maintain::{ApplyOutcome, Maintainer, MaintenanceReport, PipelineTelemetry, RowDelta};
 use sofos_materialize::{drop_view, materialize_view, MaterializedView};
 use sofos_rdf::FxHashMap;
 use sofos_rewrite::{analyze_query, best_view, rewrite_query};
@@ -71,36 +72,11 @@ struct ServingState {
 struct WriterSide {
     maintainer: Maintainer,
     log: MaintenanceReport,
-    /// Scan telemetry folded to per-shard totals at absorb time, so a
-    /// long-lived backend stays O(shards) regardless of batch count.
-    shard_scans: Vec<ShardScanCost>,
     /// Accumulated two-phase split (serial spine vs. pool work) across
-    /// every sharded apply and pipelined maintenance pass.
+    /// every apply and pipelined maintenance pass.
     telemetry: PipelineTelemetry,
     /// Bounded policy only: deltas awaiting the next batched flush.
     buffered: Vec<Delta>,
-}
-
-impl WriterSide {
-    fn absorb_scans(&mut self, costs: &[ShardScanCost]) {
-        for cost in costs {
-            match self.shard_scans.iter_mut().find(|t| t.shard == cost.shard) {
-                Some(total) => total.merge(cost),
-                None => self.shard_scans.push(*cost),
-            }
-        }
-    }
-
-    /// Fold one sharded apply's scan/serial split into the running
-    /// telemetry and per-shard totals.
-    fn absorb_sharded(&mut self, sharded: &sofos_maintain::ShardedApplyOutcome) {
-        self.absorb_scans(&sharded.shard_costs);
-        self.telemetry.merge(&PipelineTelemetry {
-            serial_us: sharded.serial_us,
-            parallel_work_us: sharded.scan_work_us(),
-            parallel_wall_us: sharded.scan_wall_us,
-        });
-    }
 }
 
 /// A [`StalenessPolicy`]-driven serving backend over an [`EpochStore`]:
@@ -138,7 +114,6 @@ impl EpochBackend {
             writer: Mutex::new(WriterSide {
                 maintainer: Maintainer::new(&facet),
                 log: MaintenanceReport::default(),
-                shard_scans: Vec::new(),
                 telemetry: PipelineTelemetry::default(),
                 buffered: Vec::new(),
             }),
@@ -159,16 +134,18 @@ impl EpochBackend {
         }
     }
 
-    /// Mirror one sharded apply's scan/pipeline split into the metric
-    /// instruments (alongside [`WriterSide::absorb_sharded`]'s report
-    /// totals).
-    fn record_sharded(&self, sharded: &sofos_maintain::ShardedApplyOutcome) {
-        self.metrics.record_shard_scans(&sharded.shard_costs);
-        self.metrics.record_pipeline(&PipelineTelemetry {
-            serial_us: sharded.serial_us,
-            parallel_work_us: sharded.scan_work_us(),
-            parallel_wall_us: sharded.scan_wall_us,
-        });
+    /// [`Maintainer::apply`] one delta to the writer's master, counting
+    /// its wall time as serial pipeline work in the writer's telemetry
+    /// and the metric instruments.
+    fn apply(&self, writer: &mut WriterSide, dataset: &mut Dataset, delta: Delta) -> ApplyOutcome {
+        let (serial_us, outcome) = measure_once(|| writer.maintainer.apply(dataset, delta));
+        let split = PipelineTelemetry {
+            serial_us,
+            ..PipelineTelemetry::default()
+        };
+        writer.telemetry.merge(&split);
+        self.metrics.record_pipeline(&split);
+        outcome
     }
 
     /// Refresh the epoch-lifecycle gauges (and, on a durable store, the
@@ -220,16 +197,6 @@ impl EpochBackend {
         self.store.pin()
     }
 
-    /// Accumulated per-shard scan telemetry, folded across batches
-    /// (sorted by shard).
-    #[cfg(test)]
-    pub(crate) fn shard_scan_totals(&self) -> Vec<ShardScanCost> {
-        let writer = self.writer.lock().expect("writer lock poisoned");
-        let mut totals = writer.shard_scans.clone();
-        totals.sort_by_key(|t| t.shard);
-        totals
-    }
-
     fn lock_serving(&self) -> std::sync::MutexGuard<'_, ServingState> {
         self.serving.lock().expect("serving lock poisoned")
     }
@@ -245,7 +212,6 @@ impl EpochBackend {
 
     fn update_inner(&self, delta: Delta) -> Result<(), SparqlError> {
         let mut txn = self.store.begin();
-        let router = *self.store.router();
         let mut writer = self.writer.lock().expect("writer lock poisoned");
         {
             let mut state = self.lock_serving();
@@ -275,25 +241,18 @@ impl EpochBackend {
                 Ok(())
             }
             StalenessPolicy::Eager => {
-                let sharded = writer.maintainer.apply_sharded(
-                    txn.dataset(),
-                    delta,
-                    &router,
-                    self.writer_threads,
-                );
-                writer.absorb_sharded(&sharded);
-                self.record_sharded(&sharded);
+                let applied = self.apply(&mut writer, txn.dataset(), delta);
                 // The catalog's masks cannot change concurrently — every
                 // view mutator holds the write transaction — so working on
                 // a clone and installing it back is race-free.
                 let mut views = self.lock_serving().views.clone();
                 let result = writer.maintainer.maintain_pipelined(
                     txn.dataset(),
-                    sharded.outcome.rows.as_ref(),
+                    applied.rows.as_ref(),
                     &mut views,
                     self.writer_threads,
                 );
-                txn.touch_changes(&sharded.outcome.changes);
+                txn.touch_changes(&applied.changes);
                 // Snapshot construction (the clone) happens before the
                 // serving lock; readers only ever wait for the swap.
                 match result {
@@ -304,7 +263,7 @@ impl EpochBackend {
                         let catalog = self.durable_catalog(&views);
                         let prepared = txn.prepare();
                         let mut state = self.lock_serving();
-                        if let Some(rows) = &sharded.outcome.rows {
+                        if let Some(rows) = &applied.rows {
                             state.windows.observe_churn(rows);
                         }
                         state.views = views;
@@ -362,20 +321,13 @@ impl EpochBackend {
                 }
             }
             StalenessPolicy::LazyOnHit => {
-                let sharded = writer.maintainer.apply_sharded(
-                    txn.dataset(),
-                    delta,
-                    &router,
-                    self.writer_threads,
-                );
-                writer.absorb_sharded(&sharded);
-                self.record_sharded(&sharded);
-                txn.touch_changes(&sharded.outcome.changes);
+                let applied = self.apply(&mut writer, txn.dataset(), delta);
+                txn.touch_changes(&applied.changes);
                 let prepared = txn.prepare();
                 let mut guard = self.lock_serving();
                 let state = &mut *guard;
                 let epoch = prepared.publish();
-                match sharded.outcome.rows {
+                match applied.rows {
                     Some(rows) if rows.is_empty() => {}
                     Some(rows) => {
                         state.windows.observe_churn(&rows);
@@ -396,7 +348,7 @@ impl EpochBackend {
     }
 
     /// Flush the bounded policy's buffered updates now: apply them all
-    /// inside one batched transaction, maintain every view in one
+    /// inside one write transaction, maintain every view in one
     /// pipelined pass over the *merged* row delta, and publish the whole
     /// batch as a single epoch. No-op when nothing is buffered.
     pub(crate) fn flush(&self) -> Result<(), SparqlError> {
@@ -421,27 +373,18 @@ impl EpochBackend {
     /// (writer lock held, transaction open).
     fn flush_batch(
         &self,
-        txn: WriteTxn<'_>,
+        mut txn: WriteTxn<'_>,
         writer: &mut WriterSide,
         take: usize,
     ) -> Result<(), SparqlError> {
-        let router = *self.store.router();
-        let mut batch = txn.batch();
         let deltas: Vec<Delta> = writer.buffered.drain(..take).collect();
         // Merge the per-delta row deltas: N batches collapse into one
         // group-patching pass (intra-batch churn cancels for free).
         let mut merged: Option<RowDelta> = Some(RowDelta::default());
         for delta in deltas {
-            let sharded = writer.maintainer.apply_sharded(
-                batch.dataset(),
-                delta,
-                &router,
-                self.writer_threads,
-            );
-            writer.absorb_sharded(&sharded);
-            self.record_sharded(&sharded);
-            batch.absorb(&sharded.outcome.changes);
-            match sharded.outcome.rows {
+            let applied = self.apply(writer, txn.dataset(), delta);
+            txn.touch_changes(&applied.changes);
+            match applied.rows {
                 Some(rows) => {
                     if let Some(m) = merged.as_mut() {
                         m.merge(&rows);
@@ -453,7 +396,7 @@ impl EpochBackend {
         }
         let mut views = self.lock_serving().views.clone();
         let result = writer.maintainer.maintain_pipelined(
-            batch.dataset(),
+            txn.dataset(),
             merged.as_ref(),
             &mut views,
             self.writer_threads,
@@ -464,7 +407,7 @@ impl EpochBackend {
                 self.metrics.record_pipeline(&outcome.telemetry);
                 writer.log.absorb(outcome.report);
                 let catalog = self.durable_catalog(&views);
-                let prepared = batch.prepare();
+                let prepared = txn.prepare();
                 let mut state = self.lock_serving();
                 if let Some(rows) = merged.as_ref().filter(|rows| !rows.is_empty()) {
                     state.windows.observe_churn(rows);
@@ -488,7 +431,7 @@ impl EpochBackend {
                 // Base deltas are applied, views were left unpatched
                 // (all-or-nothing planning): publish the base batch and
                 // demand a full refresh of every view.
-                let prepared = batch.prepare();
+                let prepared = txn.prepare();
                 let mut guard = self.lock_serving();
                 let state = &mut *guard;
                 let epoch = prepared.publish();
@@ -1070,10 +1013,6 @@ mod tests {
         assert_answers_match_base(&backend, &workload);
         // Repairs published new epochs beyond the two update batches.
         assert!(backend.store().epoch() > 2);
-        assert!(
-            !backend.shard_scan_totals().is_empty(),
-            "sharded scans produced telemetry"
-        );
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //! | `sofos_buffered_updates` | gauge | bounded-policy update batches awaiting flush |
 //! | `sofos_flushes_total` / `sofos_flushed_batches_total` | counter | flush passes / batches they drained |
 //! | `sofos_epochs_published` / `_retired` / `_live` | gauge | the epoch store's snapshot lifecycle |
-//! | `sofos_shard_scan_us{shard}` | histogram | per-shard delta-scan wall time |
 //! | `sofos_pipeline_{serial,parallel_work,parallel_wall}_us_total` | counter | two-phase pipeline split |
 //! | `sofos_maintenance_errors_total` | counter | failed maintenance / repair passes |
 //! | `sofos_reselections_total` | counter | adaptive catalog swaps (see [`crate::adaptive`]) |
@@ -41,7 +40,7 @@
 
 use crate::policy::Freshness;
 use sofos_cube::ViewMask;
-use sofos_maintain::{PipelineTelemetry, ShardScanCost};
+use sofos_maintain::PipelineTelemetry;
 use sofos_rdf::FxHashMap;
 use sofos_store::{PersistStats, PostingStats};
 use sofos_telemetry::{Counter, EventKind, Gauge, Histogram, MetricsHandle};
@@ -65,7 +64,6 @@ pub(crate) struct EngineInstruments {
     epochs_published: Arc<Gauge>,
     epochs_retired: Arc<Gauge>,
     epochs_live: Arc<Gauge>,
-    shard_scans: Mutex<FxHashMap<usize, Arc<Histogram>>>,
     pipeline_serial_us: Arc<Counter>,
     pipeline_parallel_work_us: Arc<Counter>,
     pipeline_parallel_wall_us: Arc<Counter>,
@@ -152,7 +150,6 @@ impl EngineInstruments {
                 "Epoch snapshots currently retained (published - retired)",
                 &b,
             ),
-            shard_scans: Mutex::new(FxHashMap::default()),
             pipeline_serial_us: handle.counter(
                 "sofos_pipeline_serial_us_total",
                 "Two-phase pipeline: serial spine wall time (µs)",
@@ -316,7 +313,7 @@ impl EngineInstruments {
         );
     }
 
-    /// Fold one pipeline split (sharded apply or pipelined maintenance)
+    /// Fold one pipeline split (an apply or a pipelined maintenance pass)
     /// into the phase-timing counters.
     pub(crate) fn record_pipeline(&self, telemetry: &PipelineTelemetry) {
         if !self.handle.is_enabled() {
@@ -327,27 +324,6 @@ impl EngineInstruments {
             .add(telemetry.parallel_work_us);
         self.pipeline_parallel_wall_us
             .add(telemetry.parallel_wall_us);
-    }
-
-    /// Per-shard scan wall times from one sharded apply.
-    pub(crate) fn record_shard_scans(&self, costs: &[ShardScanCost]) {
-        if !self.handle.is_enabled() || costs.is_empty() {
-            return;
-        }
-        let mut cached = self.shard_scans.lock().expect("shard scans poisoned");
-        for cost in costs {
-            let hist = cached.entry(cost.shard).or_insert_with(|| {
-                self.handle.histogram(
-                    "sofos_shard_scan_us",
-                    "Per-shard delta-scan wall time (µs)",
-                    &[
-                        ("backend", self.backend),
-                        ("shard", &cost.shard.to_string()),
-                    ],
-                )
-            });
-            hist.record(cost.wall_us);
-        }
     }
 
     /// The persistence layer's cumulative counters (durable engines only).

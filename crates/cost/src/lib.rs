@@ -37,8 +37,8 @@ pub use learned::{
 };
 pub use maintenance::{
     expected_touched_groups, maintenance_features, CalibratedMaintenance, FixedMaintenance,
-    MaintenanceCoefficients, MaintenanceCostModel, MaintenanceFeatures, ShardedMaintenance,
-    TouchedGroupsMaintenance, UpdateRates,
+    MaintenanceCoefficients, MaintenanceCostModel, MaintenanceFeatures, TouchedGroupsMaintenance,
+    UpdateRates,
 };
 pub use models::{
     AggValuesCost, CostModel, CostModelKind, NodesCost, RandomCost, TriplesCost, UserDefinedCost,

@@ -390,101 +390,6 @@ impl MaintenanceCostModel for FixedMaintenance {
     }
 }
 
-/// Shard-aware wrapper: Amdahl-scales any inner maintenance estimate to a
-/// store whose binding scans run on a per-shard thread pool
-/// (`sofos_maintain::Maintainer::apply_sharded`).
-///
-/// Only the *scannable* fraction of upkeep parallelizes — the pre/post
-/// binding enumeration, split by subject hash across
-/// `min(shards, writer_threads)` workers. Interning the batch, pushing it
-/// through the index deltas, patching view groups, and publishing the
-/// epoch stay serial, so the predicted cost is
-///
-/// ```text
-/// inner · (serial_fraction + (1 − serial_fraction) / p),
-///     p = max(1, min(shards, writer_threads))
-/// ```
-///
-/// The default serial fraction (0.4) is an uncalibrated *prior*; a live
-/// system should replace it with the split the two-phase maintenance
-/// pipeline actually measures
-/// ([`ShardedMaintenance::from_telemetry`] /
-/// [`sofos_maintain::PipelineTelemetry::serial_fraction`]) — since the
-/// pipeline moved per-view patch planning off the serial spine, the
-/// measured fraction sits well below the old prior, and pricing upkeep
-/// with the prior would overestimate the Amdahl floor.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedMaintenance<M> {
-    inner: M,
-    shards: usize,
-    writer_threads: usize,
-    serial_fraction: f64,
-}
-
-impl<M: MaintenanceCostModel> ShardedMaintenance<M> {
-    /// Wrap `inner` for a store with `shards` shards maintained by
-    /// `writer_threads` workers per batch.
-    pub fn new(inner: M, shards: usize, writer_threads: usize) -> ShardedMaintenance<M> {
-        ShardedMaintenance {
-            inner,
-            shards: shards.max(1),
-            writer_threads: writer_threads.max(1),
-            serial_fraction: 0.4,
-        }
-    }
-
-    /// Wrap `inner` with the serial fraction *measured* from the
-    /// two-phase pipeline's phase telemetry. Falls back to the prior when
-    /// the telemetry has recorded no work yet, so a cold session never
-    /// prices against a 0/0.
-    pub fn from_telemetry(
-        inner: M,
-        shards: usize,
-        writer_threads: usize,
-        telemetry: &sofos_maintain::PipelineTelemetry,
-    ) -> ShardedMaintenance<M> {
-        let model = ShardedMaintenance::new(inner, shards, writer_threads);
-        match telemetry.serial_fraction() {
-            Some(fraction) => model.with_serial_fraction(fraction),
-            None => model,
-        }
-    }
-
-    /// Override the serial (non-parallelizable) fraction of upkeep,
-    /// clamped to `[0, 1]`.
-    pub fn with_serial_fraction(mut self, fraction: f64) -> ShardedMaintenance<M> {
-        self.serial_fraction = fraction.clamp(0.0, 1.0);
-        self
-    }
-
-    /// The serial fraction currently in effect (prior or measured).
-    pub fn serial_fraction(&self) -> f64 {
-        self.serial_fraction
-    }
-
-    /// Effective parallelism: workers cannot exceed shards (a shard is
-    /// the unit of work), nor the configured pool size.
-    pub fn effective_parallelism(&self) -> usize {
-        self.shards.min(self.writer_threads)
-    }
-
-    /// The Amdahl scaling factor applied to the inner estimate.
-    pub fn scale(&self) -> f64 {
-        let p = self.effective_parallelism().max(1) as f64;
-        self.serial_fraction + (1.0 - self.serial_fraction) / p
-    }
-}
-
-impl<M: MaintenanceCostModel> MaintenanceCostModel for ShardedMaintenance<M> {
-    fn name(&self) -> &'static str {
-        "sharded"
-    }
-
-    fn maintenance_cost(&self, ctx: &CostContext<'_>, view: ViewMask, rates: &UpdateRates) -> f64 {
-        self.inner.maintenance_cost(ctx, view, rates) * self.scale()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,74 +468,6 @@ mod tests {
                     );
                 }
             }
-        });
-    }
-
-    #[test]
-    fn sharded_maintenance_amdahl_scales_the_inner_estimate() {
-        with_ctx(AggOp::Sum, |ctx| {
-            let rates = UpdateRates::new(4.0, 2.0);
-            let view = ViewMask::full(2);
-            let serial = TouchedGroupsMaintenance.maintenance_cost(ctx, view, &rates);
-            assert!(serial > 0.0);
-
-            // One shard (or one thread) = no scaling at all.
-            for (shards, threads) in [(1, 8), (8, 1)] {
-                let model = ShardedMaintenance::new(TouchedGroupsMaintenance, shards, threads);
-                assert_eq!(model.effective_parallelism(), 1);
-                assert!((model.maintenance_cost(ctx, view, &rates) - serial).abs() < 1e-9);
-            }
-
-            // 4 shards × 2 threads: parallelism 2, bounded below by the
-            // serial fraction.
-            let model = ShardedMaintenance::new(TouchedGroupsMaintenance, 4, 2);
-            assert_eq!(model.effective_parallelism(), 2);
-            let cost = model.maintenance_cost(ctx, view, &rates);
-            assert!(cost < serial, "parallel upkeep is cheaper");
-            assert!(
-                cost > serial * 0.4,
-                "the serial fraction floors the speedup"
-            );
-
-            // Unbounded parallelism converges to the serial fraction.
-            let wide = ShardedMaintenance::new(TouchedGroupsMaintenance, 1024, 1024)
-                .with_serial_fraction(0.25);
-            let floor = wide.maintenance_cost(ctx, view, &rates);
-            assert!((floor / serial - 0.25).abs() < 1e-2);
-
-            // Frozen rates still cost nothing through the wrapper.
-            assert_eq!(model.maintenance_cost(ctx, view, &UpdateRates::FROZEN), 0.0);
-        });
-    }
-
-    #[test]
-    fn measured_serial_fraction_replaces_the_prior() {
-        use sofos_maintain::PipelineTelemetry;
-        with_ctx(AggOp::Sum, |ctx| {
-            let rates = UpdateRates::new(4.0, 2.0);
-            let view = ViewMask::full(2);
-            let serial = TouchedGroupsMaintenance.maintenance_cost(ctx, view, &rates);
-
-            // Measured split: 1 part serial to 9 parts parallel work.
-            let telemetry = PipelineTelemetry {
-                serial_us: 100,
-                parallel_work_us: 900,
-                parallel_wall_us: 300,
-            };
-            let model =
-                ShardedMaintenance::from_telemetry(TouchedGroupsMaintenance, 4, 4, &telemetry);
-            assert!((model.serial_fraction() - 0.1).abs() < 1e-12);
-            let expected = serial * (0.1 + 0.9 / 4.0);
-            assert!((model.maintenance_cost(ctx, view, &rates) - expected).abs() < 1e-6);
-
-            // Empty telemetry keeps the prior.
-            let cold = ShardedMaintenance::from_telemetry(
-                TouchedGroupsMaintenance,
-                4,
-                4,
-                &PipelineTelemetry::default(),
-            );
-            assert_eq!(cold.serial_fraction(), 0.4);
         });
     }
 

@@ -149,12 +149,6 @@ impl Maintainer {
         self.star.is_some()
     }
 
-    /// The detected star pattern, if any (the parallel engine splits its
-    /// row scans by subject shard).
-    pub(crate) fn star(&self) -> Option<&StarPattern> {
-        self.star.as_ref()
-    }
-
     /// The fresh-label counter (plans start their minting here).
     pub(crate) fn fresh_counter(&self) -> u64 {
         self.fresh
@@ -866,7 +860,7 @@ fn find_obs_run_walk(store: &GraphStore, ids: &ViewIds, key: &[TermId]) -> Optio
 /// (every leg present at least once). Skipping a subject outside it is
 /// equivalent to `StarPattern::subject_rows`' empty-leg early return —
 /// the filter only rules out subjects that would bind no row anyway.
-pub(crate) fn scan_candidates(base: &GraphStore, leg_ids: &[TermId]) -> Bitmap {
+fn scan_candidates(base: &GraphStore, leg_ids: &[TermId]) -> Bitmap {
     let mut acc: Option<Bitmap> = None;
     for &pred in leg_ids {
         let bm = base.pred_subjects(pred).cloned().unwrap_or_default();

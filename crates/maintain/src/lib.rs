@@ -39,12 +39,10 @@
 //! selection experiments want.
 
 mod engine;
-mod parallel;
 mod pipeline;
 mod star;
 
 pub use engine::{ApplyOutcome, Maintainer, RowDelta};
-pub use parallel::{ShardScanCost, ShardedApplyOutcome};
 pub use pipeline::{PipelineOutcome, PipelineTelemetry, ViewPatch};
 pub use star::StarPattern;
 

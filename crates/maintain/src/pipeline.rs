@@ -18,9 +18,9 @@
 //! * **Phase 2 — apply (serial, cheap).** Patches are applied in catalog
 //!   order: pure mechanical triple writes — no query evaluation, no group
 //!   lookups — so the store's single-writer section shrinks to the part
-//!   that genuinely needs it. Callers batching several deltas publish the
-//!   whole pass as **one** epoch
-//!   ([`sofos_store::EpochStore::begin_batch`]).
+//!   that genuinely needs it. Callers batching several deltas apply them
+//!   all inside one [`sofos_store::WriteTxn`] and publish the whole pass
+//!   as **one** epoch.
 //!
 //! Invariants (property-tested in `tests/maintenance.rs`):
 //!
@@ -38,16 +38,14 @@
 //!    half-patched earlier views).
 //!
 //! The [`PipelineTelemetry`] on every outcome records how the pass split
-//! into serial and parallelizable work; its measured
-//! [`PipelineTelemetry::serial_fraction`] replaces the fixed Amdahl floor
-//! in `sofos_cost::ShardedMaintenance`.
+//! into serial and parallelizable work.
 
-use crate::engine::{scan_candidates, RowDelta, ViewIds};
+use crate::engine::{RowDelta, ViewIds};
 use crate::{Maintainer, MaintenanceCost, MaintenanceReport, MaintenanceStrategy};
 use sofos_cube::ViewMask;
 use sofos_rdf::{Graph, Term, TermId};
 use sofos_sparql::SparqlError;
-use sofos_store::{Dataset, Delta, ShardRouter};
+use sofos_store::Dataset;
 use std::time::Instant;
 
 /// A view-graph subject referenced by a planned write: an existing
@@ -176,10 +174,11 @@ impl PatchBuilder {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineTelemetry {
     /// Work that must run single-threaded: interning prologues, the store
-    /// mutation itself, and patch application.
+    /// mutation with its pre/post binding scans ([`Maintainer::apply`]),
+    /// and patch application.
     pub serial_us: u64,
-    /// Summed per-task work of the parallelizable phases (per-shard scans,
-    /// per-view plans) — the numerator Amdahl divides by `p`.
+    /// Summed per-view planning work — the numerator Amdahl divides by
+    /// `p`.
     pub parallel_work_us: u64,
     /// End-to-end wall of the parallel phases.
     pub parallel_wall_us: u64,
@@ -194,9 +193,8 @@ impl PipelineTelemetry {
         self.parallel_wall_us += other.parallel_wall_us;
     }
 
-    /// The measured serial fraction of maintenance work: the Amdahl floor
-    /// `sofos_cost::ShardedMaintenance` should use instead of its prior.
-    /// `None` until any work has been recorded.
+    /// The measured serial fraction of maintenance work (the Amdahl
+    /// floor). `None` until any work has been recorded.
     pub fn serial_fraction(&self) -> Option<f64> {
         let total = self.serial_us + self.parallel_work_us;
         if total == 0 {
@@ -214,72 +212,7 @@ pub struct PipelineOutcome {
     pub telemetry: PipelineTelemetry,
 }
 
-/// Serial prologue of a sharded scan: the interning work and subject
-/// bucketing that must precede the parallel per-shard scans.
-pub(crate) struct ScanPlan {
-    pub(crate) leg_ids: Vec<TermId>,
-    pub(crate) buckets: Vec<Vec<TermId>>,
-}
-
-/// Per-shard scan output of one phase.
-pub(crate) struct ShardRows {
-    pub(crate) rows: Vec<(Vec<TermId>, TermId, i64)>,
-    pub(crate) subjects: usize,
-    pub(crate) wall_us: u64,
-}
-
 impl Maintainer {
-    /// Stage 1 of a sharded apply: intern the batch's terms and bucket the
-    /// affected subjects by shard. `None` for non-star facets (which skip
-    /// the scan phases entirely).
-    pub(crate) fn plan_scan(
-        &self,
-        dataset: &mut Dataset,
-        delta: &Delta,
-        router: &ShardRouter,
-    ) -> Option<ScanPlan> {
-        let star = self.star()?;
-        let affected = star.affected_subjects(dataset, delta);
-        let leg_ids = star.leg_ids(dataset);
-        let buckets = router.split_subjects(affected.iter().copied());
-        Some(ScanPlan { leg_ids, buckets })
-    }
-
-    /// Stage 2 of a sharded apply: scan every bucket's subjects against
-    /// `dataset`, distributing buckets over at most `threads` workers
-    /// (round-robin by shard index, so the assignment is deterministic).
-    pub(crate) fn scan_stage(
-        &self,
-        dataset: &Dataset,
-        plan: &ScanPlan,
-        threads: usize,
-    ) -> Vec<ShardRows> {
-        let star = self
-            .star()
-            .expect("scan_stage is only called for star facets");
-        // Bitmap pre-filter: a subject outside the intersection of the
-        // legs' per-predicate subject bitmaps cannot bind a complete star
-        // row, so its per-leg scans are skipped entirely. Computed once
-        // per stage against the graph state this stage scans.
-        let candidates = scan_candidates(dataset.default_graph(), &plan.leg_ids);
-        parallel_indexed(plan.buckets.len(), threads, |shard| {
-            let bucket = &plan.buckets[shard];
-            let start = Instant::now();
-            let mut rows = Vec::new();
-            for &subject in bucket {
-                if !candidates.contains(subject.0) {
-                    continue;
-                }
-                star.subject_rows(dataset.default_graph(), &plan.leg_ids, subject, &mut rows);
-            }
-            ShardRows {
-                subjects: bucket.len(),
-                wall_us: start.elapsed().as_micros() as u64,
-                rows,
-            }
-        })
-    }
-
     /// The two-phase pipeline over a whole catalog: plan every view's
     /// patch read-only on a scoped pool of `threads` workers, then apply
     /// the patches serially in catalog order.
@@ -360,7 +293,7 @@ impl Maintainer {
 /// Run `task(0..n)` on at most `threads` scoped workers, round-robin by
 /// index (deterministic assignment), returning results in index order.
 /// With one worker (or one item) the tasks run inline — the degenerate
-/// configuration is the serial loop. Shared by the scan and plan stages.
+/// configuration is the serial loop.
 fn parallel_indexed<T: Send>(n: usize, threads: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let workers = threads.max(1).min(n.max(1));
     if workers <= 1 {

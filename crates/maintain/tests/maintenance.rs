@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use sofos_cube::{AggOp, Dimension, Facet, ViewMask};
-use sofos_maintain::{Maintainer, MaintenanceStrategy};
+use sofos_maintain::{Maintainer, MaintenanceStrategy, RowDelta};
 use sofos_materialize::materialize_view;
 use sofos_rdf::vocab::sofos;
 use sofos_rdf::Term;
@@ -347,6 +347,28 @@ fn non_star_facets_fall_back_to_full_refresh() {
 }
 
 #[test]
+fn non_star_facets_skip_the_scan_phase() {
+    // A FILTER makes the pattern a non-star: `apply` only mutates the
+    // store and reports no binding delta.
+    let mut facet = facet(2, AggOp::Sum);
+    facet
+        .pattern
+        .elements
+        .push(sofos_sparql::PatternElement::Filter(
+            sofos_sparql::Expr::int(1),
+        ));
+    let mut maintainer = Maintainer::new(&facet);
+    assert!(!maintainer.is_incremental());
+    let mut ds = Dataset::new();
+    let mut delta = Delta::new();
+    obs_delta(&mut delta, "o0", &[0, 1], 3);
+    let outcome = maintainer.apply(&mut ds, delta);
+    assert!(outcome.rows.is_none(), "full refresh regime");
+    assert_eq!(outcome.changes.default_graph.inserted.len(), 3);
+    assert_eq!(ds.default_graph().len(), 3);
+}
+
+#[test]
 fn multi_valued_dimensions_keep_multiplicities_straight() {
     // An observation with two values for dim0 contributes two rows.
     let (mut ds, facet, mut maintainer, mut catalog) = setup(AggOp::Count, &ALL_MASKS);
@@ -392,144 +414,99 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// One randomized batch of the twin-dataset proptests: `(insert?, dims,
+/// measure)` per op; a delete picks a live observation by `measure`.
+type BatchOps = Vec<(bool, Vec<u8>, i64)>;
+
+fn arb_batches() -> impl Strategy<Value = Vec<BatchOps>> {
+    proptest::collection::vec(
+        proptest::collection::vec(
+            (
+                proptest::bool::weighted(0.7),
+                proptest::collection::vec(0u8..4, 3),
+                -20i64..20,
+            ),
+            1..8,
+        ),
+        1..6,
+    )
+}
+
+/// An empty dataset with `masks` materialized, and its catalog.
+fn empty_with_views(facet: &Facet, masks: &[ViewMask]) -> (Dataset, Vec<(ViewMask, usize)>) {
+    let mut ds = Dataset::new();
+    let catalog = masks
+        .iter()
+        .map(|&mask| {
+            (
+                mask,
+                materialize_view(&mut ds, facet, mask).unwrap().stats.rows,
+            )
+        })
+        .collect();
+    (ds, catalog)
+}
+
+/// Build one batch's delta. Twin datasets each rebuild it from their own
+/// `next`/`live` bookkeeping so both intern identically.
+fn build_delta(
+    ops: &[(bool, Vec<u8>, i64)],
+    next: &mut usize,
+    live: &mut Vec<Option<(Vec<u8>, i64)>>,
+) -> Delta {
+    let mut delta = Delta::new();
+    for (insert, dims, measure) in ops {
+        if *insert {
+            obs_delta(&mut delta, &format!("p{next}"), dims, *measure);
+            live.push(Some((dims.clone(), *measure)));
+            *next += 1;
+        } else if !live.is_empty() {
+            let slot = measure.unsigned_abs() as usize % live.len();
+            if let Some((dims, measure)) = live[slot].take() {
+                obs_delete(&mut delta, &format!("p{slot}"), &dims, measure);
+            }
+        }
+    }
+    delta
+}
+
+/// [`Maintainer::apply`] every batch of `chunk` and merge their row deltas.
+fn apply_chunk(
+    maintainer: &mut Maintainer,
+    ds: &mut Dataset,
+    chunk: &[BatchOps],
+    next: &mut usize,
+    live: &mut Vec<Option<(Vec<u8>, i64)>>,
+) -> RowDelta {
+    let mut merged = RowDelta::default();
+    for ops in chunk {
+        let outcome = maintainer.apply(ds, build_delta(ops, next, live));
+        merged.merge(outcome.rows.as_ref().expect("star facet"));
+    }
+    merged
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 20, ..ProptestConfig::default() })]
 
-    /// The parallel engine is bit-equivalent to the serial one: for random
-    /// batch streams, a dataset maintained through per-shard scans on a
-    /// thread pool ends up with view graphs identical to one maintained
-    /// serially — for every shard × thread configuration.
-    #[test]
-    fn sharded_maintenance_equals_serial(
-        batches in proptest::collection::vec(
-            proptest::collection::vec(
-                (proptest::bool::weighted(0.7), proptest::collection::vec(0u8..4, 3), -20i64..20),
-                1..8,
-            ),
-            1..4,
-        ),
-        shards in 1usize..6,
-        threads in 1usize..4,
-    ) {
-        use sofos_store::ShardRouter;
-        let agg = AggOp::Avg; // SUM+COUNT components exercise both patch paths
-        let facet = facet(3, agg);
-        let masks = [ViewMask(0b111), ViewMask(0b010), ViewMask::APEX];
-        let router = ShardRouter::new(shards);
-
-        let mut serial_ds = Dataset::new();
-        let mut sharded_ds = Dataset::new();
-        let mut serial_catalog = Vec::new();
-        let mut sharded_catalog = Vec::new();
-        for &mask in &masks {
-            let v = materialize_view(&mut serial_ds, &facet, mask).unwrap();
-            serial_catalog.push((mask, v.stats.rows));
-            let v = materialize_view(&mut sharded_ds, &facet, mask).unwrap();
-            sharded_catalog.push((mask, v.stats.rows));
-        }
-        let mut serial = Maintainer::new(&facet);
-        let mut sharded = Maintainer::new(&facet);
-
-        // Deltas are rebuilt per dataset so both intern identically.
-        let build_delta = |ops: &[(bool, Vec<u8>, i64)], next: &mut usize, live: &mut Vec<Option<(Vec<u8>, i64)>>| {
-            let mut delta = Delta::new();
-            for (insert, dims, measure) in ops {
-                if *insert {
-                    let label = format!("p{next}");
-                    obs_delta(&mut delta, &label, dims, *measure);
-                    live.push(Some((dims.clone(), *measure)));
-                    *next += 1;
-                } else if !live.is_empty() {
-                    let slot = (*measure).unsigned_abs() as usize % live.len();
-                    if let Some((dims, measure)) = live[slot].take() {
-                        obs_delete(&mut delta, &format!("p{slot}"), &dims, measure);
-                    }
-                }
-            }
-            delta
-        };
-
-        let (mut next_a, mut live_a) = (0usize, Vec::new());
-        let (mut next_b, mut live_b) = (0usize, Vec::new());
-        for ops in &batches {
-            let delta_a = build_delta(ops, &mut next_a, &mut live_a);
-            let delta_b = build_delta(ops, &mut next_b, &mut live_b);
-            serial
-                .apply_and_maintain(&mut serial_ds, delta_a, &mut serial_catalog)
-                .expect("serial maintenance succeeds");
-            let outcome = sharded.apply_sharded(&mut sharded_ds, delta_b, &router, threads);
-            sharded
-                .maintain(&mut sharded_ds, outcome.outcome.rows.as_ref(), &mut sharded_catalog)
-                .expect("sharded maintenance succeeds");
-
-            for &mask in &masks {
-                prop_assert_eq!(
-                    view_signature(&serial_ds, &facet, mask),
-                    view_signature(&sharded_ds, &facet, mask),
-                    "shards={} threads={} view {} diverged", shards, threads, mask
-                );
-            }
-        }
-        prop_assert_eq!(serial_catalog, sharded_catalog);
-    }
-
     /// The two-phase pipeline is bit-equal to the serial engine across
-    /// shard × thread × batch-size × delta-mix grids: one dataset is
-    /// maintained per-delta through the serial path, the other coalesces
+    /// thread × batch-size × delta-mix grids: one dataset is maintained
+    /// per-delta through the serial path, the other coalesces
     /// `batch_size` deltas into a merged row delta and maintains it in a
     /// single parallel plan → serial apply pass. View graphs (and catalog
     /// row counts) must agree at every batch boundary.
     #[test]
     fn pipelined_maintenance_equals_serial(
-        batches in proptest::collection::vec(
-            proptest::collection::vec(
-                (proptest::bool::weighted(0.7), proptest::collection::vec(0u8..4, 3), -20i64..20),
-                1..8,
-            ),
-            1..6,
-        ),
+        batches in arb_batches(),
         batch_size in 1usize..5,
-        shards in 1usize..6,
         threads in 1usize..4,
     ) {
-        use sofos_maintain::RowDelta;
-        use sofos_store::ShardRouter;
-        let agg = AggOp::Avg; // SUM+COUNT components exercise both patch paths
-        let facet = facet(3, agg);
+        let facet = facet(3, AggOp::Avg); // SUM+COUNT exercise both patch paths
         let masks = [ViewMask(0b111), ViewMask(0b010), ViewMask::APEX];
-        let router = ShardRouter::new(shards);
-
-        let mut serial_ds = Dataset::new();
-        let mut piped_ds = Dataset::new();
-        let mut serial_catalog = Vec::new();
-        let mut piped_catalog = Vec::new();
-        for &mask in &masks {
-            let v = materialize_view(&mut serial_ds, &facet, mask).unwrap();
-            serial_catalog.push((mask, v.stats.rows));
-            let v = materialize_view(&mut piped_ds, &facet, mask).unwrap();
-            piped_catalog.push((mask, v.stats.rows));
-        }
+        let (mut serial_ds, mut serial_catalog) = empty_with_views(&facet, &masks);
+        let (mut piped_ds, mut piped_catalog) = empty_with_views(&facet, &masks);
         let mut serial = Maintainer::new(&facet);
         let mut piped = Maintainer::new(&facet);
-
-        // Deltas are rebuilt per dataset so both intern identically.
-        let build_delta = |ops: &[(bool, Vec<u8>, i64)], next: &mut usize, live: &mut Vec<Option<(Vec<u8>, i64)>>| {
-            let mut delta = Delta::new();
-            for (insert, dims, measure) in ops {
-                if *insert {
-                    let label = format!("p{next}");
-                    obs_delta(&mut delta, &label, dims, *measure);
-                    live.push(Some((dims.clone(), *measure)));
-                    *next += 1;
-                } else if !live.is_empty() {
-                    let slot = (*measure).unsigned_abs() as usize % live.len();
-                    if let Some((dims, measure)) = live[slot].take() {
-                        obs_delete(&mut delta, &format!("p{slot}"), &dims, measure);
-                    }
-                }
-            }
-            delta
-        };
 
         let (mut next_a, mut live_a) = (0usize, Vec::new());
         let (mut next_b, mut live_b) = (0usize, Vec::new());
@@ -543,12 +520,7 @@ proptest! {
             }
             // Pipeline: coalesce the chunk's row deltas, then one
             // parallel-plan / serial-apply pass for the whole batch.
-            let mut merged = RowDelta::default();
-            for ops in chunk {
-                let delta = build_delta(ops, &mut next_b, &mut live_b);
-                let outcome = piped.apply_sharded(&mut piped_ds, delta, &router, threads);
-                merged.merge(outcome.outcome.rows.as_ref().expect("star facet"));
-            }
+            let merged = apply_chunk(&mut piped, &mut piped_ds, chunk, &mut next_b, &mut live_b);
             piped
                 .maintain_pipelined(&mut piped_ds, Some(&merged), &mut piped_catalog, threads)
                 .expect("pipelined maintenance succeeds");
@@ -557,8 +529,8 @@ proptest! {
                 prop_assert_eq!(
                     view_signature(&serial_ds, &facet, mask),
                     view_signature(&piped_ds, &facet, mask),
-                    "shards={} threads={} batch={} view {} diverged",
-                    shards, threads, batch_size, mask
+                    "threads={} batch={} view {} diverged",
+                    threads, batch_size, mask
                 );
             }
         }
@@ -566,83 +538,34 @@ proptest! {
     }
 
     /// Posting-list group location is bit-equal to the run walk it
-    /// replaced: across shard × thread × delta-mix grids, a dataset
+    /// replaced: across thread × batch-size × delta-mix grids, a dataset
     /// maintained by the planner and one maintained by its run-walking
     /// reference (`Maintainer::run_walk_reference`, a hidden test hook)
     /// end up with identical view graphs and catalogs at every batch
     /// boundary.
     #[test]
     fn bitmap_planning_equals_run_walk(
-        batches in proptest::collection::vec(
-            proptest::collection::vec(
-                (proptest::bool::weighted(0.7), proptest::collection::vec(0u8..4, 3), -20i64..20),
-                1..8,
-            ),
-            1..6,
-        ),
+        batches in arb_batches(),
         batch_size in 1usize..5,
-        shards in 1usize..6,
         threads in 1usize..4,
     ) {
-        use sofos_maintain::RowDelta;
-        use sofos_store::ShardRouter;
-        let agg = AggOp::Avg; // SUM+COUNT components exercise both patch paths
-        let facet = facet(3, agg);
+        let facet = facet(3, AggOp::Avg); // SUM+COUNT exercise both patch paths
         let masks = [ViewMask(0b111), ViewMask(0b010), ViewMask::APEX];
-        let router = ShardRouter::new(shards);
-
-        let mut walk_ds = Dataset::new();
-        let mut bitmap_ds = Dataset::new();
-        let mut walk_catalog = Vec::new();
-        let mut bitmap_catalog = Vec::new();
-        for &mask in &masks {
-            let v = materialize_view(&mut walk_ds, &facet, mask).unwrap();
-            walk_catalog.push((mask, v.stats.rows));
-            let v = materialize_view(&mut bitmap_ds, &facet, mask).unwrap();
-            bitmap_catalog.push((mask, v.stats.rows));
-        }
+        let (mut walk_ds, mut walk_catalog) = empty_with_views(&facet, &masks);
+        let (mut bitmap_ds, mut bitmap_catalog) = empty_with_views(&facet, &masks);
         let mut walk = Maintainer::run_walk_reference(&facet);
         let mut bitmap = Maintainer::new(&facet);
-
-        // Deltas are rebuilt per dataset so both intern identically.
-        let build_delta = |ops: &[(bool, Vec<u8>, i64)], next: &mut usize, live: &mut Vec<Option<(Vec<u8>, i64)>>| {
-            let mut delta = Delta::new();
-            for (insert, dims, measure) in ops {
-                if *insert {
-                    let label = format!("p{next}");
-                    obs_delta(&mut delta, &label, dims, *measure);
-                    live.push(Some((dims.clone(), *measure)));
-                    *next += 1;
-                } else if !live.is_empty() {
-                    let slot = (*measure).unsigned_abs() as usize % live.len();
-                    if let Some((dims, measure)) = live[slot].take() {
-                        obs_delete(&mut delta, &format!("p{slot}"), &dims, measure);
-                    }
-                }
-            }
-            delta
-        };
 
         let (mut next_a, mut live_a) = (0usize, Vec::new());
         let (mut next_b, mut live_b) = (0usize, Vec::new());
         for chunk in batches.chunks(batch_size) {
             // Both sides coalesce the chunk and run one pipelined pass;
             // only the group lookup differs.
-            let mut merged_a = RowDelta::default();
-            for ops in chunk {
-                let delta = build_delta(ops, &mut next_a, &mut live_a);
-                let outcome = walk.apply_sharded(&mut walk_ds, delta, &router, threads);
-                merged_a.merge(outcome.outcome.rows.as_ref().expect("star facet"));
-            }
+            let merged_a = apply_chunk(&mut walk, &mut walk_ds, chunk, &mut next_a, &mut live_a);
             walk.maintain_pipelined(&mut walk_ds, Some(&merged_a), &mut walk_catalog, threads)
                 .expect("run-walk maintenance succeeds");
-
-            let mut merged_b = RowDelta::default();
-            for ops in chunk {
-                let delta = build_delta(ops, &mut next_b, &mut live_b);
-                let outcome = bitmap.apply_sharded(&mut bitmap_ds, delta, &router, threads);
-                merged_b.merge(outcome.outcome.rows.as_ref().expect("star facet"));
-            }
+            let merged_b =
+                apply_chunk(&mut bitmap, &mut bitmap_ds, chunk, &mut next_b, &mut live_b);
             bitmap
                 .maintain_pipelined(&mut bitmap_ds, Some(&merged_b), &mut bitmap_catalog, threads)
                 .expect("bitmap maintenance succeeds");
@@ -651,8 +574,8 @@ proptest! {
                 prop_assert_eq!(
                     view_signature(&walk_ds, &facet, mask),
                     view_signature(&bitmap_ds, &facet, mask),
-                    "shards={} threads={} view {} diverged",
-                    shards, threads, mask
+                    "threads={} view {} diverged",
+                    threads, mask
                 );
             }
         }

@@ -271,6 +271,38 @@ fn end_to_end_read_your_write_over_keep_alive() {
 }
 
 #[test]
+fn nesting_bombs_get_400_and_the_server_keeps_serving() {
+    let handle = boot(
+        StalenessPolicy::Eager,
+        Backend::Serial,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let (status, body) = one_shot(&handle, "POST", "/query", &"[".repeat(16 * 1024));
+    assert_eq!(status, 400, "{body}");
+
+    let depth = 10_000;
+    let query = format!(
+        "SELECT * WHERE {{ ?s ?p ?o FILTER({}?o{}) }}",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    let bomb = sofos_telemetry::Json::object([("query", sofos_telemetry::Json::from(query))]);
+    let (status, body) = one_shot(&handle, "POST", "/query", &bomb.to_string());
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting"), "{body}");
+
+    // Same worker, still alive.
+    let (status, body) = one_shot(&handle, "POST", "/query", COUNT_QUERY);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(count_and_epoch(&body).0, BASE_OBS as i64);
+    let stats = handle.shutdown();
+    assert_eq!(stats.served, 3, "{stats:?}");
+}
+
+#[test]
 fn concurrent_clients_stay_consistent_per_freshness_tag() {
     let handle = boot(
         StalenessPolicy::Eager,

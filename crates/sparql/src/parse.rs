@@ -17,11 +17,19 @@
 //!
 //! Expressions use conventional precedence: `||` < `&&` < comparisons/IN
 //! < `+ -` < `* /` < unary < primary.
+//!
+//! Groups, expressions and prefix operators nest at most 128 levels deep
+//! (counted together), so a hostile query cannot overflow the stack of
+//! the worker parsing it.
 
 use crate::ast::*;
 use crate::error::{Result, SparqlError};
 use crate::token::{tokenize, Token, TokenKind};
 use sofos_rdf::{FxHashMap, Iri, Literal, Term};
+
+/// How many groups, expressions and prefix operators may enclose one
+/// another before [`parse_query`] rejects the query.
+const MAX_DEPTH: usize = 128;
 
 /// Parse a SELECT query from text.
 pub fn parse_query(input: &str) -> Result<Query> {
@@ -29,6 +37,7 @@ pub fn parse_query(input: &str) -> Result<Query> {
     let mut parser = Parser {
         tokens,
         pos: 0,
+        depth: 0,
         prefixes: FxHashMap::default(),
     };
     let query = parser.parse_query()?;
@@ -39,6 +48,8 @@ pub fn parse_query(input: &str) -> Result<Query> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels currently open (see [`MAX_DEPTH`]).
+    depth: usize,
     prefixes: FxHashMap<String, String>,
 }
 
@@ -66,6 +77,17 @@ impl Parser {
             position: self.position(),
             message: message.into(),
         }
+    }
+
+    /// Run `parse` one nesting level deeper, or fail past [`MAX_DEPTH`].
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let result = parse(self);
+        self.depth -= 1;
+        result
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
@@ -264,6 +286,10 @@ impl Parser {
     // ---- group graph patterns -------------------------------------------
 
     fn parse_group(&mut self, graph: GraphSpec) -> Result<GroupPattern> {
+        self.nested(|parser| parser.parse_group_body(graph))
+    }
+
+    fn parse_group_body(&mut self, graph: GraphSpec) -> Result<GroupPattern> {
         self.expect_punct("{")?;
         let mut elements = Vec::new();
         loop {
@@ -507,7 +533,7 @@ impl Parser {
     // ---- expressions ------------------------------------------------------
 
     fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_or()
+        self.nested(Self::parse_or)
     }
 
     fn parse_or(&mut self) -> Result<Expr> {
@@ -598,13 +624,13 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Expr> {
         if self.eat_punct("!") {
-            return Ok(Expr::Not(Box::new(self.parse_unary()?)));
+            return Ok(Expr::Not(Box::new(self.nested(Self::parse_unary)?)));
         }
         if self.eat_punct("-") {
-            return Ok(Expr::Neg(Box::new(self.parse_unary()?)));
+            return Ok(Expr::Neg(Box::new(self.nested(Self::parse_unary)?)));
         }
         if self.eat_punct("+") {
-            return self.parse_unary();
+            return self.nested(Self::parse_unary);
         }
         self.parse_primary()
     }
@@ -939,6 +965,41 @@ mod tests {
         assert!(parse_query("ASK { ?s ?p ?o }").is_err());
         assert!(parse_query("SELECT ?x WHERE { ?x ?p ?o } LIMIT ?x").is_err());
         assert!(parse_query("SELECT ?x WHERE { ?x ?p ?o } trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_on_a_default_stack() {
+        // A spawned thread gets the default 2 MiB stack, as the server's
+        // workers do: an unbounded descent would abort the process here.
+        std::thread::spawn(|| {
+            // The WHERE group is one level, so `n` groups nest `n` deep.
+            let groups =
+                |n: usize| format!("SELECT * WHERE {}?s ?p ?o{}", "{".repeat(n), "}".repeat(n));
+            assert!(parse_query(&groups(MAX_DEPTH)).is_ok());
+            let err = parse_query(&groups(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+            assert!(parse_query(&groups(100_000)).is_err());
+
+            // WHERE group + FILTER's expression: `n` parentheses nest
+            // `n + 2` deep.
+            let parens = |n: usize| {
+                format!(
+                    "SELECT * WHERE {{ ?s ?p ?o FILTER({}?o{}) }}",
+                    "(".repeat(n),
+                    ")".repeat(n)
+                )
+            };
+            assert!(parse_query(&parens(MAX_DEPTH - 2)).is_ok());
+            assert!(parse_query(&parens(MAX_DEPTH - 1)).is_err());
+            assert!(parse_query(&parens(100_000)).is_err());
+            let negations = format!(
+                "SELECT * WHERE {{ ?s ?p ?o FILTER({}?o) }}",
+                "!".repeat(100_000)
+            );
+            assert!(parse_query(&negations).is_err());
+        })
+        .join()
+        .expect("no stack overflow");
     }
 
     #[test]

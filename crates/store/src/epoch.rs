@@ -96,8 +96,7 @@ pub struct EpochStore {
     /// The currently-published snapshot; replaced wholesale on publish.
     current: RwLock<PinnedSnapshot>,
     /// The writer's master dataset — the mutable truth. The mutex also
-    /// serializes writers (the store is single-writer by design; write
-    /// *parallelism* lives inside a transaction, per shard).
+    /// serializes writers (the store is single-writer by design).
     master: Mutex<Dataset>,
     /// The epoch of the latest publish.
     epoch: AtomicU64,
@@ -162,8 +161,7 @@ impl EpochStore {
         self.persist.as_ref()
     }
 
-    /// The shard router (shared with the maintenance engine so write
-    /// splitting and epoch bookkeeping agree on subject placement).
+    /// The shard router the per-shard epoch stamps are kept by.
     pub fn router(&self) -> &ShardRouter {
         &self.router
     }
@@ -224,94 +222,23 @@ impl EpochStore {
         let epoch = txn.publish();
         (changes, epoch)
     }
-
-    /// Begin a *batched* write transaction: several deltas coalesced into
-    /// one published epoch. One snapshot clone and one pointer swap pay
-    /// for the whole batch, which is what makes the two-phase maintenance
-    /// pipeline's phase 2 cheap — the per-publish master clone was the
-    /// writer-throughput ceiling the ROADMAP tracked since PR 3.
-    pub fn begin_batch(&self) -> BatchWriteTxn<'_> {
-        BatchWriteTxn {
-            txn: self.begin(),
-            deltas: 0,
-        }
-    }
-}
-
-/// A write transaction that coalesces multiple deltas into one epoch.
-///
-/// Same visibility contract as [`WriteTxn`]: nothing is visible to
-/// readers until [`BatchWriteTxn::publish`], and dropping without
-/// publishing is the rollback path (the caller must undo its writes).
-/// Unlike a sequence of [`EpochStore::apply`] calls, readers can never
-/// observe a state *between* two deltas of the batch — the batch is one
-/// atomic epoch.
-pub struct BatchWriteTxn<'a> {
-    txn: WriteTxn<'a>,
-    deltas: usize,
-}
-
-impl<'a> BatchWriteTxn<'a> {
-    /// The master dataset (mutable) — for callers that route deltas
-    /// through the maintenance engine instead of
-    /// [`BatchWriteTxn::apply`].
-    pub fn dataset(&mut self) -> &mut Dataset {
-        self.txn.dataset()
-    }
-
-    /// Read access to the master.
-    pub fn dataset_ref(&self) -> &Dataset {
-        self.txn.dataset_ref()
-    }
-
-    /// The store's shard router.
-    pub fn router(&self) -> &ShardRouter {
-        self.txn.router()
-    }
-
-    /// Apply one more delta into the batch; shard touches accumulate.
-    pub fn apply(&mut self, delta: Delta) -> ChangeSet {
-        let changes = self.txn.dataset().apply(delta);
-        self.absorb(&changes);
-        changes
-    }
-
-    /// Record the changes of a delta the caller applied against
-    /// [`BatchWriteTxn::dataset`] directly (e.g. through
-    /// `sofos_maintain::Maintainer::apply_sharded`).
-    pub fn absorb(&mut self, changes: &ChangeSet) {
-        self.txn.touch_changes(changes);
-        self.deltas += 1;
-    }
-
-    /// Deltas coalesced into this batch so far.
-    pub fn deltas(&self) -> usize {
-        self.deltas
-    }
-
-    /// Build the batch's snapshot without making it visible (see
-    /// [`WriteTxn::prepare`]).
-    pub fn prepare(self) -> PreparedTxn<'a> {
-        self.txn.prepare()
-    }
-
-    /// Publish the whole batch as one epoch and return its number.
-    pub fn publish(self) -> u64 {
-        self.txn.publish()
-    }
 }
 
 /// An open write transaction on an [`EpochStore`].
 ///
 /// Mutations go to the writer's master dataset and are invisible to
-/// readers until [`WriteTxn::publish`] swaps in a new snapshot. Dropping
-/// the transaction without publishing is the rollback path: readers keep
-/// the previous epoch forever-unaware, but the *master* retains whatever
-/// was mutated — a caller aborting mid-transaction must first undo its
-/// partial writes (e.g. drop half-materialized view graphs) so the master
-/// stays logically equal to the published state. Interned dictionary
-/// terms are exempt: the dictionary is append-only and ghost terms are
-/// invisible to every read path.
+/// readers until [`WriteTxn::publish`] swaps in a new snapshot. Any
+/// number of deltas can be applied before that publish — each reported
+/// through [`WriteTxn::touch_changes`] — and readers never observe a
+/// state between two of them: one master clone and one pointer swap pay
+/// for the whole batch. Dropping the transaction without publishing is
+/// the rollback path: readers keep the previous epoch forever-unaware,
+/// but the *master* retains whatever was mutated — a caller aborting
+/// mid-transaction must first undo its partial writes (e.g. drop
+/// half-materialized view graphs) so the master stays logically equal to
+/// the published state. Interned dictionary terms are exempt: the
+/// dictionary is append-only and ghost terms are invisible to every read
+/// path.
 pub struct WriteTxn<'a> {
     guard: MutexGuard<'a, Dataset>,
     store: &'a EpochStore,
@@ -329,26 +256,10 @@ impl<'a> WriteTxn<'a> {
         &mut self.guard
     }
 
-    /// Read access to the master (e.g. for pre-apply scans).
-    pub fn dataset_ref(&self) -> &Dataset {
-        &self.guard
-    }
-
-    /// The store's shard router.
-    pub fn router(&self) -> &ShardRouter {
-        self.store.router()
-    }
-
     /// Mark one shard as touched by this transaction.
     pub fn touch_shard(&mut self, shard: usize) {
         self.touched[shard] = true;
         self.any_touch = true;
-    }
-
-    /// Mark the shard owning `subject` as touched.
-    pub fn touch_subject(&mut self, subject: sofos_rdf::TermId) {
-        let shard = self.store.router.shard_of(subject);
-        self.touch_shard(shard);
     }
 
     /// Mark every shard a change set touched. On a durable store this is
@@ -384,17 +295,6 @@ impl<'a> WriteTxn<'a> {
     /// critical section with the (pointer-swap-cheap) publish.
     pub fn publish(self) -> u64 {
         self.prepare().publish()
-    }
-
-    /// Upgrade into a [`BatchWriteTxn`] (same lock, same rollback
-    /// contract) — for callers that opened a plain transaction before
-    /// deciding to coalesce several deltas into it. Lock-order-safe where
-    /// `begin_batch` would not be: the master lock is already held.
-    pub fn batch(self) -> BatchWriteTxn<'a> {
-        BatchWriteTxn {
-            txn: self,
-            deltas: 0,
-        }
     }
 
     /// Build the next epoch's snapshot — the expensive part of a publish
@@ -617,15 +517,15 @@ mod tests {
     fn batch_txn_coalesces_deltas_into_one_epoch() {
         let store = EpochStore::new(Dataset::new(), 2);
         let reader = store.pin();
-        let mut batch = store.begin_batch();
+        let mut txn = store.begin();
         for i in 0..5 {
-            batch.apply(delta_inserting(&[&format!("s{i}")]));
+            let changes = txn.dataset().apply(delta_inserting(&[&format!("s{i}")]));
+            txn.touch_changes(&changes);
         }
-        assert_eq!(batch.deltas(), 5);
         // Nothing visible until the single publish.
         assert_eq!(store.epoch(), 0);
         assert!(store.pin().dataset().default_graph().is_empty());
-        let epoch = batch.publish();
+        let epoch = txn.publish();
         assert_eq!(epoch, 1, "five deltas, one epoch");
         assert_eq!(store.pin().dataset().default_graph().len(), 5);
         assert_eq!(store.published_snapshots(), 2);

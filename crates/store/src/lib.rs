@@ -26,8 +26,8 @@
 //!   the input to `sofos-maintain`'s incremental view maintenance;
 //! * [`epoch::EpochStore`] makes the dataset concurrent: readers pin
 //!   immutable epoch [`epoch::Snapshot`]s while the single writer builds
-//!   and atomically publishes the next epoch, with write/maintenance work
-//!   partitioned across subject-hash [`shard::ShardRouter`] shards (see
+//!   and atomically publishes the next epoch, stamping per-shard epochs
+//!   through a subject-hash [`shard::ShardRouter`] (see
 //!   `crates/store/README.md` for the pin → publish → retire lifecycle).
 
 pub mod bitmap;
@@ -46,7 +46,7 @@ pub mod stats;
 pub use bitmap::Bitmap;
 pub use dataset::{Dataset, GraphName};
 pub use delta::{ChangeSet, Delta, DeltaOp, GraphChanges, OpKind};
-pub use epoch::{BatchWriteTxn, EpochStore, PinnedSnapshot, PreparedTxn, Snapshot, WriteTxn};
+pub use epoch::{EpochStore, PinnedSnapshot, PreparedTxn, Snapshot, WriteTxn};
 pub use graphmap::GraphMap;
 pub use index::{GraphStore, Perm};
 pub use inference::{materialize_rdfs, InferenceStats};

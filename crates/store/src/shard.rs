@@ -1,16 +1,12 @@
-//! Subject-hash sharding: partitioning write responsibility over a graph.
+//! Subject-hash sharding: per-shard epoch stamps over one graph.
 //!
 //! A [`ShardRouter`] deterministically assigns every subject id to one of
 //! `N` shards by Fx-hashing the id. Sharding does **not** split the
 //! permutation indexes — POS/OSP orderings interleave subjects, so the
-//! read path always sees one logical graph — it partitions the *write and
-//! maintenance* work: a batch's affected subjects split into disjoint
-//! per-shard buckets ([`ShardRouter::split_subjects`]), so the
-//! view-maintenance engine can compute per-shard binding deltas on a
-//! thread pool and merge them (row deltas are additive). The epoch store
-//! ([`crate::epoch::EpochStore`]) uses the same routing to keep per-shard
-//! epoch counters, so a lazily-maintained view can tell exactly which
-//! shards changed in the epochs it missed.
+//! read path always sees one logical graph — nor any write or
+//! maintenance work: its one job is the epoch store's per-shard epoch counters
+//! ([`crate::epoch::EpochStore`]), so a lazily-maintained view can tell
+//! exactly which shards changed in the epochs it missed.
 //!
 //! Hashing (rather than range-partitioning) the subject id keeps shards
 //! balanced under the dense first-seen id assignment of the dictionary:
@@ -56,16 +52,6 @@ impl ShardRouter {
         let mut hasher = FxHasher::default();
         hasher.write_u32(subject.0);
         (hasher.finish() % self.shards as u64) as usize
-    }
-
-    /// Partition subjects into per-shard buckets (bucket `i` holds the
-    /// subjects of shard `i`; relative order within a bucket preserved).
-    pub fn split_subjects(&self, subjects: impl IntoIterator<Item = TermId>) -> Vec<Vec<TermId>> {
-        let mut buckets: Vec<Vec<TermId>> = vec![Vec::new(); self.shards];
-        for s in subjects {
-            buckets[self.shard_of(s)].push(s);
-        }
-        buckets
     }
 
     /// Which shards a net [`ChangeSet`] touched (across the default and
@@ -127,20 +113,6 @@ mod tests {
                 (500..=1500).contains(&c),
                 "shard sizes badly skewed: {counts:?}"
             );
-        }
-    }
-
-    #[test]
-    fn split_subjects_partitions_exactly() {
-        let router = ShardRouter::new(3);
-        let subjects: Vec<TermId> = (0..60).map(TermId).collect();
-        let buckets = router.split_subjects(subjects.iter().copied());
-        assert_eq!(buckets.len(), 3);
-        assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 60);
-        for (i, bucket) in buckets.iter().enumerate() {
-            for s in bucket {
-                assert_eq!(router.shard_of(*s), i);
-            }
         }
     }
 

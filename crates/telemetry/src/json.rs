@@ -13,6 +13,11 @@
 
 use std::fmt;
 
+/// How deeply [`Json::parse`] nests arrays and objects before it rejects
+/// the document: a hostile body of brackets must not overflow the stack
+/// of the worker parsing it.
+const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Debug, Clone)]
 pub enum Json {
@@ -39,13 +44,13 @@ impl Json {
     }
 
     /// Parse a JSON document (strict enough for round-tripping this
-    /// module's own output; errors carry a byte offset).
+    /// module's own output; errors carry a byte offset). Arrays and
+    /// objects nest at most 128 deep.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing content at byte {pos}"));
         }
         Ok(value)
@@ -100,14 +105,20 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value whose enclosing arrays/objects number `depth`.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -117,7 +128,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -139,10 +150,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                pairs.push((key, parse_value(bytes, pos)?));
+                pairs.push((key, parse_value(text, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -154,66 +165,61 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
             }
         }
-        Some(_) => parse_number(bytes, pos),
+        Some(_) => parse_number(text, pos),
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}", pos = *pos));
     }
     *pos += 1;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        // Copy the unescaped run up to the next `"` or `\` as one slice:
+        // both are ASCII, so the cut always falls on a char boundary.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or("unterminated string")?;
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{0008}'),
+            Some(b'f') => out.push('\u{000c}'),
+            Some(b'u') => {
+                let hex = text.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
+                let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
+                *pos += 4;
+            }
+            _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
+        }
+        *pos += 1;
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_number(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     let start = *pos;
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+    let text = &text[start..*pos];
     if text.is_empty() {
         return Err(format!("expected value at byte {start}"));
     }
@@ -394,10 +400,44 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_bounded_on_a_default_stack() {
+        // A spawned thread gets the default 2 MiB stack, as the server's
+        // workers do: an unbounded descent would abort the process here.
+        std::thread::spawn(|| {
+            let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+            assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+            let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+            assert!(Json::parse(&nested(100_000)).is_err());
+            let objects = "{\"k\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+            assert!(Json::parse(&objects).is_err(), "objects share the bound");
+        })
+        .join()
+        .expect("no stack overflow");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let big = "x".repeat(1 << 20) + "é \" \\ \n ü";
+        let doc = Json::from(big.as_str()).to_string();
+        let many = Json::Array((0..100_000).map(|i| Json::from(format!("s{i}"))).collect());
+        let many_doc = many.to_string();
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&doc).expect("parses");
+        let parsed_many = Json::parse(&many_doc).expect("parses");
+        let elapsed = start.elapsed();
+        assert_eq!(parsed.as_str(), Some(big.as_str()));
+        assert_eq!(parsed_many.to_string(), many_doc);
+        assert!(elapsed < std::time::Duration::from_secs(1), "{elapsed:?}");
+    }
+
+    #[test]
     fn parse_rejects_garbage() {
         assert!(Json::parse("{\"a\": }").is_err());
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"open").is_err());
+        assert!(Json::parse("\"bad \\q escape\"").is_err());
+        assert!(Json::parse("\"\\u12\"").is_err());
     }
 }
