@@ -3,12 +3,16 @@
 //! With `--bytes` the sweep uses byte budgets instead of view counts
 //! (the paper's "up to a certain memory budget" variant).
 //!
+//! Every budget's workload is served through an `Engine` over its `G+`;
+//! the first budget (zero views or zero bytes) is the no-views baseline
+//! every speedup is relative to.
+//!
 //! Run with: `cargo run -p sofos-bench --release --bin e3_budget_sweep [--bytes] [--smoke]`
 //!
 //! Emits `BENCH_budget_sweep.json`.
 
 use sofos_bench::{finish_report, ms, print_table, ratio, sized, BenchReport, Json};
-use sofos_core::{run_offline, run_online, EngineConfig, SizedLattice};
+use sofos_core::{measure_workload, run_offline, Engine, EngineConfig, SizedLattice};
 use sofos_cost::CostModelKind;
 use sofos_select::{Budget, WorkloadProfile};
 use sofos_workload::{dbpedia, generate_workload, WorkloadConfig};
@@ -27,20 +31,8 @@ fn main() {
         },
     );
     let profile = WorkloadProfile::from_masks(workload.iter().map(|q| q.required));
-    let timing_reps = sized(3, 1);
-    let baseline = run_online(
-        &generated.dataset,
-        &facet,
-        &[],
-        &workload,
-        timing_reps,
-        false,
-    )
-    .expect("baseline")
-    .summary;
-
     let mut config = EngineConfig {
-        timing_reps,
+        timing_reps: sized(3, 1),
         ..EngineConfig::default()
     };
 
@@ -63,6 +55,7 @@ fn main() {
         ),
     );
     let mut rows = Vec::new();
+    let mut baseline_us = None;
     for budget in budgets {
         config.budget = budget;
         let mut expanded = generated.dataset.clone();
@@ -74,17 +67,17 @@ fn main() {
             &config,
         )
         .expect("offline");
-        let online = run_online(
-            &expanded,
-            &facet,
-            &offline.view_catalog(),
-            &workload,
-            config.timing_reps,
-            true,
-        )
-        .expect("online");
+        let engine = Engine::builder()
+            .dataset(expanded)
+            .facet(facet.clone())
+            .catalog(offline.view_catalog())
+            .build()
+            .expect("engine builds");
+        let online = measure_workload(&engine, &workload, config.timing_reps, &generated.dataset)
+            .expect("online");
         assert!(online.all_valid);
-        let speedup = baseline.total_us as f64 / online.summary.total_us.max(1) as f64;
+        let baseline = *baseline_us.get_or_insert(online.summary.total_us);
+        let speedup = baseline as f64 / online.summary.total_us.max(1) as f64;
         rows.push(vec![
             match budget {
                 Budget::Views(k) => format!("{k} views"),
@@ -124,7 +117,7 @@ fn main() {
             generated.name,
             facet.id,
             workload.len(),
-            ms(baseline.total_us),
+            ms(baseline_us.unwrap_or_default()),
         ),
         &[
             "budget",

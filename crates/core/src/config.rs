@@ -23,10 +23,6 @@ pub struct EngineConfig {
     /// Explicit views for the user-defined model (empty = pick the finest
     /// `k` views, a plausible naive user).
     pub user_views: Vec<ViewMask>,
-    /// Validate every view-answered query against the base graph.
-    pub validate: bool,
-    /// Cap for the exhaustive oracle (number of subsets).
-    pub exhaustive_limit: u64,
 }
 
 impl Default for EngineConfig {
@@ -38,8 +34,6 @@ impl Default for EngineConfig {
             seed: 42,
             train: TrainConfig::default(),
             user_views: Vec::new(),
-            validate: true,
-            exhaustive_limit: 2_000_000,
         }
     }
 }
@@ -53,6 +47,5 @@ mod tests {
         let c = EngineConfig::default();
         assert_eq!(c.budget, Budget::Views(4));
         assert!(c.timing_reps >= 1);
-        assert!(c.validate);
     }
 }

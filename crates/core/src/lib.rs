@@ -6,38 +6,43 @@
 //!   builds a cost model (training the learned one on measured view-query
 //!   times), runs greedy view selection under a budget, and materializes
 //!   the chosen views into the expanded graph `G+`;
-//! * the **online module** ([`online`]) answers workload queries — through
-//!   the rewriter when a materialized view covers them, from the base graph
-//!   otherwise — measuring and optionally validating each answer;
-//! * the **engine** ([`engine`]) is the one front door for *living*
-//!   graphs: [`Engine`] serves interleaved updates and queries under a
-//!   [`StalenessPolicy`], over a pluggable [`Backend`] — [`Backend::Serial`]
-//!   (one mutable dataset) or [`Backend::Epoch`] (sharded epoch snapshots,
-//!   concurrent readers). Both backends run the *same* policy machinery
-//!   ([`policy`]), including wall-clock bounded staleness driven by an
-//!   injectable [`Clock`];
+//! * the **engine** ([`engine`]) is the online module and the one front
+//!   door: [`Engine::query`] answers through the rewriter when a
+//!   materialized view covers the query and from the base graph
+//!   otherwise, and [`Engine::update`] keeps the views fresh under a
+//!   [`StalenessPolicy`], over a pluggable [`Backend`] —
+//!   [`Backend::Serial`] (one mutable dataset) or [`Backend::Epoch`]
+//!   (epoch snapshots, concurrent readers). Both backends run the *same*
+//!   policy machinery ([`policy`]), including wall-clock bounded staleness
+//!   driven by an injectable [`Clock`];
 //! * the **adaptive layer** ([`adaptive`]) watches the engine's sliding
 //!   workload/update profile ([`DriftDetector`]) and re-selects + swaps
 //!   the materialized set when it drifts ([`Reselector`]);
-//! * the **comparison runner** ([`compare`]) repeats offline+online for
-//!   each cost model on identical workloads and tabulates query time vs.
-//!   space amplification ([`report`]).
+//! * the **comparison runner** ([`compare`]) repeats offline + online for
+//!   each cost model on identical workloads — [`measure_workload`] times
+//!   every query through an [`Engine`] and validates view answers against
+//!   the base graph — and tabulates query time vs. space amplification
+//!   ([`report`]).
 //!
 //! ```
-//! use sofos_core::{EngineConfig, Sofos};
+//! use sofos_core::{compare_cost_models, EngineConfig};
 //! use sofos_cost::CostModelKind;
 //! use sofos_workload::dbpedia;
 //!
-//! let generated = dbpedia::generate(&dbpedia::Config {
+//! let g = dbpedia::generate(&dbpedia::Config {
 //!     countries: 6, years: 2, ..dbpedia::Config::default()
 //! });
-//! let sofos = Sofos::from_generated(&generated);
 //! let mut config = EngineConfig::default();
 //! config.workload.num_queries = 5;
 //! config.timing_reps = 1;
-//! let report = sofos
-//!     .compare(&[CostModelKind::Triples, CostModelKind::Nodes], &config)
-//!     .unwrap();
+//! let report = compare_cost_models(
+//!     g.name,
+//!     &g.dataset,
+//!     g.default_facet(),
+//!     &[CostModelKind::Triples, CostModelKind::Nodes],
+//!     &config,
+//! )
+//! .unwrap();
 //! assert_eq!(report.models.len(), 2);
 //! println!("{}", report.to_table());
 //! ```
@@ -74,201 +79,92 @@ pub mod config;
 pub mod engine;
 mod metrics;
 pub mod offline;
-pub mod online;
 pub mod policy;
 pub mod report;
 pub mod timing;
 pub mod validate;
 
 pub use adaptive::{AnytimeBudget, DriftDetector, ReselectionReport, Reselector};
-pub use compare::compare_cost_models;
+pub use compare::{compare_cost_models, measure_workload, OnlineOutcome};
 pub use config::EngineConfig;
 pub use engine::{
     Backend, Engine, EngineBuildError, EngineBuilder, RecoveryReport, Route, ServingBackend,
     SessionAnswer, ViewChurn,
 };
 pub use offline::{build_model, run_offline, OfflineOutcome, SizedLattice};
-pub use online::{run_online, OnlineOutcome, QueryRecord};
 pub use policy::{Clock, Freshness, ManualClock, StalenessPolicy, SystemClock};
 pub use report::{render_table, ComparisonReport, ModelRow};
+pub use sofos_select::WorkloadProfile;
 pub use sofos_store::DurabilityConfig;
 pub use sofos_telemetry::{Event, EventKind, MetricsHandle, MetricsSnapshot};
 pub use timing::{measure_median, measure_once, TimeSummary};
 pub use validate::results_equivalent;
 
-use sofos_cost::CostModelKind;
-use sofos_cube::Facet;
-use sofos_sparql::{Evaluator, QueryResults, SparqlError};
-use sofos_store::Dataset;
-use sofos_workload::{GeneratedDataset, GeneratedQuery};
-
-/// The SOFOS system: a knowledge graph plus an analytical facet.
-///
-/// Owns the base graph `G`; [`Sofos::offline`] expands it to `G+` in place,
-/// after which [`Sofos::online`] routes queries through the views.
-/// [`Sofos::compare`] never mutates the held dataset (it clones per model).
-/// [`Sofos::into_engine`] hands the expanded graph to the serving
-/// [`Engine`].
-#[derive(Debug, Clone)]
-pub struct Sofos {
-    dataset: Dataset,
-    facet: Facet,
-}
-
-impl Sofos {
-    /// Create a system over a dataset and facet.
-    pub fn new(dataset: Dataset, facet: Facet) -> Sofos {
-        Sofos { dataset, facet }
-    }
-
-    /// Create from a generated demo dataset (uses its default facet).
-    pub fn from_generated(generated: &GeneratedDataset) -> Sofos {
-        Sofos::new(generated.dataset.clone(), generated.default_facet().clone())
-    }
-
-    /// The (possibly expanded) dataset.
-    pub fn dataset(&self) -> &Dataset {
-        &self.dataset
-    }
-
-    /// The facet.
-    pub fn facet(&self) -> &Facet {
-        &self.facet
-    }
-
-    /// Size the facet's full lattice (demo step ②).
-    pub fn size_lattice(&self) -> Result<SizedLattice, SparqlError> {
-        SizedLattice::compute(&self.dataset, &self.facet)
-    }
-
-    /// Run the offline phase with one cost model, expanding the held
-    /// dataset into `G+`. Returns the outcome; the selected views are then
-    /// live for [`Sofos::online`].
-    pub fn offline(
-        &mut self,
-        kind: CostModelKind,
-        config: &EngineConfig,
-    ) -> Result<OfflineOutcome, SparqlError> {
-        let sized = SizedLattice::compute(&self.dataset, &self.facet)?;
-        let workload =
-            sofos_workload::generate_workload(&self.dataset, &self.facet, &config.workload);
-        let profile =
-            sofos_select::WorkloadProfile::from_masks(workload.iter().map(|q| q.required));
-        run_offline(&mut self.dataset, &sized, &profile, kind, config)
-    }
-
-    /// Run a workload online against the current dataset with a view
-    /// catalog (from [`OfflineOutcome::view_catalog`]).
-    pub fn online(
-        &self,
-        views: &[(sofos_cube::ViewMask, usize)],
-        workload: &[GeneratedQuery],
-        config: &EngineConfig,
-    ) -> Result<OnlineOutcome, SparqlError> {
-        run_online(
-            &self.dataset,
-            &self.facet,
-            views,
-            workload,
-            config.timing_reps,
-            config.validate,
-        )
-    }
-
-    /// Compare cost models on identical workloads (does not mutate the
-    /// held dataset).
-    pub fn compare(
-        &self,
-        kinds: &[CostModelKind],
-        config: &EngineConfig,
-    ) -> Result<ComparisonReport, SparqlError> {
-        compare_cost_models("sofos", &self.dataset, &self.facet, kinds, config)
-    }
-
-    /// Evaluate an ad-hoc SPARQL query against the current dataset.
-    pub fn query(&self, text: &str) -> Result<QueryResults, SparqlError> {
-        Evaluator::new(&self.dataset).evaluate_str(text)
-    }
-
-    /// Hand the (expanded) graph to a serving [`Engine`] builder, with
-    /// dataset and facet pre-filled — the bridge from the offline phase
-    /// to live serving.
-    pub fn into_engine(self) -> EngineBuilder {
-        Engine::builder().dataset(self.dataset).facet(self.facet)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sofos_workload::{dbpedia, WorkloadConfig};
+    use compare::tests::offline_engine;
+    use sofos_cost::CostModelKind;
+    use sofos_workload::{dbpedia, generate_workload, GeneratedDataset, WorkloadConfig};
 
-    fn small() -> Sofos {
-        let g = dbpedia::generate(&dbpedia::Config {
+    fn small() -> GeneratedDataset {
+        dbpedia::generate(&dbpedia::Config {
             countries: 8,
             years: 2,
             ..dbpedia::Config::default()
-        });
-        Sofos::from_generated(&g)
+        })
+    }
+
+    /// Agg-values selection profiled on `num_queries` generated queries,
+    /// served over `G+`; returns the workload too.
+    fn offline_then_engine(
+        g: &GeneratedDataset,
+        num_queries: usize,
+    ) -> (OfflineOutcome, Engine, Vec<sofos_workload::GeneratedQuery>) {
+        let config = WorkloadConfig {
+            num_queries,
+            ..WorkloadConfig::default()
+        };
+        let workload = generate_workload(&g.dataset, g.default_facet(), &config);
+        let profile = WorkloadProfile::from_masks(workload.iter().map(|q| q.required));
+        let (offline, engine) = offline_engine(
+            &g.dataset,
+            g.default_facet(),
+            &profile,
+            CostModelKind::AggValues,
+            &EngineConfig::default(),
+        );
+        (offline, engine, workload)
     }
 
     #[test]
     fn offline_then_online_round_trip() {
-        let mut sofos = small();
-        let mut config = EngineConfig {
-            workload: WorkloadConfig {
-                num_queries: 8,
-                ..WorkloadConfig::default()
-            },
-            ..EngineConfig::default()
-        };
-        config.timing_reps = 1;
-        let offline = sofos.offline(CostModelKind::AggValues, &config).unwrap();
+        let g = small();
+        let (offline, engine, workload) = offline_then_engine(&g, 8);
         assert_eq!(offline.materialized.len(), 4);
-
-        let workload =
-            sofos_workload::generate_workload(sofos.dataset(), sofos.facet(), &config.workload);
-        let online = sofos
-            .online(&offline.view_catalog(), &workload, &config)
-            .unwrap();
+        let online = measure_workload(&engine, &workload, 1, &g.dataset).unwrap();
         assert!(online.all_valid);
         assert!(online.view_hits > 0);
     }
 
     #[test]
     fn adhoc_queries_work() {
-        let sofos = small();
-        let r = sofos
-            .query("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }")
+        let g = small();
+        let engine = Engine::builder()
+            .dataset(g.dataset.clone())
+            .facet(g.default_facet().clone())
+            .build()
             .unwrap();
-        assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn compare_does_not_mutate() {
-        let sofos = small();
-        let triples_before = sofos.dataset().total_triples();
-        let mut config = EngineConfig::default();
-        config.workload.num_queries = 5;
-        config.timing_reps = 1;
-        let _ = sofos.compare(&[CostModelKind::Triples], &config).unwrap();
-        assert_eq!(sofos.dataset().total_triples(), triples_before);
-        assert!(sofos.dataset().graph_names().is_empty());
+        let query =
+            sofos_sparql::parse_query("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }").unwrap();
+        let answer = engine.query(&query).unwrap();
+        assert_eq!(answer.route, Route::BaseGraph, "not a facet query");
+        assert_eq!(answer.results.len(), 1);
     }
 
     #[test]
     fn sofos_into_engine_bridges_to_serving() {
-        let mut sofos = small();
-        let mut config = EngineConfig::default();
-        config.workload.num_queries = 5;
-        config.timing_reps = 1;
-        let offline = sofos.offline(CostModelKind::AggValues, &config).unwrap();
-        let catalog = offline.view_catalog();
-        let engine = sofos
-            .into_engine()
-            .catalog(catalog)
-            .build()
-            .expect("dataset and facet pre-filled");
+        let (_, engine, _) = offline_then_engine(&small(), 5);
         assert_eq!(engine.backend_name(), "serial");
         assert_eq!(engine.views().len(), 4);
     }

@@ -6,8 +6,8 @@
 //! users can plug any serializer; SOFOS itself ships text and CSV renderers
 //! (no JSON dependency).
 
+use crate::compare::OnlineOutcome;
 use crate::offline::OfflineOutcome;
-use crate::online::OnlineOutcome;
 use crate::timing::TimeSummary;
 use serde::Serialize;
 

@@ -1,11 +1,14 @@
 //! Engine robustness: degenerate datasets, tiny facets, determinism.
 
-use sofos_core::{run_offline, run_online, EngineConfig, SizedLattice, Sofos};
+use sofos_core::{
+    compare_cost_models, measure_workload, results_equivalent, run_offline, Engine, EngineConfig,
+    OfflineOutcome, OnlineOutcome, Route, SizedLattice,
+};
 use sofos_cost::CostModelKind;
 use sofos_cube::{AggOp, Dimension, Facet, ViewMask};
 use sofos_rdf::Term;
 use sofos_select::{Budget, WorkloadProfile};
-use sofos_sparql::{GroupPattern, PatternTerm, TriplePattern};
+use sofos_sparql::{Evaluator, GroupPattern, PatternTerm, TriplePattern};
 use sofos_store::Dataset;
 use sofos_workload::{dbpedia, generate_workload, WorkloadConfig};
 
@@ -23,6 +26,29 @@ fn one_dim_facet() -> Facet {
         ),
     ]);
     Facet::new("tiny", vec![Dimension::new("d")], pattern, "m", AggOp::Sum).unwrap()
+}
+
+/// The offline phase over a copy of `base`, profiled on the configured
+/// workload; then the same workload served over `G+` and measured.
+fn offline_then_online(
+    base: &Dataset,
+    facet: &Facet,
+    kind: CostModelKind,
+    config: &EngineConfig,
+) -> (OfflineOutcome, OnlineOutcome) {
+    let sized = SizedLattice::compute(base, facet).unwrap();
+    let workload = generate_workload(base, facet, &config.workload);
+    let profile = WorkloadProfile::from_masks(workload.iter().map(|q| q.required));
+    let mut expanded = base.clone();
+    let offline = run_offline(&mut expanded, &sized, &profile, kind, config).unwrap();
+    let engine = Engine::builder()
+        .dataset(expanded)
+        .facet(facet.clone())
+        .catalog(offline.view_catalog())
+        .build()
+        .unwrap();
+    let online = measure_workload(&engine, &workload, 1, base).unwrap();
+    (offline, online)
 }
 
 #[test]
@@ -55,26 +81,19 @@ fn empty_dataset_full_pipeline() {
     .unwrap();
     assert_eq!(offline.materialized.len(), 2);
 
-    // Run a minimal workload: the apex query.
+    // Serve a minimal workload: the apex query.
+    let engine = Engine::builder()
+        .dataset(expanded)
+        .facet(facet.clone())
+        .catalog(offline.view_catalog())
+        .build()
+        .unwrap();
     let query = sofos_cube::facet_query(&facet, ViewMask::APEX, AggOp::Sum, vec![]);
-    let workload = vec![sofos_workload::GeneratedQuery {
-        text: sofos_sparql::query_to_sparql(&query),
-        query,
-        group_mask: ViewMask::APEX,
-        required: ViewMask::APEX,
-        agg: AggOp::Sum,
-    }];
-    let online = run_online(
-        &expanded,
-        &facet,
-        &offline.view_catalog(),
-        &workload,
-        1,
-        true,
-    )
-    .unwrap();
-    assert!(online.all_valid);
-    assert_eq!(online.records[0].rows, 1, "SUM over empty = one 0 row");
+    let answer = engine.query(&query).unwrap();
+    assert!(matches!(answer.route, Route::View(_)), "a view answers");
+    let base = Evaluator::new(&ds).evaluate(&query).unwrap();
+    assert!(results_equivalent(&answer.results, &base));
+    assert_eq!(answer.results.len(), 1, "SUM over empty = one 0 row");
 }
 
 #[test]
@@ -92,19 +111,12 @@ fn single_observation_dataset() {
         &Term::iri("http://e/m"),
         &Term::literal_int(5),
     );
-    let facet = one_dim_facet();
-    let mut sofos = Sofos::new(ds, facet);
     let mut config = EngineConfig {
         budget: Budget::Views(2),
         ..EngineConfig::default()
     };
     config.workload.num_queries = 4;
-    config.timing_reps = 1;
-    let offline = sofos.offline(CostModelKind::AggValues, &config).unwrap();
-    let workload = generate_workload(sofos.dataset(), sofos.facet(), &config.workload);
-    let online = sofos
-        .online(&offline.view_catalog(), &workload, &config)
-        .unwrap();
+    let (_, online) = offline_then_online(&ds, &one_dim_facet(), CostModelKind::AggValues, &config);
     assert!(online.all_valid);
 }
 
@@ -151,23 +163,21 @@ fn zero_budget_means_base_graph_only() {
         years: 2,
         ..dbpedia::Config::default()
     });
-    let mut sofos = Sofos::from_generated(&g);
     let mut config = EngineConfig {
         budget: Budget::Views(0),
         ..EngineConfig::default()
     };
     config.workload.num_queries = 5;
-    config.timing_reps = 1;
-    let offline = sofos.offline(CostModelKind::Triples, &config).unwrap();
+    let (offline, online) = offline_then_online(
+        &g.dataset,
+        g.default_facet(),
+        CostModelKind::Triples,
+        &config,
+    );
     assert!(offline.materialized.is_empty());
     assert_eq!(offline.storage_amplification(), 1.0);
-
-    let workload = generate_workload(sofos.dataset(), sofos.facet(), &config.workload);
-    let online = sofos
-        .online(&offline.view_catalog(), &workload, &config)
-        .unwrap();
     assert_eq!(online.view_hits, 0);
-    assert_eq!(online.fallbacks, workload.len());
+    assert_eq!(online.fallbacks, config.workload.num_queries);
 }
 
 #[test]
@@ -177,12 +187,20 @@ fn report_rendering_is_stable_under_rerun() {
         years: 2,
         ..dbpedia::Config::default()
     });
-    let sofos = Sofos::from_generated(&g);
     let mut config = EngineConfig::default();
     config.workload.num_queries = 5;
     config.timing_reps = 1;
-    let a = sofos.compare(&[CostModelKind::Triples], &config).unwrap();
-    let b = sofos.compare(&[CostModelKind::Triples], &config).unwrap();
+    let compare = || {
+        compare_cost_models(
+            g.name,
+            &g.dataset,
+            g.default_facet(),
+            &[CostModelKind::Triples],
+            &config,
+        )
+        .unwrap()
+    };
+    let (a, b) = (compare(), compare());
     // Timings differ; structure and selections must not.
     assert_eq!(a.models[0].selected_views, b.models[0].selected_views);
     assert_eq!(a.models[0].view_hits, b.models[0].view_hits);

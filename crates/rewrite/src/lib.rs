@@ -18,6 +18,10 @@
 //! 3. [`rewrite_query`] emits `Q′` over the view's named graph, re-deriving
 //!    the aggregate from the view's distributive components (SUM of sums,
 //!    SUM of counts, MIN of minima, ...; AVG = SUM(sums)/SUM(counts)).
+//!
+//! The serving engine (`sofos_core::Engine::query`) runs these steps for
+//! every query, in both of its backends; a query that fails step 1, or
+//! that no view covers in step 2, runs unchanged on the base graph.
 
 use sofos_cube::{AggOp, Facet, ViewMask};
 use sofos_rdf::vocab::sofos;
@@ -49,8 +53,6 @@ pub enum RewriteError {
     },
     /// Query uses a feature the rewriter does not handle (DISTINCT/HAVING).
     Unsupported(&'static str),
-    /// No materialized view covers the query's required dimensions.
-    NoCoveringView,
 }
 
 impl fmt::Display for RewriteError {
@@ -72,7 +74,6 @@ impl fmt::Display for RewriteError {
                 "{requested} cannot be derived from views materialized for {available}"
             ),
             RewriteError::Unsupported(what) => write!(f, "unsupported feature: {what}"),
-            RewriteError::NoCoveringView => write!(f, "no materialized view covers the query"),
         }
     }
 }
@@ -363,17 +364,6 @@ fn component_predicates(agg: AggOp) -> (&'static str, Option<&'static str>) {
     }
 }
 
-/// Convenience: analyze, pick a view, and rewrite in one call.
-pub fn plan_rewrite(
-    facet: &Facet,
-    views: &[(ViewMask, usize)],
-    query: &Query,
-) -> Result<(ViewMask, Query), RewriteError> {
-    let analysis = analyze_query(facet, query)?;
-    let view = best_view(views, analysis.required).ok_or(RewriteError::NoCoveringView)?;
-    Ok((view, rewrite_query(facet, &analysis, view)))
-}
-
 /// Did the analysis ask for the aggregate value only (apex query)?
 pub fn is_apex_query(analysis: &QueryAnalysis) -> bool {
     analysis.group_mask == ViewMask::APEX
@@ -572,31 +562,6 @@ mod tests {
         // Rewritten text is valid SPARQL.
         let text = sofos_sparql::query_to_sparql(&rewritten);
         sofos_sparql::parse_query(&text).expect("rewritten query parses");
-    }
-
-    #[test]
-    fn plan_rewrite_end_to_end() {
-        let facet = sample_facet(AggOp::Sum);
-        let views = [(ViewMask::full(2), 50), (ViewMask::from_dims(&[0]), 5)];
-        let q = facet_query(&facet, ViewMask::from_dims(&[0]), AggOp::Sum, vec![]);
-        let (view, rewritten) = plan_rewrite(&facet, &views, &q).unwrap();
-        assert_eq!(
-            view,
-            ViewMask::from_dims(&[0]),
-            "smaller covering view wins"
-        );
-        assert!(!rewritten.pattern.elements.is_empty());
-
-        // Query needing lang cannot use the country-only view.
-        let q = facet_query(&facet, ViewMask::from_dims(&[1]), AggOp::Sum, vec![]);
-        let (view, _) = plan_rewrite(&facet, &views, &q).unwrap();
-        assert_eq!(view, ViewMask::full(2));
-
-        // No views at all → NoCoveringView.
-        assert!(matches!(
-            plan_rewrite(&facet, &[], &q),
-            Err(RewriteError::NoCoveringView)
-        ));
     }
 
     #[test]

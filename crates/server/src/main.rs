@@ -12,10 +12,13 @@
 //! Prints one line per lifecycle step; exits 0 on a clean signal-driven
 //! shutdown (the `serve-smoke` CI job asserts exactly that).
 
-use sofos_core::{Backend, DurabilityConfig, EngineConfig, Sofos, StalenessPolicy};
+use sofos_core::{
+    run_offline, Backend, DurabilityConfig, Engine, EngineConfig, SizedLattice, StalenessPolicy,
+    WorkloadProfile,
+};
 use sofos_cost::CostModelKind;
 use sofos_server::{serve, ServerConfig};
-use sofos_workload::{dbpedia, lubm, swdf, synthetic, GeneratedDataset};
+use sofos_workload::{dbpedia, generate_workload, lubm, swdf, synthetic, GeneratedDataset};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -142,7 +145,8 @@ fn run(args: &[String]) -> Result<(), String> {
         generated.dataset.total_triples()
     );
 
-    let mut sofos = Sofos::from_generated(&generated);
+    let facet = generated.default_facet().clone();
+    let mut dataset = generated.dataset;
     let catalog = if args.iter().any(|a| a == "--no-views") || resuming {
         if resuming {
             println!(
@@ -152,9 +156,21 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         Vec::new()
     } else {
-        let outcome = sofos
-            .offline(CostModelKind::AggValues, &EngineConfig::default())
-            .map_err(|e| format!("offline selection failed: {e}"))?;
+        // The offline phase under the default configuration: the
+        // agg-values pick for the default workload, materialized into G+.
+        let config = EngineConfig::default();
+        let failed = |e| format!("offline selection failed: {e}");
+        let sized = SizedLattice::compute(&dataset, &facet).map_err(failed)?;
+        let workload = generate_workload(&dataset, &facet, &config.workload);
+        let profile = WorkloadProfile::from_masks(workload.iter().map(|q| q.required));
+        let outcome = run_offline(
+            &mut dataset,
+            &sized,
+            &profile,
+            CostModelKind::AggValues,
+            &config,
+        )
+        .map_err(failed)?;
         let catalog = outcome.view_catalog();
         println!(
             "offline: selected {} views ({} → {} bytes)",
@@ -165,8 +181,9 @@ fn run(args: &[String]) -> Result<(), String> {
         catalog
     };
 
-    let mut builder = sofos
-        .into_engine()
+    let mut builder = Engine::builder()
+        .dataset(dataset)
+        .facet(facet)
         .catalog(catalog)
         .staleness(staleness)
         .backend(backend);

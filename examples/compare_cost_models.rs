@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example compare_cost_models`
 
-use sofos::core::{EngineConfig, Sofos, StalenessPolicy};
+use sofos::core::{compare_cost_models, EngineConfig};
 use sofos::cost::CostModelKind;
 use sofos::workload::dbpedia;
 
@@ -17,16 +17,21 @@ fn main() {
         generated.dataset.total_triples()
     );
 
-    let sofos = Sofos::from_generated(&generated);
+    let facet = generated.default_facet();
     let mut config = EngineConfig::default();
     config.workload.num_queries = 40;
     config.workload.filter_probability = 0.4;
     config.timing_reps = 3;
     config.train.epochs = 120;
 
-    let report = sofos
-        .compare(&CostModelKind::ALL, &config)
-        .expect("comparison runs");
+    let report = compare_cost_models(
+        generated.name,
+        &generated.dataset,
+        facet,
+        &CostModelKind::ALL,
+        &config,
+    )
+    .expect("comparison runs");
 
     println!("{}", report.to_table());
     println!("Selected views per model:");
@@ -35,31 +40,12 @@ fn main() {
     }
     println!("\nCSV:\n{}", report.to_csv());
 
-    // From comparison to serving: expand G+ under the winning model and
-    // hand it to the one front door (Sofos::into_engine pre-fills the
-    // builder; add .backend(Backend::Epoch { .. }) to serve concurrently).
+    // Every row above was already served through `Engine::query` over its
+    // own G+; the fastest one is the model to hand to a live engine.
     let best = report
         .models
         .iter()
         .max_by(|a, b| a.speedup.total_cmp(&b.speedup))
         .expect("at least one model");
-    let kind = CostModelKind::ALL
-        .into_iter()
-        .find(|k| k.name() == best.model)
-        .expect("row names a model");
-    let mut sofos = Sofos::from_generated(&generated);
-    let offline = sofos.offline(kind, &config).expect("offline runs");
-    let engine = sofos
-        .into_engine()
-        .catalog(offline.view_catalog())
-        .staleness(StalenessPolicy::Eager)
-        .build()
-        .expect("engine builds");
-    println!(
-        "\nBest model `{}` ({:.2}x) now serves live behind Engine ({} backend, {} views).",
-        best.model,
-        best.speedup,
-        engine.backend_name(),
-        engine.views().len()
-    );
+    println!("\nBest model: `{}` ({:.2}x).", best.model, best.speedup);
 }

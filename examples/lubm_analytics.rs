@@ -1,11 +1,11 @@
 //! LUBM-like analytics: the budget sweep behind the demo's "User Selected
 //! Views" station — where is the sweet spot between space amplification and
-//! query time?
+//! query time? Each budget's workload is served through an `Engine` over
+//! its `G+`; k = 0 is the no-views baseline the speedups are relative to.
 //!
 //! Run with: `cargo run --release --example lubm_analytics`
 
-use sofos::core::StalenessPolicy;
-use sofos::core::{run_offline, run_online, Backend, Engine, EngineConfig, SizedLattice};
+use sofos::core::{measure_workload, run_offline, Engine, EngineConfig, SizedLattice};
 use sofos::cost::CostModelKind;
 use sofos::select::{Budget, WorkloadProfile};
 use sofos::workload::{generate_workload, lubm, WorkloadConfig};
@@ -31,14 +31,6 @@ fn main() {
     let workload = generate_workload(&generated.dataset, &facet, &workload_config);
     let profile = WorkloadProfile::from_masks(workload.iter().map(|q| q.required));
 
-    let baseline =
-        run_online(&generated.dataset, &facet, &[], &workload, 3, false).expect("baseline run");
-    println!(
-        "no views: total {:.2} ms over {} queries\n",
-        baseline.summary.total_us as f64 / 1000.0,
-        workload.len()
-    );
-
     println!(
         "{:<4} {:>10} {:>12} {:>12} {:>9} {:>8}",
         "k", "hits", "total ms", "space amp", "speedup", "views"
@@ -47,6 +39,7 @@ fn main() {
         timing_reps: 3,
         ..EngineConfig::default()
     };
+    let mut baseline_us = None;
     for k in 0..=sized.lattice.num_views() as usize {
         config.budget = Budget::Views(k);
         let mut expanded = generated.dataset.clone();
@@ -58,16 +51,16 @@ fn main() {
             &config,
         )
         .expect("offline");
-        let online = run_online(
-            &expanded,
-            &facet,
-            &offline.view_catalog(),
-            &workload,
-            config.timing_reps,
-            true,
-        )
-        .expect("online");
+        let engine = Engine::builder()
+            .dataset(expanded)
+            .facet(facet.clone())
+            .catalog(offline.view_catalog())
+            .build()
+            .expect("engine builds");
+        let online = measure_workload(&engine, &workload, config.timing_reps, &generated.dataset)
+            .expect("online");
         assert!(online.all_valid, "view answers must be correct");
+        let baseline = *baseline_us.get_or_insert(online.summary.total_us);
         println!(
             "{:<4} {:>7}/{:<2} {:>12.2} {:>12.3} {:>8.2}x {:>8}",
             k,
@@ -75,40 +68,10 @@ fn main() {
             workload.len(),
             online.summary.total_us as f64 / 1000.0,
             offline.storage_amplification(),
-            baseline.summary.total_us as f64 / online.summary.total_us.max(1) as f64,
+            baseline as f64 / online.summary.total_us.max(1) as f64,
             offline.selection.selected.len(),
         );
     }
     println!("\nReading: query time falls as k grows while space amplification rises;");
     println!("the sweet spot is where added views stop being hit by the workload.");
-
-    // Serve the sweet spot live, through the one front door: the same
-    // catalog behind an Engine (flip Backend::Serial to Backend::Epoch
-    // { shards, threads } and this block reads identically).
-    config.budget = Budget::Views(4);
-    let mut expanded = generated.dataset.clone();
-    let offline = run_offline(
-        &mut expanded,
-        &sized,
-        &profile,
-        CostModelKind::AggValues,
-        &config,
-    )
-    .expect("offline");
-    let engine = Engine::builder()
-        .dataset(expanded)
-        .facet(facet)
-        .catalog(offline.view_catalog())
-        .staleness(StalenessPolicy::Eager)
-        .backend(Backend::Serial)
-        .build()
-        .expect("engine builds");
-    for q in &workload {
-        engine.query(&q.query).expect("engine answers");
-    }
-    let (hits, falls) = engine.routing_counts();
-    println!(
-        "\nServed the workload through Engine (serial backend) at k=4: \
-         {hits} view hits, {falls} fallbacks."
-    );
 }

@@ -10,9 +10,10 @@
 //!
 //! Datasets: `dbpedia`, `lubm`, `swdf` (generated, deterministic seeds).
 
-use sofos::core::{EngineConfig, Sofos};
+use sofos::core::{compare_cost_models, EngineConfig, SizedLattice};
 use sofos::cost::CostModelKind;
 use sofos::select::Budget;
+use sofos::sparql::Evaluator;
 use sofos::workload::{dbpedia, lubm, swdf, GeneratedDataset};
 use std::io::Write;
 use std::process::ExitCode;
@@ -67,8 +68,8 @@ fn main() -> ExitCode {
             let Some(g) = args.get(1).and_then(|n| load(n)) else {
                 return usage();
             };
-            let system = Sofos::from_generated(&g);
-            let sized = match system.size_lattice() {
+            let facet = g.default_facet();
+            let sized = match SizedLattice::compute(&g.dataset, facet) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -77,7 +78,7 @@ fn main() -> ExitCode {
             };
             println!(
                 "facet `{}`: {} views sized in {:.1} ms",
-                system.facet().id,
+                facet.id,
                 sized.lattice.num_views(),
                 sized.sizing_us as f64 / 1000.0
             );
@@ -108,13 +109,13 @@ fn main() -> ExitCode {
             };
             let k: usize = args.get(2).and_then(|v| v.parse().ok()).unwrap_or(4);
             let queries: usize = args.get(3).and_then(|v| v.parse().ok()).unwrap_or(40);
-            let system = Sofos::from_generated(&g);
             let mut config = EngineConfig {
                 budget: Budget::Views(k),
                 ..EngineConfig::default()
             };
             config.workload.num_queries = queries;
-            match system.compare(&CostModelKind::ALL, &config) {
+            let facet = g.default_facet();
+            match compare_cost_models(g.name, &g.dataset, facet, &CostModelKind::ALL, &config) {
                 Ok(report) => {
                     println!("{}", report.to_table());
                     ExitCode::SUCCESS
@@ -129,8 +130,7 @@ fn main() -> ExitCode {
             let (Some(g), Some(text)) = (args.get(1).and_then(|n| load(n)), args.get(2)) else {
                 return usage();
             };
-            let system = Sofos::from_generated(&g);
-            match system.query(text) {
+            match Evaluator::new(&g.dataset).evaluate_str(text) {
                 Ok(results) => {
                     println!("{results}");
                     println!("{} row(s)", results.len());

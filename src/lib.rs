@@ -4,7 +4,7 @@
 //! downstream user can `cargo add sofos` and reach every subsystem:
 //!
 //! ```
-//! use sofos::core::Sofos;          // the engine (offline + online modules)
+//! use sofos::core::Engine;         // the online module: the serving engine
 //! use sofos::workload::dbpedia;    // dataset generators
 //! use sofos::cost::CostModelKind;  // the six cost models
 //! ```
@@ -40,8 +40,9 @@
 //! * [`workload`] — dataset generators, query workloads, and zipf-skewed
 //!   update streams;
 //! * [`core`] — ties it together: the offline phase (size → select →
-//!   materialize), the online phase (rewrite-routed measurement), and the
-//!   **one front door** for living graphs — [`core::Engine`], built via
+//!   materialize), the cost-model comparison measured through the engine,
+//!   and the **one front door** that answers every query — [`core::Engine`],
+//!   built via
 //!   `Engine::builder().dataset(..).facet(..).catalog(..).staleness(..)
 //!   .backend(..).clock(..)`. The engine serves interleaved updates and
 //!   queries under a [`core::StalenessPolicy`] (eager, lazy-on-hit,

@@ -2,12 +2,16 @@
 //! dataset, plus the golden invariant — *view answers equal base answers* —
 //! exercised across every lattice view, aggregate, and dataset.
 
-use sofos::core::{results_equivalent, EngineConfig, Sofos};
+use sofos::core::{
+    compare_cost_models, measure_workload, results_equivalent, run_offline, Engine, EngineConfig,
+    OfflineOutcome, SizedLattice, WorkloadProfile,
+};
 use sofos::cost::CostModelKind;
 use sofos::cube::{facet_query, Lattice};
 use sofos::materialize::materialize_view;
 use sofos::rewrite::{analyze_query, best_view, rewrite_query};
 use sofos::sparql::Evaluator;
+use sofos::store::Dataset;
 use sofos::workload::{
     dbpedia, derivable_aggs, generate_workload, lubm, swdf, GeneratedDataset, WorkloadConfig,
 };
@@ -31,6 +35,22 @@ fn small_datasets() -> Vec<GeneratedDataset> {
             ..swdf::Config::default()
         }),
     ]
+}
+
+/// The offline phase on a copy of the base graph, profiled on the
+/// configured workload: returns `G+` and the outcome.
+fn offline(
+    generated: &GeneratedDataset,
+    kind: CostModelKind,
+    config: &EngineConfig,
+) -> (Dataset, OfflineOutcome) {
+    let facet = generated.default_facet();
+    let sized = SizedLattice::compute(&generated.dataset, facet).unwrap();
+    let workload = generate_workload(&generated.dataset, facet, &config.workload);
+    let profile = WorkloadProfile::from_masks(workload.iter().map(|q| q.required));
+    let mut expanded = generated.dataset.clone();
+    let outcome = run_offline(&mut expanded, &sized, &profile, kind, config).unwrap();
+    (expanded, outcome)
 }
 
 /// The golden invariant of the whole system: for every dataset, every view
@@ -82,7 +102,6 @@ fn rewritten_answers_equal_base_answers_everywhere() {
 #[test]
 fn filtered_queries_validate_on_all_datasets() {
     for generated in small_datasets() {
-        let sofos = Sofos::from_generated(&generated);
         let mut config = EngineConfig {
             workload: WorkloadConfig {
                 num_queries: 15,
@@ -92,9 +111,14 @@ fn filtered_queries_validate_on_all_datasets() {
             ..EngineConfig::default()
         };
         config.timing_reps = 1;
-        let report = sofos
-            .compare(&[CostModelKind::Triples, CostModelKind::AggValues], &config)
-            .unwrap();
+        let report = compare_cost_models(
+            generated.name,
+            &generated.dataset,
+            generated.default_facet(),
+            &[CostModelKind::Triples, CostModelKind::AggValues],
+            &config,
+        )
+        .unwrap();
         for row in &report.models {
             assert!(
                 row.all_valid,
@@ -119,12 +143,18 @@ fn six_model_comparison_is_coherent() {
         years: 2,
         ..dbpedia::Config::default()
     });
-    let sofos = Sofos::from_generated(&generated);
     let mut config = EngineConfig::default();
     config.workload.num_queries = 12;
     config.timing_reps = 1;
     config.train.epochs = 25;
-    let report = sofos.compare(&CostModelKind::ALL, &config).unwrap();
+    let report = compare_cost_models(
+        generated.name,
+        &generated.dataset,
+        generated.default_facet(),
+        &CostModelKind::ALL,
+        &config,
+    )
+    .unwrap();
 
     assert_eq!(report.models.len(), 6);
     for row in &report.models {
@@ -141,27 +171,32 @@ fn six_model_comparison_is_coherent() {
     }
 }
 
-/// Offline → online on the engine's own dataset (G becomes G+ in place).
+/// Offline → online: the offline phase expands G into G+ in place, and an
+/// engine over G+ answers the workload exactly.
 #[test]
 fn engine_expands_in_place() {
     let generated = swdf::generate(&swdf::Config::default());
-    let mut sofos = Sofos::from_generated(&generated);
-    let before = sofos.dataset().total_triples();
+    let before = generated.dataset.total_triples();
     let mut config = EngineConfig::default();
     config.workload.num_queries = 8;
     config.timing_reps = 1;
-    let offline = sofos.offline(CostModelKind::Nodes, &config).unwrap();
-    assert!(sofos.dataset().total_triples() > before, "G+ grew");
+    let (expanded, offline) = offline(&generated, CostModelKind::Nodes, &config);
+    assert!(expanded.total_triples() > before, "G+ grew");
     assert_eq!(
-        sofos.dataset().graph_names().len(),
+        expanded.graph_names().len(),
         offline.materialized.len(),
         "one named graph per view"
     );
 
-    let workload = generate_workload(sofos.dataset(), sofos.facet(), &config.workload);
-    let online = sofos
-        .online(&offline.view_catalog(), &workload, &config)
+    let facet = generated.default_facet();
+    let workload = generate_workload(&generated.dataset, facet, &config.workload);
+    let engine = Engine::builder()
+        .dataset(expanded)
+        .facet(facet.clone())
+        .catalog(offline.view_catalog())
+        .build()
         .unwrap();
+    let online = measure_workload(&engine, &workload, 1, &generated.dataset).unwrap();
     assert!(online.all_valid);
 }
 
@@ -173,7 +208,6 @@ fn byte_budget_end_to_end() {
         years: 2,
         ..dbpedia::Config::default()
     });
-    let mut sofos = Sofos::from_generated(&generated);
     let mut config = EngineConfig {
         timing_reps: 1,
         ..EngineConfig::default()
@@ -181,7 +215,7 @@ fn byte_budget_end_to_end() {
     config.workload.num_queries = 6;
     // Budget: roughly enough for a few small views.
     config.budget = sofos::select::Budget::Bytes(4096);
-    let offline = sofos.offline(CostModelKind::AggValues, &config).unwrap();
+    let (_, offline) = offline(&generated, CostModelKind::AggValues, &config);
     let bytes: usize = offline.materialized.iter().map(|v| v.stats.bytes).sum();
     assert!(bytes <= 4096, "materialized {bytes} bytes > budget");
     assert!(!offline.materialized.is_empty(), "something fit the budget");
@@ -246,9 +280,7 @@ fn workload_analysis_agrees_with_generator_metadata() {
 #[test]
 fn oracle_versus_greedy_on_real_data() {
     let generated = swdf::generate(&swdf::Config::default());
-    let facet = generated.default_facet().clone();
-    let sofos = Sofos::new(generated.dataset.clone(), facet.clone());
-    let sized = sofos.size_lattice().unwrap();
+    let sized = SizedLattice::compute(&generated.dataset, generated.default_facet()).unwrap();
     let ctx = sized.context();
     let profile = sofos::select::WorkloadProfile::uniform(&sized.lattice);
     let model = sofos::cost::AggValuesCost;
@@ -283,7 +315,7 @@ fn oracle_versus_greedy_on_real_data() {
 /// (and correctly) on both backends.
 #[test]
 fn engine_front_door_serves_both_backends() {
-    use sofos::core::{Backend, Engine, StalenessPolicy};
+    use sofos::core::{Backend, StalenessPolicy};
     use sofos::rdf::Term;
     use sofos::store::Delta;
 
@@ -292,12 +324,11 @@ fn engine_front_door_serves_both_backends() {
         ..sofos::workload::synthetic::Config::default()
     });
     let facet = generated.default_facet().clone();
-    let mut sofos = Sofos::new(generated.dataset.clone(), facet.clone());
     let mut config = EngineConfig::default();
     config.workload.num_queries = 8;
     config.timing_reps = 1;
-    let offline = sofos.offline(CostModelKind::AggValues, &config).unwrap();
-    let workload = generate_workload(sofos.dataset(), sofos.facet(), &config.workload);
+    let (expanded, offline) = offline(&generated, CostModelKind::AggValues, &config);
+    let workload = generate_workload(&generated.dataset, &facet, &config.workload);
 
     let delta = |batch: usize| {
         use sofos::workload::synthetic::NS;
@@ -326,7 +357,7 @@ fn engine_front_door_serves_both_backends() {
         },
     ] {
         let engine = Engine::builder()
-            .dataset(sofos.dataset().clone())
+            .dataset(expanded.clone())
             .facet(facet.clone())
             .catalog(offline.view_catalog())
             .staleness(StalenessPolicy::bounded(2, 1))

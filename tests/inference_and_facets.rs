@@ -3,11 +3,10 @@
 //! closure is materialized (the paper's "entailment … further complicate[s]
 //! the direct adoption" point, made concrete).
 
-use sofos::core::{results_equivalent, EngineConfig, Sofos};
+use sofos::core::{compare_cost_models, results_equivalent, Engine, EngineConfig, Route};
 use sofos::cost::CostModelKind;
 use sofos::cube::{AggOp, Dimension, Facet, Lattice, ViewMask};
 use sofos::materialize::materialize_view;
-use sofos::rewrite::plan_rewrite;
 use sofos::sparql::{Evaluator, GroupPattern, PatternTerm, TriplePattern};
 use sofos::workload::lubm;
 
@@ -82,14 +81,25 @@ fn facet_over_inferred_types_round_trips_through_views() {
         let view = materialize_view(&mut ds, &facet, mask).unwrap();
         catalog.push((mask, view.stats.rows));
     }
+    let engine = Engine::builder()
+        .dataset(ds.clone())
+        .facet(facet.clone())
+        .catalog(catalog)
+        .build()
+        .unwrap();
     let evaluator = Evaluator::new(&ds);
     for mask in lattice.views() {
         let query = sofos::cube::facet_query(&facet, mask, AggOp::Sum, vec![]);
-        let (routed, rewritten) = plan_rewrite(&facet, &catalog, &query).unwrap();
+        let answer = engine.query(&query).unwrap();
+        let Route::View(routed) = answer.route else {
+            panic!("mask {mask}: the full lattice covers every query");
+        };
         assert!(routed.covers(mask));
-        let from_view = evaluator.evaluate(&rewritten).unwrap();
         let from_base = evaluator.evaluate(&query).unwrap();
-        assert!(results_equivalent(&from_view, &from_base), "mask {mask}");
+        assert!(
+            results_equivalent(&answer.results, &from_base),
+            "mask {mask}"
+        );
         assert!(!from_base.is_empty(), "inferred facet has data");
     }
 }
@@ -102,14 +112,18 @@ fn second_facet_runs_the_full_engine() {
     assert_eq!(count_facet.id, "pubcount");
     assert_eq!(count_facet.agg, AggOp::Count);
 
-    let sofos = Sofos::new(generated.dataset.clone(), count_facet);
     let mut config = EngineConfig::default();
     config.workload.num_queries = 10;
     config.timing_reps = 1;
     config.budget = sofos::select::Budget::Views(2);
-    let report = sofos
-        .compare(&[CostModelKind::Triples, CostModelKind::AggValues], &config)
-        .unwrap();
+    let report = compare_cost_models(
+        generated.name,
+        &generated.dataset,
+        &count_facet,
+        &[CostModelKind::Triples, CostModelKind::AggValues],
+        &config,
+    )
+    .unwrap();
     for row in &report.models {
         assert!(row.all_valid, "{}", row.model);
         assert_eq!(row.selected_views.len(), 2);
