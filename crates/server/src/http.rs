@@ -183,27 +183,22 @@ impl<R: Read> RequestReader<R> {
             ));
         }
 
-        // The body: bytes already buffered past the header block, then
-        // read the remainder off the wire.
-        let body_start = header_end + 4;
-        let mut body: Vec<u8> = buf[body_start.min(buf.len())..].to_vec();
-        if body.len() > content_length {
-            // Pipelined bytes belong to the next message.
-            self.carry = body.split_off(content_length);
-        }
-        while body.len() < content_length {
-            let n = self.inner.read(&mut chunk)?;
-            if n == 0 {
-                return Err(HttpError::BodyTruncated {
-                    expected: content_length,
-                    got: body.len(),
-                });
-            }
-            let need = content_length - body.len();
-            body.extend_from_slice(&chunk[..n.min(need)]);
-            if n > need {
-                self.carry.extend_from_slice(&chunk[need..n]);
-            }
+        // The body: bytes already buffered past the header block, then the
+        // remainder read off the wire in one pass. `content_length` is
+        // within `max_body_bytes`, so reserving it up front is bounded.
+        let buffered = &buf[(header_end + 4).min(buf.len())..];
+        let in_buf = buffered.len().min(content_length);
+        // Pipelined bytes belong to the next message.
+        self.carry = buffered[in_buf..].to_vec();
+        let mut body = Vec::with_capacity(content_length);
+        body.extend_from_slice(&buffered[..in_buf]);
+        let need = (content_length - in_buf) as u64;
+        (&mut self.inner).take(need).read_to_end(&mut body)?;
+        if body.len() < content_length {
+            return Err(HttpError::BodyTruncated {
+                expected: content_length,
+                got: body.len(),
+            });
         }
 
         let keep_alive = keep_alive(&version, &headers);

@@ -1,9 +1,9 @@
 //! # sofos-server — the network front door over `Arc<Engine>`
 //!
 //! A hand-rolled HTTP/1.1 server on `std::net::TcpListener` (no registry
-//! dependencies, like everything else in the tree): one non-blocking
-//! acceptor thread plus a fixed-size worker pool, all serving a single
-//! shared [`sofos_core::Engine`]. Endpoints:
+//! dependencies, like everything else in the tree): one acceptor thread
+//! blocked in `accept()` plus a fixed-size worker pool, all serving a
+//! single shared [`sofos_core::Engine`]. Endpoints:
 //!
 //! | route | what |
 //! |-------|------|
@@ -26,7 +26,11 @@
 //! `sofos-server` binary) stops accepting, lets workers finish queued
 //! and in-flight requests (keep-alive connections are told
 //! `Connection: close` on their next response), joins every thread, and
-//! returns the final [`ServerStats`].
+//! returns the final [`ServerStats`]. The acceptor sleeps in a blocking
+//! `accept()`, so shutdown wakes it by connecting to the listener itself
+//! (on the loopback address when bound to `0.0.0.0` or `::`); the
+//! acceptor re-checks the shutdown flag after every accept and drops
+//! that connection unserved and uncounted.
 //!
 //! The model is deliberately thread-per-connection within a bounded
 //! pool: a keep-alive connection holds its worker until it closes or
@@ -41,11 +45,11 @@ use http::{HttpError, Limits, RequestReader, Response};
 use sofos_core::{policy::PendingLog, Engine};
 use sofos_telemetry::{Counter, Histogram};
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Server tunables. `Default` is sized for tests and demos.
 #[derive(Debug, Clone)]
@@ -105,6 +109,7 @@ struct StatsAtomic {
 pub(crate) struct ServerInstruments {
     latency_query: Arc<Histogram>,
     latency_update: Arc<Histogram>,
+    queue_wait: Arc<Histogram>,
     requests: Arc<Counter>,
     responses_ok: Arc<Counter>,
     responses_client_error: Arc<Counter>,
@@ -129,6 +134,11 @@ impl ServerInstruments {
                 "sofos_http_latency_us",
                 latency_help,
                 &[("route", "update")],
+            ),
+            queue_wait: handle.histogram(
+                "sofos_http_queue_wait_us",
+                "Time an admitted connection waited between accept and a worker (µs)",
+                &[],
             ),
             requests: handle.counter("sofos_http_requests_total", "HTTP requests dispatched", &[]),
             responses_ok: handle.counter(
@@ -161,7 +171,7 @@ impl ServerInstruments {
 
     pub(crate) fn observe(&self, route: &str, status: u16, elapsed: Duration) {
         self.requests.inc();
-        let us = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
+        let us = micros(elapsed);
         match route {
             "query" => self.latency_query.record(us),
             "update" => self.latency_update.record(us),
@@ -175,12 +185,17 @@ impl ServerInstruments {
     }
 }
 
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
 /// Everything the acceptor, the workers, and the route handlers share.
 pub(crate) struct Shared {
     pub(crate) engine: Arc<Engine>,
     pub(crate) config: ServerConfig,
     pub(crate) instruments: ServerInstruments,
-    queue: Mutex<VecDeque<TcpStream>>,
+    /// Admitted connections with the instant each was accepted.
+    queue: Mutex<VecDeque<(TcpStream, Instant)>>,
     ready: Condvar,
     shutdown: AtomicBool,
     busy: AtomicUsize,
@@ -215,11 +230,29 @@ impl ServerHandle {
         &self.shared.engine
     }
 
-    /// Ask the server to stop without blocking (signal-handler friendly);
-    /// pair with [`ServerHandle::shutdown`] to join.
+    /// Ask the server to stop without waiting for it to drain; pair with
+    /// [`ServerHandle::shutdown`] to join.
     pub fn request_shutdown(&self) {
+        let _ = self.stop_accepting();
+    }
+
+    /// Set the shutdown flag, wake idle workers, and wake the acceptor
+    /// out of `accept()` with one connection of our own. `Err` when that
+    /// connection could not be made.
+    fn stop_accepting(&self) -> std::io::Result<()> {
         self.shared.shutdown.store(true, Ordering::Release);
+        // A worker checks the flag and then waits while holding the queue
+        // lock; taking it here keeps the notify from landing in between.
+        drop(self.shared.queue.lock());
         self.shared.ready.notify_all();
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        TcpStream::connect_timeout(&wake, Duration::from_millis(100)).map(drop)
     }
 
     /// Current lifetime counters.
@@ -240,10 +273,15 @@ impl ServerHandle {
     }
 
     fn stop_and_join(&mut self) {
-        self.request_shutdown();
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+        let Some(acceptor) = self.acceptor.take() else {
+            return; // already stopped: `shutdown` ran before `drop`
+        };
+        // A wake that could not connect (full backlog, no free file
+        // descriptor) is retried until the acceptor has seen the flag.
+        while self.stop_accepting().is_err() && !acceptor.is_finished() {
+            std::thread::sleep(Duration::from_millis(10));
         }
+        let _ = acceptor.join();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -259,7 +297,6 @@ impl Drop for ServerHandle {
 /// Bind and start serving `engine` per `config`.
 pub fn serve(engine: Arc<Engine>, config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
     let instruments = ServerInstruments::new(&engine);
@@ -299,10 +336,16 @@ pub fn serve(engine: Arc<Engine>, config: ServerConfig) -> std::io::Result<Serve
 }
 
 fn accept_loop(listener: TcpListener, shared: &Shared) {
-    while !shared.shutting_down() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutting_down() {
+            // The shutdown wake, or a client that raced it: dropped
+            // unserved and uncounted.
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
-                let _ = stream.set_nonblocking(false);
+                let accepted_at = Instant::now();
                 let inflight =
                     shared.queue.lock().unwrap().len() + shared.busy.load(Ordering::Relaxed);
                 if inflight >= shared.config.max_inflight {
@@ -315,12 +358,14 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
                     refuse(stream);
                     continue;
                 }
-                shared.queue.lock().unwrap().push_back(stream);
+                shared
+                    .queue
+                    .lock()
+                    .unwrap()
+                    .push_back((stream, accepted_at));
                 shared.ready.notify_one();
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // EMFILE/ENFILE and friends: back off rather than spin.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
@@ -333,11 +378,11 @@ fn refuse(mut stream: TcpStream) {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let stream = {
+        let next = {
             let mut queue = shared.queue.lock().unwrap();
             loop {
-                if let Some(stream) = queue.pop_front() {
-                    break Some(stream);
+                if let Some(next) = queue.pop_front() {
+                    break Some(next);
                 }
                 if shared.shutting_down() {
                     break None;
@@ -345,9 +390,13 @@ fn worker_loop(shared: &Shared) {
                 queue = shared.ready.wait(queue).unwrap();
             }
         };
-        let Some(stream) = stream else {
+        let Some((stream, accepted_at)) = next else {
             return;
         };
+        shared
+            .instruments
+            .queue_wait
+            .record(micros(accepted_at.elapsed()));
         shared.busy.fetch_add(1, Ordering::Relaxed);
         handle_connection(shared, stream);
         shared.busy.fetch_sub(1, Ordering::Relaxed);
@@ -357,11 +406,9 @@ fn worker_loop(shared: &Shared) {
 fn handle_connection(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(writer) => writer,
-        Err(_) => return,
-    };
-    let mut reader = RequestReader::new(stream, shared.config.limits.clone());
+    // `&TcpStream` is both `Read` and `Write`: one descriptor serves both.
+    let mut writer = &stream;
+    let mut reader = RequestReader::new(&stream, shared.config.limits.clone());
     loop {
         match reader.next_request() {
             Ok(None) => return,

@@ -225,6 +225,10 @@ fn end_to_end_read_your_write_over_keep_alive() {
         "server metrics exported"
     );
     assert!(
+        body.contains("sofos_http_queue_wait_us"),
+        "accept-to-worker queue wait exported: {body}"
+    );
+    assert!(
         body.contains("sofos_index_bytes"),
         "posting-list index footprint exported: {body}"
     );
@@ -428,6 +432,37 @@ fn update_refuses_past_the_pending_cap() {
     assert_eq!(status, 503, "{body}");
     assert!(body.contains("pending"), "{body}");
     handle.shutdown();
+}
+
+#[test]
+fn shutdown_wakes_an_idle_acceptor() {
+    // The acceptor blocks in `accept()`; with no request ever made, only
+    // the shutdown wake can get it out. A missed wake fails on the
+    // timeout instead of hanging the suite.
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let handle = boot(
+            StalenessPolicy::Eager,
+            Backend::Serial,
+            ServerConfig {
+                addr: addr.to_string(),
+                ..ServerConfig::default()
+            },
+        );
+        let (done, stopped) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || done.send(handle.shutdown()));
+        let stats = stopped
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("shutdown of an idle server on {addr} did not return"));
+        stopper
+            .join()
+            .expect("shutdown thread joins")
+            .expect("stats were received");
+        assert_eq!(stats.served, 0, "{addr}: {stats:?}");
+        assert_eq!(
+            stats.rejected_connections, 0,
+            "{addr}: the wake connection is never counted: {stats:?}"
+        );
+    }
 }
 
 #[test]
