@@ -11,8 +11,8 @@
 //!   are seeded, so these are deterministic and any change is a real
 //!   behaviour change;
 //! * **cost/latency fields get tolerance** — integers ending in `_us` and
-//!   all floats: within ±`--tolerance` (default 20%) *or* within
-//!   `--slack-us` (default 5000) absolutely, whichever is more lenient —
+//!   all floats: within ±20% (`TOLERANCE`) *or* within 5000 (`SLACK_US`)
+//!   absolutely, whichever is more lenient —
 //!   micro-scale wall times jitter far more than 20% without meaning
 //!   anything, while a genuine 2× regression on a substantial number
 //!   still fails;
@@ -27,11 +27,104 @@
 //! regenerated (that is a loud failure on purpose).
 //!
 //! Usage:
-//! `bench_diff --baseline benchmarks/baselines --fresh . [--tolerance 0.2] [--slack-us 5000]`
+//! `bench_diff --baseline benchmarks/baselines --fresh .`
 
 use sofos_bench::{print_table, Json};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+/// Relative tolerance of a latency or float field.
+const TOLERANCE: f64 = 0.20;
+
+/// Absolute slack of a latency field, in its own unit (µs for `_us`).
+const SLACK_US: f64 = 5000.0;
+
+/// Scheduling-dependent fields: shown but never gated. Free-running
+/// reader counts, contended wall totals, and extreme-tail percentiles
+/// swing factors of 2 between identical runs; the p50/p95 fields and the
+/// deterministic counts carry the regression signal instead.
+const VOLATILE: &[&str] = &[
+    "reads",
+    "batches_applied",
+    "epochs_published",
+    "maintenance_passes",
+    "stale_views_at_end",
+    "writer_wall_us",
+    "maintenance_wall_us",
+    "round_wall_us",
+    "per_delta_wall_us",
+    "pipeline_wall_us",
+    "read_p99_us",
+    // The overhead cell's raw walls and percentage swing with the
+    // runner; `metrics_overhead_ok` is the gated verdict.
+    "enabled_wall_us",
+    "disabled_wall_us",
+    "metrics_overhead_pct",
+    // Wall-derived measurements swing with the machine; their boolean
+    // verdicts (`meets_threshold`) are the gated fields.
+    "p95_speedup",
+    "wall_speedup",
+    "serial_fraction",
+    "mean_lag",
+    // E7: the serial/epoch backend gap is a quotient of walls.
+    "epoch_over_serial_update",
+    "epoch_over_serial_query",
+    // E11 (serving): everything scheduling- or machine-derived — the
+    // calibrated capacity, the offered/achieved rates built from it,
+    // admission counts, and the latency percentiles of a live socket
+    // run. The gated verdicts are `overload_has_rejects`,
+    // `p99_within_bound`, and `meets_threshold`.
+    "effective_parallelism",
+    "lanes",
+    "service_us",
+    "capacity_rps",
+    "offered_rps",
+    "achieved_rps",
+    "admitted",
+    "rejected",
+    "transport_errors",
+    "p50_us",
+    "p95_us",
+    "p99_us",
+    "skew_p95_us",
+    "unsat_p99_us",
+    "overload_p99_us",
+    "overload_rejects",
+    "p99_ratio",
+    // E12 (durability): ingest and recovery walls are machine-paced
+    // (fsync latency dominates the durable column), and the overhead
+    // ratio is their quotient. The gated verdicts are
+    // `overhead_gate_ok`, per-cell `recovered_epoch_ok`, and
+    // `meets_threshold`; `replayed_records` stays gated too — the
+    // publish count per tail is deterministic.
+    "memory_wall_us",
+    "durable_wall_us",
+    "overhead_ratio",
+    "recover_wall_us",
+    // E13 (bitmap scan): plan-phase walls are micro-scale. The gate
+    // is the deterministic maintenance counts (`groups_patched`,
+    // `rows_inserted`, …), which stay exact.
+    "plan_wall_us",
+    // E14 (selection at scale): selector walls and their quotient are
+    // machine-paced, and the anytime search's move/restart/pricing
+    // counters shift whenever the search internals are tuned — the
+    // deterministic costs (`greedy_cost`, `local_cost`), the
+    // `quality_ratio`, and the verdict booleans (`quality_ok`,
+    // `wall_ok`, `budget_exhausted`, `converged`) carry the gate.
+    "greedy_wall_us",
+    "local_wall_us",
+    "wall_ratio",
+    "moves_tried",
+    "moves_accepted",
+    "restarts",
+    "views_priced",
+    // E3 (budget sweep): a quotient of two workload walls; the
+    // deterministic `selected_views`, `view_hits`, `fallbacks` and
+    // `storage_amplification` carry the gate. E1 has no baseline at
+    // all: its learned model trains on measured view times, so even
+    // its selections (and `materialized_triples`) vary run to run.
+    "speedup",
+];
 
 /// Comparison verdict for one reported field (fields within bounds are
 /// not reported at all).
@@ -46,110 +139,19 @@ fn is_latency_field(key: &str) -> bool {
     key.ends_with("_us") || key.ends_with("_ms")
 }
 
-/// Scheduling-dependent fields: shown but never gated. Free-running
-/// reader counts, contended wall totals, and extreme-tail percentiles
-/// swing factors of 2 between identical runs; the p50/p95 fields and the
-/// deterministic counts carry the regression signal instead.
 fn is_volatile_field(key: &str) -> bool {
-    const VOLATILE: &[&str] = &[
-        "reads",
-        "batches_applied",
-        "epochs_published",
-        "epochs_retired",
-        "maintenance_passes",
-        "stale_views_at_end",
-        "writer_wall_us",
-        "maintenance_wall_us",
-        "round_wall_us",
-        "per_delta_wall_us",
-        "pipeline_wall_us",
-        "read_p99_us",
-        // The overhead cell's raw walls and percentage swing with the
-        // runner; `metrics_overhead_ok` is the gated verdict.
-        "enabled_wall_us",
-        "disabled_wall_us",
-        "metrics_overhead_pct",
-        // Wall-derived measurements swing with the machine; their boolean
-        // verdicts (`meets_threshold`) are the gated fields.
-        "p95_speedup",
-        "wall_speedup",
-        "serial_fraction",
-        "mean_lag",
-        // E7: the serial/epoch backend gap is a quotient of walls.
-        "epoch_over_serial_update",
-        "epoch_over_serial_query",
-        // E11 (serving): everything scheduling- or machine-derived — the
-        // calibrated capacity, the offered/achieved rates built from it,
-        // admission counts, and the latency percentiles of a live socket
-        // run. The gated verdicts are `overload_has_rejects`,
-        // `p99_within_bound`, and `meets_threshold`.
-        "effective_parallelism",
-        "lanes",
-        "service_us",
-        "capacity_rps",
-        "offered_rps",
-        "achieved_rps",
-        "admitted",
-        "rejected",
-        "transport_errors",
-        "p50_us",
-        "p95_us",
-        "p99_us",
-        "skew_p95_us",
-        "unsat_p99_us",
-        "overload_p99_us",
-        "overload_rejects",
-        "p99_ratio",
-        // E12 (durability): ingest and recovery walls are machine-paced
-        // (fsync latency dominates the durable column), and the overhead
-        // ratio is their quotient. The gated verdicts are
-        // `overhead_gate_ok`, per-cell `recovered_epoch_ok`, and
-        // `meets_threshold`; `replayed_records` stays gated too — the
-        // publish count per tail is deterministic.
-        "memory_wall_us",
-        "durable_wall_us",
-        "overhead_ratio",
-        "recover_wall_us",
-        // E13 (bitmap scan): plan-phase walls are micro-scale. The gate
-        // is the deterministic maintenance counts (`groups_patched`,
-        // `rows_inserted`, …), which stay exact.
-        "plan_wall_us",
-        // E14 (selection at scale): selector walls and their quotient are
-        // machine-paced, and the anytime search's move/restart/pricing
-        // counters shift whenever the search internals are tuned — the
-        // deterministic costs (`greedy_cost`, `local_cost`), the
-        // `quality_ratio`, and the verdict booleans (`quality_ok`,
-        // `wall_ok`, `budget_exhausted`, `converged`) carry the gate.
-        "greedy_wall_us",
-        "local_wall_us",
-        "wall_ratio",
-        "moves_tried",
-        "moves_accepted",
-        "restarts",
-        "views_priced",
-        // E3 (budget sweep): a quotient of two workload walls; the
-        // deterministic `selected_views`, `view_hits`, `fallbacks` and
-        // `storage_amplification` carry the gate. E1 has no baseline at
-        // all: its learned model trains on measured view times, so even
-        // its selections (and `materialized_triples`) vary run to run.
-        "speedup",
-    ];
     VOLATILE.contains(&key) || key.starts_with("adaptive_beats_")
 }
 
 struct Config {
     baseline_dir: PathBuf,
     fresh_dir: PathBuf,
-    tolerance: f64,
-    slack_us: f64,
 }
 
 fn parse_args() -> Result<Config, String> {
     let mut config = Config {
         baseline_dir: PathBuf::from("benchmarks/baselines"),
         fresh_dir: PathBuf::from("."),
-        tolerance: 0.20,
-        slack_us: 5000.0,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -160,16 +162,6 @@ fn parse_args() -> Result<Config, String> {
         match arg.as_str() {
             "--baseline" => config.baseline_dir = PathBuf::from(value("--baseline")?),
             "--fresh" => config.fresh_dir = PathBuf::from(value("--fresh")?),
-            "--tolerance" => {
-                config.tolerance = value("--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("bad --tolerance: {e}"))?
-            }
-            "--slack-us" => {
-                config.slack_us = value("--slack-us")?
-                    .parse()
-                    .map_err(|e| format!("bad --slack-us: {e}"))?
-            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -193,37 +185,18 @@ struct DiffRow {
     verdict: Verdict,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn compare_field(
-    config: &Config,
-    experiment: &str,
-    row_label: &str,
-    key: &str,
-    base: &Json,
-    fresh: &Json,
-    rows: &mut Vec<DiffRow>,
-) {
-    let fmt = |v: &Json| v.to_string();
-    let mut push = |verdict: Verdict, delta: String| {
-        rows.push(DiffRow {
-            experiment: experiment.to_string(),
-            row: row_label.to_string(),
-            field: key.to_string(),
-            baseline: fmt(base),
-            fresh: fmt(fresh),
-            delta,
-            verdict,
-        });
+/// The verdict on one field and its delta text, or `None` when the
+/// field is within bounds. A field on one side only fails.
+fn judge(key: &str, base: Option<&Json>, fresh: Option<&Json>) -> Option<(Verdict, String)> {
+    let (base, fresh) = match (base, fresh) {
+        (Some(base), Some(fresh)) => (base, fresh),
+        (Some(_), None) => return Some((Verdict::Fail, "field removed".into())),
+        _ => return Some((Verdict::Fail, "field added — regenerate baselines".into())),
     };
-
+    let differs = base.to_string() != fresh.to_string();
     if is_volatile_field(key) {
-        let differs = base.to_string() != fresh.to_string();
-        if differs {
-            push(Verdict::Info, "volatile".into());
-        }
-        return;
+        return differs.then(|| (Verdict::Info, "volatile".into()));
     }
-
     match (base.as_f64(), fresh.as_f64()) {
         (Some(b), Some(f)) if is_latency_field(key) || matches!(base, Json::Num(_)) => {
             let diff = (f - b).abs();
@@ -235,37 +208,24 @@ fn compare_field(
                 0.0
             };
             let slack = if is_latency_field(key) {
-                config.slack_us
+                SLACK_US
             } else {
                 // Pure ratios/floats: small absolute slack for rounding.
                 1e-9
             };
-            let ok = rel <= config.tolerance || diff <= slack;
             let delta = if b.abs() > f64::EPSILON {
                 format!("{:+.1}%", 100.0 * (f - b) / b)
             } else {
                 format!("{diff:+.1}")
             };
-            if !ok {
-                push(Verdict::Fail, delta);
-            }
+            (rel > TOLERANCE && diff > slack).then_some((Verdict::Fail, delta))
         }
-        _ => {
-            // Exact: strings, booleans, count-valued integers.
-            if base.to_string() != fresh.to_string() {
-                push(Verdict::Fail, "exact-mismatch".into());
-            }
-        }
+        // Exact: strings, booleans, count-valued integers.
+        _ => differs.then(|| (Verdict::Fail, "exact-mismatch".into())),
     }
 }
 
-fn compare_reports(
-    config: &Config,
-    experiment: &str,
-    baseline: &Json,
-    fresh: &Json,
-    rows: &mut Vec<DiffRow>,
-) {
+fn compare_reports(experiment: &str, baseline: &Json, fresh: &Json, rows: &mut Vec<DiffRow>) {
     let baseline_rows = baseline
         .get("rows")
         .and_then(Json::items)
@@ -283,6 +243,7 @@ fn compare_reports(
         });
         return;
     }
+    let shown = |value: Option<&Json>| value.map_or_else(|| "<missing>".into(), Json::to_string);
     for (i, (base_row, fresh_row)) in baseline_rows.iter().zip(fresh_rows).enumerate() {
         let (Json::Object(base_pairs), Json::Object(fresh_pairs)) = (base_row, fresh_row) else {
             continue;
@@ -291,38 +252,20 @@ fn compare_reports(
             .get("summary")
             .map(|_| format!("{i} (summary)"))
             .unwrap_or_else(|| i.to_string());
-        for (key, base_value) in base_pairs {
-            match fresh_row.get(key) {
-                Some(fresh_value) => compare_field(
-                    config,
-                    experiment,
-                    &label,
-                    key,
-                    base_value,
-                    fresh_value,
-                    rows,
-                ),
-                None => rows.push(DiffRow {
-                    experiment: experiment.to_string(),
-                    row: label.clone(),
-                    field: key.clone(),
-                    baseline: base_value.to_string(),
-                    fresh: "<missing>".into(),
-                    delta: "field removed".into(),
-                    verdict: Verdict::Fail,
-                }),
-            }
-        }
-        for (key, fresh_value) in fresh_pairs {
-            if base_row.get(key).is_none() {
+        let added = fresh_pairs
+            .iter()
+            .filter(|(key, _)| base_row.get(key).is_none());
+        for (key, _) in base_pairs.iter().chain(added) {
+            let (base, fresh) = (base_row.get(key), fresh_row.get(key));
+            if let Some((verdict, delta)) = judge(key, base, fresh) {
                 rows.push(DiffRow {
                     experiment: experiment.to_string(),
                     row: label.clone(),
                     field: key.clone(),
-                    baseline: "<missing>".into(),
-                    fresh: fresh_value.to_string(),
-                    delta: "field added — regenerate baselines".into(),
-                    verdict: Verdict::Fail,
+                    baseline: shown(base),
+                    fresh: shown(fresh),
+                    delta,
+                    verdict,
                 });
             }
         }
@@ -433,7 +376,7 @@ fn main() -> ExitCode {
             }
         };
         compared += 1;
-        compare_reports(&config, &experiment, &baseline, &fresh, &mut rows);
+        compare_reports(&experiment, &baseline, &fresh, &mut rows);
     }
 
     let failures = rows.iter().filter(|r| r.verdict == Verdict::Fail).count();
@@ -457,9 +400,8 @@ fn main() -> ExitCode {
     if table.is_empty() {
         println!(
             "bench_diff: {compared} report(s) match their baselines \
-             (tolerance {:.0}%, slack {}us)",
-            config.tolerance * 100.0,
-            config.slack_us
+             (tolerance {:.0}%, slack {SLACK_US}us)",
+            TOLERANCE * 100.0
         );
     } else {
         print_table(
@@ -477,9 +419,8 @@ fn main() -> ExitCode {
         );
         println!(
             "{failures} failing field(s) across {compared} report(s); tolerance {:.0}%, \
-             slack {}us. `info` rows are scheduling-dependent and not gated.",
-            config.tolerance * 100.0,
-            config.slack_us
+             slack {SLACK_US}us. `info` rows are scheduling-dependent and not gated.",
+            TOLERANCE * 100.0
         );
     }
     if failures > 0 {
@@ -491,5 +432,89 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The (field, verdict) pairs `compare_reports` flags between two
+    /// reports given as their rows' JSON text.
+    fn flagged(baseline: &str, fresh: &str) -> Vec<(String, Verdict)> {
+        let report = |rows: &str| Json::parse(&format!("{{\"rows\": [{rows}]}}")).unwrap();
+        let mut rows = Vec::new();
+        compare_reports("x", &report(baseline), &report(fresh), &mut rows);
+        rows.into_iter().map(|r| (r.field, r.verdict)).collect()
+    }
+
+    fn fail(field: &str) -> Vec<(String, Verdict)> {
+        vec![(field.to_string(), Verdict::Fail)]
+    }
+
+    #[test]
+    fn changed_count_fails() {
+        assert_eq!(flagged(r#"{"view_hits": 3}"#, r#"{"view_hits": 3}"#), []);
+        assert_eq!(
+            flagged(r#"{"view_hits": 3}"#, r#"{"view_hits": 4}"#),
+            fail("view_hits")
+        );
+    }
+
+    #[test]
+    fn latency_passes_within_tolerance_or_slack_and_fails_beyond_both() {
+        // Within 20 %.
+        assert_eq!(flagged(r#"{"q_us": 100000}"#, r#"{"q_us": 119000}"#), []);
+        // Within 5 ms.
+        assert_eq!(flagged(r#"{"q_us": 100}"#, r#"{"q_us": 5000}"#), []);
+        // Beyond both.
+        assert_eq!(
+            flagged(r#"{"q_us": 100000}"#, r#"{"q_us": 130000}"#),
+            fail("q_us")
+        );
+        assert_eq!(
+            flagged(r#"{"q_us": 100}"#, r#"{"q_us": 5200}"#),
+            fail("q_us")
+        );
+    }
+
+    #[test]
+    fn changed_volatile_field_is_info_only() {
+        assert_eq!(
+            flagged(r#"{"reads": 10}"#, r#"{"reads": 99}"#),
+            [("reads".to_string(), Verdict::Info)]
+        );
+    }
+
+    #[test]
+    fn changed_row_count_fails() {
+        assert_eq!(
+            flagged(r#"{"a": 1}, {"a": 1}"#, r#"{"a": 1}"#),
+            fail("rows")
+        );
+    }
+
+    #[test]
+    fn added_or_removed_field_fails() {
+        assert_eq!(flagged(r#"{"a": 1}"#, r#"{"a": 1, "b": 2}"#), fail("b"));
+        assert_eq!(flagged(r#"{"a": 1, "b": 2}"#, r#"{"a": 1}"#), fail("b"));
+    }
+
+    #[test]
+    fn every_volatile_name_occurs_in_a_baseline() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../benchmarks/baselines");
+        let baselines: Vec<String> = std::fs::read_dir(&dir)
+            .expect("baselines directory")
+            .map(|entry| entry.expect("baseline entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+            .map(|path| std::fs::read_to_string(path).expect("baseline reads"))
+            .collect();
+        for name in VOLATILE {
+            let key = format!("\"{name}\":");
+            assert!(
+                baselines.iter().any(|text| text.contains(&key)),
+                "volatile field `{name}` occurs in no baseline"
+            );
+        }
     }
 }

@@ -34,43 +34,14 @@
 //!
 //! Run with: `cargo run -p sofos-bench --release --bin e10_pipeline [--smoke]`
 
-use sofos_bench::{finish_report, ms, print_table, ratio, sized, BenchReport, Json};
-use sofos_core::{
-    results_equivalent, run_offline, Backend, Engine, EngineConfig, MetricsHandle, SizedLattice,
-    StalenessPolicy,
-};
-use sofos_cost::CostModelKind;
-use sofos_cube::{AggOp, Facet, ViewMask};
+use sofos_bench::Fmt::{Fixed, Ms, Ratio, Raw};
+use sofos_bench::{sized, BenchReport, Cube, Demand, Json};
+use sofos_core::{measure_workload, Backend, MetricsHandle, StalenessPolicy};
+use sofos_cube::{Facet, ViewMask};
 use sofos_maintain::{Maintainer, PipelineTelemetry, RowDelta};
 use sofos_materialize::virtual_view_stats;
-use sofos_select::WorkloadProfile;
-use sofos_sparql::Evaluator;
-use sofos_store::{Dataset, Delta, EpochStore};
+use sofos_store::{Delta, EpochStore};
 use std::time::Instant;
-
-/// Pre-generate `rounds` update batches, cycling through freshly-seeded
-/// streams so inserts never degenerate into no-ops across cycles.
-fn update_schedule(base: &Dataset, facet: &Facet, batch_size: usize, rounds: usize) -> Vec<Delta> {
-    use sofos_workload::{generate_update_stream, UpdateStreamConfig};
-    let mut batches = Vec::with_capacity(rounds);
-    let mut cycle = 0u64;
-    while batches.len() < rounds {
-        cycle += 1;
-        batches.extend(generate_update_stream(
-            base,
-            facet,
-            &UpdateStreamConfig {
-                batches: 16.min(rounds - batches.len()),
-                batch_size,
-                insert_ratio: 0.6,
-                skew: 0.8,
-                seed: 31 + cycle,
-                ..UpdateStreamConfig::default()
-            },
-        ));
-    }
-    batches
-}
 
 /// Outcome of one maintenance-mode cell.
 struct ModeOutcome {
@@ -100,17 +71,15 @@ fn catalog_matches_reevaluation(
 /// The two-phase path: `batch` deltas per epoch — merged row delta,
 /// parallel plan, serial apply, one publish.
 fn run_two_phase(
-    expanded: &Dataset,
-    facet: &Facet,
-    catalog: &[(ViewMask, usize)],
+    cube: &Cube,
     deltas: Vec<Delta>,
     shards: usize,
     threads: usize,
     batch: usize,
 ) -> ModeOutcome {
-    let store = EpochStore::new(expanded.clone(), shards);
-    let mut maintainer = Maintainer::new(facet);
-    let mut views = catalog.to_vec();
+    let store = EpochStore::new(cube.expanded.clone(), shards);
+    let mut maintainer = Maintainer::new(&cube.facet);
+    let mut views = cube.catalog.clone();
     let mut wall_us = 0u64;
     let mut telemetry = PipelineTelemetry::default();
     for chunk in deltas.chunks(batch.max(1)) {
@@ -136,12 +105,11 @@ fn run_two_phase(
         epochs_published: store.epoch(),
         telemetry,
         final_base_len: store.pin().dataset().default_graph().len(),
-        all_valid: catalog_matches_reevaluation(&store, facet, &views),
+        all_valid: catalog_matches_reevaluation(&store, &cube.facet, &views),
     }
 }
 
 fn main() {
-    let observations = sized(240, 160);
     let update_batch_size = 32;
     let rounds = sized(48, 16);
     // (shards, writer threads) × deltas-per-epoch. (4, 2) × 4 is the
@@ -155,36 +123,11 @@ fn main() {
         vec![(1, 0), (4, 2), (8, 8)], // (max_batches, max_epoch_lag)
         vec![(4, 2)],
     );
-
-    let generated = sofos_workload::synthetic::generate(&sofos_workload::synthetic::Config {
-        observations,
-        cardinalities: vec![8, 5, 3],
-        skew: 0.8,
-        agg: AggOp::Avg,
-        seed: 19,
-    });
-    let facet = generated.default_facet().clone();
-    let base = generated.dataset;
-    let workload = sofos_workload::generate_workload(
-        &base,
-        &facet,
-        &sofos_workload::WorkloadConfig {
-            num_queries: 10,
-            ..sofos_workload::WorkloadConfig::default()
-        },
-    );
-    let sized_lattice = SizedLattice::compute(&base, &facet).expect("lattice sizes");
-    let profile = WorkloadProfile::from_masks(workload.iter().map(|q| q.required));
-    let mut expanded = base.clone();
-    let offline = run_offline(
-        &mut expanded,
-        &sized_lattice,
-        &profile,
-        CostModelKind::AggValues,
-        &EngineConfig::default(),
-    )
-    .expect("offline phase runs");
-    let catalog = offline.view_catalog();
+    let headline = Backend::Epoch {
+        shards: 4,
+        threads: 2,
+    };
+    let cube = Cube::new(sized(240, 160), 19, Demand::Queries(10));
 
     let mut report = BenchReport::new(
         "pipeline",
@@ -194,13 +137,29 @@ fn main() {
              {update_batch_size} zipf-skewed ops, plus bounded-staleness serving \
              cells sweeping the lag budget"
         ),
+    )
+    .table(
+        "E10 · two-phase pipeline: batched epochs vs one epoch per delta",
+        &[
+            ("mode", "mode", Raw),
+            ("shards", "shards", Raw),
+            ("writer_threads", "wr-thr", Raw),
+            ("batch_size", "batch", Raw),
+            ("max_batches", "max-b", Raw),
+            ("max_epoch_lag", "lag-bnd", Raw),
+            ("epochs_published", "epochs", Raw),
+            ("maintenance_wall_us", "maint ms", Ms),
+            ("serial_fraction", "ser-frac", Fixed(3)),
+            ("round_wall_us", "round ms", Ms),
+            ("max_lag_observed", "max-lag", Raw),
+            ("lag_p95", "lag p95", Raw),
+            ("metrics_overhead_pct", "metrics %", Fixed(1)),
+            ("all_valid", "valid", Raw),
+            ("wall_speedup", "speedup", Ratio),
+            ("meets_threshold", "meets", Raw),
+        ],
     );
-    let headers = [
-        "mode", "shards", "wr-thr", "batch", "lag-bnd", "epochs", "maint ms", "ser-frac",
-        "max-lag", "valid",
-    ];
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let deltas = update_schedule(&base, &facet, update_batch_size, rounds);
+    let deltas = cube.cycled_updates(update_batch_size, rounds, 32);
 
     // ---- Sweep A: batched maintenance -----------------------------------
     let mut headline_per_delta: Option<u64> = None;
@@ -208,42 +167,21 @@ fn main() {
     let mut reference_base_len: Option<usize> = None;
     for &(shards, threads) in &shard_configs {
         for &batch in &batch_sizes {
-            let cell = run_two_phase(
-                &expanded,
-                &facet,
-                &catalog,
-                deltas.clone(),
-                shards,
-                threads,
-                batch,
-            );
+            let cell = run_two_phase(&cube, deltas.clone(), shards, threads, batch);
             assert_eq!(
                 cell.final_base_len,
                 *reference_base_len.get_or_insert(cell.final_base_len),
                 "two-phase {shards}x{threads} batch {batch}: base diverged"
             );
-            assert!(
+            report.gate(
                 cell.all_valid,
-                "two-phase {shards}x{threads} batch {batch}: stale catalog"
+                format!("two-phase {shards}x{threads} batch {batch}: stale catalog"),
             );
-            let fraction = cell.telemetry.serial_fraction().unwrap_or(1.0);
             match (shards, threads, batch) {
                 (4, 2, 1) => headline_per_delta = Some(cell.maintenance_wall_us),
                 (4, 2, 4) => headline_pipeline = Some(cell.maintenance_wall_us),
                 _ => {}
             }
-            rows.push(vec![
-                "two-phase".into(),
-                shards.to_string(),
-                threads.to_string(),
-                batch.to_string(),
-                String::new(),
-                cell.epochs_published.to_string(),
-                ms(cell.maintenance_wall_us),
-                format!("{fraction:.3}"),
-                String::new(),
-                "yes".into(),
-            ]);
             report.push(Json::object([
                 ("mode", Json::from("two-phase")),
                 ("shards", Json::from(shards)),
@@ -252,7 +190,10 @@ fn main() {
                 ("batches_applied", Json::from(rounds)),
                 ("epochs_published", Json::from(cell.epochs_published)),
                 ("maintenance_wall_us", Json::from(cell.maintenance_wall_us)),
-                ("serial_fraction", Json::from(fraction)),
+                (
+                    "serial_fraction",
+                    Json::from(cell.telemetry.serial_fraction().unwrap_or(1.0)),
+                ),
                 ("all_valid", Json::from(cell.all_valid)),
             ]));
         }
@@ -262,15 +203,11 @@ fn main() {
     // Through the one front door: the same Engine API the maintenance
     // sweeps' serial logic now lives behind, with the epoch backend.
     for &(max_batches, max_epoch_lag) in &lag_bounds {
-        let engine = Engine::builder()
-            .dataset(expanded.clone())
-            .facet(facet.clone())
-            .catalog(catalog.clone())
-            .staleness(StalenessPolicy::bounded(max_batches, max_epoch_lag))
-            .backend(Backend::Epoch {
-                shards: 4,
-                threads: 2,
-            })
+        let engine = cube
+            .engine(
+                StalenessPolicy::bounded(max_batches, max_epoch_lag),
+                headline,
+            )
             .metrics(MetricsHandle::new())
             .build()
             .expect("engine builds");
@@ -282,7 +219,7 @@ fn main() {
             let start = Instant::now();
             engine.update(delta).expect("update runs");
             // One read between updates: the freshness tag is the point.
-            let q = &workload[round % workload.len()];
+            let q = &cube.workload[round % cube.workload.len()];
             let answer = engine.query(&q.query).expect("query runs");
             round_wall_us += start.elapsed().as_micros() as u64;
             assert!(
@@ -303,60 +240,40 @@ fn main() {
             .snapshot
             .clone();
         engine.flush().expect("drain runs");
-        let mut all_valid = true;
-        let snapshot = engine.snapshot();
-        let reference = Evaluator::new(&snapshot);
-        for q in &workload {
-            let answer = engine.query(&q.query).expect("query runs");
-            let base = reference.evaluate(&q.query).expect("base evaluation runs");
-            all_valid &= results_equivalent(&answer.results, &base);
-        }
-        assert!(
+        let all_valid = measure_workload(&engine, &cube.workload, 1, &engine.snapshot())
+            .expect("validation runs")
+            .all_valid;
+        report.gate(
             all_valid,
-            "bounded({max_batches},{max_epoch_lag}): wrong answers"
+            format!("bounded({max_batches},{max_epoch_lag}): wrong answers"),
         );
-        let reads = lag_hist.count;
-        let max_lag = lag_hist.max;
-        let mean_lag = lag_hist.mean();
+        let last = last_freshness.expect("at least one read");
         // Freshness lag percentiles: how stale served reads actually ran
         // under each budget (lag is in buffered batches, not time; lags
         // are far below the histogram's exact range, so these are exact).
-        let (lag_p50, lag_p95, lag_p99) = (lag_hist.p50(), lag_hist.p95(), lag_hist.p99());
-        rows.push(vec![
-            "bounded".into(),
-            "4".into(),
-            "2".into(),
-            max_batches.to_string(),
-            max_epoch_lag.to_string(),
-            engine.epoch().to_string(),
-            ms(round_wall_us),
-            String::new(),
-            format!("{max_lag} (p95 {lag_p95})"),
-            "yes".into(),
-        ]);
         report.push(Json::object([
             ("mode", Json::from("bounded")),
             ("shards", Json::from(4usize)),
             ("writer_threads", Json::from(2usize)),
             ("max_batches", Json::from(max_batches)),
             ("max_epoch_lag", Json::from(max_epoch_lag)),
-            ("reads", Json::from(reads)),
-            ("max_lag_observed", Json::from(max_lag)),
-            ("mean_lag", Json::from(mean_lag)),
-            ("lag_p50", Json::from(lag_p50)),
-            ("lag_p95", Json::from(lag_p95)),
-            ("lag_p99", Json::from(lag_p99)),
+            ("reads", Json::from(lag_hist.count)),
+            ("max_lag_observed", Json::from(lag_hist.max)),
+            ("mean_lag", Json::from(lag_hist.mean())),
+            ("lag_p50", Json::from(lag_hist.p50())),
+            ("lag_p95", Json::from(lag_hist.p95())),
+            ("lag_p99", Json::from(lag_hist.p99())),
             // The last serve-time tag, built field-by-field (same keys as
             // Freshness::to_json_string) — structured data, not a
             // Display → parse round-trip.
-            ("final_freshness", {
-                let last = last_freshness.expect("at least one read");
+            (
+                "final_freshness",
                 Json::object([
                     ("lag", Json::from(last.lag)),
                     ("epoch", Json::from(last.epoch)),
                     ("oldest_shard_epoch", Json::from(last.oldest_shard_epoch)),
-                ])
-            }),
+                ]),
+            ),
             ("epochs_published", Json::from(engine.epoch())),
             ("round_wall_us", Json::from(round_wall_us)),
             ("all_valid", Json::from(all_valid)),
@@ -378,24 +295,17 @@ fn main() {
         } else {
             MetricsHandle::disabled()
         };
-        let engine = Engine::builder()
-            .dataset(expanded.clone())
-            .facet(facet.clone())
-            .catalog(catalog.clone())
-            .staleness(StalenessPolicy::Eager)
-            .backend(Backend::Epoch {
-                shards: 4,
-                threads: 2,
-            })
+        let engine = cube
+            .engine(StalenessPolicy::Eager, headline)
             .metrics(handle.clone())
             .build()
             .expect("engine builds");
-        for q in &workload {
+        for q in &cube.workload {
             engine.query(&q.query).expect("warmup query runs");
         }
         let start = Instant::now();
         for read in 0..overhead_reads {
-            let q = &workload[read % workload.len()];
+            let q = &cube.workload[read % cube.workload.len()];
             engine.query(&q.query).expect("query runs");
         }
         walls[slot] = start.elapsed().as_micros() as u64;
@@ -413,7 +323,7 @@ fn main() {
             assert_eq!(served, 0, "disabled handle must record nothing");
         }
     }
-    let (enabled_wall, disabled_wall) = (walls[0], walls[1]);
+    let [enabled_wall, disabled_wall] = walls;
     let overhead_pct =
         100.0 * (enabled_wall as f64 - disabled_wall as f64) / disabled_wall.max(1) as f64;
     // Budget: recording is a handful of relaxed atomics per serve — far
@@ -421,22 +331,13 @@ fn main() {
     // while still catching a pathological regression (e.g. a lock on the
     // hot path).
     let metrics_overhead_ok = enabled_wall <= disabled_wall.saturating_mul(2) + 20_000;
-    rows.push(vec![
-        "metrics".into(),
-        "4".into(),
-        "2".into(),
-        String::new(),
-        String::new(),
-        String::new(),
-        ms(enabled_wall),
-        format!("{overhead_pct:+.1}%"),
-        String::new(),
-        if metrics_overhead_ok {
-            "yes".into()
-        } else {
-            "NO".into()
-        },
-    ]);
+    report.gate(
+        metrics_overhead_ok,
+        format!(
+            "metrics recording overhead out of budget: enabled {enabled_wall}us vs \
+             disabled {disabled_wall}us ({overhead_pct:+.1}%)"
+        ),
+    );
     report.push(Json::object([
         ("mode", Json::from("metrics-overhead")),
         ("reads", Json::from(overhead_reads)),
@@ -445,33 +346,19 @@ fn main() {
         ("metrics_overhead_pct", Json::from(overhead_pct)),
         ("metrics_overhead_ok", Json::from(metrics_overhead_ok)),
     ]));
-    assert!(
-        metrics_overhead_ok,
-        "metrics recording overhead out of budget: enabled {enabled_wall}us vs \
-         disabled {disabled_wall}us ({overhead_pct:+.1}%)"
-    );
 
     // ---- Summary: the acceptance criterion --------------------------------
     let threshold = sized(1.3, 1.1);
     let per_delta_wall = headline_per_delta.expect("sweep includes 4x2 batch 1");
     let pipeline_wall = headline_pipeline.expect("sweep includes 4x2 batch 4");
     let speedup = per_delta_wall as f64 / pipeline_wall.max(1) as f64;
-    rows.push(vec![
-        "summary".into(),
-        "4".into(),
-        "2".into(),
-        "4".into(),
-        String::new(),
-        String::new(),
-        String::new(),
-        ratio(speedup),
-        String::new(),
-        if speedup >= threshold {
-            "yes".into()
-        } else {
-            "NO".into()
-        },
-    ]);
+    report.gate(
+        speedup >= threshold,
+        format!(
+            "batching 4 deltas per epoch must beat one epoch per delta by >={threshold}x on \
+             wall-clock at 4 shards (per-delta {per_delta_wall}us vs batched {pipeline_wall}us)"
+        ),
+    );
     report.push(Json::object([
         ("summary", Json::from(true)),
         ("shards", Json::from(4usize)),
@@ -484,17 +371,7 @@ fn main() {
         ("meets_threshold", Json::from(speedup >= threshold)),
     ]));
 
-    print_table(
-        "E10 · two-phase pipeline: batched epochs vs one epoch per delta",
-        &headers,
-        &rows,
-    );
-    assert!(
-        speedup >= threshold,
-        "batching 4 deltas per epoch must beat one epoch per delta by >={threshold}x on \
-         wall-clock at 4 shards (per-delta {per_delta_wall}us vs batched {pipeline_wall}us)"
-    );
-    println!(
+    report.finish(
         "Reading: 'two-phase' merges each batch's row deltas (churn cancels), plans\n\
          every view's patch in parallel, applies serially, and publishes ONE epoch\n\
          per batch; batch 1 pays a maintenance pass and a publish per delta.\n\
@@ -503,8 +380,6 @@ fn main() {
          snapshots with freshness tags; max-lag never exceeds the\n\
          configured bound (lag percentiles come straight from the engine's\n\
          sofos_freshness_lag histogram). 'metrics' compares the serve loop with\n\
-         recording on vs a disabled handle; the ser-frac column shows the measured\n\
-         overhead."
+         recording on vs a disabled handle.",
     );
-    finish_report(&report);
 }

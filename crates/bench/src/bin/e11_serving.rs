@@ -23,28 +23,16 @@
 //!
 //! Run with: `cargo run -p sofos-bench --release --bin e11_serving [--smoke]`
 
-use sofos_bench::{finish_report, ms, percentile, print_table, ratio, sized, BenchReport, Json};
-use sofos_core::{run_offline, Backend, Engine, EngineConfig, SizedLattice, StalenessPolicy};
-use sofos_cost::CostModelKind;
-use sofos_cube::AggOp;
-use sofos_select::WorkloadProfile;
+use sofos_bench::Fmt::{Fixed, Ms, Ratio, Raw};
+use sofos_bench::{percentile, sized, BenchReport, Cube, Demand, Json};
+use sofos_core::{Backend, StalenessPolicy, TimeSummary};
 use sofos_server::{serve, ServerConfig};
 use sofos_store::OpKind;
 use sofos_workload::openloop::{self, OpenLoopConfig};
-use sofos_workload::{
-    generate_update_stream, generate_workload, synthetic, UpdateStreamConfig, WorkloadConfig,
-};
+use sofos_workload::{generate_update_stream, UpdateStreamConfig};
 use std::sync::Arc;
 
-fn mean(samples: &[u64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.iter().sum::<u64>() as f64 / samples.len() as f64
-}
-
 fn main() {
-    let observations = sized(240, 160);
     let requests_per_cell = sized(1200, 480);
     let calibration_requests = sized(80, 40);
     let workers = 4usize;
@@ -70,42 +58,13 @@ fn main() {
     ];
 
     // --- The engine under test: same shape as E9's sweep subject --------
-    let generated = synthetic::generate(&synthetic::Config {
-        observations,
-        cardinalities: vec![8, 5, 3],
-        skew: 0.8,
-        agg: AggOp::Avg,
-        seed: 17,
-    });
-    let facet = generated.default_facet().clone();
-    let base = generated.dataset;
-    let workload = generate_workload(
-        &base,
-        &facet,
-        &WorkloadConfig {
-            num_queries: 12,
-            ..WorkloadConfig::default()
-        },
-    );
-    let sized_lattice = SizedLattice::compute(&base, &facet).expect("lattice sizes");
-    let profile = WorkloadProfile::from_masks(workload.iter().map(|q| q.required));
-    let mut expanded = base.clone();
-    let offline = run_offline(
-        &mut expanded,
-        &sized_lattice,
-        &profile,
-        CostModelKind::AggValues,
-        &EngineConfig::default(),
-    )
-    .expect("offline phase runs");
-    let catalog = offline.view_catalog();
-
-    let query_texts: Vec<String> = workload.iter().map(|q| q.text.clone()).collect();
+    let cube = Cube::new(sized(240, 160), 17, Demand::Queries(12));
+    let query_texts: Vec<String> = cube.workload.iter().map(|q| q.text.clone()).collect();
 
     // Insert-only update stream, rendered to the wire's N-Triples form.
     let update_docs: Vec<String> = generate_update_stream(
-        &base,
-        &facet,
+        &cube.base,
+        &cube.facet,
         &UpdateStreamConfig {
             batches: 64,
             batch_size: 4,
@@ -130,15 +89,14 @@ fn main() {
     .collect();
     assert!(!update_docs.is_empty(), "write mix needs update documents");
 
-    let engine = Engine::builder()
-        .dataset(expanded)
-        .facet(facet)
-        .catalog(catalog)
-        .staleness(StalenessPolicy::Eager)
-        .backend(Backend::Epoch {
-            shards: 4,
-            threads: 2,
-        })
+    let engine = cube
+        .engine(
+            StalenessPolicy::Eager,
+            Backend::Epoch {
+                shards: 4,
+                threads: 2,
+            },
+        )
         .build()
         .expect("engine builds");
     let handle = serve(
@@ -179,7 +137,7 @@ fn main() {
         calibration_requests,
         "calibration requests must all be admitted"
     );
-    let service_us = mean(&calibration_latencies);
+    let service_us = TimeSummary::from_samples(&calibration_latencies).mean_us;
     let capacity_rps = effective_parallelism as f64 * 1e6 / service_us.max(1.0);
 
     let mut report = BenchReport::new(
@@ -191,6 +149,25 @@ fn main() {
              {max_inflight}); rates scale a calibrated capacity estimate, the 3x cell \
              is deliberate overload"
         ),
+    )
+    .table(
+        "E11 · serving: open-loop throughput vs tail latency through sofos-server",
+        &[
+            ("cell", "cell", Raw),
+            ("capacity_rps", "capacity/s", Fixed(0)),
+            ("service_us", "service ms", Ms),
+            ("offered_rps", "offered/s", Fixed(0)),
+            ("achieved_rps", "achieved/s", Fixed(0)),
+            ("admitted", "admitted", Raw),
+            ("rejected", "503s", Raw),
+            ("p50_us", "p50 ms", Ms),
+            ("p95_us", "p95 ms", Ms),
+            ("p99_us", "p99 ms", Ms),
+            ("skew_p95_us", "skew p95 ms", Ms),
+            ("overload_rejects", "overload 503s", Raw),
+            ("p99_ratio", "p99 ratio", Ratio),
+            ("meets_threshold", "meets", Raw),
+        ],
     );
     report.push(Json::object([
         ("cell", Json::from("calibrate")),
@@ -199,29 +176,6 @@ fn main() {
         ("service_us", Json::from(service_us)),
         ("capacity_rps", Json::from(capacity_rps)),
     ]));
-
-    let headers = [
-        "cell",
-        "offered/s",
-        "achieved/s",
-        "admitted",
-        "503s",
-        "p50 ms",
-        "p95 ms",
-        "p99 ms",
-        "skew p95 ms",
-    ];
-    let mut rows: Vec<Vec<String>> = vec![vec![
-        "calibrate".into(),
-        String::new(),
-        format!("{capacity_rps:.0} (cap)"),
-        calibration_latencies.len().to_string(),
-        "0".into(),
-        ms(service_us as u64),
-        String::new(),
-        String::new(),
-        String::new(),
-    ]];
 
     // --- The sweep -------------------------------------------------------
     let mut unsat_p99 = 0u64;
@@ -253,17 +207,6 @@ fn main() {
             overload_p99 = p99;
             overload_rejects = outcome.rejected();
         }
-        rows.push(vec![
-            label.to_string(),
-            format!("{offered_rps:.0}"),
-            format!("{:.0}", outcome.achieved_rps()),
-            admitted.len().to_string(),
-            outcome.rejected().to_string(),
-            ms(p50),
-            ms(p95),
-            ms(p99),
-            ms(outcome.skew_p95_us()),
-        ]);
         report.push(Json::object([
             ("cell", Json::from(*label)),
             ("requests", Json::from(requests_per_cell)),
@@ -287,21 +230,17 @@ fn main() {
     let p99_ratio = overload_p99 as f64 / unsat_p99.max(1) as f64;
     let has_rejects = overload_rejects > 0;
     let within_bound = p99_ratio <= threshold;
-    rows.push(vec![
-        "summary".into(),
-        String::new(),
-        String::new(),
-        String::new(),
-        overload_rejects.to_string(),
-        String::new(),
-        String::new(),
-        ratio(p99_ratio),
-        if has_rejects && within_bound {
-            "ok".into()
-        } else {
-            "NO".into()
-        },
-    ]);
+    report.gate(
+        has_rejects,
+        "the 3x overload cell must trip admission control (0 rejections seen)",
+    );
+    report.gate(
+        within_bound,
+        format!(
+            "admitted p99 under overload must stay within {threshold}x of the \
+             unsaturated cell (got {p99_ratio:.2}x: {unsat_p99}us -> {overload_p99}us)"
+        ),
+    );
     report.push(Json::object([
         ("summary", Json::from(true)),
         ("unsat_p99_us", Json::from(unsat_p99)),
@@ -314,29 +253,14 @@ fn main() {
         ("meets_threshold", Json::from(has_rejects && within_bound)),
     ]));
 
-    print_table(
-        "E11 · serving: open-loop throughput vs tail latency through sofos-server",
-        &headers,
-        &rows,
-    );
     let stats = handle.shutdown();
     println!(
         "server: served={} rejected_at_door={} bad_requests={}",
         stats.served, stats.rejected_connections, stats.bad_requests
     );
-    println!(
+    report.finish(
         "Reading: the in-flight cap turns overload into fast 503s instead of an\n\
          unbounded queue, so the p99 of requests that ARE admitted barely moves\n\
-         past saturation — bounded queue, bounded tail."
+         past saturation — bounded queue, bounded tail.",
     );
-    assert!(
-        has_rejects,
-        "the 3x overload cell must trip admission control (0 rejections seen)"
-    );
-    assert!(
-        within_bound,
-        "admitted p99 under overload must stay within {threshold}x of the \
-         unsaturated cell (got {p99_ratio:.2}x: {unsat_p99}us -> {overload_p99}us)"
-    );
-    finish_report(&report);
 }

@@ -25,37 +25,23 @@
 //!
 //! Run with: `cargo run -p sofos-bench --release --bin e12_durability [--smoke]`
 
-use sofos_bench::{finish_report, ms, print_table, ratio, sized, BenchReport, Json};
-use sofos_core::{
-    run_offline, Backend, DurabilityConfig, Engine, EngineBuilder, EngineConfig, SizedLattice,
-    StalenessPolicy,
-};
-use sofos_cost::CostModelKind;
-use sofos_cube::{AggOp, Facet, ViewMask};
-use sofos_select::WorkloadProfile;
-use sofos_store::{Dataset, Delta};
-use sofos_workload::{generate_update_stream, synthetic, UpdateStreamConfig};
+use sofos_bench::Fmt::{Ms, Ratio, Raw};
+use sofos_bench::{sized, BenchReport, Cube, Demand, Json};
+use sofos_core::{Backend, DurabilityConfig, Engine, EngineBuilder, StalenessPolicy};
+use sofos_store::Delta;
+use sofos_workload::{generate_update_stream, UpdateStreamConfig};
 use std::path::PathBuf;
 use std::time::Instant;
 
-struct Subject {
-    expanded: Dataset,
-    facet: Facet,
-    catalog: Vec<(ViewMask, usize)>,
-}
-
-impl Subject {
-    fn builder(&self) -> EngineBuilder {
-        Engine::builder()
-            .dataset(self.expanded.clone())
-            .facet(self.facet.clone())
-            .catalog(self.catalog.clone())
-            .staleness(StalenessPolicy::Eager)
-            .backend(Backend::Epoch {
-                shards: 4,
-                threads: 2,
-            })
-    }
+/// The engine under test: the epoch backend under eager maintenance.
+fn builder(cube: &Cube) -> EngineBuilder {
+    cube.engine(
+        StalenessPolicy::Eager,
+        Backend::Epoch {
+            shards: 4,
+            threads: 2,
+        },
+    )
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -78,7 +64,6 @@ fn ingest(engine: &Engine, stream: &[Delta]) -> u64 {
 }
 
 fn main() {
-    let observations = sized(240, 120);
     let ingest_batches = sized(96, 24);
     // Full-size batches carry enough maintenance work that the per-publish
     // fsync is amortized the way real ingest amortizes it; 4-triple smoke
@@ -92,36 +77,12 @@ fn main() {
     let threshold = sized(1.5, 2.0);
 
     // --- The engine under test: same shape as E9/E11's sweep subject ----
-    let generated = synthetic::generate(&synthetic::Config {
-        observations,
-        cardinalities: vec![8, 5, 3],
-        skew: 0.8,
-        agg: AggOp::Avg,
-        seed: 17,
-    });
-    let facet = generated.default_facet().clone();
-    let base = generated.dataset;
-    let sized_lattice = SizedLattice::compute(&base, &facet).expect("lattice sizes");
-    let profile = WorkloadProfile::uniform(&sized_lattice.lattice);
-    let mut expanded = base.clone();
-    let offline = run_offline(
-        &mut expanded,
-        &sized_lattice,
-        &profile,
-        CostModelKind::AggValues,
-        &EngineConfig::default(),
-    )
-    .expect("offline phase runs");
-    let subject = Subject {
-        catalog: offline.view_catalog(),
-        expanded,
-        facet: facet.clone(),
-    };
+    let cube = Cube::new(sized(240, 120), 17, Demand::Uniform);
 
     let max_batches = ingest_batches.max(tail_lengths.iter().copied().max().unwrap_or(0));
     let stream = generate_update_stream(
-        &base,
-        &facet,
+        &cube.base,
+        &cube.facet,
         &UpdateStreamConfig {
             batches: max_batches,
             batch_size,
@@ -140,17 +101,29 @@ fn main() {
              snapshot cadence 16) gate the ingest wall ratio at {threshold}x; \
              recovery walls are swept over log tails of {tail_lengths:?} batches"
         ),
+    )
+    .table(
+        "E12 · durability: ingest overhead of the epoch log, recovery wall vs tail",
+        &[
+            ("cell", "cell", Raw),
+            ("batches", "batches", Raw),
+            ("tail_batches", "tail", Raw),
+            ("replayed_records", "replayed", Raw),
+            ("memory_wall_us", "memory ms", Ms),
+            ("durable_wall_us", "durable ms", Ms),
+            ("recover_wall_us", "recover ms", Ms),
+            ("overhead_ratio", "ratio", Ratio),
+            ("overhead_gate_ok", "ok", Raw),
+            ("recovered_epoch_ok", "recovered", Raw),
+            ("meets_threshold", "meets", Raw),
+        ],
     );
-    let headers = ["cell", "batches", "replayed", "wall ms", "ratio", "ok"];
-    let mut rows: Vec<Vec<String>> = Vec::new();
-
     // --- Ingest: in-memory vs durable ------------------------------------
-    let memory = subject.builder().build().expect("in-memory engine builds");
+    let memory = builder(&cube).build().expect("in-memory engine builds");
     let memory_wall_us = ingest(&memory, &stream[..ingest_batches]);
 
     let dir = scratch_dir("ingest");
-    let durable = subject
-        .builder()
+    let durable = builder(&cube)
         .durability(DurabilityConfig::new(&dir).snapshot_every(16))
         .build()
         .expect("durable engine builds");
@@ -165,26 +138,13 @@ fn main() {
 
     let overhead_ratio = durable_wall_us as f64 / memory_wall_us.max(1) as f64;
     let overhead_gate_ok = overhead_ratio <= threshold;
-    rows.push(vec![
-        "ingest-memory".into(),
-        ingest_batches.to_string(),
-        String::new(),
-        ms(memory_wall_us),
-        String::new(),
-        String::new(),
-    ]);
-    rows.push(vec![
-        "ingest-durable".into(),
-        ingest_batches.to_string(),
-        String::new(),
-        ms(durable_wall_us),
-        ratio(overhead_ratio),
-        if overhead_gate_ok {
-            "ok".into()
-        } else {
-            "NO".into()
-        },
-    ]);
+    report.gate(
+        overhead_gate_ok,
+        format!(
+            "durable ingest must stay within {threshold}x of in-memory \
+             (got {overhead_ratio:.2}x: {memory_wall_us}us -> {durable_wall_us}us)"
+        ),
+    );
     report.push(Json::object([
         ("cell", Json::from("ingest")),
         ("batches", Json::from(ingest_batches)),
@@ -202,8 +162,7 @@ fn main() {
         // No cadence snapshots: the whole tail replays from the log, so
         // the cell measures replay length, not snapshot luck.
         let config = DurabilityConfig::new(&dir).snapshot_every(u64::MAX);
-        let engine = subject
-            .builder()
+        let engine = builder(&cube)
             .durability(config.clone())
             .build()
             .expect("durable engine builds");
@@ -212,8 +171,7 @@ fn main() {
         drop(engine); // the "crash": no drain, no shutdown hook
 
         let start = Instant::now();
-        let recovered = subject
-            .builder()
+        let recovered = builder(&cube)
             .durability(config)
             .build()
             .expect("recovery builds");
@@ -223,14 +181,6 @@ fn main() {
             rec.epoch, published,
             "tail {tail}: recovery must land on the published epoch"
         );
-        rows.push(vec![
-            format!("recover-{tail}"),
-            tail.to_string(),
-            rec.replayed_records.to_string(),
-            ms(recover_wall_us),
-            String::new(),
-            "ok".into(),
-        ]);
         report.push(Json::object([
             ("cell", Json::from(format!("recover-{tail}"))),
             ("tail_batches", Json::from(tail)),
@@ -250,20 +200,9 @@ fn main() {
         ("meets_threshold", Json::from(overhead_gate_ok)),
     ]));
 
-    print_table(
-        "E12 · durability: ingest overhead of the epoch log, recovery wall vs tail",
-        &headers,
-        &rows,
-    );
-    println!(
+    report.finish(
         "Reading: the log appends and fsyncs once per published batch, before the\n\
          epoch swap — so the durable column pays one sequential write per publish,\n\
-         not per triple, and recovery is linear in the unsnapshotted tail."
+         not per triple, and recovery is linear in the unsnapshotted tail.",
     );
-    assert!(
-        overhead_gate_ok,
-        "durable ingest must stay within {threshold}x of in-memory \
-         (got {overhead_ratio:.2}x: {memory_wall_us}us -> {durable_wall_us}us)"
-    );
-    finish_report(&report);
 }

@@ -27,7 +27,8 @@
 //!
 //! Run with: `cargo run -p sofos-bench --release --bin e13_bitmap_scan [--smoke]`
 
-use sofos_bench::{finish_report, ms, print_table, sized, BenchReport, Json};
+use sofos_bench::Fmt::{Ms, Raw};
+use sofos_bench::{sized, BenchReport, Json};
 use sofos_cube::{AggOp, Facet, ViewMask};
 use sofos_maintain::{Maintainer, PipelineTelemetry};
 use sofos_materialize::{materialize_view, virtual_view_stats};
@@ -46,6 +47,7 @@ const MASKS: [ViewMask; 4] = [
 
 /// One cell's measurements: the plan-phase wall, the end-to-end
 /// maintenance wall, and the deterministic maintenance counts.
+#[derive(Default)]
 struct Cell {
     plan_wall_us: u64,
     maint_wall_us: u64,
@@ -70,16 +72,7 @@ fn run_cell(
     let mut views = catalog.to_vec();
     let mut maintainer = Maintainer::new(facet);
     let mut plan = PipelineTelemetry::default();
-    let mut cell = Cell {
-        plan_wall_us: 0,
-        maint_wall_us: 0,
-        groups_patched: 0,
-        groups_reevaluated: 0,
-        rows_inserted: 0,
-        rows_retracted: 0,
-        final_rows: Vec::new(),
-        all_valid: false,
-    };
+    let mut cell = Cell::default();
     for delta in deltas {
         let start = Instant::now();
         let rows = maintainer
@@ -146,11 +139,20 @@ fn main() {
             "bitmap posting-list plan phase; {observations} observations, finest \
              view {finest_rows} groups, delta sparsity x group skew"
         ),
+    )
+    .table(
+        "E13 · bitmap posting-list plan phase: delta sparsity x group skew",
+        &[
+            ("cell", "cell", Raw),
+            ("group_skew", "skew", Raw),
+            ("batches", "batches", Raw),
+            ("batch_size", "ops/b", Raw),
+            ("plan_wall_us", "plan ms", Ms),
+            ("maintenance_wall_us", "maint ms", Ms),
+            ("groups_patched", "patched", Raw),
+            ("all_valid", "valid", Raw),
+        ],
     );
-    let headers = [
-        "cell", "skew", "batches", "ops/b", "plan ms", "maint ms", "patched", "valid",
-    ];
-    let mut rows: Vec<Vec<String>> = Vec::new();
     for &(label, batch_size, batches) in &sparsities {
         for (i, &group_skew) in skews.iter().enumerate() {
             // Pure inserts: deletes trigger per-group re-evaluations, a
@@ -169,17 +171,10 @@ fn main() {
                 },
             );
             let cell = run_cell(&seeded, &facet, &catalog, &deltas);
-            assert!(cell.all_valid, "{label} skew {group_skew}: stale catalog");
-            rows.push(vec![
-                label.into(),
-                format!("{group_skew}"),
-                batches.to_string(),
-                batch_size.to_string(),
-                ms(cell.plan_wall_us),
-                ms(cell.maint_wall_us),
-                cell.groups_patched.to_string(),
-                "yes".into(),
-            ]);
+            report.gate(
+                cell.all_valid,
+                format!("{label} skew {group_skew}: stale catalog"),
+            );
             report.push(Json::object([
                 ("cell", Json::from(label)),
                 ("group_skew", Json::from(group_skew)),
@@ -200,17 +195,11 @@ fn main() {
         }
     }
 
-    print_table(
-        "E13 · bitmap posting-list plan phase: delta sparsity x group skew",
-        &headers,
-        &rows,
-    );
-    println!(
+    report.finish(
         "Reading: each row replays one pure-insert stream through the pipelined\n\
          maintainer on a single thread (pure plan work, no spawn noise); the plan\n\
          phase locates every touched group by ANDing maintained posting-list\n\
          bitmaps. Walls are volatile (bench_diff reports, never gates them); the\n\
-         deterministic counts ('patched' etc.) and 'valid' are gated exactly."
+         deterministic counts ('patched' etc.) and 'valid' are gated exactly.",
     );
-    finish_report(&report);
 }

@@ -37,7 +37,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sofos_bench::{finish_report, ms, print_table, ratio, sized, BenchReport, Json};
+use sofos_bench::Fmt::{Fixed, Ms, Ratio, Raw};
+use sofos_bench::{sized, BenchReport, Json};
 use sofos_cost::{
     estimate_lattice, AggValuesCost, CostContext, TouchedGroupsMaintenance, UpdateRates,
 };
@@ -112,21 +113,27 @@ fn main() {
              {targets:?}, {observations} observations, {demand_count} demands, \
              budget {budget_views} views, lambda {LAMBDA}"
         ),
+    )
+    .table(
+        "E14 · anytime local search vs full greedy at lattice scale",
+        &[
+            ("cell", "cell", Raw),
+            ("views", "views", Raw),
+            ("dims", "dims", Raw),
+            ("greedy_wall_us", "greedy ms", Ms),
+            ("local_wall_us", "local ms", Ms),
+            ("wall_ratio", "wall", Ratio),
+            ("greedy_cost", "greedy cost", Fixed(1)),
+            ("local_cost", "local cost", Fixed(1)),
+            ("interrupted_cost", "interrupted cost", Fixed(1)),
+            ("quality_ratio", "quality", Ratio),
+            ("interrupted_ratio", "interrupted", Ratio),
+            ("moves_tried", "moves", Raw),
+            ("converged", "converged", Raw),
+            ("quality_ok", "quality ok", Raw),
+            ("wall_ok", "wall ok", Raw),
+        ],
     );
-    let headers = [
-        "cell",
-        "views",
-        "dims",
-        "greedy ms",
-        "local ms",
-        "wall",
-        "greedy cost",
-        "local cost",
-        "quality",
-        "moves",
-        "verdict",
-    ];
-    let mut rows: Vec<Vec<String>> = Vec::new();
     let mut largest: Option<(f64, f64)> = None; // (quality_ratio, wall_ratio)
 
     for (c, &views) in targets.iter().enumerate() {
@@ -193,19 +200,6 @@ fn main() {
             largest = Some((quality_ratio, wall_ratio));
         }
 
-        rows.push(vec![
-            "scale".into(),
-            num_views.to_string(),
-            dims.to_string(),
-            ms(greedy.wall_us),
-            ms(local.wall_us),
-            ratio(wall_ratio),
-            format!("{:.1}", combined(&greedy.outcome)),
-            format!("{:.1}", combined(&local.outcome)),
-            ratio(quality_ratio),
-            search.moves_tried.to_string(),
-            "ok".into(),
-        ]);
         report.push(Json::object([
             ("cell", Json::from("scale")),
             ("views", Json::from(num_views)),
@@ -264,19 +258,6 @@ fn main() {
             );
             let interrupted_ratio =
                 combined(&outcome) / combined(&greedy.outcome).max(f64::EPSILON);
-            rows.push(vec![
-                "interrupt".into(),
-                num_views.to_string(),
-                dims.to_string(),
-                String::new(),
-                String::new(),
-                String::new(),
-                format!("{:.1}", combined(&greedy.outcome)),
-                format!("{:.1}", combined(&outcome)),
-                ratio(interrupted_ratio),
-                search.moves_tried.to_string(),
-                "valid".into(),
-            ]);
             report.push(Json::object([
                 ("cell", Json::from("interrupt")),
                 ("views", Json::from(num_views)),
@@ -300,19 +281,20 @@ fn main() {
     let quality_ok = quality_ratio <= quality_threshold;
     let wall_ok = wall_ratio <= wall_threshold;
 
-    rows.push(vec![
-        "summary".into(),
-        targets.last().expect("non-empty sweep").to_string(),
-        String::new(),
-        String::new(),
-        String::new(),
-        ratio(wall_ratio),
-        String::new(),
-        String::new(),
-        ratio(quality_ratio),
-        String::new(),
-        if quality_ok && wall_ok { "yes" } else { "NO" }.into(),
-    ]);
+    report.gate(
+        quality_ok,
+        format!(
+            "local search must match greedy quality within {quality_threshold}x on the \
+             largest lattice (got {quality_ratio:.3}x)"
+        ),
+    );
+    report.gate(
+        wall_ok,
+        format!(
+            "local search must finish within {wall_threshold}x of greedy's wall on the \
+             largest lattice (got {wall_ratio:.3}x)"
+        ),
+    );
     report.push(Json::object([
         ("summary", Json::from(true)),
         ("quality_ratio", Json::from(quality_ratio)),
@@ -323,22 +305,7 @@ fn main() {
         ("wall_ok", Json::from(wall_ok)),
     ]));
 
-    print_table(
-        "E14 · anytime local search vs full greedy at lattice scale",
-        &headers,
-        &rows,
-    );
-    assert!(
-        quality_ok,
-        "local search must match greedy quality within {quality_threshold}x on the \
-         largest lattice (got {quality_ratio:.3}x)"
-    );
-    assert!(
-        wall_ok,
-        "local search must finish within {wall_threshold}x of greedy's wall on the \
-         largest lattice (got {wall_ratio:.3}x)"
-    );
-    println!(
+    report.finish(&format!(
         "Reading: 'scale' rows run full-lattice greedy and converged local search\n\
          over the same analytically-sized lattice, demands, and combined objective\n\
          (query + {LAMBDA}*maintenance); 'quality' is local/greedy combined cost\n\
@@ -348,6 +315,5 @@ fn main() {
          anytime contract. Costs and move counts are deterministic; walls are\n\
          volatile (bench_diff reports, never gates them); the gated verdicts are\n\
          the summary booleans."
-    );
-    finish_report(&report);
+    ));
 }

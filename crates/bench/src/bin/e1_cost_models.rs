@@ -8,7 +8,8 @@
 //!
 //! Emits `BENCH_cost_models.json`.
 
-use sofos_bench::{finish_report, sized, BenchReport, Json};
+use sofos_bench::Fmt::{Fixed, Ms, Ratio, Raw};
+use sofos_bench::{sized, BenchReport, Json};
 use sofos_core::{compare_cost_models, EngineConfig};
 use sofos_cost::CostModelKind;
 use sofos_workload::all_datasets;
@@ -26,12 +27,31 @@ fn main() {
             "all six cost models x demo datasets, {} queries, budget 4 views",
             config.workload.num_queries
         ),
+    )
+    .table(
+        "E1 · cost models x demo datasets",
+        &[
+            ("dataset", "dataset", Raw),
+            ("model", "model", Raw),
+            ("selected_views", "views", Raw),
+            ("training_us", "train ms", Ms),
+            ("selection_us", "select ms", Ms),
+            ("materialization_us", "mat ms", Ms),
+            ("materialized_triples", "triples", Raw),
+            ("storage_amplification", "space amp", Fixed(3)),
+            ("view_hits", "hits", Raw),
+            ("fallbacks", "falls", Raw),
+            ("query_total_us", "total ms", Ms),
+            ("query_p95_us", "p95 ms", Ms),
+            ("speedup", "speedup", Ratio),
+            ("all_valid", "valid", Raw),
+        ],
     );
 
     for generated in all_datasets() {
         let facet = generated.default_facet();
         println!(
-            "\n================ E1 · {} ({} triples, facet `{}`, {} dims) ================\n",
+            "{} ({} triples, facet `{}`, {} dims):",
             generated.name,
             generated.dataset.total_triples(),
             facet.id,
@@ -45,10 +65,12 @@ fn main() {
             &config,
         )
         .expect("comparison runs");
-        println!("{}", comparison.to_table());
         for row in &comparison.models {
-            assert!(row.all_valid, "{}: invalid answers", row.model);
             println!("  {:<12} -> {}", row.model, row.selected_views.join(", "));
+            report.gate(
+                row.all_valid,
+                format!("{}/{}: invalid answers", generated.name, row.model),
+            );
             report.push(Json::object([
                 ("dataset", Json::from(generated.name)),
                 ("model", Json::from(row.model.clone())),
@@ -71,5 +93,8 @@ fn main() {
         }
     }
 
-    finish_report(&report);
+    report.finish(
+        "Reading: speedup is the workload's time without views over its time\n\
+         with each model's views; every view-answered query equals the base graph.",
+    );
 }

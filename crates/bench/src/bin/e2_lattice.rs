@@ -7,7 +7,8 @@
 //!
 //! Emits `BENCH_lattice.json`.
 
-use sofos_bench::{finish_report, ms, print_table, sized, BenchReport, Json};
+use sofos_bench::Fmt::{Fixed, Ms, Raw};
+use sofos_bench::{sized, BenchReport, Json};
 use sofos_core::measure_once;
 use sofos_cube::Lattice;
 use sofos_materialize::materialize_view;
@@ -19,8 +20,21 @@ fn main() {
     let mut report = BenchReport::new(
         "lattice",
         format!("full-lattice materialization, d = 1..={max_dims}, {observations} observations"),
+    )
+    .table(
+        format!(
+            "E2 · full-lattice materialization vs dimension count ({observations} observations)"
+        ),
+        &[
+            ("dims", "dims", Raw),
+            ("views", "views", Raw),
+            ("edges", "edges", Raw),
+            ("rows", "rows", Raw),
+            ("triples", "triples", Raw),
+            ("space_amplification", "space amp", Fixed(2)),
+            ("materialize_us", "time ms", Ms),
+        ],
     );
-    let mut rows = Vec::new();
     for dims in 1..=max_dims {
         let generated = synthetic::generate(&synthetic::Config::with_dims(dims, observations));
         let facet = generated.default_facet().clone();
@@ -41,15 +55,6 @@ fn main() {
         let expanded_bytes = dataset.estimated_bytes();
         let amplification = expanded_bytes as f64 / base_bytes as f64;
 
-        rows.push(vec![
-            dims.to_string(),
-            lattice.num_views().to_string(),
-            lattice.num_edges().to_string(),
-            stats.0.to_string(),
-            stats.1.to_string(),
-            format!("{amplification:.2}"),
-            ms(elapsed_us),
-        ]);
         report.push(Json::object([
             ("dims", Json::from(dims)),
             ("views", Json::from(lattice.num_views())),
@@ -60,22 +65,8 @@ fn main() {
             ("materialize_us", Json::from(elapsed_us)),
         ]));
     }
-    print_table(
-        &format!(
-            "E2 · full-lattice materialization vs dimension count ({observations} observations)"
-        ),
-        &[
-            "dims",
-            "views",
-            "edges",
-            "rows",
-            "triples",
-            "space amp",
-            "time ms",
-        ],
-        &rows,
+    report.finish(
+        "Reading: views double per dimension; space amplification and\n\
+         materialization time grow with them — the motivation for selecting k views.",
     );
-    println!("Reading: views double per dimension; space amplification and");
-    println!("materialization time grow with them — the motivation for selecting k views.");
-    finish_report(&report);
 }

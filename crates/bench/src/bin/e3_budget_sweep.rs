@@ -1,24 +1,23 @@
 //! E3 — the "User Selected Views" sweet spot (demo §4): sweep the view
 //! budget k = 0..2^d and chart query time against space amplification.
-//! With `--bytes` the sweep uses byte budgets instead of view counts
-//! (the paper's "up to a certain memory budget" variant).
+//! (E8 exercises byte budgets.)
 //!
 //! Every budget's workload is served through an `Engine` over its `G+`;
-//! the first budget (zero views or zero bytes) is the no-views baseline
-//! every speedup is relative to.
+//! the first budget (zero views) is the no-views baseline every speedup
+//! is relative to.
 //!
-//! Run with: `cargo run -p sofos-bench --release --bin e3_budget_sweep [--bytes] [--smoke]`
+//! Run with: `cargo run -p sofos-bench --release --bin e3_budget_sweep [--smoke]`
 //!
 //! Emits `BENCH_budget_sweep.json`.
 
-use sofos_bench::{finish_report, ms, print_table, ratio, sized, BenchReport, Json};
+use sofos_bench::Fmt::{Fixed, Ms, Ratio, Raw};
+use sofos_bench::{sized, BenchReport, Json};
 use sofos_core::{measure_workload, run_offline, Engine, EngineConfig, SizedLattice};
 use sofos_cost::CostModelKind;
 use sofos_select::{Budget, WorkloadProfile};
 use sofos_workload::{dbpedia, generate_workload, WorkloadConfig};
 
 fn main() {
-    let by_bytes = std::env::args().any(|a| a == "--bytes");
     let generated = dbpedia::generate(&dbpedia::Config::default());
     let facet = generated.default_facet().clone();
     let sized_lattice = SizedLattice::compute(&generated.dataset, &facet).expect("sizing");
@@ -36,28 +35,33 @@ fn main() {
         ..EngineConfig::default()
     };
 
-    let budgets: Vec<Budget> = if by_bytes {
-        let full: usize = sized_lattice.stats.values().map(|s| s.bytes).sum();
-        (0..=8).map(|i| Budget::Bytes(full * i / 8)).collect()
-    } else {
-        (0..=sized_lattice.lattice.num_views() as usize)
-            .map(Budget::Views)
-            .collect()
-    };
-
     let mut report = BenchReport::new(
         "budget_sweep",
         format!(
-            "budget sweep ({}) on {}, {} queries",
-            if by_bytes { "bytes" } else { "views" },
+            "budget sweep (views) on {}, {} queries",
             generated.name,
             workload.len()
         ),
+    )
+    .table(
+        format!(
+            "E3 · budget sweep on {} (facet `{}`, {} queries)",
+            generated.name,
+            facet.id,
+            workload.len()
+        ),
+        &[
+            ("budget", "budget", Raw),
+            ("selected_views", "views", Raw),
+            ("view_hits", "hits", Raw),
+            ("query_total_us", "total ms", Ms),
+            ("storage_amplification", "space amp", Fixed(3)),
+            ("speedup", "speedup", Ratio),
+        ],
     );
-    let mut rows = Vec::new();
     let mut baseline_us = None;
-    for budget in budgets {
-        config.budget = budget;
+    for k in 0..=sized_lattice.lattice.num_views() as usize {
+        config.budget = Budget::Views(k);
         let mut expanded = generated.dataset.clone();
         let offline = run_offline(
             &mut expanded,
@@ -75,28 +79,11 @@ fn main() {
             .expect("engine builds");
         let online = measure_workload(&engine, &workload, config.timing_reps, &generated.dataset)
             .expect("online");
-        assert!(online.all_valid);
+        report.gate(online.all_valid, format!("{k} views: invalid answers"));
         let baseline = *baseline_us.get_or_insert(online.summary.total_us);
         let speedup = baseline as f64 / online.summary.total_us.max(1) as f64;
-        rows.push(vec![
-            match budget {
-                Budget::Views(k) => format!("{k} views"),
-                Budget::Bytes(b) => format!("{b} B"),
-            },
-            offline.selection.selected.len().to_string(),
-            format!("{}/{}", online.view_hits, workload.len()),
-            ms(online.summary.total_us),
-            format!("{:.3}", offline.storage_amplification()),
-            ratio(speedup),
-        ]);
         report.push(Json::object([
-            (
-                "budget",
-                match budget {
-                    Budget::Views(k) => Json::from(format!("views:{k}")),
-                    Budget::Bytes(b) => Json::from(format!("bytes:{b}")),
-                },
-            ),
+            ("budget", Json::from(format!("views:{k}"))),
             (
                 "selected_views",
                 Json::from(offline.selection.selected.len()),
@@ -111,25 +98,8 @@ fn main() {
             ("speedup", Json::from(speedup)),
         ]));
     }
-    print_table(
-        &format!(
-            "E3 · budget sweep on {} (facet `{}`, {} queries; baseline {} ms)",
-            generated.name,
-            facet.id,
-            workload.len(),
-            ms(baseline_us.unwrap_or_default()),
-        ),
-        &[
-            "budget",
-            "views",
-            "hits",
-            "total ms",
-            "space amp",
-            "speedup",
-        ],
-        &rows,
+    report.finish(
+        "Reading: the sweet spot is the smallest budget whose speedup plateaus —\n\
+         beyond it, space amplification keeps rising with no latency return.",
     );
-    println!("Reading: the sweet spot is the smallest budget whose speedup plateaus —");
-    println!("beyond it, space amplification keeps rising with no latency return.");
-    finish_report(&report);
 }

@@ -8,7 +8,8 @@
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use sofos_bench::{finish_report, sized, BenchReport, Json};
+use sofos_bench::Fmt::{Fixed, Raw};
+use sofos_bench::{sized, BenchReport, Json};
 use sofos_core::SizedLattice;
 use sofos_cost::{regression_metrics, LearnedCostModel, TrainConfig};
 use sofos_cube::ViewMask;
@@ -23,8 +24,17 @@ fn main() {
     let mut report = BenchReport::new(
         "learned",
         format!("learned-model quality vs training fraction, {epochs} epochs"),
+    )
+    .table(
+        "E4 · learned cost model: prediction quality vs training size",
+        &[
+            ("dataset", "dataset", Raw),
+            ("train_n", "train n", Raw),
+            ("final_mse", "final MSE", Fixed(4)),
+            ("mae_us", "MAE µs", Fixed(1)),
+            ("spearman", "Spearman", Fixed(3)),
+        ],
     );
-    println!("== E4 · learned cost model: prediction quality vs training size ==\n");
     for generated in datasets {
         let facet = generated.default_facet().clone();
         let sized_lattice = SizedLattice::compute(&generated.dataset, &facet).expect("sizing");
@@ -40,16 +50,6 @@ fn main() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         all.shuffle(&mut rng);
 
-        println!(
-            "--- {} (facet `{}`, {} views) ---",
-            generated.name,
-            facet.id,
-            all.len()
-        );
-        println!(
-            "{:<10} {:>12} {:>10} {:>12}",
-            "train n", "final MSE", "MAE µs", "Spearman"
-        );
         for fraction in [0.25, 0.5, 0.75, 1.0] {
             let n = ((all.len() as f64) * fraction).ceil() as usize;
             let train = &all[..n.max(2).min(all.len())];
@@ -67,13 +67,6 @@ fn main() {
             let truths: Vec<f64> = all.iter().map(|(_, t)| *t).collect();
             let metrics = regression_metrics(&predictions, &truths);
             let final_mse = history.last().copied().unwrap_or(f64::NAN);
-            println!(
-                "{:<10} {:>12.4} {:>10.1} {:>12.3}",
-                train.len(),
-                final_mse,
-                metrics.mae,
-                metrics.spearman
-            );
             report.push(Json::object([
                 ("dataset", Json::from(generated.name)),
                 ("train_n", Json::from(train.len())),
@@ -83,9 +76,9 @@ fn main() {
                 ("spearman", Json::from(metrics.spearman)),
             ]));
         }
-        println!();
     }
-    println!("Reading: rank correlation is what matters for selection; it should rise");
-    println!("with training size — and remains imperfect, one of the paper's pitfalls.");
-    finish_report(&report);
+    report.finish(
+        "Reading: rank correlation is what matters for selection; it should rise\n\
+         with training size — and remains imperfect, one of the paper's pitfalls.",
+    );
 }

@@ -13,7 +13,8 @@
 //!
 //! Emits `BENCH_fidelity.json`.
 
-use sofos_bench::{finish_report, print_table, sized, BenchReport, Json};
+use sofos_bench::Fmt::{Fixed, Raw};
+use sofos_bench::{sized, BenchReport, Json};
 use sofos_core::{measure_median, SizedLattice};
 use sofos_cost::spearman;
 use sofos_cube::facet_query;
@@ -31,9 +32,20 @@ fn main() {
     let mut report = BenchReport::new(
         "fidelity",
         format!("Spearman(cost statistic, measured time), median of {reps} reps"),
+    )
+    .table(
+        "E5 · Spearman(cost statistic, measured time): \
+         E5a exactly-matching queries, E5b filtered re-aggregating queries",
+        &[
+            ("dataset", "dataset", Raw),
+            ("views", "views", Raw),
+            ("spearman_triples", "a: triples", Fixed(3)),
+            ("spearman_agg_values", "a: agg-values", Fixed(3)),
+            ("spearman_nodes", "a: nodes", Fixed(3)),
+            ("mixed_queries", "b: queries", Raw),
+            ("spearman_mixed_triples", "b: triples", Fixed(3)),
+        ],
     );
-    let mut identity_rows = Vec::new();
-    let mut mixed_rows = Vec::new();
     for generated in datasets {
         let facet = generated.default_facet().clone();
         let sized_lattice = SizedLattice::compute(&generated.dataset, &facet).expect("sizing");
@@ -94,18 +106,6 @@ fn main() {
         let s_rows = spearman(&rows_stat, &identity_times);
         let s_nodes = spearman(&nodes, &identity_times);
         let s_mixed = spearman(&mixed_triples, &mixed_times);
-        identity_rows.push(vec![
-            generated.name.to_string(),
-            sized_lattice.lattice.num_views().to_string(),
-            format!("{s_triples:.3}"),
-            format!("{s_rows:.3}"),
-            format!("{s_nodes:.3}"),
-        ]);
-        mixed_rows.push(vec![
-            generated.name.to_string(),
-            mixed_times.len().to_string(),
-            format!("{s_mixed:.3}"),
-        ]);
         report.push(Json::object([
             ("dataset", Json::from(generated.name)),
             ("views", Json::from(sized_lattice.lattice.num_views())),
@@ -116,19 +116,10 @@ fn main() {
             ("spearman_mixed_triples", Json::from(s_mixed)),
         ]));
     }
-    print_table(
-        "E5a · Spearman(cost statistic, time of the exactly-matching query)",
-        &["dataset", "views", "triples", "agg-values", "nodes"],
-        &identity_rows,
+    report.finish(
+        "Reading: 1.000 would mean the relational 'size ⇒ time' proxy transfers\n\
+         perfectly to RDF. Identity queries track view size closely on this\n\
+         substrate; the filtered/re-aggregating series (E5b) is where the\n\
+         proxy degrades — selective filters decouple work from view size.",
     );
-    print_table(
-        "E5b · Spearman(view triples, time of filtered re-aggregating queries)",
-        &["dataset", "queries", "triples"],
-        &mixed_rows,
-    );
-    println!("Reading: 1.000 would mean the relational 'size ⇒ time' proxy transfers");
-    println!("perfectly to RDF. Identity queries track view size closely on this");
-    println!("substrate; the filtered/re-aggregating series (E5b) is where the");
-    println!("proxy degrades — selective filters decouple work from view size.");
-    finish_report(&report);
 }

@@ -7,7 +7,8 @@
 //!
 //! Emits `BENCH_challenge.json`.
 
-use sofos_bench::{finish_report, print_table, sized, BenchReport, Json};
+use sofos_bench::Fmt::{Fixed, Raw};
+use sofos_bench::{sized, BenchReport, Json};
 use sofos_core::{build_model, EngineConfig, SizedLattice};
 use sofos_cost::{AggValuesCost, CostModelKind};
 use sofos_select::{exhaustive_select, greedy_select, workload_cost, Budget, WorkloadProfile};
@@ -26,6 +27,18 @@ fn main() {
     let mut report = BenchReport::new(
         "challenge",
         format!("greedy/oracle cost ratio, k = 1..={max_k}, {num_queries} queries"),
+    )
+    .table(
+        format!(
+            "E6 · greedy/oracle cost ratio ({num_queries} queries, dataset {})",
+            generated.name
+        ),
+        &[
+            ("workload", "workload", Raw),
+            ("k", "k", Raw),
+            ("model", "model", Raw),
+            ("oracle_ratio", "ratio", Fixed(2)),
+        ],
     );
     for (label, skew) in [
         ("uniform workload", None),
@@ -42,12 +55,10 @@ fn main() {
         );
         let profile = WorkloadProfile::from_masks(workload.iter().map(|q| q.required));
 
-        let mut rows = Vec::new();
         for k in 1..=max_k {
             let oracle =
                 exhaustive_select(&ctx, &sized_lattice.lattice, &judge, &profile, k, 1_000_000)
                     .expect("challenge lattices stay under the exhaustive caps");
-            let mut row = vec![k.to_string()];
             for kind in CostModelKind::ALL {
                 let (model, _, _) = build_model(kind, &sized_lattice, &config);
                 let outcome = greedy_select(
@@ -59,7 +70,6 @@ fn main() {
                 );
                 let score = workload_cost(&ctx, &judge, &profile, &outcome.selected);
                 let oracle_ratio = score / oracle.estimated_cost;
-                row.push(format!("{oracle_ratio:.2}"));
                 report.push(Json::object([
                     ("workload", Json::from(label)),
                     ("k", Json::from(k)),
@@ -67,28 +77,10 @@ fn main() {
                     ("oracle_ratio", Json::from(oracle_ratio)),
                 ]));
             }
-            rows.push(row);
         }
-        print_table(
-            &format!(
-                "E6 · greedy/oracle cost ratio — {} ({} queries, dataset {})",
-                label,
-                workload.len(),
-                generated.name
-            ),
-            &[
-                "k",
-                "random",
-                "triples",
-                "agg-values",
-                "nodes",
-                "learned",
-                "user-defined",
-            ],
-            &rows,
-        );
     }
-    println!("Reading: 1.00 = the greedy selection under that cost model matched the");
-    println!("exhaustive optimum; larger values quantify how much the model misleads it.");
-    finish_report(&report);
+    report.finish(
+        "Reading: 1.00 = the greedy selection under that cost model matched the\n\
+         exhaustive optimum; larger values quantify how much the model misleads it.",
+    );
 }

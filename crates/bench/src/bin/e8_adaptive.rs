@@ -24,7 +24,8 @@
 //!
 //! Run with: `cargo run -p sofos-bench --release --bin e8_adaptive [--smoke]`
 
-use sofos_bench::{finish_report, ms, print_table, sized, BenchReport, Json};
+use sofos_bench::Fmt::{Ms, Raw};
+use sofos_bench::{sized, BenchReport, Json};
 use sofos_core::{
     results_equivalent, Backend, Engine, EngineConfig, Reselector, SizedLattice, StalenessPolicy,
 };
@@ -90,6 +91,7 @@ impl Policy {
 }
 
 /// Totals of one cell run.
+#[derive(Default)]
 struct CellOutcome {
     update_us: u64,
     query_us: u64,
@@ -197,15 +199,6 @@ fn run_cell(
         .sum();
     let budget = Budget::Bytes(coarse_bytes * 2 / 5);
     let selection = greedy_select_with(&ctx, &sized.lattice, &objective, &initial_profile, budget);
-    if std::env::var("SOFOS_E8_DEBUG").is_ok() {
-        eprintln!(
-            "debug {} lambda={lambda} policy={}: budget {budget:?} selected {:?} demands {:?}",
-            schedule.name,
-            policy.name(),
-            selection.selected,
-            initial_profile.demands
-        );
-    }
 
     let mut expanded = base.clone();
     let materialized =
@@ -238,15 +231,8 @@ fn run_cell(
     .with_sizing_cache(sized);
 
     let mut outcome = CellOutcome {
-        update_us: 0,
-        query_us: 0,
-        maintenance_us: 0,
-        reselect_us: 0,
-        reselections: 0,
-        churned: 0,
-        view_hits: 0,
-        fallbacks: 0,
         all_valid: true,
+        ..CellOutcome::default()
     };
 
     for (round, delta) in stream.into_iter().enumerate() {
@@ -276,13 +262,6 @@ fn run_cell(
         };
         outcome.reselect_us += start.elapsed().as_micros() as u64;
         if let Some(report) = report {
-            if policy == Policy::Adaptive && std::env::var("SOFOS_E8_DEBUG").is_ok() {
-                // ReselectionReport renders itself — no hand-formatting.
-                eprintln!(
-                    "debug {} lambda={lambda} round={round}: {report}",
-                    schedule.name
-                );
-            }
             outcome.reselections += 1;
             outcome.churned += report.churn.churned();
         }
@@ -330,12 +309,27 @@ fn main() {
             (INSERT_RATIO * 100.0).round() as u32,
             ((1.0 - INSERT_RATIO) * 100.0).round() as u32
         ),
+    )
+    .table(
+        "E8 · adaptive re-selection: drift schedule x lambda x staleness x policy",
+        &[
+            ("schedule", "schedule", Raw),
+            ("lambda", "lambda", Raw),
+            ("staleness", "stale", Raw),
+            ("policy", "policy", Raw),
+            ("total_us", "total ms", Ms),
+            ("query_us", "query ms", Ms),
+            ("update_us", "upd ms", Ms),
+            ("maintenance_us", "maint ms", Ms),
+            ("reselect_us", "resel ms", Ms),
+            ("reselections", "resels", Raw),
+            ("views_churned", "churn", Raw),
+            ("view_hits", "hits", Raw),
+            ("fallbacks", "falls", Raw),
+            ("all_valid", "valid", Raw),
+            ("adaptive_beats_both", "adaptive wins", Raw),
+        ],
     );
-    let headers = [
-        "schedule", "lambda", "stale", "policy", "total ms", "query ms", "upd ms", "maint ms",
-        "resel ms", "resels", "churn", "hits", "falls", "valid",
-    ];
-    let mut rows: Vec<Vec<String>> = Vec::new();
 
     for schedule in SCHEDULES {
         for &lambda in &lambdas {
@@ -356,26 +350,15 @@ fn main() {
                     );
                     let queries_total = rounds * queries_per_round;
                     totals.push((policy, cell.total_us()));
-                    rows.push(vec![
-                        schedule.name.to_string(),
-                        format!("{lambda}"),
-                        staleness.name().to_string(),
-                        policy.name().to_string(),
-                        ms(cell.total_us()),
-                        ms(cell.query_us),
-                        ms(cell.update_us),
-                        ms(cell.maintenance_us),
-                        ms(cell.reselect_us),
-                        cell.reselections.to_string(),
-                        cell.churned.to_string(),
-                        format!("{}/{queries_total}", cell.view_hits),
-                        cell.fallbacks.to_string(),
-                        if cell.all_valid {
-                            "yes".into()
-                        } else {
-                            "NO".into()
-                        },
-                    ]);
+                    report.gate(
+                        cell.all_valid,
+                        format!(
+                            "{}/{lambda}/{}/{}: stale or wrong answers",
+                            schedule.name,
+                            staleness.name(),
+                            policy.name()
+                        ),
+                    );
                     report.push(Json::object([
                         ("schedule", Json::from(schedule.name)),
                         ("lambda", Json::from(lambda)),
@@ -394,13 +377,6 @@ fn main() {
                         ("fallbacks", Json::from(cell.fallbacks)),
                         ("all_valid", Json::from(cell.all_valid)),
                     ]));
-                    assert!(
-                        cell.all_valid,
-                        "{}/{lambda}/{}/{}: stale or wrong answers",
-                        schedule.name,
-                        staleness.name(),
-                        policy.name()
-                    );
                 }
 
                 // Summary row: does adaptive beat both fixed policies on
@@ -431,19 +407,13 @@ fn main() {
         }
     }
 
-    print_table(
-        "E8 · adaptive re-selection: drift schedule x lambda x staleness x policy",
-        &headers,
-        &rows,
-    );
-    println!(
+    report.finish(
         "Reading: 'never' pays fallbacks after the drift, 'always' pays re-selection\n\
          every round; 'adaptive' re-selects only when the sliding profile moves, and\n\
          should win on total cost under the abrupt schedule. The staleness column\n\
          charts the third axis of the trade: eager pays upkeep inside every update,\n\
          lazy-on-hit defers it to the first hit on a stale view — cheap under drift\n\
          (deferred backlogs on evicted views are never paid) but first-hit latency\n\
-         spikes after busy update stretches."
+         spikes after busy update stretches.",
     );
-    finish_report(&report);
 }

@@ -23,20 +23,13 @@
 //!
 //! Run with: `cargo run -p sofos-bench --release --bin e9_concurrency [--smoke]`
 
-use sofos_bench::{finish_report, ms, percentile, print_table, ratio, sized, BenchReport, Json};
-use sofos_core::{
-    results_equivalent, run_offline, Backend, Engine, EngineConfig, SizedLattice, StalenessPolicy,
-};
-use sofos_cost::CostModelKind;
-use sofos_cube::{AggOp, Facet, ViewMask};
-use sofos_select::WorkloadProfile;
-use sofos_sparql::{Evaluator, Query};
-use sofos_store::{Dataset, Delta};
-use sofos_workload::{
-    generate_update_stream, generate_workload, synthetic, GeneratedQuery, UpdateStreamConfig,
-    WorkloadConfig,
-};
+use sofos_bench::Fmt::{Ms, Ratio, Raw};
+use sofos_bench::{percentile, sized, BenchReport, Cube, Demand, Json};
+use sofos_core::{measure_workload, Backend, Engine, StalenessPolicy};
+use sofos_sparql::Query;
+use sofos_store::Delta;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 use std::time::Instant;
 
 /// Reader-side shape of one sweep cell.
@@ -44,29 +37,6 @@ use std::time::Instant;
 struct ReadMix {
     name: &'static str,
     readers: usize,
-}
-
-/// Pre-generate `rounds` update batches, cycling through freshly-seeded
-/// streams so inserts never degenerate into no-ops across cycles.
-fn batch_schedule(base: &Dataset, facet: &Facet, batch_size: usize, rounds: usize) -> Vec<Delta> {
-    let mut batches = Vec::with_capacity(rounds);
-    let mut cycle = 0u64;
-    while batches.len() < rounds {
-        cycle += 1;
-        batches.extend(generate_update_stream(
-            base,
-            facet,
-            &UpdateStreamConfig {
-                batches: 16.min(rounds - batches.len()),
-                batch_size,
-                insert_ratio: 0.6,
-                skew: 0.8,
-                seed: 23 + cycle,
-                ..UpdateStreamConfig::default()
-            },
-        ));
-    }
-    batches
 }
 
 /// Totals of one cell run.
@@ -79,21 +49,16 @@ struct CellOutcome {
     all_valid: bool,
 }
 
-/// Drive one cell: the writer applies every pre-generated batch while
+/// Epoch mode: the writer applies every pre-generated batch while
 /// `mix.readers` threads keep querying until the stream is exhausted.
 /// A barrier lines everyone up so reads and maintenance fully overlap;
 /// the writer's work is fixed (deterministic), the read count is not.
-fn drive<Q, U>(
+fn drive(
+    engine: &Engine,
+    queries: &[&Query],
     mix: ReadMix,
-    workload: &[GeneratedQuery],
     batches: Vec<Delta>,
-    query: Q,
-    update: U,
-) -> (Vec<u64>, u64)
-where
-    Q: Fn(&Query) + Sync,
-    U: Fn(Delta),
-{
+) -> (Vec<u64>, u64) {
     let done = AtomicBool::new(false);
     let barrier = std::sync::Barrier::new(mix.readers + 1);
     let mut latencies: Vec<u64> = Vec::new();
@@ -103,15 +68,15 @@ where
         for reader in 0..mix.readers {
             let done = &done;
             let barrier = &barrier;
-            let query = &query;
             handles.push(scope.spawn(move || {
                 barrier.wait();
                 let mut samples = Vec::new();
                 let mut i = 0usize;
                 while !done.load(Ordering::Acquire) {
-                    let q = &workload[(reader + i) % workload.len()];
                     let start = Instant::now();
-                    query(&q.query);
+                    engine
+                        .query(queries[(reader + i) % queries.len()])
+                        .expect("query runs");
                     samples.push(start.elapsed().as_micros() as u64);
                     i += 1;
                 }
@@ -121,7 +86,7 @@ where
         barrier.wait();
         for delta in batches {
             let start = Instant::now();
-            update(delta);
+            engine.update(delta).expect("update applies");
             writer_wall_us += start.elapsed().as_micros() as u64;
         }
         done.store(true, Ordering::Release);
@@ -141,24 +106,12 @@ where
 /// between batches — free-running readers would dilute the percentile
 /// with cheap between-batch reads and hide the stall the serialized
 /// regime actually inflicts.
-fn run_serialized(
-    expanded: &Dataset,
-    facet: &Facet,
-    catalog: &[(ViewMask, usize)],
-    workload: &[GeneratedQuery],
+fn serve_serialized(
+    engine: &Engine,
+    queries: &[&Query],
     mix: ReadMix,
     batches: Vec<Delta>,
-) -> CellOutcome {
-    use std::sync::mpsc;
-    let batches_applied = batches.len();
-    let engine = Engine::builder()
-        .dataset(expanded.clone())
-        .facet(facet.clone())
-        .catalog(catalog.to_vec())
-        .staleness(StalenessPolicy::Eager)
-        .backend(Backend::Serial)
-        .build()
-        .expect("engine builds");
+) -> (Vec<u64>, u64) {
     let (request_tx, request_rx) = mpsc::channel::<(usize, mpsc::Sender<()>)>();
     let barrier = std::sync::Barrier::new(mix.readers + 1);
     let mut latencies: Vec<u64> = Vec::new();
@@ -191,8 +144,9 @@ fn run_serialized(
         drop(request_tx);
         barrier.wait();
         let serve = |idx: usize, reply: mpsc::Sender<()>| {
-            let q = &workload[idx % workload.len()];
-            engine.query(&q.query).expect("query runs");
+            engine
+                .query(queries[idx % queries.len()])
+                .expect("query runs");
             let _ = reply.send(());
         };
         for delta in batches {
@@ -219,71 +173,28 @@ fn run_serialized(
             latencies.extend(handle.join().expect("reader ran clean"));
         }
     });
-
-    // Validation after the dust settles: answers must match the base.
-    let mut all_valid = true;
-    let snapshot = engine.snapshot();
-    let reference = Evaluator::new(&snapshot);
-    for q in workload {
-        let answer = engine.query(&q.query).expect("query runs");
-        let base = reference.evaluate(&q.query).expect("base evaluation runs");
-        all_valid &= results_equivalent(&answer.results, &base);
-    }
-
-    CellOutcome {
-        read_latencies_us: latencies,
-        batches_applied,
-        writer_wall_us,
-        maintenance_us: engine.maintenance().total_us,
-        epochs_published: 0, // the serial backend publishes nothing
-        all_valid,
-    }
+    (latencies, writer_wall_us)
 }
 
-/// Epoch mode, through the same engine — the backend knob is the ONLY
-/// thing that differs from the baseline's engine.
-fn run_mode(
-    expanded: &Dataset,
-    facet: &Facet,
-    catalog: &[(ViewMask, usize)],
-    workload: &[GeneratedQuery],
-    mix: ReadMix,
-    batches: Vec<Delta>,
-    backend: Backend,
-) -> CellOutcome {
+/// One cell through the same engine API — the backend knob is the ONLY
+/// thing that differs between the serialized baseline and epoch mode.
+fn run_cell(cube: &Cube, mix: ReadMix, batches: Vec<Delta>, backend: Backend) -> CellOutcome {
     let batches_applied = batches.len();
-    let engine = Engine::builder()
-        .dataset(expanded.clone())
-        .facet(facet.clone())
-        .catalog(catalog.to_vec())
-        .staleness(StalenessPolicy::Eager)
-        .backend(backend)
+    let engine = cube
+        .engine(StalenessPolicy::Eager, backend)
         .build()
         .expect("engine builds");
-    let (latencies, writer_wall_us) = drive(
-        mix,
-        workload,
-        batches,
-        |q| {
-            engine.query(q).expect("query runs");
-        },
-        |delta| {
-            engine.update(delta).expect("update applies");
-        },
-    );
-
+    let queries: Vec<&Query> = cube.workload.iter().map(|q| &q.query).collect();
+    let (read_latencies_us, writer_wall_us) = match backend {
+        Backend::Serial => serve_serialized(&engine, &queries, mix, batches),
+        Backend::Epoch { .. } => drive(&engine, &queries, mix, batches),
+    };
     // Validation after the dust settles: answers must match the base.
-    let mut all_valid = true;
-    let snapshot = engine.snapshot();
-    let reference = Evaluator::new(&snapshot);
-    for q in workload {
-        let answer = engine.query(&q.query).expect("query runs");
-        let base = reference.evaluate(&q.query).expect("base evaluation runs");
-        all_valid &= results_equivalent(&answer.results, &base);
-    }
-
+    let all_valid = measure_workload(&engine, &cube.workload, 1, &engine.snapshot())
+        .expect("validation runs")
+        .all_valid;
     CellOutcome {
-        read_latencies_us: latencies,
+        read_latencies_us,
         batches_applied,
         writer_wall_us,
         maintenance_us: engine.maintenance().total_us,
@@ -295,48 +206,34 @@ fn run_mode(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn record_cell(
     report: &mut BenchReport,
-    rows: &mut Vec<Vec<String>>,
     mode: &str,
     mix: ReadMix,
-    shards: usize,
-    writer_threads: usize,
+    (shards, writer_threads): (usize, usize),
     cell: &CellOutcome,
 ) -> u64 {
-    let p50 = percentile(&cell.read_latencies_us, 50.0);
     let p95 = percentile(&cell.read_latencies_us, 95.0);
-    let p99 = percentile(&cell.read_latencies_us, 99.0);
-    let reads = cell.read_latencies_us.len();
-    rows.push(vec![
-        mode.to_string(),
-        mix.name.to_string(),
-        shards.to_string(),
-        writer_threads.to_string(),
-        reads.to_string(),
-        ms(p50),
-        ms(p95),
-        ms(p99),
-        cell.batches_applied.to_string(),
-        ms(cell.writer_wall_us),
-        cell.epochs_published.to_string(),
-        if cell.all_valid {
-            "yes".into()
-        } else {
-            "NO".into()
-        },
-    ]);
+    report.gate(
+        cell.all_valid,
+        format!("{mode}/{}: wrong answers", mix.name),
+    );
     report.push(Json::object([
         ("mode", Json::from(mode)),
         ("read_mix", Json::from(mix.name)),
         ("shards", Json::from(shards)),
         ("writer_threads", Json::from(writer_threads)),
         ("readers", Json::from(mix.readers)),
-        ("reads", Json::from(reads)),
-        ("read_p50_us", Json::from(p50)),
+        ("reads", Json::from(cell.read_latencies_us.len())),
+        (
+            "read_p50_us",
+            Json::from(percentile(&cell.read_latencies_us, 50.0)),
+        ),
         ("read_p95_us", Json::from(p95)),
-        ("read_p99_us", Json::from(p99)),
+        (
+            "read_p99_us",
+            Json::from(percentile(&cell.read_latencies_us, 99.0)),
+        ),
         ("batches_applied", Json::from(cell.batches_applied)),
         ("writer_wall_us", Json::from(cell.writer_wall_us)),
         // Named apart from E7's single-threaded `maintenance_us`: under
@@ -346,12 +243,10 @@ fn record_cell(
         ("epochs_published", Json::from(cell.epochs_published)),
         ("all_valid", Json::from(cell.all_valid)),
     ]));
-    assert!(cell.all_valid, "{mode}/{}: wrong answers", mix.name);
     p95
 }
 
 fn main() {
-    let observations = sized(240, 160);
     // Full-size batches even in smoke: the stall a batch inflicts on the
     // serial baseline IS the measurement — shrinking it would shrink
     // the signal, not the runtime (the sweep is bounded by `rounds`).
@@ -377,36 +272,7 @@ fn main() {
             readers: 4,
         }],
     );
-
-    let generated = synthetic::generate(&synthetic::Config {
-        observations,
-        cardinalities: vec![8, 5, 3],
-        skew: 0.8,
-        agg: AggOp::Avg,
-        seed: 17,
-    });
-    let facet = generated.default_facet().clone();
-    let base = generated.dataset;
-    let workload = generate_workload(
-        &base,
-        &facet,
-        &WorkloadConfig {
-            num_queries: 12,
-            ..WorkloadConfig::default()
-        },
-    );
-    let sized_lattice = SizedLattice::compute(&base, &facet).expect("lattice sizes");
-    let profile = WorkloadProfile::from_masks(workload.iter().map(|q| q.required));
-    let mut expanded = base.clone();
-    let offline = run_offline(
-        &mut expanded,
-        &sized_lattice,
-        &profile,
-        CostModelKind::AggValues,
-        &EngineConfig::default(),
-    )
-    .expect("offline phase runs");
-    let catalog = offline.view_catalog();
+    let cube = Cube::new(sized(240, 160), 17, Demand::Queries(12));
 
     let mut report = BenchReport::new(
         "concurrency",
@@ -416,58 +282,38 @@ fn main() {
              {batch_size} zipf-skewed ops under eager maintenance, readers \
              free-running until the stream drains"
         ),
+    )
+    .table(
+        "E9 · concurrency: epoch snapshots vs serial-backend serving under maintenance",
+        &[
+            ("mode", "mode", Raw),
+            ("read_mix", "mix", Raw),
+            ("shards", "shards", Raw),
+            ("writer_threads", "wr-thr", Raw),
+            ("reads", "reads", Raw),
+            ("read_p50_us", "p50 ms", Ms),
+            ("read_p95_us", "p95 ms", Ms),
+            ("read_p99_us", "p99 ms", Ms),
+            ("batches_applied", "batches", Raw),
+            ("writer_wall_us", "wr ms", Ms),
+            ("epochs_published", "epochs", Raw),
+            ("all_valid", "valid", Raw),
+            ("p95_speedup", "p95 speedup", Ratio),
+            ("meets_threshold", "meets", Raw),
+        ],
     );
-    let headers = [
-        "mode", "mix", "shards", "wr-thr", "reads", "p50 ms", "p95 ms", "p99 ms", "batches",
-        "wr ms", "epochs", "valid",
-    ];
-    let mut rows: Vec<Vec<String>> = Vec::new();
 
-    let batches = batch_schedule(&base, &facet, batch_size, rounds);
-    let mut summaries: Vec<(&str, u64, u64, f64, f64)> = Vec::new();
+    let batches = cube.cycled_updates(batch_size, rounds, 24);
     for mix in &mixes {
-        let serialized = run_serialized(
-            &expanded,
-            &facet,
-            &catalog,
-            &workload,
-            *mix,
-            batches.clone(),
-        );
-        let serialized_p95 = record_cell(
-            &mut report,
-            &mut rows,
-            "serialized",
-            *mix,
-            1,
-            1,
-            &serialized,
-        );
+        let serialized = run_cell(&cube, *mix, batches.clone(), Backend::Serial);
+        let serialized_p95 = record_cell(&mut report, "serialized", *mix, (1, 1), &serialized);
 
         let mut headline_p95: Option<u64> = None;
-        for &(shards, writer_threads) in &shard_configs {
-            let cell = run_mode(
-                &expanded,
-                &facet,
-                &catalog,
-                &workload,
-                *mix,
-                batches.clone(),
-                Backend::Epoch {
-                    shards,
-                    threads: writer_threads,
-                },
-            );
-            let p95 = record_cell(
-                &mut report,
-                &mut rows,
-                "epoch",
-                *mix,
-                shards,
-                writer_threads,
-                &cell,
-            );
-            if shards == 4 && writer_threads == 2 {
+        for &(shards, threads) in &shard_configs {
+            let backend = Backend::Epoch { shards, threads };
+            let cell = run_cell(&cube, *mix, batches.clone(), backend);
+            let p95 = record_cell(&mut report, "epoch", *mix, (shards, threads), &cell);
+            if (shards, threads) == (4, 2) {
                 headline_p95 = Some(p95);
             }
         }
@@ -481,24 +327,14 @@ fn main() {
         let threshold = sized(2.0, 1.3);
         let headline_p95 = headline_p95.expect("sweep includes the 4x2 configuration");
         let speedup = serialized_p95 as f64 / headline_p95.max(1) as f64;
-        rows.push(vec![
-            "summary".into(),
-            mix.name.to_string(),
-            "4".into(),
-            "2".into(),
-            String::new(),
-            String::new(),
-            ratio(speedup),
-            String::new(),
-            String::new(),
-            String::new(),
-            String::new(),
-            if speedup >= threshold {
-                "yes".into()
-            } else {
-                "NO".into()
-            },
-        ]);
+        report.gate(
+            speedup >= threshold,
+            format!(
+                "{}: epoch serving must beat the serial backend by >={threshold}x on \
+                 read p95 (serialized {serialized_p95}us vs epoch {headline_p95}us)",
+                mix.name
+            ),
+        );
         report.push(Json::object([
             ("summary", Json::from(true)),
             ("read_mix", Json::from(mix.name)),
@@ -508,26 +344,12 @@ fn main() {
             ("threshold", Json::from(threshold)),
             ("meets_threshold", Json::from(speedup >= threshold)),
         ]));
-        summaries.push((mix.name, serialized_p95, headline_p95, speedup, threshold));
     }
 
-    print_table(
-        "E9 · concurrency: epoch snapshots vs serial-backend serving under maintenance",
-        &headers,
-        &rows,
-    );
-    for (name, serialized_p95, headline_p95, speedup, threshold) in summaries {
-        assert!(
-            speedup >= threshold,
-            "{name}: epoch serving must beat the serial backend by >={threshold}x on \
-             read p95 (serialized {serialized_p95}us vs epoch {headline_p95}us)"
-        );
-    }
-    println!(
+    report.finish(
         "Reading: both modes run the SAME Engine API — only Backend differs.\n\
          'serialized' readers wait out every maintenance batch behind the serial\n\
          backend's mutex; 'epoch' readers pin immutable snapshots and only ever\n\
-         wait for a pointer swap, so read p95 decouples from maintenance entirely."
+         wait for a pointer swap, so read p95 decouples from maintenance entirely.",
     );
-    finish_report(&report);
 }

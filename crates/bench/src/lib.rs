@@ -25,17 +25,47 @@
 //! Store and SPARQL substrate timings live in the claim benchmark's
 //! `store.*` / `sparql.*` per-layer metrics (`benchmarks/sofos-e2e`).
 //!
-//! The library part hosts shared helpers for the binaries, including the
-//! [`json`] report writer *and parser* (`BENCH_<experiment>.json` files
-//! that accumulate the perf trajectory across runs). Every experiment
-//! binary accepts `--smoke` ([`smoke`]): a seconds-not-minutes sweep for
-//! CI's `bench-smoke` job, emitting the same JSON shape as the full run.
-//! `bench_diff` closes the loop: CI compares the fresh smoke reports
-//! against the committed `benchmarks/baselines/` and fails on drift.
+//! Every experiment binary accepts `--smoke` ([`smoke`]): a
+//! seconds-not-minutes sweep for CI, emitting the same JSON shape as the
+//! full run. `bench_diff` closes the loop: CI compares the fresh smoke
+//! reports against the committed `benchmarks/baselines/` and fails on
+//! drift.
+//!
+//! ## Adding an experiment
+//!
+//! A new `crates/bench/src/bin/eN_<name>.rs` is picked up by CI's smoke
+//! loop on its own. It states each cell once:
+//!
+//! 1. **Declare columns.** `BenchReport::new(id, description)
+//!    .table(title, &[(key, header, Fmt::…), …])` names the row keys the
+//!    printed table shows and how ([`Fmt::Raw`], [`Fmt::Ms`] for µs,
+//!    [`Fmt::Ratio`], [`Fmt::Fixed`]).
+//! 2. **Push rows.** One [`Json::object`] per cell with
+//!    [`BenchReport::push`]; the table is drawn from these rows, so a
+//!    value is written once. Mark summary rows with `"summary": true`.
+//! 3. **Add gates.** [`BenchReport::gate`]`(ok, message)` for every
+//!    acceptance criterion, next to the verdict field it also reports.
+//! 4. **Call `finish`.** [`BenchReport::finish`]`(reading)` prints the
+//!    table and the reading text, panics on a failed gate, and only then
+//!    writes `BENCH_<id>.json` into the current directory.
+//!
+//! The serving experiments share one subject, [`Cube`]: a seeded
+//! synthetic cube with an offline-selected catalog and an engine builder.
+//!
+//! Once a smoke report is copied into `benchmarks/baselines/`,
+//! `bench_diff` gates it field by field, by name:
+//!
+//! * **exactly** — strings, booleans and integer counts;
+//! * **with tolerance** — `_us` / `_ms` fields and every float, within
+//!   20 % or 5 ms, whichever is more lenient;
+//! * **not at all** — the scheduling- and wall-derived names in its
+//!   `VOLATILE` list (and `adaptive_beats_*`), shown as `info` rows.
 
+pub mod fixture;
 pub mod json;
 
-pub use json::{BenchReport, Json};
+pub use fixture::{Cube, Demand};
+pub use json::{BenchReport, Column, Fmt, Json};
 
 use sofos_core::render_table;
 use sofos_telemetry::Histogram;
@@ -55,28 +85,10 @@ pub fn sized<T>(full: T, smoke_sized: T) -> T {
     }
 }
 
-/// Write a report's `BENCH_<experiment>.json` into the current directory
-/// and announce the path (shared tail of every experiment binary).
-pub fn finish_report(report: &BenchReport) {
-    let dir = std::env::current_dir().expect("cwd");
-    let path = report.write_to(&dir).expect("report written");
-    println!("wrote {}", path.display());
-}
-
-/// Print a titled table to stdout (shared by the experiment binaries).
+/// Print a titled table to stdout.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("== {title} ==");
     println!("{}", render_table(headers, rows));
-}
-
-/// Format microseconds as milliseconds with two decimals.
-pub fn ms(us: u64) -> String {
-    format!("{:.2}", us as f64 / 1000.0)
-}
-
-/// Format a ratio with two decimals and an `x` suffix.
-pub fn ratio(r: f64) -> String {
-    format!("{r:.2}x")
 }
 
 /// The `p`-th percentile (0–100, nearest-rank) of a sample set; 0 when
@@ -98,8 +110,11 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(ms(1500), "1.50");
-        assert_eq!(ratio(2.0), "2.00x");
+        assert_eq!(Fmt::Ms.render(&Json::from(1500u64)), "1.50");
+        assert_eq!(Fmt::Ratio.render(&Json::from(2.0)), "2.00x");
+        assert_eq!(Fmt::Fixed(1).render(&Json::from(-2.34)), "-2.3");
+        assert_eq!(Fmt::Raw.render(&Json::from("epoch")), "epoch");
+        assert_eq!(Fmt::Raw.render(&Json::from(true)), "true");
     }
 
     #[test]
