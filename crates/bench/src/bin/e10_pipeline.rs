@@ -4,18 +4,15 @@
 //! Three sweeps share one dataset, view catalog, and pre-generated update
 //! stream:
 //!
-//! * **batched maintenance** (shards × writer-threads × batch size):
-//!   `batch` deltas coalesced per epoch inside one `WriteTxn`:
-//!   `Maintainer::apply` per delta (its binding scans run inline), row
-//!   deltas *merged* (intra-batch churn cancels), one parallel-plan /
-//!   serial-apply maintenance pass (`maintain_pipelined`), ONE publish.
-//!   Batch 1 is the per-delta baseline: one pass and one publish (master
-//!   clone + swap) per delta. `shards` only sets the store's per-shard
-//!   epoch stamps; `threads` sizes the per-view planning pool. Each cell
-//!   reports maintenance wall-clock and the pipeline's measured serial
-//!   fraction (the applies count as serial work).
-//! * **bounded staleness** (lag bound sweep at the headline shard
-//!   config): an epoch-backend `Engine` under
+//! * **batched maintenance** (batch size): `batch` deltas coalesced per
+//!   epoch inside one `WriteTxn`: `Maintainer::apply` per delta, row
+//!   deltas *merged* (intra-batch churn cancels), one plan-then-apply
+//!   maintenance pass (`Maintainer::maintain`), ONE publish. Batch 1 is
+//!   the per-delta baseline: one pass and one publish (master clone +
+//!   swap) per delta. Each cell reports maintenance wall-clock and the
+//!   measured serial fraction (the applies and patch application count as
+//!   serial work, per-view planning as the rest).
+//! * **bounded staleness** (lag bound sweep): an epoch-backend `Engine` under
 //!   `StalenessPolicy::Bounded { max_batches, max_epoch_lag }` serves an
 //!   interleaved update/query stream; every answer's freshness tag is
 //!   recorded and the observed maximum must respect the bound. Lag
@@ -25,9 +22,9 @@
 //!   vs a disabled `MetricsHandle`; the wall-clock ratio must stay within
 //!   a generous budget (`metrics_overhead_ok`, gated by `bench_diff`).
 //!
-//! The summary row records the acceptance criterion: at 4 shards / 2
-//! threads, batching 4 deltas per epoch must beat one epoch per delta by
-//! ≥1.3× on maintenance wall-clock (full runs; `--smoke` gates a 1.1×
+//! The summary row records the acceptance criterion: batching 4 deltas
+//! per epoch must beat one epoch per delta by ≥1.3× on maintenance
+//! wall-clock (full runs; `--smoke` gates a 1.1×
 //! floor so a shared CI runner's noise cannot flake the job — a genuine
 //! regression lands near 1×, the full-run margin is measured well above
 //! the gate).
@@ -69,15 +66,9 @@ fn catalog_matches_reevaluation(
 }
 
 /// The two-phase path: `batch` deltas per epoch — merged row delta,
-/// parallel plan, serial apply, one publish.
-fn run_two_phase(
-    cube: &Cube,
-    deltas: Vec<Delta>,
-    shards: usize,
-    threads: usize,
-    batch: usize,
-) -> ModeOutcome {
-    let store = EpochStore::new(cube.expanded.clone(), shards);
+/// plan, apply, one publish.
+fn run_two_phase(cube: &Cube, deltas: Vec<Delta>, batch: usize) -> ModeOutcome {
+    let store = EpochStore::new(cube.expanded.clone());
     let mut maintainer = Maintainer::new(&cube.facet);
     let mut views = cube.catalog.clone();
     let mut wall_us = 0u64;
@@ -94,8 +85,8 @@ fn run_two_phase(
             merged.merge(applied.rows.as_ref().expect("star facet"));
         }
         let outcome = maintainer
-            .maintain_pipelined(txn.dataset(), Some(&merged), &mut views, threads)
-            .expect("pipelined maintenance succeeds");
+            .maintain(txn.dataset(), Some(&merged), &mut views)
+            .expect("maintenance succeeds");
         telemetry.merge(&outcome.telemetry);
         txn.publish();
         wall_us += start.elapsed().as_micros() as u64;
@@ -112,29 +103,24 @@ fn run_two_phase(
 fn main() {
     let update_batch_size = 32;
     let rounds = sized(48, 16);
-    // (shards, writer threads) × deltas-per-epoch. (4, 2) × 4 is the
-    // acceptance cell.
-    let shard_configs: Vec<(usize, usize)> = sized(
-        vec![(1, 1), (2, 2), (4, 2), (4, 4), (8, 4)],
-        vec![(1, 1), (4, 2)],
-    );
+    // Deltas per epoch; batch 1 vs batch 4 is the acceptance pair.
     let batch_sizes: Vec<usize> = sized(vec![1, 2, 4, 8], vec![1, 4]);
     let lag_bounds: Vec<(usize, u64)> = sized(
         vec![(1, 0), (4, 2), (8, 8)], // (max_batches, max_epoch_lag)
         vec![(4, 2)],
     );
-    let headline = Backend::Epoch {
-        shards: 4,
-        threads: 2,
+    let backend = Backend::Epoch {
+        shards: 1,
+        threads: 1,
     };
     let cube = Cube::new(sized(240, 160), 19, Demand::Queries(10));
 
     let mut report = BenchReport::new(
         "pipeline",
         format!(
-            "two-phase batched maintenance vs one epoch per delta; shards x \
-             writer-threads x deltas-per-epoch over {rounds} batches of \
-             {update_batch_size} zipf-skewed ops, plus bounded-staleness serving \
+            "two-phase batched maintenance vs one epoch per delta; \
+             deltas-per-epoch over {rounds} batches of {update_batch_size} \
+             zipf-skewed ops, plus bounded-staleness serving \
              cells sweeping the lag budget"
         ),
     )
@@ -142,8 +128,6 @@ fn main() {
         "E10 · two-phase pipeline: batched epochs vs one epoch per delta",
         &[
             ("mode", "mode", Raw),
-            ("shards", "shards", Raw),
-            ("writer_threads", "wr-thr", Raw),
             ("batch_size", "batch", Raw),
             ("max_batches", "max-b", Raw),
             ("max_epoch_lag", "lag-bnd", Raw),
@@ -162,41 +146,37 @@ fn main() {
     let deltas = cube.cycled_updates(update_batch_size, rounds, 32);
 
     // ---- Sweep A: batched maintenance -----------------------------------
-    let mut headline_per_delta: Option<u64> = None;
-    let mut headline_pipeline: Option<u64> = None;
+    let mut per_delta_wall: Option<u64> = None;
+    let mut batched_wall: Option<u64> = None;
     let mut reference_base_len: Option<usize> = None;
-    for &(shards, threads) in &shard_configs {
-        for &batch in &batch_sizes {
-            let cell = run_two_phase(&cube, deltas.clone(), shards, threads, batch);
-            assert_eq!(
-                cell.final_base_len,
-                *reference_base_len.get_or_insert(cell.final_base_len),
-                "two-phase {shards}x{threads} batch {batch}: base diverged"
-            );
-            report.gate(
-                cell.all_valid,
-                format!("two-phase {shards}x{threads} batch {batch}: stale catalog"),
-            );
-            match (shards, threads, batch) {
-                (4, 2, 1) => headline_per_delta = Some(cell.maintenance_wall_us),
-                (4, 2, 4) => headline_pipeline = Some(cell.maintenance_wall_us),
-                _ => {}
-            }
-            report.push(Json::object([
-                ("mode", Json::from("two-phase")),
-                ("shards", Json::from(shards)),
-                ("writer_threads", Json::from(threads)),
-                ("batch_size", Json::from(batch)),
-                ("batches_applied", Json::from(rounds)),
-                ("epochs_published", Json::from(cell.epochs_published)),
-                ("maintenance_wall_us", Json::from(cell.maintenance_wall_us)),
-                (
-                    "serial_fraction",
-                    Json::from(cell.telemetry.serial_fraction().unwrap_or(1.0)),
-                ),
-                ("all_valid", Json::from(cell.all_valid)),
-            ]));
+    for &batch in &batch_sizes {
+        let cell = run_two_phase(&cube, deltas.clone(), batch);
+        assert_eq!(
+            cell.final_base_len,
+            *reference_base_len.get_or_insert(cell.final_base_len),
+            "two-phase batch {batch}: base diverged"
+        );
+        report.gate(
+            cell.all_valid,
+            format!("two-phase batch {batch}: stale catalog"),
+        );
+        match batch {
+            1 => per_delta_wall = Some(cell.maintenance_wall_us),
+            4 => batched_wall = Some(cell.maintenance_wall_us),
+            _ => {}
         }
+        report.push(Json::object([
+            ("mode", Json::from("two-phase")),
+            ("batch_size", Json::from(batch)),
+            ("batches_applied", Json::from(rounds)),
+            ("epochs_published", Json::from(cell.epochs_published)),
+            ("maintenance_wall_us", Json::from(cell.maintenance_wall_us)),
+            (
+                "serial_fraction",
+                Json::from(cell.telemetry.serial_fraction().unwrap_or(1.0)),
+            ),
+            ("all_valid", Json::from(cell.all_valid)),
+        ]));
     }
 
     // ---- Sweep B: bounded-staleness serving ------------------------------
@@ -206,7 +186,7 @@ fn main() {
         let engine = cube
             .engine(
                 StalenessPolicy::bounded(max_batches, max_epoch_lag),
-                headline,
+                backend,
             )
             .metrics(MetricsHandle::new())
             .build()
@@ -253,8 +233,6 @@ fn main() {
         // are far below the histogram's exact range, so these are exact).
         report.push(Json::object([
             ("mode", Json::from("bounded")),
-            ("shards", Json::from(4usize)),
-            ("writer_threads", Json::from(2usize)),
             ("max_batches", Json::from(max_batches)),
             ("max_epoch_lag", Json::from(max_epoch_lag)),
             ("reads", Json::from(lag_hist.count)),
@@ -271,7 +249,6 @@ fn main() {
                 Json::object([
                     ("lag", Json::from(last.lag)),
                     ("epoch", Json::from(last.epoch)),
-                    ("oldest_shard_epoch", Json::from(last.oldest_shard_epoch)),
                 ]),
             ),
             ("epochs_published", Json::from(engine.epoch())),
@@ -296,7 +273,7 @@ fn main() {
             MetricsHandle::disabled()
         };
         let engine = cube
-            .engine(StalenessPolicy::Eager, headline)
+            .engine(StalenessPolicy::Eager, backend)
             .metrics(handle.clone())
             .build()
             .expect("engine builds");
@@ -349,20 +326,18 @@ fn main() {
 
     // ---- Summary: the acceptance criterion --------------------------------
     let threshold = sized(1.3, 1.1);
-    let per_delta_wall = headline_per_delta.expect("sweep includes 4x2 batch 1");
-    let pipeline_wall = headline_pipeline.expect("sweep includes 4x2 batch 4");
+    let per_delta_wall = per_delta_wall.expect("sweep includes batch 1");
+    let pipeline_wall = batched_wall.expect("sweep includes batch 4");
     let speedup = per_delta_wall as f64 / pipeline_wall.max(1) as f64;
     report.gate(
         speedup >= threshold,
         format!(
             "batching 4 deltas per epoch must beat one epoch per delta by >={threshold}x on \
-             wall-clock at 4 shards (per-delta {per_delta_wall}us vs batched {pipeline_wall}us)"
+             wall-clock (per-delta {per_delta_wall}us vs batched {pipeline_wall}us)"
         ),
     );
     report.push(Json::object([
         ("summary", Json::from(true)),
-        ("shards", Json::from(4usize)),
-        ("writer_threads", Json::from(2usize)),
         ("batch_size", Json::from(4usize)),
         ("per_delta_wall_us", Json::from(per_delta_wall)),
         ("pipeline_wall_us", Json::from(pipeline_wall)),
@@ -373,12 +348,12 @@ fn main() {
 
     report.finish(
         "Reading: 'two-phase' merges each batch's row deltas (churn cancels), plans\n\
-         every view's patch in parallel, applies serially, and publishes ONE epoch\n\
+         every view's patch, applies the patches, and publishes ONE epoch\n\
          per batch; batch 1 pays a maintenance pass and a publish per delta.\n\
          'ser-frac' is the measured serial share of that work (delta applies\n\
-         and patch application). 'bounded' rows serve reads from pinned\n\
-         snapshots with freshness tags; max-lag never exceeds the\n\
-         configured bound (lag percentiles come straight from the engine's\n\
+         and patch application; planning is the rest). 'bounded' rows serve\n\
+         reads from pinned snapshots with freshness tags; max-lag never exceeds\n\
+         the configured bound (lag percentiles come straight from the engine's\n\
          sofos_freshness_lag histogram). 'metrics' compares the serve loop with\n\
          recording on vs a disabled handle.",
     );

@@ -93,8 +93,8 @@ fn main() {
         .engine(
             StalenessPolicy::Eager,
             Backend::Epoch {
-                shards: 4,
-                threads: 2,
+                shards: 1,
+                threads: 1,
             },
         )
         .build()

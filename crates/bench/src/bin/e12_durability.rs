@@ -38,8 +38,8 @@ fn builder(cube: &Cube) -> EngineBuilder {
     cube.engine(
         StalenessPolicy::Eager,
         Backend::Epoch {
-            shards: 4,
-            threads: 2,
+            shards: 1,
+            threads: 1,
         },
     )
 }

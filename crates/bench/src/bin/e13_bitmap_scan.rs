@@ -4,10 +4,8 @@
 //! The plan phase locates each touched group's observation node by
 //! ANDing the view graph's pre-maintained per-`(pred, value)` subject
 //! bitmaps. This binary replays pre-generated pure-insert update streams
-//! and reports the summed plan-phase wall
-//! (`PipelineTelemetry.parallel_wall_us`) per cell. Plans run on one
-//! thread on purpose: inline planning measures pure plan work, no
-//! scoped-spawn noise.
+//! and reports the summed plan-phase time
+//! (`PipelineTelemetry.parallel_work_us`) per cell.
 //!
 //! * **delta sparsity × group skew**: a sparse batch (4 ops) touches a
 //!   handful of groups of a ~thousand-group view — the regime where
@@ -59,15 +57,13 @@ struct Cell {
     all_valid: bool,
 }
 
-/// Replay `deltas` through a fresh clone of the seeded dataset, planning
-/// on one thread.
+/// Replay `deltas` through a fresh clone of the seeded dataset.
 fn run_cell(
     seeded: &Dataset,
     facet: &Facet,
     catalog: &[(ViewMask, usize)],
     deltas: &[Delta],
 ) -> Cell {
-    let threads = 1;
     let mut ds = seeded.clone();
     let mut views = catalog.to_vec();
     let mut maintainer = Maintainer::new(facet);
@@ -80,10 +76,9 @@ fn run_cell(
             .rows
             .expect("star facet");
         let outcome = maintainer
-            .maintain_pipelined(&mut ds, Some(&rows), &mut views, threads)
-            .expect("pipelined maintenance succeeds");
+            .maintain(&mut ds, Some(&rows), &mut views)
+            .expect("maintenance succeeds");
         cell.maint_wall_us += start.elapsed().as_micros() as u64;
-        // The pipelined pass's parallel wall IS the plan phase.
         plan.merge(&outcome.telemetry);
         for cost in &outcome.report.per_view {
             cell.groups_patched += cost.groups_patched;
@@ -92,7 +87,7 @@ fn run_cell(
             cell.rows_retracted += cost.rows_retracted;
         }
     }
-    cell.plan_wall_us = plan.parallel_wall_us;
+    cell.plan_wall_us = plan.parallel_work_us;
     cell.all_valid = views.iter().all(|&(mask, rows)| {
         virtual_view_stats(&ds, facet, mask)
             .map(|stats| stats.rows == rows)
@@ -196,9 +191,8 @@ fn main() {
     }
 
     report.finish(
-        "Reading: each row replays one pure-insert stream through the pipelined\n\
-         maintainer on a single thread (pure plan work, no spawn noise); the plan\n\
-         phase locates every touched group by ANDing maintained posting-list\n\
+        "Reading: each row replays one pure-insert stream through the maintainer;\n\
+         the plan phase locates every touched group by ANDing maintained posting-list\n\
          bitmaps. Walls are volatile (bench_diff reports, never gates them); the\n\
          deterministic counts ('patched' etc.) and 'valid' are gated exactly.",
     );

@@ -7,9 +7,8 @@
 //! query is validated against the base graph, so the numbers are for
 //! *correct* serving, not stale reads.
 //!
-//! Every cell runs on `Backend::Serial` and on `Backend::Epoch` at one
-//! shard / one thread; the per-policy summary rows report epoch ÷ serial
-//! update and query walls — the gap ROADMAP's "One serving backend" item
+//! Every cell runs on `Backend::Serial` and on `Backend::Epoch`; the
+//! per-policy summary rows report epoch ÷ serial update and query walls — the gap ROADMAP's "One serving backend" item
 //! must close before `engine/serial.rs` can go.
 //!
 //! Run with: `cargo run -p sofos-bench --release --bin e7_maintenance [--smoke]`
@@ -137,7 +136,7 @@ fn main() {
         }
     }
 
-    // ---- Summary: the epoch backend's price at one shard / one thread ----
+    // ---- Summary: the epoch backend's price over the serial one ----
     for (policy, [serial, epoch]) in StalenessPolicy::ALL.iter().zip(walls) {
         report.push(Json::object([
             ("summary", Json::from(true)),

@@ -708,8 +708,8 @@ mod tests {
         for backend in [
             Backend::Serial,
             Backend::Epoch {
-                shards: 2,
-                threads: 2,
+                shards: 1,
+                threads: 1,
             },
         ] {
             let engine = engine_setup(StalenessPolicy::Eager, backend);
@@ -897,8 +897,8 @@ mod tests {
         for backend in [
             Backend::Serial,
             Backend::Epoch {
-                shards: 2,
-                threads: 2,
+                shards: 1,
+                threads: 1,
             },
         ] {
             let engine = engine_setup(StalenessPolicy::Eager, backend);

@@ -16,7 +16,7 @@
 //!     .dataset(g.dataset.clone())
 //!     .facet(g.default_facet().clone())
 //!     .staleness(StalenessPolicy::bounded(4, 2))
-//!     .backend(Backend::Epoch { shards: 4, threads: 2 })
+//!     .backend(Backend::Epoch { shards: 1, threads: 1 })
 //!     .build()
 //!     .unwrap();
 //! assert_eq!(engine.backend_name(), "epoch");
@@ -34,11 +34,9 @@
 //!   and updates serialize; simple, and exactly the paper's single-node
 //!   regime (the `e9_concurrency` baseline).
 //! * [`Backend::Epoch`] — the epoch store: readers pin immutable
-//!   snapshots and never wait for the writer; maintenance runs two-phase
-//!   and publishes whole batches as single epochs. Its `threads` size the
-//!   per-view planning pool and its `shards` only stamp per-shard epochs
-//!   ([`Freshness::oldest_shard_epoch`]); each delta's binding scans run
-//!   inline on the writer.
+//!   snapshots and never wait for the writer; one writer applies each
+//!   batch, plans and applies every view's patch, and publishes the batch
+//!   as a single epoch.
 //!
 //! Wall-clock staleness ([`StalenessPolicy::Bounded`]'s `max_lag_ms`) is
 //! driven by an injected [`Clock`] ([`EngineBuilder::clock`]), so
@@ -278,12 +276,9 @@ pub enum Backend {
     /// The epoch store: readers pin immutable snapshots while the writer
     /// publishes epochs.
     Epoch {
-        /// Subject-hash shard count (min 1). Shards only keep per-shard
-        /// epoch stamps ([`Freshness::oldest_shard_epoch`]); they split
-        /// no work.
+        /// Ignored: the epoch store is not sharded.
         shards: usize,
-        /// Worker threads of the per-view planning pool of each
-        /// maintenance pass (min 1).
+        /// Ignored: the writer plans every view's patch itself.
         threads: usize,
     },
 }
@@ -300,10 +295,7 @@ impl Backend {
 
 impl std::fmt::Display for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Backend::Serial => f.write_str("serial"),
-            Backend::Epoch { shards, threads } => write!(f, "epoch({shards}x{threads})"),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -467,15 +459,12 @@ impl EngineBuilder {
                 clock,
                 instruments,
             )),
-            Backend::Epoch { shards, threads } => {
-                // `threads` is clamped by the backend; a store needs at
-                // least one shard too.
-                let shards = shards.max(1);
+            Backend::Epoch { .. } => {
                 let (store, catalog) = match self.durability {
-                    None => (EpochStore::new(dataset, shards), self.catalog),
+                    None => (EpochStore::new(dataset), self.catalog),
                     Some(config) => {
                         let (store, catalog, report) =
-                            open_durable(config, dataset, self.catalog, &facet, shards)?;
+                            open_durable(config, dataset, self.catalog, &facet)?;
                         recovery = report;
                         (store, catalog)
                     }
@@ -485,7 +474,6 @@ impl EngineBuilder {
                     facet.clone(),
                     catalog,
                     self.policy,
-                    threads,
                     clock,
                     instruments,
                 ))
@@ -515,7 +503,6 @@ fn open_durable(
     dataset: Dataset,
     catalog: Vec<(ViewMask, usize)>,
     facet: &Facet,
-    shards: usize,
 ) -> Result<DurableOpen, EngineBuildError> {
     let persist_err = |e: sofos_store::PersistError| EngineBuildError::Persistence(e.to_string());
     let (persister, recovered) = Persister::open(config).map_err(persist_err)?;
@@ -534,11 +521,7 @@ fn open_durable(
             persister
                 .baseline(&dataset, 0, &pairs)
                 .map_err(persist_err)?;
-            Ok((
-                EpochStore::recovered(dataset, shards, 0, persister),
-                catalog,
-                None,
-            ))
+            Ok((EpochStore::recovered(dataset, 0, persister), catalog, None))
         }
         Some(rec) => {
             // Existing state: the directory's history wins over whatever
@@ -590,7 +573,7 @@ fn open_durable(
                 rematerialized_views: rematerialized,
             };
             Ok((
-                EpochStore::recovered(dataset, shards, rec.epoch, persister),
+                EpochStore::recovered(dataset, rec.epoch, persister),
                 catalog,
                 Some(report),
             ))
@@ -874,13 +857,12 @@ mod tests {
         }
     }
 
-    const BOTH: [Backend; 2] = [
-        Backend::Serial,
-        Backend::Epoch {
-            shards: 4,
-            threads: 2,
-        },
-    ];
+    const EPOCH: Backend = Backend::Epoch {
+        shards: 1,
+        threads: 1,
+    };
+
+    const BOTH: [Backend; 2] = [Backend::Serial, EPOCH];
 
     #[test]
     fn builder_requires_dataset_and_facet() {
@@ -901,17 +883,14 @@ mod tests {
     #[test]
     fn backend_names_and_display() {
         assert_eq!(Backend::Serial.name(), "serial");
-        let epoch = Backend::Epoch {
-            shards: 4,
-            threads: 2,
-        };
-        assert_eq!(epoch.name(), "epoch");
-        assert_eq!(epoch.to_string(), "epoch(4x2)");
+        assert_eq!(EPOCH.name(), "epoch");
+        assert_eq!(EPOCH.to_string(), "epoch");
         let (engine, _) = setup(StalenessPolicy::Eager, Backend::Serial);
         assert_eq!(engine.backend_name(), "serial");
         assert!(format!("{engine:?}").contains("serial"));
     }
 
+    /// `Backend::Epoch`'s two fields are ignored, so any value builds.
     #[test]
     fn zero_shards_and_threads_are_clamped_to_one() {
         let (engine, workload) = setup(
@@ -1139,13 +1118,7 @@ mod tests {
 
     #[test]
     fn bounded_epoch_coalesces_batches_into_one_epoch_and_tags_reads() {
-        let (engine, workload) = setup(
-            StalenessPolicy::bounded(3, 10),
-            Backend::Epoch {
-                shards: 4,
-                threads: 2,
-            },
-        );
+        let (engine, workload) = setup(StalenessPolicy::bounded(3, 10), EPOCH);
         // Two buffered batches: nothing published, reads lag and say so.
         engine.update(session_delta(0)).unwrap();
         engine.update(session_delta(1)).unwrap();
@@ -1175,13 +1148,7 @@ mod tests {
 
     #[test]
     fn bounded_epoch_lag_budget_forces_single_batch_flushes_at_serve_time() {
-        let (engine, workload) = setup(
-            StalenessPolicy::bounded(100, 1),
-            Backend::Epoch {
-                shards: 2,
-                threads: 2,
-            },
-        );
+        let (engine, workload) = setup(StalenessPolicy::bounded(100, 1), EPOCH);
         for batch in 0..3 {
             engine.update(session_delta(batch)).unwrap();
         }
@@ -1228,13 +1195,7 @@ mod tests {
 
     #[test]
     fn explicit_flush_drains_the_buffer() {
-        let (engine, workload) = setup(
-            StalenessPolicy::bounded(100, 100),
-            Backend::Epoch {
-                shards: 2,
-                threads: 1,
-            },
-        );
+        let (engine, workload) = setup(StalenessPolicy::bounded(100, 100), EPOCH);
         engine.flush().expect("empty flush is a no-op");
         assert_eq!(engine.epoch(), 0);
         engine.update(session_delta(0)).unwrap();
@@ -1292,13 +1253,7 @@ mod tests {
 
     #[test]
     fn readers_overlap_a_writing_engine() {
-        let (engine, workload) = setup(
-            StalenessPolicy::Eager,
-            Backend::Epoch {
-                shards: 4,
-                threads: 2,
-            },
-        );
+        let (engine, workload) = setup(StalenessPolicy::Eager, EPOCH);
         let engine = std::sync::Arc::new(engine);
         std::thread::scope(|scope| {
             let mut readers = Vec::new();

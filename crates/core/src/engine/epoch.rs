@@ -8,11 +8,10 @@
 //!   evaluate against it — they never wait for a writer, only for the
 //!   pointer swap of a publish and a short catalog-routing lock;
 //! * **updates** run inside a write transaction: the delta is applied
-//!   with its binding scans ([`sofos_maintain::Maintainer::apply`]), views
-//!   are patched on the writer's master by the pipelined planner (per-view
-//!   plans on a pool of the backend's `threads` workers), and the whole
-//!   batch becomes visible atomically at publish. The store's `shards`
-//!   only stamp per-shard epochs ([`Freshness::oldest_shard_epoch`]);
+//!   with its binding scans ([`sofos_maintain::Maintainer::apply`]), every
+//!   view's patch is planned and then applied on the writer's master
+//!   ([`sofos_maintain::Maintainer::maintain`]), and the whole batch
+//!   becomes visible atomically at publish;
 //! * the **staleness policies** are the shared [`crate::policy`] state
 //!   machines expressed over epochs. *Eager* maintains inside the update
 //!   transaction. *Lazy* publishes the base change immediately and
@@ -72,8 +71,8 @@ struct ServingState {
 struct WriterSide {
     maintainer: Maintainer,
     log: MaintenanceReport,
-    /// Accumulated two-phase split (serial spine vs. pool work) across
-    /// every apply and pipelined maintenance pass.
+    /// Accumulated split (serial spine vs. planning work) across every
+    /// apply and maintenance pass.
     telemetry: PipelineTelemetry,
     /// Bounded policy only: deltas awaiting the next batched flush.
     buffered: Vec<Delta>,
@@ -85,7 +84,6 @@ pub(crate) struct EpochBackend {
     store: EpochStore,
     facet: Facet,
     policy: StalenessPolicy,
-    writer_threads: usize,
     clock: Arc<dyn Clock>,
     writer: Mutex<WriterSide>,
     serving: Mutex<ServingState>,
@@ -105,7 +103,6 @@ impl EpochBackend {
         facet: Facet,
         views: Vec<(ViewMask, usize)>,
         policy: StalenessPolicy,
-        writer_threads: usize,
         clock: Arc<dyn Clock>,
         metrics: EngineInstruments,
     ) -> EpochBackend {
@@ -128,7 +125,6 @@ impl EpochBackend {
             }),
             facet,
             policy,
-            writer_threads: writer_threads.max(1),
             clock,
             metrics,
         }
@@ -246,12 +242,8 @@ impl EpochBackend {
                 // view mutator holds the write transaction — so working on
                 // a clone and installing it back is race-free.
                 let mut views = self.lock_serving().views.clone();
-                let result = writer.maintainer.maintain_pipelined(
-                    txn.dataset(),
-                    applied.rows.as_ref(),
-                    &mut views,
-                    self.writer_threads,
-                );
+                let rows = applied.rows.as_ref();
+                let result = writer.maintainer.maintain(txn.dataset(), rows, &mut views);
                 txn.touch_changes(&applied.changes);
                 // Snapshot construction (the clone) happens before the
                 // serving lock; readers only ever wait for the swap.
@@ -272,7 +264,7 @@ impl EpochBackend {
                     }
                     Err(e) => {
                         // The base delta is applied but no view was
-                        // patched (pipelined planning is all-or-nothing);
+                        // patched (planning is all-or-nothing);
                         // abandoning the transaction would leave the
                         // master diverged from the published epoch
                         // forever. Publish the batch instead and demand a
@@ -348,8 +340,8 @@ impl EpochBackend {
     }
 
     /// Flush the bounded policy's buffered updates now: apply them all
-    /// inside one write transaction, maintain every view in one
-    /// pipelined pass over the *merged* row delta, and publish the whole
+    /// inside one write transaction, maintain every view in one pass
+    /// over the *merged* row delta, and publish the whole
     /// batch as a single epoch. No-op when nothing is buffered.
     pub(crate) fn flush(&self) -> Result<(), SparqlError> {
         self.flush_upto(usize::MAX)
@@ -395,12 +387,9 @@ impl EpochBackend {
             }
         }
         let mut views = self.lock_serving().views.clone();
-        let result = writer.maintainer.maintain_pipelined(
-            txn.dataset(),
-            merged.as_ref(),
-            &mut views,
-            self.writer_threads,
-        );
+        let result = writer
+            .maintainer
+            .maintain(txn.dataset(), merged.as_ref(), &mut views);
         match result {
             Ok(outcome) => {
                 writer.telemetry.merge(&outcome.telemetry);
@@ -590,18 +579,11 @@ impl EpochBackend {
     }
 
     /// The freshness tag of one pinned snapshot: the buffered-batch lag
-    /// plus the epoch and oldest per-shard stamp the epoch store tracks
-    /// for free.
+    /// plus the snapshot's epoch.
     fn freshness_of(snapshot: &PinnedSnapshot, lag: u64) -> Freshness {
         Freshness {
             lag,
             epoch: snapshot.epoch(),
-            oldest_shard_epoch: snapshot
-                .shard_epochs()
-                .iter()
-                .copied()
-                .min()
-                .unwrap_or_else(|| snapshot.epoch()),
         }
     }
 
@@ -903,11 +885,7 @@ mod tests {
     use sofos_select::WorkloadProfile;
     use sofos_workload::{synthetic, GeneratedQuery};
 
-    fn setup(
-        policy: StalenessPolicy,
-        shards: usize,
-        threads: usize,
-    ) -> (EpochBackend, Vec<GeneratedQuery>) {
+    fn setup(policy: StalenessPolicy) -> (EpochBackend, Vec<GeneratedQuery>) {
         let g = synthetic::generate(&synthetic::Config {
             observations: 120,
             agg: AggOp::Avg,
@@ -935,11 +913,10 @@ mod tests {
         );
         (
             EpochBackend::new(
-                EpochStore::new(ds, shards),
+                EpochStore::new(ds),
                 facet,
                 offline.view_catalog(),
                 policy,
-                threads,
                 system_clock(),
                 EngineInstruments::new(sofos_telemetry::MetricsHandle::new(), "epoch"),
             ),
@@ -985,7 +962,7 @@ mod tests {
 
     #[test]
     fn invalidate_drops_catalog_atomically() {
-        let (backend, workload) = setup(StalenessPolicy::Invalidate, 2, 1);
+        let (backend, workload) = setup(StalenessPolicy::Invalidate);
         assert!(!ServingBackend::views(&backend).is_empty());
         let pinned = backend.pin();
         backend.update(session_delta(0)).unwrap();
@@ -1006,7 +983,7 @@ mod tests {
 
     #[test]
     fn lazy_repairs_publish_epochs_beyond_the_updates() {
-        let (backend, workload) = setup(StalenessPolicy::LazyOnHit, 4, 2);
+        let (backend, workload) = setup(StalenessPolicy::LazyOnHit);
         backend.update(session_delta(0)).unwrap();
         backend.update(session_delta(1)).unwrap();
         assert_eq!(backend.store().epoch(), 2, "one epoch per lazy update");
@@ -1017,7 +994,7 @@ mod tests {
 
     #[test]
     fn swap_views_rolls_back_on_mid_swap_failure() {
-        let (backend, workload) = setup(StalenessPolicy::Eager, 2, 1);
+        let (backend, workload) = setup(StalenessPolicy::Eager);
         let before = ServingBackend::views(&backend);
         let before_masks: Vec<ViewMask> = before.iter().map(|(m, _)| *m).collect();
         assert!(!before_masks.contains(&ViewMask::APEX));
@@ -1065,7 +1042,7 @@ mod tests {
 
     #[test]
     fn swap_views_churn_matches_serial_semantics() {
-        let (backend, workload) = setup(StalenessPolicy::LazyOnHit, 2, 1);
+        let (backend, workload) = setup(StalenessPolicy::LazyOnHit);
         backend.update(session_delta(0)).unwrap();
         let before: Vec<ViewMask> = ServingBackend::views(&backend)
             .iter()

@@ -108,8 +108,8 @@ impl SerialState {
                     outcome.rows.as_ref(),
                     &mut self.views,
                 ) {
-                    Ok(report) => {
-                        self.log.absorb(report);
+                    Ok(maintained) => {
+                        self.log.absorb(maintained.report);
                         Ok(outcome.changes)
                     }
                     Err(e) => {
@@ -241,19 +241,7 @@ impl SerialState {
                         if !self.policy.within_budget(lag, time_lag) {
                             (self.sync_view(view)?, Freshness::fresh(stamp))
                         } else {
-                            // No shards serially: `lag` (in buffered
-                            // row-producing batches) is the staleness
-                            // signal; the shard stamp mirrors `epoch`
-                            // rather than faking a per-shard claim in
-                            // mismatched units.
-                            (
-                                0,
-                                Freshness {
-                                    lag,
-                                    epoch: stamp,
-                                    oldest_shard_epoch: stamp,
-                                },
-                            )
+                            (0, Freshness { lag, epoch: stamp })
                         }
                     }
                     _ => (self.sync_view(view)?, Freshness::fresh(stamp)),

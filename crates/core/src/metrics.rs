@@ -24,7 +24,7 @@
 //! | `sofos_buffered_updates` | gauge | bounded-policy update batches awaiting flush |
 //! | `sofos_flushes_total` / `sofos_flushed_batches_total` | counter | flush passes / batches they drained |
 //! | `sofos_epochs_published` / `_retired` / `_live` | gauge | the epoch store's snapshot lifecycle |
-//! | `sofos_pipeline_{serial,parallel_work,parallel_wall}_us_total` | counter | two-phase pipeline split |
+//! | `sofos_pipeline_{serial,parallel_work}_us_total` | counter | maintenance split: serial spine vs per-view planning |
 //! | `sofos_maintenance_errors_total` | counter | failed maintenance / repair passes |
 //! | `sofos_reselections_total` | counter | adaptive catalog swaps (see [`crate::adaptive`]) |
 //! | `sofos_reselect_duration_us` | histogram | end-to-end re-selection pass overhead (sizing + selection + swap) |
@@ -66,7 +66,6 @@ pub(crate) struct EngineInstruments {
     epochs_live: Arc<Gauge>,
     pipeline_serial_us: Arc<Counter>,
     pipeline_parallel_work_us: Arc<Counter>,
-    pipeline_parallel_wall_us: Arc<Counter>,
     maintenance_errors: Arc<Counter>,
     index_bytes: Arc<Gauge>,
     index_posting_lists: Arc<Gauge>,
@@ -152,17 +151,12 @@ impl EngineInstruments {
             ),
             pipeline_serial_us: handle.counter(
                 "sofos_pipeline_serial_us_total",
-                "Two-phase pipeline: serial spine wall time (µs)",
+                "Maintenance: serial spine wall time (µs)",
                 &b,
             ),
             pipeline_parallel_work_us: handle.counter(
                 "sofos_pipeline_parallel_work_us_total",
-                "Two-phase pipeline: summed parallel work (µs)",
-                &b,
-            ),
-            pipeline_parallel_wall_us: handle.counter(
-                "sofos_pipeline_parallel_wall_us_total",
-                "Two-phase pipeline: parallel phase wall time (µs)",
+                "Maintenance: summed per-view planning time (µs)",
                 &b,
             ),
             maintenance_errors: handle.counter(
@@ -313,8 +307,8 @@ impl EngineInstruments {
         );
     }
 
-    /// Fold one pipeline split (an apply or a pipelined maintenance pass)
-    /// into the phase-timing counters.
+    /// Fold one pipeline split (an apply or a maintenance pass) into the
+    /// phase-timing counters.
     pub(crate) fn record_pipeline(&self, telemetry: &PipelineTelemetry) {
         if !self.handle.is_enabled() {
             return;
@@ -322,8 +316,6 @@ impl EngineInstruments {
         self.pipeline_serial_us.add(telemetry.serial_us);
         self.pipeline_parallel_work_us
             .add(telemetry.parallel_work_us);
-        self.pipeline_parallel_wall_us
-            .add(telemetry.parallel_wall_us);
     }
 
     /// The persistence layer's cumulative counters (durable engines only).

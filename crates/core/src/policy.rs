@@ -263,22 +263,12 @@ pub struct Freshness {
     /// The epoch the answer was served at (epoch backend; the serial
     /// backend reports its applied update-batch count).
     pub epoch: u64,
-    /// The oldest per-shard epoch stamp of the served snapshot — the
-    /// conservative "every shard at least this fresh" tag the epoch
-    /// store's per-shard bookkeeping provides for free. The serial
-    /// backend has no shards: it mirrors `epoch` there, and `lag` is the
-    /// staleness signal.
-    pub oldest_shard_epoch: u64,
 }
 
 impl Freshness {
     /// A fully-fresh tag as of `epoch`.
     pub fn fresh(epoch: u64) -> Freshness {
-        Freshness {
-            lag: 0,
-            epoch,
-            oldest_shard_epoch: epoch,
-        }
+        Freshness { lag: 0, epoch }
     }
 
     /// True when the answer reflected the latest state.
@@ -286,13 +276,10 @@ impl Freshness {
         self.lag == 0
     }
 
-    /// JSON object (`{"lag":..,"epoch":..,"oldest_shard_epoch":..}`) —
-    /// the shape bench reports embed.
+    /// JSON object (`{"lag":..,"epoch":..}`) — the shape bench reports
+    /// embed.
     pub fn to_json_string(&self) -> String {
-        format!(
-            "{{\"lag\":{},\"epoch\":{},\"oldest_shard_epoch\":{}}}",
-            self.lag, self.epoch, self.oldest_shard_epoch
-        )
+        format!("{{\"lag\":{},\"epoch\":{}}}", self.lag, self.epoch)
     }
 }
 
@@ -301,11 +288,7 @@ impl std::fmt::Display for Freshness {
         if self.is_fresh() {
             write!(f, "fresh@{}", self.epoch)
         } else {
-            write!(
-                f,
-                "lag {} @epoch {} (shards ≥ {})",
-                self.lag, self.epoch, self.oldest_shard_epoch
-            )
+            write!(f, "lag {} @epoch {}", self.lag, self.epoch)
         }
     }
 }
@@ -774,16 +757,9 @@ mod tests {
     fn freshness_display_and_json() {
         let fresh = Freshness::fresh(5);
         assert_eq!(fresh.to_string(), "fresh@5");
-        let stale = Freshness {
-            lag: 2,
-            epoch: 7,
-            oldest_shard_epoch: 6,
-        };
-        assert_eq!(stale.to_string(), "lag 2 @epoch 7 (shards ≥ 6)");
-        assert_eq!(
-            stale.to_json_string(),
-            "{\"lag\":2,\"epoch\":7,\"oldest_shard_epoch\":6}"
-        );
+        let stale = Freshness { lag: 2, epoch: 7 };
+        assert_eq!(stale.to_string(), "lag 2 @epoch 7");
+        assert_eq!(stale.to_json_string(), "{\"lag\":2,\"epoch\":7}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Backend conformance: the serial and epoch backends are the SAME
 //! engine, as a property.
 //!
-//! One scenario grid — staleness policy × delta mix × shard/thread
-//! configuration × update/query interleaving — drives a [`Backend::Serial`]
+//! One scenario grid — staleness policy × delta mix × update/query
+//! interleaving — drives a [`Backend::Serial`]
 //! and a [`Backend::Epoch`] engine through identical operation sequences
 //! (sharing one [`ManualClock`], so even wall-clock bounded staleness is
 //! deterministic) and asserts:
@@ -131,11 +131,7 @@ fn policy_grid(idx: usize) -> StalenessPolicy {
     }
 }
 
-fn build_pair(
-    policy: StalenessPolicy,
-    shards: usize,
-    threads: usize,
-) -> (Engine, Engine, Arc<ManualClock>) {
+fn build_pair(policy: StalenessPolicy) -> (Engine, Engine, Arc<ManualClock>) {
     let s = setup();
     let clock = ManualClock::shared(0);
     let serial = Engine::builder()
@@ -152,7 +148,10 @@ fn build_pair(
         .facet(s.facet.clone())
         .catalog(s.catalog.clone())
         .staleness(policy)
-        .backend(Backend::Epoch { shards, threads })
+        .backend(Backend::Epoch {
+            shards: 1,
+            threads: 1,
+        })
         .clock(clock.clone() as Arc<dyn Clock>)
         .build()
         .expect("epoch engine builds");
@@ -174,13 +173,11 @@ proptest! {
         ops in proptest::collection::vec((proptest::bool::weighted(0.55), 0u64..80), 4..20),
         policy_idx in 0usize..5,
         churny in proptest::bool::ANY,
-        shards in 1usize..5,
-        threads in 1usize..3,
     ) {
         let s = setup();
         let policy = policy_grid(policy_idx);
         let always_current = !matches!(policy, StalenessPolicy::Bounded { .. });
-        let (serial, epoch, clock) = build_pair(policy, shards, threads);
+        let (serial, epoch, clock) = build_pair(policy);
 
         // The test's own mirror of the epoch backend's buffered-batch
         // enqueue times, for model-checking the wall-clock budget.

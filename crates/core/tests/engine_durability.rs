@@ -111,8 +111,8 @@ fn durable_builder(dir: &PathBuf) -> sofos_core::EngineBuilder {
         .catalog(s.catalog.clone())
         .staleness(StalenessPolicy::Eager)
         .backend(Backend::Epoch {
-            shards: 2,
-            threads: 2,
+            shards: 1,
+            threads: 1,
         })
         .durability(DurabilityConfig::new(dir).fsync(false))
 }
@@ -135,8 +135,8 @@ fn durable_engine_matches_twin_and_recovers_bit_equal() {
         .catalog(s.catalog.clone())
         .staleness(StalenessPolicy::Eager)
         .backend(Backend::Epoch {
-            shards: 2,
-            threads: 2,
+            shards: 1,
+            threads: 1,
         })
         .build()
         .expect("in-memory twin builds");

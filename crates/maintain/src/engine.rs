@@ -1,14 +1,13 @@
 //! The [`Maintainer`]: applies deltas and patches view graphs.
 //!
-//! Since the two-phase pipeline (PR 4, see the `pipeline` module) the patch
-//! logic is *plan-based*: every maintenance decision — group the delta by
-//! the view's mask, locate observation nodes, patch vs. re-evaluate —
-//! runs **read-only** against the dataset and emits the exact triple
-//! writes as a [`ViewPatch`](crate::ViewPatch); a separate serial commit
-//! applies them. The serial [`Maintainer::maintain`] plans and commits
-//! one view at a time; [`Maintainer::maintain_pipelined`] plans every
-//! view in parallel first. Both run the same planning core, which is why
-//! they are bit-equivalent by construction (and by proptest).
+//! The patch logic is *plan-based*: every maintenance decision — group
+//! the delta by the view's mask, locate observation nodes, patch vs.
+//! re-evaluate — runs **read-only** against the dataset and emits the
+//! exact triple writes as a [`ViewPatch`](crate::ViewPatch); a separate
+//! commit applies them. [`Maintainer::maintain`] (in the `pipeline`
+//! module) plans every view and then commits them all;
+//! [`Maintainer::maintain_view`] plans and commits one view, the lazy
+//! per-view repair.
 
 use crate::pipeline::{NodeRef, ObjectRef, PatchBuilder, PatchOp, ViewPatch};
 use crate::star::StarPattern;
@@ -206,26 +205,6 @@ impl Maintainer {
         }
     }
 
-    /// Maintain every catalog view against a row delta, updating each
-    /// catalog entry's row count in place. `rows = None` forces full
-    /// refresh (non-star facets, or a caller that lost the delta).
-    pub fn maintain(
-        &mut self,
-        dataset: &mut Dataset,
-        rows: Option<&RowDelta>,
-        views: &mut [(ViewMask, usize)],
-    ) -> Result<MaintenanceReport, SparqlError> {
-        let start = Instant::now();
-        let mut report = MaintenanceReport::default();
-        for view in views.iter_mut() {
-            report
-                .per_view
-                .push(self.maintain_view(dataset, rows, view)?);
-        }
-        report.total_us = start.elapsed().as_micros() as u64;
-        Ok(report)
-    }
-
     /// Eager convenience: apply the batch and maintain all views.
     pub fn apply_and_maintain(
         &mut self,
@@ -234,13 +213,13 @@ impl Maintainer {
         views: &mut [(ViewMask, usize)],
     ) -> Result<(ChangeSet, MaintenanceReport), SparqlError> {
         let outcome = self.apply(dataset, delta);
-        let report = self.maintain(dataset, outcome.rows.as_ref(), views)?;
-        Ok((outcome.changes, report))
+        let maintained = self.maintain(dataset, outcome.rows.as_ref(), views)?;
+        Ok((outcome.changes, maintained.report))
     }
 
     /// Maintain one view; updates the catalog entry's row count in place.
-    /// The serial path through the plan/commit core: plan the view's patch
-    /// read-only, apply it immediately.
+    /// The lazy per-view repair: plan the view's patch read-only, apply
+    /// it immediately.
     pub fn maintain_view(
         &mut self,
         dataset: &mut Dataset,
@@ -258,7 +237,7 @@ impl Maintainer {
         Ok(cost)
     }
 
-    /// Phase 1 of the pipeline for one view: decide the maintenance
+    /// Phase 1 of a pass for one view: decide the maintenance
     /// strategy and plan every triple write — entirely read-only.
     pub(crate) fn plan_view(
         &self,

@@ -1,44 +1,32 @@
-//! The two-phase maintenance pipeline: parallel read-only patch
-//! *planning*, serial batched patch *application*.
+//! The maintenance pass: read-only patch *planning* for every view, then
+//! patch *application*.
 //!
-//! The serial engine interleaves the expensive and the cheap halves of a
-//! maintenance pass: locating observation nodes, grouping delta rows, and
-//! re-evaluating non-invertible groups (all read-only, all view-local) run
-//! on the same thread as the handful of triple writes they decide on. The
-//! pipeline splits them:
-//!
-//! * **Phase 1 — plan (parallel, read-only).** Every catalog view's patch
-//!   is computed against the already-updated base graph: the row delta is
+//! * **Phase 1 — plan (read-only).** Every catalog view's patch is
+//!   computed against the already-updated base graph: the row delta is
 //!   grouped by the view's mask, observation nodes are located, patch vs.
 //!   re-evaluation is decided, and the exact triple writes are emitted as
-//!   a [`ViewPatch`] — without touching any view graph. Plans for
-//!   different views share nothing but the immutable dataset, so they run
-//!   on a scoped thread pool (round-robin by catalog index, so the
-//!   assignment is deterministic).
-//! * **Phase 2 — apply (serial, cheap).** Patches are applied in catalog
-//!   order: pure mechanical triple writes — no query evaluation, no group
-//!   lookups — so the store's single-writer section shrinks to the part
-//!   that genuinely needs it. Callers batching several deltas apply them
-//!   all inside one [`sofos_store::WriteTxn`] and publish the whole pass
-//!   as **one** epoch.
+//!   a [`ViewPatch`] — without touching any view graph.
+//! * **Phase 2 — apply (cheap).** Patches are applied in catalog order:
+//!   pure mechanical triple writes — no query evaluation, no group
+//!   lookups. Callers batching several deltas apply them all inside one
+//!   [`sofos_store::WriteTxn`], merge their row deltas, and publish the
+//!   whole pass as **one** epoch.
 //!
 //! Invariants (property-tested in `tests/maintenance.rs`):
 //!
-//! 1. **Bit-equality.** [`Maintainer::maintain_pipelined`] produces view
-//!    graphs identical (up to blank labels) to the serial
-//!    [`Maintainer::maintain`] — both run the same planning core
-//!    (`plan_view`), the serial path just applies each plan immediately.
+//! 1. **Batching is exact.** One [`Maintainer::maintain`] over a batch's
+//!    merged row delta leaves the view graphs identical (up to blank
+//!    labels) to one pass per delta.
 //! 2. **Plan independence.** Group keys are disjoint per view and views
 //!    own disjoint graphs, so no plan reads state another plan writes.
 //!    Re-evaluations read only the *base* graph (plus the group's own
 //!    observation), which phase 1 never mutates.
 //! 3. **All-or-nothing planning.** A planning error surfaces before any
-//!    write is applied: a failed pipelined pass leaves every view graph
-//!    exactly as it was (the serial path cannot offer this — it may have
-//!    half-patched earlier views).
+//!    write is applied: a failed pass leaves every view graph exactly as
+//!    it was.
 //!
 //! The [`PipelineTelemetry`] on every outcome records how the pass split
-//! into serial and parallelizable work.
+//! into serial and planning work.
 
 use crate::engine::{RowDelta, ViewIds};
 use crate::{Maintainer, MaintenanceCost, MaintenanceReport, MaintenanceStrategy};
@@ -167,21 +155,17 @@ impl PatchBuilder {
     }
 }
 
-/// How a pipelined pass split between the serial spine and the work that
-/// ran (or could run) on the thread pool. All figures are microseconds of
-/// *work*, except `parallel_wall_us` which is the end-to-end wall of the
-/// parallel phases — compare the two to see the achieved speedup.
+/// How a maintenance pass split between the serial spine and the
+/// per-view planning work, in microseconds of work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineTelemetry {
-    /// Work that must run single-threaded: interning prologues, the store
+    /// Work on the write path proper: interning prologues, the store
     /// mutation with its pre/post binding scans ([`Maintainer::apply`]),
     /// and patch application.
     pub serial_us: u64,
-    /// Summed per-view planning work — the numerator Amdahl divides by
-    /// `p`.
+    /// Summed per-view planning work: read-only and independent per
+    /// view, the only part of a pass that could run in parallel.
     pub parallel_work_us: u64,
-    /// End-to-end wall of the parallel phases.
-    pub parallel_wall_us: u64,
 }
 
 impl PipelineTelemetry {
@@ -190,7 +174,6 @@ impl PipelineTelemetry {
     pub fn merge(&mut self, other: &PipelineTelemetry) {
         self.serial_us += other.serial_us;
         self.parallel_work_us += other.parallel_work_us;
-        self.parallel_wall_us += other.parallel_wall_us;
     }
 
     /// The measured serial fraction of maintenance work (the Amdahl
@@ -204,52 +187,51 @@ impl PipelineTelemetry {
     }
 }
 
-/// Result of one [`Maintainer::maintain_pipelined`] pass.
+/// Result of one [`Maintainer::maintain`] pass.
 pub struct PipelineOutcome {
-    /// Per-view costs, exactly as the serial engine would report them.
+    /// Per-view costs, in catalog order.
     pub report: MaintenanceReport,
-    /// How the pass split between serial and parallel work.
+    /// How the pass split between serial and planning work.
     pub telemetry: PipelineTelemetry,
 }
 
 impl Maintainer {
-    /// The two-phase pipeline over a whole catalog: plan every view's
-    /// patch read-only on a scoped pool of `threads` workers, then apply
-    /// the patches serially in catalog order.
+    /// Maintain every catalog view against a row delta, updating each
+    /// catalog entry's row count in place. `rows = None` forces full
+    /// refresh (non-star facets, or a caller that lost the delta).
     ///
-    /// Produces the same [`MaintenanceReport`] and the same view graphs as
-    /// the serial [`Maintainer::maintain`] (property-tested). Unlike the
-    /// serial path, a planning error aborts *before* any write: the view
-    /// graphs are untouched on `Err`.
-    pub fn maintain_pipelined(
+    /// Plans every view's patch read-only, then applies the patches in
+    /// catalog order. A planning error surfaces before any write: on
+    /// `Err` every view graph and catalog entry is untouched.
+    pub fn maintain(
         &mut self,
         dataset: &mut Dataset,
         rows: Option<&RowDelta>,
         views: &mut [(ViewMask, usize)],
-        threads: usize,
     ) -> Result<PipelineOutcome, SparqlError> {
         let pass_start = Instant::now();
 
-        // Serial prologue: interning and posting-list registration need
-        // the writer's dictionary.
-        let serial_start = Instant::now();
+        // Interning and posting-list registration need the writer's
+        // dictionary, so they run before the read-only planning.
         let ids: Vec<ViewIds> = views
             .iter()
             .map(|&(mask, _)| ViewIds::prepare(dataset, self.facet(), mask))
             .collect();
-        let mut serial_us = serial_start.elapsed().as_micros() as u64;
+        let mut serial_us = pass_start.elapsed().as_micros() as u64;
 
-        // Phase 1: plan all patches against the immutable dataset.
-        let plan_start = Instant::now();
-        let planned = self.plan_all(dataset, rows, views, &ids, threads);
-        let parallel_wall_us = plan_start.elapsed().as_micros() as u64;
-        let parallel_work_us = planned.iter().map(|(_, work)| work).sum();
-        let patches: Vec<ViewPatch> = planned
-            .into_iter()
-            .map(|(patch, _)| patch)
-            .collect::<Result<_, _>>()?;
+        // Phase 1: plan every patch against the unchanged dataset.
+        let fresh_start = self.fresh_counter();
+        let mut parallel_work_us = 0;
+        let mut patches = Vec::with_capacity(views.len());
+        for (&view, ids) in views.iter().zip(&ids) {
+            let start = Instant::now();
+            let mut patch = self.plan_view(dataset, rows, view, ids, fresh_start)?;
+            patch.cost.wall_us = start.elapsed().as_micros() as u64;
+            parallel_work_us += patch.cost.wall_us;
+            patches.push(patch);
+        }
 
-        // Phase 2: apply serially, in catalog order.
+        // Phase 2: apply, in catalog order.
         let apply_start = Instant::now();
         let mut report = MaintenanceReport::default();
         for (patch, entry) in patches.into_iter().zip(views.iter_mut()) {
@@ -265,64 +247,7 @@ impl Maintainer {
             telemetry: PipelineTelemetry {
                 serial_us,
                 parallel_work_us,
-                parallel_wall_us,
             },
         })
     }
-
-    /// Plan every view's patch, each timed, distributing views over at
-    /// most `threads` workers (round-robin by catalog index).
-    #[allow(clippy::type_complexity)]
-    fn plan_all(
-        &self,
-        dataset: &Dataset,
-        rows: Option<&RowDelta>,
-        views: &[(ViewMask, usize)],
-        ids: &[ViewIds],
-        threads: usize,
-    ) -> Vec<(Result<ViewPatch, SparqlError>, u64)> {
-        let fresh_start = self.fresh_counter();
-        parallel_indexed(views.len(), threads, |index| {
-            let start = Instant::now();
-            let patch = self.plan_view(dataset, rows, views[index], &ids[index], fresh_start);
-            (patch, start.elapsed().as_micros() as u64)
-        })
-    }
-}
-
-/// Run `task(0..n)` on at most `threads` scoped workers, round-robin by
-/// index (deterministic assignment), returning results in index order.
-/// With one worker (or one item) the tasks run inline — the degenerate
-/// configuration is the serial loop.
-fn parallel_indexed<T: Send>(n: usize, threads: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let workers = threads.max(1).min(n.max(1));
-    if workers <= 1 {
-        return (0..n).map(task).collect();
-    }
-    let mut results: Vec<Option<T>> = Vec::new();
-    results.resize_with(n, || None);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            let task = &task;
-            handles.push(scope.spawn(move || {
-                let mut partial: Vec<(usize, T)> = Vec::new();
-                let mut index = worker;
-                while index < n {
-                    partial.push((index, task(index)));
-                    index += workers;
-                }
-                partial
-            }));
-        }
-        for handle in handles {
-            for (index, value) in handle.join().expect("pipeline worker panicked") {
-                results[index] = Some(value);
-            }
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every index produced a result"))
-        .collect()
 }

@@ -489,56 +489,52 @@ fn apply_chunk(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 20, ..ProptestConfig::default() })]
 
-    /// The two-phase pipeline is bit-equal to the serial engine across
-    /// thread × batch-size × delta-mix grids: one dataset is maintained
-    /// per-delta through the serial path, the other coalesces
-    /// `batch_size` deltas into a merged row delta and maintains it in a
-    /// single parallel plan → serial apply pass. View graphs (and catalog
-    /// row counts) must agree at every batch boundary.
+    /// Batching is exact: across batch-size × delta-mix grids, one
+    /// dataset runs one `maintain` per delta (`apply_and_maintain`), the
+    /// other coalesces `batch_size` deltas into a merged row delta and runs
+    /// one `maintain` over it. View graphs (and catalog row counts) must
+    /// agree at every batch boundary.
     #[test]
     fn pipelined_maintenance_equals_serial(
         batches in arb_batches(),
         batch_size in 1usize..5,
-        threads in 1usize..4,
     ) {
         let facet = facet(3, AggOp::Avg); // SUM+COUNT exercise both patch paths
         let masks = [ViewMask(0b111), ViewMask(0b010), ViewMask::APEX];
-        let (mut serial_ds, mut serial_catalog) = empty_with_views(&facet, &masks);
-        let (mut piped_ds, mut piped_catalog) = empty_with_views(&facet, &masks);
-        let mut serial = Maintainer::new(&facet);
-        let mut piped = Maintainer::new(&facet);
+        let (mut per_delta_ds, mut per_delta_catalog) = empty_with_views(&facet, &masks);
+        let (mut batched_ds, mut batched_catalog) = empty_with_views(&facet, &masks);
+        let mut per_delta = Maintainer::new(&facet);
+        let mut batched = Maintainer::new(&facet);
 
         let (mut next_a, mut live_a) = (0usize, Vec::new());
         let (mut next_b, mut live_b) = (0usize, Vec::new());
         for chunk in batches.chunks(batch_size) {
-            // Serial engine: one maintenance pass per delta.
             for ops in chunk {
                 let delta = build_delta(ops, &mut next_a, &mut live_a);
-                serial
-                    .apply_and_maintain(&mut serial_ds, delta, &mut serial_catalog)
-                    .expect("serial maintenance succeeds");
+                per_delta
+                    .apply_and_maintain(&mut per_delta_ds, delta, &mut per_delta_catalog)
+                    .expect("per-delta maintenance succeeds");
             }
-            // Pipeline: coalesce the chunk's row deltas, then one
-            // parallel-plan / serial-apply pass for the whole batch.
-            let merged = apply_chunk(&mut piped, &mut piped_ds, chunk, &mut next_b, &mut live_b);
-            piped
-                .maintain_pipelined(&mut piped_ds, Some(&merged), &mut piped_catalog, threads)
-                .expect("pipelined maintenance succeeds");
+            let merged =
+                apply_chunk(&mut batched, &mut batched_ds, chunk, &mut next_b, &mut live_b);
+            batched
+                .maintain(&mut batched_ds, Some(&merged), &mut batched_catalog)
+                .expect("batched maintenance succeeds");
 
             for &mask in &masks {
                 prop_assert_eq!(
-                    view_signature(&serial_ds, &facet, mask),
-                    view_signature(&piped_ds, &facet, mask),
-                    "threads={} batch={} view {} diverged",
-                    threads, batch_size, mask
+                    view_signature(&per_delta_ds, &facet, mask),
+                    view_signature(&batched_ds, &facet, mask),
+                    "batch={} view {} diverged",
+                    batch_size, mask
                 );
             }
         }
-        prop_assert_eq!(serial_catalog, piped_catalog);
+        prop_assert_eq!(per_delta_catalog, batched_catalog);
     }
 
     /// Posting-list group location is bit-equal to the run walk it
-    /// replaced: across thread × batch-size × delta-mix grids, a dataset
+    /// replaced: across batch-size × delta-mix grids, a dataset
     /// maintained by the planner and one maintained by its run-walking
     /// reference (`Maintainer::run_walk_reference`, a hidden test hook)
     /// end up with identical view graphs and catalogs at every batch
@@ -547,7 +543,6 @@ proptest! {
     fn bitmap_planning_equals_run_walk(
         batches in arb_batches(),
         batch_size in 1usize..5,
-        threads in 1usize..4,
     ) {
         let facet = facet(3, AggOp::Avg); // SUM+COUNT exercise both patch paths
         let masks = [ViewMask(0b111), ViewMask(0b010), ViewMask::APEX];
@@ -559,23 +554,23 @@ proptest! {
         let (mut next_a, mut live_a) = (0usize, Vec::new());
         let (mut next_b, mut live_b) = (0usize, Vec::new());
         for chunk in batches.chunks(batch_size) {
-            // Both sides coalesce the chunk and run one pipelined pass;
-            // only the group lookup differs.
+            // Both sides coalesce the chunk and run one pass; only the
+            // group lookup differs.
             let merged_a = apply_chunk(&mut walk, &mut walk_ds, chunk, &mut next_a, &mut live_a);
-            walk.maintain_pipelined(&mut walk_ds, Some(&merged_a), &mut walk_catalog, threads)
+            walk.maintain(&mut walk_ds, Some(&merged_a), &mut walk_catalog)
                 .expect("run-walk maintenance succeeds");
             let merged_b =
                 apply_chunk(&mut bitmap, &mut bitmap_ds, chunk, &mut next_b, &mut live_b);
             bitmap
-                .maintain_pipelined(&mut bitmap_ds, Some(&merged_b), &mut bitmap_catalog, threads)
+                .maintain(&mut bitmap_ds, Some(&merged_b), &mut bitmap_catalog)
                 .expect("bitmap maintenance succeeds");
 
             for &mask in &masks {
                 prop_assert_eq!(
                     view_signature(&walk_ds, &facet, mask),
                     view_signature(&bitmap_ds, &facet, mask),
-                    "threads={} view {} diverged",
-                    threads, mask
+                    "batch={} view {} diverged",
+                    batch_size, mask
                 );
             }
         }

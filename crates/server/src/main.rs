@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! sofos-server [--host 127.0.0.1] [--port 7878] [--dataset synthetic|dbpedia|lubm|swdf]
-//!              [--backend serial|epoch] [--shards N] [--threads N]
+//!              [--backend serial|epoch]
 //!              [--staleness eager|lazy|invalidate|bounded=<batches>,<epochs>[,<ms>]]
 //!              [--workers N] [--max-inflight N] [--max-pending N] [--no-views]
 //!              [--data-dir PATH] [--snapshot-every N]
@@ -45,8 +45,6 @@ sofos-server: serve a SOFOS engine over HTTP/1.1
   --port <port>        bind port (default 7878; 0 picks a free port)
   --dataset <name>     synthetic | dbpedia | lubm | swdf (default synthetic)
   --backend <name>     serial | epoch (default epoch)
-  --shards <n>         epoch backend shards (default 4)
-  --threads <n>        epoch backend planner threads (default 2)
   --staleness <p>      eager | lazy | invalidate | bounded=<batches>,<epochs>[,<ms>]
                        (default eager)
   --workers <n>        HTTP worker threads (default 4)
@@ -57,6 +55,34 @@ sofos-server: serve a SOFOS engine over HTTP/1.1
                        from it on restart (epoch backend only)
   --snapshot-every <n> full-snapshot cadence in publishes (default 64)
 ";
+
+/// Flags that take a value.
+const VALUE_FLAGS: &[&str] = &[
+    "--host",
+    "--port",
+    "--dataset",
+    "--backend",
+    "--staleness",
+    "--workers",
+    "--max-inflight",
+    "--max-pending",
+    "--data-dir",
+    "--snapshot-every",
+];
+
+/// Reject any argument that is neither a known flag nor the value of one,
+/// so a typo fails loudly instead of being ignored.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            rest.next();
+        } else if arg != "--no-views" {
+            return Err(format!("unknown flag `{arg}`\n\n{HELP}"));
+        }
+    }
+    Ok(())
+}
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
     match args.iter().position(|a| a == name) {
@@ -116,16 +142,18 @@ fn parse_staleness(text: &str) -> Result<StalenessPolicy, String> {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
+    check_flags(args)?;
     let host = flag_value(args, "--host")?.unwrap_or("127.0.0.1");
     let port: u16 = parsed_flag(args, "--port", 7878)?;
     let dataset_name = flag_value(args, "--dataset")?.unwrap_or("synthetic");
     let backend_name = flag_value(args, "--backend")?.unwrap_or("epoch");
-    let shards: usize = parsed_flag(args, "--shards", 4)?;
-    let threads: usize = parsed_flag(args, "--threads", 2)?;
     let staleness = parse_staleness(flag_value(args, "--staleness")?.unwrap_or("eager"))?;
     let backend = match backend_name {
         "serial" => Backend::Serial,
-        "epoch" => Backend::Epoch { shards, threads },
+        "epoch" => Backend::Epoch {
+            shards: 1,
+            threads: 1,
+        },
         _ => return Err(format!("unknown backend `{backend_name}`")),
     };
     let data_dir = flag_value(args, "--data-dir")?;

@@ -107,10 +107,6 @@ fn answer_json(answer: &SessionAnswer) -> Json {
             Json::object([
                 ("lag", Json::from(answer.freshness.lag)),
                 ("epoch", Json::from(answer.freshness.epoch)),
-                (
-                    "oldest_shard_epoch",
-                    Json::from(answer.freshness.oldest_shard_epoch),
-                ),
             ]),
         ),
         ("maintenance_us", Json::from(answer.maintenance_us)),

@@ -3,26 +3,45 @@
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Command, Stdio};
 
-/// `--shards 0` used to die in `ShardRouter::new` ("a store needs at
-/// least one shard"); the engine builder now clamps it like `--threads`.
+fn server() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_sofos-server"))
+}
+
+/// An argument the server does not know (`--shards`, a typo) exits 1
+/// before booting and names the flag next to the usage text.
 #[test]
-fn zero_shards_and_threads_boot_instead_of_panicking() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_sofos-server"))
-        .args([
-            "--port",
-            "0",
-            "--no-views",
-            "--shards",
-            "0",
-            "--threads",
-            "0",
-        ])
+fn unknown_flags_exit_1_and_name_the_flag() {
+    let cases: [(&[&str], &str); 2] = [
+        (&["--shards", "0"], "--shards"),
+        (&["--port", "0", "--bogus"], "--bogus"),
+    ];
+    for (args, flag) in cases {
+        let output = server().args(args).output().expect("sofos-server runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("--staleness"), "usage text: {stderr}");
+        assert!(
+            output.stdout.is_empty(),
+            "nothing booted: {}",
+            String::from_utf8_lossy(&output.stdout)
+        );
+    }
+}
+
+#[test]
+fn known_flags_still_boot() {
+    let mut child = server()
+        .args(["--port", "0", "--no-views"])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("sofos-server spawns");
     // Lines end at EOF if the process dies, so this cannot hang on a
-    // panic; a live server prints the address once it is bound.
+    // failed boot; a live server prints the address once it is bound.
     let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
     let listening = stdout
         .lines()

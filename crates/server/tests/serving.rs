@@ -181,7 +181,7 @@ fn end_to_end_read_your_write_over_keep_alive() {
     let handle = boot(
         StalenessPolicy::Eager,
         Backend::Epoch {
-            shards: 2,
+            shards: 1,
             threads: 1,
         },
         ServerConfig::default(),
@@ -197,6 +197,14 @@ fn end_to_end_read_your_write_over_keep_alive() {
     assert_eq!(status, 200, "{body}");
     let (count, _) = count_and_epoch(&body);
     assert_eq!(count, BASE_OBS as i64);
+    let freshness = sofos_telemetry::Json::parse(&body)
+        .ok()
+        .and_then(|json| json.get("freshness").map(|f| f.to_string()));
+    assert_eq!(
+        freshness.as_deref(),
+        Some(r#"{"lag":0,"epoch":0}"#),
+        "{body}"
+    );
 
     let (status, body) = roundtrip(
         &mut stream,
@@ -311,7 +319,7 @@ fn concurrent_clients_stay_consistent_per_freshness_tag() {
     let handle = boot(
         StalenessPolicy::Eager,
         Backend::Epoch {
-            shards: 2,
+            shards: 1,
             threads: 1,
         },
         ServerConfig {

@@ -18,24 +18,19 @@
 //!   older epochs are undisturbed; new pins see the new epoch.
 //! * **retire** — when the last reader of an old snapshot drops its
 //!   `Arc`, the snapshot's memory is released and the store's retired
-//!   counter ticks. Nothing is ever freed under a reader.
-//!
-//! Epochs are tracked per [`shard`](crate::shard::ShardRouter): a publish
-//! bumps the global epoch and stamps it onto every shard the batch
-//! touched, so consumers replaying history (the lazy staleness policy)
-//! can tell which shards actually changed in the epochs they missed.
+//!   counter ticks. Nothing is ever freed under a reader, and a publish
+//!   frees the snapshot it supersedes only after releasing the lock that
+//!   [`EpochStore::pin`] takes.
 //!
 //! Consistency guarantee (property-tested in `tests/epoch_concurrency.rs`):
 //! because the writer is serialized and snapshots are complete immutable
 //! values, every pinned snapshot equals the state after some *prefix* of
 //! the committed transactions — readers never observe a half-applied
-//! batch, regardless of how maintenance threads interleave inside the
-//! transaction.
+//! batch.
 
 use crate::dataset::Dataset;
 use crate::delta::{ChangeSet, Delta};
 use crate::persist::Persister;
-use crate::shard::ShardRouter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
@@ -43,8 +38,6 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 #[derive(Debug)]
 pub struct Snapshot {
     epoch: u64,
-    /// Epoch of the last publish that touched each shard.
-    shard_epochs: Vec<u64>,
     dataset: Dataset,
     /// Set at publish time. A prepared-but-never-published snapshot (the
     /// rollback path) must not count toward the retire accounting.
@@ -56,16 +49,6 @@ impl Snapshot {
     /// The epoch this snapshot was published at.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Epoch of the last batch that touched shard `i`.
-    pub fn shard_epoch(&self, shard: usize) -> u64 {
-        self.shard_epochs[shard]
-    }
-
-    /// All per-shard epochs (index = shard).
-    pub fn shard_epochs(&self) -> &[u64] {
-        &self.shard_epochs
     }
 
     /// The immutable dataset as of this epoch. Evaluate queries against
@@ -92,7 +75,6 @@ pub type PinnedSnapshot = Arc<Snapshot>;
 /// The concurrent store: one writer, any number of snapshot readers.
 #[derive(Debug)]
 pub struct EpochStore {
-    router: ShardRouter,
     /// The currently-published snapshot; replaced wholesale on publish.
     current: RwLock<PinnedSnapshot>,
     /// The writer's master dataset — the mutable truth. The mutex also
@@ -111,9 +93,9 @@ pub struct EpochStore {
 }
 
 impl EpochStore {
-    /// Wrap a dataset, publishing it as epoch 0 across `shards` shards.
-    pub fn new(dataset: Dataset, shards: usize) -> EpochStore {
-        EpochStore::build(dataset, shards, 0, None)
+    /// Wrap a dataset, publishing it as epoch 0.
+    pub fn new(dataset: Dataset) -> EpochStore {
+        EpochStore::build(dataset, 0, None)
     }
 
     /// Wrap a *recovered* dataset: the initial snapshot publishes at the
@@ -121,32 +103,19 @@ impl EpochStore {
     /// logged through `persister`. The caller must already have written a
     /// baseline snapshot covering `dataset`'s dictionary (see
     /// [`Persister::baseline`]).
-    pub fn recovered(
-        dataset: Dataset,
-        shards: usize,
-        epoch: u64,
-        persister: Arc<Persister>,
-    ) -> EpochStore {
-        EpochStore::build(dataset, shards, epoch, Some(persister))
+    pub fn recovered(dataset: Dataset, epoch: u64, persister: Arc<Persister>) -> EpochStore {
+        EpochStore::build(dataset, epoch, Some(persister))
     }
 
-    fn build(
-        dataset: Dataset,
-        shards: usize,
-        epoch: u64,
-        persist: Option<Arc<Persister>>,
-    ) -> EpochStore {
-        let router = ShardRouter::new(shards);
+    fn build(dataset: Dataset, epoch: u64, persist: Option<Arc<Persister>>) -> EpochStore {
         let retired = Arc::new(AtomicU64::new(0));
         let snapshot = Arc::new(Snapshot {
             epoch,
-            shard_epochs: vec![epoch; shards],
             dataset: dataset.clone(),
             published: std::sync::atomic::AtomicBool::new(true),
             retired: Arc::clone(&retired),
         });
         EpochStore {
-            router,
             current: RwLock::new(snapshot),
             master: Mutex::new(dataset),
             epoch: AtomicU64::new(epoch),
@@ -159,16 +128,6 @@ impl EpochStore {
     /// The durable side, when this store has one.
     pub fn persister(&self) -> Option<&Arc<Persister>> {
         self.persist.as_ref()
-    }
-
-    /// The shard router the per-shard epoch stamps are kept by.
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.router.shards()
     }
 
     /// Pin the current epoch. The returned snapshot is immutable and
@@ -205,8 +164,6 @@ impl EpochStore {
         WriteTxn {
             guard: self.master.lock().expect("writer lock poisoned"),
             store: self,
-            touched: vec![false; self.router.shards()],
-            any_touch: false,
             // Accumulate net changes only when a publish must log them —
             // `Durability::None` pays nothing on the write path.
             changes: self.persist.is_some().then(ChangeSet::default),
@@ -242,8 +199,6 @@ impl EpochStore {
 pub struct WriteTxn<'a> {
     guard: MutexGuard<'a, Dataset>,
     store: &'a EpochStore,
-    touched: Vec<bool>,
-    any_touch: bool,
     /// Net base changes accumulated for the epoch log; `Some` only when
     /// the store is durable. Every caller routes its change sets through
     /// [`WriteTxn::touch_changes`], which is what feeds this.
@@ -256,38 +211,16 @@ impl<'a> WriteTxn<'a> {
         &mut self.guard
     }
 
-    /// Mark one shard as touched by this transaction.
-    pub fn touch_shard(&mut self, shard: usize) {
-        self.touched[shard] = true;
-        self.any_touch = true;
-    }
-
-    /// Mark every shard a change set touched. On a durable store this is
-    /// also what accumulates the changes the publish will log — the two
-    /// concerns share one call site because every correct caller must
-    /// already report its change sets here for shard stamping.
+    /// Report a base change set applied inside this transaction. On a
+    /// durable store this accumulates the changes the publish will log;
+    /// on an in-memory store it is a no-op.
     pub fn touch_changes(&mut self, changes: &ChangeSet) {
-        for (shard, touched) in self
-            .store
-            .router
-            .touched_shards(changes)
-            .into_iter()
-            .enumerate()
-        {
-            if touched {
-                self.touch_shard(shard);
-            }
-        }
         if let Some(accumulated) = &mut self.changes {
             accumulated.absorb(changes);
         }
     }
 
     /// Publish the master as the next epoch and return its number.
-    ///
-    /// Per-shard epochs advance only for touched shards; a transaction
-    /// that never called a `touch_*` method conservatively stamps every
-    /// shard (correct, just less precise for lazy replay).
     ///
     /// Equivalent to `self.prepare().publish()`. Callers holding a
     /// latency-sensitive lock of their own should [`WriteTxn::prepare`]
@@ -303,23 +236,8 @@ impl<'a> WriteTxn<'a> {
     /// pointer swap.
     pub fn prepare(self) -> PreparedTxn<'a> {
         let epoch = self.store.epoch.load(Ordering::Acquire) + 1;
-        // Single writer: the current snapshot's shard epochs cannot move
-        // while this transaction holds the master lock.
-        let mut shard_epochs = self
-            .store
-            .current
-            .read()
-            .expect("epoch lock poisoned")
-            .shard_epochs
-            .clone();
-        for (shard, slot) in shard_epochs.iter_mut().enumerate() {
-            if !self.any_touch || self.touched[shard] {
-                *slot = epoch;
-            }
-        }
         let snapshot = Arc::new(Snapshot {
             epoch,
-            shard_epochs,
             dataset: self.guard.clone(),
             published: std::sync::atomic::AtomicBool::new(false),
             retired: Arc::clone(&self.store.retired),
@@ -385,12 +303,16 @@ impl PreparedTxn<'_> {
         self.snapshot
             .published
             .store(true, std::sync::atomic::Ordering::Release);
-        {
+        let superseded = {
             let mut current = self.store.current.write().expect("epoch lock poisoned");
-            *current = self.snapshot;
-        }
+            std::mem::replace(&mut *current, self.snapshot)
+        };
         self.store.epoch.store(self.epoch, Ordering::Release);
         self.store.published.fetch_add(1, Ordering::Relaxed);
+        // Released outside the `current` lock: when no reader pins the
+        // old epoch this frees its whole dataset, and `pin` must not wait
+        // for that.
+        drop(superseded);
         if snapshot_due {
             if let Some(persister) = &self.store.persist {
                 // Snapshot from the just-published immutable clone, still
@@ -426,7 +348,7 @@ mod tests {
 
     #[test]
     fn pin_sees_published_state_only() {
-        let store = EpochStore::new(Dataset::new(), 2);
+        let store = EpochStore::new(Dataset::new());
         let before = store.pin();
         assert_eq!(before.epoch(), 0);
         assert!(before.dataset().default_graph().is_empty());
@@ -444,7 +366,7 @@ mod tests {
 
     #[test]
     fn unpublished_transactions_stay_invisible() {
-        let store = EpochStore::new(Dataset::new(), 1);
+        let store = EpochStore::new(Dataset::new());
         {
             let mut txn = store.begin();
             txn.dataset()
@@ -455,33 +377,13 @@ mod tests {
         assert!(store.pin().dataset().default_graph().is_empty());
         // The master retains the write: the next publish exposes it. This
         // is the documented contract — rollbacks must undo their writes.
-        let mut txn = store.begin();
-        txn.touch_shard(0);
-        txn.publish();
+        store.begin().publish();
         assert_eq!(store.pin().dataset().default_graph().len(), 1);
     }
 
     #[test]
-    fn shard_epochs_advance_only_for_touched_shards() {
-        let store = EpochStore::new(Dataset::new(), 4);
-        let (changes, _) = store.apply(delta_inserting(&["a"]));
-        let snap = store.pin();
-        let touched = store.router().touched_shards(&changes);
-        for (shard, &was_touched) in touched.iter().enumerate() {
-            let expected = if was_touched { 1 } else { 0 };
-            assert_eq!(snap.shard_epoch(shard), expected, "shard {shard}");
-        }
-
-        // A touch-free transaction stamps every shard.
-        let txn = store.begin();
-        txn.publish();
-        let snap = store.pin();
-        assert!(snap.shard_epochs().iter().all(|&e| e == 2));
-    }
-
-    #[test]
     fn aborted_prepares_do_not_corrupt_retire_accounting() {
-        let store = EpochStore::new(Dataset::new(), 2);
+        let store = EpochStore::new(Dataset::new());
         {
             let txn = store.begin();
             let prepared = txn.prepare();
@@ -501,7 +403,7 @@ mod tests {
 
     #[test]
     fn snapshots_retire_when_last_reader_drops() {
-        let store = EpochStore::new(Dataset::new(), 1);
+        let store = EpochStore::new(Dataset::new());
         let pinned = store.pin();
         store.apply(delta_inserting(&["x"]));
         // Epoch 0 is still pinned; epoch 1 is current.
@@ -515,7 +417,7 @@ mod tests {
 
     #[test]
     fn batch_txn_coalesces_deltas_into_one_epoch() {
-        let store = EpochStore::new(Dataset::new(), 2);
+        let store = EpochStore::new(Dataset::new());
         let reader = store.pin();
         let mut txn = store.begin();
         for i in 0..5 {
@@ -543,7 +445,7 @@ mod tests {
             let name = dataset.intern_iri(&format!("http://e/g{i}"));
             dataset.insert(Some(name), &term("s"), &term("p"), &term("o"));
         }
-        let store = EpochStore::new(dataset, 2);
+        let store = EpochStore::new(dataset);
         let before = store.pin();
         store.apply(delta_inserting(&["only-default-graph"]));
         let after = store.pin();
@@ -561,7 +463,7 @@ mod tests {
     fn concurrent_readers_never_block_on_a_writer() {
         // Readers pin and scan while a writer publishes many epochs; every
         // observed triple count must equal some batch prefix (0..=N).
-        let store = std::sync::Arc::new(EpochStore::new(Dataset::new(), 4));
+        let store = std::sync::Arc::new(EpochStore::new(Dataset::new()));
         let batches = 50usize;
         std::thread::scope(|scope| {
             let reader_store = std::sync::Arc::clone(&store);

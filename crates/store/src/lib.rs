@@ -26,8 +26,7 @@
 //!   the input to `sofos-maintain`'s incremental view maintenance;
 //! * [`epoch::EpochStore`] makes the dataset concurrent: readers pin
 //!   immutable epoch [`epoch::Snapshot`]s while the single writer builds
-//!   and atomically publishes the next epoch, stamping per-shard epochs
-//!   through a subject-hash [`shard::ShardRouter`] (see
+//!   and atomically publishes the next epoch (see
 //!   `crates/store/README.md` for the pin → publish → retire lifecycle).
 
 pub mod bitmap;
@@ -40,7 +39,6 @@ pub mod inference;
 pub mod pattern;
 pub mod persist;
 pub mod posting;
-pub mod shard;
 pub mod stats;
 
 pub use bitmap::Bitmap;
@@ -53,5 +51,4 @@ pub use inference::{materialize_rdfs, InferenceStats};
 pub use pattern::{EncodedTriple, IdPattern};
 pub use persist::{DurabilityConfig, PersistError, PersistStats, Persister, Recovered};
 pub use posting::{PostingLists, PostingStats};
-pub use shard::ShardRouter;
 pub use stats::{GraphStats, PredicateStats, StatsTracker};

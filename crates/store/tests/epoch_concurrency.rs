@@ -53,8 +53,8 @@ fn prefix_states(batches: &[Vec<Op>]) -> Vec<Vec<EncodedTriple>> {
 /// Run the concurrent schedule: one writer applying `batches`, `readers`
 /// threads pinning and fingerprinting as fast as they can. Panics (and
 /// thus fails the test) on any inconsistent observation.
-fn run_concurrent(batches: &[Vec<Op>], shards: usize, readers: usize, pins_per_reader: usize) {
-    let store = std::sync::Arc::new(EpochStore::new(Dataset::new(), shards));
+fn run_concurrent(batches: &[Vec<Op>], readers: usize, pins_per_reader: usize) {
+    let store = std::sync::Arc::new(EpochStore::new(Dataset::new()));
     let expected = prefix_states(batches);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(readers);
@@ -93,8 +93,7 @@ fn run_concurrent(batches: &[Vec<Op>], shards: usize, readers: usize, pins_per_r
 }
 
 proptest! {
-    /// The tentpole invariant, under arbitrary insert/delete streams and
-    /// shard counts.
+    /// The tentpole invariant, under arbitrary insert/delete streams.
     #[test]
     fn concurrent_reads_equal_serial_prefixes(
         batches in proptest::collection::vec(
@@ -104,9 +103,8 @@ proptest! {
             ),
             1..12,
         ),
-        shards in 1usize..6,
     ) {
-        run_concurrent(&batches, shards, 3, 40);
+        run_concurrent(&batches, 3, 40);
     }
 }
 
@@ -124,14 +122,14 @@ fn long_stream_with_many_readers() {
                 .collect()
         })
         .collect();
-    run_concurrent(&batches, 4, 4, 150);
+    run_concurrent(&batches, 4, 150);
 }
 
 #[test]
 fn retire_accounting_converges() {
     // After every reader drops its pins, only the current snapshot is
     // live, no matter how the run interleaved.
-    let store = std::sync::Arc::new(EpochStore::new(Dataset::new(), 4));
+    let store = std::sync::Arc::new(EpochStore::new(Dataset::new()));
     std::thread::scope(|scope| {
         let reader_store = std::sync::Arc::clone(&store);
         let reader = scope.spawn(move || {

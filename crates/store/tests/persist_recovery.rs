@@ -75,7 +75,7 @@ fn config(dir: &Path, snapshot_every: u64) -> DurabilityConfig {
 
 /// Open a fresh durable store on `dir` (baselining an empty dataset,
 /// exactly as the engine does on a fresh data dir).
-fn fresh_store(dir: &Path, snapshot_every: u64, shards: usize) -> EpochStore {
+fn fresh_store(dir: &Path, snapshot_every: u64) -> EpochStore {
     let (persister, recovered) =
         Persister::open(config(dir, snapshot_every)).expect("fresh dir opens");
     assert!(recovered.is_none(), "fresh dir must not recover");
@@ -83,7 +83,7 @@ fn fresh_store(dir: &Path, snapshot_every: u64, shards: usize) -> EpochStore {
     persister
         .baseline(&dataset, 0, &[])
         .expect("baseline writes");
-    EpochStore::recovered(dataset, shards, 0, Arc::new(persister))
+    EpochStore::recovered(dataset, 0, Arc::new(persister))
 }
 
 /// Recover whatever is on disk.
@@ -95,8 +95,8 @@ fn recover(dir: &Path) -> Recovered {
 /// Apply the full stream durably, then drop the store (a "clean crash":
 /// everything reached the files, nothing was closed gracefully — there
 /// is no graceful close; the log is append-only).
-fn run_stream(dir: &Path, batches: &[Vec<Op>], snapshot_every: u64, shards: usize) {
-    let store = fresh_store(dir, snapshot_every, shards);
+fn run_stream(dir: &Path, batches: &[Vec<Op>], snapshot_every: u64) {
+    let store = fresh_store(dir, snapshot_every);
     for batch in batches {
         store.apply(op_delta(batch));
     }
@@ -119,7 +119,7 @@ proptest! {
         cut_fraction in 0.0f64..1.0,
     ) {
         let dir = scratch_dir("torn");
-        run_stream(&dir, &batches, 1 << 30, 2);
+        run_stream(&dir, &batches, 1 << 30);
         let expected = prefix_states(&batches);
 
         let log_path = dir.join("epoch.log");
@@ -163,7 +163,7 @@ proptest! {
         snapshot_every in 1u64..4,
     ) {
         let dir = scratch_dir("cadence");
-        run_stream(&dir, &batches, snapshot_every, 3);
+        run_stream(&dir, &batches, snapshot_every);
         let expected = prefix_states(&batches);
 
         let rec = recover(&dir);
@@ -196,7 +196,7 @@ proptest! {
         damage_kind in 0u8..3,
     ) {
         let dir = scratch_dir("midsnap");
-        run_stream(&dir, &batches, 2, 2);
+        run_stream(&dir, &batches, 2);
         let expected = prefix_states(&batches);
 
         // Find the newest complete snapshot and damage it the way an
@@ -261,7 +261,7 @@ fn logged_but_unswapped_batch_recovers_as_superset() {
         vec![(true, 1, 0, 1), (true, 2, 0, 2)],
         vec![(true, 3, 1, 4), (false, 1, 0, 1)],
     ];
-    run_stream(&dir, &batches, 1 << 30, 2);
+    run_stream(&dir, &batches, 1 << 30);
 
     // Simulate the torn publish: append epoch 3's record through the
     // persister (exactly what `publish` does first), then "crash" before
@@ -291,7 +291,7 @@ fn logged_but_unswapped_batch_recovers_as_superset() {
 #[test]
 fn prepared_but_unpublished_batch_is_invisible() {
     let dir = scratch_dir("prepared");
-    let store = fresh_store(&dir, 1 << 30, 2);
+    let store = fresh_store(&dir, 1 << 30);
     store.apply(op_delta(&[(true, 1, 0, 1)]));
 
     {
@@ -365,8 +365,8 @@ fn durable_stream_matches_in_memory_stream() {
         })
         .collect();
 
-    let durable = fresh_store(&dir, 4, 3);
-    let memory = EpochStore::new(Dataset::new(), 3);
+    let durable = fresh_store(&dir, 4);
+    let memory = EpochStore::new(Dataset::new());
     for batch in &batches {
         let (_, d_epoch) = durable.apply(op_delta(batch));
         let (_, m_epoch) = memory.apply(op_delta(batch));

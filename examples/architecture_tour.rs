@@ -104,8 +104,8 @@ fn main() {
 
     // 7. Online: one front door. The engine routes through the rewriter
     //    and serves from the best covering view; Backend::Serial here,
-    //    Backend::Epoch { shards, threads } for concurrent serving — the
-    //    rest of this step would read identically.
+    //    Backend::Epoch { .. } for concurrent serving — the rest of this
+    //    step would read identically.
     let engine = Engine::builder()
         .dataset(expanded)
         .facet(facet.clone())

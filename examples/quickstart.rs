@@ -94,8 +94,8 @@ fn main() {
 
     // --- One front door: serve G+ through the Engine -----------------------
     // The same builder serves a single-threaded demo (Backend::Serial) or
-    // a sharded concurrent deployment (Backend::Epoch { .. }) — flip one
-    // knob. Bounded staleness is one more knob away:
+    // concurrent readers over epoch snapshots (Backend::Epoch { .. }) —
+    // flip one knob. Bounded staleness is one more knob away:
     // `.staleness(StalenessPolicy::bounded_ms(4, 2, 100))`.
     let engine = Engine::builder()
         .dataset(ds)

@@ -49,8 +49,9 @@
 //!   invalidate, or bounded — by batch count, epoch lag, *and* wall-clock
 //!   `max_lag_ms` via an injectable [`core::Clock`]) over a pluggable
 //!   backend: `Backend::Serial` (one mutable dataset, callers serialize)
-//!   or `Backend::Epoch { shards, threads }` (readers pin immutable epoch
-//!   snapshots while maintenance publishes batched epochs). Both backends
+//!   or `Backend::Epoch { .. }` (readers pin immutable epoch snapshots
+//!   while one writer publishes batched epochs; its two fields are
+//!   ignored). Both backends
 //!   run the single policy implementation in [`core::policy`] and are
 //!   held answer-equivalent by a conformance property suite. On top sits
 //!   the adaptive layer: sliding workload/update profiles,

@@ -352,8 +352,8 @@ fn engine_front_door_serves_both_backends() {
     for backend in [
         Backend::Serial,
         Backend::Epoch {
-            shards: 4,
-            threads: 2,
+            shards: 1,
+            threads: 1,
         },
     ] {
         let engine = Engine::builder()
