@@ -66,9 +66,6 @@ const VOLATILE: &[&str] = &[
     "wall_speedup",
     "serial_fraction",
     "mean_lag",
-    // E7: the serial/epoch backend gap is a quotient of walls.
-    "epoch_over_serial_update",
-    "epoch_over_serial_query",
     // E11 (serving): everything scheduling- or machine-derived — the
     // calibrated capacity, the offered/achieved rates built from it,
     // admission counts, and the latency percentiles of a live socket

@@ -33,7 +33,7 @@
 
 use sofos_bench::Fmt::{Fixed, Ms, Ratio, Raw};
 use sofos_bench::{sized, BenchReport, Cube, Demand, Json};
-use sofos_core::{measure_workload, Backend, MetricsHandle, StalenessPolicy};
+use sofos_core::{measure_workload, MetricsHandle, StalenessPolicy};
 use sofos_cube::{Facet, ViewMask};
 use sofos_maintain::{Maintainer, PipelineTelemetry, RowDelta};
 use sofos_materialize::virtual_view_stats;
@@ -109,10 +109,6 @@ fn main() {
         vec![(1, 0), (4, 2), (8, 8)], // (max_batches, max_epoch_lag)
         vec![(4, 2)],
     );
-    let backend = Backend::Epoch {
-        shards: 1,
-        threads: 1,
-    };
     let cube = Cube::new(sized(240, 160), 19, Demand::Queries(10));
 
     let mut report = BenchReport::new(
@@ -181,13 +177,10 @@ fn main() {
 
     // ---- Sweep B: bounded-staleness serving ------------------------------
     // Through the one front door: the same Engine API the maintenance
-    // sweeps' serial logic now lives behind, with the epoch backend.
+    // sweeps' serial logic now lives behind.
     for &(max_batches, max_epoch_lag) in &lag_bounds {
         let engine = cube
-            .engine(
-                StalenessPolicy::bounded(max_batches, max_epoch_lag),
-                backend,
-            )
+            .engine(StalenessPolicy::bounded(max_batches, max_epoch_lag))
             .metrics(MetricsHandle::new())
             .build()
             .expect("engine builds");
@@ -273,7 +266,7 @@ fn main() {
             MetricsHandle::disabled()
         };
         let engine = cube
-            .engine(StalenessPolicy::Eager, backend)
+            .engine(StalenessPolicy::Eager)
             .metrics(handle.clone())
             .build()
             .expect("engine builds");

@@ -1,7 +1,7 @@
 //! E11 — serving through the network front door: throughput vs tail
 //! latency under open-loop load, up to and past saturation.
 //!
-//! Boots a real `sofos-server` (epoch backend, eager maintenance) on a
+//! Boots a real `sofos-server` (eager maintenance) on a
 //! loopback port and drives it with `workload::openloop` — Poisson
 //! arrivals, zipf query mix, a 90:10 read:write ratio — over real
 //! sockets. The sweep fixes the mix and scales the arrival rate against
@@ -25,7 +25,7 @@
 
 use sofos_bench::Fmt::{Fixed, Ms, Ratio, Raw};
 use sofos_bench::{percentile, sized, BenchReport, Cube, Demand, Json};
-use sofos_core::{Backend, StalenessPolicy, TimeSummary};
+use sofos_core::{StalenessPolicy, TimeSummary};
 use sofos_server::{serve, ServerConfig};
 use sofos_store::OpKind;
 use sofos_workload::openloop::{self, OpenLoopConfig};
@@ -90,13 +90,7 @@ fn main() {
     assert!(!update_docs.is_empty(), "write mix needs update documents");
 
     let engine = cube
-        .engine(
-            StalenessPolicy::Eager,
-            Backend::Epoch {
-                shards: 1,
-                threads: 1,
-            },
-        )
+        .engine(StalenessPolicy::Eager)
         .build()
         .expect("engine builds");
     let handle = serve(

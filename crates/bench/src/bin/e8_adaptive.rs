@@ -27,7 +27,7 @@
 use sofos_bench::Fmt::{Ms, Raw};
 use sofos_bench::{sized, BenchReport, Json};
 use sofos_core::{
-    results_equivalent, Backend, Engine, EngineConfig, Reselector, SizedLattice, StalenessPolicy,
+    results_equivalent, Engine, EngineConfig, Reselector, SizedLattice, StalenessPolicy,
 };
 use sofos_cost::{AggValuesCost, CostModelKind, TouchedGroupsMaintenance, UpdateRates};
 use sofos_cube::{AggOp, Facet};
@@ -213,7 +213,6 @@ fn run_cell(
         .facet(facet.clone())
         .catalog(catalog)
         .staleness(staleness)
-        .backend(Backend::Serial)
         .build()
         .expect("engine builds");
     let mut reselector = Reselector::new(

@@ -1,9 +1,7 @@
 //! The serving experiments' shared subject: a seeded synthetic cube with
 //! an offline-selected view catalog, ready to put behind an `Engine`.
 
-use sofos_core::{
-    run_offline, Backend, Engine, EngineBuilder, EngineConfig, SizedLattice, StalenessPolicy,
-};
+use sofos_core::{run_offline, Engine, EngineBuilder, EngineConfig, SizedLattice, StalenessPolicy};
 use sofos_cost::CostModelKind;
 use sofos_cube::{AggOp, Facet, ViewMask};
 use sofos_select::WorkloadProfile;
@@ -98,13 +96,12 @@ impl Cube {
     }
 
     /// An engine builder over `expanded` and `catalog`.
-    pub fn engine(&self, staleness: StalenessPolicy, backend: Backend) -> EngineBuilder {
+    pub fn engine(&self, staleness: StalenessPolicy) -> EngineBuilder {
         Engine::builder()
             .dataset(self.expanded.clone())
             .facet(self.facet.clone())
             .catalog(self.catalog.clone())
             .staleness(staleness)
-            .backend(backend)
     }
 
     /// `rounds` zipf-skewed batches of `batch_size` ops (60/40

@@ -1,7 +1,7 @@
 //! The adaptive layer: drift detection and re-selection over a live
 //! [`Engine`].
 //!
-//! Every engine backend tracks a *sliding* workload/update profile
+//! Every engine tracks a *sliding* workload/update profile
 //! (recent demanded masks, recent insert/delete pressure, per-group
 //! churn — see [`crate::policy::ProfileWindows`]); a [`DriftDetector`]
 //! measures how far that window has moved from the profile the current
@@ -10,9 +10,8 @@
 //! swapping the materialized set transactionally
 //! ([`Engine::swap_views`]) and reporting the churn.
 //!
-//! Because the surface is the [`Engine`], the whole layer works
-//! identically over the serial and epoch backends — re-selection against
-//! a concurrent serving loop is the same three calls as against the
+//! Because the surface is the [`Engine`], re-selection against a
+//! concurrent serving loop is the same three calls as against a
 //! single-threaded one.
 
 use crate::config::EngineConfig;
@@ -51,7 +50,6 @@ pub struct DriftDetector {
     /// Churn reference; `None` disables the locality trigger.
     churn_reference: Option<FxHashMap<u64, f64>>,
     threshold: f64,
-    min_weight: f64,
 }
 
 impl DriftDetector {
@@ -65,15 +63,7 @@ impl DriftDetector {
             reference: Self::mass(reference),
             churn_reference: None,
             threshold,
-            min_weight: 1.0,
         }
-    }
-
-    /// Require at least this much window weight before `drifted` can fire
-    /// (defaults to 1 observation; raise to debounce cold windows).
-    pub fn with_min_weight(mut self, min_weight: f64) -> DriftDetector {
-        self.min_weight = min_weight.max(1.0);
-        self
     }
 
     /// Anchor the locality trigger at a reference per-group churn
@@ -116,10 +106,10 @@ impl DriftDetector {
         total_variation(&self.reference, &Self::mass(current))
     }
 
-    /// True when `current` carries enough weight and its drift exceeds
-    /// the threshold.
+    /// True when `current` holds at least one observation and its drift
+    /// exceeds the threshold.
     pub fn drifted(&self, current: &WorkloadProfile) -> bool {
-        current.total_weight() >= self.min_weight && self.drift(current) > self.threshold
+        current.total_weight() >= 1.0 && self.drift(current) > self.threshold
     }
 
     /// Total-variation distance between the anchored churn reference and
@@ -459,7 +449,7 @@ impl Reselector {
         };
 
         // A consistent snapshot of the served dataset: cheap (datasets
-        // clone by Arc-sharing), and the epoch backend's serving loop
+        // clone by Arc-sharing), and the engine's serving loop
         // keeps running while sizing and selection think.
         let snapshot = engine.snapshot();
         let computed;
@@ -577,7 +567,7 @@ impl Reselector {
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use crate::engine::{Backend, Engine, Route};
+    use crate::engine::{Engine, Route};
     use crate::offline::{run_offline, SizedLattice};
     use crate::policy::StalenessPolicy;
     use sofos_cube::{facet_query, AggOp, ViewMask};
@@ -585,7 +575,7 @@ mod tests {
     use sofos_select::Budget;
     use sofos_workload::synthetic;
 
-    fn engine_setup(policy: StalenessPolicy, backend: Backend) -> Engine {
+    fn engine_setup(policy: StalenessPolicy) -> Engine {
         let g = synthetic::generate(&synthetic::Config {
             observations: 120,
             agg: AggOp::Avg,
@@ -608,7 +598,6 @@ mod tests {
             .facet(facet)
             .catalog(offline.view_catalog())
             .staleness(policy)
-            .backend(backend)
             .build()
             .unwrap()
     }
@@ -705,66 +694,58 @@ mod tests {
 
     #[test]
     fn reselector_fires_on_drift_and_recovers_view_hits_on_both_backends() {
-        for backend in [
-            Backend::Serial,
-            Backend::Epoch {
-                shards: 1,
-                threads: 1,
-            },
-        ] {
-            let engine = engine_setup(StalenessPolicy::Eager, backend);
-            // Force a catalog that only answers apex queries.
-            engine.swap_views(&[ViewMask::APEX]).unwrap();
-            let apex_profile = WorkloadProfile::from_masks([ViewMask::APEX]);
-            let mut reselector = Reselector::new(
-                CostModelKind::AggValues,
-                EngineConfig::default(),
-                0.0,
-                &apex_profile,
-                0.5,
-            );
+        let engine = engine_setup(StalenessPolicy::Eager);
+        // Force a catalog that only answers apex queries.
+        engine.swap_views(&[ViewMask::APEX]).unwrap();
+        let apex_profile = WorkloadProfile::from_masks([ViewMask::APEX]);
+        let mut reselector = Reselector::new(
+            CostModelKind::AggValues,
+            EngineConfig::default(),
+            0.0,
+            &apex_profile,
+            0.5,
+        );
 
-            // The workload moves to the finest grouping, which the apex
-            // cannot answer: every query falls back.
-            let base_mask = ViewMask::full(engine.facet().dim_count());
-            let q = facet_query(engine.facet(), base_mask, AggOp::Sum, vec![]);
-            for _ in 0..6 {
-                engine.query(&q).unwrap();
-            }
-            let (hits_before, fallbacks_before) = engine.routing_counts();
-            assert_eq!(hits_before, 0, "{backend}");
-            assert_eq!(fallbacks_before, 6, "{backend}");
-
-            let report = reselector
-                .check(&engine)
-                .unwrap()
-                .expect("profile moved entirely: drift 1.0 > threshold 0.5");
-            assert_eq!(report.drift, 1.0, "{backend}");
-            assert!(
-                report
-                    .selection
-                    .selected
-                    .iter()
-                    .any(|v| v.covers(base_mask)),
-                "{backend}: re-selection must cover the new hot demand: {:?}",
-                report.selection.selected
-            );
-            assert!(!report.churn.added.is_empty(), "{backend}");
-            assert_eq!(reselector.reselections(), 1, "{backend}");
-
-            // After the swap the same query routes to a view again.
-            let answer = engine.query(&q).unwrap();
-            assert!(matches!(answer.route, Route::View(_)), "{backend}");
-
-            // And the detector is re-anchored: the same workload no longer
-            // triggers another pass.
-            assert!(reselector.check(&engine).unwrap().is_none(), "{backend}");
+        // The workload moves to the finest grouping, which the apex
+        // cannot answer: every query falls back.
+        let base_mask = ViewMask::full(engine.facet().dim_count());
+        let q = facet_query(engine.facet(), base_mask, AggOp::Sum, vec![]);
+        for _ in 0..6 {
+            engine.query(&q).unwrap();
         }
+        let (hits_before, fallbacks_before) = engine.routing_counts();
+        assert_eq!(hits_before, 0);
+        assert_eq!(fallbacks_before, 6);
+
+        let report = reselector
+            .check(&engine)
+            .unwrap()
+            .expect("profile moved entirely: drift 1.0 > threshold 0.5");
+        assert_eq!(report.drift, 1.0);
+        assert!(
+            report
+                .selection
+                .selected
+                .iter()
+                .any(|v| v.covers(base_mask)),
+            "re-selection must cover the new hot demand: {:?}",
+            report.selection.selected
+        );
+        assert!(!report.churn.added.is_empty());
+        assert_eq!(reselector.reselections(), 1);
+
+        // After the swap the same query routes to a view again.
+        let answer = engine.query(&q).unwrap();
+        assert!(matches!(answer.route, Route::View(_)));
+
+        // And the detector is re-anchored: the same workload no longer
+        // triggers another pass.
+        assert!(reselector.check(&engine).unwrap().is_none());
     }
 
     #[test]
     fn reselector_options_calibrated_and_cached() {
-        let engine = engine_setup(StalenessPolicy::Eager, Backend::Serial);
+        let engine = engine_setup(StalenessPolicy::Eager);
         // Accumulate maintenance telemetry for calibration.
         for batch in 0..3 {
             engine.update(session_delta(batch)).unwrap();
@@ -814,7 +795,7 @@ mod tests {
 
     #[test]
     fn reselector_stays_quiet_without_drift() {
-        let engine = engine_setup(StalenessPolicy::Eager, Backend::Serial);
+        let engine = engine_setup(StalenessPolicy::Eager);
         let workload = sofos_workload::generate_workload(
             &engine.snapshot(),
             engine.facet(),
@@ -843,7 +824,7 @@ mod tests {
 
     #[test]
     fn reselector_fires_on_locality_drift_under_steady_demand() {
-        let engine = engine_setup(StalenessPolicy::Eager, Backend::Serial);
+        let engine = engine_setup(StalenessPolicy::Eager);
         // Steady demand: the same query before and after the hotspot
         // moves, so demand drift stays ~0 throughout.
         let demand_mask = ViewMask::full(engine.facet().dim_count());
@@ -894,61 +875,50 @@ mod tests {
 
     #[test]
     fn anytime_reselection_improves_within_a_move_budget_on_both_backends() {
-        for backend in [
-            Backend::Serial,
-            Backend::Epoch {
-                shards: 1,
-                threads: 1,
-            },
-        ] {
-            let engine = engine_setup(StalenessPolicy::Eager, backend);
-            engine.swap_views(&[ViewMask::APEX]).unwrap();
-            let apex_profile = WorkloadProfile::from_masks([ViewMask::APEX]);
-            let mut reselector = Reselector::new(
-                CostModelKind::AggValues,
-                EngineConfig::default(),
-                0.0,
-                &apex_profile,
-                0.5,
-            )
-            .with_anytime_budget(AnytimeBudget::moves(2_000));
+        let engine = engine_setup(StalenessPolicy::Eager);
+        engine.swap_views(&[ViewMask::APEX]).unwrap();
+        let apex_profile = WorkloadProfile::from_masks([ViewMask::APEX]);
+        let mut reselector = Reselector::new(
+            CostModelKind::AggValues,
+            EngineConfig::default(),
+            0.0,
+            &apex_profile,
+            0.5,
+        )
+        .with_anytime_budget(AnytimeBudget::moves(2_000));
 
-            let base_mask = ViewMask::full(engine.facet().dim_count());
-            let q = facet_query(engine.facet(), base_mask, AggOp::Sum, vec![]);
-            for _ in 0..6 {
-                engine.query(&q).unwrap();
-            }
-            let report = reselector
-                .check(&engine)
-                .unwrap()
-                .expect("disjoint demand triggers re-selection");
-            let search = report.search.as_ref().expect("anytime pass reports search");
-            assert!(search.moves_tried <= 2_000, "{backend}");
-            assert!(
-                search.final_cost <= search.seed_cost,
-                "{backend}: never worse than the catalog seed"
-            );
-            assert!(
-                report
-                    .selection
-                    .selected
-                    .iter()
-                    .any(|v| v.covers(base_mask)),
-                "{backend}: local search finds the hot demand: {:?}",
-                report.selection.selected
-            );
-            let line = report.to_string();
-            assert!(line.contains("anytime:"), "{line}");
-            assert!(report.to_json_string().contains("\"moves_tried\":"));
-
-            // The pass lands on the adaptive instruments.
-            let snap = engine.metrics().snapshot();
-            assert_eq!(snap.counter_value("sofos_reselections_total", &[]), Some(1));
-            assert!(
-                snap.counter_value("sofos_select_moves_total", &[]).unwrap() > 0,
-                "{backend}"
-            );
+        let base_mask = ViewMask::full(engine.facet().dim_count());
+        let q = facet_query(engine.facet(), base_mask, AggOp::Sum, vec![]);
+        for _ in 0..6 {
+            engine.query(&q).unwrap();
         }
+        let report = reselector
+            .check(&engine)
+            .unwrap()
+            .expect("disjoint demand triggers re-selection");
+        let search = report.search.as_ref().expect("anytime pass reports search");
+        assert!(search.moves_tried <= 2_000);
+        assert!(
+            search.final_cost <= search.seed_cost,
+            "never worse than the catalog seed"
+        );
+        assert!(
+            report
+                .selection
+                .selected
+                .iter()
+                .any(|v| v.covers(base_mask)),
+            "local search finds the hot demand: {:?}",
+            report.selection.selected
+        );
+        let line = report.to_string();
+        assert!(line.contains("anytime:"), "{line}");
+        assert!(report.to_json_string().contains("\"moves_tried\":"));
+
+        // The pass lands on the adaptive instruments.
+        let snap = engine.metrics().snapshot();
+        assert_eq!(snap.counter_value("sofos_reselections_total", &[]), Some(1));
+        assert!(snap.counter_value("sofos_select_moves_total", &[]).unwrap() > 0);
     }
 
     #[test]
@@ -1016,7 +986,7 @@ mod tests {
     fn reselector_budget_variants() {
         // Byte budgets flow through the engine path exactly as view
         // budgets do.
-        let engine = engine_setup(StalenessPolicy::Eager, Backend::Serial);
+        let engine = engine_setup(StalenessPolicy::Eager);
         engine.swap_views(&[ViewMask::APEX]).unwrap();
         let apex_profile = WorkloadProfile::from_masks([ViewMask::APEX]);
         let mut reselector = Reselector::new(

@@ -118,7 +118,7 @@ pub fn compare_cost_models(
     })
 }
 
-/// A default engine (serial backend, eager policy) over `dataset`.
+/// A default engine (eager policy, in memory) over `dataset`.
 fn serve(dataset: Dataset, facet: &Facet, catalog: Vec<(ViewMask, usize)>) -> Engine {
     Engine::builder()
         .dataset(dataset)

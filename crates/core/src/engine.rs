@@ -1,14 +1,12 @@
-//! The one front door: [`Engine`] — a single serving surface over
-//! pluggable backends.
+//! The one front door: [`Engine`], the SOFOS serving engine over an epoch
+//! store.
 //!
 //! SOFOS's demo value is letting a user flip one knob (cost model, budget,
-//! λ, staleness bound) and watch the trade-off move. Before this module
-//! that required choosing between two divergent session APIs, each with
-//! its own copy of the staleness machinery. The [`Engine`] collapses the
-//! choice into a builder knob:
+//! λ, staleness bound) and watch the trade-off move. Every such knob is a
+//! builder call on the one engine:
 //!
 //! ```
-//! use sofos_core::{Backend, Engine, StalenessPolicy};
+//! use sofos_core::{Engine, StalenessPolicy};
 //! use sofos_workload::synthetic;
 //!
 //! let g = synthetic::generate(&synthetic::Config::default());
@@ -16,27 +14,21 @@
 //!     .dataset(g.dataset.clone())
 //!     .facet(g.default_facet().clone())
 //!     .staleness(StalenessPolicy::bounded(4, 2))
-//!     .backend(Backend::Epoch { shards: 1, threads: 1 })
 //!     .build()
 //!     .unwrap();
 //! assert_eq!(engine.backend_name(), "epoch");
 //! ```
 //!
-//! Both backends implement the sealed [`ServingBackend`] trait over the
-//! *same* policy machinery ([`crate::policy`]) — eager / lazy-on-hit /
-//! invalidate / bounded state machines, pending-log cursors, freshness
-//! tagging, flush accounting, and the sliding demand/churn windows the
-//! adaptive layer ([`crate::adaptive`]) reads. A policy written once works
-//! on both; the conformance suite
-//! (`crates/core/tests/engine_conformance.rs`) holds them bit-equal.
-//!
-//! * [`Backend::Serial`] — one mutable dataset behind a mutex. Queries
-//!   and updates serialize; simple, and exactly the paper's single-node
-//!   regime (the `e9_concurrency` baseline).
-//! * [`Backend::Epoch`] — the epoch store: readers pin immutable
-//!   snapshots and never wait for the writer; one writer applies each
-//!   batch, plans and applies every view's patch, and publishes the batch
-//!   as a single epoch.
+//! Readers pin immutable snapshots of an [`EpochStore`] and never wait for
+//! the writer; one writer applies each batch, plans and applies every
+//! view's patch, and publishes the batch as a single epoch (the write and
+//! read paths live in `engine/epoch.rs`). The staleness policies — eager /
+//! lazy-on-hit / invalidate / bounded — are the [`crate::policy`] state
+//! machines (pending-log cursors, freshness tagging, flush accounting)
+//! expressed over epochs, next to the sliding demand/churn windows the
+//! adaptive layer ([`crate::adaptive`]) reads. The conformance suite
+//! (`crates/core/tests/engine_conformance.rs`) checks every answer against
+//! a plain [`Dataset`] that the same deltas are applied to.
 //!
 //! Wall-clock staleness ([`StalenessPolicy::Bounded`]'s `max_lag_ms`) is
 //! driven by an injected [`Clock`] ([`EngineBuilder::clock`]), so
@@ -44,23 +36,16 @@
 //! [`crate::policy::ManualClock`].
 
 mod epoch;
-mod serial;
-
-pub(crate) use epoch::EpochBackend;
-pub(crate) use serial::SerialBackend;
 
 use crate::metrics::EngineInstruments;
 use crate::policy::{system_clock, Clock, Freshness, StalenessPolicy};
-use sofos_cost::UpdateRates;
+use epoch::{ServingState, WriterSide};
 use sofos_cube::{Facet, ViewMask};
-use sofos_maintain::{MaintenanceReport, PipelineTelemetry};
 use sofos_materialize::materialize_view;
-use sofos_rdf::FxHashMap;
-use sofos_select::WorkloadProfile;
-use sofos_sparql::{Query, QueryResults, SparqlError};
-use sofos_store::{Dataset, Delta, DurabilityConfig, EpochStore, Persister};
+use sofos_sparql::QueryResults;
+use sofos_store::{Dataset, DurabilityConfig, EpochStore, Persister};
 use sofos_telemetry::MetricsHandle;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
 // Serving types
@@ -75,7 +60,7 @@ pub enum Route {
     BaseGraph,
 }
 
-/// One query's answer inside an engine (or legacy session).
+/// One query's answer inside an engine.
 #[derive(Debug, Clone)]
 pub struct SessionAnswer {
     /// Where the query was answered.
@@ -113,190 +98,25 @@ impl ViewChurn {
     }
 }
 
-/// The set difference behind a transactional catalog swap — computed
-/// once here so both backends share one definition of added/retired/kept
-/// (the lock/transaction choreography around it is what genuinely
-/// differs per backend).
-pub(crate) struct SwapPlan {
-    pub(crate) added: Vec<ViewMask>,
-    pub(crate) retired: Vec<ViewMask>,
-    pub(crate) kept: Vec<ViewMask>,
-}
-
-pub(crate) fn plan_swap(current: &[ViewMask], target: &[ViewMask]) -> SwapPlan {
-    debug_assert!(
-        target
-            .iter()
-            .map(|m| m.0)
-            .collect::<sofos_rdf::FxHashSet<_>>()
-            .len()
-            == target.len(),
-        "swap_views target must not contain duplicates: {target:?}"
-    );
-    let current_set: sofos_rdf::FxHashSet<u64> = current.iter().map(|m| m.0).collect();
-    let wanted: sofos_rdf::FxHashSet<u64> = target.iter().map(|m| m.0).collect();
-    SwapPlan {
-        added: target
-            .iter()
-            .copied()
-            .filter(|m| !current_set.contains(&m.0))
-            .collect(),
-        retired: current
-            .iter()
-            .copied()
-            .filter(|m| !wanted.contains(&m.0))
-            .collect(),
-        kept: target
-            .iter()
-            .copied()
-            .filter(|m| current_set.contains(&m.0))
-            .collect(),
-    }
-}
-
-/// Rebuild the catalog in `target` order: kept entries carry their live
-/// row counts from `old`, added ones take their freshly-`materialized`
-/// counts.
-pub(crate) fn rebuild_catalog(
-    target: &[ViewMask],
-    old: &[(ViewMask, usize)],
-    materialized: &[(ViewMask, usize)],
-) -> Vec<(ViewMask, usize)> {
-    let old_catalog: FxHashMap<u64, usize> = old.iter().map(|(m, rows)| (m.0, *rows)).collect();
-    target
-        .iter()
-        .map(|&mask| {
-            let rows = old_catalog.get(&mask.0).copied().unwrap_or_else(|| {
-                materialized
-                    .iter()
-                    .find(|(m, _)| *m == mask)
-                    .map_or(0, |(_, rows)| *rows)
-            });
-            (mask, rows)
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// The sealed backend trait
-// ---------------------------------------------------------------------------
-
-mod sealed {
-    /// Seals [`super::ServingBackend`]: backends are an engine-internal
-    /// contract, not an extension point — downstream crates pick one via
-    /// [`super::Backend`], they don't implement their own.
-    pub trait Sealed {}
-    impl Sealed for super::SerialBackend {}
-    impl Sealed for super::EpochBackend {}
-}
-
-/// The serving surface every backend provides — one vocabulary of
-/// operations regardless of how state is stored. Sealed: the two
-/// implementations are [`Backend::Serial`] and [`Backend::Epoch`].
-///
-/// All methods take `&self`; backends are internally synchronized, so an
-/// [`Engine`] can be shared across threads (`Arc<Engine>`) with either
-/// backend — the serial one simply serializes callers.
-pub trait ServingBackend: sealed::Sealed + Send + Sync {
-    /// Apply an update batch under the engine's staleness policy.
-    fn update(&self, delta: Delta) -> Result<(), SparqlError>;
-
-    /// Answer one query, routing through the rewriter; staleness policy
-    /// decides whether stale views are repaired, served tagged, or
-    /// flushed first.
-    fn query(&self, query: &Query) -> Result<SessionAnswer, SparqlError>;
-
-    /// Replace the materialized set with `target`, transactionally
-    /// (materialize-first, rollback on failure).
-    fn swap_views(&self, target: &[ViewMask]) -> Result<ViewChurn, SparqlError>;
-
-    /// Drain deferred maintenance: flush buffered updates (bounded) and
-    /// repair every stale view. Returns maintenance µs spent.
-    fn flush(&self) -> Result<u64, SparqlError>;
-
-    /// A consistent point-in-time copy of the served dataset (cheap:
-    /// datasets clone by `Arc`-sharing index runs).
-    fn snapshot(&self) -> Dataset;
-
-    /// The live catalog (mask + row count, in selection order).
-    fn views(&self) -> Vec<(ViewMask, usize)>;
-
-    /// The staleness policy.
-    fn policy(&self) -> StalenessPolicy;
-
-    /// Accumulated maintenance log.
-    fn maintenance(&self) -> MaintenanceReport;
-
-    /// `(view hits, base-graph fallbacks)` so far.
-    fn routing_counts(&self) -> (usize, usize);
-
-    /// Update batches applied so far.
-    fn update_batches(&self) -> usize;
-
-    /// Views currently stale (deferred repairs pending).
-    fn stale_views(&self) -> usize;
-
-    /// Bounded policy: update batches buffered and not yet flushed.
-    fn buffered_updates(&self) -> usize;
-
-    /// The published state stamp: epoch number (epoch backend) or
-    /// applied-update-batch count (serial backend).
-    fn epoch(&self) -> u64;
-
-    /// The sliding workload profile (recently demanded masks).
-    fn window_profile(&self) -> WorkloadProfile;
-
-    /// Observed update pressure over the sliding batch window.
-    fn observed_rates(&self) -> UpdateRates;
-
-    /// The sliding per-group churn distribution.
-    fn churn_profile(&self) -> FxHashMap<u64, f64>;
-
-    /// Two-phase pipeline telemetry, when the backend runs the pipeline
-    /// (`None` on the serial backend).
-    fn pipeline_telemetry(&self) -> Option<PipelineTelemetry>;
-
-    /// The backend clock's current time (ms) — the time source behind
-    /// wall-clock staleness and telemetry event timestamps.
-    fn now_ms(&self) -> u64;
-
-    /// Short backend name for reports (`"serial"` / `"epoch"`).
-    fn backend_name(&self) -> &'static str;
-}
-
 // ---------------------------------------------------------------------------
 // Builder
 // ---------------------------------------------------------------------------
 
-/// Which serving backend an [`Engine`] runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Accepted by [`EngineBuilder::backend`] and ignored, fields included:
+/// the engine has one backend, the epoch store. Both exist only because
+/// the claim benchmark's fixture (`benchmarks/sofos-e2e/src/fixture.rs`)
+/// spells `Backend::Epoch { shards, threads }`, and only a
+/// benchmark-maintenance change may edit that fixture; ROADMAP direction
+/// 1(e) deletes all three together.
+#[derive(Debug, Clone, Copy)]
 pub enum Backend {
-    /// One mutable dataset behind a mutex: queries and updates serialize.
-    Serial,
-    /// The epoch store: readers pin immutable snapshots while the writer
-    /// publishes epochs.
+    /// The epoch store.
     Epoch {
-        /// Ignored: the epoch store is not sharded.
+        /// Ignored.
         shards: usize,
-        /// Ignored: the writer plans every view's patch itself.
+        /// Ignored.
         threads: usize,
     },
-}
-
-impl Backend {
-    /// Short name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Serial => "serial",
-            Backend::Epoch { .. } => "epoch",
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// What [`EngineBuilder::build`] can reject.
@@ -306,10 +126,6 @@ pub enum EngineBuildError {
     MissingDataset,
     /// No facet was provided.
     MissingFacet,
-    /// [`EngineBuilder::durability`] was set on a backend that cannot
-    /// honor it (only [`Backend::Epoch`] has the publish protocol the
-    /// epoch log hooks into).
-    DurabilityUnsupported,
     /// Opening, recovering, or baselining the durable store failed.
     Persistence(String),
 }
@@ -323,9 +139,6 @@ impl std::fmt::Display for EngineBuildError {
             EngineBuildError::MissingFacet => {
                 f.write_str("Engine::builder() needs a facet (EngineBuilder::facet)")
             }
-            EngineBuildError::DurabilityUnsupported => f.write_str(
-                "durability requires the epoch backend (EngineBuilder::backend(Backend::Epoch))",
-            ),
             EngineBuildError::Persistence(detail) => {
                 write!(f, "durable store failed to open: {detail}")
             }
@@ -355,14 +168,13 @@ pub struct RecoveryReport {
 }
 
 /// Builder for [`Engine`] — dataset and facet are required, everything
-/// else has serving defaults (empty catalog, eager staleness, serial
-/// backend, system clock).
+/// else has serving defaults (empty catalog, eager staleness, system
+/// clock, in-memory store).
 pub struct EngineBuilder {
     dataset: Option<Dataset>,
     facet: Option<Facet>,
     catalog: Vec<(ViewMask, usize)>,
     policy: StalenessPolicy,
-    backend: Backend,
     clock: Option<Arc<dyn Clock>>,
     metrics: Option<MetricsHandle>,
     durability: Option<DurabilityConfig>,
@@ -397,9 +209,8 @@ impl EngineBuilder {
         self
     }
 
-    /// The serving backend (default: [`Backend::Serial`]).
-    pub fn backend(mut self, backend: Backend) -> EngineBuilder {
-        self.backend = backend;
+    /// Accepts a [`Backend`] and ignores it (see there).
+    pub fn backend(self, _backend: Backend) -> EngineBuilder {
         self
     }
 
@@ -422,9 +233,7 @@ impl EngineBuilder {
 
     /// Persist every published epoch under `config.dir` and recover from
     /// it on the next build (default: in-memory only; see
-    /// `sofos_store::persist` for the log/snapshot format). Epoch backend
-    /// only — [`EngineBuilder::build`] rejects the combination with
-    /// [`Backend::Serial`], which has no publish protocol to hook.
+    /// `sofos_store::persist` for the log/snapshot format).
     ///
     /// When the directory already holds state, the *recovered* dataset
     /// and catalog replace whatever the builder was given, and
@@ -438,53 +247,18 @@ impl EngineBuilder {
     pub fn build(self) -> Result<Engine, EngineBuildError> {
         let dataset = self.dataset.ok_or(EngineBuildError::MissingDataset)?;
         let facet = self.facet.ok_or(EngineBuildError::MissingFacet)?;
-        if self.durability.is_some() && self.backend == Backend::Serial {
-            return Err(EngineBuildError::DurabilityUnsupported);
-        }
-        let clock = self.clock.unwrap_or_else(system_clock);
-        // The engine keeps its own handle on the clock (the backend gets a
-        // clone) so deadline-driven work — anytime re-selection — can be
-        // driven off the same injected time source.
-        let engine_clock = clock.clone();
-        let metrics = self.metrics.unwrap_or_default();
-        let instruments = EngineInstruments::new(metrics.clone(), self.backend.name());
-        let durable = self.durability.is_some();
-        let mut recovery = None;
-        let backend: Box<dyn ServingBackend> = match self.backend {
-            Backend::Serial => Box::new(SerialBackend::new(
-                dataset,
-                facet.clone(),
-                self.catalog,
-                self.policy,
-                clock,
-                instruments,
-            )),
-            Backend::Epoch { .. } => {
-                let (store, catalog) = match self.durability {
-                    None => (EpochStore::new(dataset), self.catalog),
-                    Some(config) => {
-                        let (store, catalog, report) =
-                            open_durable(config, dataset, self.catalog, &facet)?;
-                        recovery = report;
-                        (store, catalog)
-                    }
-                };
-                Box::new(EpochBackend::new(
-                    store,
-                    facet.clone(),
-                    catalog,
-                    self.policy,
-                    clock,
-                    instruments,
-                ))
-            }
+        let (store, views, recovery) = match self.durability {
+            None => (EpochStore::new(dataset), self.catalog, None),
+            Some(config) => open_durable(config, dataset, self.catalog, &facet)?,
         };
         Ok(Engine {
+            store,
+            writer: Mutex::new(WriterSide::new(&facet)),
+            serving: Mutex::new(ServingState::new(views)),
             facet,
-            backend,
-            metrics,
-            clock: engine_clock,
-            durable,
+            policy: self.policy,
+            clock: self.clock.unwrap_or_else(system_clock),
+            metrics: EngineInstruments::new(self.metrics.unwrap_or_default()),
             recovery,
         })
     }
@@ -585,22 +359,24 @@ fn open_durable(
 // Engine
 // ---------------------------------------------------------------------------
 
-/// The SOFOS serving engine: one type, one API, pluggable backends.
+/// The SOFOS serving engine: concurrent readers on pinned epoch
+/// snapshots, one writer, every [`StalenessPolicy`].
 ///
-/// Construct with [`Engine::builder`]; every serving operation
-/// ([`Engine::query`], [`Engine::update`], [`Engine::swap_views`], the
-/// staleness knobs, the adaptive-layer observations) behaves identically
-/// across [`Backend::Serial`] and [`Backend::Epoch`] — that equivalence
-/// is property-tested by the backend conformance suite.
-///
-/// All methods take `&self`: an `Arc<Engine>` can be shared across reader
-/// and writer threads with either backend.
+/// Construct with [`Engine::builder`]. All methods take `&self`: an
+/// `Arc<Engine>` can be shared across reader and writer threads. The
+/// serving operations ([`Engine::query`], [`Engine::update`],
+/// [`Engine::swap_views`], [`Engine::flush`]) and the adaptive-layer
+/// observations live in `engine/epoch.rs`.
 pub struct Engine {
+    store: EpochStore,
     facet: Facet,
-    backend: Box<dyn ServingBackend>,
-    metrics: MetricsHandle,
+    policy: StalenessPolicy,
     clock: Arc<dyn Clock>,
-    durable: bool,
+    writer: Mutex<WriterSide>,
+    serving: Mutex<ServingState>,
+    /// Pre-registered telemetry instruments (serve latency, freshness
+    /// lag, epoch lifecycle, pipeline phase timings).
+    metrics: EngineInstruments,
     recovery: Option<RecoveryReport>,
 }
 
@@ -612,7 +388,6 @@ impl Engine {
             facet: None,
             catalog: Vec::new(),
             policy: StalenessPolicy::Eager,
-            backend: Backend::Serial,
             clock: None,
             metrics: None,
             durability: None,
@@ -622,7 +397,7 @@ impl Engine {
     /// Whether this engine persists published epochs
     /// ([`EngineBuilder::durability`]).
     pub fn durability_enabled(&self) -> bool {
-        self.durable
+        self.store.persister().is_some()
     }
 
     /// What crash recovery did at build time: `Some` iff the engine is
@@ -636,104 +411,24 @@ impl Engine {
         &self.facet
     }
 
-    /// Apply an update batch under the engine's staleness policy.
-    pub fn update(&self, delta: Delta) -> Result<(), SparqlError> {
-        self.backend.update(delta)
-    }
-
-    /// Answer one query, routing through the rewriter.
-    pub fn query(&self, query: &Query) -> Result<SessionAnswer, SparqlError> {
-        self.backend.query(query)
-    }
-
-    /// Replace the materialized set with `target`, transactionally.
-    pub fn swap_views(&self, target: &[ViewMask]) -> Result<ViewChurn, SparqlError> {
-        self.backend.swap_views(target)
-    }
-
-    /// Drain deferred maintenance; returns maintenance µs spent.
-    pub fn flush(&self) -> Result<u64, SparqlError> {
-        self.backend.flush()
-    }
-
-    /// A consistent point-in-time copy of the served dataset.
-    pub fn snapshot(&self) -> Dataset {
-        self.backend.snapshot()
-    }
-
-    /// The live catalog (mask + row count).
-    pub fn views(&self) -> Vec<(ViewMask, usize)> {
-        self.backend.views()
-    }
-
     /// The staleness policy.
     pub fn policy(&self) -> StalenessPolicy {
-        self.backend.policy()
-    }
-
-    /// Accumulated maintenance log.
-    pub fn maintenance(&self) -> MaintenanceReport {
-        self.backend.maintenance()
-    }
-
-    /// `(view hits, base-graph fallbacks)` so far.
-    pub fn routing_counts(&self) -> (usize, usize) {
-        self.backend.routing_counts()
-    }
-
-    /// Update batches applied so far.
-    pub fn update_batches(&self) -> usize {
-        self.backend.update_batches()
-    }
-
-    /// Views currently stale.
-    pub fn stale_views(&self) -> usize {
-        self.backend.stale_views()
-    }
-
-    /// Bounded policy: update batches buffered and not yet flushed.
-    pub fn buffered_updates(&self) -> usize {
-        self.backend.buffered_updates()
-    }
-
-    /// The published state stamp (epoch number / applied batch count).
-    pub fn epoch(&self) -> u64 {
-        self.backend.epoch()
-    }
-
-    /// The sliding workload profile.
-    pub fn window_profile(&self) -> WorkloadProfile {
-        self.backend.window_profile()
-    }
-
-    /// Observed update pressure over the sliding batch window.
-    pub fn observed_rates(&self) -> UpdateRates {
-        self.backend.observed_rates()
-    }
-
-    /// The sliding per-group churn distribution.
-    pub fn churn_profile(&self) -> FxHashMap<u64, f64> {
-        self.backend.churn_profile()
-    }
-
-    /// Two-phase pipeline telemetry (`None` on the serial backend).
-    pub fn pipeline_telemetry(&self) -> Option<PipelineTelemetry> {
-        self.backend.pipeline_telemetry()
+        self.policy
     }
 
     /// The engine's metrics handle: serve-latency and freshness-lag
     /// histograms, flush/epoch/maintenance counters, recent events —
-    /// everything the backends record while serving. Snapshot it at any
+    /// everything the engine records while serving. Snapshot it at any
     /// time ([`MetricsHandle::snapshot`]) and render to JSON or
     /// Prometheus text.
     pub fn metrics(&self) -> &MetricsHandle {
-        &self.metrics
+        self.metrics.handle()
     }
 
     /// The engine clock's current time (ms) — the injected
     /// [`Clock`]'s reading, also used to timestamp telemetry events.
     pub fn now_ms(&self) -> u64 {
-        self.backend.now_ms()
+        self.clock.now_ms()
     }
 
     /// A handle on the injected [`Clock`] — the time source deadline-
@@ -743,19 +438,21 @@ impl Engine {
         self.clock.clone()
     }
 
-    /// Short backend name (`"serial"` / `"epoch"`).
+    /// `"epoch"`: the value of the `backend` label on every metric the
+    /// engine records, which dashboards and the claim benchmark look
+    /// gauges up by.
     pub fn backend_name(&self) -> &'static str {
-        self.backend.backend_name()
+        crate::metrics::BACKEND_LABEL
     }
 }
 
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("backend", &self.backend.backend_name())
-            .field("policy", &self.backend.policy())
+            .field("backend", &self.backend_name())
+            .field("policy", &self.policy)
             .field("facet", &self.facet.id)
-            .field("views", &self.backend.views().len())
+            .field("views", &self.views().len())
             .finish()
     }
 }
@@ -772,11 +469,11 @@ mod tests {
     use sofos_rdf::Term;
     use sofos_select::WorkloadProfile;
     use sofos_sparql::Evaluator;
+    use sofos_store::Delta;
     use sofos_workload::{synthetic, GeneratedQuery};
 
     fn built(
         policy: StalenessPolicy,
-        backend: Backend,
         clock: Option<Arc<dyn Clock>>,
     ) -> (Engine, Vec<GeneratedQuery>) {
         let g = synthetic::generate(&synthetic::Config {
@@ -808,16 +505,15 @@ mod tests {
             .dataset(ds)
             .facet(facet)
             .catalog(offline.view_catalog())
-            .staleness(policy)
-            .backend(backend);
+            .staleness(policy);
         if let Some(clock) = clock {
             builder = builder.clock(clock);
         }
         (builder.build().expect("engine builds"), workload)
     }
 
-    fn setup(policy: StalenessPolicy, backend: Backend) -> (Engine, Vec<GeneratedQuery>) {
-        built(policy, backend, None)
+    fn setup(policy: StalenessPolicy) -> (Engine, Vec<GeneratedQuery>) {
+        built(policy, None)
     }
 
     /// One update batch: fresh observations landing on rotating groups.
@@ -857,13 +553,6 @@ mod tests {
         }
     }
 
-    const EPOCH: Backend = Backend::Epoch {
-        shards: 1,
-        threads: 1,
-    };
-
-    const BOTH: [Backend; 2] = [Backend::Serial, EPOCH];
-
     #[test]
     fn builder_requires_dataset_and_facet() {
         assert_eq!(
@@ -882,243 +571,148 @@ mod tests {
 
     #[test]
     fn backend_names_and_display() {
-        assert_eq!(Backend::Serial.name(), "serial");
-        assert_eq!(EPOCH.name(), "epoch");
-        assert_eq!(EPOCH.to_string(), "epoch");
-        let (engine, _) = setup(StalenessPolicy::Eager, Backend::Serial);
-        assert_eq!(engine.backend_name(), "serial");
-        assert!(format!("{engine:?}").contains("serial"));
-    }
-
-    /// `Backend::Epoch`'s two fields are ignored, so any value builds.
-    #[test]
-    fn zero_shards_and_threads_are_clamped_to_one() {
-        let (engine, workload) = setup(
-            StalenessPolicy::Eager,
-            Backend::Epoch {
-                shards: 0,
-                threads: 0,
-            },
-        );
-        engine.update(session_delta(0)).unwrap();
-        assert_answers_match_base(&engine, &workload);
+        let (engine, _) = setup(StalenessPolicy::Eager);
+        assert_eq!(engine.backend_name(), "epoch");
+        assert!(format!("{engine:?}").contains("epoch"));
     }
 
     #[test]
     fn eager_engine_maintains_views_on_update_on_both_backends() {
-        for backend in BOTH {
-            let (engine, workload) = setup(StalenessPolicy::Eager, backend);
-            for batch in 0..3 {
-                engine.update(session_delta(batch)).unwrap();
-                assert_eq!(engine.stale_views(), 0, "{backend}: eager never goes stale");
-            }
-            assert_eq!(engine.update_batches(), 3);
-            assert!(!engine.maintenance().per_view.is_empty(), "{backend}");
-            assert_answers_match_base(&engine, &workload);
-            let (hits, _) = engine.routing_counts();
-            assert!(hits > 0, "{backend}: rewriter still routes to views");
+        let (engine, workload) = setup(StalenessPolicy::Eager);
+        for batch in 0..3 {
+            engine.update(session_delta(batch)).unwrap();
+            assert_eq!(engine.stale_views(), 0, "eager never goes stale");
         }
+        assert_eq!(engine.update_batches(), 3);
+        assert_eq!(engine.epoch(), 3, "one epoch per eager batch");
+        assert!(!engine.maintenance().per_view.is_empty());
+        assert_answers_match_base(&engine, &workload);
+        let (hits, _) = engine.routing_counts();
+        assert!(hits > 0, "rewriter still routes to views");
     }
 
     #[test]
     fn lazy_engine_repairs_views_on_first_hit_on_both_backends() {
-        for backend in BOTH {
-            let (engine, workload) = setup(StalenessPolicy::LazyOnHit, backend);
-            let views_before = engine.views().len();
-            engine.update(session_delta(0)).unwrap();
-            assert_eq!(
-                engine.stale_views(),
-                views_before,
-                "{backend}: updates leave every view stale under lazy"
-            );
-            assert!(
-                engine.maintenance().per_view.is_empty(),
-                "{backend}: no maintenance at update time"
-            );
-            assert_answers_match_base(&engine, &workload);
-            assert!(
-                !engine.maintenance().per_view.is_empty(),
-                "{backend}: query hits triggered lazy repairs"
-            );
-            assert!(
-                engine.stale_views() < views_before,
-                "{backend}: hit views are repaired"
-            );
+        let (engine, workload) = setup(StalenessPolicy::LazyOnHit);
+        let views_before = engine.views().len();
+        engine.update(session_delta(0)).unwrap();
+        assert_eq!(
+            engine.stale_views(),
+            views_before,
+            "updates leave every view stale under lazy"
+        );
+        assert!(
+            engine.maintenance().per_view.is_empty(),
+            "no maintenance at update time"
+        );
+        assert_answers_match_base(&engine, &workload);
+        assert!(
+            !engine.maintenance().per_view.is_empty(),
+            "query hits triggered lazy repairs"
+        );
+        assert!(
+            engine.stale_views() < views_before,
+            "hit views are repaired"
+        );
 
-            // A second pass over the same workload triggers no further
-            // repairs.
-            let repairs = engine.maintenance().per_view.len();
-            assert_answers_match_base(&engine, &workload);
-            assert_eq!(engine.maintenance().per_view.len(), repairs, "{backend}");
-        }
+        // A second pass over the same workload triggers no further
+        // repairs.
+        let repairs = engine.maintenance().per_view.len();
+        assert_answers_match_base(&engine, &workload);
+        assert_eq!(engine.maintenance().per_view.len(), repairs);
     }
 
     #[test]
     fn invalidate_engine_drops_views_and_falls_back_on_both_backends() {
-        for backend in BOTH {
-            let (engine, workload) = setup(StalenessPolicy::Invalidate, backend);
-            assert!(!engine.views().is_empty());
-            engine.update(session_delta(0)).unwrap();
-            assert!(engine.views().is_empty(), "{backend}: catalog dropped");
-            assert!(
-                engine.snapshot().graph_names().is_empty(),
-                "{backend}: view graphs are gone"
-            );
-            assert_answers_match_base(&engine, &workload);
-            let (hits, fallbacks) = engine.routing_counts();
-            assert_eq!(hits, 0, "{backend}");
-            assert_eq!(fallbacks, workload.len(), "{backend}");
-        }
+        let (engine, workload) = setup(StalenessPolicy::Invalidate);
+        assert!(!engine.views().is_empty());
+        engine.update(session_delta(0)).unwrap();
+        assert!(engine.views().is_empty(), "catalog dropped");
+        assert!(
+            engine.snapshot().graph_names().is_empty(),
+            "view graphs are gone"
+        );
+        assert_answers_match_base(&engine, &workload);
+        let (hits, fallbacks) = engine.routing_counts();
+        assert_eq!(hits, 0);
+        assert_eq!(fallbacks, workload.len());
     }
 
     #[test]
     fn engine_tracks_window_profile_and_rates() {
-        for backend in BOTH {
-            let (engine, workload) = setup(StalenessPolicy::Eager, backend);
-            assert_eq!(engine.window_profile().total_weight(), 0.0, "{backend}");
-            assert_eq!(
-                engine.observed_rates(),
-                sofos_cost::UpdateRates::FROZEN,
-                "{backend}"
-            );
+        let (engine, workload) = setup(StalenessPolicy::Eager);
+        assert_eq!(engine.window_profile().total_weight(), 0.0);
+        assert_eq!(engine.observed_rates(), sofos_cost::UpdateRates::FROZEN);
 
-            for q in &workload {
-                engine.query(&q.query).unwrap();
-            }
-            let profile = engine.window_profile();
-            assert_eq!(profile.total_weight(), workload.len() as f64, "{backend}");
-
-            engine.update(session_delta(0)).unwrap();
-            let rates = engine.observed_rates();
-            // session_delta inserts 3 complete 4-triple stars (3 dims +
-            // measure).
-            assert!(
-                (rates.inserts_per_round - 3.0).abs() < 1e-9,
-                "{backend}: {rates:?}"
-            );
-            assert_eq!(rates.deletes_per_round, 0.0, "{backend}");
+        for q in &workload {
+            engine.query(&q.query).unwrap();
         }
+        let profile = engine.window_profile();
+        assert_eq!(profile.total_weight(), workload.len() as f64);
+
+        engine.update(session_delta(0)).unwrap();
+        let rates = engine.observed_rates();
+        // session_delta inserts 3 complete 4-triple stars (3 dims +
+        // measure).
+        assert!((rates.inserts_per_round - 3.0).abs() < 1e-9, "{rates:?}");
+        assert_eq!(rates.deletes_per_round, 0.0);
     }
 
     #[test]
     fn engine_tracks_per_group_churn() {
-        for backend in BOTH {
-            let (engine, _workload) = setup(StalenessPolicy::Eager, backend);
-            assert!(engine.churn_profile().is_empty(), "{backend}");
-            engine.update(session_delta(0)).unwrap();
-            let profile = engine.churn_profile();
-            assert!(!profile.is_empty(), "{backend}");
-            assert!(profile.values().all(|&w| w > 0.0), "{backend}");
-        }
+        let (engine, _workload) = setup(StalenessPolicy::Eager);
+        assert!(engine.churn_profile().is_empty());
+        engine.update(session_delta(0)).unwrap();
+        let profile = engine.churn_profile();
+        assert!(!profile.is_empty());
+        assert!(profile.values().all(|&w| w > 0.0));
     }
 
     #[test]
     fn swap_views_reports_churn_and_stays_consistent_on_both_backends() {
-        for backend in BOTH {
-            let (engine, workload) = setup(StalenessPolicy::Eager, backend);
-            let before: Vec<ViewMask> = engine.views().iter().map(|(m, _)| *m).collect();
-            assert!(!before.is_empty());
+        let (engine, workload) = setup(StalenessPolicy::Eager);
+        let before: Vec<ViewMask> = engine.views().iter().map(|(m, _)| *m).collect();
+        assert!(!before.is_empty());
 
-            // Swap to: keep the first standing view, add the apex (not
-            // selected by the offline pass here), retire the rest.
-            let kept = before[0];
-            assert!(
-                !before.contains(&ViewMask::APEX),
-                "test needs the apex to be a genuine addition"
-            );
-            let target = [kept, ViewMask::APEX];
-            let churn = engine.swap_views(&target).unwrap();
-            assert_eq!(churn.added, vec![ViewMask::APEX], "{backend}");
-            assert_eq!(churn.kept, vec![kept], "{backend}");
-            assert_eq!(churn.retired.len(), before.len() - 1, "{backend}");
-            assert_eq!(churn.churned(), 1 + before.len() - 1, "{backend}");
-            assert_eq!(engine.views().len(), 2, "{backend}");
-            assert_eq!(
-                engine.snapshot().graph_names().len(),
-                2,
-                "{backend}: one named graph per catalog view after the swap"
-            );
-            // The swapped catalog still serves correct answers.
-            assert_answers_match_base(&engine, &workload);
-        }
-    }
-
-    #[test]
-    fn swap_views_across_updates_keeps_answers_fresh() {
-        for backend in BOTH {
-            let (engine, workload) = setup(StalenessPolicy::LazyOnHit, backend);
-            engine.update(session_delta(0)).unwrap();
-            // Swap while every standing view is stale: new views
-            // materialize from the *updated* base graph, kept ones repair
-            // lazily.
-            let kept = engine.views()[0].0;
-            engine.swap_views(&[kept, ViewMask::APEX]).unwrap();
-            engine.update(session_delta(1)).unwrap();
-            assert_answers_match_base(&engine, &workload);
-        }
-    }
-
-    #[test]
-    fn bounded_serial_flushes_every_max_batches() {
-        let (engine, workload) = setup(StalenessPolicy::bounded(2, 10), Backend::Serial);
-        let views = engine.views().len();
-        engine.update(session_delta(0)).unwrap();
-        assert_eq!(engine.buffered_updates(), 1);
-        assert_eq!(
-            engine.stale_views(),
-            views,
-            "first batch leaves views stale"
+        // Swap to: keep the first standing view, add the apex (not
+        // selected by the offline pass here), retire the rest.
+        let kept = before[0];
+        assert!(
+            !before.contains(&ViewMask::APEX),
+            "test needs the apex to be a genuine addition"
         );
-        assert!(engine.maintenance().per_view.is_empty());
-
-        // The second batch crosses max_batches: one batched flush repairs
-        // everything.
-        engine.update(session_delta(1)).unwrap();
-        assert_eq!(engine.buffered_updates(), 0);
-        assert_eq!(engine.stale_views(), 0, "flush repaired every view");
-        assert!(!engine.maintenance().per_view.is_empty());
+        let target = [kept, ViewMask::APEX];
+        let churn = engine.swap_views(&target).unwrap();
+        assert_eq!(churn.added, vec![ViewMask::APEX]);
+        assert_eq!(churn.kept, vec![kept]);
+        assert_eq!(churn.retired.len(), before.len() - 1);
+        assert_eq!(churn.churned(), 1 + before.len() - 1);
+        assert_eq!(engine.views().len(), 2);
+        assert_eq!(
+            engine.snapshot().graph_names().len(),
+            2,
+            "one named graph per catalog view after the swap"
+        );
+        // The swapped catalog still serves correct answers.
         assert_answers_match_base(&engine, &workload);
     }
 
     #[test]
-    fn bounded_serial_serves_stale_within_budget_and_repairs_past_it() {
-        let (engine, workload) = setup(StalenessPolicy::bounded(100, 1), Backend::Serial);
+    fn swap_views_across_updates_keeps_answers_fresh() {
+        let (engine, workload) = setup(StalenessPolicy::LazyOnHit);
         engine.update(session_delta(0)).unwrap();
-
-        // Lag 1 <= budget 1: view answers are served stale, tagged.
-        let mut tagged = 0;
-        for q in &workload {
-            let answer = engine.query(&q.query).unwrap();
-            if matches!(answer.route, Route::View(_)) {
-                assert_eq!(answer.freshness.lag, 1, "one buffered batch behind");
-                assert_eq!(answer.maintenance_us, 0, "no repair within budget");
-                assert!(!answer.freshness.is_fresh());
-                tagged += 1;
-            } else {
-                assert!(answer.freshness.is_fresh(), "base graph is current");
-            }
-        }
-        assert!(tagged > 0, "some answers were served stale");
-
-        // Two more batches: lag 3 > budget 1 forces repair on hit.
+        // Swap while every standing view is stale: new views
+        // materialize from the *updated* base graph, kept ones repair
+        // lazily.
+        let kept = engine.views()[0].0;
+        engine.swap_views(&[kept, ViewMask::APEX]).unwrap();
         engine.update(session_delta(1)).unwrap();
-        engine.update(session_delta(2)).unwrap();
-        for q in &workload {
-            let answer = engine.query(&q.query).unwrap();
-            assert!(
-                answer.freshness.lag <= 1,
-                "the lag budget is enforced at serve time"
-            );
-        }
-        // Repaired views now answer exactly.
-        assert!(!engine.maintenance().per_view.is_empty());
-        engine.flush().unwrap();
         assert_answers_match_base(&engine, &workload);
     }
 
     #[test]
     fn bounded_epoch_coalesces_batches_into_one_epoch_and_tags_reads() {
-        let (engine, workload) = setup(StalenessPolicy::bounded(3, 10), EPOCH);
+        let (engine, workload) = setup(StalenessPolicy::bounded(3, 10));
         // Two buffered batches: nothing published, reads lag and say so.
         engine.update(session_delta(0)).unwrap();
         engine.update(session_delta(1)).unwrap();
@@ -1141,14 +735,14 @@ mod tests {
         assert_answers_match_base(&engine, &workload);
 
         // The pipeline split was measured.
-        let telemetry = engine.pipeline_telemetry().expect("epoch backend");
+        let telemetry = engine.pipeline_telemetry().expect("always measured");
         assert!(telemetry.serial_us + telemetry.parallel_work_us > 0);
         assert!(telemetry.serial_fraction().is_some());
     }
 
     #[test]
     fn bounded_epoch_lag_budget_forces_single_batch_flushes_at_serve_time() {
-        let (engine, workload) = setup(StalenessPolicy::bounded(100, 1), EPOCH);
+        let (engine, workload) = setup(StalenessPolicy::bounded(100, 1));
         for batch in 0..3 {
             engine.update(session_delta(batch)).unwrap();
         }
@@ -1173,29 +767,24 @@ mod tests {
 
     #[test]
     fn flush_repairs_lazy_stale_views_on_both_backends() {
-        for backend in BOTH {
-            let (engine, workload) = setup(StalenessPolicy::LazyOnHit, backend);
-            engine.update(session_delta(0)).unwrap();
-            assert!(
-                engine.stale_views() > 0,
-                "{backend}: update left views stale"
-            );
-            engine.flush().unwrap();
-            assert_eq!(
-                engine.stale_views(),
-                0,
-                "{backend}: flush drains ALL deferred maintenance, not just buffers"
-            );
-            // No repair happens at query time now: the flush did it all.
-            let repairs = engine.maintenance().per_view.len();
-            assert_answers_match_base(&engine, &workload);
-            assert_eq!(engine.maintenance().per_view.len(), repairs, "{backend}");
-        }
+        let (engine, workload) = setup(StalenessPolicy::LazyOnHit);
+        engine.update(session_delta(0)).unwrap();
+        assert!(engine.stale_views() > 0, "update left views stale");
+        engine.flush().unwrap();
+        assert_eq!(
+            engine.stale_views(),
+            0,
+            "flush drains ALL deferred maintenance, not just buffers"
+        );
+        // No repair happens at query time now: the flush did it all.
+        let repairs = engine.maintenance().per_view.len();
+        assert_answers_match_base(&engine, &workload);
+        assert_eq!(engine.maintenance().per_view.len(), repairs);
     }
 
     #[test]
     fn explicit_flush_drains_the_buffer() {
-        let (engine, workload) = setup(StalenessPolicy::bounded(100, 100), EPOCH);
+        let (engine, workload) = setup(StalenessPolicy::bounded(100, 100));
         engine.flush().expect("empty flush is a no-op");
         assert_eq!(engine.epoch(), 0);
         engine.update(session_delta(0)).unwrap();
@@ -1207,53 +796,35 @@ mod tests {
 
     #[test]
     fn wall_clock_bound_forces_service_before_serving_on_both_backends() {
-        for backend in BOTH {
-            let clock = ManualClock::shared(0);
-            let (engine, workload) = built(
-                // Generous batch/epoch budgets: only the clock can trip.
-                StalenessPolicy::bounded_ms(100, 100, 50),
-                backend,
-                Some(clock.clone() as Arc<dyn Clock>),
-            );
-            engine.update(session_delta(0)).unwrap();
-            engine.update(session_delta(1)).unwrap();
+        let clock = ManualClock::shared(0);
+        let (engine, workload) = built(
+            // Generous batch/epoch budgets: only the clock can trip.
+            StalenessPolicy::bounded_ms(100, 100, 50),
+            Some(clock.clone() as Arc<dyn Clock>),
+        );
+        engine.update(session_delta(0)).unwrap();
+        engine.update(session_delta(1)).unwrap();
 
-            // Within the wall-clock budget: served stale, tagged.
-            clock.advance(50);
-            let answer = engine.query(&workload[0].query).unwrap();
-            assert!(
-                answer.freshness.lag <= 2,
-                "{backend}: tag carries the buffered lag"
-            );
+        // Within the wall-clock budget: served stale, tagged.
+        clock.advance(50);
+        let answer = engine.query(&workload[0].query).unwrap();
+        assert_eq!(answer.freshness.lag, 2, "tag carries the buffered lag");
 
-            // Past the budget: the serve path repairs/flushes first.
-            clock.advance(1);
-            let answer = engine.query(&workload[0].query).unwrap();
-            match backend {
-                Backend::Serial => {
-                    // The routed view is repaired (or the read fell back
-                    // to the always-current base graph).
-                    assert!(
-                        answer.freshness.is_fresh() || answer.freshness.lag == 0,
-                        "{backend}: no read served past max_lag_ms"
-                    );
-                }
-                Backend::Epoch { .. } => {
-                    assert_eq!(
-                        engine.buffered_updates(),
-                        0,
-                        "{backend}: the clock check drained the buffer"
-                    );
-                    assert!(answer.freshness.is_fresh(), "{backend}");
-                }
-            }
-            assert_answers_match_base(&engine, &workload);
-        }
+        // Past the budget: the serve path flushes first.
+        clock.advance(1);
+        let answer = engine.query(&workload[0].query).unwrap();
+        assert_eq!(
+            engine.buffered_updates(),
+            0,
+            "the clock check drained the buffer"
+        );
+        assert!(answer.freshness.is_fresh());
+        assert_answers_match_base(&engine, &workload);
     }
 
     #[test]
     fn readers_overlap_a_writing_engine() {
-        let (engine, workload) = setup(StalenessPolicy::Eager, EPOCH);
+        let (engine, workload) = setup(StalenessPolicy::Eager);
         let engine = std::sync::Arc::new(engine);
         std::thread::scope(|scope| {
             let mut readers = Vec::new();

@@ -1,8 +1,4 @@
-//! The epoch backend: queries against pinned epoch snapshots while
-//! maintenance publishes new epochs.
-//!
-//! The same serving surface as the serial backend, rebuilt over the
-//! store's epoch mechanism ([`EpochStore`]):
+//! The engine's write and read paths over the epoch store.
 //!
 //! * **queries** pin an immutable epoch [`sofos_store::Snapshot`] and
 //!   evaluate against it — they never wait for a writer, only for the
@@ -12,8 +8,8 @@
 //!   view's patch is planned and then applied on the writer's master
 //!   ([`sofos_maintain::Maintainer::maintain`]), and the whole batch
 //!   becomes visible atomically at publish;
-//! * the **staleness policies** are the shared [`crate::policy`] state
-//!   machines expressed over epochs. *Eager* maintains inside the update
+//! * the **staleness policies** are the [`crate::policy`] state machines
+//!   expressed over epochs. *Eager* maintains inside the update
 //!   transaction. *Lazy* publishes the base change immediately and
 //!   buffers the row delta stamped with its epoch; a view is repaired on
 //!   its next hit by replaying exactly the epochs it missed. *Invalidate*
@@ -31,24 +27,22 @@
 //! publish swap — never across maintenance, materialization, snapshot
 //! cloning, or query evaluation.
 
-use super::{Route, ServingBackend, SessionAnswer, ViewChurn};
-use crate::metrics::EngineInstruments;
-use crate::policy::{Clock, FlushMeter, Freshness, PendingLog, ProfileWindows, StalenessPolicy};
+use super::{Engine, Route, SessionAnswer, ViewChurn};
+use crate::policy::{FlushMeter, Freshness, PendingLog, ProfileWindows, StalenessPolicy};
 use crate::timing::measure_once;
 use sofos_cost::UpdateRates;
 use sofos_cube::{Facet, ViewMask};
 use sofos_maintain::{ApplyOutcome, Maintainer, MaintenanceReport, PipelineTelemetry, RowDelta};
 use sofos_materialize::{drop_view, materialize_view, MaterializedView};
-use sofos_rdf::FxHashMap;
+use sofos_rdf::{FxHashMap, FxHashSet};
 use sofos_rewrite::{analyze_query, best_view, rewrite_query};
 use sofos_select::WorkloadProfile;
 use sofos_sparql::{Evaluator, Query, SparqlError};
-use sofos_store::{Dataset, Delta, EpochStore, PinnedSnapshot, WriteTxn};
-use std::sync::{Arc, Mutex};
+use sofos_store::{Dataset, Delta, PinnedSnapshot, WriteTxn};
 
 /// Routing and staleness state shared between readers and the writer.
 /// Guarded by a mutex that is only ever held briefly (see module docs).
-struct ServingState {
+pub(super) struct ServingState {
     /// The live catalog: mask + row count, in selection order.
     views: Vec<(ViewMask, usize)>,
     /// Buffered row deltas under the lazy policy, stamped with the epoch
@@ -65,10 +59,24 @@ struct ServingState {
     update_batches: usize,
 }
 
+impl ServingState {
+    pub(super) fn new(views: Vec<(ViewMask, usize)>) -> ServingState {
+        ServingState {
+            views,
+            pending: PendingLog::default(),
+            meter: FlushMeter::default(),
+            windows: ProfileWindows::default(),
+            view_hits: 0,
+            fallbacks: 0,
+            update_batches: 0,
+        }
+    }
+}
+
 /// Writer-only state (the maintenance engine and its telemetry). Guarded
 /// by its own mutex, always acquired while holding the store's write
 /// transaction, so it never contends with readers.
-struct WriterSide {
+pub(super) struct WriterSide {
     maintainer: Maintainer,
     log: MaintenanceReport,
     /// Accumulated split (serial spine vs. planning work) across every
@@ -78,58 +86,74 @@ struct WriterSide {
     buffered: Vec<Delta>,
 }
 
-/// A [`StalenessPolicy`]-driven serving backend over an [`EpochStore`]:
-/// concurrent readers, one writer, epoch-snapshot isolation.
-pub(crate) struct EpochBackend {
-    store: EpochStore,
-    facet: Facet,
-    policy: StalenessPolicy,
-    clock: Arc<dyn Clock>,
-    writer: Mutex<WriterSide>,
-    serving: Mutex<ServingState>,
-    /// Pre-registered telemetry instruments (serve latency, freshness
-    /// lag, epoch lifecycle, pipeline phase timings).
-    metrics: EngineInstruments,
-}
-
-impl EpochBackend {
-    /// Build over a ready [`EpochStore`] — plain in-memory
-    /// ([`EpochStore::new`]) or durable/recovered
-    /// ([`EpochStore::recovered`]); the backend is agnostic, every
-    /// publish path already routes its change sets through
-    /// `touch_changes`, which is all the durable store needs.
-    pub(crate) fn new(
-        store: EpochStore,
-        facet: Facet,
-        views: Vec<(ViewMask, usize)>,
-        policy: StalenessPolicy,
-        clock: Arc<dyn Clock>,
-        metrics: EngineInstruments,
-    ) -> EpochBackend {
-        EpochBackend {
-            store,
-            writer: Mutex::new(WriterSide {
-                maintainer: Maintainer::new(&facet),
-                log: MaintenanceReport::default(),
-                telemetry: PipelineTelemetry::default(),
-                buffered: Vec::new(),
-            }),
-            serving: Mutex::new(ServingState {
-                views,
-                pending: PendingLog::default(),
-                meter: FlushMeter::default(),
-                windows: ProfileWindows::default(),
-                view_hits: 0,
-                fallbacks: 0,
-                update_batches: 0,
-            }),
-            facet,
-            policy,
-            clock,
-            metrics,
+impl WriterSide {
+    pub(super) fn new(facet: &Facet) -> WriterSide {
+        WriterSide {
+            maintainer: Maintainer::new(facet),
+            log: MaintenanceReport::default(),
+            telemetry: PipelineTelemetry::default(),
+            buffered: Vec::new(),
         }
     }
+}
 
+/// The set difference behind a transactional catalog swap.
+struct SwapPlan {
+    added: Vec<ViewMask>,
+    retired: Vec<ViewMask>,
+    kept: Vec<ViewMask>,
+}
+
+fn plan_swap(current: &[ViewMask], target: &[ViewMask]) -> SwapPlan {
+    debug_assert!(
+        target.iter().map(|m| m.0).collect::<FxHashSet<_>>().len() == target.len(),
+        "swap_views target must not contain duplicates: {target:?}"
+    );
+    let current_set: FxHashSet<u64> = current.iter().map(|m| m.0).collect();
+    let wanted: FxHashSet<u64> = target.iter().map(|m| m.0).collect();
+    SwapPlan {
+        added: target
+            .iter()
+            .copied()
+            .filter(|m| !current_set.contains(&m.0))
+            .collect(),
+        retired: current
+            .iter()
+            .copied()
+            .filter(|m| !wanted.contains(&m.0))
+            .collect(),
+        kept: target
+            .iter()
+            .copied()
+            .filter(|m| current_set.contains(&m.0))
+            .collect(),
+    }
+}
+
+/// Rebuild the catalog in `target` order: kept entries carry their live
+/// row counts from `old`, added ones take their freshly-`materialized`
+/// counts.
+fn rebuild_catalog(
+    target: &[ViewMask],
+    old: &[(ViewMask, usize)],
+    materialized: &[(ViewMask, usize)],
+) -> Vec<(ViewMask, usize)> {
+    let old_catalog: FxHashMap<u64, usize> = old.iter().map(|(m, rows)| (m.0, *rows)).collect();
+    target
+        .iter()
+        .map(|&mask| {
+            let rows = old_catalog.get(&mask.0).copied().unwrap_or_else(|| {
+                materialized
+                    .iter()
+                    .find(|(m, _)| *m == mask)
+                    .map_or(0, |(_, rows)| *rows)
+            });
+            (mask, rows)
+        })
+        .collect()
+}
+
+impl Engine {
     /// [`Maintainer::apply`] one delta to the writer's master, counting
     /// its wall time as serial pipeline work in the writer's telemetry
     /// and the metric instruments.
@@ -175,32 +199,18 @@ impl EpochBackend {
             .map(|_| views.iter().map(|&(m, rows)| (m.0, rows as u64)).collect())
     }
 
-    /// The underlying epoch store (epoch numbers, retire accounting).
-    #[cfg(test)]
-    pub(crate) fn store(&self) -> &EpochStore {
-        &self.store
-    }
-
-    /// The facet.
-    #[cfg(test)]
-    pub(crate) fn facet(&self) -> &Facet {
-        &self.facet
-    }
-
-    /// Pin the current epoch (for validation and ad-hoc reads).
-    #[cfg(test)]
-    pub(crate) fn pin(&self) -> PinnedSnapshot {
-        self.store.pin()
-    }
-
     fn lock_serving(&self) -> std::sync::MutexGuard<'_, ServingState> {
         self.serving.lock().expect("serving lock poisoned")
     }
 
-    /// Apply an update batch under the backend's staleness policy. The
+    fn lock_writer(&self) -> std::sync::MutexGuard<'_, WriterSide> {
+        self.writer.lock().expect("writer lock poisoned")
+    }
+
+    /// Apply an update batch under the engine's staleness policy. The
     /// batch becomes visible to readers atomically at publish; readers
     /// keep answering from the previous epoch until then.
-    pub(crate) fn update(&self, delta: Delta) -> Result<(), SparqlError> {
+    pub fn update(&self, delta: Delta) -> Result<(), SparqlError> {
         let result = self.update_inner(delta);
         self.note_store();
         result
@@ -208,7 +218,7 @@ impl EpochBackend {
 
     fn update_inner(&self, delta: Delta) -> Result<(), SparqlError> {
         let mut txn = self.store.begin();
-        let mut writer = self.writer.lock().expect("writer lock poisoned");
+        let mut writer = self.lock_writer();
         {
             let mut state = self.lock_serving();
             state.update_batches += 1;
@@ -323,7 +333,7 @@ impl EpochBackend {
                     Some(rows) if rows.is_empty() => {}
                     Some(rows) => {
                         state.windows.observe_churn(&rows);
-                        state.pending.push(epoch, self.clock.now_ms(), rows);
+                        state.pending.push(epoch, rows);
                         let evicted = state.pending.enforce_cap(&state.views, epoch);
                         self.metrics.record_pending(state.pending.len(), evicted);
                     }
@@ -339,12 +349,31 @@ impl EpochBackend {
         }
     }
 
-    /// Flush the bounded policy's buffered updates now: apply them all
-    /// inside one write transaction, maintain every view in one pass
-    /// over the *merged* row delta, and publish the whole
-    /// batch as a single epoch. No-op when nothing is buffered.
-    pub(crate) fn flush(&self) -> Result<(), SparqlError> {
-        self.flush_upto(usize::MAX)
+    /// Drain deferred maintenance; returns the maintenance µs spent.
+    ///
+    /// The bounded policy's buffered updates are applied inside one write
+    /// transaction, every view is maintained in one pass over the
+    /// *merged* row delta, and the whole batch is published as a single
+    /// epoch; then every lazily-stale view is repaired.
+    pub fn flush(&self) -> Result<u64, SparqlError> {
+        let (us, result) = measure_once(|| {
+            self.flush_upto(usize::MAX)?;
+            let stale: Vec<ViewMask> = {
+                let state = self.lock_serving();
+                state
+                    .views
+                    .iter()
+                    .map(|(mask, _)| *mask)
+                    .filter(|&mask| state.pending.stale_at(mask, u64::MAX))
+                    .collect()
+            };
+            for view in stale {
+                self.repair_view(view)?;
+            }
+            Ok(())
+        });
+        self.note_store();
+        result.map(|()| us)
     }
 
     /// Flush at most `limit` of the oldest buffered updates (oldest
@@ -353,7 +382,7 @@ impl EpochBackend {
     /// maintenance, not the whole backlog.
     fn flush_upto(&self, limit: usize) -> Result<(), SparqlError> {
         let txn = self.store.begin();
-        let mut writer = self.writer.lock().expect("writer lock poisoned");
+        let mut writer = self.lock_writer();
         if writer.buffered.is_empty() {
             return Ok(());
         }
@@ -451,7 +480,7 @@ impl EpochBackend {
     /// the epoch or wall-clock budget, in which case buffered batches are
     /// flushed (one per check, so the work one read absorbs is bounded)
     /// before serving. The repair/flush cost is reported on the answer.
-    pub(crate) fn query(&self, query: &Query) -> Result<SessionAnswer, SparqlError> {
+    pub fn query(&self, query: &Query) -> Result<SessionAnswer, SparqlError> {
         let start = std::time::Instant::now();
         let result = self.query_inner(query);
         if let Ok(answer) = &result {
@@ -620,7 +649,7 @@ impl EpochBackend {
     /// the writer lock and the caller must re-route.
     fn repair_view(&self, view: ViewMask) -> Result<Option<(PinnedSnapshot, u64)>, SparqlError> {
         let mut txn = self.store.begin();
-        let mut writer = self.writer.lock().expect("writer lock poisoned");
+        let mut writer = self.lock_writer();
         // Re-check under the transaction: another hit may have repaired
         // the view (or a swap retired it) while we waited for the lock.
         let (refresh, backlog, mut entry) = {
@@ -682,15 +711,17 @@ impl EpochBackend {
     /// observe the aborted swap. Only once every new view exists are the
     /// retired ones dropped, the catalog installed, and the whole swap
     /// published as one epoch.
-    pub(crate) fn swap_views(&self, target: &[ViewMask]) -> Result<ViewChurn, SparqlError> {
-        self.swap_views_with(target, materialize_view)
+    pub fn swap_views(&self, target: &[ViewMask]) -> Result<ViewChurn, SparqlError> {
+        let result = self.swap_views_with(target, materialize_view);
+        self.note_store();
+        result
     }
 
-    /// [`EpochBackend::swap_views`] with an injectable materializer —
+    /// [`Engine::swap_views`] with an injectable materializer —
     /// the test seam for forcing a mid-swap failure (the real evaluator
     /// is total over generated view queries, so materialization failures
     /// cannot be provoked from data alone).
-    pub(crate) fn swap_views_with(
+    fn swap_views_with(
         &self,
         target: &[ViewMask],
         mut materialize: impl FnMut(
@@ -704,7 +735,7 @@ impl EpochBackend {
             let state = self.lock_serving();
             state.views.iter().map(|(m, _)| *m).collect()
         };
-        let plan = super::plan_swap(&current, target);
+        let plan = plan_swap(&current, target);
 
         // Phase 1: materialize every incoming view on the master. On
         // failure, undo and abort without publishing.
@@ -739,7 +770,7 @@ impl EpochBackend {
             let prepared = txn.prepare();
             let mut guard = self.lock_serving();
             let state = &mut *guard;
-            state.views = super::rebuild_catalog(target, &state.views, &materialized);
+            state.views = rebuild_catalog(target, &state.views, &materialized);
             for &mask in &plan.retired {
                 state.pending.forget(mask);
             }
@@ -760,115 +791,73 @@ impl EpochBackend {
             drop_us,
         })
     }
-}
 
-impl ServingBackend for EpochBackend {
-    fn update(&self, delta: Delta) -> Result<(), SparqlError> {
-        EpochBackend::update(self, delta)
-    }
-
-    fn query(&self, query: &Query) -> Result<SessionAnswer, SparqlError> {
-        EpochBackend::query(self, query)
-    }
-
-    fn swap_views(&self, target: &[ViewMask]) -> Result<ViewChurn, SparqlError> {
-        let result = EpochBackend::swap_views(self, target);
-        self.note_store();
-        result
-    }
-
-    fn flush(&self) -> Result<u64, SparqlError> {
-        let (us, result) = measure_once(|| {
-            // Drain the bounded buffer first (publishes one batched
-            // epoch), then repair every lazily-stale view — the trait
-            // contract is "ALL deferred maintenance", matching the
-            // serial backend's flush_views.
-            EpochBackend::flush(self)?;
-            let stale: Vec<ViewMask> = {
-                let state = self.lock_serving();
-                state
-                    .views
-                    .iter()
-                    .map(|(mask, _)| *mask)
-                    .filter(|&mask| state.pending.stale_at(mask, u64::MAX))
-                    .collect()
-            };
-            for view in stale {
-                self.repair_view(view)?;
-            }
-            Ok(())
-        });
-        self.note_store();
-        result.map(|()| us)
-    }
-
-    fn snapshot(&self) -> Dataset {
+    /// A consistent point-in-time copy of the served dataset (cheap:
+    /// datasets clone by `Arc`-sharing index runs).
+    pub fn snapshot(&self) -> Dataset {
         self.store.pin().dataset().clone()
     }
 
-    fn views(&self) -> Vec<(ViewMask, usize)> {
+    /// The live catalog (mask + row count, in selection order).
+    pub fn views(&self) -> Vec<(ViewMask, usize)> {
         self.lock_serving().views.clone()
     }
 
-    fn policy(&self) -> StalenessPolicy {
-        self.policy
+    /// Accumulated maintenance log.
+    pub fn maintenance(&self) -> MaintenanceReport {
+        self.lock_writer().log.clone()
     }
 
-    fn maintenance(&self) -> MaintenanceReport {
-        self.writer
-            .lock()
-            .expect("writer lock poisoned")
-            .log
-            .clone()
-    }
-
-    fn routing_counts(&self) -> (usize, usize) {
+    /// `(view hits, base-graph fallbacks)` so far.
+    pub fn routing_counts(&self) -> (usize, usize) {
         let state = self.lock_serving();
         (state.view_hits, state.fallbacks)
     }
 
-    fn update_batches(&self) -> usize {
+    /// Update batches accepted so far.
+    pub fn update_batches(&self) -> usize {
         self.lock_serving().update_batches
     }
 
-    fn stale_views(&self) -> usize {
+    /// Views currently stale (deferred repairs pending).
+    pub fn stale_views(&self) -> usize {
         let epoch = self.store.epoch();
         let state = self.lock_serving();
         state.pending.stale_count(&state.views, epoch)
     }
 
-    fn buffered_updates(&self) -> usize {
+    /// Bounded policy: update batches buffered and not yet flushed.
+    pub fn buffered_updates(&self) -> usize {
         self.lock_serving().meter.buffered()
     }
 
-    fn epoch(&self) -> u64 {
+    /// The newest published epoch.
+    pub fn epoch(&self) -> u64 {
         self.store.epoch()
     }
 
-    fn window_profile(&self) -> WorkloadProfile {
+    /// The sliding workload profile (recently demanded masks).
+    pub fn window_profile(&self) -> WorkloadProfile {
         self.lock_serving().windows.window_profile()
     }
 
-    fn observed_rates(&self) -> UpdateRates {
+    /// Observed update pressure over the sliding batch window.
+    pub fn observed_rates(&self) -> UpdateRates {
         self.lock_serving()
             .windows
             .observed_rates((self.facet.dim_count() + 1) as f64)
     }
 
-    fn churn_profile(&self) -> FxHashMap<u64, f64> {
+    /// The sliding per-group churn distribution.
+    pub fn churn_profile(&self) -> FxHashMap<u64, f64> {
         self.lock_serving().windows.churn_profile()
     }
 
-    fn pipeline_telemetry(&self) -> Option<PipelineTelemetry> {
-        Some(self.writer.lock().expect("writer lock poisoned").telemetry)
-    }
-
-    fn now_ms(&self) -> u64 {
-        self.clock.now_ms()
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "epoch"
+    /// The writer's accumulated pipeline split (serial spine vs.
+    /// per-view planning). Always `Some`; the `Option` stays because the
+    /// claim benchmark chains `.and_then(..)` on it.
+    pub fn pipeline_telemetry(&self) -> Option<PipelineTelemetry> {
+        Some(self.lock_writer().telemetry)
     }
 }
 
@@ -877,15 +866,13 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::offline::{run_offline, SizedLattice};
-    use crate::policy::system_clock;
     use crate::validate::results_equivalent;
     use sofos_cost::CostModelKind;
     use sofos_cube::AggOp;
     use sofos_rdf::Term;
-    use sofos_select::WorkloadProfile;
     use sofos_workload::{synthetic, GeneratedQuery};
 
-    fn setup(policy: StalenessPolicy) -> (EpochBackend, Vec<GeneratedQuery>) {
+    fn setup(policy: StalenessPolicy) -> (Engine, Vec<GeneratedQuery>) {
         let g = synthetic::generate(&synthetic::Config {
             observations: 120,
             agg: AggOp::Avg,
@@ -911,17 +898,14 @@ mod tests {
                 ..Default::default()
             },
         );
-        (
-            EpochBackend::new(
-                EpochStore::new(ds),
-                facet,
-                offline.view_catalog(),
-                policy,
-                system_clock(),
-                EngineInstruments::new(sofos_telemetry::MetricsHandle::new(), "epoch"),
-            ),
-            workload,
-        )
+        let engine = Engine::builder()
+            .dataset(ds)
+            .facet(facet)
+            .catalog(offline.view_catalog())
+            .staleness(policy)
+            .build()
+            .unwrap();
+        (engine, workload)
     }
 
     fn session_delta(batch: usize) -> Delta {
@@ -945,10 +929,10 @@ mod tests {
         delta
     }
 
-    fn assert_answers_match_base(backend: &EpochBackend, workload: &[GeneratedQuery]) {
+    fn assert_answers_match_base(engine: &Engine, workload: &[GeneratedQuery]) {
         for q in workload {
-            let answer = backend.query(&q.query).expect("query runs");
-            let snapshot = backend.pin();
+            let answer = engine.query(&q.query).expect("query runs");
+            let snapshot = engine.store.pin();
             let reference = Evaluator::new(snapshot.dataset())
                 .evaluate(&q.query)
                 .expect("base evaluation runs");
@@ -962,49 +946,49 @@ mod tests {
 
     #[test]
     fn invalidate_drops_catalog_atomically() {
-        let (backend, workload) = setup(StalenessPolicy::Invalidate);
-        assert!(!ServingBackend::views(&backend).is_empty());
-        let pinned = backend.pin();
-        backend.update(session_delta(0)).unwrap();
-        assert!(ServingBackend::views(&backend).is_empty());
+        let (engine, workload) = setup(StalenessPolicy::Invalidate);
+        assert!(!engine.views().is_empty());
+        let pinned = engine.store.pin();
+        engine.update(session_delta(0)).unwrap();
+        assert!(engine.views().is_empty());
         assert!(
             !pinned.dataset().graph_names().is_empty(),
             "the pre-update pin still holds every view graph"
         );
         assert!(
-            backend.pin().dataset().graph_names().is_empty(),
+            engine.store.pin().dataset().graph_names().is_empty(),
             "new pins see no view graphs"
         );
-        assert_answers_match_base(&backend, &workload);
-        let (hits, fallbacks) = ServingBackend::routing_counts(&backend);
+        assert_answers_match_base(&engine, &workload);
+        let (hits, fallbacks) = engine.routing_counts();
         assert_eq!(hits, 0);
         assert_eq!(fallbacks, workload.len());
     }
 
     #[test]
     fn lazy_repairs_publish_epochs_beyond_the_updates() {
-        let (backend, workload) = setup(StalenessPolicy::LazyOnHit);
-        backend.update(session_delta(0)).unwrap();
-        backend.update(session_delta(1)).unwrap();
-        assert_eq!(backend.store().epoch(), 2, "one epoch per lazy update");
-        assert_answers_match_base(&backend, &workload);
+        let (engine, workload) = setup(StalenessPolicy::LazyOnHit);
+        engine.update(session_delta(0)).unwrap();
+        engine.update(session_delta(1)).unwrap();
+        assert_eq!(engine.epoch(), 2, "one epoch per lazy update");
+        assert_answers_match_base(&engine, &workload);
         // Repairs published new epochs beyond the two update batches.
-        assert!(backend.store().epoch() > 2);
+        assert!(engine.epoch() > 2);
     }
 
     #[test]
     fn swap_views_rolls_back_on_mid_swap_failure() {
-        let (backend, workload) = setup(StalenessPolicy::Eager);
-        let before = ServingBackend::views(&backend);
+        let (engine, workload) = setup(StalenessPolicy::Eager);
+        let before = engine.views();
         let before_masks: Vec<ViewMask> = before.iter().map(|(m, _)| *m).collect();
         assert!(!before_masks.contains(&ViewMask::APEX));
-        let epoch_before = backend.store().epoch();
-        let graphs_before = backend.pin().dataset().graph_names().len();
+        let epoch_before = engine.epoch();
+        let graphs_before = engine.store.pin().dataset().graph_names().len();
 
         // Target keeps the existing catalog and adds two views; the
         // injected materializer succeeds on the first addition and fails
         // on the second — a genuine mid-swap abort.
-        let dims = backend.facet().dim_count();
+        let dims = engine.facet().dim_count();
         let mut target = before_masks.clone();
         let added_ok = (1..(1u64 << dims))
             .map(ViewMask)
@@ -1014,7 +998,7 @@ mod tests {
         target.push(ViewMask::APEX);
 
         let mut calls = 0usize;
-        let err = backend
+        let err = engine
             .swap_views_with(&target, |dataset, facet, mask| {
                 calls += 1;
                 if calls == 2 {
@@ -1028,32 +1012,32 @@ mod tests {
 
         // Rollback: catalog untouched, no epoch published, the
         // successfully-materialized view graph is gone again.
-        assert_eq!(ServingBackend::views(&backend), before);
-        assert_eq!(backend.store().epoch(), epoch_before);
-        assert_eq!(backend.pin().dataset().graph_names().len(), graphs_before);
-        assert_answers_match_base(&backend, &workload);
+        assert_eq!(engine.views(), before);
+        assert_eq!(engine.epoch(), epoch_before);
+        assert_eq!(
+            engine.store.pin().dataset().graph_names().len(),
+            graphs_before
+        );
+        assert_answers_match_base(&engine, &workload);
 
         // The same swap with the real materializer succeeds and publishes.
-        let churn = backend.swap_views(&target).expect("real swap succeeds");
+        let churn = engine.swap_views(&target).expect("real swap succeeds");
         assert_eq!(churn.added.len(), 2);
-        assert_eq!(backend.store().epoch(), epoch_before + 1);
-        assert_answers_match_base(&backend, &workload);
+        assert_eq!(engine.epoch(), epoch_before + 1);
+        assert_answers_match_base(&engine, &workload);
     }
 
     #[test]
     fn swap_views_churn_matches_serial_semantics() {
-        let (backend, workload) = setup(StalenessPolicy::LazyOnHit);
-        backend.update(session_delta(0)).unwrap();
-        let before: Vec<ViewMask> = ServingBackend::views(&backend)
-            .iter()
-            .map(|(m, _)| *m)
-            .collect();
+        let (engine, workload) = setup(StalenessPolicy::LazyOnHit);
+        engine.update(session_delta(0)).unwrap();
+        let before: Vec<ViewMask> = engine.views().iter().map(|(m, _)| *m).collect();
         let kept = before[0];
-        let churn = backend.swap_views(&[kept, ViewMask::APEX]).unwrap();
+        let churn = engine.swap_views(&[kept, ViewMask::APEX]).unwrap();
         assert_eq!(churn.kept, vec![kept]);
         assert_eq!(churn.added, vec![ViewMask::APEX]);
         assert_eq!(churn.retired.len(), before.len() - 1);
-        backend.update(session_delta(1)).unwrap();
-        assert_answers_match_base(&backend, &workload);
+        engine.update(session_delta(1)).unwrap();
+        assert_answers_match_base(&engine, &workload);
     }
 }

@@ -10,11 +10,9 @@
 //!   door: [`Engine::query`] answers through the rewriter when a
 //!   materialized view covers the query and from the base graph
 //!   otherwise, and [`Engine::update`] keeps the views fresh under a
-//!   [`StalenessPolicy`], over a pluggable [`Backend`] —
-//!   [`Backend::Serial`] (one mutable dataset) or [`Backend::Epoch`]
-//!   (epoch snapshots, concurrent readers). Both backends run the *same*
-//!   policy machinery ([`policy`]), including wall-clock bounded staleness
-//!   driven by an injectable [`Clock`];
+//!   [`StalenessPolicy`]. Readers pin epoch snapshots while one writer
+//!   publishes epochs; the policy machinery ([`policy`]) includes
+//!   wall-clock bounded staleness driven by an injectable [`Clock`];
 //! * the **adaptive layer** ([`adaptive`]) watches the engine's sliding
 //!   workload/update profile ([`DriftDetector`]) and re-selects + swaps
 //!   the materialized set when it drifts ([`Reselector`]);
@@ -88,8 +86,8 @@ pub use adaptive::{AnytimeBudget, DriftDetector, ReselectionReport, Reselector};
 pub use compare::{compare_cost_models, measure_workload, OnlineOutcome};
 pub use config::EngineConfig;
 pub use engine::{
-    Backend, Engine, EngineBuildError, EngineBuilder, RecoveryReport, Route, ServingBackend,
-    SessionAnswer, ViewChurn,
+    Backend, Engine, EngineBuildError, EngineBuilder, RecoveryReport, Route, SessionAnswer,
+    ViewChurn,
 };
 pub use offline::{build_model, run_offline, OfflineOutcome, SizedLattice};
 pub use policy::{Clock, Freshness, ManualClock, StalenessPolicy, SystemClock};
@@ -165,7 +163,7 @@ mod tests {
     #[test]
     fn sofos_into_engine_bridges_to_serving() {
         let (_, engine, _) = offline_then_engine(&small(), 5);
-        assert_eq!(engine.backend_name(), "serial");
+        assert_eq!(engine.backend_name(), "epoch");
         assert_eq!(engine.views().len(), 4);
     }
 }

@@ -1,9 +1,9 @@
-//! The engine's metric instruments — the bridge between the serving
-//! backends and [`sofos_telemetry`].
+//! The engine's metric instruments — the bridge between the
+//! [`crate::engine::Engine`] and [`sofos_telemetry`].
 //!
-//! One [`EngineInstruments`] per backend, pre-registering every named
-//! instrument with its `backend` label at construction so the hot serve
-//! path records through cached `Arc`s (a few relaxed atomic ops) and
+//! One [`EngineInstruments`] per engine, pre-registering every named
+//! instrument at construction so the hot serve path records through
+//! cached `Arc`s (a few relaxed atomic ops) and
 //! never touches the registry lock. Per-view route counters are the one
 //! dynamic set: they are created on a view's first routing and cached in
 //! a small map behind a short mutex.
@@ -12,7 +12,9 @@
 //! [`MetricsHandle`] (see [`MetricsHandle::disabled`]), so an
 //! uninstrumented engine pays one branch per call site.
 //!
-//! Metric names (all `backend`-labelled):
+//! Metric names (all labelled `backend="epoch"`, [`BACKEND_LABEL`]; the
+//! engine has one backend, but dashboards and the claim benchmark look
+//! gauges up by that label):
 //!
 //! | name | kind | meaning |
 //! |------|------|---------|
@@ -47,10 +49,12 @@ use sofos_telemetry::{Counter, EventKind, Gauge, Histogram, MetricsHandle};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Pre-registered instruments for one serving backend (see module docs).
+/// The value of every instrument's `backend` label.
+pub(crate) const BACKEND_LABEL: &str = "epoch";
+
+/// Pre-registered instruments for one engine (see module docs).
 pub(crate) struct EngineInstruments {
     handle: MetricsHandle,
-    backend: &'static str,
     serve_view_us: Arc<Histogram>,
     serve_fallback_us: Arc<Histogram>,
     freshness_lag: Arc<Histogram>,
@@ -82,13 +86,14 @@ pub(crate) struct EngineInstruments {
 }
 
 impl EngineInstruments {
-    /// Register the backend's instrument set on `handle`.
-    pub(crate) fn new(handle: MetricsHandle, backend: &'static str) -> EngineInstruments {
+    /// Register the engine's instrument set on `handle`.
+    pub(crate) fn new(handle: MetricsHandle) -> EngineInstruments {
         // The adaptive layer's instruments are unlabelled (the Reselector
-        // works through the public Engine surface, not a backend), but
+        // works through the public Engine surface), but
         // they are pre-registered here so a `/metrics` scrape exposes
         // them before the first re-selection ever runs.
         register_reselection_instruments(&handle);
+        let backend = BACKEND_LABEL;
         let b = [("backend", backend)];
         let serve_help = "End-to-end serve latency (µs)";
         EngineInstruments {
@@ -200,9 +205,13 @@ impl EngineInstruments {
                 "Full snapshots written since boot",
                 &b,
             ),
-            backend,
             handle,
         }
+    }
+
+    /// The handle every instrument records into.
+    pub(crate) fn handle(&self) -> &MetricsHandle {
+        &self.handle
     }
 
     /// One served answer: latency split by route, the freshness-lag tag,
@@ -249,7 +258,7 @@ impl EngineInstruments {
                 "sofos_route_total",
                 "Queries routed per destination",
                 &[
-                    ("backend", self.backend),
+                    ("backend", BACKEND_LABEL),
                     ("route", "view"),
                     ("view", &format!("{:#x}", view.0)),
                 ],
@@ -396,7 +405,7 @@ fn register_reselection_instruments(handle: &MetricsHandle) -> ReselectionInstru
 
 /// Record one adaptive re-selection on `handle` (called by
 /// [`crate::adaptive::Reselector`], which works through the public
-/// [`crate::engine::Engine`] surface rather than a backend's
+/// [`crate::engine::Engine`] surface rather than the engine's
 /// instruments). `moves` / `restarts` are zero for greedy passes and the
 /// [`sofos_select::SearchReport`] counts for anytime passes.
 pub(crate) fn record_reselection(
@@ -426,7 +435,7 @@ mod tests {
     #[test]
     fn instruments_register_and_record() {
         let handle = MetricsHandle::new();
-        let m = EngineInstruments::new(handle.clone(), "serial");
+        let m = EngineInstruments::new(handle.clone());
         m.record_serve(Some(ViewMask(3)), 120, &Freshness::fresh(1), 5);
         m.record_serve(None, 40, &Freshness::fresh(1), 6);
         m.record_pending(4, 2);
@@ -435,26 +444,23 @@ mod tests {
         assert_eq!(
             snap.counter_value(
                 "sofos_route_total",
-                &[("backend", "serial"), ("route", "fallback")]
+                &[("backend", "epoch"), ("route", "fallback")]
             ),
             Some(1)
         );
         assert_eq!(
             snap.counter_value(
                 "sofos_route_total",
-                &[("backend", "serial"), ("route", "view"), ("view", "0x3")]
+                &[("backend", "epoch"), ("route", "view"), ("view", "0x3")]
             ),
             Some(1)
         );
         assert_eq!(
-            snap.gauge_value("sofos_pending_depth", &[("backend", "serial")]),
+            snap.gauge_value("sofos_pending_depth", &[("backend", "epoch")]),
             Some(4)
         );
         assert_eq!(
-            snap.counter_value(
-                "sofos_pending_cap_evictions_total",
-                &[("backend", "serial")]
-            ),
+            snap.counter_value("sofos_pending_cap_evictions_total", &[("backend", "epoch")]),
             Some(2)
         );
         assert_eq!(snap.events.len(), 1, "flush event recorded");
@@ -463,7 +469,7 @@ mod tests {
     #[test]
     fn disabled_handle_records_nothing() {
         let handle = MetricsHandle::disabled();
-        let m = EngineInstruments::new(handle.clone(), "epoch");
+        let m = EngineInstruments::new(handle.clone());
         m.record_serve(Some(ViewMask(1)), 1_000_000, &Freshness::fresh(0), 1);
         m.record_flush(5, 2, "ignored");
         let snap = handle.snapshot();

@@ -1,15 +1,9 @@
-//! The shared staleness-policy machinery — one implementation, every
-//! serving backend.
-//!
-//! Before the [`Engine`](crate::engine::Engine) redesign, the serial and
-//! epoch-based session types each carried
-//! their own copy of the policy state machines: the buffered-delta log with
-//! per-view cursors, the needs-refresh bookkeeping, compaction and cap
-//! enforcement, bounded-flush accounting, freshness computation, and the
-//! sliding demand/churn windows the adaptive layer reads. Every policy
-//! change had to be written twice. This module is the extraction: the
-//! backends keep only their genuinely different parts (one owns a mutable
-//! [`sofos_store::Dataset`], the other an epoch store), and everything a
+//! The staleness-policy machinery the [`Engine`](crate::engine::Engine)
+//! serves under: the buffered-delta log with per-view cursors, the
+//! needs-refresh bookkeeping, compaction and cap enforcement,
+//! bounded-flush accounting, freshness tags, and the sliding demand/churn
+//! windows the adaptive layer reads. The engine keeps the epoch-store
+//! choreography (transactions, publishes, locks); everything a
 //! [`StalenessPolicy`] *means* lives here.
 //!
 //! It also hosts the [`Clock`] abstraction behind wall-clock bounded
@@ -102,7 +96,7 @@ impl Clock for ManualClock {
     }
 }
 
-/// The default clock every backend uses unless one is injected.
+/// The default clock an engine uses unless one is injected.
 pub fn system_clock() -> Arc<dyn Clock> {
     Arc::new(SystemClock::new())
 }
@@ -111,7 +105,7 @@ pub fn system_clock() -> Arc<dyn Clock> {
 // StalenessPolicy
 // ---------------------------------------------------------------------------
 
-/// When a serving backend repairs materialized views after updates.
+/// When the engine repairs materialized views after updates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StalenessPolicy {
     /// Maintain every view inside the update call: queries always see
@@ -129,15 +123,15 @@ pub enum StalenessPolicy {
     /// and views maintained in *batched* flushes — every `max_batches`
     /// update batches — while reads are served from the standing state
     /// with a [`Freshness`] tag instead of waiting for repair. A read is
-    /// never allowed to lag more than `max_epoch_lag` epochs (batches, in
-    /// the serial backend) — nor, when `max_lag_ms` is set, to serve
+    /// never allowed to lag more than `max_epoch_lag` buffered batches
+    /// behind the latest state — nor, when `max_lag_ms` is set, to serve
     /// state whose oldest unflushed update is older than that wall-clock
     /// budget (per the injected [`Clock`]): past either bound, the serve
     /// path flushes or repairs first. `Bounded { max_batches: 1,
     /// max_epoch_lag: 0, .. }` degenerates to eager.
     Bounded {
-        /// Flush cadence: maintain (and, over an epoch store, publish)
-        /// after this many buffered update batches. Minimum 1.
+        /// Flush cadence: maintain and publish after this many buffered
+        /// update batches. Minimum 1.
         max_batches: usize,
         /// Serve-side staleness ceiling, in epochs behind the latest
         /// state. 0 = always fresh at serve time.
@@ -172,7 +166,7 @@ impl StalenessPolicy {
 
     /// A bounded-staleness policy with a wall-clock budget: reads are
     /// additionally never served from state older than `max_lag_ms`
-    /// milliseconds (measured by the backend's [`Clock`]).
+    /// milliseconds (measured by the engine's [`Clock`]).
     pub fn bounded_ms(max_batches: usize, max_epoch_lag: u64, max_lag_ms: u64) -> StalenessPolicy {
         StalenessPolicy::Bounded {
             max_batches: max_batches.max(1),
@@ -256,12 +250,10 @@ impl std::fmt::Display for StalenessPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Freshness {
     /// How far behind the latest known state the served state was:
-    /// unpublished/unmaintained epochs for the epoch backend (buffered
-    /// batches awaiting a flush), buffered update batches for the serial
-    /// backend. 0 = fresh as of the serve instant.
+    /// buffered update batches awaiting a flush (each becomes an epoch
+    /// once published). 0 = fresh as of the serve instant.
     pub lag: u64,
-    /// The epoch the answer was served at (epoch backend; the serial
-    /// backend reports its applied update-batch count).
+    /// The epoch the answer was served at.
     pub epoch: u64,
 }
 
@@ -297,19 +289,18 @@ impl std::fmt::Display for Freshness {
 // PendingLog — the deferred-maintenance state machine
 // ---------------------------------------------------------------------------
 
-/// The shared buffered-delta log behind the lazy and bounded policies:
-/// one stamped [`RowDelta`] per update batch (a single copy, shared by
-/// every view), per-view cursors marking how far each view has consumed
-/// it, and the needs-refresh set for views whose backlog is unusable.
+/// The buffered-delta log behind the lazy policy: one stamped
+/// [`RowDelta`] per update batch (a single copy, shared by every view),
+/// per-view cursors marking how far each view has consumed it, and the
+/// needs-refresh set for views whose backlog is unusable (which a failed
+/// maintenance pass fills under every policy).
 ///
-/// *Stamps* are whatever monotonic counter the backend publishes state
-/// under — epoch numbers for the epoch backend, applied-update-batch
-/// counts for the serial one. The log never interprets them beyond
-/// ordering.
+/// *Stamps* are the epoch numbers that published each batch. The log
+/// never interprets them beyond ordering.
 #[derive(Debug, Default)]
 pub struct PendingLog {
-    /// `(stamp, enqueued_at_ms, rows)`, stamps ascending.
-    entries: VecDeque<(u64, u64, RowDelta)>,
+    /// `(stamp, rows)`, stamps ascending.
+    entries: VecDeque<(u64, RowDelta)>,
     /// Per-view stamp: entries with `stamp <= cursor` are already applied
     /// to that view.
     cursor: FxHashMap<u64, u64>,
@@ -329,18 +320,18 @@ impl PendingLog {
     /// (which a view that stale would effectively need anyway).
     pub const CAP: usize = 64;
 
-    /// Buffer one batch's row delta under `stamp`, taken at `now_ms`.
-    /// Empty deltas are dropped. Callers must enforce the cap afterwards
+    /// Buffer one batch's row delta under `stamp`. Empty deltas are
+    /// dropped. Callers must enforce the cap afterwards
     /// (via [`PendingLog::enforce_cap`]) once the current stamp is known.
-    pub fn push(&mut self, stamp: u64, now_ms: u64, rows: RowDelta) {
+    pub fn push(&mut self, stamp: u64, rows: RowDelta) {
         if rows.is_empty() {
             return;
         }
         debug_assert!(
-            self.entries.back().is_none_or(|&(s, _, _)| s <= stamp),
+            self.entries.back().is_none_or(|&(s, _)| s <= stamp),
             "pending-log stamps must be monotonic"
         );
-        self.entries.push_back((stamp, now_ms, rows));
+        self.entries.push_back((stamp, rows));
     }
 
     /// Buffered entries not yet consumed by every view.
@@ -368,33 +359,7 @@ impl PendingLog {
             return true;
         }
         let cursor = self.cursor_of(view);
-        self.entries
-            .iter()
-            .any(|&(s, _, _)| s > cursor && s <= stamp)
-    }
-
-    /// How many buffered batches `view` lags behind ([`Freshness::lag`]
-    /// under the bounded policy); `u64::MAX` when it needs a refresh.
-    pub fn lag_of(&self, view: ViewMask) -> u64 {
-        if self.needs_refresh(view) {
-            return u64::MAX;
-        }
-        let cursor = self.cursor_of(view);
-        self.entries.iter().filter(|&&(s, _, _)| s > cursor).count() as u64
-    }
-
-    /// Wall-clock age (ms, per `now_ms`) of the oldest entry `view` has
-    /// not consumed; 0 when it is caught up. A view needing refresh is
-    /// infinitely stale.
-    pub fn time_lag_of(&self, view: ViewMask, now_ms: u64) -> u64 {
-        if self.needs_refresh(view) {
-            return u64::MAX;
-        }
-        let cursor = self.cursor_of(view);
-        self.entries
-            .iter()
-            .find(|&&(s, _, _)| s > cursor)
-            .map_or(0, |&(_, at, _)| now_ms.saturating_sub(at))
+        self.entries.iter().any(|&(s, _)| s > cursor && s <= stamp)
     }
 
     /// Merge the entries `view` has not applied yet; `None` when the view
@@ -405,7 +370,7 @@ impl PendingLog {
         }
         let cursor = self.cursor_of(view);
         let mut merged = RowDelta::default();
-        for (stamp, _, rows) in &self.entries {
+        for (stamp, rows) in &self.entries {
             if *stamp > cursor {
                 merged.merge(rows);
             }
@@ -461,9 +426,9 @@ impl PendingLog {
         while self
             .entries
             .front()
-            .is_some_and(|&(stamp, _, _)| stamp <= consumed)
+            .is_some_and(|&(stamp, _)| stamp <= consumed)
         {
-            let (stamp, _, _) = self.entries.pop_front().expect("front checked");
+            let (stamp, _) = self.entries.pop_front().expect("front checked");
             self.floor = self.floor.max(stamp);
         }
     }
@@ -479,7 +444,7 @@ impl PendingLog {
             let dropped = self
                 .entries
                 .front()
-                .map(|&(stamp, _, _)| stamp)
+                .map(|&(stamp, _)| stamp)
                 .expect("len > CAP");
             // Downgrade laggards *before* the floor advances past the
             // dropped stamp — a view with no explicit cursor defaults to
@@ -520,9 +485,8 @@ impl PendingLog {
 
 /// Buffered-update accounting for the bounded policy's *whole-state* lag:
 /// one enqueue timestamp per buffered (not yet flushed/published) update
-/// batch. The epoch backend buffers whole deltas writer-side and this
-/// meter is the readers' view of how far behind the published epoch is;
-/// the serial backend counts batches between scheduled flushes.
+/// batch. The engine buffers whole deltas writer-side and this meter is
+/// the readers' view of how far behind the published epoch is.
 #[derive(Debug, Default)]
 pub struct FlushMeter {
     enqueued_at_ms: VecDeque<u64>,
@@ -548,24 +512,11 @@ impl FlushMeter {
             .map_or(0, |&at| now_ms.saturating_sub(at))
     }
 
-    /// The scheduled flush is due: the buffer reached the policy's
-    /// cadence (never true outside the bounded policy).
-    pub fn cadence_due(&self, policy: StalenessPolicy) -> bool {
-        policy
-            .flush_cadence()
-            .is_some_and(|cadence| self.buffered() >= cadence)
-    }
-
     /// Drop the `n` oldest buffered entries (they were flushed).
     pub fn drain(&mut self, n: usize) {
         for _ in 0..n {
             self.enqueued_at_ms.pop_front();
         }
-    }
-
-    /// Drop everything (a full flush).
-    pub fn clear(&mut self) {
-        self.enqueued_at_ms.clear();
     }
 }
 
@@ -573,7 +524,7 @@ impl FlushMeter {
 // ProfileWindows — the adaptive layer's sliding observations
 // ---------------------------------------------------------------------------
 
-/// The sliding workload/update profile every backend feeds and the
+/// The sliding workload/update profile the engine feeds and the
 /// adaptive layer ([`crate::adaptive::Reselector`]) reads: recently
 /// demanded masks, per-batch insert/delete pressure, and per-group churn.
 #[derive(Debug, Default)]
@@ -768,24 +719,23 @@ mod tests {
         let b = ViewMask(2);
         let views = vec![(a, 0usize), (b, 0usize)];
         let mut log = PendingLog::default();
-        log.push(1, 0, rows(1));
-        log.push(2, 10, rows(2));
-        assert_eq!(log.lag_of(a), 2);
+        log.push(1, rows(1));
+        log.push(2, rows(2));
         assert!(log.stale_at(a, 2));
         assert!(!log.stale_at(a, 0), "nothing newer than stamp 0");
-        assert_eq!(log.time_lag_of(a, 25), 25);
 
         // A consumes everything; B still pins the log.
         log.consume(a, 2, true, &views);
-        assert_eq!(log.lag_of(a), 0);
+        assert!(!log.stale_at(a, u64::MAX));
+        assert_eq!(log.stale_count(&views, 2), 1, "only B is behind");
         assert_eq!(log.len(), 2, "B has not consumed");
         log.consume(b, 2, true, &views);
         assert!(log.is_empty(), "fully-consumed entries compact away");
 
-        // New entries after compaction: the floor keeps lag exact.
-        log.push(3, 20, rows(3));
-        assert_eq!(log.lag_of(a), 1);
-        assert_eq!(log.time_lag_of(a, 50), 30);
+        // New entries after compaction: the floor keeps staleness exact.
+        log.push(3, rows(3));
+        assert!(log.stale_at(a, 3));
+        assert!(!log.stale_at(a, 2));
     }
 
     #[test]
@@ -793,10 +743,10 @@ mod tests {
         let a = ViewMask(1);
         let views = vec![(a, 0usize)];
         let mut log = PendingLog::default();
-        log.push(1, 0, rows(1));
+        log.push(1, rows(1));
         log.demand_refresh_all(&views, 1);
         assert!(log.needs_refresh(a));
-        assert_eq!(log.lag_of(a), u64::MAX);
+        assert!(log.stale_at(a, 0), "a refresh demand is stale at any stamp");
         assert!(log.backlog(a).is_none());
         assert!(log.is_empty(), "superseded entries dropped");
 
@@ -814,7 +764,7 @@ mod tests {
         let views = vec![(a, 0usize), (b, 0usize)];
         let mut log = PendingLog::default();
         for stamp in 1..=(PendingLog::CAP as u64 + 4) {
-            log.push(stamp, stamp, rows(stamp as i64));
+            log.push(stamp, rows(stamp as i64));
             // A keeps up; B never consumes.
             log.consume(a, stamp, true, &views);
             log.enforce_cap(&views, stamp);
@@ -832,12 +782,11 @@ mod tests {
         meter.enqueue(30);
         assert_eq!(meter.buffered(), 2);
         assert_eq!(meter.time_lag_ms(100), 90);
-        assert!(meter.cadence_due(StalenessPolicy::bounded(2, 0)));
-        assert!(!meter.cadence_due(StalenessPolicy::Eager));
         meter.drain(1);
         assert_eq!(meter.time_lag_ms(100), 70, "next-oldest takes over");
-        meter.clear();
+        meter.drain(1);
         assert_eq!(meter.buffered(), 0);
+        assert_eq!(meter.time_lag_ms(100), 0);
     }
 
     #[test]

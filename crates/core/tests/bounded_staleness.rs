@@ -3,12 +3,12 @@
 //! never serves a read older than `max_epoch_lag` epochs — nor, when a
 //! wall-clock budget is set, older than `max_lag_ms` milliseconds under a
 //! hand-driven clock — and once drained (flushed), answers are exactly
-//! the base-graph answers. Both backends, one front door.
+//! the base-graph answers.
 
 use proptest::prelude::*;
 use sofos_core::{
-    results_equivalent, run_offline, Backend, Clock, Engine, EngineConfig, ManualClock, Route,
-    SizedLattice, StalenessPolicy,
+    results_equivalent, run_offline, Clock, Engine, EngineConfig, ManualClock, Route, SizedLattice,
+    StalenessPolicy,
 };
 use sofos_cost::CostModelKind;
 use sofos_cube::{AggOp, Facet, ViewMask};
@@ -88,14 +88,13 @@ fn update_delta(batch: usize) -> Delta {
     delta
 }
 
-fn bounded_engine(backend: Backend, policy: StalenessPolicy, clock: Arc<ManualClock>) -> Engine {
+fn bounded_engine(policy: StalenessPolicy, clock: Arc<ManualClock>) -> Engine {
     let s = setup();
     Engine::builder()
         .dataset(s.expanded.clone())
         .facet(s.facet.clone())
         .catalog(s.catalog.clone())
         .staleness(policy)
-        .backend(backend)
         .clock(clock as Arc<dyn Clock>)
         .build()
         .expect("engine builds")
@@ -123,9 +122,9 @@ fn drain_and_verify(engine: &Engine) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Epoch backend: every answered read carries a freshness tag within
-    /// the configured lag budget, no matter how updates and queries
-    /// interleave; a drained engine answers exactly.
+    /// Every answered read carries a freshness tag within the configured
+    /// lag budget, no matter how updates and queries interleave; a
+    /// drained engine answers exactly.
     #[test]
     fn epoch_bounded_never_serves_past_the_lag_budget(
         ops in proptest::collection::vec(proptest::bool::weighted(0.6), 4..20),
@@ -134,7 +133,6 @@ proptest! {
     ) {
         let s = setup();
         let engine = bounded_engine(
-            Backend::Epoch { shards: 1, threads: 1 },
             StalenessPolicy::bounded(max_batches, max_epoch_lag),
             ManualClock::shared(0),
         );
@@ -166,44 +164,9 @@ proptest! {
         drain_and_verify(&engine)?;
     }
 
-    /// Serial backend: same budget property over the batch-counted lag,
-    /// and exactness after an explicit flush.
-    #[test]
-    fn serial_bounded_never_serves_past_the_lag_budget(
-        ops in proptest::collection::vec(proptest::bool::weighted(0.6), 4..20),
-        max_batches in 1usize..5,
-        max_epoch_lag in 0u64..4,
-    ) {
-        let s = setup();
-        let engine = bounded_engine(
-            Backend::Serial,
-            StalenessPolicy::bounded(max_batches, max_epoch_lag),
-            ManualClock::shared(0),
-        );
-        let (mut batch, mut next_query) = (0usize, 0usize);
-        for is_update in ops {
-            if is_update {
-                engine.update(update_delta(batch)).expect("update runs");
-                batch += 1;
-                prop_assert!(engine.buffered_updates() < max_batches.max(1));
-            } else {
-                let q = &s.workload[next_query % s.workload.len()];
-                next_query += 1;
-                let answer = engine.query(&q.query).expect("query runs");
-                prop_assert!(
-                    answer.freshness.lag <= max_epoch_lag,
-                    "served lag {} > budget {}",
-                    answer.freshness.lag,
-                    max_epoch_lag
-                );
-            }
-        }
-        drain_and_verify(&engine)?;
-    }
-
     /// Wall-clock budget (`max_lag_ms`), under a hand-driven clock: once
     /// the clock has moved past the budget since the last update, no
-    /// view-routed read may serve buffered state — on either backend.
+    /// view-routed read may serve buffered state.
     /// (Generous batch/epoch budgets ensure only the clock can trip.)
     #[test]
     fn bounded_wall_clock_budget_is_enforced_on_both_backends(
@@ -212,43 +175,39 @@ proptest! {
         max_lag_ms in 20u64..200,
     ) {
         let s = setup();
-        for backend in [Backend::Serial, Backend::Epoch { shards: 1, threads: 1 }] {
-            let clock = ManualClock::shared(0);
-            let engine = bounded_engine(
-                backend,
-                StalenessPolicy::bounded_ms(100, 100, max_lag_ms),
-                clock.clone(),
-            );
-            let mut last_update_at: Option<u64> = None;
-            let (mut batch, mut next_query) = (0usize, 0usize);
-            for (is_update, advance_ms) in &ops {
-                clock.advance(*advance_ms);
-                if *is_update {
-                    engine.update(update_delta(batch)).expect("update runs");
-                    batch += 1;
-                    last_update_at = Some(clock.now_ms());
-                } else {
-                    let q = &s.workload[next_query % s.workload.len()];
-                    next_query += 1;
-                    let answer = engine.query(&q.query).expect("query runs");
-                    // If even the *newest* buffered update is older than
-                    // the budget, every buffered entry is, so a
-                    // view-routed answer must have been repaired/flushed
-                    // to lag 0 before serving.
-                    let all_stale = last_update_at
-                        .is_some_and(|at| clock.now_ms().saturating_sub(at) > max_lag_ms);
-                    if all_stale && matches!(answer.route, Route::View(_)) {
-                        prop_assert_eq!(
-                            answer.freshness.lag,
-                            0,
-                            "a read past max_lag_ms={} served buffered state on {}",
-                            max_lag_ms,
-                            engine.backend_name()
-                        );
-                    }
+        let clock = ManualClock::shared(0);
+        let engine = bounded_engine(
+            StalenessPolicy::bounded_ms(100, 100, max_lag_ms),
+            clock.clone(),
+        );
+        let mut last_update_at: Option<u64> = None;
+        let (mut batch, mut next_query) = (0usize, 0usize);
+        for (is_update, advance_ms) in &ops {
+            clock.advance(*advance_ms);
+            if *is_update {
+                engine.update(update_delta(batch)).expect("update runs");
+                batch += 1;
+                last_update_at = Some(clock.now_ms());
+            } else {
+                let q = &s.workload[next_query % s.workload.len()];
+                next_query += 1;
+                let answer = engine.query(&q.query).expect("query runs");
+                // If even the *newest* buffered update is older than
+                // the budget, every buffered entry is, so a
+                // view-routed answer must have been repaired/flushed
+                // to lag 0 before serving.
+                let all_stale = last_update_at
+                    .is_some_and(|at| clock.now_ms().saturating_sub(at) > max_lag_ms);
+                if all_stale && matches!(answer.route, Route::View(_)) {
+                    prop_assert_eq!(
+                        answer.freshness.lag,
+                        0,
+                        "a read past max_lag_ms={} served buffered state",
+                        max_lag_ms
+                    );
                 }
             }
-            drain_and_verify(&engine)?;
         }
+        drain_and_verify(&engine)?;
     }
 }

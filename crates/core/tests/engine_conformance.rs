@@ -1,29 +1,25 @@
-//! Backend conformance: the serial and epoch backends are the SAME
-//! engine, as a property.
+//! Engine conformance against ground truth: the engine and a plain
+//! reference [`Dataset`] receive the same deltas, and the engine's answers
+//! must equal [`Evaluator`]'s over the reference.
 //!
 //! One scenario grid — staleness policy × delta mix × update/query
-//! interleaving — drives a [`Backend::Serial`]
-//! and a [`Backend::Epoch`] engine through identical operation sequences
-//! (sharing one [`ManualClock`], so even wall-clock bounded staleness is
-//! deterministic) and asserts:
+//! interleaving, under one [`ManualClock`] so even wall-clock bounded
+//! staleness is deterministic — drives the engine and the reference
+//! through identical operation sequences and asserts:
 //!
-//! * **in-budget freshness** on every answered read, on both backends
-//!   (batch-lag budget always; the wall-clock budget is additionally
-//!   model-checked against the test's own enqueue-time mirror on the
-//!   epoch backend);
-//! * **bit-equal answers** between the backends at every read under the
-//!   always-current policies (eager / lazy-on-hit / invalidate), and at
-//!   every drained point under bounded staleness (where the backends
-//!   legitimately serve different prefixes mid-stream: the serial backend
-//!   applies base deltas immediately, the epoch backend buffers whole
-//!   batches);
-//! * **identical catalogs and exact answers** after a final drain, both
-//!   backends agreeing with a from-scratch base evaluation.
+//! * **exact answers** at every read under the always-current policies
+//!   (eager / lazy-on-hit / invalidate), and at every read served fresh
+//!   under bounded staleness — which is every read after a drain;
+//! * **in-budget freshness** on every answered read: the batch-lag
+//!   budget, and the wall-clock budget model-checked against the test's
+//!   own enqueue-time mirror;
+//! * after a final drain, **the initial catalog** (empty under invalidate
+//!   once an update arrived) and exact answers everywhere.
 
 use proptest::prelude::*;
 use sofos_core::{
-    results_equivalent, run_offline, Backend, Clock, Engine, EngineConfig, ManualClock, Route,
-    SizedLattice, StalenessPolicy,
+    results_equivalent, run_offline, Clock, Engine, EngineConfig, ManualClock, SizedLattice,
+    StalenessPolicy,
 };
 use sofos_cost::CostModelKind;
 use sofos_cube::{AggOp, Facet, ViewMask};
@@ -37,6 +33,9 @@ use std::sync::Arc;
 use std::sync::OnceLock;
 
 struct Setup {
+    /// The base graph `G`: the reference the deltas are applied to.
+    base: Dataset,
+    /// `G+`: the base plus the materialized views the engine serves.
     expanded: Dataset,
     facet: Facet,
     catalog: Vec<(ViewMask, usize)>,
@@ -54,11 +53,12 @@ fn setup() -> &'static Setup {
             ..synthetic::Config::default()
         });
         let facet = g.facets[0].clone();
-        let mut ds = g.dataset;
-        let sized = SizedLattice::compute(&ds, &facet).expect("lattice sizes");
+        let base = g.dataset;
+        let mut expanded = base.clone();
+        let sized = SizedLattice::compute(&expanded, &facet).expect("lattice sizes");
         let profile = WorkloadProfile::uniform(&sized.lattice);
         let offline = run_offline(
-            &mut ds,
+            &mut expanded,
             &sized,
             &profile,
             CostModelKind::AggValues,
@@ -66,7 +66,7 @@ fn setup() -> &'static Setup {
         )
         .expect("offline phase runs");
         let workload = generate_workload(
-            &ds,
+            &expanded,
             &facet,
             &WorkloadConfig {
                 num_queries: 8,
@@ -74,8 +74,9 @@ fn setup() -> &'static Setup {
             },
         );
         Setup {
+            base,
             catalog: offline.view_catalog(),
-            expanded: ds,
+            expanded,
             facet,
             workload,
         }
@@ -131,35 +132,20 @@ fn policy_grid(idx: usize) -> StalenessPolicy {
     }
 }
 
-fn build_pair(policy: StalenessPolicy) -> (Engine, Engine, Arc<ManualClock>) {
+fn build(policy: StalenessPolicy, clock: Arc<ManualClock>) -> Engine {
     let s = setup();
-    let clock = ManualClock::shared(0);
-    let serial = Engine::builder()
+    Engine::builder()
         .dataset(s.expanded.clone())
         .facet(s.facet.clone())
         .catalog(s.catalog.clone())
         .staleness(policy)
-        .backend(Backend::Serial)
-        .clock(clock.clone() as Arc<dyn Clock>)
+        .clock(clock as Arc<dyn Clock>)
         .build()
-        .expect("serial engine builds");
-    let epoch = Engine::builder()
-        .dataset(s.expanded.clone())
-        .facet(s.facet.clone())
-        .catalog(s.catalog.clone())
-        .staleness(policy)
-        .backend(Backend::Epoch {
-            shards: 1,
-            threads: 1,
-        })
-        .clock(clock.clone() as Arc<dyn Clock>)
-        .build()
-        .expect("epoch engine builds");
-    (serial, epoch, clock)
+        .expect("engine builds")
 }
 
-fn mask_set(engine: &Engine) -> Vec<u64> {
-    let mut masks: Vec<u64> = engine.views().iter().map(|(m, _)| m.0).collect();
+fn mask_set(views: &[(ViewMask, usize)]) -> Vec<u64> {
+    let mut masks: Vec<u64> = views.iter().map(|(m, _)| m.0).collect();
     masks.sort_unstable();
     masks
 }
@@ -169,7 +155,7 @@ proptest! {
 
     /// The conformance property (see module docs).
     #[test]
-    fn serial_and_epoch_backends_conform(
+    fn engine_conforms_to_a_reference_dataset(
         ops in proptest::collection::vec((proptest::bool::weighted(0.55), 0u64..80), 4..20),
         policy_idx in 0usize..5,
         churny in proptest::bool::ANY,
@@ -177,10 +163,12 @@ proptest! {
         let s = setup();
         let policy = policy_grid(policy_idx);
         let always_current = !matches!(policy, StalenessPolicy::Bounded { .. });
-        let (serial, epoch, clock) = build_pair(policy);
+        let clock = ManualClock::shared(0);
+        let engine = build(policy, clock.clone());
+        let mut reference = s.base.clone();
 
-        // The test's own mirror of the epoch backend's buffered-batch
-        // enqueue times, for model-checking the wall-clock budget.
+        // The test's own mirror of the engine's buffered-batch enqueue
+        // times, for model-checking the wall-clock budget.
         let mut enqueued: VecDeque<u64> = VecDeque::new();
         let (mut batch, mut next_query) = (0usize, 0usize);
         for (is_update, advance_ms) in ops {
@@ -188,74 +176,73 @@ proptest! {
             if is_update {
                 let delta = conformance_delta(batch, churny);
                 batch += 1;
-                serial.update(delta.clone()).expect("serial update runs");
-                epoch.update(delta).expect("epoch update runs");
+                reference.apply(delta.clone());
+                engine.update(delta).expect("update runs");
                 enqueued.push_back(clock.now_ms());
             } else {
                 let q = &s.workload[next_query % s.workload.len()];
                 next_query += 1;
-                let a = serial.query(&q.query).expect("serial query runs");
-                let b = epoch.query(&q.query).expect("epoch query runs");
+                let answer = engine.query(&q.query).expect("query runs");
 
-                // In-budget freshness, on both backends.
                 if let Some(budget) = policy.lag_budget() {
-                    prop_assert!(a.freshness.lag <= budget, "serial lag {} > {budget}", a.freshness.lag);
-                    prop_assert!(b.freshness.lag <= budget, "epoch lag {} > {budget}", b.freshness.lag);
+                    prop_assert!(
+                        answer.freshness.lag <= budget,
+                        "served lag {} > {budget}",
+                        answer.freshness.lag
+                    );
                 }
                 // Wall-clock budget, model-checked against our enqueue
                 // mirror (single-threaded: no racing updates).
-                while enqueued.len() > epoch.buffered_updates() {
+                while enqueued.len() > engine.buffered_updates() {
                     enqueued.pop_front();
                 }
-                if let Some(budget_ms) = policy.lag_budget_ms() {
-                    if let Some(&oldest) = enqueued.front() {
-                        prop_assert!(
-                            clock.now_ms() - oldest <= budget_ms,
-                            "epoch backend served with wall-clock lag {} > {budget_ms}ms",
-                            clock.now_ms() - oldest
-                        );
-                    }
+                if let (Some(budget_ms), Some(&oldest)) = (policy.lag_budget_ms(), enqueued.front()) {
+                    prop_assert!(
+                        clock.now_ms() - oldest <= budget_ms,
+                        "served with wall-clock lag {} > {budget_ms}ms",
+                        clock.now_ms() - oldest
+                    );
                 }
 
-                // Bit-equal answers whenever both backends serve the
-                // latest state by construction.
-                if always_current {
+                // A fresh answer reflects every update: it must equal the
+                // reference's. The always-current policies never serve
+                // anything else.
+                prop_assert!(
+                    !always_current || answer.freshness.is_fresh(),
+                    "{policy} served a lagging answer"
+                );
+                if answer.freshness.is_fresh() {
+                    let expected = Evaluator::new(&reference)
+                        .evaluate(&q.query)
+                        .expect("reference evaluation runs");
                     prop_assert!(
-                        results_equivalent(&a.results, &b.results),
-                        "backends diverged on {} under {policy}",
+                        results_equivalent(&answer.results, &expected),
+                        "answer diverged from the reference on {} under {policy}",
                         q.text
                     );
-                    let same_route = matches!(
-                        (a.route, b.route),
-                        (Route::View(_), Route::View(_)) | (Route::BaseGraph, Route::BaseGraph)
-                    );
-                    prop_assert!(same_route, "routes diverged: {:?} vs {:?}", a.route, b.route);
                 }
             }
         }
 
-        // Drain both; the catalogs and every answer must now agree
-        // bit-for-bit — and with a from-scratch base evaluation.
-        serial.flush().expect("serial flush runs");
-        epoch.flush().expect("epoch flush runs");
-        prop_assert_eq!(mask_set(&serial), mask_set(&epoch), "catalogs diverged");
-        prop_assert_eq!(serial.update_batches(), epoch.update_batches());
-        let serial_snapshot = serial.snapshot();
-        let reference = Evaluator::new(&serial_snapshot);
+        // Drain: the catalog is back to the initial one (or empty once
+        // invalidate saw an update), and every answer is exact.
+        engine.flush().expect("flush runs");
+        prop_assert_eq!(engine.buffered_updates(), 0);
+        prop_assert_eq!(engine.update_batches(), batch);
+        let expected_catalog = if policy == StalenessPolicy::Invalidate && batch > 0 {
+            Vec::new()
+        } else {
+            mask_set(&s.catalog)
+        };
+        prop_assert_eq!(mask_set(&engine.views()), expected_catalog, "catalog after drain");
+        let evaluator = Evaluator::new(&reference);
         for q in &s.workload {
-            let a = serial.query(&q.query).expect("serial query runs");
-            let b = epoch.query(&q.query).expect("epoch query runs");
-            prop_assert!(a.freshness.is_fresh());
-            prop_assert!(b.freshness.is_fresh());
+            let answer = engine.query(&q.query).expect("query runs");
+            prop_assert!(answer.freshness.is_fresh());
+            let expected = evaluator.evaluate(&q.query).expect("reference evaluation runs");
             prop_assert!(
-                results_equivalent(&a.results, &b.results),
-                "drained backends diverged for {}",
-                q.text
-            );
-            let base = reference.evaluate(&q.query).expect("base evaluation runs");
-            prop_assert!(
-                results_equivalent(&a.results, &base),
-                "drained answers diverged from base for {}",
+                results_equivalent(&answer.results, &expected),
+                "drained answer diverged from the reference for {}",
                 q.text
             );
         }

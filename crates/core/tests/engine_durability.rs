@@ -4,10 +4,7 @@
 //! catalog — regardless of what dataset the new builder was handed.
 
 use sofos_core::{run_offline, SizedLattice};
-use sofos_core::{
-    Backend, DurabilityConfig, Engine, EngineBuildError, EngineConfig, RecoveryReport,
-    StalenessPolicy,
-};
+use sofos_core::{DurabilityConfig, Engine, EngineConfig, RecoveryReport, StalenessPolicy};
 use sofos_cost::CostModelKind;
 use sofos_cube::{AggOp, Facet, ViewMask};
 use sofos_rdf::Term;
@@ -110,10 +107,6 @@ fn durable_builder(dir: &PathBuf) -> sofos_core::EngineBuilder {
         .facet(s.facet.clone())
         .catalog(s.catalog.clone())
         .staleness(StalenessPolicy::Eager)
-        .backend(Backend::Epoch {
-            shards: 1,
-            threads: 1,
-        })
         .durability(DurabilityConfig::new(dir).fsync(false))
 }
 
@@ -134,10 +127,6 @@ fn durable_engine_matches_twin_and_recovers_bit_equal() {
         .facet(s.facet.clone())
         .catalog(s.catalog.clone())
         .staleness(StalenessPolicy::Eager)
-        .backend(Backend::Epoch {
-            shards: 1,
-            threads: 1,
-        })
         .build()
         .expect("in-memory twin builds");
     assert!(!memory.durability_enabled());
@@ -210,20 +199,5 @@ fn durable_engine_matches_twin_and_recovers_bit_equal() {
     assert_eq!(again.epoch(), published_epoch + 1);
 
     drop(again);
-    fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn serial_backend_rejects_durability() {
-    let s = setup();
-    let dir = scratch_dir("serial");
-    let err = Engine::builder()
-        .dataset(s.expanded.clone())
-        .facet(s.facet.clone())
-        .backend(Backend::Serial)
-        .durability(DurabilityConfig::new(&dir))
-        .build()
-        .expect_err("serial + durability must not build");
-    assert_eq!(err, EngineBuildError::DurabilityUnsupported);
     fs::remove_dir_all(&dir).ok();
 }

@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! sofos-server [--host 127.0.0.1] [--port 7878] [--dataset synthetic|dbpedia|lubm|swdf]
-//!              [--backend serial|epoch]
 //!              [--staleness eager|lazy|invalidate|bounded=<batches>,<epochs>[,<ms>]]
 //!              [--workers N] [--max-inflight N] [--max-pending N] [--no-views]
 //!              [--data-dir PATH] [--snapshot-every N]
@@ -13,7 +12,7 @@
 //! shutdown (the `serve-smoke` CI job asserts exactly that).
 
 use sofos_core::{
-    run_offline, Backend, DurabilityConfig, Engine, EngineConfig, SizedLattice, StalenessPolicy,
+    run_offline, DurabilityConfig, Engine, EngineConfig, SizedLattice, StalenessPolicy,
     WorkloadProfile,
 };
 use sofos_cost::CostModelKind;
@@ -44,7 +43,6 @@ sofos-server: serve a SOFOS engine over HTTP/1.1
   --host <addr>        bind host (default 127.0.0.1)
   --port <port>        bind port (default 7878; 0 picks a free port)
   --dataset <name>     synthetic | dbpedia | lubm | swdf (default synthetic)
-  --backend <name>     serial | epoch (default epoch)
   --staleness <p>      eager | lazy | invalidate | bounded=<batches>,<epochs>[,<ms>]
                        (default eager)
   --workers <n>        HTTP worker threads (default 4)
@@ -52,7 +50,7 @@ sofos-server: serve a SOFOS engine over HTTP/1.1
   --max-pending <n>    /update admission cap on buffered batches (default 64)
   --no-views           skip offline view selection (serve the base graph)
   --data-dir <path>    persist published epochs under <path> and recover
-                       from it on restart (epoch backend only)
+                       from it on restart
   --snapshot-every <n> full-snapshot cadence in publishes (default 64)
 ";
 
@@ -61,7 +59,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--host",
     "--port",
     "--dataset",
-    "--backend",
     "--staleness",
     "--workers",
     "--max-inflight",
@@ -146,21 +143,9 @@ fn run(args: &[String]) -> Result<(), String> {
     let host = flag_value(args, "--host")?.unwrap_or("127.0.0.1");
     let port: u16 = parsed_flag(args, "--port", 7878)?;
     let dataset_name = flag_value(args, "--dataset")?.unwrap_or("synthetic");
-    let backend_name = flag_value(args, "--backend")?.unwrap_or("epoch");
     let staleness = parse_staleness(flag_value(args, "--staleness")?.unwrap_or("eager"))?;
-    let backend = match backend_name {
-        "serial" => Backend::Serial,
-        "epoch" => Backend::Epoch {
-            shards: 1,
-            threads: 1,
-        },
-        _ => return Err(format!("unknown backend `{backend_name}`")),
-    };
     let data_dir = flag_value(args, "--data-dir")?;
     let snapshot_every: u64 = parsed_flag(args, "--snapshot-every", 64)?;
-    if data_dir.is_some() && backend == Backend::Serial {
-        return Err("--data-dir requires the epoch backend".to_string());
-    }
     // An existing data dir wins over anything we generate below: the
     // engine discards the boot dataset and catalog for the recovered
     // ones, so skip the offline pass instead of throwing it away.
@@ -213,8 +198,7 @@ fn run(args: &[String]) -> Result<(), String> {
         .dataset(dataset)
         .facet(facet)
         .catalog(catalog)
-        .staleness(staleness)
-        .backend(backend);
+        .staleness(staleness);
     if let Some(dir) = data_dir {
         builder = builder.durability(DurabilityConfig::new(dir).snapshot_every(snapshot_every));
     }

@@ -11,9 +11,10 @@ fn server() -> Command {
 /// before booting and names the flag next to the usage text.
 #[test]
 fn unknown_flags_exit_1_and_name_the_flag() {
-    let cases: [(&[&str], &str); 2] = [
+    let cases: [(&[&str], &str); 3] = [
         (&["--shards", "0"], "--shards"),
         (&["--port", "0", "--bogus"], "--bogus"),
+        (&["--backend", "serial"], "--backend"),
     ];
     for (args, flag) in cases {
         let output = server().args(args).output().expect("sofos-server runs");

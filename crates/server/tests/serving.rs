@@ -3,7 +3,7 @@
 //! read-your-write, per-freshness-tag consistency under concurrent
 //! clients, admission control, graceful shutdown.
 
-use sofos_core::{Backend, Engine, StalenessPolicy};
+use sofos_core::{Engine, StalenessPolicy};
 use sofos_cube::{AggOp, Dimension, Facet};
 use sofos_rdf::Term;
 use sofos_server::{serve, ServerConfig, ServerHandle};
@@ -23,7 +23,7 @@ fn iri(local: &str) -> Term {
 
 /// A tiny star-schema dataset: `BASE_OBS` observations with one dimension
 /// and one measure, plus the matching facet.
-fn test_engine(policy: StalenessPolicy, backend: Backend) -> Engine {
+fn test_engine(policy: StalenessPolicy) -> Engine {
     let mut ds = Dataset::new();
     let dim_p = iri("country");
     let measure_p = iri("pop");
@@ -57,13 +57,12 @@ fn test_engine(policy: StalenessPolicy, backend: Backend) -> Engine {
         .facet(facet)
         .catalog(Vec::new())
         .staleness(policy)
-        .backend(backend)
         .build()
         .expect("engine builds")
 }
 
-fn boot(policy: StalenessPolicy, backend: Backend, config: ServerConfig) -> ServerHandle {
-    serve(Arc::new(test_engine(policy, backend)), config).expect("server boots")
+fn boot(policy: StalenessPolicy, config: ServerConfig) -> ServerHandle {
+    serve(Arc::new(test_engine(policy)), config).expect("server boots")
 }
 
 /// Minimal HTTP client: send one request on `stream`, read one response.
@@ -178,14 +177,7 @@ fn insert_body(observation: &str, measure: i64) -> String {
 
 #[test]
 fn end_to_end_read_your_write_over_keep_alive() {
-    let handle = boot(
-        StalenessPolicy::Eager,
-        Backend::Epoch {
-            shards: 1,
-            threads: 1,
-        },
-        ServerConfig::default(),
-    );
+    let handle = boot(StalenessPolicy::Eager, ServerConfig::default());
     let mut stream = connect(&handle);
 
     let (status, body) = roundtrip(&mut stream, "GET", "/healthz", "", true);
@@ -286,7 +278,6 @@ fn end_to_end_read_your_write_over_keep_alive() {
 fn nesting_bombs_get_400_and_the_server_keeps_serving() {
     let handle = boot(
         StalenessPolicy::Eager,
-        Backend::Serial,
         ServerConfig {
             workers: 1,
             ..ServerConfig::default()
@@ -318,10 +309,6 @@ fn nesting_bombs_get_400_and_the_server_keeps_serving() {
 fn concurrent_clients_stay_consistent_per_freshness_tag() {
     let handle = boot(
         StalenessPolicy::Eager,
-        Backend::Epoch {
-            shards: 1,
-            threads: 1,
-        },
         ServerConfig {
             workers: 4,
             ..ServerConfig::default()
@@ -385,7 +372,6 @@ fn concurrent_clients_stay_consistent_per_freshness_tag() {
 fn acceptor_refuses_connections_past_the_inflight_cap() {
     let handle = boot(
         StalenessPolicy::Eager,
-        Backend::Serial,
         ServerConfig {
             workers: 1,
             max_inflight: 1,
@@ -420,7 +406,6 @@ fn update_refuses_past_the_pending_cap() {
     // Bounded policy with a huge flush threshold: every update buffers.
     let handle = boot(
         StalenessPolicy::bounded(100, 100),
-        Backend::Serial,
         ServerConfig {
             max_pending: 2,
             ..ServerConfig::default()
@@ -450,7 +435,6 @@ fn shutdown_wakes_an_idle_acceptor() {
     for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
         let handle = boot(
             StalenessPolicy::Eager,
-            Backend::Serial,
             ServerConfig {
                 addr: addr.to_string(),
                 ..ServerConfig::default()
@@ -475,11 +459,7 @@ fn shutdown_wakes_an_idle_acceptor() {
 
 #[test]
 fn graceful_shutdown_serves_inflight_then_refuses_new_connections() {
-    let handle = boot(
-        StalenessPolicy::Eager,
-        Backend::Serial,
-        ServerConfig::default(),
-    );
+    let handle = boot(StalenessPolicy::Eager, ServerConfig::default());
     let addr = handle.addr();
     let (status, _) = one_shot(&handle, "GET", "/healthz", "");
     assert_eq!(status, 200);

@@ -14,7 +14,7 @@
 //!
 //! Run with: `cargo run --example architecture_tour`
 
-use sofos::core::{Backend, Engine, Route, StalenessPolicy};
+use sofos::core::{Engine, Route, StalenessPolicy};
 use sofos::cost::{AggValuesCost, CostContext, CostModel, TriplesCost};
 use sofos::cube::{facet_query, AggOp, Lattice, ViewMask};
 use sofos::materialize::materialize_views;
@@ -103,15 +103,13 @@ fn main() {
     );
 
     // 7. Online: one front door. The engine routes through the rewriter
-    //    and serves from the best covering view; Backend::Serial here,
-    //    Backend::Epoch { .. } for concurrent serving — the rest of this
-    //    step would read identically.
+    //    and serves from the best covering view; readers pin epoch
+    //    snapshots, so the same engine also serves concurrent clients.
     let engine = Engine::builder()
         .dataset(expanded)
         .facet(facet.clone())
         .catalog(catalog)
         .staleness(StalenessPolicy::Eager)
-        .backend(Backend::Serial)
         .build()
         .unwrap();
     let query = facet_query(&facet, ViewMask::from_dims(&[0]), AggOp::Sum, vec![]);

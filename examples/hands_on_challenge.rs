@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example hands_on_challenge`
 
-use sofos::core::{build_model, Backend, Engine, EngineConfig, SizedLattice, StalenessPolicy};
+use sofos::core::{build_model, Engine, EngineConfig, SizedLattice, StalenessPolicy};
 use sofos::cost::{AggValuesCost, CostModelKind};
 use sofos::cube::ViewMask;
 use sofos::materialize::materialize_views;
@@ -107,7 +107,6 @@ fn main() {
         .facet(facet)
         .catalog(views.iter().map(|v| (v.stats.mask, v.stats.rows)).collect())
         .staleness(StalenessPolicy::Eager)
-        .backend(Backend::Serial)
         .build()
         .expect("engine builds");
     for q in &workload {

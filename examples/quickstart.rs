@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example quickstart [--smoke]`
 //! (`--smoke` is accepted for CI parity; the example is already tiny.)
 
-use sofos::core::{Backend, Engine, Route, StalenessPolicy};
+use sofos::core::{Engine, Route, StalenessPolicy};
 use sofos::cube::{AggOp, Dimension, Facet, ViewMask};
 use sofos::materialize::materialize_view;
 use sofos::sparql::{parse_query, Evaluator};
@@ -93,16 +93,14 @@ fn main() {
     );
 
     // --- One front door: serve G+ through the Engine -----------------------
-    // The same builder serves a single-threaded demo (Backend::Serial) or
-    // concurrent readers over epoch snapshots (Backend::Epoch { .. }) —
-    // flip one knob. Bounded staleness is one more knob away:
+    // Readers pin epoch snapshots, so the same engine serves one caller
+    // or many concurrent ones. Bounded staleness is one knob away:
     // `.staleness(StalenessPolicy::bounded_ms(4, 2, 100))`.
     let engine = Engine::builder()
         .dataset(ds)
         .facet(facet)
         .catalog(vec![(mask, view.stats.rows)])
         .staleness(StalenessPolicy::Eager)
-        .backend(Backend::Serial)
         .build()
         .expect("engine builds");
 

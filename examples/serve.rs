@@ -11,7 +11,7 @@
 //! Run with: `cargo run --example serve [--smoke]`
 //! (`--smoke` is accepted for CI parity; the example is already tiny.)
 
-use sofos::core::{Backend, Engine, StalenessPolicy};
+use sofos::core::{Engine, StalenessPolicy};
 use sofos::cube::{AggOp, Dimension, Facet, ViewMask};
 use sofos::materialize::materialize_view;
 use sofos::server::{serve, ServerConfig};
@@ -96,7 +96,6 @@ fn main() {
         .facet(facet)
         .catalog(vec![(mask, view.stats.rows)])
         .staleness(StalenessPolicy::Eager)
-        .backend(Backend::Serial)
         .build()
         .expect("engine builds");
 

@@ -44,20 +44,17 @@
 //!   and the **one front door** that answers every query — [`core::Engine`],
 //!   built via
 //!   `Engine::builder().dataset(..).facet(..).catalog(..).staleness(..)
-//!   .backend(..).clock(..)`. The engine serves interleaved updates and
-//!   queries under a [`core::StalenessPolicy`] (eager, lazy-on-hit,
-//!   invalidate, or bounded — by batch count, epoch lag, *and* wall-clock
-//!   `max_lag_ms` via an injectable [`core::Clock`]) over a pluggable
-//!   backend: `Backend::Serial` (one mutable dataset, callers serialize)
-//!   or `Backend::Epoch { .. }` (readers pin immutable epoch snapshots
-//!   while one writer publishes batched epochs; its two fields are
-//!   ignored). Both backends
-//!   run the single policy implementation in [`core::policy`] and are
-//!   held answer-equivalent by a conformance property suite. On top sits
-//!   the adaptive layer: sliding workload/update profiles,
-//!   [`core::DriftDetector`], and the [`core::Reselector`] that
-//!   re-selects and swaps the materialized set when the workload drifts —
-//!   identically over either backend. Every engine also carries a
+//!   .clock(..)`. The engine serves interleaved updates and queries
+//!   under a [`core::StalenessPolicy`] (eager, lazy-on-hit, invalidate,
+//!   or bounded — by batch count, epoch lag, *and* wall-clock
+//!   `max_lag_ms` via an injectable [`core::Clock`]): readers pin
+//!   immutable epoch snapshots while one writer publishes batched
+//!   epochs, the policies run on [`core::policy`], and a conformance
+//!   property suite checks every answer against a plain dataset fed the
+//!   same deltas. On top sits the adaptive layer: sliding workload/update
+//!   profiles, [`core::DriftDetector`], and the [`core::Reselector`] that
+//!   re-selects and swaps the materialized set when the workload drifts.
+//!   Every engine also carries a
 //!   lock-free telemetry layer ([`core::MetricsHandle`], from
 //!   `sofos-telemetry`): serve latency and freshness-lag histograms,
 //!   maintenance pipeline timings, epoch lifecycle gauges, and a bounded

@@ -311,11 +311,11 @@ fn oracle_versus_greedy_on_real_data() {
 }
 
 /// The one front door, end to end: offline selection hands its catalog to
-/// an `Engine`, which serves interleaved updates and queries identically
-/// (and correctly) on both backends.
+/// an `Engine`, which serves interleaved updates and queries within the
+/// bounded lag budget and answers exactly once drained.
 #[test]
 fn engine_front_door_serves_both_backends() {
-    use sofos::core::{Backend, StalenessPolicy};
+    use sofos::core::StalenessPolicy;
     use sofos::rdf::Term;
     use sofos::store::Delta;
 
@@ -349,42 +349,30 @@ fn engine_front_door_serves_both_backends() {
         delta
     };
 
-    for backend in [
-        Backend::Serial,
-        Backend::Epoch {
-            shards: 1,
-            threads: 1,
-        },
-    ] {
-        let engine = Engine::builder()
-            .dataset(expanded.clone())
-            .facet(facet.clone())
-            .catalog(offline.view_catalog())
-            .staleness(StalenessPolicy::bounded(2, 1))
-            .backend(backend)
-            .build()
-            .unwrap();
-        for batch in 0..4 {
-            engine.update(delta(batch)).unwrap();
-            let q = &workload[batch % workload.len()];
-            let answer = engine.query(&q.query).unwrap();
-            assert!(
-                answer.freshness.lag <= 1,
-                "{backend}: bounded lag budget enforced"
-            );
-        }
-        engine.flush().unwrap();
-        let snapshot = engine.snapshot();
-        let reference = Evaluator::new(&snapshot);
-        for q in &workload {
-            let answer = engine.query(&q.query).unwrap();
-            let base = reference.evaluate(&q.query).unwrap();
-            assert!(
-                results_equivalent(&answer.results, &base),
-                "{backend}: drained engine answers exactly for {}",
-                q.text
-            );
-        }
-        assert_eq!(engine.update_batches(), 4, "{backend}");
+    let engine = Engine::builder()
+        .dataset(expanded)
+        .facet(facet)
+        .catalog(offline.view_catalog())
+        .staleness(StalenessPolicy::bounded(2, 1))
+        .build()
+        .unwrap();
+    for batch in 0..4 {
+        engine.update(delta(batch)).unwrap();
+        let q = &workload[batch % workload.len()];
+        let answer = engine.query(&q.query).unwrap();
+        assert!(answer.freshness.lag <= 1, "bounded lag budget enforced");
     }
+    engine.flush().unwrap();
+    let snapshot = engine.snapshot();
+    let reference = Evaluator::new(&snapshot);
+    for q in &workload {
+        let answer = engine.query(&q.query).unwrap();
+        let base = reference.evaluate(&q.query).unwrap();
+        assert!(
+            results_equivalent(&answer.results, &base),
+            "drained engine answers exactly for {}",
+            q.text
+        );
+    }
+    assert_eq!(engine.update_batches(), 4);
 }
