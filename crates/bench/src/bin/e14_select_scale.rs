@@ -47,6 +47,7 @@ use sofos_select::{
     local_search_select_with, Budget, LocalSearchConfig, Objective, SearchBudget, SearchReport,
     SelectionOutcome, WorkloadProfile,
 };
+use sofos_store::GraphStats;
 use sofos_workload::synthetic;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -146,7 +147,7 @@ fn main() {
 
         // Analytic sizing: the piece that keeps 2^13 lattices affordable.
         let estimated = estimate_lattice(&lattice, &config.cardinalities, config.observations);
-        let base = generated.dataset.base_stats();
+        let base = GraphStats::compute(generated.dataset.default_graph());
         let ctx = CostContext {
             facet: &facet,
             view_stats: &estimated,

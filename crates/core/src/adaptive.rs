@@ -448,9 +448,10 @@ impl Reselector {
             WorkloadProfile::uniform(&lattice)
         };
 
-        // A consistent snapshot of the served dataset: cheap (datasets
-        // clone by Arc-sharing), and the engine's serving loop
-        // keeps running while sizing and selection think.
+        // A consistent snapshot of the served dataset: cheap (a dataset
+        // clone shares its indexes and dictionary by Arc and copies
+        // nothing per triple), and the engine's serving loop keeps
+        // running while sizing and selection think.
         let snapshot = engine.snapshot();
         let computed;
         let refreshed;
@@ -460,7 +461,7 @@ impl Reselector {
                 // Incremental re-sizing: scale the cached estimates by
                 // live base-graph growth instead of freezing them (or
                 // paying a full lattice re-evaluation).
-                let live = snapshot.base_stats();
+                let live = sofos_store::GraphStats::compute(snapshot.default_graph());
                 let (us, r) = measure_once(|| cached.refreshed(&live));
                 refreshed = r;
                 (&refreshed, us)

@@ -23,7 +23,7 @@ pub struct SizedLattice {
     pub stats: FxHashMap<ViewMask, ViewStats>,
     /// Measured evaluation time of each view query (µs).
     pub timings_us: FxHashMap<ViewMask, u64>,
-    /// Base-graph statistics.
+    /// Base-graph statistics at sizing time.
     pub base_stats: GraphStats,
     /// Wall time of the whole sizing pass (µs).
     pub sizing_us: u64,
@@ -47,14 +47,11 @@ impl SizedLattice {
             Ok::<_, SparqlError>((stats, timings))
         });
         let (stats, timings_us) = result?;
-        // The dataset keeps base-graph statistics incrementally maintained
-        // through every mutation path — no recomputation pass needed.
-        let base_stats = dataset.base_stats();
         Ok(SizedLattice {
             lattice,
             stats,
             timings_us,
-            base_stats,
+            base_stats: GraphStats::compute(dataset.default_graph()),
             sizing_us,
         })
     }

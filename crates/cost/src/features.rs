@@ -15,8 +15,10 @@
 //! 5. aggregate one-hot (SUM/AVG/COUNT/MIN/MAX)                     — 5
 //! 6. `log1p(base graph triples)`                                   — 1
 //! 7. number of triple patterns in `P` (the "relationships")        — 1
-//! 8. mean `log1p(frequency)` of the pattern predicates in the
-//!    base graph (the "relationship frequency" statistics)          — 1
+//! 8. `log1p` of the base graph's mean predicate frequency
+//!    (`triples / distinct predicates`, the "relationship
+//!    frequency" statistic), summed over the constant-IRI
+//!    predicate patterns and divided by the pattern count           — 1
 //!
 //! Total dimensionality: `2d + 10`.
 
@@ -61,16 +63,23 @@ pub fn view_features(ctx: &CostContext<'_>, view: ViewMask) -> Vec<f64> {
     }
     // 6. Base size.
     out.push((ctx.base.triples as f64).ln_1p());
-    // 7./8. Pattern shape and predicate frequencies.
+    // 7./8. Pattern shape and relationship frequency. `GraphStats` is
+    // not keyed by predicate, so every constant predicate contributes the
+    // base graph's mean frequency.
+    let mean_pred_freq = (ctx
+        .base
+        .triples
+        .checked_div(ctx.base.distinct_predicates)
+        .unwrap_or(0) as f64)
+        .ln_1p();
     let mut pattern_count = 0.0;
     let mut freq_sum = 0.0;
     for element in &facet.pattern.elements {
         if let PatternElement::Triples { patterns, .. } = element {
             for p in patterns {
                 pattern_count += 1.0;
-                if let PatternTerm::Const(Term::Iri(iri)) = &p.predicate {
-                    let freq = predicate_frequency(ctx, iri.as_str());
-                    freq_sum += (freq as f64).ln_1p();
+                if let PatternTerm::Const(Term::Iri(_)) = &p.predicate {
+                    freq_sum += mean_pred_freq;
                 }
             }
         }
@@ -84,22 +93,6 @@ pub fn view_features(ctx: &CostContext<'_>, view: ViewMask) -> Vec<f64> {
 
     debug_assert_eq!(out.len(), feature_dim(facet));
     out
-}
-
-/// Frequency of a predicate IRI in the base graph (0 when absent). The
-/// context's `GraphStats` is keyed by `TermId`, which we cannot resolve
-/// without the dictionary; instead the caller passes predicate counts
-/// through [`CostContext::base`] and we match by scanning — predicate sets
-/// are tiny (schema-sized), so a linear probe with the id→term map built
-/// once per context would be overkill.
-fn predicate_frequency(ctx: &CostContext<'_>, _iri: &str) -> usize {
-    // Without the dictionary we cannot map IRIs to ids here; expose the
-    // mean predicate frequency instead, which preserves the feature's
-    // intent (dense vs. sparse relationships).
-    ctx.base
-        .triples
-        .checked_div(ctx.base.distinct_predicates)
-        .unwrap_or(0)
 }
 
 /// Z-score normalizer fitted on a training matrix.

@@ -67,7 +67,7 @@ fn with_ctx<R>(dims: usize, rows: usize, f: impl FnOnce(&CostContext<'_>, &Latti
     let (ds, facet) = setup(dims, rows);
     let lattice = Lattice::new(facet.clone());
     let sized = size_lattice(&ds, &lattice).unwrap();
-    let base = ds.base_stats();
+    let base = sofos_store::GraphStats::compute(ds.default_graph());
     let ctx = CostContext {
         facet: &facet,
         view_stats: &sized,

@@ -95,8 +95,9 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Disable greedy selectivity-based join ordering (patterns then join
-    /// in syntactic order). Exists for the join-ordering ablation bench;
-    /// results are identical, only performance differs.
+    /// in syntactic order). Exists as the reference arm of the
+    /// `join_ordering_ablation_gives_identical_results` test: results are
+    /// identical, only performance differs.
     pub fn without_join_ordering(mut self) -> Evaluator<'a> {
         self.join_ordering = false;
         self

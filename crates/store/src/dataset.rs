@@ -9,7 +9,6 @@ use crate::delta::{ChangeSet, Delta, OpKind};
 use crate::graphmap::GraphMap;
 use crate::index::GraphStore;
 use crate::pattern::EncodedTriple;
-use crate::stats::{GraphStats, StatsTracker};
 use sofos_rdf::{Dictionary, Graph, Term, TermId};
 use std::sync::Arc;
 
@@ -22,23 +21,22 @@ pub type GraphName = Option<TermId>;
 /// The dictionary sits behind an [`Arc`] with copy-on-write semantics:
 /// cloning a dataset — which the epoch store does once per published
 /// snapshot — shares the (large, append-only) term table. Together with
-/// the `Arc`-shared index runs ([`crate::index::PermIndex`]) and the
-/// chunked copy-on-write named-graph map ([`GraphMap`]) the clone itself
-/// is an O(recent-writes) value: untouched view graphs cost nothing per
-/// clone, no matter how many are materialized. The *writer's* first
-/// genuinely-new-term intern after a publish re-copies the term table
-/// (lookups of known terms never detach), so a batch that mints fresh
-/// terms pays one dictionary copy — an accepted per-batch cost at
-/// current scales.
+/// the `Arc`-shared index runs ([`crate::index::PermIndex`]), the
+/// `Arc`-shared bitmap containers of the posting lists and the chunked
+/// copy-on-write named-graph map ([`GraphMap`]), the clone costs
+/// O(recent writes + predicates + graph-map chunks) and nothing per
+/// triple: untouched view graphs cost nothing per clone, no matter how
+/// many are materialized. The dataset keeps no statistics of its own to
+/// copy; [`crate::GraphStats::compute`] reads them off the default graph.
+/// The *writer's* first genuinely-new-term intern after a publish
+/// re-copies the term table (lookups of known terms never detach), so a
+/// batch that mints fresh terms pays one dictionary copy — an accepted
+/// per-batch cost at current scales.
 #[derive(Debug, Default, Clone)]
 pub struct Dataset {
     dict: Arc<Dictionary>,
     default_graph: GraphStore,
     named: GraphMap,
-    /// Live statistics of the default graph, updated per mutation instead
-    /// of recomputed (see [`StatsTracker`]). View graphs are not tracked:
-    /// the cost models only consume base-graph statistics.
-    base_stats: StatsTracker,
 }
 
 impl Dataset {
@@ -81,13 +79,7 @@ impl Dataset {
     /// Insert an encoded triple into a graph, creating the graph if needed.
     pub fn insert_encoded(&mut self, graph: GraphName, triple: EncodedTriple) -> bool {
         match graph {
-            None => {
-                let inserted = self.default_graph.insert(triple);
-                if inserted {
-                    self.base_stats.record_insert(&triple);
-                }
-                inserted
-            }
+            None => self.default_graph.insert(triple),
             Some(name) => self.named.entry_or_default(name).insert(triple),
         }
     }
@@ -95,13 +87,7 @@ impl Dataset {
     /// Remove an encoded triple from a graph; returns `true` if present.
     pub fn remove_encoded(&mut self, graph: GraphName, triple: &EncodedTriple) -> bool {
         match graph {
-            None => {
-                let removed = self.default_graph.remove(triple);
-                if removed {
-                    self.base_stats.record_remove(triple);
-                }
-                removed
-            }
+            None => self.default_graph.remove(triple),
             Some(name) => self.named.get_mut(name).is_some_and(|g| g.remove(triple)),
         }
     }
@@ -131,8 +117,7 @@ impl Dataset {
     /// no-ops (inserting a present triple, deleting an absent one) are
     /// counted but have no effect. Returns the **net** [`ChangeSet`] per
     /// graph, with intra-batch insert/delete pairs cancelled — the input
-    /// the view-maintenance engine consumes. Base-graph statistics stay
-    /// incrementally maintained throughout (see [`Dataset::base_stats`]).
+    /// the view-maintenance engine consumes.
     pub fn apply(&mut self, delta: Delta) -> ChangeSet {
         let mut changes = ChangeSet::default();
         for op in delta.ops {
@@ -181,13 +166,6 @@ impl Dataset {
         changes
     }
 
-    /// Current statistics of the default graph, maintained incrementally
-    /// by every mutation (the replacement for ad-hoc
-    /// [`GraphStats::compute`] passes on the write path).
-    pub fn base_stats(&self) -> GraphStats {
-        self.base_stats.snapshot()
-    }
-
     /// Load a term-level [`Graph`] into a dataset graph (bulk path).
     pub fn load(&mut self, graph: GraphName, data: &Graph) {
         let mut encoded: Vec<EncodedTriple> = Vec::with_capacity(data.len());
@@ -198,29 +176,7 @@ impl Dataset {
                 self.intern(&t.object),
             ]);
         }
-        match graph {
-            None => {
-                if self.default_graph.is_empty() {
-                    self.default_graph.bulk_load(encoded);
-                    // Rebuild rather than track: bulk_load deduplicates.
-                    self.base_stats = StatsTracker::from_store(&self.default_graph);
-                } else {
-                    for t in encoded {
-                        self.insert_encoded(None, t);
-                    }
-                }
-            }
-            Some(name) => {
-                let store = self.named.entry_or_default(name);
-                if store.is_empty() {
-                    store.bulk_load(encoded);
-                } else {
-                    for t in encoded {
-                        store.insert(t);
-                    }
-                }
-            }
-        }
+        self.load_encoded(graph, encoded);
     }
 
     /// Load already-encoded triples into a graph — the bulk path snapshot
@@ -228,27 +184,15 @@ impl Dataset {
     /// (recovery rebuilds the dictionary first, reproducing the ids the
     /// snapshot was encoded under).
     pub fn load_encoded(&mut self, graph: GraphName, encoded: Vec<EncodedTriple>) {
-        match graph {
-            None => {
-                if self.default_graph.is_empty() {
-                    self.default_graph.bulk_load(encoded);
-                    // Rebuild rather than track: bulk_load deduplicates.
-                    self.base_stats = StatsTracker::from_store(&self.default_graph);
-                } else {
-                    for t in encoded {
-                        self.insert_encoded(None, t);
-                    }
-                }
-            }
-            Some(name) => {
-                let store = self.named.entry_or_default(name);
-                if store.is_empty() {
-                    store.bulk_load(encoded);
-                } else {
-                    for t in encoded {
-                        store.insert(t);
-                    }
-                }
+        let store = match graph {
+            None => &mut self.default_graph,
+            Some(name) => self.named.entry_or_default(name),
+        };
+        if store.is_empty() {
+            store.bulk_load(encoded);
+        } else {
+            for t in encoded {
+                store.insert(t);
             }
         }
     }
@@ -338,13 +282,7 @@ impl Dataset {
     /// Materialize the RDFS closure of the default graph in place
     /// (see [`crate::inference`]).
     pub fn materialize_rdfs(&mut self) -> crate::inference::InferenceStats {
-        let stats = crate::inference::materialize_rdfs(&mut self.default_graph, &self.dict);
-        // Inference writes to the store directly; rebuild the live
-        // statistics in one pass (inference itself is already O(|G|)).
-        if stats.inferred > 0 {
-            self.base_stats = StatsTracker::from_store(&self.default_graph);
-        }
-        stats
+        crate::inference::materialize_rdfs(&mut self.default_graph, &self.dict)
     }
 }
 
@@ -508,40 +446,6 @@ mod tests {
         let changes = ds.apply(delta);
         assert_eq!(changes.graph(Some(g_id)).unwrap().removed.len(), 1);
         assert!(ds.graph(Some(g_id)).unwrap().is_empty());
-    }
-
-    #[test]
-    fn incremental_stats_match_full_recomputation() {
-        let mut ds = Dataset::new();
-        // Build through every mutation path: load, insert, apply, remove.
-        use sofos_rdf::{Graph, Triple};
-        let mut g = Graph::new();
-        for i in 0..12 {
-            g.insert(Triple::new_unchecked(
-                term(&format!("s{}", i % 4)),
-                term(&format!("p{}", i % 3)),
-                Term::literal_int(i % 5),
-            ));
-        }
-        ds.load(None, &g);
-        assert_eq!(ds.base_stats(), GraphStats::compute(ds.default_graph()));
-
-        ds.insert(None, &term("s9"), &term("p0"), &term("s0"));
-        assert_eq!(ds.base_stats(), GraphStats::compute(ds.default_graph()));
-
-        let mut delta = Delta::new();
-        delta
-            .delete(term("s9"), term("p0"), term("s0"))
-            .insert(term("sA"), term("pZ"), term("oA"))
-            .delete(term("s0"), term("p0"), term("s0")); // maybe absent: no-op ok
-        ds.apply(delta);
-        assert_eq!(ds.base_stats(), GraphStats::compute(ds.default_graph()));
-
-        assert!(ds.remove(None, &term("sA"), &term("pZ"), &term("oA")));
-        assert_eq!(ds.base_stats(), GraphStats::compute(ds.default_graph()));
-        // Removing the only pZ triple drops the predicate entirely.
-        let pz = ds.dict().get_id(&term("pZ")).unwrap();
-        assert_eq!(ds.base_stats().predicate_count(pz), 0);
     }
 
     #[test]

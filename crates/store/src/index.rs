@@ -439,6 +439,12 @@ impl GraphStore {
         self.posting.is_registered(pred)
     }
 
+    /// Number of distinct predicates, read off the per-predicate posting
+    /// entries in O(1).
+    pub fn distinct_predicates(&self) -> usize {
+        self.posting.pred_count()
+    }
+
     /// Subjects with at least one triple under `pred` (always maintained).
     pub fn pred_subjects(&self, pred: TermId) -> Option<&Bitmap> {
         self.posting.subjects(pred)

@@ -16,10 +16,9 @@
 //!   (derived state, rebuilt from triples on recovery);
 //! * a [`Dataset`] is the paper's expanded graph `G+`: the base graph plus
 //!   one named graph per materialized view, all sharing one dictionary;
-//! * [`stats::GraphStats`] aggregates per-predicate cardinalities used by
-//!   the cost models and the query planner's join ordering; on the write
-//!   path they are kept live by [`stats::StatsTracker`] instead of being
-//!   recomputed;
+//! * [`stats::GraphStats`] holds the base-graph size and predicate count
+//!   the cost models read, derived on demand from the store's own
+//!   counters (no second copy is maintained on the write path);
 //! * [`delta::Delta`] / [`Dataset::apply`] are the transactional update
 //!   path: batched inserts *and deletes* flow through the LSM-lite index
 //!   deltas and come back out as a net [`delta::ChangeSet`] per graph —
@@ -51,4 +50,4 @@ pub use inference::{materialize_rdfs, InferenceStats};
 pub use pattern::{EncodedTriple, IdPattern};
 pub use persist::{DurabilityConfig, PersistError, PersistStats, Persister, Recovered};
 pub use posting::{PostingLists, PostingStats};
-pub use stats::{GraphStats, PredicateStats, StatsTracker};
+pub use stats::GraphStats;

@@ -172,6 +172,12 @@ impl PostingLists {
         self.preds.get(&pred).map_or(0, |e| e.triples)
     }
 
+    /// Number of predicates with at least one triple (zero-count entries
+    /// are dropped, so this is exact under deletes).
+    pub(crate) fn pred_count(&self) -> usize {
+        self.preds.len()
+    }
+
     /// Subjects holding object `value` under registered `pred` (`None`
     /// when no subject does — or the predicate is unregistered, which the
     /// caller distinguishes via [`PostingLists::is_registered`]).

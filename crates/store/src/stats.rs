@@ -1,239 +1,33 @@
-//! Graph statistics: cardinalities feeding the cost models and the planner.
+//! Graph statistics: the base-graph cardinalities the cost models read.
 //!
 //! Three of the paper's cost models are direct statistics of a (view) graph:
 //! `#triples` (`|G_Vi|`), `#nodes` (`|I_i ∪ B_i ∪ L_i|`), and
-//! `#aggregated values` (result count, computed by the evaluator). The
-//! learned cost model additionally consumes per-predicate frequencies
-//! ("statistics about the relationship frequency and the attribute
-//! frequency", §3.1), which [`GraphStats`] provides. The SPARQL planner uses
-//! [`GraphStats::estimate_pattern`] for join ordering.
+//! `#aggregated values` (result count, computed by the evaluator); those
+//! are sized per view by `sofos-materialize`. The learned cost model also
+//! consumes base-graph statistics (§3.1): its size and the mean
+//! relationship frequency, which [`GraphStats`] provides.
+//!
+//! [`GraphStats::compute`] reads the figures the [`GraphStore`] already
+//! maintains exactly, so statistics cost nothing on the write path or in
+//! a snapshot clone.
 
 use crate::index::GraphStore;
-use crate::pattern::IdPattern;
-use sofos_rdf::{FxHashMap, FxHashSet, TermId};
-
-/// Per-predicate cardinalities.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PredicateStats {
-    /// Number of triples with this predicate.
-    pub count: usize,
-    /// Distinct subjects appearing with this predicate.
-    pub distinct_subjects: usize,
-    /// Distinct objects appearing with this predicate.
-    pub distinct_objects: usize,
-}
 
 /// Whole-graph statistics snapshot.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GraphStats {
     /// Total triples.
     pub triples: usize,
-    /// Distinct subject terms.
-    pub distinct_subjects: usize,
-    /// Distinct object terms.
-    pub distinct_objects: usize,
-    /// Distinct *node* terms (subjects ∪ objects) — the paper's
-    /// `|I ∪ B ∪ L|`; predicates are edge labels and not counted.
-    pub distinct_nodes: usize,
     /// Distinct predicates.
     pub distinct_predicates: usize,
-    /// Per-predicate breakdown.
-    pub predicates: FxHashMap<TermId, PredicateStats>,
 }
 
 impl GraphStats {
-    /// Compute statistics with one pass over the graph.
+    /// Read the statistics off the store in O(1): no pass over triples.
     pub fn compute(store: &GraphStore) -> GraphStats {
-        let mut subjects: FxHashSet<TermId> = FxHashSet::default();
-        let mut objects: FxHashSet<TermId> = FxHashSet::default();
-        let mut per_pred: FxHashMap<TermId, (usize, FxHashSet<TermId>, FxHashSet<TermId>)> =
-            FxHashMap::default();
-
-        for [s, p, o] in store.iter() {
-            subjects.insert(s);
-            objects.insert(o);
-            let entry = per_pred.entry(p).or_default();
-            entry.0 += 1;
-            entry.1.insert(s);
-            entry.2.insert(o);
-        }
-
-        let distinct_nodes = subjects.union(&objects).count();
-        let predicates = per_pred
-            .into_iter()
-            .map(|(p, (count, subj, obj))| {
-                (
-                    p,
-                    PredicateStats {
-                        count,
-                        distinct_subjects: subj.len(),
-                        distinct_objects: obj.len(),
-                    },
-                )
-            })
-            .collect::<FxHashMap<_, _>>();
-
         GraphStats {
             triples: store.len(),
-            distinct_subjects: subjects.len(),
-            distinct_objects: objects.len(),
-            distinct_nodes,
-            distinct_predicates: predicates.len(),
-            predicates,
-        }
-    }
-
-    /// Frequency of a predicate (0 when absent) — a learned-model feature.
-    pub fn predicate_count(&self, p: TermId) -> usize {
-        self.predicates.get(&p).map_or(0, |s| s.count)
-    }
-
-    /// Estimated result cardinality of a triple pattern, for join ordering.
-    ///
-    /// Uses the classic independence heuristics: a bound predicate narrows
-    /// to its frequency; bound subject/object divide by the corresponding
-    /// distinct counts (uniformity assumption).
-    pub fn estimate_pattern(&self, pattern: IdPattern) -> f64 {
-        if self.triples == 0 {
-            return 0.0;
-        }
-        let mut estimate = match pattern.p {
-            Some(p) => self.predicate_count(p) as f64,
-            None => self.triples as f64,
-        };
-        if pattern.s.is_some() {
-            let denom = match pattern.p {
-                Some(p) => self
-                    .predicates
-                    .get(&p)
-                    .map_or(1, |st| st.distinct_subjects.max(1)),
-                None => self.distinct_subjects.max(1),
-            };
-            estimate /= denom as f64;
-        }
-        if pattern.o.is_some() {
-            let denom = match pattern.p {
-                Some(p) => self
-                    .predicates
-                    .get(&p)
-                    .map_or(1, |st| st.distinct_objects.max(1)),
-                None => self.distinct_objects.max(1),
-            };
-            estimate /= denom as f64;
-        }
-        estimate
-    }
-}
-
-/// Reference-counted live statistics, updated per insert/remove instead of
-/// recomputed with a full pass — the statistics half of the update path
-/// (`Dataset::apply`). Distinct counts are maintained exactly (not
-/// sketched) by keeping per-term occurrence counts; a term leaves a
-/// distinct set when its last occurrence is removed.
-#[derive(Debug, Clone, Default)]
-pub struct StatsTracker {
-    triples: usize,
-    subjects: FxHashMap<TermId, usize>,
-    objects: FxHashMap<TermId, usize>,
-    /// Occurrences as subject *or* object (each triple contributes two).
-    nodes: FxHashMap<TermId, usize>,
-    predicates: FxHashMap<TermId, PredTracker>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct PredTracker {
-    count: usize,
-    subjects: FxHashMap<TermId, usize>,
-    objects: FxHashMap<TermId, usize>,
-}
-
-fn ref_inc(map: &mut FxHashMap<TermId, usize>, key: TermId) {
-    *map.entry(key).or_insert(0) += 1;
-}
-
-fn ref_dec(map: &mut FxHashMap<TermId, usize>, key: TermId) {
-    match map.get_mut(&key) {
-        Some(n) if *n > 1 => *n -= 1,
-        Some(_) => {
-            map.remove(&key);
-        }
-        None => debug_assert!(false, "refcount underflow for {key:?}"),
-    }
-}
-
-impl StatsTracker {
-    /// Build a tracker from an existing store (one pass).
-    pub fn from_store(store: &GraphStore) -> StatsTracker {
-        let mut tracker = StatsTracker::default();
-        for triple in store.iter() {
-            tracker.record_insert(&triple);
-        }
-        tracker
-    }
-
-    /// Account for a triple that was actually inserted (caller must have
-    /// established it was new).
-    pub fn record_insert(&mut self, &[s, p, o]: &[TermId; 3]) {
-        self.triples += 1;
-        ref_inc(&mut self.subjects, s);
-        ref_inc(&mut self.objects, o);
-        ref_inc(&mut self.nodes, s);
-        ref_inc(&mut self.nodes, o);
-        let pred = self.predicates.entry(p).or_default();
-        pred.count += 1;
-        ref_inc(&mut pred.subjects, s);
-        ref_inc(&mut pred.objects, o);
-    }
-
-    /// Account for a triple that was actually removed (caller must have
-    /// established it was present).
-    pub fn record_remove(&mut self, &[s, p, o]: &[TermId; 3]) {
-        debug_assert!(self.triples > 0, "remove on empty tracker");
-        self.triples = self.triples.saturating_sub(1);
-        ref_dec(&mut self.subjects, s);
-        ref_dec(&mut self.objects, o);
-        ref_dec(&mut self.nodes, s);
-        ref_dec(&mut self.nodes, o);
-        if let Some(pred) = self.predicates.get_mut(&p) {
-            pred.count -= 1;
-            ref_dec(&mut pred.subjects, s);
-            ref_dec(&mut pred.objects, o);
-            if pred.count == 0 {
-                self.predicates.remove(&p);
-            }
-        } else {
-            debug_assert!(false, "remove for untracked predicate {p:?}");
-        }
-    }
-
-    /// Current triple count.
-    pub fn triples(&self) -> usize {
-        self.triples
-    }
-
-    /// Materialize the current counters as a [`GraphStats`] snapshot
-    /// (cost: one pass over the *predicate* map, not the graph).
-    pub fn snapshot(&self) -> GraphStats {
-        GraphStats {
-            triples: self.triples,
-            distinct_subjects: self.subjects.len(),
-            distinct_objects: self.objects.len(),
-            distinct_nodes: self.nodes.len(),
-            distinct_predicates: self.predicates.len(),
-            predicates: self
-                .predicates
-                .iter()
-                .map(|(&p, t)| {
-                    (
-                        p,
-                        PredicateStats {
-                            count: t.count,
-                            distinct_subjects: t.subjects.len(),
-                            distinct_objects: t.objects.len(),
-                        },
-                    )
-                })
-                .collect(),
+            distinct_predicates: store.distinct_predicates(),
         }
     }
 }
@@ -241,6 +35,7 @@ impl StatsTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sofos_rdf::TermId;
 
     fn t(s: u32, p: u32, o: u32) -> [TermId; 3] {
         [TermId(s), TermId(p), TermId(o)]
@@ -262,101 +57,27 @@ mod tests {
     fn totals() {
         let stats = GraphStats::compute(&sample_store());
         assert_eq!(stats.triples, 5);
-        assert_eq!(stats.distinct_subjects, 3); // 1,2,3
-        assert_eq!(stats.distinct_objects, 3); // 100,101,102
         assert_eq!(stats.distinct_predicates, 2);
-        // Nodes: {1,2,3} ∪ {100,101,102} = 6 (disjoint here).
-        assert_eq!(stats.distinct_nodes, 6);
     }
 
     #[test]
     fn per_predicate_breakdown() {
-        let stats = GraphStats::compute(&sample_store());
-        let p10 = &stats.predicates[&TermId(10)];
-        assert_eq!(p10.count, 4);
-        assert_eq!(p10.distinct_subjects, 2);
-        assert_eq!(p10.distinct_objects, 3);
-        let p11 = &stats.predicates[&TermId(11)];
-        assert_eq!(p11.count, 1);
-        assert_eq!(stats.predicate_count(TermId(99)), 0);
-    }
-
-    #[test]
-    fn nodes_count_shared_terms_once() {
-        let mut g = GraphStore::new();
-        // 1 appears both as subject and object.
-        g.insert(t(1, 10, 2));
-        g.insert(t(2, 10, 1));
+        // A predicate counts while it has a triple, and leaves with its
+        // last one; removing one of several keeps it.
+        let mut g = sample_store();
+        assert!(g.remove(&t(1, 10, 100)));
+        assert_eq!(GraphStats::compute(&g).distinct_predicates, 2);
+        assert!(g.remove(&t(3, 11, 100)));
         let stats = GraphStats::compute(&g);
-        assert_eq!(stats.distinct_nodes, 2);
-    }
-
-    #[test]
-    fn estimates_shrink_with_bound_positions() {
-        let stats = GraphStats::compute(&sample_store());
-        let all = stats.estimate_pattern(IdPattern::ANY);
-        let by_p = stats.estimate_pattern(IdPattern::new(None, Some(TermId(10)), None));
-        let by_ps = stats.estimate_pattern(IdPattern::new(Some(TermId(1)), Some(TermId(10)), None));
-        assert_eq!(all, 5.0);
-        assert_eq!(by_p, 4.0);
-        assert!(by_ps < by_p);
-        assert!(by_ps > 0.0);
+        assert_eq!(stats.triples, 3);
+        assert_eq!(stats.distinct_predicates, 1);
     }
 
     #[test]
     fn empty_graph_estimates_zero() {
-        let stats = GraphStats::compute(&GraphStore::new());
-        assert_eq!(stats.estimate_pattern(IdPattern::ANY), 0.0);
-        assert_eq!(stats.triples, 0);
-        assert_eq!(stats.distinct_nodes, 0);
-    }
-
-    #[test]
-    fn tracker_agrees_with_compute_under_churn() {
-        let mut store = GraphStore::new();
-        let mut tracker = StatsTracker::default();
-        // Deterministic insert/remove mix, including re-inserts.
-        let mut ops: Vec<(bool, [TermId; 3])> = Vec::new();
-        for i in 0u32..200 {
-            ops.push((true, t(i % 9, i % 4, i % 13)));
-        }
-        for i in 0u32..120 {
-            ops.push((false, t((i * 3) % 9, i % 4, (i * 7) % 13)));
-        }
-        for i in 0u32..60 {
-            ops.push((true, t((i * 5) % 9, (i + 1) % 4, i % 13)));
-        }
-        for (is_insert, triple) in ops {
-            if is_insert {
-                if store.insert(triple) {
-                    tracker.record_insert(&triple);
-                }
-            } else if store.remove(&triple) {
-                tracker.record_remove(&triple);
-            }
-        }
-        assert_eq!(tracker.snapshot(), GraphStats::compute(&store));
-        assert_eq!(tracker.triples(), store.len());
-    }
-
-    #[test]
-    fn tracker_from_store_matches_compute() {
-        let store = sample_store();
-        let tracker = StatsTracker::from_store(&store);
-        assert_eq!(tracker.snapshot(), GraphStats::compute(&store));
-    }
-
-    #[test]
-    fn tracker_shared_node_refcounts() {
-        let mut tracker = StatsTracker::default();
-        // 1 appears as subject and object of different triples.
-        tracker.record_insert(&t(1, 10, 2));
-        tracker.record_insert(&t(2, 10, 1));
-        assert_eq!(tracker.snapshot().distinct_nodes, 2);
-        tracker.record_remove(&t(1, 10, 2));
-        // 1 survives as an object, 2 as a subject.
-        assert_eq!(tracker.snapshot().distinct_nodes, 2);
-        tracker.record_remove(&t(2, 10, 1));
-        assert_eq!(tracker.snapshot(), GraphStats::default());
+        assert_eq!(
+            GraphStats::compute(&GraphStore::new()),
+            GraphStats::default()
+        );
     }
 }

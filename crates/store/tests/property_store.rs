@@ -1,11 +1,42 @@
 //! Property tests across the store's public API: statistics agree with
-//! naive recomputation; inference is monotone and idempotent on random
-//! schema graphs.
+//! naive recomputation through every mutation path; inference is monotone
+//! and idempotent on random schema graphs.
 
 use proptest::prelude::*;
 use sofos_rdf::vocab::{rdf, rdfs};
-use sofos_rdf::{FxHashSet, Term};
-use sofos_store::{Dataset, GraphStats};
+use sofos_rdf::{FxHashSet, Graph, Term, TermId, Triple};
+use sofos_store::persist::snapshot::{decode_snapshot, encode_snapshot};
+use sofos_store::{Dataset, Delta, GraphStats};
+
+/// Ground truth for [`GraphStats`], given the predicate of every
+/// distinct triple: the size of the distinct-triple set and the
+/// predicates carrying at least one triple.
+fn naive_stats<P: Eq + std::hash::Hash>(predicates: impl IntoIterator<Item = P>) -> GraphStats {
+    let mut triples = 0;
+    let mut distinct = FxHashSet::default();
+    for p in predicates {
+        triples += 1;
+        distinct.insert(p);
+    }
+    GraphStats {
+        triples,
+        distinct_predicates: distinct.len(),
+    }
+}
+
+/// Predicate `i` of the churn test: the first two are the RDFS
+/// vocabulary, so the closure step has something to infer.
+fn churn_pred(i: u32) -> Term {
+    match i {
+        0 => Term::iri(rdf::TYPE),
+        1 => Term::iri(rdfs::SUB_CLASS_OF),
+        _ => Term::iri(format!("http://e/p{i}")),
+    }
+}
+
+fn churn_node(i: u32) -> Term {
+    Term::iri(format!("http://e/n{i}"))
+}
 
 proptest! {
     /// GraphStats must agree with a naive single-pass recomputation.
@@ -22,27 +53,76 @@ proptest! {
                 &Term::iri(format!("http://e/o{o}")),
             );
         }
-        let stats = GraphStats::compute(ds.default_graph());
+        let distinct: FxHashSet<(u32, u32, u32)> = triples.iter().copied().collect();
+        prop_assert_eq!(
+            GraphStats::compute(ds.default_graph()),
+            naive_stats(distinct.iter().map(|&(_, p, _)| p))
+        );
+    }
 
-        // Naive recomputation at the term level.
-        let mut subjects = FxHashSet::default();
-        let mut objects = FxHashSet::default();
-        let mut preds = FxHashSet::default();
-        let mut distinct = FxHashSet::default();
-        for (s, p, o) in &triples {
-            distinct.insert((*s, *p, *o));
+    /// The statistics read off the store stay exact through every path
+    /// that mutates a default graph: `Dataset::apply` batches (re-inserts,
+    /// deletes of absent triples, deletes of a predicate's last triple),
+    /// a bulk `load` into a fresh dataset, RDFS materialization, and a
+    /// persist snapshot → recover round trip (`load_encoded`).
+    #[test]
+    fn stats_track_every_mutation_path(
+        batches in proptest::collection::vec(
+            proptest::collection::vec((any::<bool>(), 0u32..6, 0u32..4, 0u32..6), 0..24),
+            1..6,
+        )
+    ) {
+        let mut ds = Dataset::new();
+        let mut model: FxHashSet<(u32, u32, u32)> = FxHashSet::default();
+        let model_stats =
+            |model: &FxHashSet<(u32, u32, u32)>| naive_stats(model.iter().map(|&(_, p, _)| p));
+        for batch in &batches {
+            let mut delta = Delta::new();
+            for &(insert, s, p, o) in batch {
+                if insert {
+                    delta.insert(churn_node(s), churn_pred(p), churn_node(o));
+                    model.insert((s, p, o));
+                } else {
+                    delta.delete(churn_node(s), churn_pred(p), churn_node(o));
+                    model.remove(&(s, p, o));
+                }
+            }
+            ds.apply(delta);
+            prop_assert_eq!(GraphStats::compute(ds.default_graph()), model_stats(&model));
         }
-        for (s, p, o) in &distinct {
-            subjects.insert(format!("s{s}"));
-            preds.insert(format!("p{p}"));
-            objects.insert(format!("o{o}"));
+
+        // Empty out one live predicate: its last triple's delete must drop
+        // it from the count.
+        if let Some(&(_, gone, _)) = model.iter().min() {
+            let mut delta = Delta::new();
+            for &(s, p, o) in model.iter().filter(|t| t.1 == gone) {
+                delta.delete(churn_node(s), churn_pred(p), churn_node(o));
+            }
+            model.retain(|t| t.1 != gone);
+            ds.apply(delta);
+            prop_assert_eq!(GraphStats::compute(ds.default_graph()), model_stats(&model));
         }
-        prop_assert_eq!(stats.triples, distinct.len());
-        prop_assert_eq!(stats.distinct_subjects, subjects.len());
-        prop_assert_eq!(stats.distinct_objects, objects.len());
-        prop_assert_eq!(stats.distinct_predicates, preds.len());
-        // Subject IRIs (s*) and object IRIs (o*) never collide here.
-        prop_assert_eq!(stats.distinct_nodes, subjects.len() + objects.len());
+
+        let mut graph = Graph::new();
+        for &(s, p, o) in &model {
+            graph.insert(Triple::new_unchecked(churn_node(s), churn_pred(p), churn_node(o)));
+        }
+        let mut loaded = Dataset::new();
+        loaded.load(None, &graph);
+        prop_assert_eq!(GraphStats::compute(loaded.default_graph()), model_stats(&model));
+
+        // The closure's output is not modelled here; the triples it leaves
+        // in the store are the ground truth.
+        loaded.materialize_rdfs();
+        let closed: Vec<[TermId; 3]> = loaded.default_graph().iter().collect();
+        let closed_stats = naive_stats(closed.iter().map(|&[_, p, _]| p));
+        prop_assert!(closed_stats.triples >= model.len());
+        prop_assert_eq!(GraphStats::compute(loaded.default_graph()), closed_stats.clone());
+
+        let recovered = decode_snapshot(&encode_snapshot(&loaded, 1, &[]))
+            .expect("a fresh snapshot decodes")
+            .into_dataset();
+        prop_assert_eq!(GraphStats::compute(recovered.default_graph()), closed_stats);
     }
 
     /// RDFS closure on random class hierarchies: monotone, idempotent, and
