@@ -449,6 +449,53 @@ mod tests {
     }
 
     #[test]
+    fn incremental_stats_match_full_recomputation() {
+        // Statistics read off the default graph agree with a full pass
+        // over its triples after every mutation path.
+        use crate::stats::GraphStats;
+        use sofos_rdf::Triple;
+        fn recount(ds: &Dataset) -> GraphStats {
+            let g = ds.default_graph();
+            let preds: std::collections::BTreeSet<TermId> = g.iter().map(|[_, p, _]| p).collect();
+            GraphStats {
+                triples: g.iter().count(),
+                distinct_predicates: preds.len(),
+            }
+        }
+        let stats = |ds: &Dataset| GraphStats::compute(ds.default_graph());
+
+        let mut ds = Dataset::new();
+        // Build through every mutation path: load, insert, apply, remove.
+        let mut g = Graph::new();
+        for i in 0..12 {
+            g.insert(Triple::new_unchecked(
+                term(&format!("s{}", i % 4)),
+                term(&format!("p{}", i % 3)),
+                Term::literal_int(i % 5),
+            ));
+        }
+        ds.load(None, &g);
+        assert_eq!(stats(&ds), recount(&ds));
+
+        ds.insert(None, &term("s9"), &term("p0"), &term("s0"));
+        assert_eq!(stats(&ds), recount(&ds));
+
+        let mut delta = Delta::new();
+        delta
+            .delete(term("s9"), term("p0"), term("s0"))
+            .insert(term("sA"), term("pZ"), term("oA"))
+            .delete(term("s0"), term("p0"), term("s0")); // maybe absent: no-op ok
+        ds.apply(delta);
+        assert_eq!(stats(&ds), recount(&ds));
+        assert_eq!(stats(&ds).distinct_predicates, 4);
+
+        assert!(ds.remove(None, &term("sA"), &term("pZ"), &term("oA")));
+        assert_eq!(stats(&ds), recount(&ds));
+        // Removing the only pZ triple drops the predicate entirely.
+        assert_eq!(stats(&ds).distinct_predicates, 3);
+    }
+
+    #[test]
     fn remove_with_unknown_terms_is_noop() {
         let mut ds = Dataset::new();
         ds.insert(None, &term("s"), &term("p"), &term("o"));

@@ -80,4 +80,74 @@ mod tests {
             GraphStats::default()
         );
     }
+
+    /// Reference statistics from a full pass over the triples.
+    fn recount(store: &GraphStore) -> GraphStats {
+        let preds: std::collections::BTreeSet<TermId> = store.iter().map(|[_, p, _]| p).collect();
+        GraphStats {
+            triples: store.iter().count(),
+            distinct_predicates: preds.len(),
+        }
+    }
+
+    #[test]
+    fn tracker_agrees_with_compute_under_churn() {
+        // The store's counters are the incrementally maintained figures:
+        // they must agree with a full recount after every insert/remove.
+        let mut store = GraphStore::new();
+        // Deterministic insert/remove mix, including re-inserts.
+        let mut ops: Vec<(bool, [TermId; 3])> = Vec::new();
+        for i in 0u32..200 {
+            ops.push((true, t(i % 9, i % 4, i % 13)));
+        }
+        for i in 0u32..120 {
+            ops.push((false, t((i * 3) % 9, i % 4, (i * 7) % 13)));
+        }
+        for i in 0u32..60 {
+            ops.push((true, t((i * 5) % 9, (i + 1) % 4, i % 13)));
+        }
+        for (is_insert, triple) in ops {
+            if is_insert {
+                store.insert(triple);
+            } else {
+                store.remove(&triple);
+            }
+            assert_eq!(GraphStats::compute(&store), recount(&store));
+        }
+    }
+
+    #[test]
+    fn tracker_from_store_matches_compute() {
+        // A bulk-loaded store reports the same figures as one built
+        // triple by triple, and both agree with a recount.
+        let incremental = sample_store();
+        let mut bulk = GraphStore::new();
+        bulk.bulk_load(incremental.iter().collect());
+        assert_eq!(GraphStats::compute(&bulk), recount(&bulk));
+        assert_eq!(
+            GraphStats::compute(&bulk),
+            GraphStats::compute(&incremental)
+        );
+    }
+
+    #[test]
+    fn tracker_shared_node_refcounts() {
+        let mut g = GraphStore::new();
+        // 1 appears as subject and object of different triples, both
+        // under predicate 10.
+        g.insert(t(1, 10, 2));
+        g.insert(t(2, 10, 1));
+        assert_eq!(GraphStats::compute(&g).distinct_predicates, 1);
+        assert!(g.remove(&t(1, 10, 2)));
+        // Predicate 10 survives while one triple still uses it.
+        assert_eq!(
+            GraphStats::compute(&g),
+            GraphStats {
+                triples: 1,
+                distinct_predicates: 1
+            }
+        );
+        assert!(g.remove(&t(2, 10, 1)));
+        assert_eq!(GraphStats::compute(&g), GraphStats::default());
+    }
 }
