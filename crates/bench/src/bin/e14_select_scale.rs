@@ -19,9 +19,9 @@
 //!   never worse than its seed) long before convergence.
 //!
 //! Lattices are sized analytically (`estimate_lattice`: per-dimension
-//! cardinalities × observation cap) rather than by evaluating `2^d` view
-//! queries — the sizing pass would otherwise dwarf selection itself and
-//! cap the sweep at toy scale. Both selectors price from the *same*
+//! cardinalities × observation cap) rather than by evaluating the base
+//! view and rolling up `2^d` views — the sizing pass would otherwise dwarf
+//! selection itself and cap the sweep at toy scale. Both selectors price from the *same*
 //! estimates, so quality ratios compare like with like.
 //!
 //! The summary gates, on the largest cell: local-search combined cost

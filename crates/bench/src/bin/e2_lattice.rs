@@ -11,7 +11,7 @@ use sofos_bench::Fmt::{Fixed, Ms, Raw};
 use sofos_bench::{sized, BenchReport, Json};
 use sofos_core::measure_once;
 use sofos_cube::Lattice;
-use sofos_materialize::materialize_view;
+use sofos_materialize::materialize_views;
 use sofos_workload::synthetic;
 
 fn main() {
@@ -42,16 +42,15 @@ fn main() {
         let base_bytes = generated.dataset.estimated_bytes();
 
         let mut dataset = generated.dataset.clone();
-        let (elapsed_us, stats) = measure_once(|| {
-            let mut totals = (0usize, 0usize); // (rows, triples)
-            for mask in lattice.views() {
-                let view =
-                    materialize_view(&mut dataset, &facet, mask).expect("materialization succeeds");
-                totals.0 += view.stats.rows;
-                totals.1 += view.stats.triples;
-            }
-            totals
+        let masks: Vec<_> = lattice.views().collect();
+        let (elapsed_us, views) = measure_once(|| {
+            materialize_views(&mut dataset, &facet, &masks).expect("materialization succeeds")
         });
+        let stats = views
+            .iter()
+            .fold((0usize, 0usize), |(rows, triples), view| {
+                (rows + view.stats.rows, triples + view.stats.triples)
+            });
         let expanded_bytes = dataset.estimated_bytes();
         let amplification = expanded_bytes as f64 / base_bytes as f64;
 

@@ -10,9 +10,8 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use sofos_bench::Fmt::{Fixed, Raw};
 use sofos_bench::{sized, BenchReport, Json};
-use sofos_core::SizedLattice;
+use sofos_core::{time_view_queries, SizedLattice};
 use sofos_cost::{regression_metrics, LearnedCostModel, TrainConfig};
-use sofos_cube::ViewMask;
 use sofos_workload::all_datasets;
 
 fn main() {
@@ -41,12 +40,8 @@ fn main() {
         let ctx = sized_lattice.context();
 
         // Ground truth: measured view-query time per lattice view.
-        let mut all: Vec<(ViewMask, f64)> = sized_lattice
-            .timings_us
-            .iter()
-            .map(|(&m, &us)| (m, us as f64))
-            .collect();
-        all.sort_by_key(|(m, _)| m.0);
+        let mut all = time_view_queries(&generated.dataset, &sized_lattice.lattice)
+            .expect("view queries evaluate");
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         all.shuffle(&mut rng);
 

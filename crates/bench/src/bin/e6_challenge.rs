@@ -60,7 +60,8 @@ fn main() {
                 exhaustive_select(&ctx, &sized_lattice.lattice, &judge, &profile, k, 1_000_000)
                     .expect("challenge lattices stay under the exhaustive caps");
             for kind in CostModelKind::ALL {
-                let (model, _, _) = build_model(kind, &sized_lattice, &config);
+                let (model, _, _) = build_model(kind, &sized_lattice, &generated.dataset, &config)
+                    .expect("model builds");
                 let outcome = greedy_select(
                     &ctx,
                     &sized_lattice.lattice,

@@ -225,8 +225,8 @@ fn run_cell(
         &initial_profile,
         drift_threshold,
     )
-    // Re-sizing the lattice per pass would cost one query per view —
-    // reuse the offline sizing so re-selection stays economical.
+    // Re-sizing the lattice per pass would cost an evaluation of the base
+    // view — reuse the offline sizing so re-selection stays economical.
     .with_sizing_cache(sized);
 
     let mut outcome = CellOutcome {

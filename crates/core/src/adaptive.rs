@@ -16,6 +16,7 @@
 
 use crate::config::EngineConfig;
 use crate::engine::{Engine, ViewChurn};
+use crate::offline::SizedLattice;
 use crate::policy::total_variation;
 use crate::timing::measure_once;
 use sofos_cost::{CalibratedMaintenance, CostModelKind};
@@ -25,6 +26,7 @@ use sofos_select::{
     SearchReport, SelectionOutcome, WorkloadProfile,
 };
 use sofos_sparql::SparqlError;
+use sofos_store::Dataset;
 use std::sync::Arc;
 
 /// Measures how far the live workload has drifted from the profile the
@@ -153,8 +155,7 @@ pub struct ReselectionReport {
     /// Catalog churn from the transactional swap.
     pub churn: ViewChurn,
     /// Wall time of the lattice re-sizing pass (µs) — the growth-scaling
-    /// refresh when the sizing cache is on, the full per-view evaluation
-    /// otherwise.
+    /// refresh when the sizing cache is on, a full sizing otherwise.
     pub sizing_us: u64,
     /// True when sizing came from the cache, refreshed by live
     /// [`sofos_store::GraphStats`] growth instead of re-evaluated.
@@ -291,7 +292,7 @@ pub struct Reselector {
     detector: DriftDetector,
     calibrated: bool,
     locality: bool,
-    sizing_cache: Option<crate::offline::SizedLattice>,
+    sizing_cache: Option<SizedLattice>,
     anytime: Option<AnytimeBudget>,
     reselections: usize,
 }
@@ -356,20 +357,21 @@ impl Reselector {
         self
     }
 
-    /// Reuse an offline sizing pass instead of re-evaluating the whole
-    /// lattice on every re-selection.
+    /// Reuse an offline sizing pass instead of re-sizing the lattice on
+    /// every re-selection.
     ///
-    /// Re-sizing costs as much as answering one query per lattice view —
-    /// on a 2^d lattice that dwarfs everything else a re-selection does,
-    /// and is exactly the overhead that makes frequent re-selection
-    /// uneconomical. Cached estimates are **not** frozen: every pass
-    /// rescales the cached per-view rows/triples/bytes by the live
+    /// Re-sizing costs one evaluation of the base view plus the lattice's
+    /// roll-up — as much as answering the finest query the facet has,
+    /// which dwarfs everything else a re-selection does on a large graph.
+    /// Cached estimates are **not** frozen: every pass rescales the cached
+    /// per-view rows/triples/bytes by the live
     /// [`sofos_store::GraphStats`] growth since the cache was taken
-    /// ([`crate::offline::SizedLattice::refreshed`]), so byte budgets
-    /// keep pricing against the graph that actually exists. The scaling
-    /// is uniform — it tracks size, not shape; drop the cache (a fresh
-    /// `Reselector`) when the graph's *distribution* has changed.
-    pub fn with_sizing_cache(mut self, sized: crate::offline::SizedLattice) -> Reselector {
+    /// ([`SizedLattice::refreshed`]), so byte budgets keep pricing against
+    /// the graph that actually exists. The scaling is uniform — it tracks
+    /// size, not shape; drop the cache (a fresh `Reselector`) when the
+    /// graph's *distribution* has changed. A cached sizing of an empty
+    /// graph is never scaled: passes size the snapshot afresh instead.
+    pub fn with_sizing_cache(mut self, sized: SizedLattice) -> Reselector {
         self.sizing_cache = Some(sized);
         self
     }
@@ -427,6 +429,34 @@ impl Reselector {
         self.reselect_for(engine, window, churn)
     }
 
+    /// The sizing a re-selection prices against, its wall time (µs), and
+    /// whether it came from the cache. The cache is refreshed by live
+    /// [`sofos_store::GraphStats`] growth instead of re-evaluated; a cached
+    /// sizing of an empty graph has nothing to scale, so the snapshot is
+    /// sized afresh then.
+    fn sizing(
+        &self,
+        snapshot: &Dataset,
+        facet: &sofos_cube::Facet,
+    ) -> Result<(SizedLattice, u64, bool), SparqlError> {
+        match self
+            .sizing_cache
+            .as_ref()
+            .filter(|c| c.base_stats.triples > 0)
+        {
+            Some(cached) => {
+                let live = sofos_store::GraphStats::compute(snapshot.default_graph());
+                let (us, refreshed) = measure_once(|| cached.refreshed(&live));
+                Ok((refreshed, us, true))
+            }
+            None => {
+                let computed = SizedLattice::compute(snapshot, facet)?;
+                let us = computed.sizing_us;
+                Ok((computed, us, false))
+            }
+        }
+    }
+
     fn reselect_for(
         &mut self,
         engine: &Engine,
@@ -453,26 +483,9 @@ impl Reselector {
         // nothing per triple), and the engine's serving loop keeps
         // running while sizing and selection think.
         let snapshot = engine.snapshot();
-        let computed;
-        let refreshed;
-        let sizing_refreshed = self.sizing_cache.is_some();
-        let (sized, sizing_us) = match &self.sizing_cache {
-            Some(cached) => {
-                // Incremental re-sizing: scale the cached estimates by
-                // live base-graph growth instead of freezing them (or
-                // paying a full lattice re-evaluation).
-                let live = sofos_store::GraphStats::compute(snapshot.default_graph());
-                let (us, r) = measure_once(|| cached.refreshed(&live));
-                refreshed = r;
-                (&refreshed, us)
-            }
-            None => {
-                computed = crate::offline::SizedLattice::compute(&snapshot, engine.facet())?;
-                (&computed, computed.sizing_us)
-            }
-        };
+        let (sized, sizing_us, sizing_refreshed) = self.sizing(&snapshot, engine.facet())?;
         let (query_model, _history, _train_us) =
-            crate::offline::build_model(self.kind, sized, &self.config);
+            crate::offline::build_model(self.kind, &sized, &snapshot, &self.config)?;
         let analytic = sofos_cost::TouchedGroupsMaintenance;
         let calibrated;
         let maintenance: &dyn sofos_cost::MaintenanceCostModel = if self.calibrated {
@@ -569,7 +582,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::engine::{Engine, Route};
-    use crate::offline::{run_offline, SizedLattice};
+    use crate::offline::run_offline;
     use crate::policy::StalenessPolicy;
     use sofos_cube::{facet_query, AggOp, ViewMask};
     use sofos_rdf::Term;
@@ -792,6 +805,51 @@ mod tests {
         let json = report.to_json_string();
         assert!(json.contains("\"drift\":1"), "{json}");
         assert!(json.contains("\"sizing_refreshed\":true"), "{json}");
+    }
+
+    #[test]
+    fn empty_cached_sizing_is_recomputed_not_scaled() {
+        let facet = synthetic::generate(&synthetic::Config {
+            observations: 12,
+            ..synthetic::Config::default()
+        })
+        .facets[0]
+            .clone();
+        let empty = SizedLattice::compute(&Dataset::new(), &facet).unwrap();
+        assert_eq!(empty.stats[&ViewMask::APEX].rows, 1);
+        let engine = Engine::builder()
+            .dataset(Dataset::new())
+            .facet(facet)
+            .build()
+            .unwrap();
+        // Load a cube into the empty graph after the sizing was cached.
+        for batch in 0..4 {
+            engine.update(session_delta(batch)).unwrap();
+        }
+        let mut reselector = Reselector::new(
+            CostModelKind::AggValues,
+            EngineConfig::default(),
+            0.0,
+            &WorkloadProfile::uniform(&empty.lattice),
+            0.5,
+        )
+        .with_sizing_cache(empty);
+
+        let snapshot = engine.snapshot();
+        let (used, _, refreshed) = reselector.sizing(&snapshot, engine.facet()).unwrap();
+        assert!(!refreshed, "an empty-graph sizing is not scaled");
+        let fresh = SizedLattice::compute(&snapshot, engine.facet()).unwrap();
+        assert_eq!(used.stats, fresh.stats);
+        assert_eq!(used.base_stats, fresh.base_stats);
+        assert_eq!(
+            used.stats[&ViewMask::APEX].rows,
+            1,
+            "the apex stays one row"
+        );
+
+        let report = reselector.reselect(&engine).unwrap();
+        assert!(!report.sizing_refreshed);
+        assert!(!report.selection.selected.is_empty());
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! Ties the workspace together into the system of the paper's Figure 2:
 //!
-//! * the **offline module** ([`offline`]) sizes the facet's view lattice,
-//!   builds a cost model (training the learned one on measured view-query
-//!   times), runs greedy view selection under a budget, and materializes
-//!   the chosen views into the expanded graph `G+`;
+//! * the **offline module** ([`offline`]) sizes the facet's view lattice
+//!   from one evaluation, builds a cost model (training the learned one
+//!   on measured view-query times), runs greedy view selection under a
+//!   budget, and materializes the chosen views into the expanded graph
+//!   `G+`;
 //! * the **engine** ([`engine`]) is the online module and the one front
 //!   door: [`Engine::query`] answers through the rewriter when a
 //!   materialized view covers the query and from the base graph
@@ -89,7 +90,7 @@ pub use engine::{
     Backend, Engine, EngineBuildError, EngineBuilder, RecoveryReport, Route, SessionAnswer,
     ViewChurn,
 };
-pub use offline::{build_model, run_offline, OfflineOutcome, SizedLattice};
+pub use offline::{build_model, run_offline, time_view_queries, OfflineOutcome, SizedLattice};
 pub use policy::{Clock, Freshness, ManualClock, StalenessPolicy, SystemClock};
 pub use report::{render_table, ComparisonReport, ModelRow};
 pub use sofos_select::WorkloadProfile;

@@ -7,22 +7,19 @@ use sofos_cost::{
     build_static_model, CostContext, CostModel, CostModelKind, LearnedCostModel, UserDefinedCost,
 };
 use sofos_cube::{Facet, Lattice, ViewMask};
-use sofos_materialize::{materialize_views, MaterializedView, ViewStats};
+use sofos_materialize::{evaluate_view, materialize_views, MaterializedView, ViewStats};
 use sofos_rdf::FxHashMap;
 use sofos_select::{greedy_select, Budget, SelectionOutcome, WorkloadProfile};
 use sofos_sparql::SparqlError;
 use sofos_store::{Dataset, GraphStats};
 
-/// The sized lattice: per-view stats plus the measured view-query times
-/// (free training data for the learned model) and base-graph statistics.
+/// The sized lattice: per-view stats plus base-graph statistics.
 #[derive(Debug, Clone)]
 pub struct SizedLattice {
     /// The lattice itself.
     pub lattice: Lattice,
     /// Per-view sizing (rows/triples/nodes/bytes).
     pub stats: FxHashMap<ViewMask, ViewStats>,
-    /// Measured evaluation time of each view query (µs).
-    pub timings_us: FxHashMap<ViewMask, u64>,
     /// Base-graph statistics at sizing time.
     pub base_stats: GraphStats,
     /// Wall time of the whole sizing pass (µs).
@@ -30,27 +27,15 @@ pub struct SizedLattice {
 }
 
 impl SizedLattice {
-    /// Evaluate and size every view of the facet's lattice, timing each
-    /// view query (demo step "Exploration of the Full Lattice").
+    /// Size every view of the facet's lattice with
+    /// [`sofos_cost::size_lattice`] (demo step "Exploration of the Full
+    /// Lattice"): one evaluation of the base view, the rest rolled up.
     pub fn compute(dataset: &Dataset, facet: &Facet) -> Result<SizedLattice, SparqlError> {
         let lattice = Lattice::new(facet.clone());
-        let (sizing_us, result) = measure_once(|| {
-            let mut stats = FxHashMap::default();
-            let mut timings = FxHashMap::default();
-            for mask in lattice.views() {
-                let (us, view_stats) = measure_once(|| {
-                    sofos_materialize::virtual_view_stats(dataset, lattice.facet(), mask)
-                });
-                stats.insert(mask, view_stats?);
-                timings.insert(mask, us);
-            }
-            Ok::<_, SparqlError>((stats, timings))
-        });
-        let (stats, timings_us) = result?;
+        let (sizing_us, stats) = measure_once(|| sofos_cost::size_lattice(dataset, &lattice));
         Ok(SizedLattice {
+            stats: stats?,
             lattice,
-            stats,
-            timings_us,
             base_stats: GraphStats::compute(dataset.default_graph()),
             sizing_us,
         })
@@ -66,21 +51,19 @@ impl SizedLattice {
     }
 
     /// Incremental re-sizing: a copy of this sizing with every per-view
-    /// estimate (rows, triples, nodes, bytes — and the measured timings
-    /// the learned model trains on) scaled by the base graph's growth
-    /// since this sizing was computed, anchored on `live` statistics.
+    /// estimate (rows, triples, nodes, bytes) scaled by the base graph's
+    /// growth since this sizing was computed, anchored on `live`
+    /// statistics.
     ///
-    /// Costs O(2^d) multiplications instead of O(2^d) query evaluations —
-    /// the overhead that made frequent re-selection uneconomical. The
-    /// scaling is uniform: it tracks the graph's *size*, and relies on
-    /// roughly shape-preserving growth for the per-view ratios (which is
-    /// what selection ranks by). Recompute from scratch when the value
-    /// distribution itself shifts.
+    /// Costs O(2^d) multiplications instead of an evaluation of the base
+    /// view. The scaling is uniform: it tracks the graph's *size*, and
+    /// relies on roughly shape-preserving growth for the per-view ratios
+    /// (which is what selection ranks by). Recompute from scratch when the
+    /// value distribution itself shifts. A sizing of an empty graph has no
+    /// shape to scale and is returned unscaled; recompute it instead.
     pub fn refreshed(&self, live: &GraphStats) -> SizedLattice {
         let growth = if self.base_stats.triples > 0 {
             live.triples as f64 / self.base_stats.triples as f64
-        } else if live.triples > 0 {
-            live.triples as f64
         } else {
             1.0
         };
@@ -102,19 +85,29 @@ impl SizedLattice {
                 )
             })
             .collect();
-        let timings_us = self
-            .timings_us
-            .iter()
-            .map(|(&mask, &us)| (mask, (us as f64 * growth).round() as u64))
-            .collect();
         SizedLattice {
             lattice: self.lattice.clone(),
             stats,
-            timings_us,
             base_stats: live.clone(),
             sizing_us: self.sizing_us,
         }
     }
+}
+
+/// The measured evaluation time (µs) of every view query of `lattice`,
+/// one [`evaluate_view`] each, in lattice order: the learned model's
+/// training targets.
+pub fn time_view_queries(
+    dataset: &Dataset,
+    lattice: &Lattice,
+) -> Result<Vec<(ViewMask, f64)>, SparqlError> {
+    lattice
+        .views()
+        .map(|mask| {
+            let (us, results) = measure_once(|| evaluate_view(dataset, lattice.facet(), mask));
+            results.map(|_| (mask, us as f64))
+        })
+        .collect()
 }
 
 /// Result of the offline phase for one cost model.
@@ -159,25 +152,30 @@ impl OfflineOutcome {
     }
 }
 
-/// Build the cost model for a kind; `Learned` is trained on the sizing
-/// pass's measured view-query times, `UserDefined` prefers the configured
-/// views (or the finest `k` as a default naive user).
+/// A cost model, the learned model's training history, and the wall time
+/// of preparing it (µs; timing the view queries plus training for
+/// `Learned`, 0 otherwise).
+pub type BuiltModel = (Box<dyn CostModel>, Option<Vec<f64>>, u64);
+
+/// Build the cost model for a kind; `Learned` times every view query
+/// over `dataset` ([`time_view_queries`]) and trains on those times,
+/// `UserDefined` prefers the configured views (or the finest `k` as a
+/// default naive user).
 pub fn build_model(
     kind: CostModelKind,
     sized: &SizedLattice,
+    dataset: &Dataset,
     config: &EngineConfig,
-) -> (Box<dyn CostModel>, Option<Vec<f64>>, u64) {
-    match kind {
+) -> Result<BuiltModel, SparqlError> {
+    Ok(match kind {
         CostModelKind::Learned => {
             let ctx = sized.context();
-            let samples: Vec<(ViewMask, f64)> = sized
-                .timings_us
-                .iter()
-                .map(|(&mask, &us)| (mask, us as f64))
-                .collect();
             let mut model = LearnedCostModel::new(sized.lattice.facet(), config.seed);
-            let (training_us, history) = measure_once(|| model.fit(&ctx, &samples, config.train));
-            (Box::new(model), Some(history), training_us)
+            let (training_us, history) = measure_once(|| {
+                let samples = time_view_queries(dataset, &sized.lattice)?;
+                Ok::<_, SparqlError>(model.fit(&ctx, &samples, config.train))
+            });
+            (Box::new(model), Some(history?), training_us)
         }
         CostModelKind::UserDefined => {
             let views = if config.user_views.is_empty() {
@@ -192,7 +190,7 @@ pub fn build_model(
                 .expect("static kinds are Random/Triples/AggValues/Nodes");
             (model, None, 0)
         }
-    }
+    })
 }
 
 /// The "naive user" default: pick the finest views first (highest level,
@@ -217,7 +215,7 @@ pub fn run_offline(
     kind: CostModelKind,
     config: &EngineConfig,
 ) -> Result<OfflineOutcome, SparqlError> {
-    let (model, training_history, training_us) = build_model(kind, sized, config);
+    let (model, training_history, training_us) = build_model(kind, sized, dataset, config)?;
     let ctx = sized.context();
 
     let (selection_us, selection) = measure_median(1, || {
@@ -263,9 +261,24 @@ mod tests {
         let (ds, facet) = setup();
         let sized = SizedLattice::compute(&ds, &facet).unwrap();
         assert_eq!(sized.stats.len() as u64, sized.lattice.num_views());
-        assert_eq!(sized.timings_us.len(), sized.stats.len());
         assert!(sized.sizing_us > 0);
         assert!(sized.base_stats.triples > 0);
+        assert_eq!(
+            sized.stats,
+            sofos_cost::size_lattice(&ds, &sized.lattice).unwrap(),
+            "one sizing function"
+        );
+    }
+
+    #[test]
+    fn view_query_timings_cover_the_lattice() {
+        let (ds, facet) = setup();
+        let lattice = Lattice::new(facet);
+        let timings = time_view_queries(&ds, &lattice).unwrap();
+        let masks: Vec<ViewMask> = timings.iter().map(|&(mask, _)| mask).collect();
+        assert_eq!(masks, lattice.views().collect::<Vec<_>>(), "one per view");
+        assert!(timings.iter().all(|&(_, us)| us.is_finite() && us >= 0.0));
+        assert!(timings.iter().map(|&(_, us)| us).sum::<f64>() > 0.0);
     }
 
     #[test]
@@ -283,9 +296,6 @@ mod tests {
             assert_eq!(scaled.rows, stats.rows * 2, "{mask}");
             assert_eq!(scaled.triples, stats.triples * 2, "{mask}");
             assert_eq!(scaled.bytes, stats.bytes * 2, "{mask}");
-        }
-        for (mask, us) in &sized.timings_us {
-            assert_eq!(refreshed.timings_us[mask], us * 2);
         }
 
         // No growth = identical estimates; shrinkage scales down.

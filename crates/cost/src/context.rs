@@ -1,7 +1,7 @@
 //! The information cost models draw on.
 
 use sofos_cube::{Facet, Lattice, ViewMask};
-use sofos_materialize::{virtual_view_stats, ViewStats};
+use sofos_materialize::{evaluate_views, view_stats, ViewStats};
 use sofos_rdf::FxHashMap;
 use sofos_sparql::SparqlError;
 use sofos_store::{Dataset, GraphStats};
@@ -34,24 +34,29 @@ impl<'a> CostContext<'a> {
     }
 }
 
-/// Size every view of the lattice virtually (evaluate + encode, no insert).
+/// Size every view of the lattice virtually (no graph built, no insert).
 /// This is the offline "Exploration of the Full Lattice" step of the demo
-/// (§4) and the input to all static cost models.
+/// (§4) and the input to all static cost models. It costs one evaluation
+/// of the base view; the other `2^d − 1` views are rolled up from it
+/// ([`evaluate_views`]).
 pub fn size_lattice(
     dataset: &Dataset,
     lattice: &Lattice,
 ) -> Result<FxHashMap<ViewMask, ViewStats>, SparqlError> {
-    let mut out = FxHashMap::default();
-    for mask in lattice.views() {
-        let stats = virtual_view_stats(dataset, lattice.facet(), mask)?;
-        out.insert(mask, stats);
-    }
-    Ok(out)
+    let facet = lattice.facet();
+    let masks: Vec<ViewMask> = lattice.views().collect();
+    let results = evaluate_views(dataset, facet, &masks)?;
+    Ok(masks
+        .into_iter()
+        .zip(&results)
+        .map(|(mask, results)| (mask, view_stats(facet, mask, results)))
+        .collect())
 }
 
 /// Size every view of the lattice *analytically* from generator-level
 /// knowledge — per-dimension cardinalities and the observation count —
-/// instead of evaluating `2^d` view queries like [`size_lattice`].
+/// instead of evaluating the base view and rolling the lattice up from it
+/// like [`size_lattice`].
 ///
 /// A view's row count is bounded both by the product of its retained
 /// dimensions' cardinalities and by the observation count; triples, nodes
@@ -61,8 +66,8 @@ pub fn size_lattice(
 /// estimates — consistent across views, which is what relative
 /// selection-quality and wall-time comparisons need. O(2^d) arithmetic
 /// with no dataset access: the piece that lets selection-at-scale
-/// experiments price 10–100× larger lattices without paying a sizing
-/// pass per view.
+/// experiments price 10–100× larger lattices without evaluating (and
+/// holding) a base view whose rows grow with the lattice.
 pub fn estimate_lattice(
     lattice: &Lattice,
     cardinalities: &[usize],

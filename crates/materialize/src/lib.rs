@@ -16,15 +16,21 @@
 //! _:obs  sofos:count  "4"^^xsd:integer .            # (AVG ⇒ SUM+COUNT)
 //! ```
 //!
-//! The same encoding is exposed *virtually* ([`encode_view`]) so the cost
-//! models can size a candidate view — triples, nodes, rows, bytes — without
-//! mutating the dataset.
+//! The same encoding is sized *virtually* ([`view_stats`]) so the cost
+//! models can price a candidate view — triples, nodes, rows, bytes —
+//! without building its graph or mutating the dataset.
+//!
+//! Any set of views costs one evaluation ([`evaluate_views`]): the
+//! finest view the set needs is evaluated once and every coarser one is
+//! rolled up from it, so sizing the whole `2^d` lattice and materializing
+//! the selected views each touch the data once.
 
 use sofos_cube::{component_alias, AggOp, Facet, MaterialComponent, ViewMask};
 use sofos_rdf::vocab::{rdf, sofos};
-use sofos_rdf::{FxHashSet, Graph, Term, Triple};
-use sofos_sparql::{Evaluator, QueryResults, SparqlError};
+use sofos_rdf::{FxHashMap, FxHashSet, Graph, Numeric, Term, Triple};
+use sofos_sparql::{Evaluator, QueryResults, SparqlError, Value};
 use sofos_store::Dataset;
+use std::cmp::Ordering;
 
 /// Sizing and identity of one (possibly virtual) materialized view.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,27 +79,181 @@ pub fn evaluate_view(
     Evaluator::new(dataset).evaluate(&query)
 }
 
-/// Encode view query results as an RDF graph (without touching the dataset).
+/// Evaluate the view queries of `masks` with one pass over the data.
 ///
-/// Rows with unbound dimension cells contribute no triple for that dimension
-/// (facet patterns are expected to bind every dimension; this mirrors how
-/// SPARQL grouping treats unbound keys).
-pub fn encode_view(facet: &Facet, mask: ViewMask, results: &QueryResults) -> EncodedView {
-    let type_pred = Term::iri(rdf::TYPE);
-    let observation = Term::iri(sofos::OBSERVATION);
-    let component_columns: Vec<(usize, Term)> = facet
-        .agg
-        .components()
+/// The finest view the request needs, the union of `masks`, is evaluated
+/// once through [`Evaluator`]. Every other mask is then derived, finest
+/// level first, from its smallest already-derived superset by
+/// re-aggregating the distributive components: SUM+SUM, COUNT+COUNT,
+/// MIN/MAX by [`Value::total_cmp`], and an unbound (poisoned) SUM stays
+/// unbound. New groups keep the first-occurrence order of the parent's
+/// rows, which is the order in which the evaluator first meets them.
+///
+/// Entry `i` therefore equals `evaluate_view(dataset, facet, masks[i])`:
+/// same columns, rows and row order. The exceptions are re-association
+/// effects: an `xsd:double` SUM may differ in its last bits, an integer
+/// SUM that overflows into a double may differ, and MIN/MAX over values
+/// that compare equal but are spelled differently (`1` and `1.0`) may
+/// keep a different spelling.
+pub fn evaluate_views(
+    dataset: &Dataset,
+    facet: &Facet,
+    masks: &[ViewMask],
+) -> Result<Vec<QueryResults>, SparqlError> {
+    let Some(finest) = masks.iter().copied().reduce(ViewMask::union) else {
+        return Ok(Vec::new());
+    };
+    let mut derived = vec![(finest, evaluate_view(dataset, facet, finest)?)];
+    let mut pending = masks.to_vec();
+    pending.sort_by_key(|mask| std::cmp::Reverse(mask.dim_count()));
+    for mask in pending {
+        if derived.iter().any(|(done, _)| *done == mask) {
+            continue;
+        }
+        let (_, parent) = derived
+            .iter()
+            .filter(|(done, _)| done.covers(mask))
+            .min_by_key(|(_, results)| results.len())
+            .expect("the finest view covers every requested mask");
+        let rolled = roll_up(facet, mask, parent);
+        derived.push((mask, rolled));
+    }
+
+    let mut derived: FxHashMap<ViewMask, QueryResults> = derived.into_iter().collect();
+    let mut out = Vec::with_capacity(masks.len());
+    for (i, mask) in masks.iter().enumerate() {
+        let results = if masks[i + 1..].contains(mask) {
+            derived.get(mask).cloned()
+        } else {
+            derived.remove(mask)
+        };
+        out.push(results.expect("every requested mask was derived"));
+    }
+    Ok(out)
+}
+
+/// Re-aggregate `parent`, the results of a view covering `mask`, into
+/// `mask`'s groups (see [`evaluate_views`]).
+fn roll_up(facet: &Facet, mask: ViewMask, parent: &QueryResults) -> QueryResults {
+    let vars: Vec<String> = sofos_cube::view_query(facet, mask)
+        .select
         .iter()
-        .map(|&c| {
-            let alias = component_alias(c);
-            let column = results
-                .column(alias)
-                .expect("view query projects its component aliases");
-            (column, component_term(c))
+        .map(|item| item.name().to_string())
+        .collect();
+    let column = |name: &str| {
+        parent
+            .column(name)
+            .expect("a covering view projects every column of its roll-ups")
+    };
+    let components = facet.agg.components();
+    let key_columns: Vec<usize> = vars[..vars.len() - components.len()]
+        .iter()
+        .map(|var| column(var))
+        .collect();
+    let component_columns: Vec<usize> = components
+        .iter()
+        .map(|&c| column(component_alias(c)))
+        .collect();
+    let fresh = || -> Vec<Partial<'_>> { components.iter().map(|&c| Partial::new(c)).collect() };
+
+    let mut index: FxHashMap<Vec<Option<&Term>>, usize> = FxHashMap::default();
+    let mut groups: Vec<(Vec<Option<&Term>>, Vec<Partial<'_>>)> = Vec::new();
+    for row in &parent.rows {
+        let key: Vec<Option<&Term>> = key_columns.iter().map(|&c| row[c].as_ref()).collect();
+        let group = *index.entry(key).or_insert_with_key(|key| {
+            groups.push((key.clone(), fresh()));
+            groups.len() - 1
+        });
+        for (partial, &c) in groups[group].1.iter_mut().zip(&component_columns) {
+            partial.push(row[c].as_ref());
+        }
+    }
+    // Aggregation without GROUP BY over zero rows yields one group.
+    if groups.is_empty() && key_columns.is_empty() {
+        groups.push((Vec::new(), fresh()));
+    }
+
+    let rows = groups
+        .into_iter()
+        .map(|(key, partials)| {
+            key.into_iter()
+                .map(|cell| cell.cloned())
+                .chain(partials.into_iter().map(Partial::finish))
+                .collect()
         })
         .collect();
-    let dim_columns: Vec<(usize, Term)> = mask
+    QueryResults { vars, rows }
+}
+
+/// One group's running re-aggregate of one component.
+enum Partial<'a> {
+    /// SUM or COUNT; `None` once an unbound part poisoned it.
+    Additive(Option<Numeric>),
+    /// MIN (`keep == Less`) or MAX (`keep == Greater`): the first part
+    /// no later part beats, with its decoded value.
+    Extreme {
+        best: Option<(Value, &'a Term)>,
+        keep: Ordering,
+    },
+}
+
+impl<'a> Partial<'a> {
+    fn new(component: MaterialComponent) -> Partial<'a> {
+        match component {
+            MaterialComponent::Sum | MaterialComponent::Count => {
+                Partial::Additive(Some(Numeric::Integer(0)))
+            }
+            MaterialComponent::Min => Partial::Extreme {
+                best: None,
+                keep: Ordering::Less,
+            },
+            MaterialComponent::Max => Partial::Extreme {
+                best: None,
+                keep: Ordering::Greater,
+            },
+        }
+    }
+
+    fn push(&mut self, cell: Option<&'a Term>) {
+        match self {
+            Partial::Additive(acc) => {
+                let part = cell.and_then(Term::as_literal).and_then(|l| l.numeric());
+                *acc = match (*acc, part) {
+                    (Some(acc), Some(part)) => Some(Numeric::add(acc, part)),
+                    _ => None,
+                };
+            }
+            Partial::Extreme { best, keep } => {
+                let Some(term) = cell else { return };
+                let value = Value::from_term(term);
+                if best
+                    .as_ref()
+                    .is_none_or(|(b, _)| value.total_cmp(b) == *keep)
+                {
+                    *best = Some((value, term));
+                }
+            }
+        }
+    }
+
+    fn finish(self) -> Option<Term> {
+        match self {
+            Partial::Additive(acc) => acc.map(|n| Value::Numeric(n).to_term()),
+            Partial::Extreme { best, .. } => best.map(|(_, term)| term.clone()),
+        }
+    }
+}
+
+/// The label prefix of view `mask`'s observation blank nodes; row `i`'s
+/// node is `_:<prefix><i>`.
+fn observation_prefix(facet: &Facet, mask: ViewMask) -> String {
+    format!("v{}_{}_", facet.id, mask.0)
+}
+
+/// The columns [`encode_view`] writes, each with its predicate: the
+/// mask's dimensions, then the aggregate's components.
+fn encoded_columns(facet: &Facet, mask: ViewMask, results: &QueryResults) -> Vec<(usize, Term)> {
+    let dims = mask
         .dims()
         .into_iter()
         .filter(|&d| d < facet.dim_count())
@@ -103,37 +263,36 @@ pub fn encode_view(facet: &Facet, mask: ViewMask, results: &QueryResults) -> Enc
                 .column(var)
                 .expect("view query projects its dimension variables");
             (column, Term::iri(sofos::dim(d)))
-        })
-        .collect();
+        });
+    let components = facet.agg.components().iter().map(|&c| {
+        let column = results
+            .column(component_alias(c))
+            .expect("view query projects its component aliases");
+        (column, component_term(c))
+    });
+    dims.chain(components).collect()
+}
 
+/// Encode view query results as an RDF graph (without touching the dataset).
+///
+/// Rows with unbound dimension cells contribute no triple for that dimension
+/// (facet patterns are expected to bind every dimension; this mirrors how
+/// SPARQL grouping treats unbound keys).
+pub fn encode_view(facet: &Facet, mask: ViewMask, results: &QueryResults) -> EncodedView {
+    let type_pred = Term::iri(rdf::TYPE);
+    let observation = Term::iri(sofos::OBSERVATION);
+    let columns = encoded_columns(facet, mask, results);
+    let prefix = observation_prefix(facet, mask);
     let mut graph = Graph::new();
-    let mut nodes: FxHashSet<Term> = FxHashSet::default();
-    let mut bytes = 0usize;
     for (i, row) in results.rows.iter().enumerate() {
-        let obs = Term::blank(format!("v{}_{}_{i}", facet.id, mask.0));
-        bytes += obs.estimated_bytes();
-        nodes.insert(obs.clone());
-        nodes.insert(observation.clone());
+        let obs = Term::blank(format!("{prefix}{i}"));
         graph.insert(Triple::new_unchecked(
             obs.clone(),
             type_pred.clone(),
             observation.clone(),
         ));
-        for (column, pred) in &dim_columns {
+        for (column, pred) in &columns {
             if let Some(value) = &row[*column] {
-                bytes += value.estimated_bytes();
-                nodes.insert(value.clone());
-                graph.insert(Triple::new_unchecked(
-                    obs.clone(),
-                    pred.clone(),
-                    value.clone(),
-                ));
-            }
-        }
-        for (column, pred) in &component_columns {
-            if let Some(value) = &row[*column] {
-                bytes += value.estimated_bytes();
-                nodes.insert(value.clone());
                 graph.insert(Triple::new_unchecked(
                     obs.clone(),
                     pred.clone(),
@@ -142,46 +301,92 @@ pub fn encode_view(facet: &Facet, mask: ViewMask, results: &QueryResults) -> Enc
             }
         }
     }
-
-    let stats = ViewStats {
-        facet_id: facet.id.clone(),
-        mask,
-        rows: results.len(),
-        triples: graph.len(),
-        nodes: nodes.len(),
-        bytes,
-    };
-    EncodedView { graph, stats }
+    EncodedView {
+        graph,
+        stats: view_stats(facet, mask, results),
+    }
 }
 
-/// Evaluate + encode + insert a view into its named graph in `G+`.
+/// Size the graph [`encode_view`] builds from `results` in one pass over
+/// the rows, without building it.
+///
+/// Each row is one fresh observation node with an `rdf:type` triple and
+/// one triple per bound cell, so triples and bytes add up row by row and
+/// the nodes are the rows plus the distinct objects.
+pub fn view_stats(facet: &Facet, mask: ViewMask, results: &QueryResults) -> ViewStats {
+    let observation = Term::iri(sofos::OBSERVATION);
+    let columns = encoded_columns(facet, mask, results);
+    let prefix = observation_prefix(facet, mask);
+    let rows = results.len();
+    let mut triples = 0usize;
+    let mut bytes = 0usize;
+    let mut objects: FxHashSet<&Term> = FxHashSet::default();
+    for (i, row) in results.rows.iter().enumerate() {
+        triples += 1;
+        bytes += prefix.len() + i.checked_ilog10().map_or(1, |digits| digits as usize + 1);
+        objects.insert(&observation);
+        for (column, _) in &columns {
+            if let Some(value) = &row[*column] {
+                triples += 1;
+                bytes += value.estimated_bytes();
+                objects.insert(value);
+            }
+        }
+    }
+    // A value that is a blank node spelling some row's observation label
+    // is that node, not a second one.
+    let is_observation = |term: &Term| match term {
+        Term::Blank(b) => b
+            .as_str()
+            .strip_prefix(&prefix)
+            .and_then(|i| i.parse::<usize>().ok().filter(|n| n.to_string() == i))
+            .is_some_and(|i| i < rows),
+        _ => false,
+    };
+    let shared = objects.iter().filter(|term| is_observation(term)).count();
+    ViewStats {
+        facet_id: facet.id.clone(),
+        mask,
+        rows,
+        triples,
+        nodes: rows + objects.len() - shared,
+        bytes,
+    }
+}
+
+/// Evaluate, encode and insert one view into its named graph in `G+`.
 pub fn materialize_view(
     dataset: &mut Dataset,
     facet: &Facet,
     mask: ViewMask,
 ) -> Result<MaterializedView, SparqlError> {
-    let results = evaluate_view(dataset, facet, mask)?;
-    let encoded = encode_view(facet, mask, &results);
-    let graph_iri = sofos::view_graph(&facet.id, mask.0);
-    let name = dataset.intern_iri(&graph_iri);
-    dataset.create_graph(name);
-    dataset.load(Some(name), &encoded.graph);
-    Ok(MaterializedView {
-        stats: encoded.stats,
-        graph_iri,
-    })
+    let mut views = materialize_views(dataset, facet, &[mask])?;
+    Ok(views.pop().expect("one view per mask"))
 }
 
-/// Materialize a set of views, returning stats in input order.
+/// Materialize a set of views from one evaluation ([`evaluate_views`]),
+/// returning stats in input order.
 pub fn materialize_views(
     dataset: &mut Dataset,
     facet: &Facet,
     masks: &[ViewMask],
 ) -> Result<Vec<MaterializedView>, SparqlError> {
-    masks
+    let results = evaluate_views(dataset, facet, masks)?;
+    Ok(masks
         .iter()
-        .map(|&m| materialize_view(dataset, facet, m))
-        .collect()
+        .zip(&results)
+        .map(|(&mask, results)| {
+            let encoded = encode_view(facet, mask, results);
+            let graph_iri = sofos::view_graph(&facet.id, mask.0);
+            let name = dataset.intern_iri(&graph_iri);
+            dataset.create_graph(name);
+            dataset.load(Some(name), &encoded.graph);
+            MaterializedView {
+                stats: encoded.stats,
+                graph_iri,
+            }
+        })
+        .collect())
 }
 
 /// Drop a materialized view's graph; returns `true` if it existed.
@@ -200,8 +405,8 @@ pub fn virtual_view_stats(
     facet: &Facet,
     mask: ViewMask,
 ) -> Result<ViewStats, SparqlError> {
-    let results = evaluate_view(dataset, facet, mask)?;
-    Ok(encode_view(facet, mask, &results).stats)
+    let results = evaluate_views(dataset, facet, &[mask])?;
+    Ok(view_stats(facet, mask, &results[0]))
 }
 
 fn component_term(c: MaterialComponent) -> Term {
@@ -354,6 +559,9 @@ mod tests {
             let virtual_stats = virtual_view_stats(&ds, &facet, mask).unwrap();
             let actual = materialize_view(&mut ds, &facet, mask).unwrap();
             assert_eq!(virtual_stats, actual.stats, "mask {mask}");
+            let name = ds.dict().get_id(&Term::iri(&actual.graph_iri)).unwrap();
+            let stored = ds.graph(Some(name)).unwrap().len();
+            assert_eq!(virtual_stats.triples, stored, "mask {mask}");
             drop_view(&mut ds, &facet, mask);
         }
     }
@@ -380,6 +588,14 @@ mod tests {
         let views = materialize_views(&mut ds, &facet, &masks).unwrap();
         assert_eq!(views.len(), 2);
         assert_eq!(ds.graph_names().len(), 2);
+        // One evaluation for the batch gives what one per view gives.
+        let mut one_by_one = sample_dataset();
+        for (view, &mask) in views.iter().zip(&masks) {
+            assert_eq!(
+                view,
+                &materialize_view(&mut one_by_one, &facet, mask).unwrap()
+            );
+        }
     }
 
     #[test]

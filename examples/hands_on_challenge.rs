@@ -57,7 +57,8 @@ fn main() {
     let config = EngineConfig::default();
     let mut greedy_rows = Vec::new();
     for kind in CostModelKind::ALL {
-        let (model, _, _) = build_model(kind, &sized, &config);
+        let (model, _, _) =
+            build_model(kind, &sized, &generated.dataset, &config).expect("model builds");
         let outcome = greedy_select(
             &ctx,
             &sized.lattice,
