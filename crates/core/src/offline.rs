@@ -6,11 +6,11 @@ use crate::timing::{measure_median, measure_once};
 use sofos_cost::{
     build_static_model, CostContext, CostModel, CostModelKind, LearnedCostModel, UserDefinedCost,
 };
-use sofos_cube::{Facet, Lattice, ViewMask};
-use sofos_materialize::{evaluate_view, materialize_views, MaterializedView, ViewStats};
+use sofos_cube::{view_query, Facet, Lattice, ViewMask};
+use sofos_materialize::{materialize_views, MaterializedView, ViewStats};
 use sofos_rdf::FxHashMap;
 use sofos_select::{greedy_select, Budget, SelectionOutcome, WorkloadProfile};
-use sofos_sparql::SparqlError;
+use sofos_sparql::{Evaluator, SparqlError};
 use sofos_store::{Dataset, GraphStats};
 
 /// The sized lattice: per-view stats plus base-graph statistics.
@@ -95,16 +95,22 @@ impl SizedLattice {
 }
 
 /// The measured evaluation time (µs) of every view query of `lattice`,
-/// one [`evaluate_view`] each, in lattice order: the learned model's
-/// training targets.
+/// in lattice order: the learned model's training targets.
+///
+/// Each view query runs through the generic [`Evaluator`], not the star
+/// path [`sofos_materialize::evaluate_view`] takes for sizing and
+/// materialization, so the targets stay "query evaluation time": what a
+/// query over the base graph costs the engine that answers it.
 pub fn time_view_queries(
     dataset: &Dataset,
     lattice: &Lattice,
 ) -> Result<Vec<(ViewMask, f64)>, SparqlError> {
+    let evaluator = Evaluator::new(dataset);
     lattice
         .views()
         .map(|mask| {
-            let (us, results) = measure_once(|| evaluate_view(dataset, lattice.facet(), mask));
+            let (us, results) =
+                measure_once(|| evaluator.evaluate(&view_query(lattice.facet(), mask)));
             results.map(|_| (mask, us as f64))
         })
         .collect()

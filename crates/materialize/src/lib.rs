@@ -23,13 +23,25 @@
 //! Any set of views costs one evaluation ([`evaluate_views`]): the
 //! finest view the set needs is evaluated once and every coarser one is
 //! rolled up from it, so sizing the whole `2^d` lattice and materializing
-//! the selected views each touch the data once.
+//! the selected views each touch the data once. That one evaluation
+//! ([`evaluate_view`]) takes the star path when the facet is a star (one
+//! subject variable, constant predicates, distinct object variables, no
+//! FILTER or OPTIONAL; see [`is_star`]): one id-level pass that joins the
+//! legs through the posting bitmaps and the SPO index and groups on ids.
+//! Every other facet falls back to [`Evaluator`]. Both return the same
+//! rows in the same order.
+//!
+//! [`materialize_views`] writes each view's rows straight to id-encoded
+//! triples and bulk-loads them into the view's fresh named graph.
+
+mod star;
 
 use sofos_cube::{component_alias, AggOp, Facet, MaterialComponent, ViewMask};
 use sofos_rdf::vocab::{rdf, sofos};
-use sofos_rdf::{FxHashMap, FxHashSet, Graph, Numeric, Term, Triple};
+use sofos_rdf::{FxHashMap, FxHashSet, Graph, Numeric, Term, TermId, Triple};
 use sofos_sparql::{Evaluator, QueryResults, SparqlError, Value};
-use sofos_store::Dataset;
+use sofos_store::{Dataset, EncodedTriple};
+use star::Star;
 use std::cmp::Ordering;
 
 /// Sizing and identity of one (possibly virtual) materialized view.
@@ -70,13 +82,45 @@ pub struct MaterializedView {
 }
 
 /// Evaluate a view query over the dataset's default graph.
+///
+/// The result equals `Evaluator::new(dataset).evaluate(&view_query(facet,
+/// mask))`: same columns, rows and row order. A star facet ([`is_star`])
+/// is evaluated in one id-level pass; any other facet goes through the
+/// [`Evaluator`].
 pub fn evaluate_view(
     dataset: &Dataset,
     facet: &Facet,
     mask: ViewMask,
 ) -> Result<QueryResults, SparqlError> {
-    let query = sofos_cube::view_query(facet, mask);
-    Evaluator::new(dataset).evaluate(&query)
+    match Star::detect(facet) {
+        Some(star) => Ok(star.evaluate(dataset, facet, mask)),
+        None => Evaluator::new(dataset).evaluate(&sofos_cube::view_query(facet, mask)),
+    }
+}
+
+/// Whether [`evaluate_view`] takes the id-level star path for `facet`:
+/// its pattern is one default-graph block of legs `?s p ?o` sharing the
+/// subject variable, with constant predicates and pairwise distinct
+/// object variables other than `?s`.
+pub fn is_star(facet: &Facet) -> bool {
+    Star::detect(facet).is_some()
+}
+
+/// The columns of `view_query(facet, mask)`: the mask's dimension
+/// variables, then the aggregate's component aliases.
+fn view_vars(facet: &Facet, mask: ViewMask) -> Vec<String> {
+    mask.dims()
+        .into_iter()
+        .filter(|&d| d < facet.dim_count())
+        .map(|d| facet.dimensions[d].var.clone())
+        .chain(
+            facet
+                .agg
+                .components()
+                .iter()
+                .map(|&c| component_alias(c).to_string()),
+        )
+        .collect()
 }
 
 /// Evaluate the view queries of `masks` with one pass over the data.
@@ -135,11 +179,7 @@ pub fn evaluate_views(
 /// Re-aggregate `parent`, the results of a view covering `mask`, into
 /// `mask`'s groups (see [`evaluate_views`]).
 fn roll_up(facet: &Facet, mask: ViewMask, parent: &QueryResults) -> QueryResults {
-    let vars: Vec<String> = sofos_cube::view_query(facet, mask)
-        .select
-        .iter()
-        .map(|item| item.name().to_string())
-        .collect();
+    let vars = view_vars(facet, mask);
     let column = |name: &str| {
         parent
             .column(name)
@@ -154,51 +194,103 @@ fn roll_up(facet: &Facet, mask: ViewMask, parent: &QueryResults) -> QueryResults
         .iter()
         .map(|&c| column(component_alias(c)))
         .collect();
-    let fresh = || -> Vec<Partial<'_>> { components.iter().map(|&c| Partial::new(c)).collect() };
-
-    let mut index: FxHashMap<Vec<Option<&Term>>, usize> = FxHashMap::default();
-    let mut groups: Vec<(Vec<Option<&Term>>, Vec<Partial<'_>>)> = Vec::new();
+    let mut groups = Groups::new(key_columns.len(), components);
+    let mut key: Vec<Option<&Term>> = Vec::with_capacity(key_columns.len());
     for row in &parent.rows {
-        let key: Vec<Option<&Term>> = key_columns.iter().map(|&c| row[c].as_ref()).collect();
-        let group = *index.entry(key).or_insert_with_key(|key| {
-            groups.push((key.clone(), fresh()));
-            groups.len() - 1
-        });
-        for (partial, &c) in groups[group].1.iter_mut().zip(&component_columns) {
-            partial.push(row[c].as_ref());
-        }
+        key.clear();
+        key.extend(key_columns.iter().map(|&c| row[c].as_ref()));
+        groups.push(&key, component_columns.iter().map(|&c| row[c].as_ref()));
     }
-    // Aggregation without GROUP BY over zero rows yields one group.
-    if groups.is_empty() && key_columns.is_empty() {
-        groups.push((Vec::new(), fresh()));
-    }
-
-    let rows = groups
-        .into_iter()
-        .map(|(key, partials)| {
-            key.into_iter()
-                .map(|cell| cell.cloned())
-                .chain(partials.into_iter().map(Partial::finish))
-                .collect()
-        })
-        .collect();
+    let rows = groups.finish(|cell| cell.cloned());
     QueryResults { vars, rows }
 }
 
-/// One group's running re-aggregate of one component.
-enum Partial<'a> {
-    /// SUM or COUNT; `None` once an unbound part poisoned it.
-    Additive(Option<Numeric>),
-    /// MIN (`keep == Less`) or MAX (`keep == Greater`): the first part
-    /// no later part beats, with its decoded value.
-    Extreme {
-        best: Option<(Value, &'a Term)>,
-        keep: Ordering,
-    },
+/// Rows folded into groups in first-occurrence order, one [`Partial`] per
+/// aggregate component: the one roll-up, fed by [`roll_up`] with a
+/// covering view's rows keyed on their cells and by the star path with
+/// base bindings keyed on ids.
+struct Groups<'c, K> {
+    width: usize,
+    components: &'c [MaterialComponent],
+    index: FxHashMap<Vec<K>, usize>,
+    /// Group `g`'s key is `keys[g * width..][..width]`.
+    keys: Vec<K>,
+    /// Group `g`'s partials are `partials[g * n..][..n]`, `n` being the
+    /// number of components.
+    partials: Vec<Partial>,
 }
 
-impl<'a> Partial<'a> {
-    fn new(component: MaterialComponent) -> Partial<'a> {
+impl<'c, K: Copy + Eq + std::hash::Hash> Groups<'c, K> {
+    fn new(width: usize, components: &'c [MaterialComponent]) -> Groups<'c, K> {
+        Groups {
+            width,
+            components,
+            index: FxHashMap::default(),
+            keys: Vec::new(),
+            partials: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.partials.len() / self.components.len()
+    }
+
+    fn add_group(&mut self, key: &[K]) -> usize {
+        self.keys.extend_from_slice(key);
+        self.partials
+            .extend(self.components.iter().map(|&c| Partial::new(c)));
+        self.len() - 1
+    }
+
+    /// Fold one row into its group: its key and one cell per component.
+    fn push<'t>(&mut self, key: &[K], cells: impl Iterator<Item = Option<&'t Term>>) {
+        let group = match self.index.get(key) {
+            Some(&group) => group,
+            None => {
+                let group = self.add_group(key);
+                self.index.insert(key.to_vec(), group);
+                group
+            }
+        };
+        let n = self.components.len();
+        for (partial, cell) in self.partials[group * n..][..n].iter_mut().zip(cells) {
+            partial.push(cell);
+        }
+    }
+
+    /// The groups' rows: the key's cells, resolved by `cell`, then the
+    /// components.
+    fn finish(mut self, cell: impl Fn(K) -> Option<Term>) -> Vec<Vec<Option<Term>>> {
+        // Aggregation without GROUP BY over zero rows yields one group.
+        if self.width == 0 && self.partials.is_empty() {
+            self.add_group(&[]);
+        }
+        let (groups, n) = (self.len(), self.components.len());
+        let mut partials = self.partials.into_iter();
+        (0..groups)
+            .map(|group| {
+                self.keys[group * self.width..][..self.width]
+                    .iter()
+                    .map(|&k| cell(k))
+                    .chain(partials.by_ref().take(n).map(Partial::finish))
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// One group's running re-aggregate of one component, fed one cell per
+/// row of a covering view (or, on the star path, per base binding).
+enum Partial {
+    /// SUM or COUNT; `None` once an unbound or non-numeric part poisoned it.
+    Additive(Option<Numeric>),
+    /// MIN (`keep == Less`) or MAX (`keep == Greater`): the first part no
+    /// later part beats.
+    Extreme { best: Option<Value>, keep: Ordering },
+}
+
+impl Partial {
+    fn new(component: MaterialComponent) -> Partial {
         match component {
             MaterialComponent::Sum | MaterialComponent::Count => {
                 Partial::Additive(Some(Numeric::Integer(0)))
@@ -214,7 +306,7 @@ impl<'a> Partial<'a> {
         }
     }
 
-    fn push(&mut self, cell: Option<&'a Term>) {
+    fn push(&mut self, cell: Option<&Term>) {
         match self {
             Partial::Additive(acc) => {
                 let part = cell.and_then(Term::as_literal).and_then(|l| l.numeric());
@@ -226,20 +318,18 @@ impl<'a> Partial<'a> {
             Partial::Extreme { best, keep } => {
                 let Some(term) = cell else { return };
                 let value = Value::from_term(term);
-                if best
-                    .as_ref()
-                    .is_none_or(|(b, _)| value.total_cmp(b) == *keep)
-                {
-                    *best = Some((value, term));
+                if best.as_ref().is_none_or(|b| value.total_cmp(b) == *keep) {
+                    *best = Some(value);
                 }
             }
         }
     }
 
+    /// The aggregate's cell, spelled as the evaluator projects it.
     fn finish(self) -> Option<Term> {
         match self {
             Partial::Additive(acc) => acc.map(|n| Value::Numeric(n).to_term()),
-            Partial::Extreme { best, .. } => best.map(|(_, term)| term.clone()),
+            Partial::Extreme { best, .. } => best.map(|value| value.to_term()),
         }
     }
 }
@@ -365,7 +455,8 @@ pub fn materialize_view(
 }
 
 /// Materialize a set of views from one evaluation ([`evaluate_views`]),
-/// returning stats in input order.
+/// returning stats in input order. Each view's rows are encoded straight
+/// to ids and bulk-loaded into its named graph.
 pub fn materialize_views(
     dataset: &mut Dataset,
     facet: &Facet,
@@ -376,17 +467,64 @@ pub fn materialize_views(
         .iter()
         .zip(&results)
         .map(|(&mask, results)| {
-            let encoded = encode_view(facet, mask, results);
             let graph_iri = sofos::view_graph(&facet.id, mask.0);
             let name = dataset.intern_iri(&graph_iri);
             dataset.create_graph(name);
-            dataset.load(Some(name), &encoded.graph);
+            let triples = encode_view_ids(dataset, facet, mask, results);
+            dataset.load_encoded(Some(name), triples);
             MaterializedView {
-                stats: encoded.stats,
+                stats: view_stats(facet, mask, results),
                 graph_iri,
             }
         })
         .collect())
+}
+
+/// The triples of [`encode_view`]'s graph, interned into `dataset`'s
+/// dictionary without building the graph.
+///
+/// Terms are interned in the order loading that graph would intern them
+/// (its triples in term order: rows by observation label, each row's
+/// cells by predicate), so the ids match a term-level load exactly.
+fn encode_view_ids(
+    dataset: &mut Dataset,
+    facet: &Facet,
+    mask: ViewMask,
+    results: &QueryResults,
+) -> Vec<EncodedTriple> {
+    let observation = Term::iri(sofos::OBSERVATION);
+    // `None` stands for the `rdf:type sofos:Observation` cell.
+    let mut cells: Vec<(Option<usize>, Term)> = encoded_columns(facet, mask, results)
+        .into_iter()
+        .map(|(column, pred)| (Some(column), pred))
+        .chain([(None, Term::iri(rdf::TYPE))])
+        .collect();
+    cells.sort_by(|(_, a), (_, b)| a.cmp(b));
+    let mut pred_ids: Vec<Option<TermId>> = vec![None; cells.len()];
+
+    let prefix = observation_prefix(facet, mask);
+    let labels: Vec<Term> = (0..results.len())
+        .map(|i| Term::blank(format!("{prefix}{i}")))
+        .collect();
+    let mut order: Vec<usize> = (0..labels.len()).collect();
+    order.sort_unstable_by(|&a, &b| labels[a].cmp(&labels[b]));
+
+    let mut triples = Vec::with_capacity(results.len() * cells.len());
+    for i in order {
+        let obs = dataset.intern(&labels[i]);
+        for ((column, pred), pred_id) in cells.iter().zip(&mut pred_ids) {
+            let object = match column {
+                None => &observation,
+                Some(column) => match &results.rows[i][*column] {
+                    Some(value) => value,
+                    None => continue,
+                },
+            };
+            let pred = *pred_id.get_or_insert_with(|| dataset.intern(pred));
+            triples.push([obs, pred, dataset.intern(object)]);
+        }
+    }
+    triples
 }
 
 /// Drop a materialized view's graph; returns `true` if it existed.
@@ -596,6 +734,47 @@ mod tests {
                 &materialize_view(&mut one_by_one, &facet, mask).unwrap()
             );
         }
+    }
+
+    #[test]
+    fn id_encoding_matches_a_term_level_load() {
+        // Enough groups that label order ("…_10" < "…_2") differs from
+        // row order.
+        let mut ds = Dataset::new();
+        for i in 0..40 {
+            let obs = Term::blank(format!("o{i}"));
+            let country = Term::iri(format!("{NS}c{}", i % 13));
+            let lang = Term::literal_str(format!("l{}", i % 3));
+            ds.insert(None, &obs, &Term::iri(format!("{NS}country")), &country);
+            ds.insert(None, &obs, &Term::iri(format!("{NS}lang")), &lang);
+            ds.insert(
+                None,
+                &obs,
+                &Term::iri(format!("{NS}pop")),
+                &Term::literal_int(i),
+            );
+        }
+        let facet = sample_facet(AggOp::Avg);
+        let masks = [ViewMask::full(2), ViewMask::APEX, ViewMask::from_dims(&[0])];
+        let mut by_ids = ds.clone();
+        materialize_views(&mut by_ids, &facet, &masks).unwrap();
+        let mut by_terms = ds;
+        for (mask, results) in masks
+            .iter()
+            .zip(evaluate_views(&by_terms, &facet, &masks).unwrap())
+        {
+            let encoded = encode_view(&facet, *mask, &results);
+            let name = by_terms.intern_iri(&sofos::view_graph(&facet.id, mask.0));
+            by_terms.create_graph(name);
+            by_terms.load(Some(name), &encoded.graph);
+        }
+        assert!(by_ids.dict().iter().eq(by_terms.dict().iter()));
+        assert_eq!(by_ids.graph_names(), by_terms.graph_names());
+        for name in by_terms.graph_names() {
+            let (got, want) = (by_ids.graph(Some(name)), by_terms.graph(Some(name)));
+            assert!(got.unwrap().iter().eq(want.unwrap().iter()));
+        }
+        assert_eq!(by_ids.estimated_bytes(), by_terms.estimated_bytes());
     }
 
     #[test]

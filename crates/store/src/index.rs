@@ -190,6 +190,27 @@ impl PermIndex {
         let (low, high) = Self::prefix_bounds(prefix);
         let start = self.run.partition_point(|k| *k < low);
         let end = self.run.partition_point(|k| *k <= high);
+        self.scan_run_range(start, end, low, high)
+    }
+
+    /// [`PermIndex::scan_prefix`] for a prefix whose run entries all lie
+    /// at or after run position `from`, found by galloping forward from
+    /// there. Also returns the run position just past the prefix, where
+    /// the next, larger prefix's search can start.
+    fn scan_prefix_from(&self, prefix: &[TermId], from: usize) -> (PrefixScan<'_>, usize) {
+        let (low, high) = Self::prefix_bounds(prefix);
+        let start = gallop(&self.run, from, |k| *k < low);
+        let end = gallop(&self.run, start, |k| *k <= high);
+        (self.scan_run_range(start, end, low, high), end)
+    }
+
+    fn scan_run_range(
+        &self,
+        start: usize,
+        end: usize,
+        low: EncodedTriple,
+        high: EncodedTriple,
+    ) -> PrefixScan<'_> {
         PrefixScan {
             perm: self.perm,
             run: &self.run[start..end],
@@ -214,6 +235,24 @@ impl PermIndex {
     pub fn estimated_bytes(&self) -> usize {
         self.run.len() * 12 + (self.delta.len() + self.tombstones.len()) * 48
     }
+}
+
+/// The first position at or after `from` whose key fails `before`, for a
+/// predicate that holds on a prefix of `run` (as `partition_point`
+/// requires) and on every key before `from`. Steps of doubling length
+/// from `from` bracket the answer, then a binary search finds it, so the
+/// cost grows with the log of the distance travelled, not of the run.
+fn gallop(run: &[EncodedTriple], from: usize, before: impl Fn(&EncodedTriple) -> bool) -> usize {
+    let mut low = from;
+    let mut step = 1;
+    let mut high = from;
+    while high < run.len() && before(&run[high]) {
+        low = high + 1;
+        high = low + step;
+        step *= 2;
+    }
+    let high = high.min(run.len());
+    low + run[low..high].partition_point(before)
 }
 
 /// Sorted merge of the run slice and the delta range for one prefix scan.
@@ -264,6 +303,32 @@ impl<'a> Iterator for PrefixScan<'a> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         let lower = self.run.len() - self.run_pos;
         (lower, None)
+    }
+}
+
+/// A forward cursor over a graph's SPO index that reads the triples of
+/// one subject at a time. Reading subjects in ascending id order makes
+/// each read gallop forward from where the previous one ended, so reading
+/// many subjects costs about one forward pass over the index instead of
+/// one binary search of the whole index per subject. A subject no larger
+/// than the last one read is still answered, from a fresh search.
+pub struct SubjectCursor<'a> {
+    spo: &'a PermIndex,
+    pos: usize,
+    last: Option<TermId>,
+}
+
+impl<'a> SubjectCursor<'a> {
+    /// The triples of subject `s` in `(p, o)` order, like
+    /// `scan(IdPattern::new(Some(s), None, None))`.
+    pub fn read(&mut self, s: TermId) -> PrefixScan<'a> {
+        if self.last.is_some_and(|last| s <= last) {
+            self.pos = 0;
+        }
+        self.last = Some(s);
+        let (scan, end) = self.spo.scan_prefix_from(&[s], self.pos);
+        self.pos = end;
+        scan
     }
 }
 
@@ -407,6 +472,16 @@ impl GraphStore {
     /// Iterate every triple in SPO order.
     pub fn iter(&self) -> PrefixScan<'_> {
         self.scan(IdPattern::ANY)
+    }
+
+    /// A forward cursor that reads whole subjects in SPO order (see
+    /// [`SubjectCursor`]).
+    pub fn subject_cursor(&self) -> SubjectCursor<'_> {
+        SubjectCursor {
+            spo: &self.spo,
+            pos: 0,
+            last: None,
+        }
     }
 
     /// Heap footprint estimate across the three indexes plus the posting
@@ -821,6 +896,37 @@ mod proptests {
                     .map(|bm| bm.iter().collect())
                     .unwrap_or_default();
                 prop_assert_eq!(bitmap, subjects);
+            }
+        }
+
+        /// A subject cursor reads what a subject scan reads, over a run
+        /// overlaid by a delta and tombstones, for subjects in ascending
+        /// order, repeated, or going back.
+        #[test]
+        fn subject_cursor_agrees_with_scans(
+            run in proptest::collection::vec(arb_triple(), 0..300),
+            ops in proptest::collection::vec((proptest::bool::ANY, arb_triple()), 0..60),
+            mut subjects in proptest::collection::vec(0u32..22, 0..30),
+            sorted in proptest::bool::ANY,
+        ) {
+            let mut g = GraphStore::new();
+            g.bulk_load(run);
+            for (insert, triple) in ops {
+                if insert {
+                    g.insert(triple);
+                } else {
+                    g.remove(&triple);
+                }
+            }
+            if sorted {
+                subjects.sort_unstable();
+            }
+            let mut cursor = g.subject_cursor();
+            for s in subjects {
+                let read: Vec<EncodedTriple> = cursor.read(TermId(s)).collect();
+                let scan: Vec<EncodedTriple> =
+                    g.scan(IdPattern::new(Some(TermId(s)), None, None)).collect();
+                prop_assert_eq!(read, scan, "subject {}", s);
             }
         }
 

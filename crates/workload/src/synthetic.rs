@@ -11,12 +11,15 @@ use crate::GeneratedDataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sofos_cube::{AggOp, Dimension, Facet};
-use sofos_rdf::Term;
+use sofos_rdf::{Dictionary, Term, TermId};
 use sofos_sparql::{GroupPattern, PatternTerm, TriplePattern};
-use sofos_store::Dataset;
+use sofos_store::{Dataset, EncodedTriple};
 
 /// Namespace of the generated data.
 pub const NS: &str = "http://sofos.example/synthetic/";
+
+/// Measures are drawn uniformly from `1..MEASURE_END`.
+const MEASURE_END: i64 = 1000;
 
 /// Generator parameters.
 #[derive(Debug, Clone)]
@@ -79,7 +82,22 @@ fn iri(local: impl std::fmt::Display) -> Term {
     Term::iri(format!("{NS}{local}"))
 }
 
+/// The id of the term `make` builds, interned the first time `slot` is
+/// asked for and read from `slot` afterwards.
+fn intern_once(
+    dict: &mut Dictionary,
+    slot: &mut Option<TermId>,
+    make: impl FnOnce() -> Term,
+) -> TermId {
+    *slot.get_or_insert_with(|| dict.intern(&make()))
+}
+
 /// Generate the cube and its facet.
+///
+/// Each value IRI, measure literal and predicate is formatted and
+/// interned once, when the generator first meets it, so ids come out in
+/// the order per-triple inserts would assign them. The triples are then
+/// bulk-loaded in one call.
 pub fn generate(config: &Config) -> GeneratedDataset {
     assert!(
         config.cardinalities.len() <= Facet::MAX_DIMENSIONS,
@@ -87,30 +105,37 @@ pub fn generate(config: &Config) -> GeneratedDataset {
     );
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut ds = Dataset::new();
-    let measure_p = iri("measure");
-    let dim_preds: Vec<Term> = (0..config.cardinalities.len())
-        .map(|d| iri(format!("dim{d}")))
-        .collect();
     let samplers: Vec<Zipf> = config
         .cardinalities
         .iter()
         .map(|&c| Zipf::new(c.max(1), config.skew))
         .collect();
 
+    let dict = ds.dict_mut();
+    let mut measure_p = None;
+    let mut dim_preds: Vec<Option<TermId>> = vec![None; samplers.len()];
+    let mut values: Vec<Vec<Option<TermId>>> = config
+        .cardinalities
+        .iter()
+        .map(|&c| vec![None; c.max(1)])
+        .collect();
+    let mut measures: Vec<Option<TermId>> = vec![None; MEASURE_END as usize];
+    let mut triples: Vec<EncodedTriple> =
+        Vec::with_capacity(config.observations * (samplers.len() + 1));
     for i in 0..config.observations {
-        let obs = Term::blank(format!("o{i}"));
+        let obs = dict.intern(&Term::blank(format!("o{i}")));
         for (d, sampler) in samplers.iter().enumerate() {
             let v = sampler.sample(&mut rng);
-            ds.insert(None, &obs, &dim_preds[d], &iri(format!("v{d}_{v}")));
+            let pred = intern_once(dict, &mut dim_preds[d], || iri(format!("dim{d}")));
+            let value = intern_once(dict, &mut values[d][v], || iri(format!("v{d}_{v}")));
+            triples.push([obs, pred, value]);
         }
-        ds.insert(
-            None,
-            &obs,
-            &measure_p,
-            &Term::literal_int(rng.gen_range(1..1000)),
-        );
+        let m = rng.gen_range(1..MEASURE_END);
+        let pred = intern_once(dict, &mut measure_p, || iri("measure"));
+        let value = intern_once(dict, &mut measures[m as usize], || Term::literal_int(m));
+        triples.push([obs, pred, value]);
     }
-    ds.optimize();
+    ds.load_encoded(None, triples);
 
     let mut patterns = Vec::new();
     let mut dims = Vec::new();
@@ -173,6 +198,69 @@ mod tests {
         // And the generated facet matches the request deterministically.
         let g = generate(&Config::with_view_target(64, 40));
         assert_eq!(g.default_facet().dim_count(), 6);
+    }
+
+    /// The cube built the plain way: one `Dataset::insert` per triple in
+    /// generation order, then a merge of the index deltas.
+    fn inserted_per_triple(config: &Config) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut ds = Dataset::new();
+        let measure_p = iri("measure");
+        let samplers: Vec<Zipf> = config
+            .cardinalities
+            .iter()
+            .map(|&c| Zipf::new(c.max(1), config.skew))
+            .collect();
+        for i in 0..config.observations {
+            let obs = Term::blank(format!("o{i}"));
+            for (d, sampler) in samplers.iter().enumerate() {
+                let v = sampler.sample(&mut rng);
+                ds.insert(
+                    None,
+                    &obs,
+                    &iri(format!("dim{d}")),
+                    &iri(format!("v{d}_{v}")),
+                );
+            }
+            let m = Term::literal_int(rng.gen_range(1..MEASURE_END));
+            ds.insert(None, &obs, &measure_p, &m);
+        }
+        ds.optimize();
+        ds
+    }
+
+    #[test]
+    fn bulk_load_matches_per_triple_inserts() {
+        let empty = Config {
+            observations: 0,
+            ..Config::default()
+        };
+        for config in [Config::default(), Config::with_dims(6, 400), empty] {
+            let bulk = generate(&config).dataset;
+            let reference = inserted_per_triple(&config);
+            let label = format!("{config:?}");
+            assert!(
+                bulk.dict().iter().eq(reference.dict().iter()),
+                "id -> term table: {label}"
+            );
+            let (got, want) = (bulk.default_graph(), reference.default_graph());
+            assert!(got.iter().eq(want.iter()), "triples: {label}");
+            assert_eq!(got.len(), want.len(), "{label}");
+            for (id, _) in reference.dict().iter() {
+                assert_eq!(got.pred_subjects(id), want.pred_subjects(id), "{label}");
+                let pred = sofos_store::IdPattern::new(None, Some(id), None);
+                assert_eq!(got.count(pred), want.count(pred), "{label}");
+            }
+            assert_eq!(got.distinct_predicates(), want.distinct_predicates());
+            let (got_postings, want_postings) = (got.posting_stats(), want.posting_stats());
+            assert_eq!(got_postings.posting_lists, want_postings.posting_lists);
+            assert_eq!(got_postings.bytes, want_postings.bytes);
+            assert_eq!(
+                bulk.estimated_bytes(),
+                reference.estimated_bytes(),
+                "{label}"
+            );
+        }
     }
 
     #[test]
