@@ -1,14 +1,52 @@
 //! Query evaluation: BGP joins, filters, optionals, grouping, modifiers.
 //!
 //! The evaluator is deliberately a *materializing* engine: each operator
-//! consumes and produces vectors of binding rows. The queries SOFOS runs are
-//! analytical (grouped aggregates over pattern matches), where the dominant
-//! cost is the BGP join — handled with selectivity-ordered index nested-loop
-//! joins against the store's permutation indexes.
+//! consumes and produces a table of binding rows. The queries SOFOS runs
+//! are analytical (grouped aggregates over pattern matches), where the
+//! dominant cost is the BGP join — handled with selectivity-ordered index
+//! nested-loop joins against the store's permutation indexes.
+//!
+//! # One flat binding table
+//!
+//! An operator's output is one `Table`: a row-major
+//! `Vec<Option<TermId>>` whose stride is the query's variable count, so
+//! slot `j` of row `i` is cell `i * width + j`. Extending a row by a
+//! match appends a copy of it to the next table and writes the new slots
+//! in place; `FILTER` and `BIND` compact the table in place; grouping
+//! keeps a row *index* as a group's representative and builds group keys
+//! in one reused buffer. The join, `FILTER`, `BIND`, `VALUES` and
+//! grouping allocate nothing per row (`OPTIONAL` and `UNION` still run
+//! their inner group once per row), and the finishers read the table
+//! directly.
+//!
+//! # Constant-filter pushdown
+//!
+//! Before a `Triples` block runs, the `FILTER` conjuncts of the *same
+//! group* (a `FILTER`'s scope is its whole group; `&&` splits into
+//! conjuncts) of the form `?v = <iri>` or `<iri> = ?v`, where `?v` occurs
+//! in the block, turn `?v`'s positions in that block into the IRI's id —
+//! or into a pattern that matches nothing when the IRI is not in the
+//! dictionary. The join then reads the exact count of the constant leg
+//! and starts from it, instead of joining everything and filtering last.
+//! Rows that arrive with `?v` unbound are seeded with the id, so `?v`
+//! stays bound in the answer. The `FILTER` itself stays where it is and
+//! is still evaluated, so a row that arrives with `?v` already bound to
+//! another term is judged by it exactly as before. Pushing is sound
+//! because bindings only ever grow: a row the constant leg rejects binds
+//! `?v` to a different IRI, and the retained `FILTER` would drop it.
+//!
+//! Literals are never pushed: `=` on literals is value equality
+//! (`"1"` equals `"01"^^xsd:integer`), not term identity, so one id does
+//! not stand for every term the `FILTER` accepts. IRIs compare by their
+//! text, which is term identity.
+//!
+//! Row order is the join order's: without a pushed filter it is exactly
+//! the order of the unpushed evaluation; a pushed filter may change the
+//! greedy leg order and with it the order of rows (not their multiset).
 
 use crate::ast::*;
 use crate::error::{Result, SparqlError};
-use crate::expr::{eval_expr, AggContext, Bindings, EvalScope, TermSource};
+use crate::expr::{eval_expr, AggContext, EvalScope, TermSource};
 use crate::parse::parse_query;
 use crate::results::QueryResults;
 use crate::value::Value;
@@ -19,7 +57,6 @@ use std::cmp::Ordering;
 /// Evaluates queries against a [`Dataset`].
 pub struct Evaluator<'a> {
     dataset: &'a Dataset,
-    join_ordering: bool,
 }
 
 /// The evaluation-local term dictionary: the store dictionary plus an
@@ -68,6 +105,88 @@ impl TermSource for WorkingDict<'_> {
     }
 }
 
+/// Binding rows in one row-major allocation: row `i` is
+/// `cells[i * width..(i + 1) * width]`, slot `j` is variable `j` of the
+/// query's variable table. The row count is kept apart so a query with no
+/// variables still counts its rows.
+struct Table {
+    width: usize,
+    len: usize,
+    cells: Vec<Option<TermId>>,
+}
+
+impl Table {
+    fn with_capacity(width: usize, rows: usize) -> Table {
+        Table {
+            width,
+            len: 0,
+            cells: Vec::with_capacity(width * rows),
+        }
+    }
+
+    /// A table holding one copy of `row`.
+    fn from_row(row: &[Option<TermId>]) -> Table {
+        Table {
+            width: row.len(),
+            len: 1,
+            cells: row.to_vec(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn row(&self, i: usize) -> &[Option<TermId>] {
+        &self.cells[i * self.width..(i + 1) * self.width]
+    }
+
+    fn rows(&self) -> impl Iterator<Item = &[Option<TermId>]> + '_ {
+        (0..self.len).map(|i| self.row(i))
+    }
+
+    /// Append a copy of `row` and return it for extension.
+    fn push(&mut self, row: &[Option<TermId>]) -> &mut [Option<TermId>] {
+        debug_assert_eq!(row.len(), self.width);
+        let start = self.cells.len();
+        self.cells.extend_from_slice(row);
+        self.len += 1;
+        &mut self.cells[start..]
+    }
+
+    /// Drop the last row (an extension that turned out incompatible).
+    fn pop(&mut self) {
+        self.cells.truncate(self.cells.len() - self.width);
+        self.len -= 1;
+    }
+
+    fn append(&mut self, other: Table) {
+        self.cells.extend_from_slice(&other.cells);
+        self.len += other.len;
+    }
+
+    /// Keep, in order, the rows `keep` returns `true` for; `keep` may
+    /// rewrite the row it is shown. Compacts in place.
+    fn retain_mut(&mut self, mut keep: impl FnMut(&mut [Option<TermId>]) -> bool) {
+        let w = self.width;
+        let mut kept = 0;
+        for i in 0..self.len {
+            if keep(&mut self.cells[i * w..(i + 1) * w]) {
+                if kept != i {
+                    self.cells.copy_within(i * w..(i + 1) * w, kept * w);
+                }
+                kept += 1;
+            }
+        }
+        self.len = kept;
+        self.cells.truncate(kept * w);
+    }
+}
+
 /// One triple pattern with variables resolved to binding slots.
 #[derive(Debug, Clone, Copy)]
 struct EncPattern {
@@ -88,19 +207,7 @@ enum Slot {
 impl<'a> Evaluator<'a> {
     /// Create an evaluator over a dataset.
     pub fn new(dataset: &'a Dataset) -> Evaluator<'a> {
-        Evaluator {
-            dataset,
-            join_ordering: true,
-        }
-    }
-
-    /// Disable greedy selectivity-based join ordering (patterns then join
-    /// in syntactic order). Exists as the reference arm of the
-    /// `join_ordering_ablation_gives_identical_results` test: results are
-    /// identical, only performance differs.
-    pub fn without_join_ordering(mut self) -> Evaluator<'a> {
-        self.join_ordering = false;
-        self
+        Evaluator { dataset }
     }
 
     /// Parse and evaluate a query string.
@@ -146,7 +253,7 @@ impl<'a> Evaluator<'a> {
         // --- WHERE clause ----------------------------------------------------
         let mut wdict = WorkingDict::new(self.dataset.dict());
         let rows = self.eval_group(
-            vec![vec![None; nvars]],
+            Table::from_row(&vec![None; nvars]),
             &query.pattern,
             &var_index,
             &mut wdict,
@@ -162,9 +269,9 @@ impl<'a> Evaluator<'a> {
             || query.having.as_ref().is_some_and(Expr::has_aggregate);
 
         if grouped {
-            self.finish_grouped(query, rows, &var_index, &wdict)
+            self.finish_grouped(query, &rows, &var_index, &wdict)
         } else {
-            self.finish_plain(query, rows, &var_index, &pattern_vars, &wdict)
+            self.finish_plain(query, &rows, &var_index, &pattern_vars, &wdict)
         }
     }
 
@@ -172,11 +279,12 @@ impl<'a> Evaluator<'a> {
 
     fn eval_group(
         &self,
-        mut rows: Vec<Bindings>,
+        mut rows: Table,
         group: &GroupPattern,
         var_index: &FxHashMap<String, usize>,
         wdict: &mut WorkingDict<'_>,
-    ) -> Result<Vec<Bindings>> {
+    ) -> Result<Table> {
+        let pushed = self.pushed_constants(group, var_index);
         for element in &group.elements {
             if rows.is_empty() {
                 return Ok(rows);
@@ -193,14 +301,19 @@ impl<'a> Evaluator<'a> {
                     };
                     let Some(store) = store else {
                         // Unknown graph = empty graph.
-                        return Ok(Vec::new());
+                        return Ok(Table::with_capacity(rows.width, 0));
                     };
-                    let encoded = self.encode_patterns(patterns, var_index);
+                    let (encoded, seeds) = self.encode_patterns(patterns, var_index, &pushed);
+                    for &(slot, id) in &seeds {
+                        for row in rows.cells.chunks_exact_mut(rows.width) {
+                            row[slot].get_or_insert(id);
+                        }
+                    }
                     rows = self.eval_bgp(store, encoded, rows);
                 }
                 PatternElement::Filter(expr) => {
                     let dict: &dyn TermSource = wdict;
-                    rows.retain(|row| {
+                    rows.retain_mut(|row| {
                         let scope = EvalScope {
                             dict,
                             var_index,
@@ -213,51 +326,51 @@ impl<'a> Evaluator<'a> {
                     });
                 }
                 PatternElement::Optional(inner) => {
-                    let mut out = Vec::with_capacity(rows.len());
-                    for row in rows {
+                    let mut out = Table::with_capacity(rows.width, rows.len());
+                    for row in rows.rows() {
                         let extended =
-                            self.eval_group(vec![row.clone()], inner, var_index, wdict)?;
+                            self.eval_group(Table::from_row(row), inner, var_index, wdict)?;
                         if extended.is_empty() {
                             out.push(row);
                         } else {
-                            out.extend(extended);
+                            out.append(extended);
                         }
                     }
                     rows = out;
                 }
                 PatternElement::Union(left, right) => {
-                    let mut out = Vec::new();
-                    for row in rows {
-                        out.extend(self.eval_group(vec![row.clone()], left, var_index, wdict)?);
-                        out.extend(self.eval_group(vec![row], right, var_index, wdict)?);
+                    let mut out = Table::with_capacity(rows.width, rows.len());
+                    for row in rows.rows() {
+                        for branch in [left, right] {
+                            out.append(self.eval_group(
+                                Table::from_row(row),
+                                branch,
+                                var_index,
+                                wdict,
+                            )?);
+                        }
                     }
                     rows = out;
                 }
                 PatternElement::Bind { expr, var } => {
                     let idx = var_index[var.as_str()];
-                    let mut out = Vec::with_capacity(rows.len());
-                    for mut row in rows {
+                    rows.retain_mut(|row| {
                         if row[idx].is_some() {
                             // Rebinding is a SPARQL error; the row is dropped.
-                            continue;
+                            return false;
                         }
-                        let value = {
-                            let scope = EvalScope {
-                                dict: wdict as &dyn TermSource,
-                                var_index,
-                                bindings: &row,
-                                aggs: None,
-                            };
-                            eval_expr(expr, &scope)
+                        let scope = EvalScope {
+                            dict: wdict as &dyn TermSource,
+                            var_index,
+                            bindings: row,
+                            aggs: None,
                         };
-                        if let Some(v) = value {
-                            let term = v.to_term();
-                            row[idx] = Some(wdict.intern(&term));
-                        }
                         // Expression errors leave the variable unbound.
-                        out.push(row);
-                    }
-                    rows = out;
+                        if let Some(v) = eval_expr(expr, &scope) {
+                            row[idx] = Some(wdict.intern(&v.to_term()));
+                        }
+                        true
+                    });
                 }
                 PatternElement::Values { vars, rows: data } => {
                     let slots: Vec<usize> = vars.iter().map(|v| var_index[v.as_str()]).collect();
@@ -269,24 +382,17 @@ impl<'a> Evaluator<'a> {
                                 .collect()
                         })
                         .collect();
-                    let mut out = Vec::new();
-                    for row in &rows {
+                    let mut out = Table::with_capacity(rows.width, rows.len() * data_ids.len());
+                    for row in rows.rows() {
                         for data_row in &data_ids {
-                            let mut merged = row.clone();
-                            let mut compatible = true;
-                            for (&slot, cell) in slots.iter().zip(data_row) {
-                                if let Some(id) = cell {
-                                    match merged[slot] {
-                                        Some(existing) if existing != *id => {
-                                            compatible = false;
-                                            break;
-                                        }
-                                        _ => merged[slot] = Some(*id),
-                                    }
-                                }
-                            }
-                            if compatible {
-                                out.push(merged);
+                            let merged = out.push(row);
+                            let compatible =
+                                slots.iter().zip(data_row).all(|(&slot, cell)| match cell {
+                                    Some(id) => *merged[slot].get_or_insert(*id) == *id,
+                                    None => true,
+                                });
+                            if !compatible {
+                                out.pop();
                             }
                         }
                     }
@@ -297,28 +403,95 @@ impl<'a> Evaluator<'a> {
         Ok(rows)
     }
 
+    /// The constants the group's `FILTER`s pin variables to: one entry per
+    /// variable with a top-level `?v = <iri>` / `<iri> = ?v` conjunct (the
+    /// first such conjunct wins; the retained `FILTER` rejects the rest).
+    /// An IRI absent from the dictionary pins to [`Slot::Missing`].
+    fn pushed_constants(
+        &self,
+        group: &GroupPattern,
+        var_index: &FxHashMap<String, usize>,
+    ) -> Vec<(usize, Slot)> {
+        fn conjuncts<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
+            match expr {
+                Expr::And(a, b) => {
+                    conjuncts(a, out);
+                    conjuncts(b, out);
+                }
+                other => out.push(other),
+            }
+        }
+        let mut terms = Vec::new();
+        for element in &group.elements {
+            if let PatternElement::Filter(expr) = element {
+                conjuncts(expr, &mut terms);
+            }
+        }
+        let mut pushed: Vec<(usize, Slot)> = Vec::new();
+        for term in terms {
+            let Expr::Compare(CompareOp::Eq, a, b) = term else {
+                continue;
+            };
+            let (var, iri) = match (a.as_ref(), b.as_ref()) {
+                (Expr::Var(v), Expr::Const(t @ Term::Iri(_)))
+                | (Expr::Const(t @ Term::Iri(_)), Expr::Var(v)) => (v, t),
+                _ => continue,
+            };
+            let Some(&slot) = var_index.get(var.as_str()) else {
+                continue;
+            };
+            if pushed.iter().all(|&(s, _)| s != slot) {
+                let pin = match self.dataset.dict().get_id(iri) {
+                    Some(id) => Slot::Const(id),
+                    None => Slot::Missing,
+                };
+                pushed.push((slot, pin));
+            }
+        }
+        pushed
+    }
+
+    /// Encode a block's patterns, replacing every pushed variable by its
+    /// constant. Also returns the pushed variables that occur in the block
+    /// with an id to seed unbound rows with.
     fn encode_patterns(
         &self,
         patterns: &[TriplePattern],
         var_index: &FxHashMap<String, usize>,
-    ) -> Vec<EncPattern> {
-        let encode = |t: &PatternTerm| -> Slot {
+        pushed: &[(usize, Slot)],
+    ) -> (Vec<EncPattern>, Vec<(usize, TermId)>) {
+        let mut seeds: Vec<(usize, TermId)> = Vec::new();
+        let mut encode = |t: &PatternTerm| -> Slot {
             match t {
-                PatternTerm::Var(name) => Slot::Var(var_index[name.as_str()]),
+                PatternTerm::Var(name) => {
+                    let slot = var_index[name.as_str()];
+                    match pushed.iter().find(|&&(s, _)| s == slot) {
+                        Some(&(_, pin)) => {
+                            if let Slot::Const(id) = pin {
+                                if !seeds.contains(&(slot, id)) {
+                                    seeds.push((slot, id));
+                                }
+                            }
+                            pin
+                        }
+                        None => Slot::Var(slot),
+                    }
+                }
                 PatternTerm::Const(term) => match self.dataset.dict().get_id(term) {
                     Some(id) => Slot::Const(id),
                     None => Slot::Missing,
                 },
             }
         };
-        patterns
+        let encoded = patterns
             .iter()
             .map(|p| EncPattern {
                 s: encode(&p.subject),
                 p: encode(&p.predicate),
                 o: encode(&p.object),
             })
-            .collect()
+            .collect();
+        (encoded, seeds)
     }
 
     /// Index nested-loop join over the BGP with greedy selectivity ordering.
@@ -326,13 +499,13 @@ impl<'a> Evaluator<'a> {
         &self,
         store: &GraphStore,
         mut patterns: Vec<EncPattern>,
-        mut rows: Vec<Bindings>,
-    ) -> Vec<Bindings> {
+        mut rows: Table,
+    ) -> Table {
         // Variables already bound in the incoming rows (conservatively: in
         // the first row; rows from the same block share their bound set).
         let mut bound: FxHashSet<usize> = FxHashSet::default();
-        if let Some(first) = rows.first() {
-            for (i, b) in first.iter().enumerate() {
+        if !rows.is_empty() {
+            for (i, b) in rows.row(0).iter().enumerate() {
                 if b.is_some() {
                     bound.insert(i);
                 }
@@ -341,27 +514,33 @@ impl<'a> Evaluator<'a> {
 
         while !patterns.is_empty() {
             // Greedy: next pattern = lowest estimated cardinality given what
-            // is bound so far (or syntactic order when ordering is disabled).
+            // is bound so far.
             let mut best = 0usize;
-            if self.join_ordering {
-                let mut best_score = f64::INFINITY;
-                for (i, pat) in patterns.iter().enumerate() {
-                    let score = Self::pattern_score(store, pat, &bound);
-                    if score < best_score {
-                        best_score = score;
-                        best = i;
-                    }
+            let mut best_score = f64::INFINITY;
+            for (i, pat) in patterns.iter().enumerate() {
+                let score = Self::pattern_score(store, pat, &bound);
+                if score < best_score {
+                    best_score = score;
+                    best = i;
                 }
             }
-            let pat = if self.join_ordering {
-                patterns.swap_remove(best)
-            } else {
-                patterns.remove(0)
-            };
+            let pat = patterns.swap_remove(best);
 
-            let mut next_rows = Vec::with_capacity(rows.len());
-            for row in &rows {
-                self.match_pattern(store, &pat, row, &mut next_rows);
+            // From one input row and with no variable bound before, the
+            // score is the exact index count of the output (a block's
+            // first leg, typically): allocate it once.
+            let exact = rows.len() == 1
+                && [pat.s, pat.p, pat.o]
+                    .iter()
+                    .all(|slot| !matches!(slot, Slot::Var(idx) if bound.contains(idx)));
+            let capacity = if exact {
+                best_score.max(0.0) as usize
+            } else {
+                rows.len()
+            };
+            let mut next_rows = Table::with_capacity(rows.width, capacity);
+            for row in rows.rows() {
+                Self::match_pattern(store, &pat, row, &mut next_rows);
             }
             rows = next_rows;
             if rows.is_empty() {
@@ -408,13 +587,12 @@ impl<'a> Evaluator<'a> {
         base * discount
     }
 
-    /// Extend one row with every match of `pat`.
+    /// Append to `out` one extension of `row` per match of `pat`.
     fn match_pattern(
-        &self,
         store: &GraphStore,
         pat: &EncPattern,
-        row: &Bindings,
-        out: &mut Vec<Bindings>,
+        row: &[Option<TermId>],
+        out: &mut Table,
     ) {
         let resolve = |slot: Slot| -> Option<Option<TermId>> {
             match slot {
@@ -427,21 +605,15 @@ impl<'a> Evaluator<'a> {
             return; // constant term absent from the data: no matches
         };
         for triple in store.scan(IdPattern::new(s, p, o)) {
-            let mut new_row = row.clone();
-            let mut ok = true;
-            for (slot, value) in [(pat.s, triple[0]), (pat.p, triple[1]), (pat.o, triple[2])] {
-                if let Slot::Var(idx) = slot {
-                    match new_row[idx] {
-                        Some(existing) if existing != value => {
-                            ok = false;
-                            break;
-                        }
-                        _ => new_row[idx] = Some(value),
-                    }
-                }
-            }
-            if ok {
-                out.push(new_row);
+            let new_row = out.push(row);
+            let ok = [(pat.s, triple[0]), (pat.p, triple[1]), (pat.o, triple[2])]
+                .into_iter()
+                .all(|(slot, value)| match slot {
+                    Slot::Var(idx) => *new_row[idx].get_or_insert(value) == value,
+                    _ => true,
+                });
+            if !ok {
+                out.pop();
             }
         }
     }
@@ -451,7 +623,7 @@ impl<'a> Evaluator<'a> {
     fn finish_plain(
         &self,
         query: &Query,
-        rows: Vec<Bindings>,
+        rows: &Table,
         var_index: &FxHashMap<String, usize>,
         pattern_vars: &[String],
         wdict: &WorkingDict<'_>,
@@ -465,44 +637,16 @@ impl<'a> Evaluator<'a> {
 
         let mut out_rows: Vec<Vec<Option<Term>>> = Vec::with_capacity(rows.len());
         let mut order_keys: Vec<Vec<Option<Value>>> = Vec::with_capacity(rows.len());
-        for row in &rows {
+        for row in rows.rows() {
             let scope = EvalScope {
                 dict: wdict as &dyn TermSource,
                 var_index,
                 bindings: row,
                 aggs: None,
             };
-            let mut cells = Vec::with_capacity(items.len());
-            let mut alias_values: FxHashMap<&str, Option<Value>> = FxHashMap::default();
-            for item in &items {
-                let cell = match item {
-                    SelectItem::Var(name) => var_index
-                        .get(name.as_str())
-                        .and_then(|&idx| row[idx])
-                        .map(|id| wdict.resolve(id).clone()),
-                    SelectItem::Expr { expr, alias } => {
-                        let v = eval_expr(expr, &scope);
-                        alias_values.insert(alias.as_str(), v.clone());
-                        v.map(|v| v.to_term())
-                    }
-                };
-                cells.push(cell);
-            }
-            if !query.order_by.is_empty() {
-                order_keys.push(
-                    query
-                        .order_by
-                        .iter()
-                        .map(|cond| {
-                            if let Expr::Var(name) = &cond.expr {
-                                if let Some(v) = alias_values.get(name.as_str()) {
-                                    return v.clone();
-                                }
-                            }
-                            eval_expr(&cond.expr, &scope)
-                        })
-                        .collect(),
-                );
+            let (cells, keys) = project(query, &items, &scope, row, wdict);
+            if let Some(keys) = keys {
+                order_keys.push(keys);
             }
             out_rows.push(cells);
         }
@@ -515,7 +659,7 @@ impl<'a> Evaluator<'a> {
     fn finish_grouped(
         &self,
         query: &Query,
-        rows: Vec<Bindings>,
+        rows: &Table,
         var_index: &FxHashMap<String, usize>,
         wdict: &WorkingDict<'_>,
     ) -> Result<QueryResults> {
@@ -556,26 +700,34 @@ impl<'a> Evaluator<'a> {
             .map(|g| var_index.get(g.as_str()).copied().unwrap_or(usize::MAX))
             .collect();
 
-        // Group rows. Insertion order is preserved for determinism.
-        let mut group_order: Vec<Vec<Option<TermId>>> = Vec::new();
-        let mut groups: FxHashMap<Vec<Option<TermId>>, (Bindings, Vec<AggAcc>)> =
-            FxHashMap::default();
-        for row in &rows {
-            let key: Vec<Option<TermId>> = key_slots
-                .iter()
-                .map(|&slot| if slot == usize::MAX { None } else { row[slot] })
-                .collect();
-            let entry = groups.entry(key.clone()).or_insert_with(|| {
-                group_order.push(key.clone());
-                (row.clone(), aggregates.iter().map(AggAcc::new).collect())
-            });
+        // Group rows in first-occurrence order (for determinism). A group
+        // is its representative row's index plus its accumulators; `None`
+        // stands for the all-unbound row of an empty implicit group.
+        let mut groups: Vec<(Option<usize>, Vec<AggAcc>)> = Vec::new();
+        let mut group_of: FxHashMap<Vec<Option<TermId>>, usize> = FxHashMap::default();
+        let mut key: Vec<Option<TermId>> = Vec::with_capacity(key_slots.len());
+        for (i, row) in rows.rows().enumerate() {
+            key.clear();
+            key.extend(
+                key_slots
+                    .iter()
+                    .map(|&slot| if slot == usize::MAX { None } else { row[slot] }),
+            );
+            let g = match group_of.get(key.as_slice()) {
+                Some(&g) => g,
+                None => {
+                    group_of.insert(key.clone(), groups.len());
+                    groups.push((Some(i), aggregates.iter().map(AggAcc::new).collect()));
+                    groups.len() - 1
+                }
+            };
             let scope = EvalScope {
                 dict: wdict as &dyn TermSource,
                 var_index,
                 bindings: row,
                 aggs: None,
             };
-            for (agg, acc) in aggregates.iter().zip(entry.1.iter_mut()) {
+            for (agg, acc) in aggregates.iter().zip(groups[g].1.iter_mut()) {
                 let value = match agg.expr() {
                     Some(e) => eval_expr(e, &scope),
                     None => Some(Value::Boolean(true)), // COUNT(*): any row
@@ -586,22 +738,15 @@ impl<'a> Evaluator<'a> {
 
         // Aggregation without GROUP BY over zero rows yields one group.
         if groups.is_empty() && query.group_by.is_empty() {
-            let key: Vec<Option<TermId>> = Vec::new();
-            group_order.push(key.clone());
-            groups.insert(
-                key,
-                (
-                    vec![None; var_index.len()],
-                    aggregates.iter().map(AggAcc::new).collect(),
-                ),
-            );
+            groups.push((None, aggregates.iter().map(AggAcc::new).collect()));
         }
 
+        let unbound = vec![None; rows.width];
         let names: Vec<String> = query.select.iter().map(|i| i.name().to_string()).collect();
         let mut out_rows = Vec::with_capacity(groups.len());
         let mut order_keys: Vec<Vec<Option<Value>>> = Vec::new();
-        for key in &group_order {
-            let (rep, accs) = &groups[key];
+        for (rep, accs) in &groups {
+            let rep = rep.map_or(unbound.as_slice(), |i| rows.row(i));
             let agg_values: Vec<Option<Value>> = accs.iter().map(AggAcc::finish).collect();
             let ctx = AggContext {
                 aggregates: &aggregates,
@@ -622,37 +767,9 @@ impl<'a> Evaluator<'a> {
                     continue;
                 }
             }
-            let mut cells = Vec::with_capacity(query.select.len());
-            let mut alias_values: FxHashMap<&str, Option<Value>> = FxHashMap::default();
-            for item in &query.select {
-                let cell = match item {
-                    SelectItem::Var(name) => var_index
-                        .get(name.as_str())
-                        .and_then(|&idx| rep[idx])
-                        .map(|id| wdict.resolve(id).clone()),
-                    SelectItem::Expr { expr, alias } => {
-                        let v = eval_expr(expr, &scope);
-                        alias_values.insert(alias.as_str(), v.clone());
-                        v.map(|v| v.to_term())
-                    }
-                };
-                cells.push(cell);
-            }
-            if !query.order_by.is_empty() {
-                order_keys.push(
-                    query
-                        .order_by
-                        .iter()
-                        .map(|cond| {
-                            if let Expr::Var(name) = &cond.expr {
-                                if let Some(v) = alias_values.get(name.as_str()) {
-                                    return v.clone();
-                                }
-                            }
-                            eval_expr(&cond.expr, &scope)
-                        })
-                        .collect(),
-                );
+            let (cells, keys) = project(query, &query.select, &scope, rep, wdict);
+            if let Some(keys) = keys {
+                order_keys.push(keys);
             }
             out_rows.push(cells);
         }
@@ -669,7 +786,8 @@ impl<'a> Evaluator<'a> {
         mut rows: Vec<Vec<Option<Term>>>,
         order_keys: Vec<Vec<Option<Value>>>,
     ) -> Result<QueryResults> {
-        // ORDER BY (stable sort over precomputed keys).
+        // ORDER BY (stable sort over precomputed keys), then move each row
+        // to its place.
         if !query.order_by.is_empty() && !rows.is_empty() {
             debug_assert_eq!(rows.len(), order_keys.len());
             let mut indices: Vec<usize> = (0..rows.len()).collect();
@@ -692,27 +810,76 @@ impl<'a> Evaluator<'a> {
                 }
                 Ordering::Equal
             });
-            rows = indices.into_iter().map(|i| rows[i].clone()).collect();
+            rows = indices
+                .into_iter()
+                .map(|i| std::mem::take(&mut rows[i]))
+                .collect();
         }
 
         // DISTINCT preserves first occurrence.
         if query.distinct {
-            let mut seen: std::collections::HashSet<Vec<Option<Term>>> =
-                std::collections::HashSet::new();
-            rows.retain(|row| seen.insert(row.clone()));
+            let keep: Vec<bool> = {
+                let mut seen: FxHashSet<&[Option<Term>]> = FxHashSet::default();
+                rows.iter().map(|row| seen.insert(row.as_slice())).collect()
+            };
+            let mut keep = keep.into_iter();
+            rows.retain(|_| keep.next() == Some(true));
         }
 
         // OFFSET / LIMIT.
-        let offset = query.offset.unwrap_or(0);
-        if offset > 0 {
-            rows = rows.into_iter().skip(offset).collect();
-        }
+        let offset = query.offset.unwrap_or(0).min(rows.len());
+        rows.drain(..offset);
         if let Some(limit) = query.limit {
             rows.truncate(limit);
         }
 
         Ok(QueryResults { vars: names, rows })
     }
+}
+
+/// Project one row (or one group's representative) onto the SELECT items,
+/// plus its ORDER BY keys when the query orders. An ORDER BY on a SELECT
+/// alias reuses the projected value.
+fn project(
+    query: &Query,
+    items: &[SelectItem],
+    scope: &EvalScope<'_>,
+    row: &[Option<TermId>],
+    wdict: &WorkingDict<'_>,
+) -> (Vec<Option<Term>>, Option<Vec<Option<Value>>>) {
+    let var_index = scope.var_index;
+    let mut cells = Vec::with_capacity(items.len());
+    let mut alias_values: FxHashMap<&str, Option<Value>> = FxHashMap::default();
+    for item in items {
+        let cell = match item {
+            SelectItem::Var(name) => var_index
+                .get(name.as_str())
+                .and_then(|&idx| row[idx])
+                .map(|id| wdict.resolve(id).clone()),
+            SelectItem::Expr { expr, alias } => {
+                let v = eval_expr(expr, scope);
+                alias_values.insert(alias.as_str(), v.clone());
+                v.map(|v| v.to_term())
+            }
+        };
+        cells.push(cell);
+    }
+    if query.order_by.is_empty() {
+        return (cells, None);
+    }
+    let keys = query
+        .order_by
+        .iter()
+        .map(|cond| {
+            if let Expr::Var(name) = &cond.expr {
+                if let Some(v) = alias_values.get(name.as_str()) {
+                    return v.clone();
+                }
+            }
+            eval_expr(&cond.expr, scope)
+        })
+        .collect();
+    (cells, Some(keys))
 }
 
 /// Collect distinct aggregates appearing in an expression, in order.

@@ -12,9 +12,6 @@ use sofos_rdf::vocab::xsd;
 use sofos_rdf::{Dictionary, FxHashMap, Numeric, Term, TermId};
 use std::cmp::Ordering;
 
-/// Row bindings: variable slot → bound term id.
-pub type Bindings = Vec<Option<TermId>>;
-
 /// Resolves term ids to terms. Implemented by the store dictionary and by
 /// the evaluator's working dictionary (which overlays `BIND`/`VALUES`
 /// constants that are absent from the stored data).
@@ -45,8 +42,8 @@ pub struct EvalScope<'a> {
     pub dict: &'a dyn TermSource,
     /// Variable name → binding slot.
     pub var_index: &'a FxHashMap<String, usize>,
-    /// The current row.
-    pub bindings: &'a Bindings,
+    /// The current row: variable slot → bound term id.
+    pub bindings: &'a [Option<TermId>],
     /// Group aggregate values, when evaluating HAVING/SELECT over groups.
     pub aggs: Option<&'a AggContext<'a>>,
 }
@@ -373,7 +370,7 @@ mod tests {
     fn scope_with<'a>(
         dict: &'a Dictionary,
         var_index: &'a FxHashMap<String, usize>,
-        bindings: &'a Bindings,
+        bindings: &'a [Option<TermId>],
     ) -> EvalScope<'a> {
         EvalScope {
             dict,
@@ -436,7 +433,7 @@ mod tests {
         let dict = Dictionary::new();
         let mut var_index = FxHashMap::default();
         var_index.insert("x".to_string(), 0usize);
-        let bindings: Bindings = vec![None];
+        let bindings = vec![None];
         let scope = scope_with(&dict, &var_index, &bindings);
         assert_eq!(eval_expr(&Expr::var("x"), &scope), None);
         assert_eq!(
@@ -451,7 +448,7 @@ mod tests {
         let id = dict.intern(&Term::literal_int(9));
         let mut var_index = FxHashMap::default();
         var_index.insert("x".to_string(), 0usize);
-        let bindings: Bindings = vec![Some(id)];
+        let bindings = vec![Some(id)];
         let scope = scope_with(&dict, &var_index, &bindings);
         assert_eq!(
             eval_expr(&Expr::var("x"), &scope),

@@ -10,6 +10,15 @@
 //! Pipeline: [`token`] → [`parse`] → [`ast`] → [`eval`] (with [`expr`]
 //! evaluation over [`value`]s) → [`results`].
 //!
+//! The evaluator joins over one flat binding table per operator (a
+//! row-major `Vec<Option<TermId>>`, one stride per row, no heap row per
+//! match). Before a triples block runs, every `?v = <iri>` conjunct of a
+//! `FILTER` in the same group turns `?v` into that IRI's id inside the
+//! block, so the join starts from the matching rows only; the `FILTER`
+//! stays and is still evaluated. Literals are never pushed: `=` on
+//! literals compares values (`"1"` equals `"01"^^xsd:integer`), not
+//! terms. See [`eval`] for the rule and why it is sound.
+//!
 //! ```
 //! use sofos_store::Dataset;
 //! use sofos_sparql::Evaluator;
