@@ -12,8 +12,8 @@
 //! 1. The candidate subjects are the AND of the legs' `pred_subjects`
 //!    bitmaps: a subject missing any leg joins nothing.
 //! 2. Each candidate's triples are read once, in ascending subject order,
-//!    through a forward cursor over the SPO index
-//!    ([`sofos_store::SubjectCursor`]).
+//!    through a cursor that gallops forward over the SPO index
+//!    ([`sofos_store::ScanCursor`]).
 //! 3. The evaluator's greedy join starts with the leg of the fewest
 //!    triples, scanning it in (object, subject) order, and extends each
 //!    row with the other legs in ascending triple count, ties going to
@@ -152,10 +152,11 @@ impl<'f> Star<'f> {
         let mut objects: Vec<TermId> = Vec::new();
         let mut firsts: Vec<(TermId, usize)> = Vec::new();
         let mut triples: Vec<(TermId, TermId)> = Vec::new();
-        let mut cursor = store.subject_cursor();
+        let mut cursor = store.scan_cursor();
         for s in candidates.iter().map(TermId) {
             triples.clear();
-            triples.extend(cursor.read(s).map(|[_, p, o]| (p, o)));
+            let read = cursor.scan(IdPattern::new(Some(s), None, None));
+            triples.extend(read.map(|[_, p, o]| (p, o)));
             let mark = (objects.len(), bounds.len());
             for &leg in &order {
                 let legs = triples.iter().filter(|(p, _)| *p == preds[leg]);

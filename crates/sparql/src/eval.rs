@@ -6,6 +6,23 @@
 //! dominant cost is the BGP join — handled with selectivity-ordered index
 //! nested-loop joins against the store's permutation indexes.
 //!
+//! # Index probes
+//!
+//! Each pass of the join over one leg opens one [`ScanCursor`] on the
+//! graph and probes it once per input row. The cursor remembers, per
+//! permutation index, the last probe's key prefix and the index position
+//! just past its matches. A probe whose prefix sorts after the last one
+//! gallops forward from that position (steps of doubling length, then a
+//! binary search of the last step), so it costs the log of the distance
+//! skipped, not of the index.
+//! Rows reach a star's later legs in the first leg's (object, subject)
+//! order, so their subject probes ascend in long runs. Any other prefix —
+//! a repeat, or one going back when the first leg's object changes —
+//! falls back to the binary search of the whole index a plain
+//! `GraphStore::scan` does. A probe yields exactly the triples a plain
+//! scan yields, in the same order, so answers and row order do not
+//! depend on the cursor.
+//!
 //! # One flat binding table
 //!
 //! An operator's output is one `Table`: a row-major
@@ -51,7 +68,7 @@ use crate::parse::parse_query;
 use crate::results::QueryResults;
 use crate::value::Value;
 use sofos_rdf::{Dictionary, FxHashMap, FxHashSet, Numeric, Term, TermId};
-use sofos_store::{Dataset, GraphStore, IdPattern};
+use sofos_store::{Dataset, GraphStore, IdPattern, ScanCursor};
 use std::cmp::Ordering;
 
 /// Evaluates queries against a [`Dataset`].
@@ -539,8 +556,9 @@ impl<'a> Evaluator<'a> {
                 rows.len()
             };
             let mut next_rows = Table::with_capacity(rows.width, capacity);
+            let mut cursor = store.scan_cursor();
             for row in rows.rows() {
-                Self::match_pattern(store, &pat, row, &mut next_rows);
+                Self::match_pattern(&mut cursor, &pat, row, &mut next_rows);
             }
             rows = next_rows;
             if rows.is_empty() {
@@ -589,7 +607,7 @@ impl<'a> Evaluator<'a> {
 
     /// Append to `out` one extension of `row` per match of `pat`.
     fn match_pattern(
-        store: &GraphStore,
+        cursor: &mut ScanCursor<'_>,
         pat: &EncPattern,
         row: &[Option<TermId>],
         out: &mut Table,
@@ -604,7 +622,7 @@ impl<'a> Evaluator<'a> {
         let (Some(s), Some(p), Some(o)) = (resolve(pat.s), resolve(pat.p), resolve(pat.o)) else {
             return; // constant term absent from the data: no matches
         };
-        for triple in store.scan(IdPattern::new(s, p, o)) {
+        for triple in cursor.scan(IdPattern::new(s, p, o)) {
             let new_row = out.push(row);
             let ok = [(pat.s, triple[0]), (pat.p, triple[1]), (pat.o, triple[2])]
                 .into_iter()

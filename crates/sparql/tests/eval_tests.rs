@@ -586,3 +586,107 @@ fn union_bind_values_render_and_reparse() {
         assert_eq!(ast, back, "{text}");
     }
 }
+
+/// Observations whose triples sit in the index runs, then batches of
+/// inserts, deletes and re-inserts applied through `Dataset::apply`, too
+/// few to reach the merge threshold: the graph reads through a pending
+/// delta and tombstones. Every query — star, chain, pushed filter,
+/// OPTIONAL, each pattern shape — answers, rows and order, exactly like
+/// the same graph after a merge.
+#[test]
+fn unmerged_store_answers_like_merged() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use sofos_store::Delta;
+
+    let country = iri("country");
+    let language = iri("language");
+    let population = iri("population");
+    let year = iri("year");
+    let part_of = iri("partOf");
+    let triple = |rng: &mut StdRng| -> [Term; 3] {
+        let obs = iri(&format!("obs{}", rng.gen_range(0..400)));
+        match rng.gen_range(0..5) {
+            0 => [
+                obs,
+                country.clone(),
+                iri(&format!("c{}", rng.gen_range(0..6))),
+            ],
+            1 => [
+                obs,
+                language.clone(),
+                iri(&format!("l{}", rng.gen_range(0..4))),
+            ],
+            2 => [
+                obs,
+                population.clone(),
+                Term::literal_int(rng.gen_range(1..50)),
+            ],
+            3 => [
+                obs,
+                year.clone(),
+                Term::literal_int(rng.gen_range(2018..2022)),
+            ],
+            _ => [
+                iri(&format!("c{}", rng.gen_range(0..6))),
+                part_of.clone(),
+                iri(&format!("u{}", rng.gen_range(0..2))),
+            ],
+        }
+    };
+    let queries = [
+        format!(
+            "SELECT ?c ?l (SUM(?n) AS ?total) (COUNT(*) AS ?k) WHERE {{ ?o <{NS}country> ?c . \
+             ?o <{NS}language> ?l . ?o <{NS}population> ?n }} GROUP BY ?c ?l"
+        ),
+        format!(
+            "SELECT * WHERE {{ ?o <{NS}country> ?c . ?o <{NS}year> ?y . ?o <{NS}language> ?l }}"
+        ),
+        format!("SELECT ?o ?u WHERE {{ ?o <{NS}country> ?c . ?c <{NS}partOf> ?u }}"),
+        format!(
+            "SELECT ?o ?n WHERE {{ ?o <{NS}country> ?c . ?o <{NS}population> ?n \
+             FILTER(?c = <{NS}c2>) }}"
+        ),
+        format!("SELECT ?o ?y WHERE {{ ?o <{NS}language> ?l OPTIONAL {{ ?o <{NS}year> ?y }} }}"),
+        format!("SELECT ?o ?p WHERE {{ ?o ?p <{NS}c1> . ?o <{NS}country> ?c }}"),
+        format!("SELECT ?p WHERE {{ <{NS}obs7> ?p ?x . <{NS}obs7> ?p <{NS}c3> }}"),
+        "SELECT ?s ?p ?o WHERE { ?s ?p ?o }".to_string(),
+    ];
+
+    for seed in 0..8u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ds = Dataset::new();
+        for _ in 0..1500 {
+            let [s, p, o] = triple(&mut rng);
+            ds.insert(None, &s, &p, &o);
+        }
+        ds.optimize();
+        let mut removed = Vec::new();
+        for _ in 0..6 {
+            let mut delta = Delta::new();
+            for _ in 0..40 {
+                let [s, p, o] = match rng.gen_range(0..4) {
+                    0 if !removed.is_empty() => removed.swap_remove(0),
+                    0 | 1 => triple(&mut rng),
+                    _ => {
+                        let [s, p, o] = triple(&mut rng);
+                        delta.delete(s.clone(), p.clone(), o.clone());
+                        removed.push([s, p, o]);
+                        continue;
+                    }
+                };
+                delta.insert(s, p, o);
+            }
+            ds.apply(delta);
+        }
+        let mut merged = ds.clone();
+        merged.optimize();
+        assert!(
+            ds.estimated_bytes() > merged.estimated_bytes(),
+            "seed {seed}: the batches stay in the delta and tombstones"
+        );
+        for query in &queries {
+            assert_eq!(run(&ds, query), run(&merged, query), "seed {seed}: {query}");
+        }
+    }
+}

@@ -4,7 +4,9 @@
 //! (SPO, POS, OSP) as an LSM-lite pair: a large sorted *run* (`Vec`) plus a
 //! small *delta* (`BTreeSet`) absorbing inserts. When the delta outgrows a
 //! threshold it is merged into the run. Prefix range scans over both halves
-//! are merged on the fly, so readers always see one sorted stream.
+//! are merged on the fly, so readers always see one sorted stream. A
+//! [`ScanCursor`] answers a sequence of scans, galloping forward through a
+//! run while their prefixes ascend instead of searching all of it.
 //!
 //! The three orders cover all eight triple-pattern shapes exactly (no
 //! residual filtering):
@@ -186,22 +188,24 @@ impl PermIndex {
     /// Scan all triples whose permuted key starts with `prefix`, yielding
     /// `(s,p,o)` triples in permuted-key order.
     pub fn scan_prefix(&self, prefix: &[TermId]) -> PrefixScan<'_> {
-        debug_assert!(prefix.len() <= 3);
-        let (low, high) = Self::prefix_bounds(prefix);
-        let start = self.run.partition_point(|k| *k < low);
-        let end = self.run.partition_point(|k| *k <= high);
-        self.scan_run_range(start, end, low, high)
+        self.seek_prefix(prefix, &mut None)
     }
 
-    /// [`PermIndex::scan_prefix`] for a prefix whose run entries all lie
-    /// at or after run position `from`, found by galloping forward from
-    /// there. Also returns the run position just past the prefix, where
-    /// the next, larger prefix's search can start.
-    fn scan_prefix_from(&self, prefix: &[TermId], from: usize) -> (PrefixScan<'_>, usize) {
+    /// [`PermIndex::scan_prefix`] that resumes from `seek`, the high key
+    /// bound of the last prefix read here and the run position just past
+    /// it. A prefix sorting after that bound gallops forward from the
+    /// position; any other prefix binary-searches the whole run. Either
+    /// way `seek` is left just past `prefix`.
+    fn seek_prefix(&self, prefix: &[TermId], seek: &mut Seek) -> PrefixScan<'_> {
+        debug_assert!(prefix.len() <= 3);
         let (low, high) = Self::prefix_bounds(prefix);
-        let start = gallop(&self.run, from, |k| *k < low);
+        let start = match *seek {
+            Some((last, end)) if low > last => gallop(&self.run, end, |k| *k < low),
+            _ => self.run.partition_point(|k| *k < low),
+        };
         let end = gallop(&self.run, start, |k| *k <= high);
-        (self.scan_run_range(start, end, low, high), end)
+        *seek = Some((high, end));
+        self.scan_run_range(start, end, low, high)
     }
 
     fn scan_run_range(
@@ -306,29 +310,40 @@ impl<'a> Iterator for PrefixScan<'a> {
     }
 }
 
-/// A forward cursor over a graph's SPO index that reads the triples of
-/// one subject at a time. Reading subjects in ascending id order makes
-/// each read gallop forward from where the previous one ended, so reading
-/// many subjects costs about one forward pass over the index instead of
-/// one binary search of the whole index per subject. A subject no larger
-/// than the last one read is still answered, from a fresh search.
-pub struct SubjectCursor<'a> {
-    spo: &'a PermIndex,
-    pos: usize,
-    last: Option<TermId>,
+/// Where a [`ScanCursor`] left one permutation index: the high key bound
+/// of the last prefix read and the run position just past it.
+type Seek = Option<(EncodedTriple, usize)>;
+
+/// A cursor that answers [`GraphStore::scan`] for a sequence of patterns,
+/// remembering per permutation index where the last scan ended. Patterns
+/// whose index prefixes come in ascending order — the subjects of a join
+/// leg probed in subject order, say — gallop forward from there, so a run
+/// of probes costs about one forward pass over the index instead of one
+/// binary search of the whole index each. A prefix not after the last one
+/// on its index is answered by a fresh binary search, as by
+/// [`GraphStore::scan`]. Every scan yields what `scan` yields, in the same
+/// order.
+pub struct ScanCursor<'a> {
+    store: &'a GraphStore,
+    spo: Seek,
+    pos: Seek,
+    osp: Seek,
 }
 
-impl<'a> SubjectCursor<'a> {
-    /// The triples of subject `s` in `(p, o)` order, like
-    /// `scan(IdPattern::new(Some(s), None, None))`.
-    pub fn read(&mut self, s: TermId) -> PrefixScan<'a> {
-        if self.last.is_some_and(|last| s <= last) {
-            self.pos = 0;
+impl<'a> ScanCursor<'a> {
+    /// The triples matching `pattern`, exactly as [`GraphStore::scan`].
+    pub fn scan(&mut self, pattern: IdPattern) -> PrefixScan<'a> {
+        let g = self.store;
+        match (pattern.s, pattern.p, pattern.o) {
+            (Some(s), Some(p), Some(o)) => g.spo.seek_prefix(&[s, p, o], &mut self.spo),
+            (Some(s), Some(p), None) => g.spo.seek_prefix(&[s, p], &mut self.spo),
+            (Some(s), None, Some(o)) => g.osp.seek_prefix(&[o, s], &mut self.osp),
+            (Some(s), None, None) => g.spo.seek_prefix(&[s], &mut self.spo),
+            (None, Some(p), Some(o)) => g.pos.seek_prefix(&[p, o], &mut self.pos),
+            (None, Some(p), None) => g.pos.seek_prefix(&[p], &mut self.pos),
+            (None, None, Some(o)) => g.osp.seek_prefix(&[o], &mut self.osp),
+            (None, None, None) => g.spo.seek_prefix(&[], &mut self.spo),
         }
-        self.last = Some(s);
-        let (scan, end) = self.spo.scan_prefix_from(&[s], self.pos);
-        self.pos = end;
-        scan
     }
 }
 
@@ -429,15 +444,18 @@ impl GraphStore {
     /// Scan triples matching an [`IdPattern`], dispatching to the index
     /// that turns the bound positions into a key prefix.
     pub fn scan(&self, pattern: IdPattern) -> PrefixScan<'_> {
-        match (pattern.s, pattern.p, pattern.o) {
-            (Some(s), Some(p), Some(o)) => self.spo.scan_prefix(&[s, p, o]),
-            (Some(s), Some(p), None) => self.spo.scan_prefix(&[s, p]),
-            (Some(s), None, Some(o)) => self.osp.scan_prefix(&[o, s]),
-            (Some(s), None, None) => self.spo.scan_prefix(&[s]),
-            (None, Some(p), Some(o)) => self.pos.scan_prefix(&[p, o]),
-            (None, Some(p), None) => self.pos.scan_prefix(&[p]),
-            (None, None, Some(o)) => self.osp.scan_prefix(&[o]),
-            (None, None, None) => self.spo.scan_prefix(&[]),
+        self.scan_cursor().scan(pattern)
+    }
+
+    /// A cursor for many scans in a row: scans whose index prefixes
+    /// ascend gallop forward instead of searching the whole index (see
+    /// [`ScanCursor`]).
+    pub fn scan_cursor(&self) -> ScanCursor<'_> {
+        ScanCursor {
+            store: self,
+            spo: None,
+            pos: None,
+            osp: None,
         }
     }
 
@@ -472,16 +490,6 @@ impl GraphStore {
     /// Iterate every triple in SPO order.
     pub fn iter(&self) -> PrefixScan<'_> {
         self.scan(IdPattern::ANY)
-    }
-
-    /// A forward cursor that reads whole subjects in SPO order (see
-    /// [`SubjectCursor`]).
-    pub fn subject_cursor(&self) -> SubjectCursor<'_> {
-        SubjectCursor {
-            spo: &self.spo,
-            pos: 0,
-            last: None,
-        }
     }
 
     /// Heap footprint estimate across the three indexes plus the posting
@@ -821,6 +829,16 @@ mod proptests {
             })
     }
 
+    /// The index the module table assigns to a pattern's shape, which
+    /// fixes the order a scan yields its matches in.
+    fn index_of(pattern: IdPattern) -> Perm {
+        match (pattern.s, pattern.p, pattern.o) {
+            (_, None, Some(_)) => Perm::Osp,
+            (None, Some(_), _) => Perm::Pos,
+            _ => Perm::Spo,
+        }
+    }
+
     proptest! {
         /// The golden store invariant: index-dispatched scans agree with a
         /// naive filter over the full triple set, for every pattern shape.
@@ -899,14 +917,16 @@ mod proptests {
             }
         }
 
-        /// A subject cursor reads what a subject scan reads, over a run
-        /// overlaid by a delta and tombstones, for subjects in ascending
-        /// order, repeated, or going back.
+        /// A scan cursor reads what a plain scan reads, triples and order,
+        /// for all eight pattern shapes interleaved on one cursor, over a
+        /// run overlaid by a pending delta and tombstones. The patterns
+        /// come in generated order (prefixes going back), or sorted so
+        /// each index sees ascending prefixes, and some are repeated.
         #[test]
         fn subject_cursor_agrees_with_scans(
             run in proptest::collection::vec(arb_triple(), 0..300),
             ops in proptest::collection::vec((proptest::bool::ANY, arb_triple()), 0..60),
-            mut subjects in proptest::collection::vec(0u32..22, 0..30),
+            probes in proptest::collection::vec((arb_pattern(), 1usize..3), 0..40),
             sorted in proptest::bool::ANY,
         ) {
             let mut g = GraphStore::new();
@@ -918,15 +938,37 @@ mod proptests {
                     g.remove(&triple);
                 }
             }
+            let mut patterns: Vec<IdPattern> = probes
+                .into_iter()
+                .flat_map(|(pattern, times)| std::iter::repeat_n(pattern, times))
+                .collect();
             if sorted {
-                subjects.sort_unstable();
+                // Sort each index's patterns among the slots they hold, so
+                // shapes stay interleaved and every index sees ascending
+                // prefixes.
+                for perm in [Perm::Spo, Perm::Pos, Perm::Osp] {
+                    let slots: Vec<usize> =
+                        (0..patterns.len()).filter(|&i| index_of(patterns[i]) == perm).collect();
+                    let mut mine: Vec<IdPattern> = slots.iter().map(|&i| patterns[i]).collect();
+                    mine.sort_by_key(|p| {
+                        let low = |v: Option<TermId>| v.unwrap_or(TermId(0));
+                        perm.permute([low(p.s), low(p.p), low(p.o)])
+                    });
+                    for (&i, p) in slots.iter().zip(mine) {
+                        patterns[i] = p;
+                    }
+                }
             }
-            let mut cursor = g.subject_cursor();
-            for s in subjects {
-                let read: Vec<EncodedTriple> = cursor.read(TermId(s)).collect();
-                let scan: Vec<EncodedTriple> =
-                    g.scan(IdPattern::new(Some(TermId(s)), None, None)).collect();
-                prop_assert_eq!(read, scan, "subject {}", s);
+            let mut cursor = g.scan_cursor();
+            for pattern in patterns {
+                let read: Vec<EncodedTriple> = cursor.scan(pattern).collect();
+                let scan: Vec<EncodedTriple> = g.scan(pattern).collect();
+                let perm = index_of(pattern);
+                let mut naive: Vec<EncodedTriple> =
+                    g.iter().filter(|t| pattern.matches(t)).collect();
+                naive.sort_unstable_by_key(|t| perm.permute(*t));
+                prop_assert_eq!(&read, &scan, "pattern {:?}", pattern);
+                prop_assert_eq!(&read, &naive, "pattern {:?}", pattern);
             }
         }
 

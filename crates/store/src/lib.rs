@@ -45,7 +45,7 @@ pub use dataset::{Dataset, GraphName};
 pub use delta::{ChangeSet, Delta, DeltaOp, GraphChanges, OpKind};
 pub use epoch::{EpochStore, PinnedSnapshot, PreparedTxn, Snapshot, WriteTxn};
 pub use graphmap::GraphMap;
-pub use index::{GraphStore, Perm, SubjectCursor};
+pub use index::{GraphStore, Perm, ScanCursor};
 pub use inference::{materialize_rdfs, InferenceStats};
 pub use pattern::{EncodedTriple, IdPattern};
 pub use persist::{DurabilityConfig, PersistError, PersistStats, Persister, Recovered};
