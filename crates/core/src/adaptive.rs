@@ -2,9 +2,9 @@
 //! [`Engine`].
 //!
 //! Every engine tracks a *sliding* workload/update profile
-//! (recent demanded masks, recent insert/delete pressure, per-group
-//! churn — see [`crate::policy::ProfileWindows`]); a [`DriftDetector`]
-//! measures how far that window has moved from the profile the current
+//! (recent demanded masks and recent insert/delete pressure — see
+//! [`crate::policy::ProfileWindows`]); a [`DriftDetector`] measures how
+//! far that window's demand has moved from the profile the current
 //! selection was optimized for; and a [`Reselector`] re-runs
 //! maintenance-aware selection when the drift crosses a threshold,
 //! swapping the materialized set transactionally
@@ -17,9 +17,8 @@
 use crate::config::EngineConfig;
 use crate::engine::{Engine, ViewChurn};
 use crate::offline::SizedLattice;
-use crate::policy::total_variation;
 use crate::timing::measure_once;
-use sofos_cost::{CalibratedMaintenance, CostModelKind};
+use sofos_cost::CostModelKind;
 use sofos_rdf::FxHashMap;
 use sofos_select::{
     greedy_select_with, local_search_select_with, LocalSearchConfig, Objective, SearchBudget,
@@ -37,20 +36,11 @@ use std::sync::Arc;
 /// replays the reference mix exactly; 1 means disjoint demand. The weight
 /// scale of either profile cancels, so windows and references of
 /// different lengths compare directly.
-///
-/// Alongside demand, the detector can track update *locality*: a
-/// per-group churn distribution ([`Engine::churn_profile`]) anchored by
-/// [`DriftDetector::with_churn_reference`]. Maintenance hotspots then
-/// register as drift even when query demand is perfectly steady — the
-/// trigger maintenance-aware selection needs, since upkeep cost depends
-/// on *which* groups churn, not only on how much.
 #[derive(Debug, Clone)]
 pub struct DriftDetector {
     /// Reference demand mass by mask (un-normalized —
     /// `total_variation` normalizes both sides).
     reference: FxHashMap<u64, f64>,
-    /// Churn reference; `None` disables the locality trigger.
-    churn_reference: Option<FxHashMap<u64, f64>>,
     threshold: f64,
 }
 
@@ -63,27 +53,8 @@ impl DriftDetector {
         );
         DriftDetector {
             reference: Self::mass(reference),
-            churn_reference: None,
             threshold,
         }
-    }
-
-    /// Anchor the locality trigger at a reference per-group churn
-    /// distribution (typically [`Engine::churn_profile`] at selection
-    /// time). Until set, churn never registers as drift.
-    pub fn with_churn_reference(mut self, churn: &FxHashMap<u64, f64>) -> DriftDetector {
-        self.set_churn_reference(churn);
-        self
-    }
-
-    /// Re-anchor the churn reference (after a re-selection).
-    pub fn set_churn_reference(&mut self, churn: &FxHashMap<u64, f64>) {
-        self.churn_reference = Some(churn.clone());
-    }
-
-    /// True when a churn reference is anchored.
-    pub(crate) fn has_churn_reference(&self) -> bool {
-        self.churn_reference.is_some()
     }
 
     /// A profile's demand mass by mask, the shape `total_variation`
@@ -101,9 +72,8 @@ impl DriftDetector {
         self.threshold
     }
 
-    /// Total-variation distance between the reference and `current` —
-    /// the same `total_variation` the churn trigger
-    /// uses. Both empty → 0 (nothing moved); exactly one empty → 1.
+    /// Total-variation distance between the reference and `current`.
+    /// Both empty → 0 (nothing moved); exactly one empty → 1.
     pub fn drift(&self, current: &WorkloadProfile) -> f64 {
         total_variation(&self.reference, &Self::mass(current))
     }
@@ -114,32 +84,30 @@ impl DriftDetector {
         current.total_weight() >= 1.0 && self.drift(current) > self.threshold
     }
 
-    /// Total-variation distance between the anchored churn reference and
-    /// the current per-group churn distribution. 0 when no churn
-    /// reference was set, or when neither side carries any churn —
-    /// *locality* drift is undefined without churn, and an empty window
-    /// must not read as "everything moved".
-    pub fn churn_drift(&self, current: &FxHashMap<u64, f64>) -> f64 {
-        let Some(reference) = &self.churn_reference else {
-            return 0.0;
-        };
-        if current.values().all(|&w| w <= 0.0) {
-            return 0.0;
-        }
-        total_variation(reference, current)
-    }
-
-    /// True when update locality moved past the threshold under a set
-    /// churn reference — the maintenance-hotspot trigger, independent of
-    /// demand.
-    pub fn churn_drifted(&self, current: &FxHashMap<u64, f64>) -> bool {
-        self.churn_drift(current) > self.threshold
-    }
-
     /// Re-anchor at a new reference (after a re-selection).
     pub fn rebase(&mut self, reference: &WorkloadProfile) {
         self.reference = Self::mass(reference);
     }
+}
+
+/// Total-variation distance between two weighted distributions (both
+/// normalized first). Both empty → 0; exactly one empty → 1.
+fn total_variation(p: &FxHashMap<u64, f64>, q: &FxHashMap<u64, f64>) -> f64 {
+    let p_total: f64 = p.values().sum();
+    let q_total: f64 = q.values().sum();
+    match (p_total > 0.0, q_total > 0.0) {
+        (false, false) => return 0.0,
+        (true, false) | (false, true) => return 1.0,
+        (true, true) => {}
+    }
+    let mut masses: FxHashMap<u64, (f64, f64)> = FxHashMap::default();
+    for (&key, &w) in p {
+        masses.entry(key).or_default().0 += w / p_total;
+    }
+    for (&key, &w) in q {
+        masses.entry(key).or_default().1 += w / q_total;
+    }
+    0.5 * masses.values().map(|(a, b)| (a - b).abs()).sum::<f64>()
 }
 
 /// One re-selection pass: what drove it, what was selected, what churned.
@@ -147,9 +115,6 @@ impl DriftDetector {
 pub struct ReselectionReport {
     /// Demand drift at the moment of re-selection.
     pub drift: f64,
-    /// Update-locality (per-group churn) drift at the moment of
-    /// re-selection; 0 when the locality trigger is off.
-    pub locality_drift: f64,
     /// The new selection (combined-objective costs included).
     pub selection: SelectionOutcome,
     /// Catalog churn from the transactional swap.
@@ -175,7 +140,7 @@ impl ReselectionReport {
     }
 
     /// JSON object with the numbers bench reports record (selection masks
-    /// as integers, drifts, churn counts, overhead breakdown).
+    /// as integers, drift, churn counts, overhead breakdown).
     pub fn to_json_string(&self) -> String {
         let masks: Vec<String> = self
             .selection
@@ -191,11 +156,10 @@ impl ReselectionReport {
             ),
         };
         format!(
-            "{{\"drift\":{},\"locality_drift\":{},\"selected\":[{}],\"added\":{},\
-             \"retired\":{},\"kept\":{},\"sizing_us\":{},\"sizing_refreshed\":{},\
-             \"selection_us\":{},\"materialize_us\":{},\"drop_us\":{},\"overhead_us\":{}{}}}",
+            "{{\"drift\":{},\"selected\":[{}],\"added\":{},\"retired\":{},\
+             \"kept\":{},\"sizing_us\":{},\"sizing_refreshed\":{},\"selection_us\":{},\
+             \"materialize_us\":{},\"drop_us\":{},\"overhead_us\":{}{}}}",
             self.drift,
-            self.locality_drift,
             masks.join(","),
             self.churn.added.len(),
             self.churn.retired.len(),
@@ -215,9 +179,8 @@ impl std::fmt::Display for ReselectionReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "drift {:.2} (locality {:.2}) → {} views (+{} −{} ={}), {} µs overhead",
+            "drift {:.2} → {} views (+{} −{} ={}), {} µs overhead",
             self.drift,
-            self.locality_drift,
             self.selection.selected.len(),
             self.churn.added.len(),
             self.churn.retired.len(),
@@ -277,21 +240,15 @@ impl AnytimeBudget {
 /// re-runs maintenance-aware selection over a freshly re-sized lattice
 /// and swaps the materialized set transactionally.
 ///
-/// The maintenance term defaults to the analytic
+/// The maintenance term is the analytic
 /// [`sofos_cost::TouchedGroupsMaintenance`] estimator, so λ keeps the
-/// same (abstract, triples-scale) meaning across the whole run. Opting in
-/// to [`Reselector::with_calibrated_maintenance`] instead fits
-/// [`CalibratedMaintenance`] to the maintenance telemetry the engine has
-/// accumulated so far — predictions move to real microseconds, and λ must
-/// be chosen against that scale. Update pressure is read from
-/// [`Engine::observed_rates`] either way.
+/// same (abstract, triples-scale) meaning across the whole run. Update
+/// pressure is read from [`Engine::observed_rates`].
 pub struct Reselector {
     kind: CostModelKind,
     config: EngineConfig,
     lambda: f64,
     detector: DriftDetector,
-    calibrated: bool,
-    locality: bool,
     sizing_cache: Option<SizedLattice>,
     anytime: Option<AnytimeBudget>,
     reselections: usize,
@@ -316,8 +273,6 @@ impl Reselector {
             config,
             lambda,
             detector: DriftDetector::new(reference, threshold),
-            calibrated: false,
-            locality: false,
             sizing_cache: None,
             anytime: None,
             reselections: 0,
@@ -335,25 +290,6 @@ impl Reselector {
     /// counters.
     pub fn with_anytime_budget(mut self, budget: AnytimeBudget) -> Reselector {
         self.anytime = Some(budget);
-        self
-    }
-
-    /// Also fire on update-*locality* drift: when the per-group churn
-    /// distribution (which groups the update stream hits) moves past the
-    /// detector's threshold, re-select even under perfectly steady
-    /// demand — maintenance hotspots shift which views are worth keeping.
-    /// The churn reference is anchored lazily at the first checked
-    /// window and re-anchored on every re-selection.
-    pub fn with_locality_trigger(mut self) -> Reselector {
-        self.locality = true;
-        self
-    }
-
-    /// Price upkeep in real microseconds, re-fit from the engine's
-    /// accumulated maintenance telemetry on every pass (λ must then be
-    /// chosen against the µs scale rather than the analytic one).
-    pub fn with_calibrated_maintenance(mut self) -> Reselector {
-        self.calibrated = true;
         self
     }
 
@@ -387,46 +323,21 @@ impl Reselector {
     }
 
     /// Check the engine's sliding window against the reference profile;
-    /// re-select only if demand — or, with the locality trigger, the
-    /// per-group churn distribution — drifted past the threshold.
-    /// `Ok(None)` means the standing selection still fits.
+    /// re-select only if demand drifted past the threshold. `Ok(None)`
+    /// means the standing selection still fits.
     pub fn check(&mut self, engine: &Engine) -> Result<Option<ReselectionReport>, SparqlError> {
         let window = engine.window_profile();
-        let churn = self.engine_churn(engine);
-        let demand_drifted = self.detector.drifted(&window);
-        let locality_drifted = self.locality
-            && if !self.detector.has_churn_reference() {
-                // First sighting of churn anchors the reference; nothing
-                // to compare against yet.
-                if !churn.is_empty() {
-                    self.detector.set_churn_reference(&churn);
-                }
-                false
-            } else {
-                self.detector.churn_drifted(&churn)
-            };
-        if !demand_drifted && !locality_drifted {
+        if !self.detector.drifted(&window) {
             return Ok(None);
         }
-        self.reselect_for(engine, window, churn).map(Some)
-    }
-
-    /// The engine's churn profile when the locality trigger is on
-    /// (empty — and never consulted — otherwise).
-    fn engine_churn(&self, engine: &Engine) -> FxHashMap<u64, f64> {
-        if self.locality {
-            engine.churn_profile()
-        } else {
-            FxHashMap::default()
-        }
+        self.reselect_for(engine, window).map(Some)
     }
 
     /// Unconditional re-selection against the current window (the
     /// always-reselect policy; also useful to force an initial swap).
     pub fn reselect(&mut self, engine: &Engine) -> Result<ReselectionReport, SparqlError> {
         let window = engine.window_profile();
-        let churn = self.engine_churn(engine);
-        self.reselect_for(engine, window, churn)
+        self.reselect_for(engine, window)
     }
 
     /// The sizing a re-selection prices against, its wall time (µs), and
@@ -461,14 +372,8 @@ impl Reselector {
         &mut self,
         engine: &Engine,
         window: WorkloadProfile,
-        engine_churn: FxHashMap<u64, f64>,
     ) -> Result<ReselectionReport, SparqlError> {
         let drift = self.detector.drift(&window);
-        let locality_drift = if self.locality {
-            self.detector.churn_drift(&engine_churn)
-        } else {
-            0.0
-        };
         // A cold window (no queries yet) has nothing to optimize for;
         // fall back to uniform demand rather than selecting nothing.
         let profile = if window.total_weight() > 0.0 {
@@ -486,18 +391,11 @@ impl Reselector {
         let (sized, sizing_us, sizing_refreshed) = self.sizing(&snapshot, engine.facet())?;
         let (query_model, _history, _train_us) =
             crate::offline::build_model(self.kind, &sized, &snapshot, &self.config)?;
-        let analytic = sofos_cost::TouchedGroupsMaintenance;
-        let calibrated;
-        let maintenance: &dyn sofos_cost::MaintenanceCostModel = if self.calibrated {
-            calibrated = CalibratedMaintenance::calibrate(&engine.maintenance().per_view);
-            &calibrated
-        } else {
-            &analytic
-        };
+        let maintenance = sofos_cost::TouchedGroupsMaintenance;
         let rates = engine.observed_rates();
         let ctx = sized.context();
         let objective = if self.lambda > 0.0 {
-            Objective::maintenance_aware(query_model.as_ref(), maintenance, rates, self.lambda)
+            Objective::maintenance_aware(query_model.as_ref(), &maintenance, rates, self.lambda)
         } else {
             Objective::query_only(query_model.as_ref())
         };
@@ -543,17 +441,11 @@ impl Reselector {
         let churn = engine.swap_views(&selection.selected)?;
         // Anchor at the profile the new selection was *optimized for* —
         // not the raw window, which on a cold forced reselect is empty
-        // and would make every subsequent query read as drift 1.0. The
-        // churn reference re-anchors at the window's distribution for the
-        // same reason.
+        // and would make every subsequent query read as drift 1.0.
         self.detector.rebase(&profile);
-        if self.locality && !engine_churn.is_empty() {
-            self.detector.set_churn_reference(&engine_churn);
-        }
         self.reselections += 1;
         let report = ReselectionReport {
             drift,
-            locality_drift,
             selection,
             churn,
             sizing_us,
@@ -637,29 +529,6 @@ mod tests {
         delta
     }
 
-    /// A delta whose observations all land on one fixed dimension-value
-    /// combination — the lever for steering per-group churn.
-    fn hotspot_delta(batch: usize, dims: [usize; 3]) -> sofos_store::Delta {
-        use sofos_workload::synthetic::NS;
-        let mut delta = sofos_store::Delta::new();
-        for i in 0..3usize {
-            let node = Term::blank(format!("h{batch}_{i}"));
-            for (d, v) in dims.iter().enumerate() {
-                delta.insert(
-                    node.clone(),
-                    Term::iri(format!("{NS}dim{d}")),
-                    Term::iri(format!("{NS}v{d}_{v}")),
-                );
-            }
-            delta.insert(
-                node,
-                Term::iri(format!("{NS}measure")),
-                Term::literal_int(10 + (batch * 3 + i) as i64),
-            );
-        }
-        delta
-    }
-
     #[test]
     fn drift_detector_measures_total_variation() {
         let a = WorkloadProfile::from_masks([ViewMask(1), ViewMask(1), ViewMask(2), ViewMask(2)]);
@@ -683,27 +552,12 @@ mod tests {
     }
 
     #[test]
-    fn drift_detector_tracks_churn_locality() {
-        let reference: FxHashMap<u64, f64> = [(1u64, 2.0), (2u64, 2.0)].into_iter().collect();
-        let profile = WorkloadProfile::from_masks([ViewMask(1)]);
-        let detector = DriftDetector::new(&profile, 0.25).with_churn_reference(&reference);
-
-        // Same mix, different scale: no locality drift.
-        let same: FxHashMap<u64, f64> = [(1u64, 1.0), (2u64, 1.0)].into_iter().collect();
-        assert!(detector.churn_drift(&same).abs() < 1e-12);
-        assert!(!detector.churn_drifted(&same));
-
-        // Half the churn moved to a new group: TV = 0.5.
-        let shifted: FxHashMap<u64, f64> = [(1u64, 2.0), (9u64, 2.0)].into_iter().collect();
-        assert!((detector.churn_drift(&shifted) - 0.5).abs() < 1e-12);
-        assert!(detector.churn_drifted(&shifted));
-
-        // An empty window is "no churn", not "everything moved".
-        assert_eq!(detector.churn_drift(&FxHashMap::default()), 0.0);
-
-        // Without a reference the locality trigger is inert.
-        let unanchored = DriftDetector::new(&profile, 0.25);
-        assert_eq!(unanchored.churn_drift(&shifted), 0.0);
+    fn total_variation_edges() {
+        let empty = FxHashMap::default();
+        let one: FxHashMap<u64, f64> = [(1u64, 1.0)].into_iter().collect();
+        assert_eq!(total_variation(&empty, &empty), 0.0);
+        assert_eq!(total_variation(&one, &empty), 1.0);
+        assert!(total_variation(&one, &one).abs() < 1e-12);
     }
 
     #[test]
@@ -758,13 +612,13 @@ mod tests {
     }
 
     #[test]
-    fn reselector_options_calibrated_and_cached() {
+    fn reselector_reuses_cached_sizing() {
         let engine = engine_setup(StalenessPolicy::Eager);
-        // Accumulate maintenance telemetry for calibration.
+        // Update pressure, so the λ = 1 maintenance term prices upkeep.
         for batch in 0..3 {
             engine.update(session_delta(batch)).unwrap();
         }
-        assert!(!engine.maintenance().per_view.is_empty());
+        assert!(!engine.observed_rates().is_frozen());
         let sized = SizedLattice::compute(&engine.snapshot(), engine.facet()).unwrap();
         engine.swap_views(&[ViewMask::APEX]).unwrap();
         let apex_profile = WorkloadProfile::from_masks([ViewMask::APEX]);
@@ -775,7 +629,6 @@ mod tests {
             &apex_profile,
             0.5,
         )
-        .with_calibrated_maintenance()
         .with_sizing_cache(sized);
 
         let base_mask = ViewMask::full(engine.facet().dim_count());
@@ -805,6 +658,9 @@ mod tests {
         let json = report.to_json_string();
         assert!(json.contains("\"drift\":1"), "{json}");
         assert!(json.contains("\"sizing_refreshed\":true"), "{json}");
+        // Demand drift is the only trigger: no second drift key.
+        assert!(json.starts_with("{\"drift\":1,\"selected\":["), "{json}");
+        assert!(!json.contains("locality"), "{json}");
     }
 
     #[test]
@@ -879,57 +735,6 @@ mod tests {
             "replaying the reference workload is not drift"
         );
         assert_eq!(reselector.reselections(), 0);
-    }
-
-    #[test]
-    fn reselector_fires_on_locality_drift_under_steady_demand() {
-        let engine = engine_setup(StalenessPolicy::Eager);
-        // Steady demand: the same query before and after the hotspot
-        // moves, so demand drift stays ~0 throughout.
-        let demand_mask = ViewMask::full(engine.facet().dim_count());
-        let q = facet_query(engine.facet(), demand_mask, AggOp::Sum, vec![]);
-        let reference = WorkloadProfile::from_masks([demand_mask]);
-        let mut reselector = Reselector::new(
-            CostModelKind::AggValues,
-            EngineConfig::default(),
-            1.0,
-            &reference,
-            0.5,
-        )
-        .with_locality_trigger();
-
-        for _ in 0..4 {
-            engine.query(&q).unwrap();
-        }
-        for batch in 0..3 {
-            engine.update(hotspot_delta(batch, [0, 0, 0])).unwrap();
-        }
-        // First check anchors the churn reference; steady demand, no fire.
-        assert!(reselector.check(&engine).unwrap().is_none());
-
-        // The update stream migrates to a disjoint hotspot; demand is
-        // unchanged (same query keeps arriving).
-        for batch in 3..3 + crate::policy::ProfileWindows::RATE_WINDOW {
-            engine.update(hotspot_delta(batch, [2, 2, 2])).unwrap();
-            engine.query(&q).unwrap();
-        }
-        let report = reselector
-            .check(&engine)
-            .unwrap()
-            .expect("locality drift alone triggers re-selection");
-        assert!(
-            report.drift <= 0.5,
-            "demand stayed steady: {}",
-            report.drift
-        );
-        assert!(
-            report.locality_drift > 0.5,
-            "churn moved: {}",
-            report.locality_drift
-        );
-        assert_eq!(reselector.reselections(), 1);
-        // Re-anchored: the same hotspot no longer reads as drift.
-        assert!(reselector.check(&engine).unwrap().is_none());
     }
 
     #[test]

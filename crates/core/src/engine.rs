@@ -25,10 +25,11 @@
 //! read paths live in `engine/epoch.rs`). The staleness policies — eager /
 //! lazy-on-hit / invalidate / bounded — are the [`crate::policy`] state
 //! machines (pending-log cursors, freshness tagging, flush accounting)
-//! expressed over epochs, next to the sliding demand/churn windows the
-//! adaptive layer ([`crate::adaptive`]) reads. The conformance suite
-//! (`crates/core/tests/engine_conformance.rs`) checks every answer against
-//! a plain [`Dataset`] that the same deltas are applied to.
+//! expressed over epochs, next to the sliding demand and update-rate
+//! windows the adaptive layer ([`crate::adaptive`]) reads. The
+//! conformance suite (`crates/core/tests/engine_conformance.rs`) checks
+//! every answer against a plain [`Dataset`] that the same deltas are
+//! applied to.
 //!
 //! Wall-clock staleness ([`StalenessPolicy::Bounded`]'s `max_lag_ms`) is
 //! driven by an injected [`Clock`] ([`EngineBuilder::clock`]), so
@@ -656,16 +657,6 @@ mod tests {
         // measure).
         assert!((rates.inserts_per_round - 3.0).abs() < 1e-9, "{rates:?}");
         assert_eq!(rates.deletes_per_round, 0.0);
-    }
-
-    #[test]
-    fn engine_tracks_per_group_churn() {
-        let (engine, _workload) = setup(StalenessPolicy::Eager);
-        assert!(engine.churn_profile().is_empty());
-        engine.update(session_delta(0)).unwrap();
-        let profile = engine.churn_profile();
-        assert!(!profile.is_empty());
-        assert!(profile.values().all(|&w| w > 0.0));
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub(super) struct ServingState {
     /// buffered by the writer and not yet published — the lag every read
     /// serves under (and is tagged with) until the next flush.
     meter: FlushMeter,
-    /// Sliding demand/rate/churn windows for the adaptive layer.
+    /// Sliding demand and update-rate windows for the adaptive layer.
     windows: ProfileWindows,
     view_hits: usize,
     fallbacks: usize,
@@ -217,12 +217,13 @@ impl Engine {
     }
 
     fn update_inner(&self, delta: Delta) -> Result<(), SparqlError> {
+        let (inserted, deleted) = ProfileWindows::batch_counts(&delta);
         let mut txn = self.store.begin();
         let mut writer = self.lock_writer();
         {
             let mut state = self.lock_serving();
             state.update_batches += 1;
-            state.windows.observe_batch(&delta);
+            state.windows.observe_batch(inserted, deleted);
         }
         // Invariant for every branch below: the serving lock is held
         // *across* the catalog change and the publish, so a reader can
@@ -265,9 +266,6 @@ impl Engine {
                         let catalog = self.durable_catalog(&views);
                         let prepared = txn.prepare();
                         let mut state = self.lock_serving();
-                        if let Some(rows) = &applied.rows {
-                            state.windows.observe_churn(rows);
-                        }
                         state.views = views;
                         prepared.publish_with_catalog(catalog.as_deref());
                         Ok(())
@@ -332,7 +330,6 @@ impl Engine {
                 match applied.rows {
                     Some(rows) if rows.is_empty() => {}
                     Some(rows) => {
-                        state.windows.observe_churn(&rows);
                         state.pending.push(epoch, rows);
                         let evicted = state.pending.enforce_cap(&state.views, epoch);
                         self.metrics.record_pending(state.pending.len(), evicted);
@@ -427,9 +424,6 @@ impl Engine {
                 let catalog = self.durable_catalog(&views);
                 let prepared = txn.prepare();
                 let mut state = self.lock_serving();
-                if let Some(rows) = merged.as_ref().filter(|rows| !rows.is_empty()) {
-                    state.windows.observe_churn(rows);
-                }
                 state.views = views;
                 state.meter.drain(take);
                 let buffered = state.meter.buffered();
@@ -846,11 +840,6 @@ impl Engine {
         self.lock_serving()
             .windows
             .observed_rates((self.facet.dim_count() + 1) as f64)
-    }
-
-    /// The sliding per-group churn distribution.
-    pub fn churn_profile(&self) -> FxHashMap<u64, f64> {
-        self.lock_serving().windows.churn_profile()
     }
 
     /// The writer's accumulated pipeline split (serial spine vs.

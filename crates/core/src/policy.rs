@@ -1,10 +1,10 @@
 //! The staleness-policy machinery the [`Engine`](crate::engine::Engine)
 //! serves under: the buffered-delta log with per-view cursors, the
 //! needs-refresh bookkeeping, compaction and cap enforcement,
-//! bounded-flush accounting, freshness tags, and the sliding demand/churn
-//! windows the adaptive layer reads. The engine keeps the epoch-store
-//! choreography (transactions, publishes, locks); everything a
-//! [`StalenessPolicy`] *means* lives here.
+//! bounded-flush accounting, freshness tags, and the sliding demand and
+//! update-rate windows the adaptive layer reads. The engine keeps the
+//! epoch-store choreography (transactions, publishes, locks); everything
+//! a [`StalenessPolicy`] *means* lives here.
 //!
 //! It also hosts the [`Clock`] abstraction behind wall-clock bounded
 //! staleness (`StalenessPolicy::Bounded { max_lag_ms, .. }`): serving
@@ -526,7 +526,7 @@ impl FlushMeter {
 
 /// The sliding workload/update profile the engine feeds and the
 /// adaptive layer ([`crate::adaptive::Reselector`]) reads: recently
-/// demanded masks, per-batch insert/delete pressure, and per-group churn.
+/// demanded masks and per-batch insert/delete pressure.
 #[derive(Debug, Default)]
 pub struct ProfileWindows {
     /// Recently demanded masks (grouping ∪ filters of analyzable
@@ -534,9 +534,6 @@ pub struct ProfileWindows {
     recent_demands: VecDeque<ViewMask>,
     /// Per-batch `(inserted, deleted)` default-graph triple counts.
     recent_batches: VecDeque<(usize, usize)>,
-    /// Per-batch group-churn maps: finest-grouping key hash → absolute
-    /// row churn.
-    recent_churn: VecDeque<FxHashMap<u64, f64>>,
 }
 
 impl ProfileWindows {
@@ -554,8 +551,10 @@ impl ProfileWindows {
         }
     }
 
-    /// Record one update batch's default-graph insert/delete op counts.
-    pub fn observe_batch(&mut self, delta: &Delta) {
+    /// A batch's default-graph `(inserted, deleted)` op counts — what
+    /// [`ProfileWindows::observe_batch`] records. Counted by the caller
+    /// before it takes the serving lock, so the lock only pays O(1).
+    pub fn batch_counts(delta: &Delta) -> (usize, usize) {
         let (mut inserted, mut deleted) = (0usize, 0usize);
         for op in delta.ops() {
             if op.graph.is_some() {
@@ -566,28 +565,15 @@ impl ProfileWindows {
                 OpKind::Delete => deleted += 1,
             }
         }
+        (inserted, deleted)
+    }
+
+    /// Record one update batch's default-graph insert/delete op counts
+    /// ([`ProfileWindows::batch_counts`]).
+    pub fn observe_batch(&mut self, inserted: usize, deleted: usize) {
         self.recent_batches.push_back((inserted, deleted));
         while self.recent_batches.len() > Self::RATE_WINDOW {
             self.recent_batches.pop_front();
-        }
-    }
-
-    /// Record one batch's per-group churn from its row delta: which
-    /// finest-granularity groups the batch touched, weighted by absolute
-    /// row multiplicity. This is the *locality* half of drift detection —
-    /// demand can be perfectly steady while updates migrate onto the
-    /// groups of an expensive-to-maintain view.
-    pub fn observe_churn(&mut self, rows: &RowDelta) {
-        let mut churn: FxHashMap<u64, f64> = FxHashMap::default();
-        for (dims, _measure, net) in rows.iter() {
-            *churn.entry(group_bucket(dims)).or_insert(0.0) += net.unsigned_abs() as f64;
-        }
-        if churn.is_empty() {
-            return;
-        }
-        self.recent_churn.push_back(churn);
-        while self.recent_churn.len() > Self::RATE_WINDOW {
-            self.recent_churn.pop_front();
         }
     }
 
@@ -616,52 +602,6 @@ impl ProfileWindows {
             del as f64 / star_width / batches,
         )
     }
-
-    /// The sliding per-group churn distribution: group-key hash →
-    /// accumulated absolute row churn, over the last
-    /// [`ProfileWindows::RATE_WINDOW`] batches that produced a row delta.
-    /// Un-normalized ([`crate::adaptive::DriftDetector::churn_drift`]
-    /// normalizes). Empty until an update produced a row delta (the
-    /// invalidate policy and non-star facets never feed it).
-    pub fn churn_profile(&self) -> FxHashMap<u64, f64> {
-        let mut merged: FxHashMap<u64, f64> = FxHashMap::default();
-        for batch in &self.recent_churn {
-            for (&bucket, &weight) in batch {
-                *merged.entry(bucket).or_insert(0.0) += weight;
-            }
-        }
-        merged
-    }
-}
-
-/// Hash a finest-grouping key into a stable churn bucket.
-pub(crate) fn group_bucket(dims: &[sofos_rdf::TermId]) -> u64 {
-    use std::hash::Hasher;
-    let mut hasher = sofos_rdf::hash::FxHasher::default();
-    for dim in dims {
-        hasher.write_u32(dim.0);
-    }
-    hasher.finish()
-}
-
-/// Total-variation distance between two weighted distributions (both
-/// normalized first). Both empty → 0; exactly one empty → 1.
-pub(crate) fn total_variation(p: &FxHashMap<u64, f64>, q: &FxHashMap<u64, f64>) -> f64 {
-    let p_total: f64 = p.values().sum();
-    let q_total: f64 = q.values().sum();
-    match (p_total > 0.0, q_total > 0.0) {
-        (false, false) => return 0.0,
-        (true, false) | (false, true) => return 1.0,
-        (true, true) => {}
-    }
-    let mut masses: FxHashMap<u64, (f64, f64)> = FxHashMap::default();
-    for (&key, &w) in p {
-        masses.entry(key).or_default().0 += w / p_total;
-    }
-    for (&key, &w) in q {
-        masses.entry(key).or_default().1 += w / q_total;
-    }
-    0.5 * masses.values().map(|(a, b)| (a - b).abs()).sum::<f64>()
 }
 
 #[cfg(test)]
@@ -805,20 +745,9 @@ mod tests {
                 sofos_rdf::Term::literal_int(i),
             );
         }
-        windows.observe_batch(&delta);
+        let (inserted, deleted) = ProfileWindows::batch_counts(&delta);
+        windows.observe_batch(inserted, deleted);
         let rates = windows.observed_rates(4.0);
         assert!((rates.inserts_per_round - 2.0).abs() < 1e-9);
-
-        windows.observe_churn(&rows(5));
-        assert_eq!(windows.churn_profile().len(), 1);
-    }
-
-    #[test]
-    fn total_variation_edges() {
-        let empty = FxHashMap::default();
-        let one: FxHashMap<u64, f64> = [(1u64, 1.0)].into_iter().collect();
-        assert_eq!(total_variation(&empty, &empty), 0.0);
-        assert_eq!(total_variation(&one, &empty), 1.0);
-        assert!(total_variation(&one, &one).abs() < 1e-12);
     }
 }

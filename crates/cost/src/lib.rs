@@ -36,9 +36,8 @@ pub use learned::{
     regression_metrics, spearman, LearnedCostModel, RegressionMetrics, TrainingSample,
 };
 pub use maintenance::{
-    expected_touched_groups, maintenance_features, CalibratedMaintenance, FixedMaintenance,
-    MaintenanceCoefficients, MaintenanceCostModel, MaintenanceFeatures, TouchedGroupsMaintenance,
-    UpdateRates,
+    expected_touched_groups, maintenance_features, FixedMaintenance, MaintenanceCostModel,
+    MaintenanceFeatures, TouchedGroupsMaintenance, UpdateRates,
 };
 pub use models::{
     AggValuesCost, CostModel, CostModelKind, NodesCost, RandomCost, TriplesCost, UserDefinedCost,

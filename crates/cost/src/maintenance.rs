@@ -9,24 +9,20 @@
 //! the Goasdoué-style combined objective
 //! `query_cost + λ · maintenance_cost` instead of the frozen-graph one.
 //!
-//! Three estimators are provided:
+//! Two estimators are provided:
 //!
 //! * [`TouchedGroupsMaintenance`] — analytic: expected distinct groups a
 //!   batch touches (a balls-into-bins bound over the view's rows), patch
 //!   width from the facet's encoding, per-group re-evaluation for
 //!   non-invertible aggregates (MIN/MAX deletes), and a full-refresh
 //!   regime for facets the counting algorithm cannot maintain;
-//! * [`CalibratedMaintenance`] — the analytic feature estimates rescaled
-//!   by unit costs fit (least squares) against *observed*
-//!   [`sofos_maintain::MaintenanceCost`] records, so predictions are in
-//!   real microseconds once a session has produced maintenance telemetry;
 //! * [`FixedMaintenance`] — explicit per-view costs (the maintenance
 //!   analogue of [`crate::UserDefinedCost`]; also the test harness's lever
 //!   for forcing churn onto a specific view).
 
 use crate::context::CostContext;
 use sofos_cube::{AggOp, ViewMask};
-use sofos_maintain::{MaintenanceCost, StarPattern};
+use sofos_maintain::StarPattern;
 use sofos_rdf::FxHashMap;
 
 /// Observed (or anticipated) update pressure, per round of the workload.
@@ -79,9 +75,9 @@ impl UpdateRates {
 }
 
 /// A model `M : V(F) × rates → R+` predicting the per-round cost of keeping
-/// one view fresh. Units are the model's own (abstract work for the
-/// analytic model, microseconds for the calibrated one); the selector's λ
-/// bridges them to the query-cost scale.
+/// one view fresh. Units are the model's own (abstract triple-write work
+/// for the analytic model); the selector's λ bridges them to the
+/// query-cost scale.
 pub trait MaintenanceCostModel: Send + Sync {
     /// Short stable name, used in reports.
     fn name(&self) -> &'static str;
@@ -109,8 +105,8 @@ pub fn expected_touched_groups(rows: usize, ops: f64) -> f64 {
 }
 
 /// Per-round analytic feature estimates for one view — the quantities the
-/// maintenance engine reports after the fact ([`MaintenanceCost`]),
-/// predicted before it.
+/// maintenance engine reports after the fact
+/// ([`sofos_maintain::MaintenanceCost`]), predicted before it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaintenanceFeatures {
     /// Expected view-graph triples written or removed per round.
@@ -208,158 +204,6 @@ impl MaintenanceCostModel for TouchedGroupsMaintenance {
     }
 }
 
-/// Unit costs mapping maintenance features to wall microseconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MaintenanceCoefficients {
-    /// µs per view-graph triple touched.
-    pub us_per_triple: f64,
-    /// µs per per-group re-evaluation.
-    pub us_per_reeval: f64,
-    /// Fixed per-round overhead (µs).
-    pub us_fixed: f64,
-}
-
-impl Default for MaintenanceCoefficients {
-    fn default() -> Self {
-        // Uncalibrated priors: a triple write is cheap, a re-evaluation
-        // runs a filtered query. Real sessions replace these via
-        // [`CalibratedMaintenance::calibrate`].
-        MaintenanceCoefficients {
-            us_per_triple: 1.0,
-            us_per_reeval: 20.0,
-            us_fixed: 0.0,
-        }
-    }
-}
-
-/// Analytic features × calibrated unit costs: predicts per-round upkeep in
-/// microseconds once fit against observed [`MaintenanceCost`] telemetry.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CalibratedMaintenance {
-    coefficients: MaintenanceCoefficients,
-}
-
-impl CalibratedMaintenance {
-    /// A model with explicit unit costs.
-    pub fn with_coefficients(coefficients: MaintenanceCoefficients) -> CalibratedMaintenance {
-        CalibratedMaintenance { coefficients }
-    }
-
-    /// Fit unit costs from observed maintenance records by least squares
-    /// over `wall_us ≈ a·triples_touched + b·groups_reevaluated + c`,
-    /// with a small ridge term for conditioning. Falls back to the default
-    /// priors when there is nothing (or nothing informative) to fit, so
-    /// calibration never *loses* a usable model.
-    pub fn calibrate(samples: &[MaintenanceCost]) -> CalibratedMaintenance {
-        let informative: Vec<&MaintenanceCost> = samples
-            .iter()
-            .filter(|s| s.triples_touched > 0 || s.groups_reevaluated > 0)
-            .collect();
-        if informative.is_empty() {
-            return CalibratedMaintenance::default();
-        }
-        // Normal equations for [t, r, 1] → us, ridge-damped.
-        let mut ata = [[0.0f64; 3]; 3];
-        let mut aty = [0.0f64; 3];
-        for s in &informative {
-            let x = [s.triples_touched as f64, s.groups_reevaluated as f64, 1.0];
-            let y = s.wall_us as f64;
-            for i in 0..3 {
-                for j in 0..3 {
-                    ata[i][j] += x[i] * x[j];
-                }
-                aty[i] += x[i] * y;
-            }
-        }
-        let ridge = 1e-6 * (1.0 + ata[0][0].max(ata[1][1]));
-        for (i, row) in ata.iter_mut().enumerate() {
-            row[i] += ridge;
-        }
-        let Some(solution) = solve3(ata, aty) else {
-            return CalibratedMaintenance::default();
-        };
-        let defaults = MaintenanceCoefficients::default();
-        // Negative unit costs are fitting artifacts (collinear features);
-        // clamp to the priors rather than predict negative upkeep.
-        let coefficients = MaintenanceCoefficients {
-            us_per_triple: if solution[0].is_finite() && solution[0] > 0.0 {
-                solution[0]
-            } else {
-                defaults.us_per_triple
-            },
-            us_per_reeval: if solution[1].is_finite() && solution[1] > 0.0 {
-                solution[1]
-            } else {
-                defaults.us_per_reeval
-            },
-            us_fixed: if solution[2].is_finite() && solution[2] > 0.0 {
-                solution[2]
-            } else {
-                0.0
-            },
-        };
-        CalibratedMaintenance { coefficients }
-    }
-
-    /// The fitted (or default) unit costs.
-    pub fn coefficients(&self) -> MaintenanceCoefficients {
-        self.coefficients
-    }
-}
-
-impl MaintenanceCostModel for CalibratedMaintenance {
-    fn name(&self) -> &'static str {
-        "calibrated"
-    }
-
-    fn maintenance_cost(&self, ctx: &CostContext<'_>, view: ViewMask, rates: &UpdateRates) -> f64 {
-        if rates.is_frozen() {
-            return 0.0;
-        }
-        let features = maintenance_features(ctx, view, rates);
-        if !features.triples_touched.is_finite() {
-            return f64::INFINITY;
-        }
-        self.coefficients.us_per_triple * features.triples_touched
-            + self.coefficients.us_per_reeval * features.groups_reevaluated
-            + self.coefficients.us_fixed
-    }
-}
-
-/// Gaussian elimination for the 3×3 normal equations; `None` when singular.
-fn solve3(mut a: [[f64; 3]; 3], mut b: [f64; 3]) -> Option<[f64; 3]> {
-    for col in 0..3 {
-        let pivot = (col..3).max_by(|&i, &j| {
-            a[i][col]
-                .abs()
-                .partial_cmp(&a[j][col].abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })?;
-        if a[pivot][col].abs() < 1e-12 {
-            return None;
-        }
-        a.swap(col, pivot);
-        b.swap(col, pivot);
-        for row in col + 1..3 {
-            let factor = a[row][col] / a[col][col];
-            let pivot_row = a[col];
-            for (k, pivot_value) in pivot_row.iter().enumerate().skip(col) {
-                a[row][k] -= factor * pivot_value;
-            }
-            b[row] -= factor * b[col];
-        }
-    }
-    let mut x = [0.0f64; 3];
-    for row in (0..3).rev() {
-        let mut sum = b[row];
-        for k in row + 1..3 {
-            sum -= a[row][k] * x[k];
-        }
-        x[row] = sum / a[row][row];
-    }
-    Some(x)
-}
-
 /// Explicit per-view maintenance costs (per operation): the maintenance
 /// analogue of [`crate::UserDefinedCost`]. The per-round cost scales with
 /// the update rate, so a frozen graph still costs nothing.
@@ -395,7 +239,6 @@ mod tests {
     use super::*;
     use crate::context::size_lattice;
     use sofos_cube::{Dimension, Facet, Lattice};
-    use sofos_maintain::MaintenanceStrategy;
     use sofos_rdf::Term;
     use sofos_sparql::{GroupPattern, PatternTerm, TriplePattern};
     use sofos_store::{Dataset, GraphStats};
@@ -457,7 +300,7 @@ mod tests {
         with_ctx(AggOp::Sum, |ctx| {
             for model in [
                 &TouchedGroupsMaintenance as &dyn MaintenanceCostModel,
-                &CalibratedMaintenance::default(),
+                &FixedMaintenance::new([], 1.0),
             ] {
                 for view in [ViewMask::APEX, ViewMask::full(2)] {
                     assert_eq!(
@@ -527,40 +370,7 @@ mod tests {
             assert!(TouchedGroupsMaintenance
                 .maintenance_cost(ctx, ViewMask(0b10000), &rates)
                 .is_infinite());
-            assert!(CalibratedMaintenance::default()
-                .maintenance_cost(ctx, ViewMask(0b10000), &rates)
-                .is_infinite());
         });
-    }
-
-    #[test]
-    fn calibration_recovers_unit_costs() {
-        // Synthetic telemetry from exact unit costs 2 µs/triple, 50 µs/re-eval.
-        let mut samples = Vec::new();
-        for i in 1..20usize {
-            let triples = i * 7 % 13 + 1;
-            let reevals = i % 4;
-            samples.push(MaintenanceCost {
-                view: ViewMask(i as u64 % 4),
-                strategy: MaintenanceStrategy::Counting,
-                triples_touched: triples,
-                groups_patched: triples,
-                groups_reevaluated: reevals,
-                rows_inserted: 0,
-                rows_retracted: 0,
-                wall_us: (2 * triples + 50 * reevals) as u64,
-            });
-        }
-        let model = CalibratedMaintenance::calibrate(&samples);
-        let c = model.coefficients();
-        assert!((c.us_per_triple - 2.0).abs() < 0.2, "{c:?}");
-        assert!((c.us_per_reeval - 50.0).abs() < 2.0, "{c:?}");
-    }
-
-    #[test]
-    fn calibration_without_samples_keeps_priors() {
-        let model = CalibratedMaintenance::calibrate(&[]);
-        assert_eq!(model.coefficients(), MaintenanceCoefficients::default());
     }
 
     #[test]

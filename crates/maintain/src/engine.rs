@@ -66,15 +66,6 @@ impl RowDelta {
         }
     }
 
-    /// Iterate the net changes: `(dimension values, measure, net)`.
-    /// Dimension values are in facet dimension order (the finest
-    /// grouping) — the input to per-group churn tracking.
-    pub fn iter(&self) -> impl Iterator<Item = (&[TermId], TermId, i64)> + '_ {
-        self.counts
-            .iter()
-            .map(|((dims, measure), &net)| (dims.as_slice(), *measure, net))
-    }
-
     /// Record a net row change directly — the public constructor for
     /// synthetic deltas (tests, harnesses); the maintenance engine itself
     /// derives deltas from binding scans.

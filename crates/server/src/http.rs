@@ -365,27 +365,33 @@ pub fn status_reason(status: u16) -> &'static str {
 mod tests {
     use super::*;
 
+    use proptest::prelude::*;
+
     /// A `Read` that hands out its script in deliberately tiny pieces —
-    /// adversarial TCP segmentation.
+    /// adversarial TCP segmentation. Piece sizes cycle through `segments`.
     struct Segmented {
         data: Vec<u8>,
         pos: usize,
-        segment: usize,
+        segments: Vec<usize>,
+        reads: usize,
     }
 
     impl Segmented {
-        fn new(data: impl Into<Vec<u8>>, segment: usize) -> Segmented {
+        fn new(data: impl Into<Vec<u8>>, segments: &[usize]) -> Segmented {
             Segmented {
                 data: data.into(),
                 pos: 0,
-                segment,
+                segments: segments.to_vec(),
+                reads: 0,
             }
         }
     }
 
     impl Read for Segmented {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            let n = self.segment.min(buf.len()).min(self.data.len() - self.pos);
+            let segment = self.segments[self.reads % self.segments.len()];
+            self.reads += 1;
+            let n = segment.min(buf.len()).min(self.data.len() - self.pos);
             buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
             self.pos += n;
             Ok(n)
@@ -393,7 +399,7 @@ mod tests {
     }
 
     fn reader(data: impl Into<Vec<u8>>, segment: usize) -> RequestReader<Segmented> {
-        RequestReader::new(Segmented::new(data, segment), Limits::default())
+        RequestReader::new(Segmented::new(data, &[segment]), Limits::default())
     }
 
     #[test]
@@ -488,7 +494,7 @@ mod tests {
             ..Limits::default()
         };
         let msg = format!("GET / HTTP/1.1\r\nX-Big: {}\r\n\r\n", "a".repeat(256));
-        let mut r = RequestReader::new(Segmented::new(msg, 7), limits);
+        let mut r = RequestReader::new(Segmented::new(msg, &[7]), limits);
         assert!(matches!(
             r.next_request().unwrap_err(),
             HttpError::HeadersTooLarge
@@ -502,7 +508,7 @@ mod tests {
             ..Limits::default()
         };
         let msg = "POST / HTTP/1.1\r\nContent-Length: 9\r\n\r\n123456789";
-        let mut r = RequestReader::new(Segmented::new(msg, 1024), limits);
+        let mut r = RequestReader::new(Segmented::new(msg, &[1024]), limits);
         assert!(matches!(
             r.next_request().unwrap_err(),
             HttpError::BodyTooLarge
@@ -552,5 +558,96 @@ mod tests {
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n{\"ok\":true}"));
+    }
+
+    /// Every request read off `data` until clean EOF or the first error;
+    /// `None` when `max_calls` calls of `next_request` did not get there.
+    fn read_all(
+        data: &[u8],
+        segments: &[usize],
+        max_calls: usize,
+    ) -> Option<(Vec<Request>, Option<HttpError>)> {
+        let mut r = RequestReader::new(Segmented::new(data, segments), Limits::default());
+        let mut requests = Vec::new();
+        for _ in 0..max_calls {
+            match r.next_request() {
+                Ok(Some(request)) => requests.push(request),
+                Ok(None) => return Some((requests, None)),
+                Err(e) => return Some((requests, Some(e))),
+            }
+        }
+        None
+    }
+
+    /// One well-formed request: random method, target, version, extension
+    /// headers and body, sometimes with `Connection: close`.
+    fn request() -> impl Strategy<Value = Vec<u8>> {
+        let headers = proptest::collection::vec(("x-[a-z0-9-]{1,10}", "[ -~]{0,20}"), 0..4);
+        let head = (
+            "[A-Z]{1,7}",
+            "/[a-z0-9/?=&%.-]{0,24}",
+            any::<bool>(),
+            headers,
+        );
+        (head, "[ -~]{0,40}", any::<bool>()).prop_map(
+            |((method, target, http10, headers), body, close)| {
+                let version = if http10 { "HTTP/1.0" } else { "HTTP/1.1" };
+                let mut out = format!("{method} {target} {version}\r\n");
+                for (name, value) in headers {
+                    out += &format!("{name}: {value}\r\n");
+                }
+                if close {
+                    out += "Connection: close\r\n";
+                }
+                out += &format!("Content-Length: {}\r\n\r\n{body}", body.len());
+                out.into_bytes()
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn random_bytes_never_panic_and_the_read_loop_ends(
+            data in proptest::collection::vec(0u8..=255, 0..=2048),
+            segments in proptest::collection::vec(1usize..=64, 1..=8),
+        ) {
+            let parsed = read_all(&data, &segments, data.len() / 18 + 2);
+            prop_assert!(parsed.is_some(), "read loop did not end on {} bytes", data.len());
+        }
+
+        #[test]
+        fn segmentation_never_changes_pipelined_requests(
+            messages in proptest::collection::vec(request(), 1..=2),
+            segments in proptest::collection::vec(1usize..=32, 1..=8),
+        ) {
+            let data = messages.concat();
+            let (whole, err) = read_all(&data, &[data.len()], 4).expect("the loop ends");
+            prop_assert!(err.is_none(), "valid requests failed: {err:?}");
+            prop_assert_eq!(whole.len(), messages.len());
+            let (split, err) = read_all(&data, &segments, 4).expect("the loop ends");
+            prop_assert!(err.is_none(), "segments {segments:?} failed: {err:?}");
+            // `Request`'s Debug form covers every field: method, target,
+            // headers, body and keep_alive.
+            prop_assert_eq!(format!("{whole:?}"), format!("{split:?}"));
+        }
+
+        #[test]
+        fn one_byte_mutation_is_a_request_or_a_client_error(
+            message in request(),
+            at in any::<usize>(),
+            byte in 0u8..=255,
+        ) {
+            let mut data = message;
+            let at = at % data.len();
+            data[at] = byte;
+            match RequestReader::new(data.as_slice(), Limits::default()).next_request() {
+                Ok(request) => prop_assert!(request.is_some(), "byte {byte} at {at} read as EOF"),
+                Err(e) => prop_assert!(
+                    matches!(e.status(), 400 | 413 | 431 | 505),
+                    "byte {byte} at {at} gave {e} (status {})",
+                    e.status()
+                ),
+            }
+        }
     }
 }
