@@ -97,10 +97,10 @@ impl SizedLattice {
 /// The measured evaluation time (µs) of every view query of `lattice`,
 /// in lattice order: the learned model's training targets.
 ///
-/// Each view query runs through the generic [`Evaluator`], not the star
-/// path [`sofos_materialize::evaluate_view`] takes for sizing and
-/// materialization, so the targets stay "query evaluation time": what a
-/// query over the base graph costs the engine that answers it.
+/// Each view query runs through the [`Evaluator`], the same join sizing,
+/// materialization and serving run (a star facet's block takes its star
+/// join), so the targets are "query evaluation time": what a query over
+/// the base graph costs the engine that answers it.
 pub fn time_view_queries(
     dataset: &Dataset,
     lattice: &Lattice,

@@ -2,17 +2,15 @@
 //!
 //! These are the programmatic equivalents of the demo GUI's panels
 //! (Figure 3): the lattice view, the selection outcome, and the query
-//! performance analyzer. Structures derive `serde::Serialize` so downstream
-//! users can plug any serializer; SOFOS itself ships text and CSV renderers
-//! (no JSON dependency).
+//! performance analyzer, rendered as text tables and CSV. Machine-readable
+//! reports go through `sofos_telemetry::Json`.
 
 use crate::compare::OnlineOutcome;
 use crate::offline::OfflineOutcome;
 use crate::timing::TimeSummary;
-use serde::Serialize;
 
 /// One cost model's end-to-end measurements.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ModelRow {
     /// Cost model name.
     pub model: String,
@@ -46,7 +44,7 @@ pub struct ModelRow {
 
 /// The cross-model comparison for one dataset + facet (demo step
 /// "Exploring Cost Models"; experiment E1).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ComparisonReport {
     /// Dataset name.
     pub dataset: String,

@@ -37,7 +37,7 @@ pub fn measure_once<T>(f: impl FnOnce() -> T) -> (u64, T) {
 }
 
 /// Summary statistics over a set of per-query times.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeSummary {
     /// Total of all samples (µs).
     pub total_us: u64,

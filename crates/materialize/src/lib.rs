@@ -24,24 +24,18 @@
 //! finest view the set needs is evaluated once and every coarser one is
 //! rolled up from it, so sizing the whole `2^d` lattice and materializing
 //! the selected views each touch the data once. That one evaluation
-//! ([`evaluate_view`]) takes the star path when the facet is a star (one
-//! subject variable, constant predicates, distinct object variables, no
-//! FILTER or OPTIONAL; see [`is_star`]): one id-level pass that joins the
-//! legs through the posting bitmaps and the SPO index and groups on ids.
-//! Every other facet falls back to [`Evaluator`]. Both return the same
-//! rows in the same order.
+//! ([`evaluate_view`]) is the view query run by [`Evaluator`], the same
+//! join that serves queries: a star facet's block takes the evaluator's
+//! star join, any other block its greedy join.
 //!
 //! [`materialize_views`] writes each view's rows straight to id-encoded
 //! triples and bulk-loads them into the view's fresh named graph.
-
-mod star;
 
 use sofos_cube::{component_alias, AggOp, Facet, MaterialComponent, ViewMask};
 use sofos_rdf::vocab::{rdf, sofos};
 use sofos_rdf::{FxHashMap, FxHashSet, Graph, Numeric, Term, TermId, Triple};
 use sofos_sparql::{Evaluator, QueryResults, SparqlError, Value};
 use sofos_store::{Dataset, EncodedTriple};
-use star::Star;
 use std::cmp::Ordering;
 
 /// Sizing and identity of one (possibly virtual) materialized view.
@@ -81,52 +75,19 @@ pub struct MaterializedView {
     pub graph_iri: String,
 }
 
-/// Evaluate a view query over the dataset's default graph.
-///
-/// The result equals `Evaluator::new(dataset).evaluate(&view_query(facet,
-/// mask))`: same columns, rows and row order. A star facet ([`is_star`])
-/// is evaluated in one id-level pass; any other facet goes through the
-/// [`Evaluator`].
+/// Evaluate `view_query(facet, mask)` with the [`Evaluator`].
 pub fn evaluate_view(
     dataset: &Dataset,
     facet: &Facet,
     mask: ViewMask,
 ) -> Result<QueryResults, SparqlError> {
-    match Star::detect(facet) {
-        Some(star) => Ok(star.evaluate(dataset, facet, mask)),
-        None => Evaluator::new(dataset).evaluate(&sofos_cube::view_query(facet, mask)),
-    }
-}
-
-/// Whether [`evaluate_view`] takes the id-level star path for `facet`:
-/// its pattern is one default-graph block of legs `?s p ?o` sharing the
-/// subject variable, with constant predicates and pairwise distinct
-/// object variables other than `?s`.
-pub fn is_star(facet: &Facet) -> bool {
-    Star::detect(facet).is_some()
-}
-
-/// The columns of `view_query(facet, mask)`: the mask's dimension
-/// variables, then the aggregate's component aliases.
-fn view_vars(facet: &Facet, mask: ViewMask) -> Vec<String> {
-    mask.dims()
-        .into_iter()
-        .filter(|&d| d < facet.dim_count())
-        .map(|d| facet.dimensions[d].var.clone())
-        .chain(
-            facet
-                .agg
-                .components()
-                .iter()
-                .map(|&c| component_alias(c).to_string()),
-        )
-        .collect()
+    Evaluator::new(dataset).evaluate(&sofos_cube::view_query(facet, mask))
 }
 
 /// Evaluate the view queries of `masks` with one pass over the data.
 ///
 /// The finest view the request needs, the union of `masks`, is evaluated
-/// once through [`Evaluator`]. Every other mask is then derived, finest
+/// once ([`evaluate_view`]). Every other mask is then derived, finest
 /// level first, from its smallest already-derived superset by
 /// re-aggregating the distributive components: SUM+SUM, COUNT+COUNT,
 /// MIN/MAX by [`Value::total_cmp`], and an unbound (poisoned) SUM stays
@@ -179,7 +140,8 @@ pub fn evaluate_views(
 /// Re-aggregate `parent`, the results of a view covering `mask`, into
 /// `mask`'s groups (see [`evaluate_views`]).
 fn roll_up(facet: &Facet, mask: ViewMask, parent: &QueryResults) -> QueryResults {
-    let vars = view_vars(facet, mask);
+    let query = sofos_cube::view_query(facet, mask);
+    let vars: Vec<String> = query.select.iter().map(|c| c.name().to_string()).collect();
     let column = |name: &str| {
         parent
             .column(name)
@@ -201,27 +163,28 @@ fn roll_up(facet: &Facet, mask: ViewMask, parent: &QueryResults) -> QueryResults
         key.extend(key_columns.iter().map(|&c| row[c].as_ref()));
         groups.push(&key, component_columns.iter().map(|&c| row[c].as_ref()));
     }
-    let rows = groups.finish(|cell| cell.cloned());
-    QueryResults { vars, rows }
+    QueryResults {
+        vars,
+        rows: groups.finish(),
+    }
 }
 
-/// Rows folded into groups in first-occurrence order, one [`Partial`] per
-/// aggregate component: the one roll-up, fed by [`roll_up`] with a
-/// covering view's rows keyed on their cells and by the star path with
-/// base bindings keyed on ids.
-struct Groups<'c, K> {
+/// A covering view's rows folded into `mask`'s groups for [`roll_up`]:
+/// groups keyed on the rows' dimension cells, in first-occurrence order,
+/// with one [`Partial`] per aggregate component.
+struct Groups<'c, 'r> {
     width: usize,
     components: &'c [MaterialComponent],
-    index: FxHashMap<Vec<K>, usize>,
+    index: FxHashMap<Vec<Option<&'r Term>>, usize>,
     /// Group `g`'s key is `keys[g * width..][..width]`.
-    keys: Vec<K>,
+    keys: Vec<Option<&'r Term>>,
     /// Group `g`'s partials are `partials[g * n..][..n]`, `n` being the
     /// number of components.
     partials: Vec<Partial>,
 }
 
-impl<'c, K: Copy + Eq + std::hash::Hash> Groups<'c, K> {
-    fn new(width: usize, components: &'c [MaterialComponent]) -> Groups<'c, K> {
+impl<'c, 'r> Groups<'c, 'r> {
+    fn new(width: usize, components: &'c [MaterialComponent]) -> Groups<'c, 'r> {
         Groups {
             width,
             components,
@@ -235,7 +198,7 @@ impl<'c, K: Copy + Eq + std::hash::Hash> Groups<'c, K> {
         self.partials.len() / self.components.len()
     }
 
-    fn add_group(&mut self, key: &[K]) -> usize {
+    fn add_group(&mut self, key: &[Option<&'r Term>]) -> usize {
         self.keys.extend_from_slice(key);
         self.partials
             .extend(self.components.iter().map(|&c| Partial::new(c)));
@@ -243,7 +206,7 @@ impl<'c, K: Copy + Eq + std::hash::Hash> Groups<'c, K> {
     }
 
     /// Fold one row into its group: its key and one cell per component.
-    fn push<'t>(&mut self, key: &[K], cells: impl Iterator<Item = Option<&'t Term>>) {
+    fn push(&mut self, key: &[Option<&'r Term>], cells: impl Iterator<Item = Option<&'r Term>>) {
         let group = match self.index.get(key) {
             Some(&group) => group,
             None => {
@@ -258,9 +221,8 @@ impl<'c, K: Copy + Eq + std::hash::Hash> Groups<'c, K> {
         }
     }
 
-    /// The groups' rows: the key's cells, resolved by `cell`, then the
-    /// components.
-    fn finish(mut self, cell: impl Fn(K) -> Option<Term>) -> Vec<Vec<Option<Term>>> {
+    /// The groups' rows: the key's cells, then the components.
+    fn finish(mut self) -> Vec<Vec<Option<Term>>> {
         // Aggregation without GROUP BY over zero rows yields one group.
         if self.width == 0 && self.partials.is_empty() {
             self.add_group(&[]);
@@ -271,7 +233,7 @@ impl<'c, K: Copy + Eq + std::hash::Hash> Groups<'c, K> {
             .map(|group| {
                 self.keys[group * self.width..][..self.width]
                     .iter()
-                    .map(|&k| cell(k))
+                    .map(|&cell| cell.cloned())
                     .chain(partials.by_ref().take(n).map(Partial::finish))
                     .collect()
             })
@@ -280,7 +242,7 @@ impl<'c, K: Copy + Eq + std::hash::Hash> Groups<'c, K> {
 }
 
 /// One group's running re-aggregate of one component, fed one cell per
-/// row of a covering view (or, on the star path, per base binding).
+/// row of a covering view.
 enum Partial {
     /// SUM or COUNT; `None` once an unbound or non-numeric part poisoned it.
     Additive(Option<Numeric>),

@@ -1,6 +1,9 @@
-//! Differential check of the star path of [`evaluate_view`] against the
-//! generic [`Evaluator`]: for every view of a facet's lattice, both must
-//! return the same vars, rows and row order.
+//! Differential check of the evaluator's star join against its greedy
+//! join: for every view of a facet's lattice, [`evaluate_view`] (the
+//! [`Evaluator`], whose star join takes star blocks) and
+//! [`Evaluator::greedy_join_reference`] (the greedy join on every block)
+//! must return the same vars, rows and row order. View observation
+//! labels, ids and plan hashes follow that order.
 //!
 //! Star facets are drawn with 1–5 legs, sometimes two legs on one
 //! predicate, the measure on any leg or on the subject, and a dimension
@@ -12,17 +15,22 @@
 //! overlaid by an LSM delta and tombstones from [`Dataset::apply`]
 //! batches. Shapes that are not stars (a chain leg, a shared object
 //! variable, a constant object, FILTER, OPTIONAL, a named graph block)
-//! must take the evaluator path and agree with it too.
+//! must agree too. So must the star blocks serving meets: after a `BIND`
+//! or `VALUES` that binds an unrelated variable (the star join extends a
+//! seeded row), and where the star join declines: under `GRAPH <g>`,
+//! after a `VALUES` that binds the subject or an object, and with a
+//! pushed `?o = <iri>` FILTER.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sofos_cube::{view_query, AggOp, Dimension, Facet, Lattice};
-use sofos_materialize::{evaluate_view, is_star};
+use sofos_materialize::evaluate_view;
 use sofos_rdf::vocab::xsd;
 use sofos_rdf::{Graph, Iri, Literal, Term, Triple};
 use sofos_sparql::{
-    CompareOp, Evaluator, Expr, GraphSpec, GroupPattern, PatternElement, PatternTerm, TriplePattern,
+    CompareOp, Evaluator, Expr, GraphSpec, GroupPattern, PatternElement, PatternTerm, Query,
+    TriplePattern,
 };
 use sofos_store::{Dataset, Delta};
 
@@ -40,21 +48,38 @@ fn leg(s: &str, p: &str, o: &str) -> TriplePattern {
     )
 }
 
-/// Every view of `facet` evaluates the same on both paths.
+/// Every view of `facet` evaluates the same on both joins.
 fn check_lattice(ds: &Dataset, facet: &Facet) -> Result<(), TestCaseError> {
     for mask in Lattice::new(facet.clone()).views() {
-        let generic = Evaluator::new(ds)
+        let greedy = Evaluator::greedy_join_reference(ds)
             .evaluate(&view_query(facet, mask))
             .unwrap();
         let star = evaluate_view(ds, facet, mask).unwrap();
         prop_assert_eq!(
             star,
-            generic,
+            greedy,
             "facet {:?} agg {} mask {}",
             facet.pattern,
             facet.agg,
             mask
         );
+    }
+    Ok(())
+}
+
+/// `SELECT *` over `pattern`, and every view query of `facet` with its
+/// pattern replaced by `pattern`, evaluate the same on both joins.
+fn check_pattern(ds: &Dataset, facet: &Facet, pattern: &GroupPattern) -> Result<(), TestCaseError> {
+    let views = Lattice::new(facet.clone()).views().map(|mask| Query {
+        pattern: pattern.clone(),
+        ..view_query(facet, mask)
+    });
+    for query in views.chain([Query::select_all(pattern.clone())]) {
+        let greedy = Evaluator::greedy_join_reference(ds)
+            .evaluate(&query)
+            .unwrap();
+        let star = Evaluator::new(ds).evaluate(&query).unwrap();
+        prop_assert_eq!(star, greedy, "pattern {:?} agg {}", pattern, facet.agg);
     }
     Ok(())
 }
@@ -153,11 +178,17 @@ fn star_case(
     (default, named, facet)
 }
 
-/// Load `default` and `named`; when `live`, bulk-load only part of the
-/// default graph and bring the rest in, plus churn, through
-/// [`Dataset::apply`] batches, so scans merge the run with a delta and
-/// tombstones.
-fn dataset(default: &[Triple], named: &[(Term, Triple)], live: bool, rng: &mut StdRng) -> Dataset {
+/// Load `default` into the `home` graph (the default graph when `None`)
+/// and `named` into theirs; when `live`, bulk-load only part of `default`
+/// and bring the rest in, plus churn, through [`Dataset::apply`] batches,
+/// so scans merge the run with a delta and tombstones.
+fn dataset(
+    default: &[Triple],
+    named: &[(Term, Triple)],
+    home: Option<&Term>,
+    live: bool,
+    rng: &mut StdRng,
+) -> Dataset {
     let mut ds = Dataset::new();
     let split = if live {
         default.len() / 2
@@ -165,32 +196,33 @@ fn dataset(default: &[Triple], named: &[(Term, Triple)], live: bool, rng: &mut S
         default.len()
     };
     let run: Graph = default[..split].iter().cloned().collect();
-    ds.load(None, &run);
+    let home_id = home.map(|g| ds.intern(g));
+    ds.load(home_id, &run);
     for (graph, t) in named {
         let name = ds.intern(graph);
         ds.insert(Some(name), &t.subject, &t.predicate, &t.object);
     }
+    let put = |delta: &mut Delta, t: &Triple, insert: bool| {
+        let (s, p, o) = (t.subject.clone(), t.predicate.clone(), t.object.clone());
+        match (home, insert) {
+            (None, true) => delta.insert(s, p, o),
+            (None, false) => delta.delete(s, p, o),
+            (Some(g), true) => delta.insert_into(g.clone(), s, p, o),
+            (Some(g), false) => delta.delete_from(g.clone(), s, p, o),
+        };
+    };
     if live {
         for batch in default[split..].chunks(7) {
             let mut delta = Delta::new();
             for t in batch {
-                delta.insert(t.subject.clone(), t.predicate.clone(), t.object.clone());
+                put(&mut delta, t, true);
             }
             // Churn: delete a run triple (a tombstone), and sometimes put
             // one back in a later batch.
             let victim = &default[rng.gen_range(0..split.max(1)).min(default.len() - 1)];
-            delta.delete(
-                victim.subject.clone(),
-                victim.predicate.clone(),
-                victim.object.clone(),
-            );
+            put(&mut delta, victim, false);
             if rng.gen_range(0..3) == 0 {
-                let back = &default[rng.gen_range(0..default.len())];
-                delta.insert(
-                    back.subject.clone(),
-                    back.predicate.clone(),
-                    back.object.clone(),
-                );
+                put(&mut delta, &default[rng.gen_range(0..default.len())], true);
             }
             ds.apply(delta);
         }
@@ -211,13 +243,29 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let (default, named, facet) = star_case(legs, subjects, AggOp::ALL[agg], &mut rng);
-        prop_assert!(is_star(&facet));
-        let ds = dataset(&default, &named, live, &mut rng);
+        let ds = dataset(&default, &named, None, live, &mut rng);
         check_lattice(&ds, &facet)?;
     }
 
     #[test]
-    fn other_shapes_take_the_evaluator_path(
+    fn star_blocks_in_serving_shapes(
+        shape in 0usize..5,
+        legs in 1usize..=4,
+        agg in 0usize..5,
+        subjects in 0usize..30,
+        live in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (default, named, facet) = star_case(legs, subjects, AggOp::ALL[agg], &mut rng);
+        let home = (shape == 0).then(|| iri("g0"));
+        let ds = dataset(&default, &named, home.as_ref(), live, &mut rng);
+        let pattern = serving_shape(shape, &facet, &default, &mut rng);
+        check_pattern(&ds, &facet, &pattern)?;
+    }
+
+    #[test]
+    fn other_shapes_agree(
         shape in 0usize..6,
         agg in 0usize..5,
         subjects in 0usize..30,
@@ -229,11 +277,94 @@ proptest! {
         for v in 0..3 {
             default.push(Triple::new_unchecked(iri(format!("v0_{v}")), iri("p1"), value(&mut rng, 1)));
         }
-        let ds = dataset(&default, &named, false, &mut rng);
+        let ds = dataset(&default, &named, None, false, &mut rng);
         let facet = non_star(shape, AggOp::ALL[agg]);
-        prop_assert!(!is_star(&facet), "shape {}", shape);
         check_lattice(&ds, &facet)?;
     }
+}
+
+/// A star facet's block as serving meets it: 0 under `GRAPH <g0>`, 1
+/// after a `BIND` of an unrelated variable, 2 after a one- or two-row
+/// `VALUES` of one, 3 after a `VALUES` binding the subject or an object
+/// to terms drawn from `data`, 4 with a pushed `?o = <iri>` FILTER.
+fn serving_shape(shape: usize, facet: &Facet, data: &[Triple], rng: &mut StdRng) -> GroupPattern {
+    let [PatternElement::Triples { patterns, .. }] = facet.pattern.elements.as_slice() else {
+        unreachable!("a star facet is one triples block")
+    };
+    let block = PatternElement::Triples {
+        graph: GraphSpec::Default,
+        patterns: patterns.clone(),
+    };
+    let var = |t: &PatternTerm| match t {
+        PatternTerm::Var(v) => v.clone(),
+        PatternTerm::Const(_) => unreachable!("star legs are ?s <p> ?o"),
+    };
+    // One leg's object variable, or the subject, and a term it may take.
+    let leg = &patterns[rng.gen_range(0..patterns.len())];
+    let objects: Vec<&Term> = data
+        .iter()
+        .filter(|t| PatternTerm::Const(t.predicate.clone()) == leg.predicate)
+        .map(|t| &t.object)
+        .collect();
+    let object = match objects.len() {
+        0 => iri("v0_0"),
+        n => objects[rng.gen_range(0..n)].clone(),
+    };
+    let elements = match shape {
+        0 => vec![PatternElement::Triples {
+            graph: GraphSpec::Named(Iri::new_unchecked(format!("{NS}g0"))),
+            patterns: patterns.clone(),
+        }],
+        1 => vec![
+            PatternElement::Bind {
+                expr: Expr::Const(Term::literal_str("k")),
+                var: "z".into(),
+            },
+            block,
+        ],
+        2 => {
+            let rows = (0..rng.gen_range(1..=2))
+                .map(|i| vec![Some(iri(format!("z{i}")))])
+                .collect();
+            vec![
+                PatternElement::Values {
+                    vars: vec!["z".into()],
+                    rows,
+                },
+                block,
+            ]
+        }
+        3 => {
+            let (bound, term) = if rng.gen_range(0..2) == 0 {
+                let subject = data.get(rng.gen_range(0..data.len().max(1)));
+                (
+                    var(&leg.subject),
+                    subject.map_or(iri("s4"), |t| t.subject.clone()),
+                )
+            } else {
+                (var(&leg.object), object)
+            };
+            vec![
+                PatternElement::Values {
+                    vars: vec![bound],
+                    rows: vec![vec![Some(term)]],
+                },
+                block,
+            ]
+        }
+        _ => vec![
+            block,
+            PatternElement::Filter(Expr::Compare(
+                CompareOp::Eq,
+                Box::new(Expr::var(var(&leg.object))),
+                Box::new(Expr::Const(match object {
+                    iri @ Term::Iri(_) => iri,
+                    _ => self::iri("v0_0"),
+                })),
+            )),
+        ],
+    };
+    GroupPattern { elements }
 }
 
 /// Facets that are not stars: 0 a chain leg, 1 a shared object

@@ -41,14 +41,20 @@ pub enum DecodeError {
     Checksum,
     /// A snapshot file did not start with the expected magic/version.
     BadMagic,
-    /// A replayed record's dictionary tail does not continue the
-    /// dataset's dictionary (mixed lineages; see the module docs of
-    /// [`crate::persist`]).
+    /// A snapshot's dictionary repeats a term, so re-interning it would
+    /// not give every term the id it was written under.
     DictMismatch {
-        /// The id the record expects to assign next.
+        /// The id the repeated term was written under.
         expected: u64,
-        /// The dictionary length actually found.
+        /// The id re-interning gives it: its first copy's.
         found: u64,
+    },
+    /// A triple or graph name uses an id its dictionary does not hold.
+    IdOutOfRange {
+        /// The offending id.
+        id: u64,
+        /// The dictionary length.
+        len: u64,
     },
 }
 
@@ -61,10 +67,12 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadTag(tag) => write!(f, "unknown term tag {tag}"),
             DecodeError::Checksum => f.write_str("checksum mismatch"),
             DecodeError::BadMagic => f.write_str("bad magic or version"),
-            DecodeError::DictMismatch { expected, found } => write!(
-                f,
-                "dictionary tail expects next id {expected}, dataset has {found} terms"
-            ),
+            DecodeError::DictMismatch { expected, found } => {
+                write!(f, "dictionary term {expected} re-interns as id {found}")
+            }
+            DecodeError::IdOutOfRange { id, len } => {
+                write!(f, "term id {id} is past the dictionary's {len} terms")
+            }
         }
     }
 }

@@ -31,9 +31,10 @@
 //! baseline snapshot before serving, or the next recovery would find a
 //! gap between the snapshot's dictionary and the first log record's
 //! `dict_start`. [`Persister::baseline`] exists for exactly that; a
-//! [`DecodeError::DictMismatch`] during replay means that invariant was
-//! violated externally, and replay stops at the last consistent record
-//! rather than guessing.
+//! record whose `dict_start` is not the dictionary's length means that
+//! invariant was violated externally, and replay stops at the last
+//! consistent record rather than guessing. It stops as well at a record
+//! whose ids the dictionary would not resolve.
 //!
 //! ## What is (and is not) persisted
 //!
@@ -56,7 +57,7 @@ pub use snapshot::SnapshotData;
 
 use crate::dataset::Dataset;
 use crate::delta::ChangeSet;
-use sofos_rdf::Dictionary;
+use sofos_rdf::{Dictionary, FxHashSet, TermId};
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -251,9 +252,10 @@ impl Persister {
             if record.epoch <= snapshot_epoch {
                 continue;
             }
-            if record.dict_start != dataset.dict().len() as u64 {
-                // Mixed lineage (see module docs): stop at the last
-                // consistent record instead of applying wrong ids.
+            if record.dict_start != dataset.dict().len() as u64 || !ids_in_range(&dataset, record) {
+                // Mixed lineage (see module docs) or ids the dictionary
+                // would not hold: stop at the last consistent record
+                // instead of applying wrong ids.
                 break;
             }
             apply_record(&mut dataset, record);
@@ -406,8 +408,26 @@ impl Persister {
     }
 }
 
+/// Whether replaying `record` onto `dataset`, whose dictionary holds
+/// `record.dict_start` terms, resolves every id: its tail interns only
+/// fresh terms, and its ids stay below `dict_start + dict_tail.len()`.
+fn ids_in_range(dataset: &Dataset, record: &Record) -> bool {
+    let mut tail = FxHashSet::default();
+    let mut terms = record.dict_tail.iter();
+    let fresh = terms.all(|term| dataset.dict().get_id(term).is_none() && tail.insert(term));
+    let len = record.dict_start + record.dict_tail.len() as u64;
+    let in_range = |id: &TermId| u64::from(id.0) < len;
+    let mut names = record.graphs.iter().filter_map(|ops| ops.graph.as_ref());
+    let mut triples = record
+        .graphs
+        .iter()
+        .flat_map(|ops| ops.inserted.iter().chain(&ops.removed));
+    fresh && names.all(in_range) && triples.all(|triple| triple.iter().all(in_range))
+}
+
 /// Replay one record's mutations onto a dataset whose dictionary length
-/// equals the record's `dict_start` (the caller checks).
+/// equals the record's `dict_start` and which resolves the record's ids
+/// (the caller checks both).
 fn apply_record(dataset: &mut Dataset, record: &Record) {
     for term in &record.dict_tail {
         dataset.intern(term);

@@ -30,7 +30,7 @@ use super::encode::{put_varint, DecodeError, Reader};
 use super::log::{frame, put_dictionary};
 use crate::dataset::Dataset;
 use crate::pattern::EncodedTriple;
-use sofos_rdf::{Term, TermId};
+use sofos_rdf::{FxHashMap, Term, TermId};
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -102,7 +102,8 @@ pub fn encode_snapshot(dataset: &Dataset, epoch: u64, catalog: &[(u64, u64)]) ->
     out
 }
 
-/// Decode a snapshot payload. Never panics on malformed input.
+/// Decode a snapshot payload. Never panics on malformed input, nor
+/// returns ids that the rebuilt dataset would not resolve.
 pub fn decode_snapshot(payload: &[u8]) -> Result<SnapshotData, DecodeError> {
     let mut r = Reader::new(payload);
     let mut magic = [0u8; 4];
@@ -144,6 +145,31 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<SnapshotData, DecodeError> {
     }
     if !r.is_empty() {
         return Err(DecodeError::Checksum);
+    }
+    // Re-interning the dictionary must reproduce every id the triples use.
+    let mut ids: FxHashMap<&Term, u64> = FxHashMap::default();
+    for (id, term) in (0..).zip(&dict) {
+        let found = *ids.entry(term).or_insert(id);
+        if found != id {
+            return Err(DecodeError::DictMismatch {
+                expected: id,
+                found,
+            });
+        }
+    }
+    let len = dict.len() as u64;
+    let names = named.iter().map(|(name, _)| name);
+    let triples = default_graph
+        .iter()
+        .chain(named.iter().flat_map(|(_, t)| t));
+    if let Some(id) = names
+        .chain(triples.flatten())
+        .find(|id| u64::from(id.0) >= len)
+    {
+        return Err(DecodeError::IdOutOfRange {
+            id: id.0.into(),
+            len,
+        });
     }
     Ok(SnapshotData {
         epoch,

@@ -2,14 +2,22 @@
 //! epoch log and snapshot files can carry round-trips bit-exactly, and
 //! no corrupted or truncated input can panic a decoder — recovery reads
 //! whatever a crash left on disk, so the decoders' total-function
-//! contract is load-bearing, not cosmetic.
+//! contract is load-bearing, not cosmetic. Nor can a corrupted snapshot
+//! or record load ids its dictionary does not hold: they would panic
+//! the first query instead of the decoder.
 
 use proptest::prelude::*;
 use sofos_rdf::{Iri, Literal, Term, TermId};
+use sofos_sparql::{
+    Evaluator, GraphSpec, GroupPattern, PatternElement, PatternTerm, Query, TriplePattern,
+};
 use sofos_store::persist::encode::{put_term, put_triple, Reader};
 use sofos_store::persist::log::{frame, scan, GraphOps, Record};
-use sofos_store::persist::snapshot::decode_snapshot;
-use sofos_store::EncodedTriple;
+use sofos_store::persist::snapshot::{decode_snapshot, encode_snapshot, write_snapshot};
+use sofos_store::persist::LOG_FILE;
+use sofos_store::{Dataset, DurabilityConfig, EncodedTriple, Persister};
+use std::fs;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 // ---------------------------------------------------------------------------
 // Strategies
@@ -176,5 +184,125 @@ proptest! {
         let _ = decode_snapshot(&bytes);
         let mut reader = Reader::new(&bytes);
         while reader.term().is_ok() {}
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile input: decoded ids resolve
+// ---------------------------------------------------------------------------
+
+/// A small dataset over `terms`: each `(s, p, o, named)` index triple
+/// goes to the default graph or to the graph named by `terms[0]`.
+fn small_dataset(terms: &[Term], triples: &[(usize, usize, usize, bool)]) -> Dataset {
+    let mut ds = Dataset::new();
+    let name = ds.intern(&terms[0]);
+    for &(s, p, o, named) in triples {
+        let [s, p, o] = [s, p, o].map(|i| &terms[i % terms.len()]);
+        ds.insert(named.then_some(name), s, p, o);
+    }
+    ds
+}
+
+/// Every graph name and triple id of `ds` resolves, and a query over
+/// each graph runs.
+fn resolves_everywhere(ds: &Dataset) -> Result<(), TestCaseError> {
+    let any = vec![TriplePattern::new(
+        PatternTerm::var("s"),
+        PatternTerm::var("p"),
+        PatternTerm::var("o"),
+    )];
+    let mut graphs = vec![(None, GraphSpec::Default)];
+    for name in ds.graph_names() {
+        prop_assert!(ds.dict().term(name).is_ok(), "graph name {:?}", name);
+        if let Term::Iri(iri) = ds.term(name) {
+            graphs.push((Some(name), GraphSpec::Named(iri.clone())));
+        }
+    }
+    for (name, graph) in graphs {
+        for triple in ds.graph(name).into_iter().flat_map(|g| g.iter()) {
+            for id in triple {
+                prop_assert!(ds.dict().term(id).is_ok(), "id {:?} in {:?}", id, name);
+            }
+        }
+        let pattern = GroupPattern {
+            elements: vec![PatternElement::Triples {
+                graph,
+                patterns: any.clone(),
+            }],
+        };
+        prop_assert!(Evaluator::new(ds)
+            .evaluate(&Query::select_all(pattern))
+            .is_ok());
+    }
+    Ok(())
+}
+
+fn flip(bytes: &mut [u8], at: f64, bits: u8) {
+    let pos = ((bytes.len() as f64 * at) as usize).min(bytes.len() - 1);
+    bytes[pos] ^= bits;
+}
+
+proptest! {
+    /// A one-byte mutation of a valid snapshot payload decodes to a
+    /// dataset whose every id resolves, or to an error.
+    #[test]
+    fn mutated_snapshots_resolve_or_error(
+        terms in proptest::collection::vec(term_strategy(), 1..6),
+        triples in proptest::collection::vec((0usize..6, 0usize..6, 0usize..6, any::<bool>()), 0..16),
+        at in 0.0f64..1.0,
+        bits in 1u8..=255,
+    ) {
+        let mut payload = encode_snapshot(&small_dataset(&terms, &triples), 1, &[]);
+        flip(&mut payload, at, bits);
+        if let Ok(data) = decode_snapshot(&payload) {
+            resolves_everywhere(&data.into_dataset())?;
+        }
+    }
+
+    /// A one-byte mutation of a valid record payload, framed anew so its
+    /// checksum holds, either replays to a dataset whose every id
+    /// resolves or is not replayed.
+    #[test]
+    fn mutated_records_resolve_or_stop(
+        terms in proptest::collection::vec(term_strategy(), 1..6),
+        triples in proptest::collection::vec((0usize..6, 0usize..6, 0usize..6, any::<bool>()), 0..16),
+        tail in proptest::collection::vec(term_strategy(), 0..3),
+        fresh in proptest::collection::vec((0usize..9, 0usize..9, 0usize..9, any::<bool>()), 1..6),
+        at in 0.0f64..1.0,
+        bits in 1u8..=255,
+    ) {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "sofos-mutated-record-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        fs::create_dir_all(&dir).expect("scratch dir creates");
+        let base = small_dataset(&terms, &triples);
+        write_snapshot(&dir, &base, 1, &[], false).expect("snapshot writes");
+        let dict_start = base.dict().len();
+        let mut dict_tail: Vec<Term> = Vec::new();
+        for term in tail {
+            if base.dict().get_id(&term).is_none() && !dict_tail.contains(&term) {
+                dict_tail.push(term);
+            }
+        }
+        let len = (dict_start + dict_tail.len()) as u32;
+        let name = TermId(0);
+        let mut graphs = vec![GraphOps { graph: None, inserted: Vec::new(), removed: Vec::new() }];
+        graphs.push(GraphOps { graph: Some(name), ..graphs[0].clone() });
+        for (s, p, o, named) in fresh {
+            let triple = [s, p, o].map(|i| TermId(i as u32 % len));
+            graphs[usize::from(named)].inserted.push(triple);
+        }
+        let record = Record { epoch: 2, dict_start: dict_start as u64, dict_tail, catalog: None, graphs };
+        let mut payload = record.encode_payload();
+        flip(&mut payload, at, bits);
+        fs::write(dir.join(LOG_FILE), frame(&payload)).expect("log writes");
+        let (_, recovered) = Persister::open(DurabilityConfig::new(&dir).fsync(false))
+            .expect("recovery opens");
+        let result = resolves_everywhere(&recovered.expect("state exists").dataset);
+        let _ = fs::remove_dir_all(&dir);
+        result?;
     }
 }
