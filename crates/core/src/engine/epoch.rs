@@ -186,6 +186,8 @@ impl Engine {
             let snapshot = self.store.pin();
             self.metrics
                 .record_index(&snapshot.dataset().posting_stats());
+            self.metrics
+                .record_unmerged(snapshot.dataset().unmerged_entries());
         }
     }
 

@@ -35,6 +35,7 @@
 //! | `sofos_index_bytes` | gauge | estimated bytes held by bitmap posting lists across all graphs |
 //! | `sofos_index_posting_lists` | gauge | live posting lists (per-predicate + per-(predicate, value)) |
 //! | `sofos_index_updates_total` | counter | incremental posting-list maintenance operations |
+//! | `sofos_index_unmerged_entries` | gauge | delta plus tombstone index entries not yet merged into the runs, summed over graphs |
 //! | `sofos_persisted_epoch` | gauge | newest epoch covered by the durable log |
 //! | `sofos_persist_log_bytes` | gauge | bytes appended to the epoch log since boot |
 //! | `sofos_persist_fsyncs` | gauge | fsync calls issued by the persistence layer |
@@ -74,6 +75,7 @@ pub(crate) struct EngineInstruments {
     index_bytes: Arc<Gauge>,
     index_posting_lists: Arc<Gauge>,
     index_updates: Arc<Counter>,
+    index_unmerged_entries: Arc<Gauge>,
     /// Last posting-list update total pushed to `index_updates` — the
     /// store-side totals sum per-graph counters that can shrink when a
     /// graph is dropped or replaced, so the counter advances by the
@@ -185,6 +187,11 @@ impl EngineInstruments {
                 &b,
             ),
             index_updates_reported: AtomicU64::new(0),
+            index_unmerged_entries: handle.gauge(
+                "sofos_index_unmerged_entries",
+                "Delta plus tombstone index entries not yet merged into the runs, across all graphs",
+                &b,
+            ),
             persisted_epoch: handle.gauge(
                 "sofos_persisted_epoch",
                 "Newest epoch covered by the durable log",
@@ -359,6 +366,15 @@ impl EngineInstruments {
             .index_updates_reported
             .swap(stats.updates, Ordering::Relaxed);
         self.index_updates.add(stats.updates.saturating_sub(last));
+    }
+
+    /// The published snapshot's unmerged index entries (see
+    /// `Dataset::unmerged_entries`): what scans read beside the runs.
+    pub(crate) fn record_unmerged(&self, entries: usize) {
+        if !self.handle.is_enabled() {
+            return;
+        }
+        self.index_unmerged_entries.set(entries as u64);
     }
 
     /// A failed maintenance or repair pass.

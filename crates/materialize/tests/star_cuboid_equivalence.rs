@@ -12,7 +12,7 @@
 //! including differently spelled equal numbers, under all five
 //! aggregates; triples in named graphs that share the facet's subjects
 //! and predicates; and, in half the cases, a live store whose run is
-//! overlaid by an LSM delta and tombstones from [`Dataset::apply`]
+//! overlaid by the pending inserts and removes of [`Dataset::apply`]
 //! batches. Shapes that are not stars (a chain leg, a shared object
 //! variable, a constant object, FILTER, OPTIONAL, a named graph block)
 //! must agree too. So must the star blocks serving meets: after a `BIND`

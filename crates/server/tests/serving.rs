@@ -240,6 +240,10 @@ fn end_to_end_read_your_write_over_keep_alive() {
         body.contains("sofos_index_updates_total"),
         "index update counter exported: {body}"
     );
+    assert!(
+        body.contains("sofos_index_unmerged_entries"),
+        "unmerged index entries exported: {body}"
+    );
     // The adaptive-selection instruments are pre-registered at engine
     // construction, so they scrape even before any re-selection runs.
     assert!(

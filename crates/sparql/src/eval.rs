@@ -9,16 +9,19 @@
 //! # Index probes
 //!
 //! Each pass of the join over one leg opens one [`ScanCursor`] on the
-//! graph and probes it once per input row. The cursor remembers, per
-//! permutation index, the last probe's key prefix and the index position
-//! just past its matches. A probe whose prefix sorts after the last one
-//! gallops forward from that position (steps of doubling length, then a
-//! binary search of the last step), so it costs the log of the distance
-//! skipped, not of the index.
+//! graph and probes it once per input row. An index is a sorted run plus
+//! sorted delta and tombstone slices (a published snapshot has nothing
+//! else; the writer's own reads also see its overlay). The cursor
+//! remembers, per permutation index, the last probe's key prefix and the
+//! position just past its matches in each slice. A probe whose prefix
+//! sorts after the last one gallops every slice forward from there (steps
+//! of doubling length, then a binary search of the last step), so it
+//! costs the log of the distance skipped, not of the index, and it skips
+//! tombstoned keys by walking the tombstone range in step with the run's.
 //! Rows reach a star's later legs in the first leg's (object, subject)
 //! order, so their subject probes ascend in long runs. Any other prefix —
 //! a repeat, or one going back when the first leg's object changes —
-//! falls back to the binary search of the whole index a plain
+//! falls back to the binary searches of the whole slices a plain
 //! `GraphStore::scan` does. A probe yields exactly the triples a plain
 //! scan yields, in the same order, so answers and row order do not
 //! depend on the cursor.

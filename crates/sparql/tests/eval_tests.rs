@@ -588,16 +588,19 @@ fn union_bind_values_render_and_reparse() {
 }
 
 /// Observations whose triples sit in the index runs, then batches of
-/// inserts, deletes and re-inserts applied through `Dataset::apply`, too
-/// few to reach the merge threshold: the graph reads through a pending
-/// delta and tombstones. Every query — star, chain, pushed filter,
-/// OPTIONAL, each pattern shape — answers, rows and order, exactly like
-/// the same graph after a merge.
+/// inserts, deletes and re-inserts, too few to reach the merge threshold,
+/// read in three states: all of them in the writer's overlay
+/// (`Dataset::apply`, no publish), all of them frozen into the published
+/// delta and tombstone slices (`EpochStore::apply`), and half published
+/// with the other half in an open transaction's overlay. In each state
+/// every query — star, chain, pushed filter, OPTIONAL, each pattern
+/// shape — answers, rows and order, exactly like the same graph after a
+/// merge.
 #[test]
 fn unmerged_store_answers_like_merged() {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use sofos_store::Delta;
+    use sofos_store::{Delta, EpochStore};
 
     let country = iri("country");
     let language = iri("language");
@@ -655,16 +658,17 @@ fn unmerged_store_answers_like_merged() {
 
     for seed in 0..8u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut ds = Dataset::new();
+        let mut base = Dataset::new();
         for _ in 0..1500 {
             let [s, p, o] = triple(&mut rng);
-            ds.insert(None, &s, &p, &o);
+            base.insert(None, &s, &p, &o);
         }
-        ds.optimize();
+        base.optimize();
         let mut removed = Vec::new();
-        for _ in 0..6 {
+        let mut batches = Vec::new();
+        for _ in 0..4 {
             let mut delta = Delta::new();
-            for _ in 0..40 {
+            for _ in 0..30 {
                 let [s, p, o] = match rng.gen_range(0..4) {
                     0 if !removed.is_empty() => removed.swap_remove(0),
                     0 | 1 => triple(&mut rng),
@@ -677,16 +681,49 @@ fn unmerged_store_answers_like_merged() {
                 };
                 delta.insert(s, p, o);
             }
-            ds.apply(delta);
+            batches.push(delta);
         }
-        let mut merged = ds.clone();
+
+        let mut overlaid = base.clone();
+        for delta in &batches {
+            overlaid.apply(delta.clone());
+        }
+        let published = EpochStore::new(base.clone());
+        for delta in &batches {
+            published.apply(delta.clone());
+        }
+        let both = EpochStore::new(base);
+        let (first, second) = batches.split_at(2);
+        for delta in first {
+            both.apply(delta.clone());
+        }
+        let mut txn = both.begin();
+        for delta in second {
+            txn.dataset().apply(delta.clone());
+        }
+        let mut merged = overlaid.clone();
         merged.optimize();
-        assert!(
-            ds.estimated_bytes() > merged.estimated_bytes(),
-            "seed {seed}: the batches stay in the delta and tombstones"
-        );
-        for query in &queries {
-            assert_eq!(run(&ds, query), run(&merged, query), "seed {seed}: {query}");
+        assert_eq!(merged.unmerged_entries() + merged.overlay_entries(), 0);
+
+        let snapshot = published.pin();
+        let states: [(&str, &Dataset, bool, bool); 3] = [
+            ("overlay", &overlaid, false, true),
+            ("slices", snapshot.dataset(), true, false),
+            ("slices + overlay", txn.dataset(), true, true),
+        ];
+        for (state, ds, slices, overlay) in states {
+            assert_eq!(
+                (ds.unmerged_entries() > 0, ds.overlay_entries() > 0),
+                (slices, overlay),
+                "seed {seed}: the {state} state is unmerged as intended"
+            );
+            for query in &queries {
+                assert_eq!(
+                    run(ds, query),
+                    run(&merged, query),
+                    "seed {seed}, {state}: {query}"
+                );
+            }
         }
     }
 }

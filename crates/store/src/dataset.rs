@@ -21,12 +21,14 @@ pub type GraphName = Option<TermId>;
 /// The dictionary sits behind an [`Arc`] with copy-on-write semantics:
 /// cloning a dataset — which the epoch store does once per published
 /// snapshot — shares the (large, append-only) term table. Together with
-/// the `Arc`-shared index runs ([`crate::index::PermIndex`]), the
-/// `Arc`-shared bitmap containers of the posting lists and the chunked
-/// copy-on-write named-graph map ([`GraphMap`]), the clone costs
-/// O(recent writes + predicates + graph-map chunks) and nothing per
-/// triple: untouched view graphs cost nothing per clone, no matter how
-/// many are materialized. The dataset keeps no statistics of its own to
+/// the `Arc`-shared index slices ([`crate::index::PermIndex`]: run,
+/// delta and tombstones, with the writer's overlay folded into them by
+/// [`Dataset::freeze`] before the clone), the `Arc`-shared bitmap
+/// containers of the posting lists and the chunked copy-on-write
+/// named-graph map ([`GraphMap`]), the clone costs O(predicates +
+/// graph-map chunks) and nothing per triple or per pending write:
+/// untouched view graphs cost nothing per clone, no matter how many are
+/// materialized. The dataset keeps no statistics of its own to
 /// copy; [`crate::GraphStats::compute`] reads them off the default graph.
 /// The *writer's* first genuinely-new-term intern after a publish
 /// re-copies the term table (lookups of known terms never detach), so a
@@ -112,10 +114,10 @@ impl Dataset {
     }
 
     /// Apply a batched [`Delta`] — the transactional write path of the
-    /// living graph. Operations run in order through the LSM-lite index
-    /// deltas (inserts into the B-tree deltas, deletes as tombstones);
-    /// no-ops (inserting a present triple, deleting an absent one) are
-    /// counted but have no effect. Returns the **net** [`ChangeSet`] per
+    /// living graph. Operations run in order into the indexes' write
+    /// overlays (see [`crate::index::PermIndex`]); no-ops (inserting a
+    /// present triple, deleting an absent one) are counted but have no
+    /// effect. Returns the **net** [`ChangeSet`] per
     /// graph, with intra-batch insert/delete pairs cancelled — the input
     /// the view-maintenance engine consumes.
     pub fn apply(&mut self, delta: Delta) -> ChangeSet {
@@ -269,6 +271,41 @@ impl Dataset {
             total.merge(store.posting_stats());
         }
         total
+    }
+
+    /// Index entries not yet merged into the runs — delta and tombstone
+    /// slices — summed over the default and all named graphs (the
+    /// `sofos_index_unmerged_entries` gauge reads this).
+    pub fn unmerged_entries(&self) -> usize {
+        self.default_graph.unmerged_entries()
+            + self
+                .named
+                .values()
+                .map(GraphStore::unmerged_entries)
+                .sum::<usize>()
+    }
+
+    /// Pending writes in the graphs' overlays, summed like
+    /// [`Dataset::unmerged_entries`]; zero after [`Dataset::freeze`].
+    pub fn overlay_entries(&self) -> usize {
+        self.default_graph.overlay_entries()
+            + self
+                .named
+                .values()
+                .map(GraphStore::overlay_entries)
+                .sum::<usize>()
+    }
+
+    /// Fold every graph's pending writes into its sorted index slices
+    /// ([`GraphStore::freeze`]), so a clone copies no index entry and
+    /// reads slices only. [`crate::EpochStore`] does this before it
+    /// clones the master into a snapshot. Graphs without pending writes
+    /// are not touched, and named-graph chunks holding only such graphs
+    /// stay shared with earlier snapshots.
+    pub fn freeze(&mut self) {
+        self.default_graph.freeze();
+        self.named
+            .update_where(|g| g.overlay_entries() > 0, GraphStore::freeze);
     }
 
     /// Force-merge all graphs' index deltas.

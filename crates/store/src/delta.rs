@@ -4,8 +4,8 @@
 //! reproduction into a *serving* system needs a principled update path.
 //! A [`Delta`] is a batch of term-level insert/delete operations against
 //! any graph of the dataset. [`crate::Dataset::apply`] pushes the batch
-//! through the LSM-lite permutation indexes (inserts land in the B-tree
-//! deltas, deletes become tombstones) and emits a [`ChangeSet`]: the *net*
+//! into the permutation indexes' write overlays (folded into sorted delta
+//! and tombstone slices at the next publish) and emits a [`ChangeSet`]: the *net*
 //! triple changes per graph, with intra-batch insert/delete pairs
 //! cancelled. The change set is what downstream consumers — above all the
 //! `sofos-maintain` view-maintenance engine — use to propagate base-graph

@@ -11,11 +11,14 @@
 //!   for a writer's batch, only for the (nanosecond-scale) pointer swap
 //!   of a publish.
 //! * **publish** — the single writer mutates its private master dataset
-//!   inside a [`WriteTxn`] and then publishes: the master is cloned into
-//!   a fresh snapshot (cheap — index runs and the dictionary are
-//!   `Arc`-shared, see [`crate::index::PermIndex`] and
-//!   [`crate::Dataset`]) and swapped in atomically. Readers pinned to
-//!   older epochs are undisturbed; new pins see the new epoch.
+//!   inside a [`WriteTxn`] and then publishes: the master's pending index
+//!   writes are frozen into sorted slices ([`crate::Dataset::freeze`]),
+//!   then the master is cloned into a fresh snapshot (cheap — every index
+//!   slice and the dictionary are `Arc`-shared, see
+//!   [`crate::index::PermIndex`] and [`crate::Dataset`]) and swapped in
+//!   atomically. A snapshot therefore scans sorted slices only, never a
+//!   B-tree. Readers pinned to older epochs are undisturbed; new pins see
+//!   the new epoch.
 //! * **retire** — when the last reader of an old snapshot drops its
 //!   `Arc`, the snapshot's memory is released and the store's retired
 //!   counter ticks. Nothing is ever freed under a reader, and a publish
@@ -107,7 +110,8 @@ impl EpochStore {
         EpochStore::build(dataset, epoch, Some(persister))
     }
 
-    fn build(dataset: Dataset, epoch: u64, persist: Option<Arc<Persister>>) -> EpochStore {
+    fn build(mut dataset: Dataset, epoch: u64, persist: Option<Arc<Persister>>) -> EpochStore {
+        dataset.freeze();
         let retired = Arc::new(AtomicU64::new(0));
         let snapshot = Arc::new(Snapshot {
             epoch,
@@ -231,10 +235,11 @@ impl<'a> WriteTxn<'a> {
     }
 
     /// Build the next epoch's snapshot — the expensive part of a publish
-    /// (cloning the master) — without making it visible yet. The returned
-    /// [`PreparedTxn`] still holds the writer lock; its `publish` is a
-    /// pointer swap.
-    pub fn prepare(self) -> PreparedTxn<'a> {
+    /// (freezing the master's pending index writes, then cloning it) —
+    /// without making it visible yet. The returned [`PreparedTxn`] still
+    /// holds the writer lock; its `publish` is a pointer swap.
+    pub fn prepare(mut self) -> PreparedTxn<'a> {
+        self.guard.freeze();
         let epoch = self.store.epoch.load(Ordering::Acquire) + 1;
         let snapshot = Arc::new(Snapshot {
             epoch,
@@ -456,6 +461,25 @@ mod tests {
             map_before.shared_chunks(map_after),
             map_after.chunk_count(),
             "a default-graph-only epoch re-clones no named graph"
+        );
+
+        // A write to one named graph detaches its chunk alone: the publish
+        // freezes that graph and leaves every other chunk shared.
+        let mut txn = store.begin();
+        let g0 = txn.dataset().intern_iri("http://e/g0");
+        txn.dataset()
+            .insert(Some(g0), &term("s2"), &term("p"), &term("o"));
+        txn.publish();
+        let last = store.pin();
+        assert_eq!(
+            map_after.shared_chunks(last.dataset().named_graphs()),
+            map_after.chunk_count() - 1
+        );
+        assert_eq!(last.dataset().overlay_entries(), 0);
+        assert_eq!(
+            last.dataset().unmerged_entries(),
+            12,
+            "one pending triple per graph, two in g0"
         );
     }
 

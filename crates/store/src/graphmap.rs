@@ -127,6 +127,23 @@ impl GraphMap {
             .flat_map(|c| Arc::make_mut(c).values_mut())
     }
 
+    /// Apply `update` to every graph `pick` selects, detaching only the
+    /// chunks that hold one: the others stay shared with every clone.
+    pub(crate) fn update_where(
+        &mut self,
+        pick: impl Fn(&GraphStore) -> bool,
+        mut update: impl FnMut(&mut GraphStore),
+    ) {
+        for chunk in &mut self.chunks {
+            if chunk.values().any(&pick) {
+                Arc::make_mut(chunk)
+                    .values_mut()
+                    .filter(|g| pick(g))
+                    .for_each(&mut update);
+            }
+        }
+    }
+
     /// How many chunks this map still shares with `other` — the measure
     /// of how cheap the divergence between two clones was.
     pub fn shared_chunks(&self, other: &GraphMap) -> usize {

@@ -1,12 +1,20 @@
 //! Permutation indexes and the per-graph store.
 //!
 //! Each [`PermIndex`] keeps the graph's triples in one of three sort orders
-//! (SPO, POS, OSP) as an LSM-lite pair: a large sorted *run* (`Vec`) plus a
-//! small *delta* (`BTreeSet`) absorbing inserts. When the delta outgrows a
-//! threshold it is merged into the run. Prefix range scans over both halves
-//! are merged on the fly, so readers always see one sorted stream. A
-//! [`ScanCursor`] answers a sequence of scans, galloping forward through a
-//! run while their prefixes ascend instead of searching all of it.
+//! (SPO, POS, OSP) in three sorted slices, each shared by [`Arc`]: a large
+//! *run*, a small *delta* of keys the run lacks, and *tombstones* masking
+//! run keys that were removed. The open write transaction's inserts and
+//! removes go to a small per-index *overlay* (key → present) instead;
+//! [`GraphStore::freeze`] folds it into the delta and tombstones in one
+//! linear merge, which is what a publish does before cloning
+//! ([`crate::epoch::WriteTxn::prepare`]), so a published snapshot reads
+//! sorted slices only. Once the delta, tombstones and overlay together
+//! reach `max(64, run / 8)` entries, the graph merges them into its runs.
+//! A prefix scan walks the run and delta ranges in step and skips
+//! tombstones by a lockstep walk, so readers see one sorted stream. A
+//! [`ScanCursor`] answers a sequence of scans, galloping forward through
+//! every slice while their prefixes ascend instead of searching all of
+//! them.
 //!
 //! The three orders cover all eight triple-pattern shapes exactly (no
 //! residual filtering):
@@ -26,12 +34,13 @@ use crate::bitmap::Bitmap;
 use crate::pattern::{EncodedTriple, IdPattern};
 use crate::posting::{PostingLists, PostingStats};
 use sofos_rdf::TermId;
-use std::collections::BTreeSet;
+use std::collections::btree_map::{self, BTreeMap, Entry};
+use std::iter::Peekable;
 use std::sync::Arc;
 
-/// Delta is merged into the run once it exceeds
-/// `max(MERGE_MIN, run.len() / MERGE_RATIO)` entries.
-const MERGE_MIN: usize = 4096;
+/// A graph merges its unmerged entries (delta, tombstones and overlay)
+/// into its runs once they reach `max(MERGE_MIN, run.len() / MERGE_RATIO)`.
+const MERGE_MIN: usize = 64;
 const MERGE_RATIO: usize = 8;
 
 /// The three triple orderings kept by a [`GraphStore`].
@@ -67,22 +76,34 @@ impl Perm {
     }
 }
 
-/// One sort order over the graph's triples: sorted run + B-tree delta,
-/// plus a tombstone set masking deletions from the run until the next
-/// merge folds them away (classic LSM delete handling).
+/// A sorted slice of keys, shared by every snapshot that holds it. Its
+/// length sits in the pointer, so a scan learns that the slice is empty
+/// without reading the shared allocation.
+type Slice = Arc<[EncodedTriple]>;
+
+/// One sort order over the graph's triples: a sorted run, a sorted delta
+/// of keys the run lacks and sorted tombstones masking run keys, plus the
+/// writer's overlay of changes not yet folded into them.
 ///
-/// The run is behind an [`Arc`] so cloning an index — the epoch-snapshot
-/// publish path ([`crate::epoch::EpochStore`]) clones every graph per
-/// batch — shares the large sorted body and copies only the small delta
-/// and tombstone sets. Mutation never writes through the `Arc`: inserts
-/// and removes land in the owned B-trees, and a merge *replaces* the run
-/// wholesale, so pinned snapshots keep reading the run they captured.
+/// The three slices are behind [`Arc`]s, so cloning an index — the
+/// epoch-snapshot publish path ([`crate::epoch::EpochStore`]) clones
+/// every graph per batch — copies none of them, and the overlay is empty
+/// by then. Mutation never writes through an `Arc`: inserts and removes
+/// land in the owned overlay, and a freeze or a merge *replaces* slices
+/// wholesale, so pinned snapshots keep reading the slices they captured.
 #[derive(Debug, Clone)]
 pub struct PermIndex {
     perm: Perm,
+    /// Held as a `Vec` so that a merge or bulk load installs the vector it
+    /// built without copying it.
     run: Arc<Vec<EncodedTriple>>,
-    delta: BTreeSet<EncodedTriple>,
-    tombstones: BTreeSet<EncodedTriple>,
+    /// Sorted, disjoint from the run.
+    delta: Slice,
+    /// Sorted, a subset of the run.
+    tombstones: Slice,
+    /// Keys whose presence differs from the slices': `true` for a key the
+    /// slices lack, `false` for one they hold.
+    overlay: BTreeMap<EncodedTriple, bool>,
 }
 
 impl PermIndex {
@@ -90,9 +111,10 @@ impl PermIndex {
     pub fn new(perm: Perm) -> PermIndex {
         PermIndex {
             perm,
-            run: Arc::new(Vec::new()),
-            delta: BTreeSet::new(),
-            tombstones: BTreeSet::new(),
+            run: Arc::default(),
+            delta: Slice::default(),
+            tombstones: Slice::default(),
+            overlay: BTreeMap::new(),
         }
     }
 
@@ -101,77 +123,128 @@ impl PermIndex {
         self.perm
     }
 
-    /// Insert an `(s,p,o)` triple. The caller (the [`GraphStore`]) is
-    /// responsible for cross-structure duplicate checks.
+    /// Insert an `(s,p,o)` triple the index does not hold. The caller (the
+    /// [`GraphStore`]) checks membership first.
     fn insert(&mut self, triple: EncodedTriple) {
-        let key = self.perm.permute(triple);
-        self.tombstones.remove(&key);
-        if self.run.binary_search(&key).is_err() {
-            self.delta.insert(key);
-        }
-        if self.delta.len() >= MERGE_MIN.max(self.run.len() / MERGE_RATIO) {
-            self.merge();
+        match self.overlay.entry(self.perm.permute(triple)) {
+            // Removed earlier in this transaction: the slices hold it.
+            Entry::Occupied(removed) => {
+                debug_assert!(!removed.get());
+                removed.remove();
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(true);
+            }
         }
     }
 
-    /// Remove an `(s,p,o)` triple: drop it from the delta, or tombstone it
-    /// when it lives in the run.
+    /// Remove an `(s,p,o)` triple the index holds.
     fn remove(&mut self, triple: &EncodedTriple) {
-        let key = self.perm.permute(*triple);
-        if !self.delta.remove(&key) && self.run.binary_search(&key).is_ok() {
-            self.tombstones.insert(key);
+        match self.overlay.entry(self.perm.permute(*triple)) {
+            // Inserted earlier in this transaction: the slices lack it.
+            Entry::Occupied(inserted) => {
+                debug_assert!(inserted.get());
+                inserted.remove();
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(false);
+            }
         }
     }
 
     /// Membership test for an `(s,p,o)` triple.
     fn contains(&self, triple: &EncodedTriple) -> bool {
         let key = self.perm.permute(*triple);
-        if self.tombstones.contains(&key) {
-            return false;
+        if let Some(&present) = self.overlay.get(&key) {
+            return present;
         }
-        self.delta.contains(&key) || self.run.binary_search(&key).is_ok()
+        self.delta.binary_search(&key).is_ok()
+            || (self.run.binary_search(&key).is_ok()
+                && self.tombstones.binary_search(&key).is_err())
     }
 
-    /// Fold the delta into the run and drop tombstoned entries
-    /// (single merge pass, preserves order).
+    /// Delta and tombstone entries plus overlay entries: what a merge
+    /// would fold into the run.
+    fn unmerged(&self) -> usize {
+        self.delta.len() + self.tombstones.len() + self.overlay.len()
+    }
+
+    /// Fold the overlay into new delta and tombstone slices in one pass
+    /// over the three, leaving the overlay empty.
+    fn freeze(&mut self) {
+        if self.overlay.is_empty() {
+            return;
+        }
+        let overlay = std::mem::take(&mut self.overlay);
+        let mut delta = Vec::with_capacity(self.delta.len() + overlay.len());
+        let mut tombstones = Vec::with_capacity(self.tombstones.len() + overlay.len());
+        let (mut d, mut t) = (0, 0);
+        for (key, present) in overlay {
+            d = copy_below(&self.delta, d, &key, &mut delta);
+            t = copy_below(&self.tombstones, t, &key, &mut tombstones);
+            if present {
+                // The slices lack the key: it is a tombstoned run key or
+                // new to the delta.
+                if self.tombstones.get(t) == Some(&key) {
+                    t += 1;
+                } else {
+                    delta.push(key);
+                }
+            } else if self.delta.get(d) == Some(&key) {
+                d += 1;
+            } else {
+                tombstones.push(key);
+            }
+        }
+        delta.extend_from_slice(&self.delta[d..]);
+        tombstones.extend_from_slice(&self.tombstones[t..]);
+        self.delta = delta.into();
+        self.tombstones = tombstones.into();
+    }
+
+    /// Fold the overlay, the delta and the tombstones into a new run
+    /// (one pass, copying the run in stretches between their keys).
     pub fn merge(&mut self) {
+        self.freeze();
         if self.delta.is_empty() && self.tombstones.is_empty() {
             return;
         }
-        let delta = std::mem::take(&mut self.delta);
-        let tombstones = std::mem::take(&mut self.tombstones);
-        let mut merged = Vec::with_capacity(self.run.len() + delta.len());
-        // Pinned snapshots may share the run: merge reads it by reference
-        // and installs a fresh `Arc`, leaving theirs untouched.
-        let mut run_iter = self.run.iter().copied().peekable();
-        let mut delta_iter = delta.into_iter().peekable();
+        let (run, delta, tombstones) = (&self.run, &self.delta, &self.tombstones);
+        let mut merged = Vec::with_capacity(run.len() + delta.len() - tombstones.len());
+        let (mut d, mut t, mut from) = (0, 0, 0);
         loop {
-            let next = match (run_iter.peek(), delta_iter.peek()) {
-                (Some(a), Some(b)) => {
-                    if a <= b {
-                        run_iter.next().expect("peeked")
-                    } else {
-                        delta_iter.next().expect("peeked")
-                    }
-                }
-                (Some(_), None) => run_iter.next().expect("peeked"),
-                (None, Some(_)) => delta_iter.next().expect("peeked"),
+            // Delta keys are not in the run and tombstones are, so the two
+            // never share a key.
+            let (key, tombstone) = match (delta.get(d), tombstones.get(t)) {
+                (Some(dk), Some(tk)) if tk < dk => (tk, true),
+                (Some(dk), _) => (dk, false),
+                (None, Some(tk)) => (tk, true),
                 (None, None) => break,
             };
-            if !tombstones.contains(&next) {
-                merged.push(next);
+            from = copy_below(run, from, key, &mut merged);
+            if tombstone {
+                debug_assert_eq!(run.get(from), Some(key));
+                from += 1;
+                t += 1;
+            } else {
+                merged.push(*key);
+                d += 1;
             }
         }
+        merged.extend_from_slice(&run[from..]);
         self.run = Arc::new(merged);
+        self.delta = Slice::default();
+        self.tombstones = Slice::default();
     }
 
     /// Bulk-build from already-deduplicated triples (generator fast path).
     fn bulk_load(&mut self, triples: &[EncodedTriple]) {
         let mut keys: Vec<EncodedTriple> = triples.iter().map(|t| self.perm.permute(*t)).collect();
         keys.sort_unstable();
-        self.run = Arc::new(keys);
-        self.delta.clear();
-        self.tombstones.clear();
+        *self = PermIndex {
+            run: Arc::new(keys),
+            ..PermIndex::new(self.perm)
+        };
     }
 
     /// The `(low, high)` key bounds matching a prefix of bound values.
@@ -188,57 +261,99 @@ impl PermIndex {
     /// Scan all triples whose permuted key starts with `prefix`, yielding
     /// `(s,p,o)` triples in permuted-key order.
     pub fn scan_prefix(&self, prefix: &[TermId]) -> PrefixScan<'_> {
-        self.seek_prefix(prefix, &mut None)
+        self.seek_prefix(prefix, &mut Seek::default())
     }
 
     /// [`PermIndex::scan_prefix`] that resumes from `seek`, the high key
-    /// bound of the last prefix read here and the run position just past
-    /// it. A prefix sorting after that bound gallops forward from the
-    /// position; any other prefix binary-searches the whole run. Either
-    /// way `seek` is left just past `prefix`.
-    fn seek_prefix(&self, prefix: &[TermId], seek: &mut Seek) -> PrefixScan<'_> {
+    /// bound of the last prefix read here and the position just past it in
+    /// each slice. A prefix sorting after that bound gallops forward from
+    /// the positions; any other prefix binary-searches each whole slice.
+    /// Either way `seek` is left just past `prefix`.
+    fn seek_prefix<'s>(&'s self, prefix: &[TermId], seek: &mut Seek) -> PrefixScan<'s> {
         debug_assert!(prefix.len() <= 3);
         let (low, high) = Self::prefix_bounds(prefix);
-        let start = match *seek {
-            Some((last, end)) if low > last => gallop(&self.run, end, |k| *k < low),
-            _ => self.run.partition_point(|k| *k < low),
+        let resume = seek.last.is_some_and(|last| low > last);
+        let [run, delta, tombstones] = &mut seek.ends;
+        let run = seek_slice(&self.run, resume, low, high, run);
+        // A merged index has neither, and skips both with one branch.
+        let (delta, tombstones) = if self.delta.is_empty() && self.tombstones.is_empty() {
+            (&[][..], &[][..])
+        } else {
+            (
+                seek_slice(&self.delta, resume, low, high, delta),
+                seek_slice(&self.tombstones, resume, low, high, tombstones),
+            )
         };
-        let end = gallop(&self.run, start, |k| *k <= high);
-        *seek = Some((high, end));
-        self.scan_run_range(start, end, low, high)
-    }
-
-    fn scan_run_range(
-        &self,
-        start: usize,
-        end: usize,
-        low: EncodedTriple,
-        high: EncodedTriple,
-    ) -> PrefixScan<'_> {
+        let slices = Slices {
+            run,
+            delta,
+            tombstones,
+        };
+        seek.last = Some(high);
         PrefixScan {
             perm: self.perm,
-            run: &self.run[start..end],
-            run_pos: 0,
-            delta: self.delta.range(low..=high),
-            delta_next: None,
-            tombstones: &self.tombstones,
+            slices,
+            overlay: if self.overlay.is_empty() {
+                None
+            } else {
+                Overlaid::over(self.overlay.range(low..=high))
+            },
         }
     }
 
     /// Number of triples whose key starts with `prefix` (without yielding).
     pub fn count_prefix(&self, prefix: &[TermId]) -> usize {
         let (low, high) = Self::prefix_bounds(prefix);
-        let start = self.run.partition_point(|k| *k < low);
-        let end = self.run.partition_point(|k| *k <= high);
-        (end - start) + self.delta.range(low..=high).count()
-            - self.tombstones.range(low..=high).count()
+        let within = |slice: &[EncodedTriple]| {
+            slice.partition_point(|k| *k <= high) - slice.partition_point(|k| *k < low)
+        };
+        // Tombstones are run keys, and every overlay removal is a key the
+        // slices hold, so neither subtraction can underflow.
+        let slices = within(&self.run) + within(&self.delta) - within(&self.tombstones);
+        self.overlay.range(low..=high).fold(
+            slices,
+            |n, (_, &present)| if present { n + 1 } else { n - 1 },
+        )
     }
 
-    /// Heap footprint estimate: 12 bytes per run entry, ~48 per delta /
-    /// tombstone entry (B-tree node overhead).
+    /// Heap footprint estimate: 12 bytes per run, delta and tombstone
+    /// entry, ~48 per overlay entry (B-tree node overhead).
     pub fn estimated_bytes(&self) -> usize {
-        self.run.len() * 12 + (self.delta.len() + self.tombstones.len()) * 48
+        (self.run.len() + self.delta.len() + self.tombstones.len()) * 12 + self.overlay.len() * 48
     }
+}
+
+/// The range of `slice` between `low` and `high`, galloping forward from
+/// `pos` when `resume` is set and binary-searching the whole slice
+/// otherwise; `pos` is left just past the range.
+#[inline]
+fn seek_slice<'s>(
+    slice: &'s [EncodedTriple],
+    resume: bool,
+    low: EncodedTriple,
+    high: EncodedTriple,
+    pos: &mut usize,
+) -> &'s [EncodedTriple] {
+    let start = if resume {
+        gallop(slice, *pos, |k| *k < low)
+    } else {
+        slice.partition_point(|k| *k < low)
+    };
+    *pos = gallop(slice, start, |k| *k <= high);
+    &slice[start..*pos]
+}
+
+/// Copy the keys of `slice` from `from` up to the first one not below
+/// `key` into `out`, galloping to it; returns that key's position.
+fn copy_below(
+    slice: &[EncodedTriple],
+    from: usize,
+    key: &EncodedTriple,
+    out: &mut Vec<EncodedTriple>,
+) -> usize {
+    let end = gallop(slice, from, |k| k < key);
+    out.extend_from_slice(&slice[from..end]);
+    end
 }
 
 /// The first position at or after `from` whose key fails `before`, for a
@@ -259,70 +374,147 @@ fn gallop(run: &[EncodedTriple], from: usize, before: impl Fn(&EncodedTriple) ->
     low + run[low..high].partition_point(before)
 }
 
-/// Sorted merge of the run slice and the delta range for one prefix scan.
-pub struct PrefixScan<'a> {
-    perm: Perm,
+/// One prefix's ranges of the three slices of a [`PermIndex`].
+struct Slices<'a> {
     run: &'a [EncodedTriple],
-    run_pos: usize,
-    delta: std::collections::btree_set::Range<'a, EncodedTriple>,
-    delta_next: Option<&'a EncodedTriple>,
-    tombstones: &'a BTreeSet<EncodedTriple>,
+    delta: &'a [EncodedTriple],
+    tombstones: &'a [EncodedTriple],
 }
 
-impl<'a> Iterator for PrefixScan<'a> {
+impl Iterator for Slices<'_> {
     type Item = EncodedTriple;
 
+    /// The run and delta ranges merged in key order, tombstoned run keys
+    /// skipped as the walk meets them.
+    #[inline]
     fn next(&mut self) -> Option<EncodedTriple> {
         loop {
-            if self.delta_next.is_none() {
-                self.delta_next = self.delta.next();
-            }
-            let run_head = self.run.get(self.run_pos);
-            let key = match (run_head, self.delta_next) {
-                (Some(r), Some(d)) => {
-                    if r <= d {
-                        self.run_pos += 1;
-                        *r
-                    } else {
-                        self.delta_next = None;
-                        *d
-                    }
+            let key = match (self.run.split_first(), self.delta.split_first()) {
+                (Some((&r, rest)), Some((&d, _))) if r < d => {
+                    self.run = rest;
+                    r
                 }
-                (Some(r), None) => {
-                    self.run_pos += 1;
-                    *r
+                (_, Some((&d, rest))) => {
+                    self.delta = rest;
+                    d
                 }
-                (None, Some(d)) => {
-                    self.delta_next = None;
-                    *d
+                (Some((&r, rest)), None) => {
+                    self.run = rest;
+                    r
                 }
                 (None, None) => return None,
             };
-            if !self.tombstones.contains(&key) {
-                return Some(self.perm.invert(key));
+            match self.tombstones.split_first() {
+                Some((&t, rest)) if t == key => self.tombstones = rest,
+                _ => return Some(key),
             }
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let lower = self.run.len() - self.run_pos;
-        (lower, None)
+        // The tombstones left are all run keys still ahead.
+        let left = self.run.len() + self.delta.len() - self.tombstones.len();
+        (left, Some(left))
+    }
+}
+
+/// One prefix scan: the index's slices, overlaid by the writer's pending
+/// changes when there are any.
+pub struct PrefixScan<'a> {
+    perm: Perm,
+    slices: Slices<'a>,
+    /// `None` when the overlay holds nothing in the scan's range, as on
+    /// every published snapshot. Boxed to keep the snapshot's scans small.
+    overlay: Option<Box<Overlaid<'a>>>,
+}
+
+/// The writer's overlay over one prefix scan.
+struct Overlaid<'a> {
+    range: Peekable<btree_map::Range<'a, EncodedTriple, bool>>,
+    /// The slices' next key, peeked while merging in the overlay.
+    slice_next: Option<EncodedTriple>,
+}
+
+impl<'a> Overlaid<'a> {
+    /// The overlay's entries in one scan's range, if there are any.
+    fn over(range: btree_map::Range<'a, EncodedTriple, bool>) -> Option<Box<Overlaid<'a>>> {
+        let mut range = range.peekable();
+        range.peek()?;
+        Some(Box::new(Overlaid {
+            range,
+            slice_next: None,
+        }))
+    }
+
+    /// The next key of `slices` with the overlay applied: its insertions
+    /// merged in, its removals skipped. Out of line, so that
+    /// [`PrefixScan::next`] stays small enough to inline into readers.
+    #[inline(never)]
+    fn next(&mut self, slices: &mut Slices<'a>) -> Option<EncodedTriple> {
+        loop {
+            if self.slice_next.is_none() {
+                self.slice_next = slices.next();
+            }
+            match (self.slice_next, self.range.peek()) {
+                (slice_key, Some(&(&key, &present))) if slice_key.is_none_or(|s| key <= s) => {
+                    self.range.next();
+                    if slice_key == Some(key) {
+                        self.slice_next = None;
+                    }
+                    if present {
+                        return Some(key);
+                    }
+                }
+                (slice_key, _) => {
+                    self.slice_next = None;
+                    return slice_key;
+                }
+            }
+        }
+    }
+}
+
+impl Iterator for PrefixScan<'_> {
+    type Item = EncodedTriple;
+
+    // Inlinable, like `Slices::next`, so that readers in other crates
+    // (the evaluator's joins) step through a snapshot's slices without a
+    // call per key.
+    #[inline]
+    fn next(&mut self) -> Option<EncodedTriple> {
+        let key = match &mut self.overlay {
+            None => self.slices.next(),
+            Some(overlay) => overlay.next(&mut self.slices),
+        };
+        key.map(|k| self.perm.invert(k))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self.overlay {
+            None => self.slices.size_hint(),
+            Some(_) => (0, None),
+        }
     }
 }
 
 /// Where a [`ScanCursor`] left one permutation index: the high key bound
-/// of the last prefix read and the run position just past it.
-type Seek = Option<(EncodedTriple, usize)>;
+/// of the last prefix read and, in the run, delta and tombstone slices,
+/// the position just past it.
+#[derive(Clone, Copy, Default)]
+struct Seek {
+    last: Option<EncodedTriple>,
+    ends: [usize; 3],
+}
 
 /// A cursor that answers [`GraphStore::scan`] for a sequence of patterns,
-/// remembering per permutation index where the last scan ended. Patterns
-/// whose index prefixes come in ascending order — the subjects of a join
-/// leg probed in subject order, say — gallop forward from there, so a run
-/// of probes costs about one forward pass over the index instead of one
-/// binary search of the whole index each. A prefix not after the last one
-/// on its index is answered by a fresh binary search, as by
-/// [`GraphStore::scan`]. Every scan yields what `scan` yields, in the same
-/// order.
+/// remembering per permutation index where the last scan ended in each of
+/// its slices. Patterns whose index prefixes come in ascending order — the
+/// subjects of a join leg probed in subject order, say — gallop every
+/// slice forward from there, so a run of probes costs about one forward
+/// pass over the index instead of one binary search of the whole index
+/// each. A prefix not after the last one on its index is answered by a
+/// fresh binary search, as by [`GraphStore::scan`]. Every scan yields what
+/// `scan` yields, in the same order.
 pub struct ScanCursor<'a> {
     store: &'a GraphStore,
     spo: Seek,
@@ -389,6 +581,7 @@ impl GraphStore {
         self.osp.insert(triple);
         self.posting.note_insert(&triple);
         self.len += 1;
+        self.merge_if_due();
         true
     }
 
@@ -405,7 +598,17 @@ impl GraphStore {
         let last = self.spo.count_prefix(&triple[..2]) == 0;
         self.posting.note_remove(triple, last);
         self.len -= 1;
+        self.merge_if_due();
         true
+    }
+
+    /// Merge the indexes once their unmerged entries reach the threshold.
+    /// The three indexes take every mutation and merge together, so one
+    /// of them decides for all.
+    fn merge_if_due(&mut self) {
+        if self.spo.unmerged() >= MERGE_MIN.max(self.spo.run.len() / MERGE_RATIO) {
+            self.optimize();
+        }
     }
 
     /// Replace the contents from a batch (deduplicates; fastest load path).
@@ -441,6 +644,27 @@ impl GraphStore {
         self.osp.merge();
     }
 
+    /// Fold the writer's overlay into the indexes' delta and tombstone
+    /// slices, so that a clone shares every slice and its scans read
+    /// slices only. A graph without pending writes is left as it is.
+    pub fn freeze(&mut self) {
+        self.spo.freeze();
+        self.pos.freeze();
+        self.osp.freeze();
+    }
+
+    /// Triples in the delta and tombstone slices (each index holds the
+    /// same number): the unmerged part a published snapshot reads.
+    pub fn unmerged_entries(&self) -> usize {
+        self.spo.delta.len() + self.spo.tombstones.len()
+    }
+
+    /// Pending writes in the overlay, not yet folded by
+    /// [`GraphStore::freeze`].
+    pub fn overlay_entries(&self) -> usize {
+        self.spo.overlay.len()
+    }
+
     /// Scan triples matching an [`IdPattern`], dispatching to the index
     /// that turns the bound positions into a key prefix.
     pub fn scan(&self, pattern: IdPattern) -> PrefixScan<'_> {
@@ -453,9 +677,9 @@ impl GraphStore {
     pub fn scan_cursor(&self) -> ScanCursor<'_> {
         ScanCursor {
             store: self,
-            spo: None,
-            pos: None,
-            osp: None,
+            spo: Seek::default(),
+            pos: Seek::default(),
+            osp: Seek::default(),
         }
     }
 
@@ -719,6 +943,74 @@ mod tests {
     }
 
     #[test]
+    fn freeze_folds_the_overlay_into_shared_slices() {
+        let mut g = GraphStore::new();
+        g.bulk_load((0..200u32).map(|i| t(i, i % 3, i % 7)).collect());
+        for i in 0..20u32 {
+            g.remove(&t(i, i % 3, i % 7));
+            g.insert(t(1000 + i, 1, 1));
+        }
+        // Re-insert a tombstoned key and remove a delta key, both in the
+        // overlay over frozen slices.
+        g.freeze();
+        g.insert(t(0, 0, 0));
+        g.remove(&t(1000, 1, 1));
+        let before: Vec<EncodedTriple> = g.iter().collect();
+        assert_eq!(g.overlay_entries(), 2);
+        assert_eq!(g.unmerged_entries(), 40);
+
+        g.freeze();
+        assert_eq!(g.overlay_entries(), 0);
+        assert_eq!(
+            g.unmerged_entries(),
+            38,
+            "each overlay entry cancels a slice entry"
+        );
+        assert_eq!(g.iter().collect::<Vec<_>>(), before);
+        assert_eq!(g.count(IdPattern::ANY), before.len());
+
+        let snapshot = g.clone();
+        for (a, b) in [(&g.spo, &snapshot.spo), (&g.pos, &snapshot.pos)] {
+            assert!(Arc::ptr_eq(&a.run, &b.run));
+            assert!(Arc::ptr_eq(&a.delta, &b.delta));
+            assert!(Arc::ptr_eq(&a.tombstones, &b.tombstones));
+        }
+        // The writer's next change leaves the snapshot's slices as they are.
+        g.insert(t(5000, 0, 0));
+        g.freeze();
+        assert!(!snapshot.contains(&t(5000, 0, 0)));
+        assert_eq!(snapshot.iter().collect::<Vec<_>>(), before);
+    }
+
+    /// Removes with no inserts reach the merge threshold too: tombstones
+    /// never outgrow `max(MERGE_MIN, run / MERGE_RATIO)`, publish after
+    /// publish, and the merges shrink the run.
+    #[test]
+    fn delete_only_streams_merge() {
+        let mut g = GraphStore::new();
+        g.bulk_load((0..4000u32).map(|i| t(i, i % 5, i % 11)).collect());
+        for i in 0..4000u32 {
+            assert!(g.remove(&t(i, i % 5, i % 11)));
+            if i % 16 == 15 {
+                g.freeze();
+            }
+            let bound = MERGE_MIN.max(g.spo.run.len() / MERGE_RATIO);
+            assert!(
+                g.unmerged_entries() + g.overlay_entries() < bound,
+                "after {} removes: {} tombstones over a run of {}",
+                i + 1,
+                g.unmerged_entries(),
+                g.spo.run.len()
+            );
+        }
+        assert!(g.is_empty());
+        assert!(
+            g.spo.run.len() < MERGE_MIN,
+            "merges dropped the removed keys"
+        );
+    }
+
+    #[test]
     fn bytes_scale_with_size() {
         let mut g = GraphStore::new();
         let empty = g.estimated_bytes();
@@ -864,11 +1156,14 @@ mod proptests {
         }
 
         /// Mixed inserts and removes: the store agrees with a reference
-        /// set model on contains / scan / count, across merges.
+        /// set model on contains / scan / count, across freezes (as a
+        /// publish makes), forced merges and the merges the threshold
+        /// triggers, both with pending writes in the overlay and with all
+        /// of them frozen into slices.
         #[test]
         fn deletes_agree_with_set_model(
             ops in proptest::collection::vec(
-                (proptest::bool::weighted(0.7), arb_triple(), proptest::bool::ANY),
+                (proptest::bool::weighted(0.7), arb_triple(), 0u8..10),
                 0..300,
             ),
             pattern in arb_pattern(),
@@ -881,25 +1176,36 @@ mod proptests {
             g.register_value_preds(&preds);
             let mut model: std::collections::BTreeSet<EncodedTriple> =
                 std::collections::BTreeSet::new();
-            for (is_insert, triple, merge_after) in ops {
+            for (is_insert, triple, step) in ops {
                 if is_insert {
                     prop_assert_eq!(g.insert(triple), model.insert(triple));
                 } else {
                     prop_assert_eq!(g.remove(&triple), model.remove(&triple));
                 }
-                if merge_after {
-                    g.optimize();
+                match step {
+                    0 => g.optimize(),
+                    1 | 2 => g.freeze(),
+                    _ => {}
                 }
             }
             prop_assert_eq!(g.len(), model.len());
             let expected: Vec<EncodedTriple> =
                 model.iter().copied().filter(|t| pattern.matches(t)).collect();
-            // Scans yield in the dispatched index's key order (SPO/POS/OSP
-            // depending on the pattern shape), so compare as sorted sets.
-            let mut actual: Vec<EncodedTriple> = g.scan(pattern).collect();
-            actual.sort_unstable();
-            prop_assert_eq!(&actual, &expected);
-            prop_assert_eq!(g.count(pattern), expected.len());
+            let mut frozen = g.clone();
+            frozen.freeze();
+            prop_assert_eq!(frozen.overlay_entries(), 0);
+            for store in [&g, &frozen] {
+                // Scans yield in the dispatched index's key order
+                // (SPO/POS/OSP depending on the pattern shape), so compare
+                // as sorted sets.
+                let mut actual: Vec<EncodedTriple> = store.scan(pattern).collect();
+                actual.sort_unstable();
+                prop_assert_eq!(&actual, &expected);
+                prop_assert_eq!(store.count(pattern), expected.len());
+                for t in &model {
+                    prop_assert!(store.contains(t));
+                }
+            }
 
             // The posting lists stayed consistent with the model: exact
             // per-predicate triple counts and subject bitmaps.
@@ -917,27 +1223,42 @@ mod proptests {
             }
         }
 
-        /// A scan cursor reads what a plain scan reads, triples and order,
-        /// for all eight pattern shapes interleaved on one cursor, over a
-        /// run overlaid by a pending delta and tombstones. The patterns
+        /// A scan cursor reads what a plain scan reads and what a set
+        /// model holds, triples and order, for all eight pattern shapes
+        /// interleaved on one cursor. The store is a run overlaid by
+        /// removes and inserts, frozen into delta and tombstone slices at
+        /// one point and left in the overlay after it (a merge may fire in
+        /// between); the same store fully frozen is read too. The patterns
         /// come in generated order (prefixes going back), or sorted so
-        /// each index sees ascending prefixes, and some are repeated.
+        /// each index sees ascending prefixes, and some are repeated, so
+        /// the cursor's positions in every slice are exercised.
         #[test]
         fn subject_cursor_agrees_with_scans(
             run in proptest::collection::vec(arb_triple(), 0..300),
-            ops in proptest::collection::vec((proptest::bool::ANY, arb_triple()), 0..60),
+            ops in proptest::collection::vec(
+                (proptest::bool::ANY, arb_triple(), 0usize..1000),
+                0..100,
+            ),
+            freeze_at in 0usize..100,
             probes in proptest::collection::vec((arb_pattern(), 1usize..3), 0..40),
             sorted in proptest::bool::ANY,
         ) {
             let mut g = GraphStore::new();
-            g.bulk_load(run);
-            for (insert, triple) in ops {
+            g.bulk_load(run.clone());
+            let mut model: std::collections::BTreeSet<EncodedTriple> = run.into_iter().collect();
+            for (i, (insert, triple, pick)) in ops.into_iter().enumerate() {
+                if i == freeze_at {
+                    g.freeze();
+                }
                 if insert {
-                    g.insert(triple);
-                } else {
-                    g.remove(&triple);
+                    prop_assert_eq!(g.insert(triple), model.insert(triple));
+                } else if let Some(&victim) = model.iter().nth(pick % model.len().max(1)) {
+                    prop_assert!(g.remove(&victim));
+                    model.remove(&victim);
                 }
             }
+            let mut frozen = g.clone();
+            frozen.freeze();
             let mut patterns: Vec<IdPattern> = probes
                 .into_iter()
                 .flat_map(|(pattern, times)| std::iter::repeat_n(pattern, times))
@@ -959,16 +1280,19 @@ mod proptests {
                     }
                 }
             }
-            let mut cursor = g.scan_cursor();
-            for pattern in patterns {
-                let read: Vec<EncodedTriple> = cursor.scan(pattern).collect();
-                let scan: Vec<EncodedTriple> = g.scan(pattern).collect();
-                let perm = index_of(pattern);
-                let mut naive: Vec<EncodedTriple> =
-                    g.iter().filter(|t| pattern.matches(t)).collect();
-                naive.sort_unstable_by_key(|t| perm.permute(*t));
-                prop_assert_eq!(&read, &scan, "pattern {:?}", pattern);
-                prop_assert_eq!(&read, &naive, "pattern {:?}", pattern);
+            for store in [&g, &frozen] {
+                let mut cursor = store.scan_cursor();
+                for &pattern in &patterns {
+                    let read: Vec<EncodedTriple> = cursor.scan(pattern).collect();
+                    let scan: Vec<EncodedTriple> = store.scan(pattern).collect();
+                    let perm = index_of(pattern);
+                    let mut naive: Vec<EncodedTriple> =
+                        model.iter().copied().filter(|t| pattern.matches(t)).collect();
+                    naive.sort_unstable_by_key(|t| perm.permute(*t));
+                    prop_assert_eq!(&read, &scan, "pattern {:?}", pattern);
+                    prop_assert_eq!(&read, &naive, "pattern {:?}", pattern);
+                    prop_assert_eq!(store.count(pattern), naive.len());
+                }
             }
         }
 

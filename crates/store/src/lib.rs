@@ -5,8 +5,10 @@
 //!
 //! * terms are interned to dense `u32` ids by `sofos_rdf::Dictionary`;
 //! * a [`GraphStore`] holds one RDF graph as three *permutation indexes*
-//!   ([`index::PermIndex`]) — SPO, POS and OSP orderings — each an LSM-lite
-//!   pair of a sorted run plus a B-tree delta, merged when the delta grows.
+//!   ([`index::PermIndex`]) — SPO, POS and OSP orderings — each a sorted
+//!   run plus sorted delta and tombstone slices, all `Arc`-shared, under a
+//!   small write overlay frozen into the slices at publish; the slices are
+//!   merged into the run when they grow.
 //!   Together they answer all eight triple-pattern binding shapes with
 //!   prefix range scans (see [`pattern`]);
 //! * [`bitmap::Bitmap`] is a vendored roaring-style compressed bitmap;
@@ -20,8 +22,8 @@
 //!   the cost models read, derived on demand from the store's own
 //!   counters (no second copy is maintained on the write path);
 //! * [`delta::Delta`] / [`Dataset::apply`] are the transactional update
-//!   path: batched inserts *and deletes* flow through the LSM-lite index
-//!   deltas and come back out as a net [`delta::ChangeSet`] per graph —
+//!   path: batched inserts *and deletes* flow through the index overlays
+//!   and come back out as a net [`delta::ChangeSet`] per graph —
 //!   the input to `sofos-maintain`'s incremental view maintenance;
 //! * [`epoch::EpochStore`] makes the dataset concurrent: readers pin
 //!   immutable epoch [`epoch::Snapshot`]s while the single writer builds

@@ -1,14 +1,16 @@
 //! A `Dataset` clone — one per published epoch — allocates nothing per
-//! triple: the indexes and the dictionary are shared by `Arc`, so its heap
-//! cost is bounded by the predicate count and the pending index deltas,
-//! not by the graph size.
+//! triple and nothing per pending write: the index slices (run, delta and
+//! tombstones) and the dictionary are shared by `Arc`, and a publish folds
+//! the writer's overlay into the slices before it clones, so the heap cost
+//! of cloning a published snapshot is bounded by the predicate count, not
+//! by the graph size or by what is still unmerged.
 //!
 //! This file is its own test binary because it installs a counting global
 //! allocator. Counts are kept per thread, so allocations made by the test
 //! harness's other threads cannot reach them.
 
 use sofos_rdf::{Graph, Term, Triple};
-use sofos_store::{Dataset, Delta};
+use sofos_store::{Dataset, Delta, EpochStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -92,18 +94,18 @@ fn cube(observations: usize) -> Dataset {
 #[test]
 fn clone_allocates_nothing_per_triple() {
     for observations in [200, 20_000] {
-        let mut ds = cube(observations);
-        let triples = ds.default_graph().len();
+        let store = EpochStore::new(cube(observations));
+        let triples = store.pin().dataset().default_graph().len();
         assert_eq!(triples, observations * 5);
-        let bulk = clone_bytes(&ds);
+        let bulk = clone_bytes(store.pin().dataset());
         println!("{triples} triples: clone after bulk load allocates {bulk} B");
         assert!(
             bulk < CLONE_BYTES_MAX,
             "{triples} triples: clone allocated {bulk} B"
         );
 
-        // Pending index deltas (inserts and tombstones) are what a clone
-        // may copy; the graph behind them still is not.
+        // A published delta leaves inserts and tombstones unmerged, in
+        // slices the clone shares rather than copies.
         let mut delta = Delta::new();
         for i in 0..16 {
             delta.insert(obs(observations + i), pred(i % 5), Term::literal_int(7));
@@ -111,14 +113,17 @@ fn clone_allocates_nothing_per_triple() {
         for i in 0..8 {
             delta.delete(obs(i), pred(4), Term::literal_int(i as i64));
         }
-        let changes = ds.apply(delta);
+        let (changes, _) = store.apply(delta);
         assert_eq!(changes.default_graph.inserted.len(), 16);
         assert_eq!(changes.default_graph.removed.len(), 8);
-        let churned = clone_bytes(&ds);
+        let snapshot = store.pin();
+        assert_eq!(snapshot.dataset().unmerged_entries(), 24);
+        assert_eq!(snapshot.dataset().overlay_entries(), 0);
+        let churned = clone_bytes(snapshot.dataset());
         println!("{triples} triples: clone after a 16+8 delta allocates {churned} B");
-        assert!(
-            churned < CLONE_BYTES_MAX,
-            "{triples} triples: clone after a delta allocated {churned} B"
+        assert_eq!(
+            churned, bulk,
+            "{triples} triples: the unmerged delta is shared, not copied"
         );
     }
 }

@@ -14,8 +14,8 @@
 //! The workspace is layered bottom-up:
 //!
 //! * [`rdf`] — terms, dictionary interning, Turtle/N-Triples I/O;
-//! * [`store`] — the triple store: three LSM-lite permutation indexes per
-//!   graph, the dataset (`G+` = base graph + one named graph per view),
+//! * [`store`] — the triple store: three permutation indexes (sorted
+//!   `Arc`-shared run, delta and tombstone slices) per graph, the dataset (`G+` = base graph + one named graph per view),
 //!   live base-graph statistics, and the **transactional write path**
 //!   ([`store::Delta`] / `Dataset::apply` → [`store::ChangeSet`]);
 //! * [`sparql`] — parser, planner, and evaluator for the SPARQL subset;
