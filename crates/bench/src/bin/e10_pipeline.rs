@@ -88,7 +88,8 @@ fn run_two_phase(cube: &Cube, deltas: Vec<Delta>, batch: usize) -> ModeOutcome {
             .maintain(txn.dataset(), Some(&merged), &mut views)
             .expect("maintenance succeeds");
         telemetry.merge(&outcome.telemetry);
-        txn.publish();
+        txn.publish()
+            .expect("an in-memory store has no log to fail");
         wall_us += start.elapsed().as_micros() as u64;
     }
     ModeOutcome {

@@ -401,6 +401,17 @@ impl Engine {
         self.store.persister().is_some()
     }
 
+    /// Test hook, not an option: make the next epoch-log append of a
+    /// durable engine fail (half its frame written, as on a full device).
+    /// The storage-failure tests inject through it; an in-memory engine
+    /// ignores it.
+    #[doc(hidden)]
+    pub fn fail_next_log_append(&self) {
+        if let Some(persister) = self.store.persister() {
+            persister.fail_next_append();
+        }
+    }
+
     /// What crash recovery did at build time: `Some` iff the engine is
     /// durable *and* its data directory already held state.
     pub fn recovery(&self) -> Option<&RecoveryReport> {

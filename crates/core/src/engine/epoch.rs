@@ -25,9 +25,18 @@
 //! side (maintenance engine) → serving state (catalog routing). The
 //! serving lock is held only for catalog reads/installs and the O(1)
 //! publish swap — never across maintenance, materialization, snapshot
-//! cloning, or query evaluation.
+//! cloning, log I/O, a snapshot free, or query evaluation. Every publish
+//! goes through `Engine::commit`: log before the serving lock, swap
+//! under it, reclaim after it.
+//!
+//! A failed log append turns the engine read-only: the failing write and
+//! every later one return [`SparqlError::Storage`], while queries keep
+//! answering the last published epoch (a stale view they cannot repair
+//! falls back to the base graph; buffered bounded-policy batches, which
+//! can no longer publish, are dropped as a crash would drop them).
 
 use super::{Engine, Route, SessionAnswer, ViewChurn};
+use crate::metrics::UpdateStage;
 use crate::policy::{FlushMeter, Freshness, PendingLog, ProfileWindows, StalenessPolicy};
 use crate::timing::measure_once;
 use sofos_cost::UpdateRates;
@@ -159,6 +168,7 @@ impl Engine {
     /// and the metric instruments.
     fn apply(&self, writer: &mut WriterSide, dataset: &mut Dataset, delta: Delta) -> ApplyOutcome {
         let (serial_us, outcome) = measure_once(|| writer.maintainer.apply(dataset, delta));
+        self.metrics.record_stage(UpdateStage::Apply, serial_us);
         let split = PipelineTelemetry {
             serial_us,
             ..PipelineTelemetry::default()
@@ -169,25 +179,105 @@ impl Engine {
     }
 
     /// Refresh the epoch-lifecycle gauges (and, on a durable store, the
-    /// persistence gauges) from the store's accounting.
+    /// persistence gauges) from the store's accounting. Computes nothing
+    /// when metrics are off.
     fn note_store(&self) {
+        if !self.metrics.enabled() {
+            return;
+        }
+        // Retired first: `published` only grows, so the difference never
+        // underflows.
+        let retired = self.store.retired_snapshots();
+        let published = self.store.published_snapshots();
         self.metrics.record_epoch_lifecycle(
-            self.store.published_snapshots(),
-            self.store.retired_snapshots(),
-            self.store.live_snapshots(),
+            published,
+            retired,
+            published - retired,
+            self.store.awaiting_reclaim(),
         );
         if let Some(persister) = self.store.persister() {
             self.metrics.record_persist(&persister.stats());
         }
-        if self.metrics.enabled() {
-            // Pinning just to read footprint is fine here: the gauges are
-            // only refreshed when telemetry is on, and a pin is an Arc
-            // clone plus registry bookkeeping.
-            let snapshot = self.store.pin();
-            self.metrics
-                .record_index(&snapshot.dataset().posting_stats());
-            self.metrics
-                .record_unmerged(snapshot.dataset().unmerged_entries());
+        let snapshot = self.store.pin();
+        self.metrics
+            .record_index(&snapshot.dataset().posting_stats());
+        self.metrics
+            .record_unmerged(snapshot.dataset().unmerged_entries());
+    }
+
+    /// Publish `txn` as the next epoch in the store's three steps, and
+    /// return what `install` returns.
+    ///
+    /// 1. *Log*, before the serving lock: prepare the snapshot and append
+    ///    plus fsync its log record with `catalog` (computed by the
+    ///    caller, also before the lock — every catalog mutator holds the
+    ///    write transaction, so it cannot change in between).
+    /// 2. *Swap*, under the serving lock: the pointer swap, then
+    ///    `install` does the catalog / meter / pending bookkeeping with
+    ///    the new epoch, so readers move from (old catalog, old epoch) to
+    ///    (new catalog, new epoch) atomically.
+    /// 3. *Reclaim*, after the serving lock, still under the write
+    ///    transaction: the cadence snapshot if one is due, then the free
+    ///    of every superseded snapshot no reader holds.
+    ///
+    /// A log failure returns [`SparqlError::Storage`] with nothing
+    /// published, `install` not run and the master reset to the published
+    /// snapshot; the engine is read-only from then on.
+    fn commit<R>(
+        &self,
+        txn: WriteTxn<'_>,
+        catalog: Option<Vec<(u64, u64)>>,
+        install: impl FnOnce(&mut ServingState, u64) -> R,
+    ) -> Result<R, SparqlError> {
+        let prepared = self
+            .metrics
+            .time_stage(UpdateStage::Prepare, || txn.prepare());
+        let logged = self
+            .metrics
+            .time_stage(UpdateStage::Log, || prepared.log(catalog.as_deref()))
+            .map_err(|e| SparqlError::Storage(e.to_string()))?;
+        let (published, installed) = {
+            let mut state = self.lock_serving();
+            self.metrics.time_stage(UpdateStage::Swap, || {
+                let published = logged.publish();
+                let installed = install(&mut state, published.epoch());
+                (published, installed)
+            })
+        };
+        self.metrics
+            .time_stage(UpdateStage::Reclaim, || published.reclaim());
+        Ok(installed)
+    }
+
+    /// `Err` once a failed log append has made the store read-only.
+    fn refuse_writes(&self) -> Result<(), SparqlError> {
+        match self.store.persister().and_then(|p| p.failure()) {
+            Some(cause) => Err(SparqlError::Storage(format!(
+                "store is read-only after a failed epoch-log append: {cause}"
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// Drop `batches` buffered bounded-policy batches from the flush
+    /// meter: they were taken off the writer's buffer and can never
+    /// publish (the store is read-only).
+    fn discard_buffered(&self, batches: usize) {
+        let buffered = {
+            let mut state = self.lock_serving();
+            state.meter.drain(batches);
+            state.meter.buffered()
+        };
+        self.metrics.record_buffered(buffered);
+    }
+
+    /// A flush or repair that a *read* triggers fails on storage only
+    /// once the store is read-only; the read then serves the last
+    /// published epoch instead of failing.
+    fn tolerate_read_only(result: Result<(), SparqlError>) -> Result<(), SparqlError> {
+        match result {
+            Err(SparqlError::Storage(_)) => Ok(()),
+            other => other,
         }
     }
 
@@ -221,15 +311,17 @@ impl Engine {
     fn update_inner(&self, delta: Delta) -> Result<(), SparqlError> {
         let (inserted, deleted) = ProfileWindows::batch_counts(&delta);
         let mut txn = self.store.begin();
+        self.refuse_writes()?;
         let mut writer = self.lock_writer();
         {
             let mut state = self.lock_serving();
             state.update_batches += 1;
             state.windows.observe_batch(inserted, deleted);
         }
-        // Invariant for every branch below: the serving lock is held
-        // *across* the catalog change and the publish, so a reader can
-        // never pair the new catalog with the old epoch (or vice versa).
+        // Invariant for every branch below: the catalog change and the
+        // swap happen under one serving-lock hold (`Engine::commit`), so
+        // a reader can never pair the new catalog with the old epoch (or
+        // vice versa).
         match self.policy {
             StalenessPolicy::Invalidate => {
                 let views: Vec<ViewMask> = {
@@ -239,15 +331,15 @@ impl Engine {
                 for mask in views {
                     drop_view(txn.dataset(), &self.facet, mask);
                 }
-                let changes = txn.dataset().apply(delta);
+                let changes = self
+                    .metrics
+                    .time_stage(UpdateStage::Apply, || txn.dataset().apply(delta));
                 txn.touch_changes(&changes);
                 let catalog = self.durable_catalog(&[]);
-                let prepared = txn.prepare();
-                let mut state = self.lock_serving();
-                state.views.clear();
-                state.pending.clear();
-                prepared.publish_with_catalog(catalog.as_deref());
-                Ok(())
+                self.commit(txn, catalog, |state, _| {
+                    state.views.clear();
+                    state.pending.clear();
+                })
             }
             StalenessPolicy::Eager => {
                 let applied = self.apply(&mut writer, txn.dataset(), delta);
@@ -256,46 +348,36 @@ impl Engine {
                 // a clone and installing it back is race-free.
                 let mut views = self.lock_serving().views.clone();
                 let rows = applied.rows.as_ref();
-                let result = writer.maintainer.maintain(txn.dataset(), rows, &mut views);
+                let result = self.metrics.time_stage(UpdateStage::Maintain, || {
+                    writer.maintainer.maintain(txn.dataset(), rows, &mut views)
+                });
                 txn.touch_changes(&applied.changes);
-                // Snapshot construction (the clone) happens before the
-                // serving lock; readers only ever wait for the swap.
-                match result {
-                    Ok(outcome) => {
-                        writer.telemetry.merge(&outcome.telemetry);
-                        self.metrics.record_pipeline(&outcome.telemetry);
-                        writer.log.absorb(outcome.report);
-                        let catalog = self.durable_catalog(&views);
-                        let prepared = txn.prepare();
-                        let mut state = self.lock_serving();
-                        state.views = views;
-                        prepared.publish_with_catalog(catalog.as_deref());
-                        Ok(())
-                    }
-                    Err(e) => {
-                        // The base delta is applied but no view was
-                        // patched (planning is all-or-nothing);
-                        // abandoning the transaction would leave the
-                        // master diverged from the published epoch
-                        // forever. Publish the batch instead and demand a
-                        // full refresh of every (now stale) view —
-                        // needs-refresh bars queries from routing to any
-                        // of them before repair, under every policy.
-                        let catalog = self.durable_catalog(&views);
-                        let prepared = txn.prepare();
-                        let mut guard = self.lock_serving();
-                        let state = &mut *guard;
-                        state.views = views;
-                        let epoch = prepared.publish_with_catalog(catalog.as_deref());
+                // On a maintenance error the base delta is applied but no
+                // view was patched (planning is all-or-nothing);
+                // abandoning the transaction would leave the master
+                // diverged from the published epoch forever. Publish the
+                // batch instead and demand a full refresh of every (now
+                // stale) view — needs-refresh bars queries from routing to
+                // any of them before repair, under every policy.
+                let maintained = result.map(|outcome| {
+                    writer.telemetry.merge(&outcome.telemetry);
+                    self.metrics.record_pipeline(&outcome.telemetry);
+                    writer.log.absorb(outcome.report);
+                });
+                let catalog = self.durable_catalog(&views);
+                let epoch = self.commit(txn, catalog, |state, epoch| {
+                    state.views = views;
+                    if maintained.is_err() {
                         state.pending.demand_refresh_all(&state.views, epoch);
-                        drop(guard);
-                        self.metrics.record_maintenance_error(
-                            self.clock.now_ms(),
-                            format!("eager maintenance failed at epoch {epoch}: {e}"),
-                        );
-                        Err(e)
                     }
-                }
+                    epoch
+                })?;
+                maintained.inspect_err(|e| {
+                    self.metrics.record_maintenance_error(
+                        self.clock.now_ms(),
+                        format!("eager maintenance failed at epoch {epoch}: {e}"),
+                    );
+                })
             }
             StalenessPolicy::Bounded { .. } => {
                 writer.buffered.push(delta);
@@ -325,11 +407,7 @@ impl Engine {
             StalenessPolicy::LazyOnHit => {
                 let applied = self.apply(&mut writer, txn.dataset(), delta);
                 txn.touch_changes(&applied.changes);
-                let prepared = txn.prepare();
-                let mut guard = self.lock_serving();
-                let state = &mut *guard;
-                let epoch = prepared.publish();
-                match applied.rows {
+                self.commit(txn, None, |state, epoch| match applied.rows {
                     Some(rows) if rows.is_empty() => {}
                     Some(rows) => {
                         state.pending.push(epoch, rows);
@@ -342,8 +420,7 @@ impl Engine {
                         state.pending.demand_refresh_all(&state.views, epoch);
                         self.metrics.record_pending(state.pending.len(), 0);
                     }
-                }
-                Ok(())
+                })
             }
         }
     }
@@ -385,6 +462,11 @@ impl Engine {
         if writer.buffered.is_empty() {
             return Ok(());
         }
+        if let Err(e) = self.refuse_writes() {
+            let dropped = std::mem::take(&mut writer.buffered).len();
+            self.discard_buffered(dropped);
+            return Err(e);
+        }
         let take = writer.buffered.len().min(limit.max(1));
         self.flush_batch(txn, &mut writer, take)
     }
@@ -415,51 +497,55 @@ impl Engine {
             }
         }
         let mut views = self.lock_serving().views.clone();
-        let result = writer
-            .maintainer
-            .maintain(txn.dataset(), merged.as_ref(), &mut views);
-        match result {
-            Ok(outcome) => {
-                writer.telemetry.merge(&outcome.telemetry);
-                self.metrics.record_pipeline(&outcome.telemetry);
-                writer.log.absorb(outcome.report);
-                let catalog = self.durable_catalog(&views);
-                let prepared = txn.prepare();
-                let mut state = self.lock_serving();
-                state.views = views;
-                state.meter.drain(take);
-                let buffered = state.meter.buffered();
-                let epoch = prepared.publish_with_catalog(catalog.as_deref());
-                drop(state);
-                let now = self.clock.now_ms();
-                self.metrics.record_flush(
-                    take,
-                    now,
-                    format!("drained {take} batches -> epoch {epoch}"),
-                );
-                self.metrics.record_buffered(buffered);
+        let result = self.metrics.time_stage(UpdateStage::Maintain, || {
+            writer
+                .maintainer
+                .maintain(txn.dataset(), merged.as_ref(), &mut views)
+        });
+        // On a maintenance error the base deltas are applied and the
+        // views left unpatched (all-or-nothing planning): publish the
+        // base batch with the catalog unchanged and demand a full refresh
+        // of every view.
+        let maintained = result.map(|outcome| {
+            writer.telemetry.merge(&outcome.telemetry);
+            self.metrics.record_pipeline(&outcome.telemetry);
+            writer.log.absorb(outcome.report);
+        });
+        let catalog = match maintained {
+            Ok(()) => self.durable_catalog(&views),
+            Err(_) => None,
+        };
+        let committed = self.commit(txn, catalog, |state, epoch| {
+            match maintained {
+                Ok(()) => state.views = views,
+                Err(_) => state.pending.demand_refresh_all(&state.views, epoch),
+            }
+            state.meter.drain(take);
+            (epoch, state.meter.buffered())
+        });
+        let (epoch, buffered) = match committed {
+            Ok(published) => published,
+            Err(e) => {
+                // Nothing published and the store is read-only: the
+                // drained batches are lost, as a crash before this flush
+                // would lose them.
+                self.discard_buffered(take);
+                return Err(e);
+            }
+        };
+        let now = self.clock.now_ms();
+        self.metrics.record_flush(
+            take,
+            now,
+            format!("drained {take} batches -> epoch {epoch}"),
+        );
+        self.metrics.record_buffered(buffered);
+        match maintained {
+            Ok(()) => {
                 self.metrics.record_epoch_publish(epoch, now);
                 Ok(())
             }
             Err(e) => {
-                // Base deltas are applied, views were left unpatched
-                // (all-or-nothing planning): publish the base batch and
-                // demand a full refresh of every view.
-                let prepared = txn.prepare();
-                let mut guard = self.lock_serving();
-                let state = &mut *guard;
-                let epoch = prepared.publish();
-                state.meter.drain(take);
-                state.pending.demand_refresh_all(&state.views, epoch);
-                let buffered = state.meter.buffered();
-                drop(guard);
-                let now = self.clock.now_ms();
-                self.metrics.record_flush(
-                    take,
-                    now,
-                    format!("drained {take} batches -> epoch {epoch}"),
-                );
-                self.metrics.record_buffered(buffered);
                 self.metrics.record_maintenance_error(
                     now,
                     format!("batched flush maintenance failed at epoch {epoch}: {e}"),
@@ -547,7 +633,7 @@ impl Engine {
             // us). Capping the per-iteration work keeps a single read's
             // tail latency bounded by one batch of maintenance.
             let (us, result) = measure_once(|| self.flush_upto(1));
-            result?;
+            Self::tolerate_read_only(result)?;
             flush_us += us;
         };
 
@@ -564,15 +650,17 @@ impl Engine {
             Some((view, stale)) => {
                 let rewritten = rewrite_query(&self.facet, &analysis, view);
                 let (snapshot, maintenance_us, freshness) = if stale {
-                    match self.repair_view(view)? {
-                        Some((snapshot, us)) => {
+                    match self.repair_view(view) {
+                        Ok(Some((snapshot, us))) => {
                             let freshness = Self::freshness_of(&snapshot, freshness.lag);
                             (snapshot, flush_us + us, freshness)
                         }
-                        None => {
+                        Ok(None) | Err(SparqlError::Storage(_)) => {
                             // The view was swapped out while we waited for
-                            // the writer: it is no longer answerable.
-                            // Re-route to the base graph on a fresh pin.
+                            // the writer, or the store is read-only and
+                            // cannot publish its repair: it is not
+                            // answerable. Re-route to the base graph on a
+                            // fresh pin.
                             let snapshot = {
                                 let mut state = self.lock_serving();
                                 state.view_hits -= 1;
@@ -588,6 +676,7 @@ impl Engine {
                                 freshness,
                             });
                         }
+                        Err(e) => return Err(e),
                     }
                 } else {
                     (snapshot, flush_us, freshness)
@@ -629,7 +718,7 @@ impl Engine {
                 }
             }
             let (us, result) = measure_once(|| self.flush_upto(1));
-            result?;
+            Self::tolerate_read_only(result)?;
             flush_us += us;
         }
     }
@@ -645,6 +734,7 @@ impl Engine {
     /// the writer lock and the caller must re-route.
     fn repair_view(&self, view: ViewMask) -> Result<Option<(PinnedSnapshot, u64)>, SparqlError> {
         let mut txn = self.store.begin();
+        self.refuse_writes()?;
         let mut writer = self.lock_writer();
         // Re-check under the transaction: another hit may have repaired
         // the view (or a swap retired it) while we waited for the lock.
@@ -663,28 +753,27 @@ impl Engine {
             (refresh, backlog, *entry)
         };
         let rows = if refresh { None } else { Some(&backlog) };
-        let result = writer
-            .maintainer
-            .maintain_view(txn.dataset(), rows, &mut entry);
+        let result = self.metrics.time_stage(UpdateStage::Maintain, || {
+            writer
+                .maintainer
+                .maintain_view(txn.dataset(), rows, &mut entry)
+        });
         // The backlog is consumed either way (see PendingLog::consume's
-        // poisoned-backlog rationale). The serving lock is held across
-        // publish so no reader can route to the view before its cursor
-        // reflects the repair epoch.
-        let prepared = txn.prepare();
-        let mut guard = self.lock_serving();
-        let state = &mut *guard;
-        let epoch = prepared.publish();
-        if result.is_ok() {
-            if let Some(slot) = state.views.iter_mut().find(|(mask, _)| *mask == view) {
-                *slot = entry;
+        // poisoned-backlog rationale). The cursor moves in the same
+        // serving-lock hold as the swap, so no reader can route to the
+        // view before its cursor reflects the repair epoch.
+        let snapshot = self.commit(txn, None, |state, epoch| {
+            if result.is_ok() {
+                if let Some(slot) = state.views.iter_mut().find(|(mask, _)| *mask == view) {
+                    *slot = entry;
+                }
             }
-        }
-        state
-            .pending
-            .consume(view, epoch, result.is_ok(), &state.views);
-        self.metrics.record_pending(state.pending.len(), 0);
-        let snapshot = self.store.pin();
-        drop(guard);
+            state
+                .pending
+                .consume(view, epoch, result.is_ok(), &state.views);
+            self.metrics.record_pending(state.pending.len(), 0);
+            self.store.pin()
+        })?;
         if let Err(e) = &result {
             self.metrics.record_maintenance_error(
                 self.clock.now_ms(),
@@ -727,6 +816,7 @@ impl Engine {
         ) -> Result<MaterializedView, SparqlError>,
     ) -> Result<ViewChurn, SparqlError> {
         let mut txn = self.store.begin();
+        self.refuse_writes()?;
         let current: Vec<ViewMask> = {
             let state = self.lock_serving();
             state.views.iter().map(|(m, _)| *m).collect()
@@ -754,30 +844,29 @@ impl Engine {
             return Err(e);
         }
 
-        // Phase 2: retire outgoing views, install the catalog, publish —
-        // all under the serving lock, so readers atomically move from
-        // (old catalog, old epoch) to (new catalog, new epoch).
+        // Phase 2: retire outgoing views, then publish with the new
+        // catalog installed in the swap's serving-lock hold, so readers
+        // atomically move from (old catalog, old epoch) to (new catalog,
+        // new epoch). A failed log leaves the master reset to the
+        // published state, the catalog untouched.
         let (drop_us, ()) = measure_once(|| {
             for &mask in &plan.retired {
                 drop_view(txn.dataset(), &self.facet, mask);
             }
         });
-        {
-            let prepared = txn.prepare();
-            let mut guard = self.lock_serving();
-            let state = &mut *guard;
-            state.views = rebuild_catalog(target, &state.views, &materialized);
+        let views = rebuild_catalog(target, &self.lock_serving().views, &materialized);
+        let catalog = self.durable_catalog(&views);
+        self.commit(txn, catalog, |state, epoch| {
+            state.views = views;
             for &mask in &plan.retired {
                 state.pending.forget(mask);
             }
-            let catalog = self.durable_catalog(&state.views);
-            let epoch = prepared.publish_with_catalog(catalog.as_deref());
             for &(mask, _) in &materialized {
                 // Materialized from the current master: nothing pending.
                 state.pending.mark_fresh(mask, epoch);
             }
             state.pending.compact(&state.views);
-        }
+        })?;
 
         Ok(ViewChurn {
             added: plan.added,

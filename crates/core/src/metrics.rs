@@ -26,6 +26,8 @@
 //! | `sofos_buffered_updates` | gauge | bounded-policy update batches awaiting flush |
 //! | `sofos_flushes_total` / `sofos_flushed_batches_total` | counter | flush passes / batches they drained |
 //! | `sofos_epochs_published` / `_retired` / `_live` | gauge | the epoch store's snapshot lifecycle |
+//! | `sofos_epochs_awaiting_reclaim` | gauge | superseded snapshots still allocated, waiting for the writer's reclaim step |
+//! | `sofos_update_stage_us{stage}` | histogram | one write-path stage per publish: `apply`, `maintain`, `prepare`, `log`, `swap` (serving-lock hold), `reclaim` |
 //! | `sofos_pipeline_{serial,parallel_work}_us_total` | counter | maintenance split: serial spine vs per-view planning |
 //! | `sofos_maintenance_errors_total` | counter | failed maintenance / repair passes |
 //! | `sofos_reselections_total` | counter | adaptive catalog swaps (see [`crate::adaptive`]) |
@@ -49,9 +51,49 @@ use sofos_store::{PersistStats, PostingStats};
 use sofos_telemetry::{Counter, EventKind, Gauge, Histogram, MetricsHandle};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// The value of every instrument's `backend` label.
 pub(crate) const BACKEND_LABEL: &str = "epoch";
+
+/// One stage of the write path, timed into `sofos_update_stage_us`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum UpdateStage {
+    /// Applying a delta to the writer's master.
+    Apply,
+    /// Planning and applying the views' patches.
+    Maintain,
+    /// Freezing and cloning the master into the next snapshot.
+    Prepare,
+    /// Appending and fsyncing the epoch-log record.
+    Log,
+    /// The serving-lock hold of a publish: bookkeeping plus the swap.
+    Swap,
+    /// The writer's reclaim step: cadence snapshot plus frees.
+    Reclaim,
+}
+
+impl UpdateStage {
+    const ALL: [UpdateStage; 6] = [
+        UpdateStage::Apply,
+        UpdateStage::Maintain,
+        UpdateStage::Prepare,
+        UpdateStage::Log,
+        UpdateStage::Swap,
+        UpdateStage::Reclaim,
+    ];
+
+    fn label(self) -> &'static str {
+        match self {
+            UpdateStage::Apply => "apply",
+            UpdateStage::Maintain => "maintain",
+            UpdateStage::Prepare => "prepare",
+            UpdateStage::Log => "log",
+            UpdateStage::Swap => "swap",
+            UpdateStage::Reclaim => "reclaim",
+        }
+    }
+}
 
 /// Pre-registered instruments for one engine (see module docs).
 pub(crate) struct EngineInstruments {
@@ -69,6 +111,9 @@ pub(crate) struct EngineInstruments {
     epochs_published: Arc<Gauge>,
     epochs_retired: Arc<Gauge>,
     epochs_live: Arc<Gauge>,
+    epochs_awaiting_reclaim: Arc<Gauge>,
+    /// Indexed by `UpdateStage as usize`.
+    update_stage_us: [Arc<Histogram>; 6],
     pipeline_serial_us: Arc<Counter>,
     pipeline_parallel_work_us: Arc<Counter>,
     maintenance_errors: Arc<Counter>,
@@ -156,6 +201,18 @@ impl EngineInstruments {
                 "Epoch snapshots currently retained (published - retired)",
                 &b,
             ),
+            epochs_awaiting_reclaim: handle.gauge(
+                "sofos_epochs_awaiting_reclaim",
+                "Superseded epoch snapshots still allocated, awaiting the writer's reclaim step",
+                &b,
+            ),
+            update_stage_us: UpdateStage::ALL.map(|stage| {
+                handle.histogram(
+                    "sofos_update_stage_us",
+                    "Write-path stage wall time per publish (µs)",
+                    &[("backend", backend), ("stage", stage.label())],
+                )
+            }),
             pipeline_serial_us: handle.counter(
                 "sofos_pipeline_serial_us_total",
                 "Maintenance: serial spine wall time (µs)",
@@ -304,14 +361,41 @@ impl EngineInstruments {
     }
 
     /// The epoch store's snapshot lifecycle after a publish (or pin
-    /// drop): published / retired / live counts.
-    pub(crate) fn record_epoch_lifecycle(&self, published: u64, retired: u64, live: u64) {
+    /// drop): published / retired / live counts and the snapshots
+    /// awaiting the writer's reclaim step.
+    pub(crate) fn record_epoch_lifecycle(
+        &self,
+        published: u64,
+        retired: u64,
+        live: u64,
+        awaiting_reclaim: usize,
+    ) {
         if !self.handle.is_enabled() {
             return;
         }
         self.epochs_published.set(published);
         self.epochs_retired.set(retired);
         self.epochs_live.set(live);
+        self.epochs_awaiting_reclaim.set(awaiting_reclaim as u64);
+    }
+
+    /// Run `f`, recording its wall time as one `stage` sample. Disabled
+    /// metrics cost one branch: no clock is read.
+    pub(crate) fn time_stage<T>(&self, stage: UpdateStage, f: impl FnOnce() -> T) -> T {
+        if !self.handle.is_enabled() {
+            return f();
+        }
+        let start = Instant::now();
+        let out = f();
+        self.record_stage(stage, start.elapsed().as_micros() as u64);
+        out
+    }
+
+    /// One `stage` sample measured by the caller.
+    pub(crate) fn record_stage(&self, stage: UpdateStage, us: u64) {
+        if self.handle.is_enabled() {
+            self.update_stage_us[stage as usize].record(us);
+        }
     }
 
     /// An epoch-publish event (the batched flush publishing `epoch`).

@@ -3,14 +3,15 @@
 //! recovers exactly the published state — base graph, views, and
 //! catalog — regardless of what dataset the new builder was handed.
 
-use sofos_core::{run_offline, SizedLattice};
+use sofos_core::{results_equivalent, run_offline, SizedLattice};
 use sofos_core::{DurabilityConfig, Engine, EngineConfig, RecoveryReport, StalenessPolicy};
 use sofos_cost::CostModelKind;
 use sofos_cube::{AggOp, Facet, ViewMask};
 use sofos_rdf::Term;
 use sofos_select::WorkloadProfile;
+use sofos_sparql::{Evaluator, QueryResults, SparqlError};
 use sofos_store::{Dataset, Delta, EncodedTriple};
-use sofos_workload::synthetic;
+use sofos_workload::{generate_workload, synthetic, GeneratedQuery, WorkloadConfig};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -200,4 +201,137 @@ fn durable_engine_matches_twin_and_recovers_bit_equal() {
 
     drop(again);
     fs::remove_dir_all(&dir).ok();
+}
+
+fn workload() -> Vec<GeneratedQuery> {
+    let s = setup();
+    generate_workload(
+        &s.expanded,
+        &s.facet,
+        &WorkloadConfig {
+            num_queries: 8,
+            ..WorkloadConfig::default()
+        },
+    )
+}
+
+/// Every query's engine answer, each checked against a base-graph
+/// evaluation of the engine's current snapshot.
+fn answers(engine: &Engine, queries: &[GeneratedQuery]) -> Vec<QueryResults> {
+    queries
+        .iter()
+        .map(|q| {
+            let answer = engine.query(&q.query).expect("queries keep answering");
+            let base = Evaluator::new(&engine.snapshot())
+                .evaluate(&q.query)
+                .expect("base evaluation runs");
+            assert!(
+                results_equivalent(&answer.results, &base),
+                "answer diverged from the base graph for {}",
+                q.text
+            );
+            answer.results
+        })
+        .collect()
+}
+
+#[test]
+fn failed_log_append_turns_the_engine_read_only() {
+    let dir = scratch_dir("fail");
+    let queries = workload();
+    let engine = durable_builder(&dir)
+        .build()
+        .expect("durable engine builds");
+    for batch in 0..3 {
+        engine
+            .update(star_delta(batch))
+            .expect("acknowledged update");
+    }
+    let epoch = engine.epoch();
+    let views = engine.views();
+    let state = fingerprint(&engine.snapshot());
+    let reads = answers(&engine, &queries);
+
+    // The append fails half-way through its frame: a typed error, not a
+    // panic, and nothing the batch did is visible.
+    engine.fail_next_log_append();
+    let err = engine
+        .update(star_delta(3))
+        .expect_err("an unlogged batch is not acknowledged");
+    assert!(matches!(err, SparqlError::Storage(_)), "{err:?}");
+    assert_eq!(engine.epoch(), epoch);
+    assert_eq!(engine.views(), views);
+    assert_eq!(fingerprint(&engine.snapshot()), state);
+    let after = answers(&engine, &queries);
+    for (before, after) in reads.iter().zip(&after) {
+        assert!(results_equivalent(before, after), "reads moved");
+    }
+
+    // Read-only from here: the next write is refused without an append,
+    // and so is a catalog swap.
+    let err = engine
+        .update(star_delta(4))
+        .expect_err("a read-only engine refuses writes");
+    assert!(matches!(err, SparqlError::Storage(_)), "{err:?}");
+    let masks: Vec<ViewMask> = views.iter().map(|(m, _)| *m).collect();
+    assert!(matches!(
+        engine.swap_views(&masks[..1]),
+        Err(SparqlError::Storage(_))
+    ));
+    assert_eq!(engine.epoch(), epoch);
+    assert_eq!(engine.views(), views);
+    assert_eq!(fingerprint(&engine.snapshot()), state);
+    drop(engine);
+
+    // The torn half-frame is truncated; recovery lands on exactly the
+    // acknowledged batches, and the rebuilt engine takes writes again.
+    let recovered = durable_builder(&dir).build().expect("recovery builds");
+    let report = recovered.recovery().expect("recovery reported");
+    assert!(report.truncated_bytes > 0, "the torn append is cut off");
+    assert_eq!(report.epoch, epoch);
+    assert_eq!(recovered.views(), views);
+    assert_eq!(fingerprint(&recovered.snapshot()), state);
+    recovered
+        .update(star_delta(3))
+        .expect("the rebuilt engine is writable");
+    assert_eq!(recovered.epoch(), epoch + 1);
+
+    drop(recovered);
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn read_only_engine_keeps_serving_under_deferred_policies() {
+    let queries = workload();
+    for policy in [StalenessPolicy::LazyOnHit, StalenessPolicy::bounded(3, 1)] {
+        let dir = scratch_dir("fail-deferred");
+        let engine = durable_builder(&dir)
+            .staleness(policy)
+            .build()
+            .expect("durable engine builds");
+        // Lazy: two published batches leave every view stale. Bounded:
+        // two buffered batches put reads over the one-batch lag budget.
+        engine.update(star_delta(0)).expect("first update");
+        engine.update(star_delta(1)).expect("second update");
+        let epoch = engine.epoch();
+        engine.fail_next_log_append();
+        // The first read's repair or budget flush hits the failed append;
+        // reads answer from the last published epoch regardless (a stale
+        // view falls back to the base graph, dropped batches leave the
+        // lag).
+        answers(&engine, &queries);
+        assert_eq!(engine.epoch(), epoch, "{policy}: nothing published");
+        // Refused up front: a read already consumed the injected failure.
+        let refusal = engine.update(star_delta(2)).expect_err("read-only");
+        assert!(
+            matches!(&refusal, SparqlError::Storage(why) if why.contains("read-only")),
+            "{policy}: {refusal:?}"
+        );
+        assert!(matches!(engine.flush(), Err(SparqlError::Storage(_))));
+        assert_eq!(engine.buffered_updates(), 0, "{policy}: meter drained");
+        answers(&engine, &queries);
+        assert_eq!(engine.epoch(), epoch);
+        drop(engine);
+        fs::remove_dir_all(&dir).ok();
+    }
 }

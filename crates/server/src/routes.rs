@@ -12,7 +12,7 @@ use crate::http::{Request, Response};
 use crate::Shared;
 use sofos_core::{Route, SessionAnswer};
 use sofos_rdf::parse_ntriples;
-use sofos_sparql::parse_query;
+use sofos_sparql::{parse_query, SparqlError};
 use sofos_store::Delta;
 use sofos_telemetry::Json;
 
@@ -178,6 +178,10 @@ fn update(shared: &Shared, req: &Request) -> Response {
             ])
             .to_string(),
         ),
+        // The store could not make the batch durable and is read-only
+        // now: the service is unavailable for writes, not the request
+        // at fault. No Retry-After — retrying cannot succeed.
+        Err(e @ SparqlError::Storage(_)) => error(503, &format!("update failed: {e}")),
         Err(e) => error(500, &format!("update failed: {e}")),
     }
 }

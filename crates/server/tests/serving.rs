@@ -3,7 +3,7 @@
 //! read-your-write, per-freshness-tag consistency under concurrent
 //! clients, admission control, graceful shutdown.
 
-use sofos_core::{Engine, StalenessPolicy};
+use sofos_core::{DurabilityConfig, Engine, EngineBuilder, StalenessPolicy};
 use sofos_cube::{AggOp, Dimension, Facet};
 use sofos_rdf::Term;
 use sofos_server::{serve, ServerConfig, ServerHandle};
@@ -24,6 +24,10 @@ fn iri(local: &str) -> Term {
 /// A tiny star-schema dataset: `BASE_OBS` observations with one dimension
 /// and one measure, plus the matching facet.
 fn test_engine(policy: StalenessPolicy) -> Engine {
+    test_builder(policy).build().expect("engine builds")
+}
+
+fn test_builder(policy: StalenessPolicy) -> EngineBuilder {
     let mut ds = Dataset::new();
     let dim_p = iri("country");
     let measure_p = iri("pop");
@@ -57,8 +61,6 @@ fn test_engine(policy: StalenessPolicy) -> Engine {
         .facet(facet)
         .catalog(Vec::new())
         .staleness(policy)
-        .build()
-        .expect("engine builds")
 }
 
 fn boot(policy: StalenessPolicy, config: ServerConfig) -> ServerHandle {
@@ -243,6 +245,19 @@ fn end_to_end_read_your_write_over_keep_alive() {
     assert!(
         body.contains("sofos_index_unmerged_entries"),
         "unmerged index entries exported: {body}"
+    );
+    // The write path's stage timers and the reclaim backlog.
+    for stage in ["apply", "maintain", "prepare", "log", "swap", "reclaim"] {
+        assert!(
+            body.contains(&format!(
+                "sofos_update_stage_us_count{{backend=\"epoch\",stage=\"{stage}\"}}"
+            )),
+            "update stage {stage} exported: {body}"
+        );
+    }
+    assert!(
+        body.contains("sofos_epochs_awaiting_reclaim"),
+        "reclaim backlog exported: {body}"
     );
     // The adaptive-selection instruments are pre-registered at engine
     // construction, so they scrape even before any re-selection runs.
@@ -429,6 +444,33 @@ fn update_refuses_past_the_pending_cap() {
     assert_eq!(status, 503, "{body}");
     assert!(body.contains("pending"), "{body}");
     handle.shutdown();
+}
+
+#[test]
+fn update_answers_503_once_the_log_fails() {
+    let dir = std::env::temp_dir().join(format!("sofos-server-log-fail-{}", std::process::id()));
+    let engine = test_builder(StalenessPolicy::Eager)
+        .durability(DurabilityConfig::new(&dir).fsync(false))
+        .build()
+        .expect("durable engine builds");
+    let handle = serve(Arc::new(engine), ServerConfig::default()).expect("server boots");
+    let (status, body) = one_shot(&handle, "POST", "/update", &insert_body("kept", 1));
+    assert_eq!(status, 200, "{body}");
+
+    handle.engine().fail_next_log_append();
+    let (status, body) = one_shot(&handle, "POST", "/update", &insert_body("torn", 1));
+    assert_eq!(status, 503, "{body}");
+    assert!(body.contains("storage"), "{body}");
+    let (status, body) = one_shot(&handle, "POST", "/update", &insert_body("later", 1));
+    assert_eq!(status, 503, "{body}");
+    assert!(body.contains("read-only"), "{body}");
+
+    // Reads keep answering the last acknowledged state.
+    let (status, body) = one_shot(&handle, "POST", "/query", COUNT_QUERY);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(count_and_epoch(&body), (BASE_OBS as i64 + 1, 1));
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

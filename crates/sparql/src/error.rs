@@ -18,6 +18,10 @@ pub enum SparqlError {
     /// A runtime evaluation failure (e.g. comparing incompatible values in
     /// ORDER BY is tolerated; this is for internal invariant breaches).
     Eval(String),
+    /// The store could not make a write durable (an epoch-log append or
+    /// fsync failed). Nothing was published and the store refuses every
+    /// later write; reads keep answering the last published epoch.
+    Storage(String),
 }
 
 impl fmt::Display for SparqlError {
@@ -28,6 +32,7 @@ impl fmt::Display for SparqlError {
             }
             SparqlError::Plan(msg) => write!(f, "planning error: {msg}"),
             SparqlError::Eval(msg) => write!(f, "evaluation error: {msg}"),
+            SparqlError::Storage(msg) => write!(f, "storage error: {msg}"),
         }
     }
 }
@@ -54,5 +59,8 @@ mod tests {
         assert!(SparqlError::Eval("y".into())
             .to_string()
             .contains("evaluation"));
+        assert!(SparqlError::Storage("z".into())
+            .to_string()
+            .contains("storage"));
     }
 }

@@ -32,8 +32,13 @@ pub type GraphName = Option<TermId>;
 /// copy; [`crate::GraphStats::compute`] reads them off the default graph.
 /// The *writer's* first genuinely-new-term intern after a publish
 /// re-copies the term table (lookups of known terms never detach), so a
-/// batch that mints fresh terms pays one dictionary copy — an accepted
-/// per-batch cost at current scales.
+/// batch that mints fresh terms pays for the dictionary twice: once for
+/// the copy, and once more when the snapshot that still owns the old
+/// table is freed. At 10^5 triples with a durable eager writer and one
+/// reader, the free alone measured p90 17 ms and at most 56 ms per
+/// publish, and the copy is most of the writer's own 25–43 ms per batch.
+/// [`crate::EpochStore`] keeps the free off readers and out of callers'
+/// locks (its writer-only reclaim step); the copy stays on the writer.
 #[derive(Debug, Default, Clone)]
 pub struct Dataset {
     dict: Arc<Dictionary>,

@@ -11,19 +11,27 @@
 //!   for a writer's batch, only for the (nanosecond-scale) pointer swap
 //!   of a publish.
 //! * **publish** — the single writer mutates its private master dataset
-//!   inside a [`WriteTxn`] and then publishes: the master's pending index
-//!   writes are frozen into sorted slices ([`crate::Dataset::freeze`]),
-//!   then the master is cloned into a fresh snapshot (cheap — every index
-//!   slice and the dictionary are `Arc`-shared, see
-//!   [`crate::index::PermIndex`] and [`crate::Dataset`]) and swapped in
-//!   atomically. A snapshot therefore scans sorted slices only, never a
-//!   B-tree. Readers pinned to older epochs are undisturbed; new pins see
-//!   the new epoch.
-//! * **retire** — when the last reader of an old snapshot drops its
-//!   `Arc`, the snapshot's memory is released and the store's retired
-//!   counter ticks. Nothing is ever freed under a reader, and a publish
-//!   frees the snapshot it supersedes only after releasing the lock that
-//!   [`EpochStore::pin`] takes.
+//!   inside a [`WriteTxn`] and then publishes in three steps.
+//!   [`WriteTxn::prepare`] freezes the master's pending index writes into
+//!   sorted slices ([`crate::Dataset::freeze`]) and clones the master into
+//!   the next snapshot (cheap — every index slice and the dictionary are
+//!   `Arc`-shared, see [`crate::index::PermIndex`] and [`crate::Dataset`]),
+//!   so a snapshot scans sorted slices only, never a B-tree.
+//!   [`PreparedTxn::log`] appends and fsyncs the epoch-log record on a
+//!   durable store. [`LoggedTxn::publish`] swaps the snapshot in: no I/O,
+//!   no free. Readers pinned to older epochs are undisturbed; new pins
+//!   see the new epoch.
+//! * **retire** — a publish puts the superseded snapshot on the store's
+//!   reclaim list instead of dropping it. A snapshot on the list that no
+//!   reader pins any more is *retired* ([`EpochStore::retired_snapshots`])
+//!   the moment its last reader lets go, but its memory is released only
+//!   by the writer: [`PublishedTxn`]'s reclaim step (after the caller's
+//!   own locks are gone, still under the writer lock) writes a cadence
+//!   snapshot when one is due and then frees every listed snapshot no
+//!   reader holds. A reader therefore never runs a snapshot's destructor
+//!   — one that owns a whole dictionary copy can take tens of
+//!   milliseconds to free — and the memory held back is the snapshots
+//!   still pinned at the last publish plus those released since.
 //!
 //! Consistency guarantee (property-tested in `tests/epoch_concurrency.rs`):
 //! because the writer is serialized and snapshots are complete immutable
@@ -33,19 +41,15 @@
 
 use crate::dataset::Dataset;
 use crate::delta::{ChangeSet, Delta};
-use crate::persist::Persister;
+use crate::persist::{PersistError, Persister};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
-/// One published epoch: an immutable dataset plus epoch bookkeeping.
+/// One published epoch: an immutable dataset plus its epoch number.
 #[derive(Debug)]
 pub struct Snapshot {
     epoch: u64,
     dataset: Dataset,
-    /// Set at publish time. A prepared-but-never-published snapshot (the
-    /// rollback path) must not count toward the retire accounting.
-    published: std::sync::atomic::AtomicBool,
-    retired: Arc<AtomicU64>,
 }
 
 impl Snapshot {
@@ -61,18 +65,7 @@ impl Snapshot {
     }
 }
 
-impl Drop for Snapshot {
-    fn drop(&mut self) {
-        // The last reader just left this epoch: it is now retired.
-        // Never-published snapshots (aborted prepares) don't count —
-        // they were never part of the published/retired ledger.
-        if *self.published.get_mut() {
-            self.retired.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// A pinned snapshot: clone-cheap, releases its epoch on the last drop.
+/// A pinned snapshot: clone-cheap, keeps its epoch alive while held.
 pub type PinnedSnapshot = Arc<Snapshot>;
 
 /// The concurrent store: one writer, any number of snapshot readers.
@@ -87,8 +80,11 @@ pub struct EpochStore {
     epoch: AtomicU64,
     /// Snapshots published so far (including the initial one).
     published: AtomicU64,
-    /// Snapshots whose last reader has dropped.
-    retired: Arc<AtomicU64>,
+    /// Superseded snapshots the writer has not freed yet: pushed and
+    /// swept by the reclaim step only, read by the lifecycle accessors.
+    reclaim: Mutex<Vec<PinnedSnapshot>>,
+    /// Superseded snapshots the reclaim step has freed.
+    freed: AtomicU64,
     /// Durable side, when the store runs with a data directory. Publishes
     /// append + fsync a log record *before* the pointer swap, so the log
     /// always covers every state a reader could have observed.
@@ -112,19 +108,17 @@ impl EpochStore {
 
     fn build(mut dataset: Dataset, epoch: u64, persist: Option<Arc<Persister>>) -> EpochStore {
         dataset.freeze();
-        let retired = Arc::new(AtomicU64::new(0));
         let snapshot = Arc::new(Snapshot {
             epoch,
             dataset: dataset.clone(),
-            published: std::sync::atomic::AtomicBool::new(true),
-            retired: Arc::clone(&retired),
         });
         EpochStore {
             current: RwLock::new(snapshot),
             master: Mutex::new(dataset),
             epoch: AtomicU64::new(epoch),
             published: AtomicU64::new(1),
-            retired,
+            reclaim: Mutex::new(Vec::new()),
+            freed: AtomicU64::new(0),
             persist,
         }
     }
@@ -135,7 +129,8 @@ impl EpochStore {
     }
 
     /// Pin the current epoch. The returned snapshot is immutable and
-    /// remains valid (and allocated) until the last clone drops.
+    /// remains valid (and allocated) until the last clone drops and the
+    /// writer's next reclaim step frees it.
     pub fn pin(&self) -> PinnedSnapshot {
         Arc::clone(&self.current.read().expect("epoch lock poisoned"))
     }
@@ -150,18 +145,30 @@ impl EpochStore {
         self.published.load(Ordering::Relaxed)
     }
 
-    /// Old snapshots fully released by their readers.
+    /// Superseded snapshots no reader holds any more: freed by the
+    /// writer, or on the reclaim list with no pin left.
     pub fn retired_snapshots(&self) -> u64 {
-        self.retired.load(Ordering::Relaxed)
+        let list = self.reclaim.lock().expect("reclaim list poisoned");
+        let unpinned = list.iter().filter(|s| Arc::strong_count(s) == 1).count();
+        self.freed.load(Ordering::Relaxed) + unpinned as u64
     }
 
     /// Snapshots still alive (pinned by a reader, or current).
     pub fn live_snapshots(&self) -> u64 {
-        self.published_snapshots() - self.retired_snapshots()
+        // Retired first: `published` only grows, and it counts the
+        // current snapshot, so the difference never underflows.
+        let retired = self.retired_snapshots();
+        self.published_snapshots() - retired
+    }
+
+    /// Superseded snapshots still allocated: pinned by a reader, or
+    /// released since the writer's last reclaim step.
+    pub fn awaiting_reclaim(&self) -> usize {
+        self.reclaim.lock().expect("reclaim list poisoned").len()
     }
 
     /// Begin a write transaction: exclusive access to the master dataset.
-    /// Nothing becomes visible to readers until [`WriteTxn::publish`];
+    /// Nothing becomes visible to readers until it is published;
     /// dropping the transaction without publishing keeps the previous
     /// epoch current (see `WriteTxn` docs for the rollback contract).
     pub fn begin(&self) -> WriteTxn<'_> {
@@ -174,27 +181,34 @@ impl EpochStore {
         }
     }
 
-    /// Convenience: apply one delta transactionally and publish. Returns
-    /// the net changes and the new epoch.
+    /// Convenience: apply one delta transactionally and publish (all
+    /// three steps, see [`WriteTxn::publish`]). Returns the net changes
+    /// and the new epoch.
+    ///
+    /// A durable store whose log append fails publishes nothing and turns
+    /// read-only ([`Persister::failure`] names the cause): the call then
+    /// returns an empty change set and the unchanged epoch.
     pub fn apply(&self, delta: Delta) -> (ChangeSet, u64) {
         let mut txn = self.begin();
         let changes = txn.dataset().apply(delta);
         txn.touch_changes(&changes);
-        let epoch = txn.publish();
-        (changes, epoch)
+        match txn.publish() {
+            Ok(epoch) => (changes, epoch),
+            Err(_) => (ChangeSet::default(), self.epoch()),
+        }
     }
 }
 
 /// An open write transaction on an [`EpochStore`].
 ///
 /// Mutations go to the writer's master dataset and are invisible to
-/// readers until [`WriteTxn::publish`] swaps in a new snapshot. Any
-/// number of deltas can be applied before that publish — each reported
-/// through [`WriteTxn::touch_changes`] — and readers never observe a
-/// state between two of them: one master clone and one pointer swap pay
-/// for the whole batch. Dropping the transaction without publishing is
-/// the rollback path: readers keep the previous epoch forever-unaware,
-/// but the *master* retains whatever was mutated — a caller aborting
+/// readers until the transaction is published. Any number of deltas can
+/// be applied before that publish — each reported through
+/// [`WriteTxn::touch_changes`] — and readers never observe a state
+/// between two of them: one master clone and one pointer swap pay for the
+/// whole batch. Dropping the transaction without publishing is the
+/// rollback path: readers keep the previous epoch forever-unaware, but
+/// the *master* retains whatever was mutated — a caller aborting
 /// mid-transaction must first undo its partial writes (e.g. drop
 /// half-materialized view graphs) so the master stays logically equal to
 /// the published state. Interned dictionary terms are exempt: the
@@ -224,28 +238,22 @@ impl<'a> WriteTxn<'a> {
         }
     }
 
-    /// Publish the master as the next epoch and return its number.
-    ///
-    /// Equivalent to `self.prepare().publish()`. Callers holding a
-    /// latency-sensitive lock of their own should [`WriteTxn::prepare`]
-    /// first — the snapshot clone happens there — and swap inside their
-    /// critical section with the (pointer-swap-cheap) publish.
-    pub fn publish(self) -> u64 {
+    /// Publish the master as the next epoch and return its number: all
+    /// three steps in one call (see [`PreparedTxn::publish`]).
+    pub fn publish(self) -> Result<u64, PersistError> {
         self.prepare().publish()
     }
 
     /// Build the next epoch's snapshot — the expensive part of a publish
     /// (freezing the master's pending index writes, then cloning it) —
     /// without making it visible yet. The returned [`PreparedTxn`] still
-    /// holds the writer lock; its `publish` is a pointer swap.
+    /// holds the writer lock.
     pub fn prepare(mut self) -> PreparedTxn<'a> {
         self.guard.freeze();
         let epoch = self.store.epoch.load(Ordering::Acquire) + 1;
         let snapshot = Arc::new(Snapshot {
             epoch,
             dataset: self.guard.clone(),
-            published: std::sync::atomic::AtomicBool::new(false),
-            retired: Arc::clone(&self.store.retired),
         });
         PreparedTxn {
             guard: self.guard,
@@ -257,80 +265,164 @@ impl<'a> WriteTxn<'a> {
     }
 }
 
-/// A write transaction whose next-epoch snapshot is fully built: all that
-/// remains is the atomic pointer swap. Dropping without publishing keeps
-/// the previous epoch current (same rollback contract as [`WriteTxn`]).
+/// A write transaction whose next-epoch snapshot is fully built. Publish
+/// it in three steps: [`PreparedTxn::log`] (I/O, before any
+/// latency-sensitive lock of the caller's), [`LoggedTxn::publish`] (the
+/// pointer swap, inside it) and [`PublishedTxn::reclaim`] (frees, after
+/// it). Dropping without logging keeps the previous epoch current (same
+/// rollback contract as [`WriteTxn`]).
 pub struct PreparedTxn<'a> {
-    /// Held (not read) until publish so the store stays single-writer
-    /// across prepare → publish.
+    /// Held (not read) until reclaim so the store stays single-writer
+    /// across all three steps.
     guard: MutexGuard<'a, Dataset>,
     store: &'a EpochStore,
     snapshot: Arc<Snapshot>,
     epoch: u64,
-    /// Net base changes to log at publish (durable stores only).
+    /// Net base changes to log (durable stores only).
     changes: Option<ChangeSet>,
 }
 
-impl PreparedTxn<'_> {
+impl<'a> PreparedTxn<'a> {
     /// The epoch number this publish will install.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// Swap the prepared snapshot in (O(1); safe inside caller-held
-    /// latency-sensitive critical sections).
+    /// Step 1: on a durable store, append the epoch-log record (with
+    /// `catalog` as the view-catalog change, `None` carrying the previous
+    /// catalog forward) and fsync it — the write-ahead half of the
+    /// recovery guarantee. An in-memory store does nothing here.
     ///
-    /// On a durable store the epoch-log record is appended and fsync'd
-    /// *before* the swap — the write-ahead half of the recovery
-    /// guarantee. A log I/O failure panics rather than publishing: the
-    /// caller is about to acknowledge this batch, and acknowledging a
-    /// write the log cannot cover would silently break the durability
-    /// contract.
-    pub fn publish(self) -> u64 {
-        self.publish_with_catalog(None)
-    }
-
-    /// [`PreparedTxn::publish`], also recording a view-catalog change in
-    /// the same log record (`None` carries the previous catalog forward).
-    pub fn publish_with_catalog(self, catalog: Option<&[(u64, u64)]>) -> u64 {
+    /// A log I/O error is returned, not raised: nothing is published, the
+    /// persister refuses every later append (so a torn tail never has an
+    /// acknowledged record after it) and the master is reset to the
+    /// published snapshot — the store is read-only from then on, and
+    /// readers keep the last published epoch.
+    pub fn log(mut self, catalog: Option<&[(u64, u64)]>) -> Result<LoggedTxn<'a>, PersistError> {
         let mut snapshot_due = false;
         if let Some(persister) = &self.store.persist {
-            let changes = self.changes.clone().unwrap_or_default();
+            let changes = self.changes.take().unwrap_or_default();
             match persister.log_publish(self.epoch, self.guard.dict(), &changes, catalog) {
                 Ok(due) => snapshot_due = due,
-                Err(e) => panic!(
-                    "durability failure: epoch {} cannot be logged, refusing to publish: {e}",
-                    self.epoch
-                ),
+                Err(e) => {
+                    *self.guard = self.store.pin().dataset().clone();
+                    return Err(e);
+                }
             }
         }
-        let published = Arc::clone(&self.snapshot);
-        self.snapshot
-            .published
-            .store(true, std::sync::atomic::Ordering::Release);
+        Ok(LoggedTxn {
+            guard: self.guard,
+            store: self.store,
+            snapshot: self.snapshot,
+            epoch: self.epoch,
+            snapshot_due,
+        })
+    }
+
+    /// All three steps in one call, for callers with no lock of their own
+    /// to keep short. Returns the published epoch.
+    pub fn publish(self) -> Result<u64, PersistError> {
+        Ok(self.log(None)?.publish().reclaim())
+    }
+}
+
+/// A prepared transaction whose log record is durable: all that remains
+/// is the pointer swap.
+pub struct LoggedTxn<'a> {
+    guard: MutexGuard<'a, Dataset>,
+    store: &'a EpochStore,
+    snapshot: Arc<Snapshot>,
+    epoch: u64,
+    /// The persister's snapshot cadence came due with this record.
+    snapshot_due: bool,
+}
+
+impl<'a> LoggedTxn<'a> {
+    /// Step 2: swap the prepared snapshot in. O(1), no I/O and no free —
+    /// safe inside a caller's latency-sensitive critical section. The
+    /// superseded snapshot is handed to the returned [`PublishedTxn`],
+    /// whose reclaim step lists it.
+    pub fn publish(self) -> PublishedTxn<'a> {
+        // Counted before the swap, so `published - retired` never dips
+        // below the one current snapshot.
+        self.store.published.fetch_add(1, Ordering::Relaxed);
         let superseded = {
             let mut current = self.store.current.write().expect("epoch lock poisoned");
             std::mem::replace(&mut *current, self.snapshot)
         };
         self.store.epoch.store(self.epoch, Ordering::Release);
-        self.store.published.fetch_add(1, Ordering::Relaxed);
-        // Released outside the `current` lock: when no reader pins the
-        // old epoch this frees its whole dataset, and `pin` must not wait
-        // for that.
-        drop(superseded);
-        if snapshot_due {
+        PublishedTxn {
+            _guard: self.guard,
+            store: self.store,
+            epoch: self.epoch,
+            superseded: Some(superseded),
+            snapshot_due: self.snapshot_due,
+        }
+    }
+}
+
+/// A published epoch whose writer lock is still held: step 3, the
+/// reclaim, is left. Run it with [`PublishedTxn::reclaim`] once the
+/// caller's own locks are released; dropping the value runs it too.
+#[must_use = "dropping a PublishedTxn runs the reclaim step where it drops"]
+pub struct PublishedTxn<'a> {
+    /// Held (not read) until the reclaim step has run.
+    _guard: MutexGuard<'a, Dataset>,
+    store: &'a EpochStore,
+    epoch: u64,
+    superseded: Option<PinnedSnapshot>,
+    snapshot_due: bool,
+}
+
+impl PublishedTxn<'_> {
+    /// The epoch this transaction published.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Step 3: write the cadence snapshot if one is due, then list the
+    /// superseded snapshot and free every listed snapshot no reader
+    /// holds. Releases the writer lock and returns the published epoch.
+    pub fn reclaim(self) -> u64 {
+        self.epoch
+    }
+
+    fn reclaim_now(&mut self) {
+        if std::mem::take(&mut self.snapshot_due) {
             if let Some(persister) = &self.store.persist {
-                // Snapshot from the just-published immutable clone, still
-                // under the writer lock (`self.guard` lives to the end of
-                // this call) so no later batch can be half-visible in it.
+                // The just-published snapshot, still under the writer
+                // lock so no later batch can be half-visible in it.
                 // Failure is non-fatal: the log still covers everything,
                 // recovery just replays a longer tail.
+                let published = self.store.pin();
                 if let Err(e) = persister.snapshot(published.dataset(), self.epoch) {
                     eprintln!("sofos-store: snapshot at epoch {} failed: {e}", self.epoch);
                 }
             }
         }
-        self.epoch
+        let unpinned = {
+            let mut list = self.store.reclaim.lock().expect("reclaim list poisoned");
+            list.extend(self.superseded.take());
+            // A listed snapshot with no other owner cannot gain one: pins
+            // clone `current` only, and no reader holds this one.
+            let (unpinned, pinned): (Vec<_>, Vec<_>) = list
+                .drain(..)
+                .partition(|snapshot| Arc::strong_count(snapshot) == 1);
+            *list = pinned;
+            self.store
+                .freed
+                .fetch_add(unpinned.len() as u64, Ordering::Relaxed);
+            unpinned
+        };
+        // Freed outside the list lock, so the lifecycle accessors never
+        // wait for a dictionary free.
+        drop(unpinned);
+    }
+}
+
+impl Drop for PublishedTxn<'_> {
+    fn drop(&mut self) {
+        self.reclaim_now();
     }
 }
 
@@ -382,7 +474,7 @@ mod tests {
         assert!(store.pin().dataset().default_graph().is_empty());
         // The master retains the write: the next publish exposes it. This
         // is the documented contract — rollbacks must undo their writes.
-        store.begin().publish();
+        store.begin().publish().expect("in-memory publish");
         assert_eq!(store.pin().dataset().default_graph().len(), 1);
     }
 
@@ -421,6 +513,44 @@ mod tests {
     }
 
     #[test]
+    fn released_snapshots_wait_for_the_writer_to_reclaim() {
+        let store = EpochStore::new(Dataset::new());
+        let pinned = store.pin();
+        store.apply(delta_inserting(&["x"]));
+        assert_eq!(store.awaiting_reclaim(), 1, "epoch 0 is still pinned");
+        // The reader lets go: epoch 0 is retired at once, but the reader
+        // frees nothing — the snapshot stays listed for the writer.
+        drop(pinned);
+        assert_eq!(store.retired_snapshots(), 1);
+        assert_eq!(store.awaiting_reclaim(), 1);
+        // The next publish's reclaim step frees it; the snapshot that
+        // publish supersedes has no reader and goes at once.
+        store.apply(delta_inserting(&["y"]));
+        assert_eq!(store.awaiting_reclaim(), 0);
+        assert_eq!(store.retired_snapshots(), 2);
+        assert_eq!(store.live_snapshots(), 1);
+    }
+
+    #[test]
+    fn publish_steps_swap_before_reclaim() {
+        let store = EpochStore::new(Dataset::new());
+        let mut txn = store.begin();
+        let changes = txn.dataset().apply(delta_inserting(&["s"]));
+        txn.touch_changes(&changes);
+        let logged = txn.prepare().log(None).expect("in-memory log is a no-op");
+        assert_eq!(store.epoch(), 0, "logging publishes nothing");
+        let published = logged.publish();
+        // Swapped: readers see the epoch while the writer still holds
+        // the superseded snapshot for its reclaim step.
+        assert_eq!(store.pin().epoch(), 1);
+        assert_eq!(store.awaiting_reclaim(), 0);
+        assert_eq!(store.retired_snapshots(), 0);
+        assert_eq!(published.reclaim(), 1);
+        assert_eq!(store.retired_snapshots(), 1);
+        assert_eq!(store.awaiting_reclaim(), 0);
+    }
+
+    #[test]
     fn batch_txn_coalesces_deltas_into_one_epoch() {
         let store = EpochStore::new(Dataset::new());
         let reader = store.pin();
@@ -432,7 +562,7 @@ mod tests {
         // Nothing visible until the single publish.
         assert_eq!(store.epoch(), 0);
         assert!(store.pin().dataset().default_graph().is_empty());
-        let epoch = txn.publish();
+        let epoch = txn.publish().expect("in-memory publish");
         assert_eq!(epoch, 1, "five deltas, one epoch");
         assert_eq!(store.pin().dataset().default_graph().len(), 5);
         assert_eq!(store.published_snapshots(), 2);
@@ -469,7 +599,7 @@ mod tests {
         let g0 = txn.dataset().intern_iri("http://e/g0");
         txn.dataset()
             .insert(Some(g0), &term("s2"), &term("p"), &term("o"));
-        txn.publish();
+        txn.publish().expect("in-memory publish");
         let last = store.pin();
         assert_eq!(
             map_after.shared_chunks(last.dataset().named_graphs()),

@@ -27,8 +27,9 @@
 //!   the input to `sofos-maintain`'s incremental view maintenance;
 //! * [`epoch::EpochStore`] makes the dataset concurrent: readers pin
 //!   immutable epoch [`epoch::Snapshot`]s while the single writer builds
-//!   and atomically publishes the next epoch (see
-//!   `crates/store/README.md` for the pin → publish → retire lifecycle).
+//!   the next epoch and publishes it in three steps — log, swap, reclaim
+//!   (see `crates/store/README.md` for the pin → publish → retire
+//!   lifecycle).
 
 pub mod bitmap;
 pub mod dataset;
@@ -45,7 +46,9 @@ pub mod stats;
 pub use bitmap::Bitmap;
 pub use dataset::{Dataset, GraphName};
 pub use delta::{ChangeSet, Delta, DeltaOp, GraphChanges, OpKind};
-pub use epoch::{EpochStore, PinnedSnapshot, PreparedTxn, Snapshot, WriteTxn};
+pub use epoch::{
+    EpochStore, LoggedTxn, PinnedSnapshot, PreparedTxn, PublishedTxn, Snapshot, WriteTxn,
+};
 pub use graphmap::GraphMap;
 pub use index::{GraphStore, Perm, ScanCursor};
 pub use inference::{materialize_rdfs, InferenceStats};

@@ -18,6 +18,12 @@
 //! tests assert "recovery lands on exactly a published epoch" where
 //! *published* means "covered by a complete log record".
 //!
+//! A failed append or fsync is returned to the publisher, which publishes
+//! nothing. It may leave a torn frame at the log's end, and recovery
+//! truncates the log there — dropping anything appended after it. So the
+//! first failure turns the [`Persister`] read-only: it refuses every later
+//! append, and no acknowledged record can ever sit behind a torn one.
+//!
 //! ## Dictionary lineage
 //!
 //! The dictionary is append-only and dense: ids are assigned in
@@ -61,8 +67,8 @@ use sofos_rdf::{Dictionary, FxHashSet, TermId};
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// Name of the append-only epoch log inside the data directory.
 pub const LOG_FILE: &str = "epoch.log";
@@ -118,12 +124,21 @@ pub enum PersistError {
         /// The underlying error.
         source: io::Error,
     },
+    /// An earlier log append failed, so the log takes no more records
+    /// (see [`Persister::failure`]).
+    ReadOnly {
+        /// The earlier failure.
+        cause: String,
+    },
 }
 
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PersistError::Io { context, source } => write!(f, "{context}: {source}"),
+            PersistError::ReadOnly { cause } => {
+                write!(f, "epoch log is read-only after a failed append ({cause})")
+            }
         }
     }
 }
@@ -212,6 +227,10 @@ pub struct Persister {
     snapshots: AtomicU64,
     replayed_records: u64,
     truncated_bytes: u64,
+    /// The first failed append; once set, every later append is refused.
+    failure: OnceLock<String>,
+    /// Test seam: the next append writes half its frame, then fails.
+    fail_next_append: AtomicBool,
 }
 
 impl Persister {
@@ -291,6 +310,8 @@ impl Persister {
             snapshots: AtomicU64::new(0),
             replayed_records,
             truncated_bytes,
+            failure: OnceLock::new(),
+            fail_next_append: AtomicBool::new(false),
             config,
         };
         let recovered = had_state.then_some(Recovered {
@@ -314,6 +335,12 @@ impl Persister {
     /// frame, and fsync — all before the caller may swap the epoch
     /// pointer. Returns `true` when the snapshot cadence says the caller
     /// should follow up with [`Persister::snapshot`].
+    ///
+    /// A failed write or fsync may leave part of the frame on disk.
+    /// Recovery truncates such a torn tail, which would drop every record
+    /// appended after it, so the first failure turns the log read-only:
+    /// every later call returns [`PersistError::ReadOnly`] without
+    /// touching the file.
     pub fn log_publish(
         &self,
         epoch: u64,
@@ -322,6 +349,11 @@ impl Persister {
         catalog: Option<&[(u64, u64)]>,
     ) -> Result<bool, PersistError> {
         let mut inner = self.inner.lock().unwrap();
+        if let Some(cause) = self.failure.get() {
+            return Err(PersistError::ReadOnly {
+                cause: cause.clone(),
+            });
+        }
         let record = Record::from_changes(
             epoch,
             dict,
@@ -330,13 +362,32 @@ impl Persister {
             catalog.map(|c| c.to_vec()),
         );
         let bytes = log::frame(&record.encode_payload());
-        inner
-            .log
-            .write_all(&bytes)
-            .map_err(io_err("append epoch log record"))?;
-        if self.config.fsync {
-            inner.log.sync_data().map_err(io_err("fsync epoch log"))?;
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
+        let written = if self.fail_next_append.swap(false, Ordering::Relaxed) {
+            inner
+                .log
+                .write_all(&bytes[..bytes.len() / 2])
+                .and_then(|()| {
+                    Err(io::Error::new(
+                        io::ErrorKind::StorageFull,
+                        "injected append failure",
+                    ))
+                })
+        } else {
+            inner.log.write_all(&bytes)
+        };
+        let durable = written
+            .map_err(io_err("append epoch log record"))
+            .and_then(|()| {
+                if self.config.fsync {
+                    inner.log.sync_data().map_err(io_err("fsync epoch log"))?;
+                    self.fsyncs.fetch_add(1, Ordering::Relaxed);
+                }
+                Ok(())
+            });
+        if let Err(e) = durable {
+            // Set once under `inner`: the first failure is the cause.
+            let _ = self.failure.set(e.to_string());
+            return Err(e);
         }
         inner.persisted_terms = dict.len();
         if let Some(entries) = catalog {
@@ -393,6 +444,19 @@ impl Persister {
             self.fsyncs.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
+    }
+
+    /// The failed append that turned this log read-only, if any.
+    pub fn failure(&self) -> Option<&str> {
+        self.failure.get().map(String::as_str)
+    }
+
+    /// Make the next [`Persister::log_publish`] write half its frame and
+    /// then fail, as a full device would: the seam the engine's
+    /// storage-failure tests inject through.
+    #[doc(hidden)]
+    pub fn fail_next_append(&self) {
+        self.fail_next_append.store(true, Ordering::Relaxed);
     }
 
     /// Lock-free stats for `/metrics` and the E12 bench.

@@ -315,6 +315,46 @@ fn prepared_but_unpublished_batch_is_invisible() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// A failed append (half a frame reaches the file) publishes nothing,
+/// resets the master and turns the store read-only: a later append can
+/// never land behind the torn bytes, so recovery keeps exactly the
+/// acknowledged batches.
+#[test]
+fn failed_append_turns_the_store_read_only() {
+    let dir = scratch_dir("failed-append");
+    let store = fresh_store(&dir, 1 << 30);
+    store.apply(op_delta(&[(true, 1, 0, 1)]));
+    let acknowledged = fingerprint(store.pin().dataset());
+    let persister = Arc::clone(store.persister().expect("durable store"));
+
+    persister.fail_next_append();
+    let mut txn = store.begin();
+    let changes = txn.dataset().apply(op_delta(&[(true, 2, 0, 2)]));
+    txn.touch_changes(&changes);
+    assert!(txn.publish().is_err(), "the failed append is reported");
+    assert!(persister.failure().is_some());
+    assert_eq!(store.epoch(), 1);
+    assert_eq!(fingerprint(store.pin().dataset()), acknowledged);
+    // The master is back at the published state, not the failed batch.
+    assert_eq!(fingerprint(store.begin().dataset()), acknowledged);
+
+    // Every later append is refused; `apply` reports the unchanged epoch.
+    let log_len = fs::metadata(dir.join("epoch.log")).expect("log").len();
+    let (changes, epoch) = store.apply(op_delta(&[(true, 3, 0, 3)]));
+    assert_eq!((changes.default_graph.inserted.len(), epoch), (0, 1));
+    assert_eq!(
+        fs::metadata(dir.join("epoch.log")).expect("log").len(),
+        log_len
+    );
+    drop(store);
+
+    let rec = recover(&dir);
+    assert!(rec.truncated_bytes > 0, "the torn half-frame is cut off");
+    assert_eq!(rec.epoch, 1);
+    assert_eq!(fingerprint(&rec.dataset), acknowledged);
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// Named view graphs and the catalog ride snapshots bit-exactly (the
 /// log's catalog entries carry identity; contents come from snapshots).
 #[test]
