@@ -51,12 +51,35 @@
 //! `Vec<Option<TermId>>` whose stride is the query's variable count, so
 //! slot `j` of row `i` is cell `i * width + j`. Extending a row by a
 //! match appends a copy of it to the next table and writes the new slots
-//! in place; `FILTER` and `BIND` compact the table in place; grouping
-//! keeps a row *index* as a group's representative and builds group keys
-//! in one reused buffer. The join, `FILTER`, `BIND`, `VALUES` and
-//! grouping allocate nothing per row (`OPTIONAL` and `UNION` still run
-//! their inner group once per row), and the finishers read the table
-//! directly.
+//! in place; `FILTER` and `BIND` compact the table in place. The join,
+//! `FILTER`, `BIND` and `VALUES` allocate nothing per row (`OPTIONAL` and
+//! `UNION` still run their inner group once per row).
+//!
+//! # Grouping and projection on ids
+//!
+//! Grouping and projection allocate no per-group or per-row structure;
+//! what still scales with the input is the output rows and the values
+//! that expressions, and MIN, MAX or DISTINCT over text, produce.
+//!
+//! - **Group arenas.** Groups live in flat arenas numbered in
+//!   first-occurrence order: one for keys (stride = GROUP BY variables),
+//!   one for accumulators (stride = aggregates) and one for each group's
+//!   representative row index. A power-of-two open-addressing table maps
+//!   a key to its group number and keeps the key's hash beside it, so
+//!   growing the table never re-hashes a key. It is sized from the input
+//!   row count; the implicit group (no GROUP BY) has none. A `DISTINCT`
+//!   aggregate keeps one set of (group, value) pairs, not one per group.
+//! - **One decode per distinct id.** An aggregate whose argument is a
+//!   bare variable reads its slot, and decodes each distinct id into a
+//!   [`Value`] once per query through a memo; a plain `COUNT` decodes
+//!   nothing.
+//! - **A positional plan.** The SELECT list compiles once per query into
+//!   cells: a variable's slot, a bare aggregate's index, or an expression
+//!   to evaluate. ORDER BY keys compile to a SELECT alias's cell (its
+//!   computed value is reused), a variable's slot, or an expression, and
+//!   land in one flat arena. Both finishers project through this plan.
+//!   Expressions over a group resolve an aggregate by the address of its
+//!   node, which the plan matched to its index once.
 //!
 //! # Constant-filter pushdown
 //!
@@ -88,10 +111,12 @@ use crate::error::{Result, SparqlError};
 use crate::expr::{eval_expr, AggContext, EvalScope, TermSource};
 use crate::parse::parse_query;
 use crate::results::QueryResults;
-use crate::value::Value;
+use crate::value::{DistinctKey, Value};
+use sofos_rdf::hash::FxHasher;
 use sofos_rdf::{Dictionary, FxHashMap, FxHashSet, Numeric, Term, TermId};
 use sofos_store::{Dataset, GraphStore, IdPattern, ScanCursor};
 use std::cmp::Ordering;
+use std::hash::Hasher;
 
 /// Evaluates queries against a [`Dataset`].
 pub struct Evaluator<'a> {
@@ -282,13 +307,16 @@ impl<'a> Evaluator<'a> {
             var_index.entry(v.clone()).or_insert(next);
         }
         // Expression-only variables (e.g. BOUND on a never-bound var) get
-        // slots too, so lookups are well-defined.
+        // slots too, so lookups are well-defined; so do projected and
+        // grouped variables no pattern binds.
         let mut extra_vars: Vec<String> = Vec::new();
         for item in &query.select {
-            if let SelectItem::Expr { expr, .. } = item {
-                extra_vars.extend(expr.variables());
+            match item {
+                SelectItem::Var(v) => extra_vars.push(v.clone()),
+                SelectItem::Expr { expr, .. } => extra_vars.extend(expr.variables()),
             }
         }
+        extra_vars.extend(query.group_by.iter().cloned());
         if let Some(h) = &query.having {
             extra_vars.extend(h.variables());
         }
@@ -305,6 +333,7 @@ impl<'a> Evaluator<'a> {
             var_index.entry(v).or_insert(next);
         }
         let nvars = var_index.len();
+        let plan = Plan::compile(query, &var_index, &pattern_vars)?;
 
         // --- WHERE clause ----------------------------------------------------
         let mut wdict = WorkingDict::new(self.dataset.dict());
@@ -315,19 +344,10 @@ impl<'a> Evaluator<'a> {
             &mut wdict,
         )?;
 
-        // --- aggregation check ------------------------------------------------
-        let select_has_agg = query.select.iter().any(|i| match i {
-            SelectItem::Expr { expr, .. } => expr.has_aggregate(),
-            SelectItem::Var(_) => false,
-        });
-        let grouped = !query.group_by.is_empty()
-            || select_has_agg
-            || query.having.as_ref().is_some_and(Expr::has_aggregate);
-
-        if grouped {
-            self.finish_grouped(query, &rows, &var_index, &wdict)
+        if plan.grouped {
+            finish_grouped(query, plan, &rows, &var_index, &wdict)
         } else {
-            self.finish_plain(query, &rows, &var_index, &pattern_vars, &wdict)
+            finish_plain(query, plan, &rows, &var_index, &wdict)
         }
     }
 
@@ -683,236 +703,6 @@ impl<'a> Evaluator<'a> {
             }
         }
     }
-
-    // ---- plain (non-grouped) finishing -------------------------------------
-
-    fn finish_plain(
-        &self,
-        query: &Query,
-        rows: &Table,
-        var_index: &FxHashMap<String, usize>,
-        pattern_vars: &[String],
-        wdict: &WorkingDict<'_>,
-    ) -> Result<QueryResults> {
-        let items: Vec<SelectItem> = if query.wildcard {
-            pattern_vars.iter().cloned().map(SelectItem::Var).collect()
-        } else {
-            query.select.clone()
-        };
-        let names: Vec<String> = items.iter().map(|i| i.name().to_string()).collect();
-
-        let mut out_rows: Vec<Vec<Option<Term>>> = Vec::with_capacity(rows.len());
-        let mut order_keys: Vec<Vec<Option<Value>>> = Vec::with_capacity(rows.len());
-        for row in rows.rows() {
-            let scope = EvalScope {
-                dict: wdict as &dyn TermSource,
-                var_index,
-                bindings: row,
-                aggs: None,
-            };
-            let (cells, keys) = project(query, &items, &scope, row, wdict);
-            if let Some(keys) = keys {
-                order_keys.push(keys);
-            }
-            out_rows.push(cells);
-        }
-
-        self.apply_modifiers(query, names, out_rows, order_keys)
-    }
-
-    // ---- grouped finishing ---------------------------------------------------
-
-    fn finish_grouped(
-        &self,
-        query: &Query,
-        rows: &Table,
-        var_index: &FxHashMap<String, usize>,
-        wdict: &WorkingDict<'_>,
-    ) -> Result<QueryResults> {
-        if query.wildcard {
-            return Err(SparqlError::Plan(
-                "SELECT * cannot be combined with aggregation".into(),
-            ));
-        }
-        // Validate: plain projected vars must be grouped.
-        for item in &query.select {
-            if let SelectItem::Var(v) = item {
-                if !query.group_by.iter().any(|g| g == v) {
-                    return Err(SparqlError::Plan(format!(
-                        "variable ?{v} is projected but not in GROUP BY"
-                    )));
-                }
-            }
-        }
-
-        // Extract the distinct aggregates from SELECT / HAVING / ORDER BY.
-        let mut aggregates: Vec<Aggregate> = Vec::new();
-        let mut collect = |expr: &Expr| collect_aggregates(expr, &mut aggregates);
-        for item in &query.select {
-            if let SelectItem::Expr { expr, .. } = item {
-                collect(expr);
-            }
-        }
-        if let Some(h) = &query.having {
-            collect_aggregates(h, &mut aggregates);
-        }
-        for cond in &query.order_by {
-            collect_aggregates(&cond.expr, &mut aggregates);
-        }
-
-        // An argument that is a bare variable is read by slot.
-        let arg_slots: Vec<Option<usize>> = aggregates
-            .iter()
-            .map(|agg| match agg.expr() {
-                Some(Expr::Var(v)) => var_index.get(v.as_str()).copied(),
-                _ => None,
-            })
-            .collect();
-
-        let key_slots: Vec<usize> = query
-            .group_by
-            .iter()
-            .map(|g| var_index.get(g.as_str()).copied().unwrap_or(usize::MAX))
-            .collect();
-
-        // Group rows in first-occurrence order (for determinism). A group
-        // is its representative row's index plus its accumulators; `None`
-        // stands for the all-unbound row of an empty implicit group.
-        let mut groups: Vec<(Option<usize>, Vec<AggAcc>)> = Vec::new();
-        let mut group_of: FxHashMap<Vec<Option<TermId>>, usize> = FxHashMap::default();
-        let mut key: Vec<Option<TermId>> = Vec::with_capacity(key_slots.len());
-        for (i, row) in rows.rows().enumerate() {
-            key.clear();
-            key.extend(
-                key_slots
-                    .iter()
-                    .map(|&slot| if slot == usize::MAX { None } else { row[slot] }),
-            );
-            let g = match group_of.get(key.as_slice()) {
-                Some(&g) => g,
-                None => {
-                    group_of.insert(key.clone(), groups.len());
-                    groups.push((Some(i), aggregates.iter().map(AggAcc::new).collect()));
-                    groups.len() - 1
-                }
-            };
-            let scope = EvalScope {
-                dict: wdict as &dyn TermSource,
-                var_index,
-                bindings: row,
-                aggs: None,
-            };
-            for ((agg, slot), acc) in aggregates.iter().zip(&arg_slots).zip(&mut groups[g].1) {
-                let value = match (agg.expr(), slot) {
-                    (Some(_), Some(slot)) => {
-                        row[*slot].map(|id| Value::from_term(wdict.resolve(id)))
-                    }
-                    (Some(e), None) => eval_expr(e, &scope),
-                    (None, _) => Some(Value::Boolean(true)), // COUNT(*): any row
-                };
-                acc.push(value, agg.expr().is_none());
-            }
-        }
-
-        // Aggregation without GROUP BY over zero rows yields one group.
-        if groups.is_empty() && query.group_by.is_empty() {
-            groups.push((None, aggregates.iter().map(AggAcc::new).collect()));
-        }
-
-        let unbound = vec![None; rows.width];
-        let names: Vec<String> = query.select.iter().map(|i| i.name().to_string()).collect();
-        let mut out_rows = Vec::with_capacity(groups.len());
-        let mut order_keys: Vec<Vec<Option<Value>>> = Vec::new();
-        for (rep, accs) in &groups {
-            let rep = rep.map_or(unbound.as_slice(), |i| rows.row(i));
-            let agg_values: Vec<Option<Value>> = accs.iter().map(AggAcc::finish).collect();
-            let ctx = AggContext {
-                aggregates: &aggregates,
-                values: &agg_values,
-            };
-            let scope = EvalScope {
-                dict: wdict as &dyn TermSource,
-                var_index,
-                bindings: rep,
-                aggs: Some(&ctx),
-            };
-            // HAVING.
-            if let Some(having) = &query.having {
-                if !eval_expr(having, &scope)
-                    .and_then(|v| v.ebv())
-                    .unwrap_or(false)
-                {
-                    continue;
-                }
-            }
-            let (cells, keys) = project(query, &query.select, &scope, rep, wdict);
-            if let Some(keys) = keys {
-                order_keys.push(keys);
-            }
-            out_rows.push(cells);
-        }
-
-        self.apply_modifiers(query, names, out_rows, order_keys)
-    }
-
-    // ---- shared modifiers: DISTINCT, ORDER BY, LIMIT/OFFSET -----------------
-
-    fn apply_modifiers(
-        &self,
-        query: &Query,
-        names: Vec<String>,
-        mut rows: Vec<Vec<Option<Term>>>,
-        order_keys: Vec<Vec<Option<Value>>>,
-    ) -> Result<QueryResults> {
-        // ORDER BY (stable sort over precomputed keys), then move each row
-        // to its place.
-        if !query.order_by.is_empty() && !rows.is_empty() {
-            debug_assert_eq!(rows.len(), order_keys.len());
-            let mut indices: Vec<usize> = (0..rows.len()).collect();
-            indices.sort_by(|&a, &b| {
-                for (cond, (ka, kb)) in query
-                    .order_by
-                    .iter()
-                    .zip(order_keys[a].iter().zip(order_keys[b].iter()))
-                {
-                    let ord = match (ka, kb) {
-                        (None, None) => Ordering::Equal,
-                        (None, Some(_)) => Ordering::Less,
-                        (Some(_), None) => Ordering::Greater,
-                        (Some(x), Some(y)) => x.total_cmp(y),
-                    };
-                    let ord = if cond.descending { ord.reverse() } else { ord };
-                    if ord != Ordering::Equal {
-                        return ord;
-                    }
-                }
-                Ordering::Equal
-            });
-            rows = indices
-                .into_iter()
-                .map(|i| std::mem::take(&mut rows[i]))
-                .collect();
-        }
-
-        // DISTINCT preserves first occurrence.
-        if query.distinct {
-            let keep: Vec<bool> = {
-                let mut seen: FxHashSet<&[Option<Term>]> = FxHashSet::default();
-                rows.iter().map(|row| seen.insert(row.as_slice())).collect()
-            };
-            let mut keep = keep.into_iter();
-            rows.retain(|_| keep.next() == Some(true));
-        }
-
-        // OFFSET / LIMIT.
-        let offset = query.offset.unwrap_or(0).min(rows.len());
-        rows.drain(..offset);
-        if let Some(limit) = query.limit {
-            rows.truncate(limit);
-        }
-
-        Ok(QueryResults { vars: names, rows })
-    }
 }
 
 /// A block the star join takes (see the module docs): legs `?s <p> ?o_i`
@@ -1033,243 +823,638 @@ impl Star {
     }
 }
 
-/// Project one row (or one group's representative) onto the SELECT items,
-/// plus its ORDER BY keys when the query orders. An ORDER BY on a SELECT
-/// alias reuses the projected value.
-fn project(
-    query: &Query,
-    items: &[SelectItem],
-    scope: &EvalScope<'_>,
-    row: &[Option<TermId>],
-    wdict: &WorkingDict<'_>,
-) -> (Vec<Option<Term>>, Option<Vec<Option<Value>>>) {
-    let var_index = scope.var_index;
-    let mut cells = Vec::with_capacity(items.len());
-    let mut alias_values: FxHashMap<&str, Option<Value>> = FxHashMap::default();
-    for item in items {
-        let cell = match item {
-            SelectItem::Var(name) => var_index
-                .get(name.as_str())
-                .and_then(|&idx| row[idx])
-                .map(|id| wdict.resolve(id).clone()),
-            SelectItem::Expr { expr, alias } => {
-                let v = eval_expr(expr, scope);
-                let cell = v.as_ref().map(Value::to_term);
-                if !query.order_by.is_empty() {
-                    alias_values.insert(alias.as_str(), v);
-                }
-                cell
-            }
+// ---- the post-join half: one positional plan ---------------------------------
+
+/// The post-join half of a query, compiled once: the SELECT list as
+/// positional cells, the ORDER BY keys, and for a grouped query its group
+/// key slots and aggregates.
+struct Plan<'q> {
+    names: Vec<String>,
+    cells: Vec<Cell<'q>>,
+    keys: Vec<Key<'q>>,
+    grouped: bool,
+    group_slots: Vec<usize>,
+    /// The distinct aggregates of SELECT, HAVING and ORDER BY.
+    aggregates: Vec<AggSpec<'q>>,
+    /// Every aggregate node of those expressions with its index in
+    /// `aggregates`: [`eval_expr`] resolves an aggregate by its node.
+    agg_nodes: Vec<(&'q Aggregate, usize)>,
+}
+
+/// One output column.
+enum Cell<'q> {
+    /// A variable: its binding slot.
+    Slot(usize),
+    /// A bare aggregate: its index in [`Plan::aggregates`].
+    Agg(usize),
+    /// Anything else, evaluated per row or group.
+    Expr(&'q Expr),
+}
+
+/// One ORDER BY condition's key.
+enum Key<'q> {
+    /// A SELECT alias: the value its cell computed.
+    Cell(usize),
+    /// A variable that is no alias: its binding slot.
+    Slot(usize),
+    /// Any other expression.
+    Expr(&'q Expr),
+}
+
+/// An aggregate and how its argument is read from a row.
+struct AggSpec<'q> {
+    agg: &'q Aggregate,
+    arg: Arg<'q>,
+    distinct: bool,
+    /// Whether a bound argument is decoded: a plain `COUNT` only counts it.
+    decodes: bool,
+}
+
+enum Arg<'q> {
+    /// `COUNT(*)`: every row counts.
+    Row,
+    /// A bare variable, read by slot and decoded once per distinct id.
+    Slot(usize),
+    /// Any other expression, evaluated per row.
+    Expr(&'q Expr),
+}
+
+impl<'q> Plan<'q> {
+    fn compile(
+        query: &'q Query,
+        var_index: &FxHashMap<String, usize>,
+        pattern_vars: &[String],
+    ) -> Result<Plan<'q>> {
+        let select_has_agg = query.select.iter().any(|i| match i {
+            SelectItem::Expr { expr, .. } => expr.has_aggregate(),
+            SelectItem::Var(_) => false,
+        });
+        let grouped = !query.group_by.is_empty()
+            || select_has_agg
+            || query.having.as_ref().is_some_and(Expr::has_aggregate);
+        let mut plan = Plan {
+            names: Vec::new(),
+            cells: Vec::new(),
+            keys: Vec::new(),
+            grouped,
+            group_slots: query.group_by.iter().map(|g| var_index[g]).collect(),
+            aggregates: Vec::new(),
+            agg_nodes: Vec::new(),
         };
-        cells.push(cell);
-    }
-    if query.order_by.is_empty() {
-        return (cells, None);
-    }
-    let keys = query
-        .order_by
-        .iter()
-        .map(|cond| {
-            if let Expr::Var(name) = &cond.expr {
-                if let Some(v) = alias_values.get(name.as_str()) {
-                    return v.clone();
+        if grouped {
+            if query.wildcard {
+                return Err(SparqlError::Plan(
+                    "SELECT * cannot be combined with aggregation".into(),
+                ));
+            }
+            for item in &query.select {
+                if let SelectItem::Var(v) = item {
+                    if !query.group_by.contains(v) {
+                        return Err(SparqlError::Plan(format!(
+                            "variable ?{v} is projected but not in GROUP BY"
+                        )));
+                    }
                 }
             }
-            eval_expr(&cond.expr, scope)
-        })
-        .collect();
-    (cells, Some(keys))
-}
+            let selected = query.select.iter().filter_map(|item| match item {
+                SelectItem::Expr { expr, .. } => Some(expr),
+                SelectItem::Var(_) => None,
+            });
+            let ordered = query.order_by.iter().map(|cond| &cond.expr);
+            for expr in selected.chain(query.having.as_ref()).chain(ordered) {
+                plan.collect_aggregates(expr, var_index);
+            }
+        }
 
-/// Collect distinct aggregates appearing in an expression, in order.
-fn collect_aggregates(expr: &Expr, out: &mut Vec<Aggregate>) {
-    match expr {
-        Expr::Aggregate(agg) => {
-            if !out.contains(agg) {
-                out.push(agg.clone());
+        if query.wildcard {
+            plan.names = pattern_vars.to_vec();
+            plan.cells = pattern_vars
+                .iter()
+                .map(|v| Cell::Slot(var_index[v]))
+                .collect();
+        } else {
+            for item in &query.select {
+                plan.names.push(item.name().to_string());
+                let cell = match item {
+                    SelectItem::Var(v) => Cell::Slot(var_index[v]),
+                    SelectItem::Expr {
+                        expr: Expr::Aggregate(agg),
+                        ..
+                    } => Cell::Agg(plan.agg_index(agg)),
+                    SelectItem::Expr { expr, .. } => Cell::Expr(expr),
+                };
+                plan.cells.push(cell);
             }
         }
-        Expr::Var(_) | Expr::Const(_) => {}
-        Expr::Not(e) | Expr::Neg(e) => collect_aggregates(e, out),
-        Expr::Or(a, b) | Expr::And(a, b) | Expr::Compare(_, a, b) | Expr::Arith(_, a, b) => {
-            collect_aggregates(a, out);
-            collect_aggregates(b, out);
-        }
-        Expr::In(e, list) => {
-            collect_aggregates(e, out);
-            for item in list {
-                collect_aggregates(item, out);
+
+        plan.keys = query
+            .order_by
+            .iter()
+            .map(|cond| {
+                let Expr::Var(name) = &cond.expr else {
+                    return Key::Expr(&cond.expr);
+                };
+                // The last item with this alias, as a later alias shadows.
+                let alias = query.select.iter().rposition(
+                    |item| matches!(item, SelectItem::Expr { alias, .. } if alias == name),
+                );
+                match alias {
+                    Some(i) => Key::Cell(i),
+                    None => Key::Slot(var_index[name]),
+                }
+            })
+            .collect();
+        Ok(plan)
+    }
+
+    /// Record every aggregate node of `expr`, matching equal aggregates to
+    /// one entry of [`Plan::aggregates`].
+    fn collect_aggregates(&mut self, expr: &'q Expr, var_index: &FxHashMap<String, usize>) {
+        match expr {
+            Expr::Aggregate(agg) => {
+                let index = match self.aggregates.iter().position(|a| a.agg == agg) {
+                    Some(index) => index,
+                    None => {
+                        let arg = match agg.expr() {
+                            None => Arg::Row,
+                            Some(Expr::Var(v)) => Arg::Slot(var_index[v]),
+                            Some(e) => Arg::Expr(e),
+                        };
+                        let distinct = matches!(
+                            agg,
+                            Aggregate::Count { distinct: true, .. }
+                                | Aggregate::Sum { distinct: true, .. }
+                                | Aggregate::Avg { distinct: true, .. }
+                        );
+                        let decodes = distinct || !matches!(agg, Aggregate::Count { .. });
+                        self.aggregates.push(AggSpec {
+                            agg,
+                            arg,
+                            distinct,
+                            decodes,
+                        });
+                        self.aggregates.len() - 1
+                    }
+                };
+                self.agg_nodes.push((agg, index));
             }
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                collect_aggregates(a, out);
+            Expr::Var(_) | Expr::Const(_) => {}
+            Expr::Not(e) | Expr::Neg(e) => self.collect_aggregates(e, var_index),
+            Expr::Or(a, b) | Expr::And(a, b) | Expr::Compare(_, a, b) | Expr::Arith(_, a, b) => {
+                self.collect_aggregates(a, var_index);
+                self.collect_aggregates(b, var_index);
+            }
+            Expr::In(e, list) => {
+                self.collect_aggregates(e, var_index);
+                for item in list {
+                    self.collect_aggregates(item, var_index);
+                }
+            }
+            Expr::Call(_, args) => {
+                for a in args {
+                    self.collect_aggregates(a, var_index);
+                }
             }
         }
     }
+
+    /// The index of an aggregate node recorded by `collect_aggregates`.
+    fn agg_index(&self, agg: &Aggregate) -> usize {
+        self.agg_nodes
+            .iter()
+            .find(|(node, _)| std::ptr::eq(*node, agg))
+            .map(|&(_, index)| index)
+            .expect("every SELECT aggregate was collected")
+    }
+
+    /// One output row from `scope` (a row, or a group's representative
+    /// with its aggregate `values`); its ORDER BY keys go to `order_keys`.
+    /// `computed` is scratch space for the alias values the keys reuse.
+    fn project(
+        &self,
+        scope: &EvalScope<'_>,
+        values: &[Option<Value>],
+        wdict: &WorkingDict<'_>,
+        computed: &mut Vec<Option<Value>>,
+        order_keys: &mut Vec<Option<Value>>,
+    ) -> Vec<Option<Term>> {
+        let ordered = !self.keys.is_empty();
+        computed.clear();
+        let mut cells = Vec::with_capacity(self.cells.len());
+        for cell in &self.cells {
+            let value = match cell {
+                Cell::Slot(slot) => {
+                    cells.push(scope.bindings[*slot].map(|id| wdict.resolve(id).clone()));
+                    None
+                }
+                Cell::Agg(index) => {
+                    let value = &values[*index];
+                    cells.push(value.as_ref().map(Value::to_term));
+                    if ordered {
+                        value.clone()
+                    } else {
+                        None
+                    }
+                }
+                Cell::Expr(expr) => {
+                    let value = eval_expr(expr, scope);
+                    cells.push(value.as_ref().map(Value::to_term));
+                    value
+                }
+            };
+            if ordered {
+                computed.push(value);
+            }
+        }
+        for key in &self.keys {
+            order_keys.push(match key {
+                Key::Cell(i) => computed[*i].clone(),
+                Key::Slot(slot) => {
+                    scope.bindings[*slot].map(|id| Value::from_term(wdict.resolve(id)))
+                }
+                Key::Expr(expr) => eval_expr(expr, scope),
+            });
+        }
+        cells
+    }
 }
 
-/// Aggregate accumulator.
+// ---- finishers -------------------------------------------------------------------
+
+fn finish_plain(
+    query: &Query,
+    plan: Plan<'_>,
+    rows: &Table,
+    var_index: &FxHashMap<String, usize>,
+    wdict: &WorkingDict<'_>,
+) -> Result<QueryResults> {
+    let mut out_rows = Vec::with_capacity(rows.len());
+    let mut order_keys = Vec::with_capacity(rows.len() * plan.keys.len());
+    let mut computed = Vec::new();
+    for row in rows.rows() {
+        let scope = EvalScope {
+            dict: wdict as &dyn TermSource,
+            var_index,
+            bindings: row,
+            aggs: None,
+        };
+        out_rows.push(plan.project(&scope, &[], wdict, &mut computed, &mut order_keys));
+    }
+    apply_modifiers(query, plan.names, out_rows, order_keys)
+}
+
+fn finish_grouped(
+    query: &Query,
+    plan: Plan<'_>,
+    rows: &Table,
+    var_index: &FxHashMap<String, usize>,
+    wdict: &WorkingDict<'_>,
+) -> Result<QueryResults> {
+    let naggs = plan.aggregates.len();
+    let mut groups = Groups::new(plan.group_slots.len(), rows.len());
+    let mut accs: Vec<AggAcc> = Vec::new();
+    // Per DISTINCT aggregate: the (group, value) pairs seen.
+    let mut seen: Vec<FxHashSet<(usize, DistinctKey)>> = plan
+        .aggregates
+        .iter()
+        .map(|_| FxHashSet::default())
+        .collect();
+    // Each bare-variable argument's id, decoded once.
+    let mut decoded: FxHashMap<TermId, Value> = FxHashMap::default();
+    for (i, row) in rows.rows().enumerate() {
+        let (g, new) = groups.group_of(&plan.group_slots, row, i);
+        if new {
+            accs.extend(plan.aggregates.iter().map(|spec| AggAcc::new(spec.agg)));
+        }
+        let group_accs = &mut accs[g * naggs..(g + 1) * naggs];
+        for ((spec, acc), seen) in plan.aggregates.iter().zip(group_accs).zip(&mut seen) {
+            let computed;
+            let value = match spec.arg {
+                Arg::Row => {
+                    acc.count();
+                    continue;
+                }
+                Arg::Slot(slot) => {
+                    let Some(id) = row[slot] else { continue };
+                    if !spec.decodes {
+                        acc.count();
+                        continue;
+                    }
+                    &*decoded
+                        .entry(id)
+                        .or_insert_with(|| Value::from_term(wdict.resolve(id)))
+                }
+                Arg::Expr(expr) => {
+                    let scope = EvalScope {
+                        dict: wdict as &dyn TermSource,
+                        var_index,
+                        bindings: row,
+                        aggs: None,
+                    };
+                    let Some(value) = eval_expr(expr, &scope) else {
+                        continue;
+                    };
+                    computed = value;
+                    &computed
+                }
+            };
+            if spec.distinct && !seen.insert((g, value.distinct_key())) {
+                continue;
+            }
+            acc.push(value);
+        }
+    }
+
+    // Aggregation without GROUP BY over zero rows yields one group, whose
+    // representative is the all-unbound row.
+    if groups.reps.is_empty() && plan.group_slots.is_empty() {
+        groups.reps.push(NO_ROW);
+        accs.extend(plan.aggregates.iter().map(|spec| AggAcc::new(spec.agg)));
+    }
+
+    let unbound = vec![None; rows.width];
+    let mut out_rows = Vec::with_capacity(groups.reps.len());
+    let mut order_keys = Vec::new();
+    let mut values: Vec<Option<Value>> = Vec::with_capacity(naggs);
+    let mut computed = Vec::new();
+    for (g, &rep) in groups.reps.iter().enumerate() {
+        values.clear();
+        values.extend(
+            accs[g * naggs..(g + 1) * naggs]
+                .iter_mut()
+                .map(AggAcc::finish),
+        );
+        let ctx = AggContext {
+            nodes: &plan.agg_nodes,
+            values: &values,
+        };
+        let scope = EvalScope {
+            dict: wdict as &dyn TermSource,
+            var_index,
+            bindings: if rep == NO_ROW {
+                &unbound
+            } else {
+                rows.row(rep)
+            },
+            aggs: Some(&ctx),
+        };
+        if let Some(having) = &query.having {
+            if !eval_expr(having, &scope)
+                .and_then(|v| v.ebv())
+                .unwrap_or(false)
+            {
+                continue;
+            }
+        }
+        out_rows.push(plan.project(&scope, &values, wdict, &mut computed, &mut order_keys));
+    }
+    apply_modifiers(query, plan.names, out_rows, order_keys)
+}
+
+// ---- shared modifiers: DISTINCT, ORDER BY, LIMIT/OFFSET -----------------------
+
+/// `order_keys` holds each row's ORDER BY keys, one stride per row.
+fn apply_modifiers(
+    query: &Query,
+    names: Vec<String>,
+    mut rows: Vec<Vec<Option<Term>>>,
+    order_keys: Vec<Option<Value>>,
+) -> Result<QueryResults> {
+    // ORDER BY (stable sort over precomputed keys), then move each row
+    // to its place.
+    let stride = query.order_by.len();
+    if stride > 0 && !rows.is_empty() {
+        debug_assert_eq!(rows.len() * stride, order_keys.len());
+        let keys = |i: usize| &order_keys[i * stride..(i + 1) * stride];
+        let mut indices: Vec<usize> = (0..rows.len()).collect();
+        indices.sort_by(|&a, &b| {
+            for (cond, (ka, kb)) in query.order_by.iter().zip(keys(a).iter().zip(keys(b))) {
+                let ord = match (ka, kb) {
+                    (None, None) => Ordering::Equal,
+                    (None, Some(_)) => Ordering::Less,
+                    (Some(_), None) => Ordering::Greater,
+                    (Some(x), Some(y)) => x.total_cmp(y),
+                };
+                let ord = if cond.descending { ord.reverse() } else { ord };
+                if ord != Ordering::Equal {
+                    return ord;
+                }
+            }
+            Ordering::Equal
+        });
+        rows = indices
+            .into_iter()
+            .map(|i| std::mem::take(&mut rows[i]))
+            .collect();
+    }
+
+    // DISTINCT preserves first occurrence.
+    if query.distinct {
+        let keep: Vec<bool> = {
+            let mut seen: FxHashSet<&[Option<Term>]> = FxHashSet::default();
+            rows.iter().map(|row| seen.insert(row.as_slice())).collect()
+        };
+        let mut keep = keep.into_iter();
+        rows.retain(|_| keep.next() == Some(true));
+    }
+
+    // OFFSET / LIMIT.
+    let offset = query.offset.unwrap_or(0).min(rows.len());
+    rows.drain(..offset);
+    if let Some(limit) = query.limit {
+        rows.truncate(limit);
+    }
+
+    Ok(QueryResults { vars: names, rows })
+}
+
+// ---- grouping ----------------------------------------------------------------------
+
+/// The representative of the implicit group over no rows.
+const NO_ROW: usize = usize::MAX;
+
+/// Largest group table sized up front; more groups grow it.
+const MAX_INITIAL_TABLE: usize = 1 << 16;
+
+/// Groups in first-occurrence order, in flat arenas: group `g`'s key is
+/// `keys[g * width..(g + 1) * width]` and its representative row is
+/// `reps[g]`.
+struct Groups {
+    width: usize,
+    keys: Vec<Option<TermId>>,
+    reps: Vec<usize>,
+    /// A power-of-two open-addressing table, at most half full: an entry
+    /// is a key's 32-bit hash (high half) and its group number plus one
+    /// (low half), 0 when empty. Growing re-places entries by their stored
+    /// hash, never re-hashing a key. Empty for the implicit group.
+    table: Vec<u64>,
+}
+
+impl Groups {
+    /// Groups keyed by `width` slots over `rows` input rows.
+    fn new(width: usize, rows: usize) -> Groups {
+        let table = if width == 0 {
+            Vec::new()
+        } else {
+            // One group per row at most.
+            vec![0; (2 * rows).next_power_of_two().clamp(16, MAX_INITIAL_TABLE)]
+        };
+        Groups {
+            width,
+            keys: Vec::new(),
+            reps: Vec::new(),
+            table,
+        }
+    }
+
+    /// The group of row `i`, whose key is `slots` of `row`, and whether
+    /// this row opened it.
+    fn group_of(&mut self, slots: &[usize], row: &[Option<TermId>], i: usize) -> (usize, bool) {
+        if self.width == 0 {
+            let new = self.reps.is_empty();
+            if new {
+                self.reps.push(i);
+            }
+            return (0, new);
+        }
+        let mut hasher = FxHasher::default();
+        for &slot in slots {
+            hasher.write_u32(row[slot].map_or(u32::MAX, |id| id.0));
+        }
+        let hash = (hasher.finish() >> 32) as u32;
+        let mask = self.table.len() - 1;
+        let mut pos = hash as usize & mask;
+        loop {
+            let entry = self.table[pos];
+            if entry == 0 {
+                break;
+            }
+            if (entry >> 32) as u32 == hash {
+                let g = (entry as u32 - 1) as usize;
+                let key = &self.keys[g * self.width..(g + 1) * self.width];
+                if key.iter().zip(slots).all(|(&k, &slot)| k == row[slot]) {
+                    return (g, false);
+                }
+            }
+            pos = (pos + 1) & mask;
+        }
+        let g = self.reps.len();
+        let number = u32::try_from(g + 1).expect("group count overflow");
+        self.table[pos] = u64::from(hash) << 32 | u64::from(number);
+        self.keys.extend(slots.iter().map(|&slot| row[slot]));
+        self.reps.push(i);
+        if 2 * self.reps.len() > self.table.len() {
+            self.grow();
+        }
+        (g, true)
+    }
+
+    fn grow(&mut self) {
+        let mut table = vec![0u64; 2 * self.table.len()];
+        let mask = table.len() - 1;
+        for &entry in self.table.iter().filter(|&&e| e != 0) {
+            let mut pos = (entry >> 32) as usize & mask;
+            while table[pos] != 0 {
+                pos = (pos + 1) & mask;
+            }
+            table[pos] = entry;
+        }
+        self.table = table;
+    }
+}
+
+/// One aggregate's running state in one group. What the aggregate is
+/// (`DISTINCT`, `COUNT(*)`) lives in its [`AggSpec`], not here.
 ///
 /// Error/skip policy (documented subset semantics): unbound/error inputs are
 /// skipped by COUNT/MIN/MAX; a non-numeric input poisons SUM/AVG (result is
 /// unbound). SUM/AVG of an empty group is 0, per the SPARQL definition;
 /// MIN/MAX of an empty group is unbound.
 enum AggAcc {
-    Count {
-        n: i64,
-        distinct: bool,
-        seen: FxHashSet<String>,
-        star: bool,
-    },
-    Sum {
-        acc: Numeric,
-        poisoned: bool,
-        distinct: bool,
-        seen: FxHashSet<String>,
-    },
+    Count(i64),
+    /// The running sum; `None` once poisoned.
+    Sum(Option<Numeric>),
     Avg {
-        acc: Numeric,
+        sum: Option<Numeric>,
         n: i64,
-        poisoned: bool,
-        distinct: bool,
-        seen: FxHashSet<String>,
     },
-    Min {
-        best: Option<Value>,
-    },
-    Max {
-        best: Option<Value>,
-    },
+    Min(Option<Value>),
+    Max(Option<Value>),
 }
 
 impl AggAcc {
     fn new(agg: &Aggregate) -> AggAcc {
         match agg {
-            Aggregate::Count { distinct, expr } => AggAcc::Count {
+            Aggregate::Count { .. } => AggAcc::Count(0),
+            Aggregate::Sum { .. } => AggAcc::Sum(Some(Numeric::Integer(0))),
+            Aggregate::Avg { .. } => AggAcc::Avg {
+                sum: Some(Numeric::Integer(0)),
                 n: 0,
-                distinct: *distinct,
-                seen: FxHashSet::default(),
-                star: expr.is_none(),
             },
-            Aggregate::Sum { distinct, .. } => AggAcc::Sum {
-                acc: Numeric::Integer(0),
-                poisoned: false,
-                distinct: *distinct,
-                seen: FxHashSet::default(),
-            },
-            Aggregate::Avg { distinct, .. } => AggAcc::Avg {
-                acc: Numeric::Integer(0),
-                n: 0,
-                poisoned: false,
-                distinct: *distinct,
-                seen: FxHashSet::default(),
-            },
-            Aggregate::Min { .. } => AggAcc::Min { best: None },
-            Aggregate::Max { .. } => AggAcc::Max { best: None },
+            Aggregate::Min { .. } => AggAcc::Min(None),
+            Aggregate::Max { .. } => AggAcc::Max(None),
         }
     }
 
-    fn push(&mut self, value: Option<Value>, is_star: bool) {
+    /// Count one row (`COUNT`'s push).
+    fn count(&mut self) {
+        if let AggAcc::Count(n) = self {
+            *n += 1;
+        }
+    }
+
+    fn push(&mut self, value: &Value) {
         match self {
-            AggAcc::Count {
-                n,
-                distinct,
-                seen,
-                star,
-            } => {
-                if *star || is_star {
-                    *n += 1;
-                    return;
-                }
-                let Some(v) = value else { return };
-                if *distinct {
-                    if seen.insert(v.distinct_key()) {
-                        *n += 1;
+            AggAcc::Count(n) => *n += 1,
+            AggAcc::Sum(sum) => {
+                if let Some(acc) = sum {
+                    match value.as_numeric() {
+                        Some(x) => *acc = Numeric::add(*acc, x),
+                        None => *sum = None,
                     }
-                } else {
-                    *n += 1;
                 }
             }
-            AggAcc::Sum {
-                acc,
-                poisoned,
-                distinct,
-                seen,
-            } => {
-                let Some(v) = value else { return };
-                if *distinct && !seen.insert(v.distinct_key()) {
-                    return;
-                }
-                match v.as_numeric() {
-                    Some(n) => *acc = Numeric::add(*acc, n),
-                    None => *poisoned = true,
-                }
-            }
-            AggAcc::Avg {
-                acc,
-                n,
-                poisoned,
-                distinct,
-                seen,
-            } => {
-                let Some(v) = value else { return };
-                if *distinct && !seen.insert(v.distinct_key()) {
-                    return;
-                }
-                match v.as_numeric() {
-                    Some(num) => {
-                        *acc = Numeric::add(*acc, num);
-                        *n += 1;
+            AggAcc::Avg { sum, n } => {
+                if let Some(acc) = sum {
+                    match value.as_numeric() {
+                        Some(x) => {
+                            *acc = Numeric::add(*acc, x);
+                            *n += 1;
+                        }
+                        None => *sum = None,
                     }
-                    None => *poisoned = true,
                 }
             }
-            AggAcc::Min { best } => {
-                let Some(v) = value else { return };
-                let replace = match best {
-                    Some(b) => v.total_cmp(b) == Ordering::Less,
-                    None => true,
-                };
-                if replace {
-                    *best = Some(v);
+            AggAcc::Min(best) => {
+                if best
+                    .as_ref()
+                    .is_none_or(|b| value.total_cmp(b) == Ordering::Less)
+                {
+                    *best = Some(value.clone());
                 }
             }
-            AggAcc::Max { best } => {
-                let Some(v) = value else { return };
-                let replace = match best {
-                    Some(b) => v.total_cmp(b) == Ordering::Greater,
-                    None => true,
-                };
-                if replace {
-                    *best = Some(v);
+            AggAcc::Max(best) => {
+                if best
+                    .as_ref()
+                    .is_none_or(|b| value.total_cmp(b) == Ordering::Greater)
+                {
+                    *best = Some(value.clone());
                 }
             }
         }
     }
 
-    fn finish(&self) -> Option<Value> {
+    /// The group's value; takes MIN/MAX's best out.
+    fn finish(&mut self) -> Option<Value> {
         match self {
-            AggAcc::Count { n, .. } => Some(Value::Numeric(Numeric::Integer(*n))),
-            AggAcc::Sum { acc, poisoned, .. } => {
-                if *poisoned {
-                    None
-                } else {
-                    Some(Value::Numeric(*acc))
-                }
-            }
-            AggAcc::Avg {
-                acc, n, poisoned, ..
-            } => {
-                if *poisoned {
-                    return None;
-                }
-                if *n == 0 {
-                    return Some(Value::Numeric(Numeric::Integer(0)));
-                }
-                Numeric::div(*acc, Numeric::Integer(*n)).map(Value::Numeric)
-            }
-            AggAcc::Min { best } | AggAcc::Max { best } => best.clone(),
+            AggAcc::Count(n) => Some(Value::Numeric(Numeric::Integer(*n))),
+            AggAcc::Sum(sum) => sum.map(Value::Numeric),
+            AggAcc::Avg { sum, n } => match (*sum, *n) {
+                (None, _) => None,
+                (Some(_), 0) => Some(Value::Numeric(Numeric::Integer(0))),
+                (Some(sum), n) => Numeric::div(sum, Numeric::Integer(n)).map(Value::Numeric),
+            },
+            AggAcc::Min(best) | AggAcc::Max(best) => best.take(),
         }
     }
 }

@@ -3,8 +3,9 @@
 //! Expressions evaluate to `Option<Value>`: `None` is SPARQL's *error*
 //! outcome, which makes `FILTER` drop the row (errors never abort a query).
 //! Aggregate sub-expressions are resolved through an [`AggContext`] supplied
-//! by the group-by operator; hitting an aggregate without one is an error
-//! value (the planner guarantees this does not happen for valid queries).
+//! by the group-by operator, by the address of their node; hitting an
+//! aggregate without one is an error value (the planner guarantees this
+//! does not happen for valid queries).
 
 use crate::ast::{Aggregate, ArithOp, CompareOp, Expr, Func};
 use crate::value::Value;
@@ -27,11 +28,13 @@ impl TermSource for Dictionary {
     }
 }
 
-/// Resolved aggregate values for the current group, paired with the
-/// aggregate expressions they belong to (matched structurally).
+/// Resolved aggregate values for the current group.
 pub struct AggContext<'a> {
-    /// The extracted aggregates, in planner order.
-    pub aggregates: &'a [Aggregate],
+    /// Every aggregate node of the expressions evaluated over the group,
+    /// each with the index of its value. The planner matches equal
+    /// aggregates once per query; a lookup compares node addresses, so an
+    /// equal aggregate that is not one of these nodes resolves to nothing.
+    pub nodes: &'a [(&'a Aggregate, usize)],
     /// The value each aggregate produced for this group.
     pub values: &'a [Option<Value>],
 }
@@ -133,7 +136,10 @@ pub fn eval_expr(expr: &Expr, scope: &EvalScope<'_>) -> Option<Value> {
         Expr::Call(func, args) => eval_call(*func, args, scope),
         Expr::Aggregate(agg) => {
             let ctx = scope.aggs?;
-            let idx = ctx.aggregates.iter().position(|a| a == agg)?;
+            let &(_, idx) = ctx
+                .nodes
+                .iter()
+                .find(|(node, _)| std::ptr::eq(*node, agg))?;
             ctx.values.get(idx)?.clone()
         }
     }
@@ -641,13 +647,25 @@ mod tests {
         let dict = Dictionary::new();
         let var_index = FxHashMap::default();
         let bindings = Vec::new();
-        let aggs = [Aggregate::Count {
+        let count = Aggregate::Count {
             distinct: false,
             expr: None,
-        }];
+        };
+        let expr = Expr::Compare(
+            CompareOp::Gt,
+            Box::new(Expr::Aggregate(count.clone())),
+            Box::new(Expr::int(2)),
+        );
+        let Expr::Compare(_, node, _) = &expr else {
+            unreachable!()
+        };
+        let Expr::Aggregate(node) = node.as_ref() else {
+            unreachable!()
+        };
+        let nodes = [(node, 0)];
         let values = [Some(Value::Numeric(Numeric::Integer(3)))];
         let ctx = AggContext {
-            aggregates: &aggs,
+            nodes: &nodes,
             values: &values,
         };
         let scope = EvalScope {
@@ -656,11 +674,8 @@ mod tests {
             bindings: &bindings,
             aggs: Some(&ctx),
         };
-        let expr = Expr::Compare(
-            CompareOp::Gt,
-            Box::new(Expr::Aggregate(aggs[0].clone())),
-            Box::new(Expr::int(2)),
-        );
         assert_eq!(eval_expr(&expr, &scope).unwrap(), Value::Boolean(true));
+        // An equal aggregate elsewhere is not one of the group's nodes.
+        assert_eq!(eval_expr(&Expr::Aggregate(count), &scope), None);
     }
 }

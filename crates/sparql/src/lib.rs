@@ -12,7 +12,8 @@
 //!
 //! The evaluator joins over one flat binding table per operator (a
 //! row-major `Vec<Option<TermId>>`, one stride per row, no heap row per
-//! match). Before a triples block runs, every `?v = <iri>` conjunct of a
+//! match), then groups into flat arenas and projects through a SELECT
+//! list compiled once into positional cells. Before a triples block runs, every `?v = <iri>` conjunct of a
 //! `FILTER` in the same group turns `?v` into that IRI's id inside the
 //! block, so the join starts from the matching rows only; the `FILTER`
 //! stays and is still evaluated. Literals are never pushed: `=` on

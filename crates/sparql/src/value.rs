@@ -7,7 +7,7 @@
 //! kind.
 
 use sofos_rdf::vocab::xsd;
-use sofos_rdf::{Literal, LiteralKind, Numeric, Term};
+use sofos_rdf::{Decimal, Literal, LiteralKind, Numeric, Term};
 use std::cmp::Ordering;
 
 /// A decoded runtime value.
@@ -214,26 +214,89 @@ impl Value {
         }
     }
 
-    /// A canonical key string for DISTINCT aggregation sets.
-    pub fn distinct_key(&self) -> String {
+    /// The value's identity in a `DISTINCT` aggregate's set: numbers key
+    /// by their exact value, so `1`, `1.0` and `1e0` collapse and no two
+    /// different numbers share a key; every other value keys by its kind
+    /// and text.
+    pub fn distinct_key(&self) -> DistinctKey {
         match self {
-            Value::Iri(i) => format!("I{i}"),
-            Value::Blank(b) => format!("B{b}"),
-            Value::Boolean(b) => format!("b{b}"),
-            // Canonicalize numerics so 1, 1.0 and 1e0 collapse.
-            Value::Numeric(n) => format!("N{}", n.to_f64()),
-            Value::Str { text, lang } => {
-                format!("S{}@{}", text, lang.as_deref().unwrap_or(""))
-            }
-            Value::Other { text, datatype } => format!("T{datatype}\u{0}{text}"),
+            Value::Iri(i) => DistinctKey::Iri(i.clone()),
+            Value::Blank(b) => DistinctKey::Blank(b.clone()),
+            Value::Boolean(b) => DistinctKey::Boolean(*b),
+            Value::Numeric(n) => match exact_decimal(*n) {
+                Some(d) => DistinctKey::Exact(d),
+                None => {
+                    let f = n.to_f64();
+                    DistinctKey::Double(if f.is_nan() { f64::NAN } else { f }.to_bits())
+                }
+            },
+            Value::Str { text, lang } => DistinctKey::Str(text.clone(), lang.clone()),
+            Value::Other { text, datatype } => DistinctKey::Other(datatype.clone(), text.clone()),
         }
     }
+}
+
+/// A value's identity in a `DISTINCT` aggregate's set; see
+/// [`Value::distinct_key`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum DistinctKey {
+    /// An IRI by its text.
+    Iri(String),
+    /// A blank node by its label.
+    Blank(String),
+    /// A boolean.
+    Boolean(bool),
+    /// A number a [`Decimal`] holds exactly: every integer and decimal,
+    /// and the finite doubles within its range and scale.
+    Exact(Decimal),
+    /// Any other double, by its bits (`NaN` canonical).
+    Double(u64),
+    /// A plain or language-tagged string: text, then tag.
+    Str(String, Option<String>),
+    /// Any other typed literal: datatype, then lexical form.
+    Other(String, String),
+}
+
+/// The exact value of a number as a [`Decimal`], when one holds it.
+fn exact_decimal(n: Numeric) -> Option<Decimal> {
+    let f = match n {
+        Numeric::Integer(v) => return Some(Decimal::from(v)),
+        Numeric::Decimal(d) => return Some(d),
+        Numeric::Double(f) if !f.is_finite() => return None,
+        Numeric::Double(f) => f,
+    };
+    if f == 0.0 {
+        return Some(Decimal::ZERO); // -0.0 too
+    }
+    // f = ±mantissa × 2^exp exactly.
+    let bits = f.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    let (mut mantissa, mut exp) = if biased == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | 1 << 52, biased - 1075)
+    };
+    let shift = mantissa.trailing_zeros();
+    mantissa >>= shift;
+    exp += shift as i32;
+    let sign = if f < 0.0 { -1 } else { 1 };
+    if exp >= 0 {
+        // An integer; mantissa < 2^53, so it fits an i128 up to 2^126.
+        if exp > 73 {
+            return None;
+        }
+        return Decimal::from_parts(sign * ((mantissa as i128) << exp), 0);
+    }
+    // mantissa / 2^k = mantissa × 5^k / 10^k.
+    let k = exp.unsigned_abs();
+    let unscaled = (mantissa as i128).checked_mul(5i128.checked_pow(k)?)?;
+    Decimal::from_parts(sign * unscaled, k)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sofos_rdf::Decimal;
 
     #[test]
     fn decode_term_kinds() {
@@ -389,6 +452,37 @@ mod tests {
             }
             .distinct_key(),
             a.distinct_key()
+        );
+    }
+
+    #[test]
+    fn distinct_keys_are_exact_for_numbers() {
+        let key = |n: Numeric| Value::Numeric(n).distinct_key();
+        // Above 2^53 an f64 key merged neighbouring integers.
+        assert_ne!(
+            key(Numeric::Integer(9_007_199_254_740_992)),
+            key(Numeric::Integer(9_007_199_254_740_993))
+        );
+        // The same number spelled as integer, decimal and double collapses.
+        let half = Decimal::from_parts(15, 1).unwrap();
+        assert_eq!(key(Numeric::Decimal(half)), key(Numeric::Double(1.5)));
+        assert_eq!(
+            key(Numeric::Integer(9_007_199_254_740_992)),
+            key(Numeric::Double(9_007_199_254_740_992.0))
+        );
+        assert_eq!(key(Numeric::Integer(0)), key(Numeric::Double(-0.0)));
+        assert_eq!(key(Numeric::Integer(-3)), key(Numeric::Double(-3.0)));
+        // A double no decimal holds exactly is not the decimal it prints as.
+        let tenth = Decimal::from_parts(1, 1).unwrap();
+        assert_ne!(key(Numeric::Decimal(tenth)), key(Numeric::Double(0.1)));
+        assert_eq!(key(Numeric::Double(0.1)), key(Numeric::Double(0.1)));
+        assert_eq!(
+            key(Numeric::Double(f64::NAN)),
+            key(Numeric::Double(-f64::NAN))
+        );
+        assert_ne!(
+            key(Numeric::Double(f64::INFINITY)),
+            key(Numeric::Double(f64::MAX))
         );
     }
 }

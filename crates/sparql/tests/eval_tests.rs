@@ -416,6 +416,40 @@ fn count_distinct_vs_plain() {
 }
 
 #[test]
+fn distinct_aggregates_key_numbers_exactly() {
+    // Above 2^53 neighbouring integers share an f64; DISTINCT must still
+    // tell them apart, while `1` and `1.0` stay one value. Each group
+    // keeps its own set.
+    let mut ds = Dataset::new();
+    let decimal = |lexical: &str| {
+        Term::Literal(Literal::typed(
+            lexical,
+            sofos_rdf::Iri::new_unchecked(sofos_rdf::vocab::xsd::DECIMAL),
+        ))
+    };
+    for (o, g, m) in [
+        ("o1", "g1", Term::literal_int(9_007_199_254_740_992)),
+        ("o2", "g1", Term::literal_int(9_007_199_254_740_993)),
+        ("o3", "g1", Term::literal_int(9_007_199_254_740_993)),
+        ("o4", "g2", Term::literal_int(1)),
+        ("o5", "g2", decimal("1.0")),
+        ("o6", "g2", Term::literal_int(9_007_199_254_740_992)),
+    ] {
+        ds.insert(None, &iri(o), &iri("group"), &iri(g));
+        ds.insert(None, &iri(o), &iri("m"), &m);
+    }
+    let r = run(
+        &ds,
+        &format!(
+            "SELECT ?g (COUNT(DISTINCT ?m) AS ?n) (SUM(DISTINCT ?m) AS ?s) \
+             WHERE {{ ?o <{NS}group> ?g . ?o <{NS}m> ?m }} GROUP BY ?g ORDER BY ?g"
+        ),
+    );
+    assert_eq!(ints(&r, "n"), [2, 2]);
+    assert_eq!(strings(&r, "s"), ["18014398509481985", "9007199254740993"]);
+}
+
+#[test]
 fn regex_and_string_filters() {
     let ds = figure1();
     let r = run(

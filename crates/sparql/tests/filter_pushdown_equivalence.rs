@@ -1,7 +1,12 @@
-//! Differential check of constant-filter pushdown: [`Evaluator`] against a
-//! naive evaluator that enumerates every assignment of a block's patterns
-//! over the target graph's triples, in syntactic order and without any
-//! index, then filters, then groups. Answers are compared as multisets.
+//! Differential check of constant-filter pushdown, grouping and
+//! projection: [`Evaluator`] against a naive evaluator that enumerates
+//! every assignment of a block's patterns over the target graph's
+//! triples, in syntactic order and without any index, then filters, then
+//! groups. Plain answers are compared as multisets. Grouped answers are
+//! compared in order: groups come in the order of their first row, and
+//! the naive evaluator takes that row order from [`Evaluator`]'s own
+//! answer to the same `WHERE` clause projected on the keys, so only the
+//! grouping itself is under test there.
 //!
 //! Data: a default graph and one named graph over a few subjects and
 //! three predicates, with missing and multi-valued legs, IRI objects that
@@ -16,14 +21,18 @@
 //! variable or a variable no pattern binds with an IRI in the data, an
 //! IRI absent from it, or a literal (which is never pushed); sometimes one
 //! variable meets two different IRIs. Projections are a plain `SELECT`
-//! and a `GROUP BY` (or the implicit group) with all five aggregates.
+//! and a `GROUP BY` on zero to two variables (the second one often bound
+//! by `OPTIONAL`, so some key cells are unbound) with all five aggregates
+//! and `COUNT(*)`, sometimes `COUNT(DISTINCT …)` and `SUM(DISTINCT …)`, an
+//! expression of two aggregates, a `HAVING` over an aggregate, and
+//! `ORDER BY DESC(?alias)` with `LIMIT`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sofos_rdf::vocab::xsd;
 use sofos_rdf::{Iri, Literal, Numeric, Term};
-use sofos_sparql::{Evaluator, Value};
+use sofos_sparql::{Evaluator, QueryResults, Value};
 use sofos_store::Dataset;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -112,12 +121,44 @@ struct Conjunct {
 #[derive(Debug)]
 enum Projection {
     Plain(Vec<String>),
-    /// GROUP BY `key` (the implicit group when `None`), aggregating
-    /// `measure` with all five aggregates and COUNT(*).
-    Grouped {
-        key: Option<String>,
-        measure: String,
-    },
+    Grouped(Grouping),
+}
+
+/// GROUP BY `keys` (the implicit group when empty), aggregating `measure`
+/// with all five aggregates and COUNT(*).
+#[derive(Debug)]
+struct Grouping {
+    keys: Vec<String>,
+    measure: String,
+    /// Also `COUNT(DISTINCT ?m)` and `SUM(DISTINCT ?m)`.
+    distinct: bool,
+    /// Also `((SUM(?m) / COUNT(?m)) AS ?r)`.
+    ratio: bool,
+    having: Option<Having>,
+    /// `ORDER BY DESC(?alias) LIMIT n`.
+    order: Option<(&'static str, usize)>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Having {
+    /// `HAVING (COUNT(*) >= t)`.
+    CountAtLeast(i64),
+    /// `HAVING (SUM(?m) > t)`.
+    SumAbove(i64),
+}
+
+impl Grouping {
+    /// The aggregate columns' aliases, in SELECT order.
+    fn aliases(&self) -> Vec<&'static str> {
+        let mut aliases = vec!["c", "n", "sum", "avg", "lo", "hi"];
+        if self.distinct {
+            aliases.extend(["dc", "ds"]);
+        }
+        if self.ratio {
+            aliases.push("r");
+        }
+        aliases
+    }
 }
 
 fn var(name: &str) -> Pt {
@@ -240,16 +281,46 @@ fn generate(seed: u64) -> Case {
         }
         Projection::Plain(vars)
     } else {
-        let key = match rng.gen_range(0..4) {
-            0 => None,
+        let keys = match rng.gen_range(0..6) {
+            0 => Vec::new(),
             // The filtered variable: its binding must survive pushdown.
-            1 => filters.first().map(|c| c.var.clone()),
-            _ => Some(pick_block_var(rng)),
+            1 => filters.first().map(|c| c.var.clone()).into_iter().collect(),
+            2 | 3 => vec![pick_block_var(rng)],
+            _ => {
+                // The OPTIONAL variable leaves some key cells unbound.
+                let first = rng.gen_range(0..block_vars.len());
+                let second = if optional.is_some() {
+                    "w".to_string()
+                } else {
+                    let other = (first + rng.gen_range(1..block_vars.len())) % block_vars.len();
+                    block_vars[other].clone()
+                };
+                vec![block_vars[first].clone(), second]
+            }
         };
-        Projection::Grouped {
-            key,
+        let mut grouping = Grouping {
+            keys,
             measure: block_vars[1 + rng.gen_range(0..legs)].clone(),
-        }
+            distinct: rng.gen_bool(0.5),
+            ratio: rng.gen_bool(0.4),
+            having: None,
+            order: None,
+        };
+        grouping.having = rng.gen_bool(0.3).then(|| {
+            if rng.gen_bool(0.5) {
+                Having::CountAtLeast(rng.gen_range(1..=3))
+            } else {
+                Having::SumAbove(rng.gen_range(0..=4))
+            }
+        });
+        grouping.order = rng.gen_bool(0.3).then(|| {
+            let aliases = grouping.aliases();
+            (
+                aliases[rng.gen_range(0..aliases.len())],
+                rng.gen_range(1..=3),
+            )
+        });
+        Projection::Grouped(grouping)
     };
 
     Case {
@@ -287,7 +358,8 @@ fn conjunct_text(c: &Conjunct) -> String {
     }
 }
 
-fn query_text(case: &Case) -> String {
+/// The `WHERE` clause's group, without braces.
+fn body_text(case: &Case) -> String {
     let mut body = String::new();
     if let Some((v, rows)) = &case.values {
         let cells: Vec<String> = rows
@@ -323,23 +395,45 @@ fn query_text(case: &Case) -> String {
             body += &format!("FILTER ({}) ", conjuncts.join(" && "));
         }
     }
-    match &case.projection {
-        Projection::Plain(vars) => {
-            let vars: Vec<String> = vars.iter().map(|v| format!("?{v}")).collect();
-            format!("SELECT {} WHERE {{ {body}}}", vars.join(" "))
-        }
-        Projection::Grouped { key, measure } => {
-            let m = format!("?{measure}");
-            let aggs = format!(
-                "(COUNT({m}) AS ?c) (COUNT(*) AS ?n) (SUM({m}) AS ?sum) (AVG({m}) AS ?avg) \
-                 (MIN({m}) AS ?lo) (MAX({m}) AS ?hi)"
-            );
-            match key {
-                Some(k) => format!("SELECT ?{k} {aggs} WHERE {{ {body}}} GROUP BY ?{k}"),
-                None => format!("SELECT {aggs} WHERE {{ {body}}}"),
-            }
-        }
+    body
+}
+
+fn vars_text(vars: &[String]) -> String {
+    let vars: Vec<String> = vars.iter().map(|v| format!("?{v}")).collect();
+    vars.join(" ")
+}
+
+fn query_text(case: &Case) -> String {
+    let body = body_text(case);
+    let grouping = match &case.projection {
+        Projection::Plain(vars) => return format!("SELECT {} WHERE {{ {body}}}", vars_text(vars)),
+        Projection::Grouped(grouping) => grouping,
+    };
+    let m = format!("?{}", grouping.measure);
+    let mut select = vars_text(&grouping.keys);
+    select += &format!(
+        " (COUNT({m}) AS ?c) (COUNT(*) AS ?n) (SUM({m}) AS ?sum) (AVG({m}) AS ?avg) \
+         (MIN({m}) AS ?lo) (MAX({m}) AS ?hi)"
+    );
+    if grouping.distinct {
+        select += &format!(" (COUNT(DISTINCT {m}) AS ?dc) (SUM(DISTINCT {m}) AS ?ds)");
     }
+    if grouping.ratio {
+        select += &format!(" ((SUM({m}) / COUNT({m})) AS ?r)");
+    }
+    let mut text = format!("SELECT {select} WHERE {{ {body}}}");
+    if !grouping.keys.is_empty() {
+        text += &format!(" GROUP BY {}", vars_text(&grouping.keys));
+    }
+    match grouping.having {
+        Some(Having::CountAtLeast(t)) => text += &format!(" HAVING (COUNT(*) >= {t})"),
+        Some(Having::SumAbove(t)) => text += &format!(" HAVING (SUM({m}) > {t})"),
+        None => {}
+    }
+    if let Some((alias, limit)) = grouping.order {
+        text += &format!(" ORDER BY DESC(?{alias}) LIMIT {limit}");
+    }
+    text
 }
 
 // ---- naive evaluator --------------------------------------------------------
@@ -428,74 +522,134 @@ fn term_cell(t: Option<&Term>) -> Option<String> {
 
 /// A cell by SPARQL value: equal numbers spelled differently agree.
 fn value_cell(v: Option<&Value>) -> Option<String> {
-    v.map(Value::distinct_key)
+    v.map(|v| format!("{:?}", v.distinct_key()))
 }
 
-fn naive(case: &Case) -> Vec<Vec<Option<String>>> {
+type Cells = Vec<Vec<Option<String>>>;
+
+/// A group's key: one term per GROUP BY variable, `None` when unbound.
+type GroupKey = Vec<Option<Term>>;
+
+/// The naive answer. Groups come in the order their keys first occur in
+/// `first_rows` (key tuples in row order).
+fn naive(case: &Case, first_rows: &[GroupKey]) -> Cells {
     let rows = naive_rows(case);
-    match &case.projection {
-        Projection::Plain(vars) => rows
-            .iter()
-            .map(|row| vars.iter().map(|v| term_cell(row.get(v))).collect())
-            .collect(),
-        Projection::Grouped { key, measure } => {
-            let mut groups: Vec<(Option<Term>, Vec<&Row>)> = Vec::new();
-            for row in &rows {
-                let k = key.as_ref().and_then(|k| row.get(k)).cloned();
-                match groups.iter_mut().find(|(g, _)| *g == k) {
-                    Some((_, members)) => members.push(row),
-                    None => groups.push((k, vec![row])),
-                }
-            }
-            if groups.is_empty() && key.is_none() {
-                groups.push((None, Vec::new()));
-            }
-            groups
+    let grouping = match &case.projection {
+        Projection::Plain(vars) => {
+            return rows
                 .iter()
-                .map(|(k, members)| {
-                    let values: Vec<Value> = members
-                        .iter()
-                        .filter_map(|row| row.get(measure).map(Value::from_term))
-                        .collect();
-                    let numbers: Option<Vec<Numeric>> =
-                        values.iter().map(Value::as_numeric).collect();
-                    let sum = numbers.as_ref().map(|ns| {
-                        ns.iter()
-                            .fold(Numeric::Integer(0), |acc, &n| Numeric::add(acc, n))
-                    });
-                    let avg = match (&numbers, sum) {
-                        (Some(ns), Some(_)) if ns.is_empty() => Some(Numeric::Integer(0)),
-                        (Some(ns), Some(s)) => Numeric::div(s, Numeric::Integer(ns.len() as i64)),
-                        _ => None,
-                    };
-                    let extreme = |want: Ordering| {
-                        values.iter().fold(None::<&Value>, |best, v| match best {
-                            Some(b) if v.total_cmp(b) != want => Some(b),
-                            _ => Some(v),
-                        })
-                    };
-                    let count = |n: usize| Some(Value::Numeric(Numeric::Integer(n as i64)));
-                    let mut cells = Vec::new();
-                    if key.is_some() {
-                        cells.push(term_cell(k.as_ref()));
-                    }
-                    cells.extend([
-                        value_cell(count(values.len()).as_ref()),
-                        value_cell(count(members.len()).as_ref()),
-                        value_cell(sum.map(Value::Numeric).as_ref()),
-                        value_cell(avg.map(Value::Numeric).as_ref()),
-                        value_cell(extreme(Ordering::Less)),
-                        value_cell(extreme(Ordering::Greater)),
-                    ]);
-                    cells
-                })
+                .map(|row| vars.iter().map(|v| term_cell(row.get(v))).collect())
                 .collect()
         }
+        Projection::Grouped(grouping) => grouping,
+    };
+    let mut groups: Vec<(GroupKey, Vec<&Row>)> = Vec::new();
+    for row in &rows {
+        let key: GroupKey = grouping.keys.iter().map(|k| row.get(k).cloned()).collect();
+        match groups.iter_mut().find(|(g, _)| *g == key) {
+            Some((_, members)) => members.push(row),
+            None => groups.push((key, vec![row])),
+        }
+    }
+    if groups.is_empty() && grouping.keys.is_empty() {
+        groups.push((Vec::new(), Vec::new()));
+    }
+    groups.sort_by_key(|(key, _)| first_rows.iter().position(|r| r == key));
+    let mut answer: Vec<(GroupKey, Vec<Option<Value>>)> = groups
+        .iter()
+        .map(|(key, members)| (key.clone(), aggregates(grouping, members)))
+        .filter(|(_, values)| match grouping.having {
+            None => true,
+            Some(Having::CountAtLeast(t)) => numeric_cmp(&values[1], t) != Some(Ordering::Less),
+            Some(Having::SumAbove(t)) => numeric_cmp(&values[2], t) == Some(Ordering::Greater),
+        })
+        .collect();
+    if let Some((alias, limit)) = grouping.order {
+        let column = grouping.aliases().iter().position(|a| *a == alias).unwrap();
+        // Stable: ties keep first-occurrence order.
+        answer.sort_by(|(_, a), (_, b)| order_cmp(&a[column], &b[column]).reverse());
+        answer.truncate(limit);
+    }
+    answer
+        .iter()
+        .map(|(key, values)| {
+            let keys = key.iter().map(|t| term_cell(t.as_ref()));
+            keys.chain(values.iter().map(|v| value_cell(v.as_ref())))
+                .collect()
+        })
+        .collect()
+}
+
+/// A group's aggregate values, in [`Grouping::aliases`] order.
+fn aggregates(grouping: &Grouping, members: &[&Row]) -> Vec<Option<Value>> {
+    let values: Vec<Value> = members
+        .iter()
+        .filter_map(|row| row.get(&grouping.measure).map(Value::from_term))
+        .collect();
+    // SUM is unbound once a value is not a number.
+    let sum = |values: &[&Value]| -> Option<Numeric> {
+        let numbers: Option<Vec<Numeric>> = values.iter().map(|v| v.as_numeric()).collect();
+        numbers.map(|ns| {
+            ns.iter()
+                .fold(Numeric::Integer(0), |acc, &n| Numeric::add(acc, n))
+        })
+    };
+    let all: Vec<&Value> = values.iter().collect();
+    let total = sum(&all);
+    let avg = match total {
+        Some(_) if values.is_empty() => Some(Numeric::Integer(0)),
+        Some(s) => Numeric::div(s, Numeric::Integer(values.len() as i64)),
+        None => None,
+    };
+    let extreme = |want: Ordering| {
+        values.iter().fold(None::<&Value>, |best, v| match best {
+            Some(b) if v.total_cmp(b) != want => Some(b),
+            _ => Some(v),
+        })
+    };
+    let count = |n: usize| Some(Value::Numeric(Numeric::Integer(n as i64)));
+    let mut out = vec![
+        count(values.len()),
+        count(members.len()),
+        total.map(Value::Numeric),
+        avg.map(Value::Numeric),
+        extreme(Ordering::Less).cloned(),
+        extreme(Ordering::Greater).cloned(),
+    ];
+    if grouping.distinct {
+        // SPARQL `=` is an equivalence on this data (it has no doubles).
+        let mut distinct: Vec<&Value> = Vec::new();
+        for v in &values {
+            if !distinct.iter().any(|d| d.sparql_eq(v)) {
+                distinct.push(v);
+            }
+        }
+        out.push(count(distinct.len()));
+        out.push(sum(&distinct).map(Value::Numeric));
+    }
+    if grouping.ratio {
+        let ratio = total.and_then(|s| Numeric::div(s, Numeric::Integer(values.len() as i64)));
+        out.push(ratio.map(Value::Numeric));
+    }
+    out
+}
+
+/// How a number compares with `t`; `None` when unbound or not a number.
+fn numeric_cmp(v: &Option<Value>, t: i64) -> Option<Ordering> {
+    Numeric::compare(v.as_ref()?.as_numeric()?, Numeric::Integer(t))
+}
+
+/// ORDER BY's order: unbound first, then [`Value::total_cmp`].
+fn order_cmp(a: &Option<Value>, b: &Option<Value>) -> Ordering {
+    match (a, b) {
+        (None, None) => Ordering::Equal,
+        (None, Some(_)) => Ordering::Less,
+        (Some(_), None) => Ordering::Greater,
+        (Some(x), Some(y)) => x.total_cmp(y),
     }
 }
 
-/// The evaluator's answer, cells keyed like [`naive`]'s.
-fn evaluated(case: &Case, text: &str) -> Vec<Vec<Option<String>>> {
+fn run(case: &Case, text: &str) -> QueryResults {
     let mut ds = Dataset::new();
     let graph = ds.intern(&Term::iri(GRAPH));
     for [s, p, o] in &case.default {
@@ -504,22 +658,26 @@ fn evaluated(case: &Case, text: &str) -> Vec<Vec<Option<String>>> {
     for [s, p, o] in &case.named {
         ds.insert(Some(graph), s, p, o);
     }
-    let results = Evaluator::new(&ds)
+    Evaluator::new(&ds)
         .evaluate_str(text)
-        .unwrap_or_else(|e| panic!("{text}: {e}"));
-    let grouped_key = match &case.projection {
+        .unwrap_or_else(|e| panic!("{text}: {e}"))
+}
+
+/// The evaluator's answer, cells keyed like [`naive`]'s.
+fn evaluated(case: &Case, text: &str) -> Cells {
+    let key_columns = match &case.projection {
         Projection::Plain(_) => None,
-        Projection::Grouped { key, .. } => Some(key.is_some()),
+        Projection::Grouped(grouping) => Some(grouping.keys.len()),
     };
-    results
+    run(case, text)
         .rows
         .iter()
         .map(|row| {
             row.iter()
                 .enumerate()
-                .map(|(i, cell)| match grouped_key {
+                .map(|(i, cell)| match key_columns {
                     // Aggregate columns compare by value.
-                    Some(has_key) if i >= usize::from(has_key) => {
+                    Some(keys) if i >= keys => {
                         value_cell(cell.as_ref().map(Value::from_term).as_ref())
                     }
                     _ => term_cell(cell.as_ref()),
@@ -529,15 +687,30 @@ fn evaluated(case: &Case, text: &str) -> Vec<Vec<Option<String>>> {
         .collect()
 }
 
-/// The query text, then the evaluator's and the naive answers, sorted.
-type Answers = (String, Vec<Vec<Option<String>>>, Vec<Vec<Option<String>>>);
+/// The query text, then the evaluator's and the naive answers: sorted
+/// when plain, in answer order when grouped.
+type Answers = (String, Cells, Cells);
 
 fn answers(case: &Case) -> Answers {
     let text = query_text(case);
     let mut actual = evaluated(case, &text);
-    let mut expected = naive(case);
-    actual.sort();
-    expected.sort();
+    // The evaluator's row order, which decides the groups' order.
+    let first_rows = match &case.projection {
+        Projection::Grouped(grouping) if !grouping.keys.is_empty() => {
+            let keys = vars_text(&grouping.keys);
+            run(
+                case,
+                &format!("SELECT {keys} WHERE {{ {}}}", body_text(case)),
+            )
+            .rows
+        }
+        _ => Vec::new(),
+    };
+    let mut expected = naive(case, &first_rows);
+    if let Projection::Plain(_) = case.projection {
+        actual.sort();
+        expected.sort();
+    }
     (text, actual, expected)
 }
 
@@ -630,4 +803,65 @@ fn named_shapes_match_naive_evaluation() {
     let (text, actual, expected) = answers(&case);
     assert_eq!(actual.len(), 2, "{text}");
     assert_eq!(actual, expected, "{text}");
+}
+
+/// Fixed grouped cases with several groups, so that every ORDER BY alias
+/// and the group order are pinned whatever the random cases reach.
+#[test]
+fn named_groupings_match_naive_evaluation() {
+    let mut default = Vec::new();
+    for (s, o) in [
+        ("s0", Term::literal_int(1)),
+        ("s0", Term::literal_int(2)),
+        ("s0", Term::literal_int(4)),
+        ("s1", Term::literal_int(3)),
+        ("s2", typed("01", xsd::INTEGER)),
+        ("s2", typed("1.0", xsd::DECIMAL)),
+        ("s3", Term::literal_str("a")),
+    ] {
+        default.push([iri(s), iri("p0"), o]);
+    }
+    for (s, o) in [("s0", "v0"), ("s1", "v1"), ("s1", "v0")] {
+        default.push([iri(s), iri("p1"), iri(o)]);
+    }
+    let block = vec![[var("x0"), Pt::Const(iri("p0")), var("x1")]];
+    let optional = ([var("x0"), Pt::Const(iri("p1")), var("w")], None);
+    let grouping = |keys: &[&str], having, order| Grouping {
+        keys: keys.iter().map(|k| k.to_string()).collect(),
+        measure: "x1".to_string(),
+        distinct: true,
+        ratio: true,
+        having,
+        order,
+    };
+    let mut groupings = vec![
+        (grouping(&["x0"], None, None), false),
+        (grouping(&["x0", "w"], None, None), true),
+        (grouping(&[], Some(Having::CountAtLeast(1)), None), false),
+        (
+            grouping(&["x0", "w"], Some(Having::SumAbove(2)), None),
+            true,
+        ),
+    ];
+    for alias in grouping(&[], None, None).aliases() {
+        groupings.push((grouping(&["x0"], None, Some((alias, 2))), false));
+        groupings.push((grouping(&["w", "x0"], None, Some((alias, 3))), true));
+    }
+    for (grouping, with_optional) in groupings {
+        let case = Case {
+            default: default.clone(),
+            named: Vec::new(),
+            in_graph: false,
+            values: None,
+            bind: None,
+            block: block.clone(),
+            optional: with_optional.then(|| optional.clone()),
+            filters: Vec::new(),
+            split_filters: false,
+            projection: Projection::Grouped(grouping),
+        };
+        let (text, actual, expected) = answers(&case);
+        assert!(!actual.is_empty(), "{text}");
+        assert_eq!(actual, expected, "{text}");
+    }
 }
