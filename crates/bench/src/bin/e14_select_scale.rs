@@ -6,9 +6,9 @@
 //! cubes, where full-lattice greedy re-prices every candidate on every
 //! pick and the wall grows with `2^d`. Three measurements per grid cell:
 //!
-//! * **full greedy** (`greedy_select_with`) over all `2^d` candidates —
+//! * **full greedy** (`greedy_select`) over all `2^d` candidates —
 //!   the quality reference and the wall to beat;
-//! * **anytime local search** (`local_search_select_with`), run to
+//! * **anytime local search** (`local_search_select`), run to
 //!   convergence (unlimited `SearchBudget`, the configured restarts) over
 //!   a candidate pool of a few hundred views (demand masks, their
 //!   pairwise unions, apex/base, random fill) — the incremental
@@ -44,8 +44,8 @@ use sofos_cost::{
 };
 use sofos_cube::{Lattice, ViewMask};
 use sofos_select::{
-    local_search_select_with, Budget, LocalSearchConfig, Objective, SearchBudget, SearchReport,
-    SelectionOutcome, WorkloadProfile,
+    greedy_select, local_search_select, Budget, LocalSearchConfig, Objective, SearchBudget,
+    SearchReport, SelectionOutcome, WorkloadProfile,
 };
 use sofos_store::GraphStats;
 use sofos_workload::synthetic;
@@ -166,7 +166,7 @@ fn main() {
 
         let greedy = measure(reps, || {
             (
-                sofos_select::greedy_select_with(&ctx, &lattice, &objective, &profile, budget),
+                greedy_select(&ctx, &lattice, &objective, &profile, budget),
                 None,
             )
         });
@@ -176,7 +176,7 @@ fn main() {
             ..LocalSearchConfig::default()
         };
         let local = measure(reps, || {
-            let (outcome, search) = local_search_select_with(
+            let (outcome, search) = local_search_select(
                 &ctx,
                 &lattice,
                 &objective,
@@ -233,7 +233,7 @@ fn main() {
                 Arc::new(move || polls.fetch_add(1, Ordering::SeqCst))
             };
             let deadline_budget = SearchBudget::unlimited().with_deadline(clock, 48);
-            let (outcome, search) = local_search_select_with(
+            let (outcome, search) = local_search_select(
                 &ctx,
                 &lattice,
                 &objective,

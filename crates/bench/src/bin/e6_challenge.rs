@@ -11,7 +11,9 @@ use sofos_bench::Fmt::{Fixed, Raw};
 use sofos_bench::{sized, BenchReport, Json};
 use sofos_core::{build_model, EngineConfig, SizedLattice};
 use sofos_cost::{AggValuesCost, CostModelKind};
-use sofos_select::{exhaustive_select, greedy_select, workload_cost, Budget, WorkloadProfile};
+use sofos_select::{
+    exhaustive_select, greedy_select, workload_cost, Budget, Objective, WorkloadProfile,
+};
 use sofos_workload::{generate_workload, swdf, WorkloadConfig};
 
 fn main() {
@@ -21,6 +23,7 @@ fn main() {
     let ctx = sized_lattice.context();
     let config = EngineConfig::default();
     let judge = AggValuesCost; // common scorer across contestants
+    let judged = Objective::query_only(&judge); // the oracle optimizes the judge's score
     let num_queries = sized(60, 20);
     let max_k = sized(4usize, 3);
 
@@ -56,16 +59,22 @@ fn main() {
         let profile = WorkloadProfile::from_masks(workload.iter().map(|q| q.required));
 
         for k in 1..=max_k {
-            let oracle =
-                exhaustive_select(&ctx, &sized_lattice.lattice, &judge, &profile, k, 1_000_000)
-                    .expect("challenge lattices stay under the exhaustive caps");
+            let oracle = exhaustive_select(
+                &ctx,
+                &sized_lattice.lattice,
+                &judged,
+                &profile,
+                k,
+                1_000_000,
+            )
+            .expect("challenge lattices stay under the exhaustive caps");
             for kind in CostModelKind::ALL {
                 let (model, _, _) = build_model(kind, &sized_lattice, &generated.dataset, &config)
                     .expect("model builds");
                 let outcome = greedy_select(
                     &ctx,
                     &sized_lattice.lattice,
-                    model.as_ref(),
+                    &Objective::query_only(model.as_ref()),
                     &profile,
                     Budget::Views(k),
                 );

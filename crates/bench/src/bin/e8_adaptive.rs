@@ -31,7 +31,7 @@ use sofos_core::{
 };
 use sofos_cost::{AggValuesCost, CostModelKind, TouchedGroupsMaintenance, UpdateRates};
 use sofos_cube::{AggOp, Facet};
-use sofos_select::{greedy_select_with, Budget, Objective, WorkloadProfile};
+use sofos_select::{greedy_select, Budget, Objective, WorkloadProfile};
 use sofos_sparql::Evaluator;
 use sofos_store::Dataset;
 use sofos_workload::{
@@ -109,6 +109,24 @@ impl CellOutcome {
         // Maintenance runs inside eager updates; count it once.
         self.update_us + self.query_us + self.reselect_us
     }
+
+    /// The fields a seeded run reproduces exactly.
+    fn counts(&self) -> (usize, usize, usize, usize, bool) {
+        (
+            self.reselections,
+            self.churned,
+            self.view_hits,
+            self.fallbacks,
+            self.all_valid,
+        )
+    }
+}
+
+/// The median of one wall field over a cell's repeated runs.
+fn median_us(runs: &[CellOutcome], field: impl Fn(&CellOutcome) -> u64) -> u64 {
+    let mut walls: Vec<u64> = runs.iter().map(field).collect();
+    walls.sort_unstable();
+    walls[walls.len() / 2]
 }
 
 fn phase_workload(
@@ -176,16 +194,13 @@ fn run_cell(
     let ctx = sized.context();
     let initial_workload = phase_workload(base, facet, 0, queries_per_round);
     let initial_profile = WorkloadProfile::from_masks(initial_workload.iter().map(|q| q.required));
-    let objective = if lambda > 0.0 {
-        Objective::maintenance_aware(
-            &AggValuesCost,
-            &TouchedGroupsMaintenance,
-            expected_rates,
-            lambda,
-        )
-    } else {
-        Objective::query_only(&AggValuesCost)
-    };
+    // At λ = 0 the combined objective is the query-only one exactly.
+    let objective = Objective::maintenance_aware(
+        &AggValuesCost,
+        &TouchedGroupsMaintenance,
+        expected_rates,
+        lambda,
+    );
     // Memory budget sized to the coarse end of the lattice: ~40% of the
     // demandable (≤ 2-dim) views fit, the fat fine-grained views do not.
     // Any one phase's working set is affordable, but only by *evicting*
@@ -198,7 +213,7 @@ fn run_cell(
         .map(|(_, s)| s.bytes)
         .sum();
     let budget = Budget::Bytes(coarse_bytes * 2 / 5);
-    let selection = greedy_select_with(&ctx, &sized.lattice, &objective, &initial_profile, budget);
+    let selection = greedy_select(&ctx, &sized.lattice, &objective, &initial_profile, budget);
 
     let mut expanded = base.clone();
     let materialized =
@@ -224,10 +239,8 @@ fn run_cell(
         lambda,
         &initial_profile,
         drift_threshold,
-    )
-    // Re-sizing the lattice per pass would cost an evaluation of the base
-    // view — reuse the offline sizing so re-selection stays economical.
-    .with_sizing_cache(sized);
+        sized,
+    );
 
     let mut outcome = CellOutcome {
         all_valid: true,
@@ -285,6 +298,10 @@ fn main() {
     // drift; above it the selection is lean and drift actually bites.
     let lambdas: Vec<f64> = sized(vec![0.0, 4.0, 32.0], vec![0.0, 32.0]);
     let drift_threshold = 0.2;
+    // A smoke cell runs for a few ms, so one scheduling hiccup can
+    // multiply its walls: smoke runs every cell three times, alternating
+    // the policy order, and reports each wall field's median.
+    let repeats = sized(1, 3);
 
     // Four dimensions = a 16-view lattice: a 3-view budget is genuinely
     // partial coverage, so drifted demand actually falls back.
@@ -304,7 +321,8 @@ fn main() {
         format!(
             "drift schedule x lambda x staleness (eager | lazy-on-hit) x re-selection \
              policy; {rounds} rounds x {queries_per_round} queries, batch {batch_size}, \
-             zipf-skewed {}/{} insert/delete mix, drift threshold {drift_threshold}",
+             zipf-skewed {}/{} insert/delete mix, drift threshold {drift_threshold}, \
+             median of {repeats} run(s) per cell",
             (INSERT_RATIO * 100.0).round() as u32,
             ((1.0 - INSERT_RATIO) * 100.0).round() as u32
         ),
@@ -333,43 +351,67 @@ fn main() {
     for schedule in SCHEDULES {
         for &lambda in &lambdas {
             for staleness in stalenesses {
+                let mut runs: Vec<(Policy, Vec<CellOutcome>)> =
+                    Policy::ALL.iter().map(|&p| (p, Vec::new())).collect();
+                for repeat in 0..repeats {
+                    for i in 0..runs.len() {
+                        let i = if repeat % 2 == 0 {
+                            i
+                        } else {
+                            runs.len() - 1 - i
+                        };
+                        let cell = run_cell(
+                            &base,
+                            &facet,
+                            schedule,
+                            lambda,
+                            staleness,
+                            runs[i].0,
+                            rounds,
+                            queries_per_round,
+                            batch_size,
+                            drift_threshold,
+                        );
+                        runs[i].1.push(cell);
+                    }
+                }
                 let mut totals: Vec<(Policy, u64)> = Vec::new();
-                for policy in Policy::ALL {
-                    let cell = run_cell(
-                        &base,
-                        &facet,
-                        schedule,
-                        lambda,
-                        staleness,
-                        policy,
-                        rounds,
-                        queries_per_round,
-                        batch_size,
-                        drift_threshold,
+                for (policy, runs) in &runs {
+                    let cell = &runs[0];
+                    let coordinates = format!(
+                        "{}/{lambda}/{}/{}",
+                        schedule.name,
+                        staleness.name(),
+                        policy.name()
                     );
-                    let queries_total = rounds * queries_per_round;
-                    totals.push((policy, cell.total_us()));
                     report.gate(
                         cell.all_valid,
-                        format!(
-                            "{}/{lambda}/{}/{}: stale or wrong answers",
-                            schedule.name,
-                            staleness.name(),
-                            policy.name()
-                        ),
+                        format!("{coordinates}: stale or wrong answers"),
                     );
+                    report.gate(
+                        runs.iter().all(|run| run.counts() == cell.counts()),
+                        format!("{coordinates}: repeated runs disagree on a count"),
+                    );
+                    let total_us = median_us(runs, CellOutcome::total_us);
+                    totals.push((*policy, total_us));
                     report.push(Json::object([
                         ("schedule", Json::from(schedule.name)),
                         ("lambda", Json::from(lambda)),
                         ("staleness", Json::from(staleness.name())),
                         ("policy", Json::from(policy.name())),
                         ("rounds", Json::from(rounds)),
-                        ("queries", Json::from(queries_total)),
-                        ("total_us", Json::from(cell.total_us())),
-                        ("query_us", Json::from(cell.query_us)),
-                        ("update_us", Json::from(cell.update_us)),
-                        ("maintenance_us", Json::from(cell.maintenance_us)),
-                        ("reselect_us", Json::from(cell.reselect_us)),
+                        ("queries", Json::from(rounds * queries_per_round)),
+                        ("total_us", Json::from(total_us)),
+                        ("query_us", Json::from(median_us(runs, |c| c.query_us))),
+                        ("update_us", Json::from(median_us(runs, |c| c.update_us))),
+                        (
+                            "maintenance_us",
+                            Json::from(median_us(runs, |c| c.maintenance_us)),
+                        ),
+                        (
+                            "reselect_us",
+                            Json::from(median_us(runs, |c| c.reselect_us)),
+                        ),
                         ("reselections", Json::from(cell.reselections)),
                         ("views_churned", Json::from(cell.churned)),
                         ("view_hits", Json::from(cell.view_hits)),

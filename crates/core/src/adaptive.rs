@@ -20,13 +20,9 @@ use crate::offline::SizedLattice;
 use crate::timing::measure_once;
 use sofos_cost::CostModelKind;
 use sofos_rdf::FxHashMap;
-use sofos_select::{
-    greedy_select_with, local_search_select_with, LocalSearchConfig, Objective, SearchBudget,
-    SearchReport, SelectionOutcome, WorkloadProfile,
-};
+use sofos_select::{greedy_select, Objective, SelectionOutcome, WorkloadProfile};
 use sofos_sparql::SparqlError;
 use sofos_store::Dataset;
-use std::sync::Arc;
 
 /// Measures how far the live workload has drifted from the profile the
 /// current selection was optimized for.
@@ -65,11 +61,6 @@ impl DriftDetector {
             *mass.entry(mask.0).or_insert(0.0) += w;
         }
         mass
-    }
-
-    /// The configured firing threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
     }
 
     /// Total-variation distance between the reference and `current`.
@@ -119,17 +110,15 @@ pub struct ReselectionReport {
     pub selection: SelectionOutcome,
     /// Catalog churn from the transactional swap.
     pub churn: ViewChurn,
-    /// Wall time of the lattice re-sizing pass (µs) — the growth-scaling
-    /// refresh when the sizing cache is on, a full sizing otherwise.
+    /// Wall time of the lattice re-sizing pass (µs): the growth-scaling
+    /// refresh, or a full sizing when the given sizing was of an empty
+    /// graph.
     pub sizing_us: u64,
-    /// True when sizing came from the cache, refreshed by live
+    /// True when the sizing was refreshed by live
     /// [`sofos_store::GraphStats`] growth instead of re-evaluated.
     pub sizing_refreshed: bool,
     /// Wall time of the selection algorithm (µs).
     pub selection_us: u64,
-    /// What the anytime local search did, when the pass ran under a
-    /// [`Reselector::with_anytime_budget`]; `None` for greedy passes.
-    pub search: Option<SearchReport>,
 }
 
 impl ReselectionReport {
@@ -137,41 +126,6 @@ impl ReselectionReport {
     /// materialization + drops.
     pub fn overhead_us(&self) -> u64 {
         self.sizing_us + self.selection_us + self.churn.materialize_us + self.churn.drop_us
-    }
-
-    /// JSON object with the numbers bench reports record (selection masks
-    /// as integers, drift, churn counts, overhead breakdown).
-    pub fn to_json_string(&self) -> String {
-        let masks: Vec<String> = self
-            .selection
-            .selected
-            .iter()
-            .map(|m| m.0.to_string())
-            .collect();
-        let search = match &self.search {
-            None => String::new(),
-            Some(s) => format!(
-                ",\"moves_tried\":{},\"moves_accepted\":{},\"restarts\":{},\"converged\":{}",
-                s.moves_tried, s.moves_accepted, s.restarts, s.converged
-            ),
-        };
-        format!(
-            "{{\"drift\":{},\"selected\":[{}],\"added\":{},\"retired\":{},\
-             \"kept\":{},\"sizing_us\":{},\"sizing_refreshed\":{},\"selection_us\":{},\
-             \"materialize_us\":{},\"drop_us\":{},\"overhead_us\":{}{}}}",
-            self.drift,
-            masks.join(","),
-            self.churn.added.len(),
-            self.churn.retired.len(),
-            self.churn.kept.len(),
-            self.sizing_us,
-            self.sizing_refreshed,
-            self.selection_us,
-            self.churn.materialize_us,
-            self.churn.drop_us,
-            self.overhead_us(),
-            search
-        )
     }
 }
 
@@ -186,59 +140,15 @@ impl std::fmt::Display for ReselectionReport {
             self.churn.retired.len(),
             self.churn.kept.len(),
             self.overhead_us()
-        )?;
-        if let Some(s) = &self.search {
-            write!(
-                f,
-                " [anytime: {} moves, {} accepted, {} restarts, {}]",
-                s.moves_tried,
-                s.moves_accepted,
-                s.restarts,
-                if s.converged {
-                    "converged"
-                } else {
-                    "truncated"
-                }
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Budget for anytime re-selection passes ([`Reselector::with_anytime_budget`]):
-/// a move cap and/or a wall deadline. The deadline is measured from pass
-/// start on the engine's injected [`crate::policy::Clock`], so serving
-/// budgets hold and `ManualClock` tests stay deterministic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AnytimeBudget {
-    /// Cap on local-search moves per pass (`None` = uncapped).
-    pub max_moves: Option<u64>,
-    /// Wall budget per pass in clock milliseconds (`None` = no deadline).
-    pub deadline_ms: Option<u64>,
-}
-
-impl AnytimeBudget {
-    /// A move-capped budget.
-    pub fn moves(max_moves: u64) -> AnytimeBudget {
-        AnytimeBudget {
-            max_moves: Some(max_moves),
-            deadline_ms: None,
-        }
-    }
-
-    /// A wall-deadline budget (milliseconds from pass start).
-    pub fn deadline_ms(deadline_ms: u64) -> AnytimeBudget {
-        AnytimeBudget {
-            max_moves: None,
-            deadline_ms: Some(deadline_ms),
-        }
+        )
     }
 }
 
 /// Adaptive re-selection: watches an engine's sliding workload/update
 /// profile through a [`DriftDetector`] and, when the workload has moved,
-/// re-runs maintenance-aware selection over a freshly re-sized lattice
-/// and swaps the materialized set transactionally.
+/// re-runs maintenance-aware greedy selection over the lattice sizing,
+/// refreshed by live graph growth, and swaps the materialized set
+/// transactionally.
 ///
 /// The maintenance term is the analytic
 /// [`sofos_cost::TouchedGroupsMaintenance`] estimator, so λ keeps the
@@ -249,20 +159,32 @@ pub struct Reselector {
     config: EngineConfig,
     lambda: f64,
     detector: DriftDetector,
-    sizing_cache: Option<SizedLattice>,
-    anytime: Option<AnytimeBudget>,
+    sized: SizedLattice,
     reselections: usize,
 }
 
 impl Reselector {
     /// A re-selector optimizing `kind` + λ·maintenance under `config`'s
     /// budget, anchored at the profile the current selection served.
+    ///
+    /// `sized` is an offline sizing of the lattice (usually the one the
+    /// current selection was made from). Re-sizing costs one evaluation of
+    /// the base view plus the lattice's roll-up — as much as answering the
+    /// finest query the facet has — so passes never re-size: each rescales
+    /// the per-view rows/triples/bytes by the live
+    /// [`sofos_store::GraphStats`] growth since `sized` was taken
+    /// ([`SizedLattice::refreshed`]), and byte budgets keep pricing against
+    /// the graph that actually exists. The scaling is uniform — it tracks
+    /// size, not shape; build a fresh `Reselector` from a new sizing when
+    /// the graph's *distribution* has changed. A sizing of an empty graph
+    /// has nothing to scale, so passes size the snapshot afresh instead.
     pub fn new(
         kind: CostModelKind,
         config: EngineConfig,
         lambda: f64,
         reference: &WorkloadProfile,
         threshold: f64,
+        sized: SizedLattice,
     ) -> Reselector {
         assert!(
             lambda.is_finite() && lambda >= 0.0,
@@ -273,48 +195,9 @@ impl Reselector {
             config,
             lambda,
             detector: DriftDetector::new(reference, threshold),
-            sizing_cache: None,
-            anytime: None,
+            sized,
             reselections: 0,
         }
-    }
-
-    /// Re-select with the anytime local search
-    /// ([`sofos_select::local_search_select_with`]) instead of the full
-    /// greedy: seeded from the engine's *current catalog*, improving
-    /// within `budget` — so adaptive re-selection fits inside a serving
-    /// deadline even at lattice scales where a greedy pass would blow it.
-    /// The resulting [`SearchReport`] lands on
-    /// [`ReselectionReport::search`] and the
-    /// `sofos_select_moves_total` / `sofos_select_restarts_total`
-    /// counters.
-    pub fn with_anytime_budget(mut self, budget: AnytimeBudget) -> Reselector {
-        self.anytime = Some(budget);
-        self
-    }
-
-    /// Reuse an offline sizing pass instead of re-sizing the lattice on
-    /// every re-selection.
-    ///
-    /// Re-sizing costs one evaluation of the base view plus the lattice's
-    /// roll-up — as much as answering the finest query the facet has,
-    /// which dwarfs everything else a re-selection does on a large graph.
-    /// Cached estimates are **not** frozen: every pass rescales the cached
-    /// per-view rows/triples/bytes by the live
-    /// [`sofos_store::GraphStats`] growth since the cache was taken
-    /// ([`SizedLattice::refreshed`]), so byte budgets keep pricing against
-    /// the graph that actually exists. The scaling is uniform — it tracks
-    /// size, not shape; drop the cache (a fresh `Reselector`) when the
-    /// graph's *distribution* has changed. A cached sizing of an empty
-    /// graph is never scaled: passes size the snapshot afresh instead.
-    pub fn with_sizing_cache(mut self, sized: SizedLattice) -> Reselector {
-        self.sizing_cache = Some(sized);
-        self
-    }
-
-    /// The drift detector (for inspection / reporting).
-    pub fn detector(&self) -> &DriftDetector {
-        &self.detector
     }
 
     /// Re-selections performed so far.
@@ -341,30 +224,21 @@ impl Reselector {
     }
 
     /// The sizing a re-selection prices against, its wall time (µs), and
-    /// whether it came from the cache. The cache is refreshed by live
-    /// [`sofos_store::GraphStats`] growth instead of re-evaluated; a cached
-    /// sizing of an empty graph has nothing to scale, so the snapshot is
-    /// sized afresh then.
+    /// whether it was refreshed by growth (false: sized afresh, because
+    /// the given sizing was of an empty graph).
     fn sizing(
         &self,
         snapshot: &Dataset,
         facet: &sofos_cube::Facet,
     ) -> Result<(SizedLattice, u64, bool), SparqlError> {
-        match self
-            .sizing_cache
-            .as_ref()
-            .filter(|c| c.base_stats.triples > 0)
-        {
-            Some(cached) => {
-                let live = sofos_store::GraphStats::compute(snapshot.default_graph());
-                let (us, refreshed) = measure_once(|| cached.refreshed(&live));
-                Ok((refreshed, us, true))
-            }
-            None => {
-                let computed = SizedLattice::compute(snapshot, facet)?;
-                let us = computed.sizing_us;
-                Ok((computed, us, false))
-            }
+        if self.sized.base_stats.triples > 0 {
+            let live = sofos_store::GraphStats::compute(snapshot.default_graph());
+            let (us, refreshed) = measure_once(|| self.sized.refreshed(&live));
+            Ok((refreshed, us, true))
+        } else {
+            let computed = SizedLattice::compute(snapshot, facet)?;
+            let us = computed.sizing_us;
+            Ok((computed, us, false))
         }
     }
 
@@ -391,51 +265,22 @@ impl Reselector {
         let (sized, sizing_us, sizing_refreshed) = self.sizing(&snapshot, engine.facet())?;
         let (query_model, _history, _train_us) =
             crate::offline::build_model(self.kind, &sized, &snapshot, &self.config)?;
-        let maintenance = sofos_cost::TouchedGroupsMaintenance;
-        let rates = engine.observed_rates();
+        // At λ = 0 the combined objective is the query-only one exactly.
+        let objective = Objective::maintenance_aware(
+            query_model.as_ref(),
+            &sofos_cost::TouchedGroupsMaintenance,
+            engine.observed_rates(),
+            self.lambda,
+        );
         let ctx = sized.context();
-        let objective = if self.lambda > 0.0 {
-            Objective::maintenance_aware(query_model.as_ref(), &maintenance, rates, self.lambda)
-        } else {
-            Objective::query_only(query_model.as_ref())
-        };
-        let (selection_us, (selection, search)) = measure_once(|| match self.anytime {
-            None => (
-                greedy_select_with(
-                    &ctx,
-                    &sized.lattice,
-                    &objective,
-                    &profile,
-                    self.config.budget,
-                ),
-                None,
-            ),
-            Some(budget) => {
-                let mut search = SearchBudget::unlimited();
-                if let Some(max_moves) = budget.max_moves {
-                    search = search.with_moves(max_moves);
-                }
-                if let Some(deadline_ms) = budget.deadline_ms {
-                    let clock = engine.clock();
-                    let deadline = clock.now_ms().saturating_add(deadline_ms);
-                    search = search.with_deadline(Arc::new(move || clock.now_ms()), deadline);
-                }
-                let config = LocalSearchConfig {
-                    rng_seed: self.config.seed,
-                    initial: Some(engine.views().iter().map(|&(mask, _)| mask).collect()),
-                    ..LocalSearchConfig::default()
-                };
-                let (outcome, report) = local_search_select_with(
-                    &ctx,
-                    &sized.lattice,
-                    &objective,
-                    &profile,
-                    self.config.budget,
-                    &config,
-                    &search,
-                );
-                (outcome, Some(report))
-            }
+        let (selection_us, selection) = measure_once(|| {
+            greedy_select(
+                &ctx,
+                &sized.lattice,
+                &objective,
+                &profile,
+                self.config.budget,
+            )
         });
 
         let churn = engine.swap_views(&selection.selected)?;
@@ -451,18 +296,11 @@ impl Reselector {
             sizing_us,
             sizing_refreshed,
             selection_us,
-            search,
         };
-        let (moves, restarts) = report
-            .search
-            .as_ref()
-            .map_or((0, 0), |s| (s.moves_tried, s.restarts));
         crate::metrics::record_reselection(
             engine.metrics(),
             engine.now_ms(),
             report.overhead_us(),
-            moves,
-            restarts,
             report.to_string(),
         );
         Ok(report)
@@ -506,6 +344,11 @@ mod tests {
             .staleness(policy)
             .build()
             .unwrap()
+    }
+
+    /// The engine's lattice sized over its current snapshot.
+    fn sizing(engine: &Engine) -> SizedLattice {
+        SizedLattice::compute(&engine.snapshot(), engine.facet()).unwrap()
     }
 
     fn session_delta(batch: usize) -> sofos_store::Delta {
@@ -561,7 +404,7 @@ mod tests {
     }
 
     #[test]
-    fn reselector_fires_on_drift_and_recovers_view_hits_on_both_backends() {
+    fn reselector_fires_on_drift_and_recovers_view_hits() {
         let engine = engine_setup(StalenessPolicy::Eager);
         // Force a catalog that only answers apex queries.
         engine.swap_views(&[ViewMask::APEX]).unwrap();
@@ -572,6 +415,7 @@ mod tests {
             0.0,
             &apex_profile,
             0.5,
+            sizing(&engine),
         );
 
         // The workload moves to the finest grouping, which the apex
@@ -601,6 +445,9 @@ mod tests {
         );
         assert!(!report.churn.added.is_empty());
         assert_eq!(reselector.reselections(), 1);
+        // The pass lands on the adaptive instruments.
+        let snap = engine.metrics().snapshot();
+        assert_eq!(snap.counter_value("sofos_reselections_total", &[]), Some(1));
 
         // After the swap the same query routes to a view again.
         let answer = engine.query(&q).unwrap();
@@ -628,8 +475,8 @@ mod tests {
             1.0,
             &apex_profile,
             0.5,
-        )
-        .with_sizing_cache(sized);
+            sized,
+        );
 
         let base_mask = ViewMask::full(engine.facet().dim_count());
         let q = facet_query(engine.facet(), base_mask, AggOp::Sum, vec![]);
@@ -652,15 +499,9 @@ mod tests {
         let answer = engine.query(&q).unwrap();
         assert!(matches!(answer.route, Route::View(_)));
 
-        // The report renders and serializes without hand-formatting.
+        // The report renders without hand-formatting.
         let line = report.to_string();
         assert!(line.starts_with("drift 1.00"), "{line}");
-        let json = report.to_json_string();
-        assert!(json.contains("\"drift\":1"), "{json}");
-        assert!(json.contains("\"sizing_refreshed\":true"), "{json}");
-        // Demand drift is the only trigger: no second drift key.
-        assert!(json.starts_with("{\"drift\":1,\"selected\":["), "{json}");
-        assert!(!json.contains("locality"), "{json}");
     }
 
     #[test]
@@ -688,8 +529,8 @@ mod tests {
             0.0,
             &WorkloadProfile::uniform(&empty.lattice),
             0.5,
-        )
-        .with_sizing_cache(empty);
+            empty,
+        );
 
         let snapshot = engine.snapshot();
         let (used, _, refreshed) = reselector.sizing(&snapshot, engine.facet()).unwrap();
@@ -726,6 +567,7 @@ mod tests {
             1.0,
             &reference,
             0.5,
+            sizing(&engine),
         );
         for q in &workload {
             engine.query(&q.query).unwrap();
@@ -735,115 +577,6 @@ mod tests {
             "replaying the reference workload is not drift"
         );
         assert_eq!(reselector.reselections(), 0);
-    }
-
-    #[test]
-    fn anytime_reselection_improves_within_a_move_budget_on_both_backends() {
-        let engine = engine_setup(StalenessPolicy::Eager);
-        engine.swap_views(&[ViewMask::APEX]).unwrap();
-        let apex_profile = WorkloadProfile::from_masks([ViewMask::APEX]);
-        let mut reselector = Reselector::new(
-            CostModelKind::AggValues,
-            EngineConfig::default(),
-            0.0,
-            &apex_profile,
-            0.5,
-        )
-        .with_anytime_budget(AnytimeBudget::moves(2_000));
-
-        let base_mask = ViewMask::full(engine.facet().dim_count());
-        let q = facet_query(engine.facet(), base_mask, AggOp::Sum, vec![]);
-        for _ in 0..6 {
-            engine.query(&q).unwrap();
-        }
-        let report = reselector
-            .check(&engine)
-            .unwrap()
-            .expect("disjoint demand triggers re-selection");
-        let search = report.search.as_ref().expect("anytime pass reports search");
-        assert!(search.moves_tried <= 2_000);
-        assert!(
-            search.final_cost <= search.seed_cost,
-            "never worse than the catalog seed"
-        );
-        assert!(
-            report
-                .selection
-                .selected
-                .iter()
-                .any(|v| v.covers(base_mask)),
-            "local search finds the hot demand: {:?}",
-            report.selection.selected
-        );
-        let line = report.to_string();
-        assert!(line.contains("anytime:"), "{line}");
-        assert!(report.to_json_string().contains("\"moves_tried\":"));
-
-        // The pass lands on the adaptive instruments.
-        let snap = engine.metrics().snapshot();
-        assert_eq!(snap.counter_value("sofos_reselections_total", &[]), Some(1));
-        assert!(snap.counter_value("sofos_select_moves_total", &[]).unwrap() > 0);
-    }
-
-    #[test]
-    fn anytime_deadline_on_a_frozen_clock_returns_the_catalog_seed() {
-        use crate::policy::{Clock, ManualClock};
-        use std::sync::Arc;
-
-        let g = synthetic::generate(&synthetic::Config {
-            observations: 120,
-            agg: AggOp::Avg,
-            ..synthetic::Config::default()
-        });
-        let facet = g.facets[0].clone();
-        let mut ds = g.dataset;
-        let sized = SizedLattice::compute(&ds, &facet).unwrap();
-        let profile = WorkloadProfile::uniform(&sized.lattice);
-        let offline = run_offline(
-            &mut ds,
-            &sized,
-            &profile,
-            CostModelKind::AggValues,
-            &EngineConfig::default(),
-        )
-        .unwrap();
-        let clock = ManualClock::shared(0);
-        let engine = Engine::builder()
-            .dataset(ds)
-            .facet(facet)
-            .catalog(offline.view_catalog())
-            .clock(clock.clone() as Arc<dyn Clock>)
-            .build()
-            .unwrap();
-        engine.swap_views(&[ViewMask::APEX]).unwrap();
-
-        // A zero-ms deadline off a frozen clock expires before the first
-        // proposal: the pass must come back with the (valid) catalog seed
-        // — the interrupt-at-deadline contract, deterministic under
-        // ManualClock.
-        let apex_profile = WorkloadProfile::from_masks([ViewMask::APEX]);
-        let mut reselector = Reselector::new(
-            CostModelKind::AggValues,
-            EngineConfig::default(),
-            0.0,
-            &apex_profile,
-            0.5,
-        )
-        .with_anytime_budget(AnytimeBudget::deadline_ms(0));
-        let base_mask = ViewMask::full(engine.facet().dim_count());
-        let q = facet_query(engine.facet(), base_mask, AggOp::Sum, vec![]);
-        for _ in 0..4 {
-            engine.query(&q).unwrap();
-        }
-        let report = reselector.reselect(&engine).unwrap();
-        let search = report.search.expect("anytime pass reports search");
-        assert!(search.budget_exhausted);
-        assert_eq!(search.moves_tried, 0);
-        assert_eq!(
-            report.selection.selected,
-            vec![ViewMask::APEX],
-            "seed catalog survives the interrupt"
-        );
     }
 
     #[test]
@@ -862,6 +595,7 @@ mod tests {
             0.0,
             &apex_profile,
             0.5,
+            sizing(&engine),
         );
         let base_mask = ViewMask::full(engine.facet().dim_count());
         let q = facet_query(engine.facet(), base_mask, AggOp::Sum, vec![]);
@@ -870,5 +604,62 @@ mod tests {
         }
         let report = reselector.reselect(&engine).unwrap();
         assert!(report.selection.selected.len() <= 2, "budget respected");
+    }
+
+    #[test]
+    fn reselection_is_greedy_over_the_refreshed_sizing() {
+        // The one re-selection path: under λ > 0 a pass selects exactly
+        // what greedy selects over the given sizing refreshed by live
+        // growth, with the same objective and budget.
+        let engine = engine_setup(StalenessPolicy::Eager);
+        let sized = sizing(&engine);
+        for batch in 0..3 {
+            engine.update(session_delta(batch)).unwrap();
+        }
+        engine.swap_views(&[ViewMask::APEX]).unwrap();
+        let base_mask = ViewMask::full(engine.facet().dim_count());
+        let q = facet_query(engine.facet(), base_mask, AggOp::Sum, vec![]);
+        for _ in 0..4 {
+            engine.query(&q).unwrap();
+        }
+
+        let (kind, lambda) = (CostModelKind::Triples, 1.0);
+        let config = EngineConfig {
+            budget: Budget::Views(3),
+            ..EngineConfig::default()
+        };
+        let snapshot = engine.snapshot();
+        let live = sofos_store::GraphStats::compute(snapshot.default_graph());
+        let refreshed = sized.refreshed(&live);
+        assert!(refreshed.base_stats.triples > sized.base_stats.triples);
+        let (model, _, _) =
+            crate::offline::build_model(kind, &refreshed, &snapshot, &config).unwrap();
+        let objective = Objective::maintenance_aware(
+            model.as_ref(),
+            &sofos_cost::TouchedGroupsMaintenance,
+            engine.observed_rates(),
+            lambda,
+        );
+        assert!(objective.is_active(), "updates make upkeep count");
+        let expected = greedy_select(
+            &refreshed.context(),
+            &refreshed.lattice,
+            &objective,
+            &engine.window_profile(),
+            config.budget,
+        );
+
+        let mut reselector = Reselector::new(
+            kind,
+            config,
+            lambda,
+            &WorkloadProfile::from_masks([ViewMask::APEX]),
+            0.5,
+            sized,
+        );
+        let report = reselector.reselect(&engine).unwrap();
+        assert!(report.sizing_refreshed);
+        assert_eq!(report.selection, expected);
+        assert!(report.selection.upkeep_cost > 0.0);
     }
 }

@@ -443,13 +443,6 @@ impl Engine {
         self.clock.now_ms()
     }
 
-    /// A handle on the injected [`Clock`] — the time source deadline-
-    /// driven work (e.g. anytime re-selection budgets) must run against
-    /// so `ManualClock` tests stay deterministic.
-    pub fn clock(&self) -> Arc<dyn Clock> {
-        self.clock.clone()
-    }
-
     /// `"epoch"`: the value of the `backend` label on every metric the
     /// engine records, which dashboards and the claim benchmark look
     /// gauges up by.
@@ -589,7 +582,7 @@ mod tests {
     }
 
     #[test]
-    fn eager_engine_maintains_views_on_update_on_both_backends() {
+    fn eager_engine_maintains_views_on_update() {
         let (engine, workload) = setup(StalenessPolicy::Eager);
         for batch in 0..3 {
             engine.update(session_delta(batch)).unwrap();
@@ -604,7 +597,7 @@ mod tests {
     }
 
     #[test]
-    fn lazy_engine_repairs_views_on_first_hit_on_both_backends() {
+    fn lazy_engine_repairs_views_on_first_hit() {
         let (engine, workload) = setup(StalenessPolicy::LazyOnHit);
         let views_before = engine.views().len();
         engine.update(session_delta(0)).unwrap();
@@ -635,7 +628,7 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_engine_drops_views_and_falls_back_on_both_backends() {
+    fn invalidate_engine_drops_views_and_falls_back() {
         let (engine, workload) = setup(StalenessPolicy::Invalidate);
         assert!(!engine.views().is_empty());
         engine.update(session_delta(0)).unwrap();
@@ -671,7 +664,7 @@ mod tests {
     }
 
     #[test]
-    fn swap_views_reports_churn_and_stays_consistent_on_both_backends() {
+    fn swap_views_reports_churn_and_stays_consistent() {
         let (engine, workload) = setup(StalenessPolicy::Eager);
         let before: Vec<ViewMask> = engine.views().iter().map(|(m, _)| *m).collect();
         assert!(!before.is_empty());
@@ -768,7 +761,7 @@ mod tests {
     }
 
     #[test]
-    fn flush_repairs_lazy_stale_views_on_both_backends() {
+    fn flush_repairs_lazy_stale_views() {
         let (engine, workload) = setup(StalenessPolicy::LazyOnHit);
         engine.update(session_delta(0)).unwrap();
         assert!(engine.stale_views() > 0, "update left views stale");
@@ -797,7 +790,7 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_bound_forces_service_before_serving_on_both_backends() {
+    fn wall_clock_bound_forces_service_before_serving() {
         let clock = ManualClock::shared(0);
         let (engine, workload) = built(
             // Generous batch/epoch budgets: only the clock can trip.

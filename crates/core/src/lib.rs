@@ -83,7 +83,7 @@ pub mod report;
 pub mod timing;
 pub mod validate;
 
-pub use adaptive::{AnytimeBudget, DriftDetector, ReselectionReport, Reselector};
+pub use adaptive::{DriftDetector, ReselectionReport, Reselector};
 pub use compare::{compare_cost_models, measure_workload, OnlineOutcome};
 pub use config::EngineConfig;
 pub use engine::{

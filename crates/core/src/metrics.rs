@@ -32,8 +32,6 @@
 //! | `sofos_maintenance_errors_total` | counter | failed maintenance / repair passes |
 //! | `sofos_reselections_total` | counter | adaptive catalog swaps (see [`crate::adaptive`]) |
 //! | `sofos_reselect_duration_us` | histogram | end-to-end re-selection pass overhead (sizing + selection + swap) |
-//! | `sofos_select_moves_total` | counter | local-search moves tried by anytime re-selection passes |
-//! | `sofos_select_restarts_total` | counter | local-search restarts performed by anytime re-selection passes |
 //! | `sofos_index_bytes` | gauge | estimated bytes held by bitmap posting lists across all graphs |
 //! | `sofos_index_posting_lists` | gauge | live posting lists (per-predicate + per-(predicate, value)) |
 //! | `sofos_index_updates_total` | counter | incremental posting-list maintenance operations |
@@ -473,12 +471,10 @@ impl EngineInstruments {
 }
 
 /// The adaptive layer's instrument set: `(reselections, duration
-/// histogram, moves, restarts)`. Get-or-create by (name, labels), so the
-/// pre-registration in [`EngineInstruments::new`] and the record path in
+/// histogram)`. Get-or-create by (name, labels), so the pre-registration
+/// in [`EngineInstruments::new`] and the record path in
 /// [`record_reselection`] resolve to the same instruments.
-type ReselectionInstruments = (Arc<Counter>, Arc<Histogram>, Arc<Counter>, Arc<Counter>);
-
-fn register_reselection_instruments(handle: &MetricsHandle) -> ReselectionInstruments {
+fn register_reselection_instruments(handle: &MetricsHandle) -> (Arc<Counter>, Arc<Histogram>) {
     (
         handle.counter(
             "sofos_reselections_total",
@@ -490,41 +486,25 @@ fn register_reselection_instruments(handle: &MetricsHandle) -> ReselectionInstru
             "Re-selection pass overhead (sizing + selection + swap, µs)",
             &[],
         ),
-        handle.counter(
-            "sofos_select_moves_total",
-            "Local-search moves tried by anytime re-selection passes",
-            &[],
-        ),
-        handle.counter(
-            "sofos_select_restarts_total",
-            "Local-search restarts performed by anytime re-selection passes",
-            &[],
-        ),
     )
 }
 
 /// Record one adaptive re-selection on `handle` (called by
 /// [`crate::adaptive::Reselector`], which works through the public
 /// [`crate::engine::Engine`] surface rather than the engine's
-/// instruments). `moves` / `restarts` are zero for greedy passes and the
-/// [`sofos_select::SearchReport`] counts for anytime passes.
+/// instruments).
 pub(crate) fn record_reselection(
     handle: &MetricsHandle,
     now_ms: u64,
     duration_us: u64,
-    moves: u64,
-    restarts: u64,
     detail: impl Into<String>,
 ) {
     if !handle.is_enabled() {
         return;
     }
-    let (reselections, duration, select_moves, select_restarts) =
-        register_reselection_instruments(handle);
+    let (reselections, duration) = register_reselection_instruments(handle);
     reselections.inc();
     duration.record(duration_us);
-    select_moves.add(moves);
-    select_restarts.add(restarts);
     handle.event(now_ms, EventKind::Reselection, detail);
 }
 

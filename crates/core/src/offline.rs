@@ -9,7 +9,7 @@ use sofos_cost::{
 use sofos_cube::{view_query, Facet, Lattice, ViewMask};
 use sofos_materialize::{materialize_views, MaterializedView, ViewStats};
 use sofos_rdf::FxHashMap;
-use sofos_select::{greedy_select, Budget, SelectionOutcome, WorkloadProfile};
+use sofos_select::{greedy_select, Budget, Objective, SelectionOutcome, WorkloadProfile};
 use sofos_sparql::{Evaluator, SparqlError};
 use sofos_store::{Dataset, GraphStats};
 
@@ -223,9 +223,10 @@ pub fn run_offline(
 ) -> Result<OfflineOutcome, SparqlError> {
     let (model, training_history, training_us) = build_model(kind, sized, dataset, config)?;
     let ctx = sized.context();
+    let objective = Objective::query_only(model.as_ref());
 
     let (selection_us, selection) = measure_median(1, || {
-        greedy_select(&ctx, &sized.lattice, model.as_ref(), profile, config.budget)
+        greedy_select(&ctx, &sized.lattice, &objective, profile, config.budget)
     });
 
     let base_bytes = dataset.estimated_bytes();

@@ -169,7 +169,7 @@ proptest! {
     /// view-routed read may serve buffered state.
     /// (Generous batch/epoch budgets ensure only the clock can trip.)
     #[test]
-    fn bounded_wall_clock_budget_is_enforced_on_both_backends(
+    fn bounded_wall_clock_budget_is_enforced(
         ops in proptest::collection::vec(
             (proptest::bool::weighted(0.5), 0u64..120), 4..16),
         max_lag_ms in 20u64..200,

@@ -36,8 +36,7 @@ pub use learned::{
     regression_metrics, spearman, LearnedCostModel, RegressionMetrics, TrainingSample,
 };
 pub use maintenance::{
-    expected_touched_groups, maintenance_features, FixedMaintenance, MaintenanceCostModel,
-    MaintenanceFeatures, TouchedGroupsMaintenance, UpdateRates,
+    FixedMaintenance, MaintenanceCostModel, TouchedGroupsMaintenance, UpdateRates,
 };
 pub use models::{
     AggValuesCost, CostModel, CostModelKind, NodesCost, RandomCost, TriplesCost, UserDefinedCost,

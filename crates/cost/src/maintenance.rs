@@ -92,7 +92,7 @@ pub trait MaintenanceCostModel: Send + Sync {
 /// standard balls-into-bins occupancy bound. Tends to `ops` for huge views
 /// (every op hits its own group) and saturates at `rows` for tiny ones
 /// (the apex is touched once per batch, not once per op).
-pub fn expected_touched_groups(rows: usize, ops: f64) -> f64 {
+pub(crate) fn expected_touched_groups(rows: usize, ops: f64) -> f64 {
     if ops <= 0.0 {
         return 0.0;
     }
@@ -108,21 +108,19 @@ pub fn expected_touched_groups(rows: usize, ops: f64) -> f64 {
 /// maintenance engine reports after the fact
 /// ([`sofos_maintain::MaintenanceCost`]), predicted before it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MaintenanceFeatures {
+pub(crate) struct MaintenanceFeatures {
     /// Expected view-graph triples written or removed per round.
     pub triples_touched: f64,
     /// Expected per-group re-evaluations per round (MIN/MAX deletes, or
     /// every group under the full-refresh regime).
     pub groups_reevaluated: f64,
-    /// True when the facet degrades to drop + re-materialize.
-    pub full_refresh: bool,
 }
 
 /// Analytic per-view maintenance features from the sized lattice.
 ///
 /// Views the context cannot size are priced pessimistically (`INFINITY`
 /// triples), matching how the query-cost models treat them.
-pub fn maintenance_features(
+pub(crate) fn maintenance_features(
     ctx: &CostContext<'_>,
     view: ViewMask,
     rates: &UpdateRates,
@@ -132,14 +130,12 @@ pub fn maintenance_features(
         return MaintenanceFeatures {
             triples_touched: 0.0,
             groups_reevaluated: 0.0,
-            full_refresh: false,
         };
     }
     let Some(stats) = ctx.stats(view) else {
         return MaintenanceFeatures {
             triples_touched: f64::INFINITY,
             groups_reevaluated: f64::INFINITY,
-            full_refresh: true,
         };
     };
     // Triples one encoded observation (group row) carries: rdf:type + one
@@ -152,7 +148,6 @@ pub fn maintenance_features(
         return MaintenanceFeatures {
             triples_touched: 2.0 * stats.triples as f64,
             groups_reevaluated: stats.rows as f64,
-            full_refresh: true,
         };
     }
 
@@ -167,7 +162,6 @@ pub fn maintenance_features(
     MaintenanceFeatures {
         triples_touched: touched * row_width,
         groups_reevaluated: reevals,
-        full_refresh: false,
     }
 }
 

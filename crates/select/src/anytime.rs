@@ -1,8 +1,8 @@
 //! # Anytime local-search view selection
 //!
-//! The frozen algorithms wall out at lattice scale: [`greedy_select_with`](crate::greedy_select_with)
+//! The frozen algorithms wall out at lattice scale: [`greedy_select`](crate::greedy_select)
 //! re-prices every remaining candidate against every demand per pick, and
-//! [`exhaustive_select_with`](crate::exhaustive_select_with) is exponential. This module trades those
+//! [`exhaustive_select`](crate::exhaustive_select) is exponential. This module trades those
 //! guarantees for a *deadline*: hill-climbing over add / drop / swap moves,
 //! seeded from greedy-on-a-sample (or the caller's current catalog), with
 //! random restarts — interruptible at any point with a valid best-so-far
@@ -26,13 +26,13 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sofos_cost::{CostContext, CostModel};
+use sofos_cost::CostContext;
 use sofos_cube::{Lattice, ViewMask};
 use sofos_rdf::{FxHashMap, FxHashSet};
 
 use crate::{
-    base_graph_cost, greedy_over_candidates, selection_upkeep, workload_cost, Budget, Objective,
-    SelectionOutcome, WorkloadProfile,
+    base_graph_cost, combined_cost, greedy_over_candidates, selection_upkeep, workload_cost,
+    Budget, Objective, SelectionOutcome, WorkloadProfile,
 };
 
 /// Millisecond time source for wall deadlines. A closure rather than a
@@ -61,13 +61,10 @@ impl SearchBudget {
 
     /// Cap the number of proposed moves.
     pub fn moves(max_moves: u64) -> SearchBudget {
-        SearchBudget::unlimited().with_moves(max_moves)
-    }
-
-    /// Replace the move cap.
-    pub fn with_moves(mut self, max_moves: u64) -> SearchBudget {
-        self.max_moves = Some(max_moves);
-        self
+        SearchBudget {
+            max_moves: Some(max_moves),
+            deadline: None,
+        }
     }
 
     /// Stop once `clock()` reaches `deadline_ms`. The clock is sampled
@@ -76,11 +73,6 @@ impl SearchBudget {
     pub fn with_deadline(mut self, clock: ClockFn, deadline_ms: u64) -> SearchBudget {
         self.deadline = Some((clock, deadline_ms));
         self
-    }
-
-    /// The configured move cap, if any.
-    pub fn max_moves(&self) -> Option<u64> {
-        self.max_moves
     }
 
     fn is_exhausted(&self, moves_tried: u64) -> bool {
@@ -107,7 +99,7 @@ impl std::fmt::Debug for SearchBudget {
     }
 }
 
-/// Tuning for [`local_search_select_with`]. The defaults suit lattices of
+/// Tuning for [`local_search_select`]. The defaults suit lattices of
 /// hundreds to thousands of candidate views.
 #[derive(Debug, Clone)]
 pub struct LocalSearchConfig {
@@ -161,27 +153,6 @@ pub struct SearchReport {
     pub budget_exhausted: bool,
     /// Every descent (initial + all restarts) reached its stall limit.
     pub converged: bool,
-}
-
-/// [`local_search_select_with`] over a query-only objective.
-pub fn local_search_select(
-    ctx: &CostContext<'_>,
-    lattice: &Lattice,
-    model: &dyn CostModel,
-    profile: &WorkloadProfile,
-    budget: Budget,
-    config: &LocalSearchConfig,
-    search: &SearchBudget,
-) -> (SelectionOutcome, SearchReport) {
-    local_search_select_with(
-        ctx,
-        lattice,
-        &Objective::query_only(model),
-        profile,
-        budget,
-        config,
-        search,
-    )
 }
 
 /// Per-run price memo: each distinct view is priced against the cost model
@@ -282,13 +253,13 @@ enum Move {
 /// Anytime local search under a combined [`Objective`] and materialization
 /// budget. Returns the best selection found plus a [`SearchReport`].
 ///
-/// Budget semantics match [`greedy_select_with`](crate::greedy_select_with): `Budget::Views(k)` /
+/// Budget semantics match [`greedy_select`](crate::greedy_select): `Budget::Views(k)` /
 /// `Budget::Bytes(b)` are ceilings; with an *active* maintenance term the
 /// search only keeps views that pay for their upkeep, and at λ = 0 upkeep
 /// is identically zero so the objective degenerates to query cost exactly
 /// as the frozen algorithms' does.
 #[allow(clippy::too_many_arguments)]
-pub fn local_search_select_with(
+pub fn local_search_select(
     ctx: &CostContext<'_>,
     lattice: &Lattice,
     objective: &Objective<'_>,
@@ -323,7 +294,7 @@ pub fn local_search_select_with(
         }
         _ => greedy_over_candidates(ctx, objective, profile, budget, pool.clone()).selected,
     };
-    let seed_cost = combined_exact(ctx, objective, profile, &seed_selected);
+    let seed_cost = combined_cost(ctx, objective, profile, &seed_selected);
 
     let mut state = State::from_selection(
         seed_selected.clone(),
@@ -404,7 +375,7 @@ pub fn local_search_select_with(
     // ---- finalize -------------------------------------------------------
     // Exact re-evaluation guards the "never worse than the seed" contract
     // against incremental float drift.
-    let best_cost = combined_exact(ctx, objective, profile, &best_selected);
+    let best_cost = combined_cost(ctx, objective, profile, &best_selected);
     let (chosen, chosen_cost) = if best_cost <= seed_cost {
         (best_selected, best_cost)
     } else {
@@ -424,16 +395,6 @@ pub fn local_search_select_with(
         },
         report,
     )
-}
-
-fn combined_exact(
-    ctx: &CostContext<'_>,
-    objective: &Objective<'_>,
-    profile: &WorkloadProfile,
-    selected: &[ViewMask],
-) -> f64 {
-    workload_cost(ctx, objective.query_model(), profile, selected)
-        + selection_upkeep(ctx, objective, selected)
 }
 
 /// The candidate pool moves draw from: every demand mask, pairwise unions
@@ -745,9 +706,8 @@ fn try_apply(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::with_ctx;
+    use crate::tests::{agg_values, triples, with_ctx};
     use crate::{combined_cost, greedy_select, Budget};
-    use sofos_cost::{AggValuesCost, TriplesCost};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn config(seed: u64) -> LocalSearchConfig {
@@ -764,7 +724,7 @@ mod tests {
             let (outcome, report) = local_search_select(
                 ctx,
                 lattice,
-                &TriplesCost,
+                &triples(),
                 &profile,
                 Budget::Views(3),
                 &config(7),
@@ -785,7 +745,7 @@ mod tests {
             let (outcome, report) = local_search_select(
                 ctx,
                 lattice,
-                &AggValuesCost,
+                &agg_values(),
                 &profile,
                 Budget::Views(3),
                 &config(42),
@@ -803,11 +763,11 @@ mod tests {
     fn matches_greedy_quality_on_small_lattices() {
         with_ctx(3, 24, |ctx, lattice| {
             let profile = WorkloadProfile::uniform(lattice);
-            let greedy = greedy_select(ctx, lattice, &AggValuesCost, &profile, Budget::Views(3));
+            let greedy = greedy_select(ctx, lattice, &agg_values(), &profile, Budget::Views(3));
             let (local, _) = local_search_select(
                 ctx,
                 lattice,
-                &AggValuesCost,
+                &agg_values(),
                 &profile,
                 Budget::Views(3),
                 &config(3),
@@ -832,7 +792,7 @@ mod tests {
             let (outcome, report) = local_search_select(
                 ctx,
                 lattice,
-                &TriplesCost,
+                &triples(),
                 &profile,
                 Budget::Views(2),
                 &cfg,
@@ -841,12 +801,7 @@ mod tests {
             assert_eq!(outcome.selected, catalog, "zero moves keeps the catalog");
             assert_eq!(
                 report.seed_cost,
-                combined_cost(
-                    ctx,
-                    &Objective::query_only(&TriplesCost),
-                    &profile,
-                    &catalog
-                )
+                combined_cost(ctx, &triples(), &profile, &catalog)
             );
         });
     }
@@ -860,7 +815,7 @@ mod tests {
             let (outcome, _) = local_search_select(
                 ctx,
                 lattice,
-                &TriplesCost,
+                &triples(),
                 &profile,
                 Budget::Bytes(budget),
                 &config(5),
@@ -888,7 +843,7 @@ mod tests {
             let (outcome, report) = local_search_select(
                 ctx,
                 lattice,
-                &TriplesCost,
+                &triples(),
                 &profile,
                 Budget::Views(3),
                 &config(9),
@@ -909,7 +864,7 @@ mod tests {
                 local_search_select(
                     ctx,
                     lattice,
-                    &AggValuesCost,
+                    &agg_values(),
                     &profile,
                     Budget::Views(3),
                     &config(seed),

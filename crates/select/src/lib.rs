@@ -7,15 +7,21 @@
 //! the classic Harinarayan–Rajaraman–Ullman (HRU'96) benefit greedy, here
 //! parameterized by any of the six [`sofos_cost::CostModel`]s.
 //!
+//! Each selection algorithm is one function over an [`Objective`]; pass
+//! [`Objective::query_only`] for the frozen-graph objective of the paper.
 //! Also provided:
 //! * [`exhaustive_select`] — the optimal subset by enumeration (the oracle
 //!   for the demo's "Hands-on Challenge", E6);
-//! * [`random_select`] — an explicit random `k`-subset (equivalent to
-//!   greedy under the constant cost model, §3.1);
+//! * [`local_search_select`] — anytime local search for lattices too large
+//!   for greedy (see [`anytime`]);
+//! * [`user_select`] — a user's explicit pick, validated and priced;
 //! * [`Budget::Bytes`] — the paper's "instead of selecting k views, select
 //!   up to k views up to a certain memory budget" variant;
 //! * [`WorkloadProfile`] — the query-demand distribution the greedy
 //!   optimizes for (which grouping masks arrive, with what frequency).
+//!
+//! The random baseline of §3.1 is [`greedy_select`] under the constant
+//! [`sofos_cost::RandomCost`] model.
 //!
 //! ## The maintenance-aware objective
 //!
@@ -28,10 +34,9 @@
 //! ```
 //!
 //! where `m` is a [`sofos_cost::MaintenanceCostModel`] and λ bridges the
-//! upkeep units to the query-cost scale. [`greedy_select_with`] and
-//! [`exhaustive_select_with`] optimize the combined total; at λ = 0 they
-//! reproduce the frozen-graph algorithms *exactly* (property-tested). The
-//! λ sweep is exposed as [`lambda_sweep`]. See `README.md` for semantics.
+//! upkeep units to the query-cost scale. At λ = 0 every selector
+//! reproduces its query-only selection *exactly* (property-tested). See
+//! `README.md` for semantics.
 
 use sofos_cost::{CostContext, CostModel, MaintenanceCostModel, UpdateRates};
 use sofos_cube::{Lattice, ViewMask};
@@ -39,10 +44,7 @@ use sofos_rdf::FxHashSet;
 
 pub mod anytime;
 
-pub use anytime::{
-    local_search_select, local_search_select_with, ClockFn, LocalSearchConfig, SearchBudget,
-    SearchReport,
-};
+pub use anytime::{local_search_select, ClockFn, LocalSearchConfig, SearchBudget, SearchReport};
 
 /// How much may be materialized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,14 +95,14 @@ impl WorkloadProfile {
 /// update pressure, and the weight λ bridging upkeep units to query-cost
 /// units.
 #[derive(Clone, Copy)]
-pub struct MaintenanceTerm<'a> {
+struct MaintenanceTerm<'a> {
     /// Predicts per-round upkeep of a candidate view.
-    pub model: &'a dyn MaintenanceCostModel,
+    model: &'a dyn MaintenanceCostModel,
     /// Anticipated update pressure per round.
-    pub rates: UpdateRates,
+    rates: UpdateRates,
     /// Weight of upkeep relative to query cost (λ = 0 ⇒ frozen-graph
     /// objective).
-    pub lambda: f64,
+    lambda: f64,
 }
 
 /// What selection minimizes: expected workload query cost, optionally plus
@@ -144,11 +146,6 @@ impl<'a> Objective<'a> {
     /// The query-cost model.
     pub fn query_model(&self) -> &dyn CostModel {
         self.query
-    }
-
-    /// The configured λ (0 without a maintenance term).
-    pub fn lambda(&self) -> f64 {
-        self.maintenance.map_or(0.0, |m| m.lambda)
     }
 
     /// λ-weighted upkeep of one view (0 without an *active* maintenance
@@ -318,19 +315,6 @@ pub fn combined_cost(
         + selection_upkeep(ctx, objective, selected)
 }
 
-/// HRU-style benefit greedy under an arbitrary cost model and budget
-/// (frozen-graph objective). Equivalent to [`greedy_select_with`] over
-/// [`Objective::query_only`].
-pub fn greedy_select(
-    ctx: &CostContext<'_>,
-    lattice: &Lattice,
-    model: &dyn CostModel,
-    profile: &WorkloadProfile,
-    budget: Budget,
-) -> SelectionOutcome {
-    greedy_select_with(ctx, lattice, &Objective::query_only(model), profile, budget)
-}
-
 /// HRU-style benefit greedy under a combined [`Objective`] and budget.
 ///
 /// Each round picks the candidate with the largest *net* benefit
@@ -344,7 +328,7 @@ pub fn greedy_select(
 /// *active* maintenance term that padding would be harmful — every extra
 /// view costs real upkeep — so selection stops at the first round whose
 /// best net benefit is ≤ 0: the budget becomes a ceiling, not a target.
-pub fn greedy_select_with(
+pub fn greedy_select(
     ctx: &CostContext<'_>,
     lattice: &Lattice,
     objective: &Objective<'_>,
@@ -355,7 +339,7 @@ pub fn greedy_select_with(
 }
 
 /// The greedy core, parameterized by an explicit candidate set. Shared by
-/// [`greedy_select_with`] (candidates = the whole lattice) and the anytime
+/// [`greedy_select`] (candidates = the whole lattice) and the anytime
 /// selector's greedy-on-a-sample seeding (candidates = a pool), so both
 /// inherit identical tie-breaking and budget semantics.
 pub(crate) fn greedy_over_candidates(
@@ -448,43 +432,16 @@ pub(crate) fn greedy_over_candidates(
     }
 }
 
-/// Run [`greedy_select_with`] across a λ sweep, pairing each λ with its
-/// outcome — the knob the adaptive experiments chart (λ = 0 recovers the
-/// frozen-graph selection; large λ shrinks the selection toward cheap-to-
-/// maintain views, eventually to none).
-#[allow(clippy::too_many_arguments)]
-pub fn lambda_sweep(
-    ctx: &CostContext<'_>,
-    lattice: &Lattice,
-    query: &dyn CostModel,
-    maintenance: &dyn MaintenanceCostModel,
-    rates: UpdateRates,
-    profile: &WorkloadProfile,
-    budget: Budget,
-    lambdas: &[f64],
-) -> Vec<(f64, SelectionOutcome)> {
-    lambdas
-        .iter()
-        .map(|&lambda| {
-            let objective = Objective::maintenance_aware(query, maintenance, rates, lambda);
-            (
-                lambda,
-                greedy_select_with(ctx, lattice, &objective, profile, budget),
-            )
-        })
-        .collect()
-}
-
-/// Hard cap on the candidate-view count [`exhaustive_select_with`] will
+/// Hard cap on the candidate-view count [`exhaustive_select`] will
 /// enumerate over, regardless of the combination `limit`. 20 views is a
 /// 4-dimension lattice plus change — beyond that, brute force is the wrong
 /// tool even when C(n, k) squeaks under the limit; use
-/// [`local_search_select_with`] instead.
+/// [`local_search_select`] instead.
 pub const MAX_EXHAUSTIVE_VIEWS: usize = 20;
 
 /// Exhaustive enumeration refused: the lattice (or the subset count it
 /// implies) is beyond what brute force can visit. Carries the numbers so
-/// callers can report or fall back to [`local_search_select_with`].
+/// callers can report or fall back to [`local_search_select`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatticeTooLarge {
     /// Candidate views in the lattice.
@@ -510,26 +467,6 @@ impl std::fmt::Display for LatticeTooLarge {
 
 impl std::error::Error for LatticeTooLarge {}
 
-/// Optimal `k`-subset by exhaustive enumeration (frozen-graph objective).
-/// Equivalent to [`exhaustive_select_with`] over [`Objective::query_only`].
-pub fn exhaustive_select(
-    ctx: &CostContext<'_>,
-    lattice: &Lattice,
-    model: &dyn CostModel,
-    profile: &WorkloadProfile,
-    k: usize,
-    limit: u64,
-) -> Result<SelectionOutcome, LatticeTooLarge> {
-    exhaustive_select_with(
-        ctx,
-        lattice,
-        &Objective::query_only(model),
-        profile,
-        k,
-        limit,
-    )
-}
-
 /// Optimal subset by exhaustive enumeration under a combined [`Objective`].
 ///
 /// Under a query-only (or λ = 0) objective this searches subsets of size
@@ -542,8 +479,8 @@ pub fn exhaustive_select(
 /// Returns [`LatticeTooLarge`] — instead of hanging — when the lattice has
 /// more than [`MAX_EXHAUSTIVE_VIEWS`] candidate views or the enumeration
 /// would exceed `limit` combinations. At that scale use
-/// [`local_search_select_with`].
-pub fn exhaustive_select_with(
+/// [`local_search_select`].
+pub fn exhaustive_select(
     ctx: &CostContext<'_>,
     lattice: &Lattice,
     objective: &Objective<'_>,
@@ -648,32 +585,6 @@ fn combinations(n: u64, k: u64) -> u64 {
     result
 }
 
-/// A random `k`-subset (deterministic per seed) — the behavioural
-/// equivalent of greedy + the constant cost model.
-pub fn random_select(
-    ctx: &CostContext<'_>,
-    lattice: &Lattice,
-    model: &dyn CostModel,
-    profile: &WorkloadProfile,
-    k: usize,
-    seed: u64,
-) -> SelectionOutcome {
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut views: Vec<ViewMask> = lattice.views().collect();
-    views.shuffle(&mut rng);
-    views.truncate(k);
-    let estimated_cost = workload_cost(ctx, model, profile, &views);
-    let baseline_cost = workload_cost(ctx, model, profile, &[]);
-    SelectionOutcome {
-        selected: views,
-        estimated_cost,
-        baseline_cost,
-        upkeep_cost: 0.0,
-    }
-}
-
 /// Validate and wrap a user's explicit pick (the "User Selected Views" demo
 /// station): views must exist in the lattice and be distinct.
 pub fn user_select(
@@ -752,6 +663,15 @@ mod tests {
         (ds, facet)
     }
 
+    /// The query-only objectives most tests select under.
+    pub(crate) fn triples() -> Objective<'static> {
+        Objective::query_only(&TriplesCost)
+    }
+
+    pub(crate) fn agg_values() -> Objective<'static> {
+        Objective::query_only(&AggValuesCost)
+    }
+
     pub(crate) fn with_ctx<R>(
         dims: usize,
         rows: usize,
@@ -774,7 +694,7 @@ mod tests {
         with_ctx(3, 24, |ctx, lattice| {
             let profile = WorkloadProfile::uniform(lattice);
             for k in 0..=4 {
-                let outcome = greedy_select(ctx, lattice, &TriplesCost, &profile, Budget::Views(k));
+                let outcome = greedy_select(ctx, lattice, &triples(), &profile, Budget::Views(k));
                 assert_eq!(outcome.selected.len(), k, "k={k}");
             }
         });
@@ -784,7 +704,7 @@ mod tests {
     fn greedy_improves_over_baseline() {
         with_ctx(3, 24, |ctx, lattice| {
             let profile = WorkloadProfile::uniform(lattice);
-            let outcome = greedy_select(ctx, lattice, &TriplesCost, &profile, Budget::Views(3));
+            let outcome = greedy_select(ctx, lattice, &triples(), &profile, Budget::Views(3));
             assert!(outcome.estimated_cost < outcome.baseline_cost);
             assert!(outcome.estimated_speedup() > 1.0);
         });
@@ -794,8 +714,8 @@ mod tests {
     fn greedy_is_deterministic() {
         with_ctx(3, 24, |ctx, lattice| {
             let profile = WorkloadProfile::uniform(lattice);
-            let a = greedy_select(ctx, lattice, &AggValuesCost, &profile, Budget::Views(3));
-            let b = greedy_select(ctx, lattice, &AggValuesCost, &profile, Budget::Views(3));
+            let a = greedy_select(ctx, lattice, &agg_values(), &profile, Budget::Views(3));
+            let b = greedy_select(ctx, lattice, &agg_values(), &profile, Budget::Views(3));
             assert_eq!(a, b);
         });
     }
@@ -805,7 +725,7 @@ mod tests {
         with_ctx(2, 12, |ctx, lattice| {
             // Only demand: grouping by dim 0.
             let profile = WorkloadProfile::from_masks([ViewMask::from_dims(&[0])]);
-            let outcome = greedy_select(ctx, lattice, &AggValuesCost, &profile, Budget::Views(1));
+            let outcome = greedy_select(ctx, lattice, &agg_values(), &profile, Budget::Views(1));
             let v = outcome.selected[0];
             assert!(v.covers(ViewMask::from_dims(&[0])), "picked {v}");
         });
@@ -818,8 +738,7 @@ mod tests {
             // Find a budget that fits roughly two cheap views.
             let apex_bytes = ctx.stats(ViewMask::APEX).unwrap().bytes;
             let budget = apex_bytes * 3;
-            let outcome =
-                greedy_select(ctx, lattice, &TriplesCost, &profile, Budget::Bytes(budget));
+            let outcome = greedy_select(ctx, lattice, &triples(), &profile, Budget::Bytes(budget));
             let used: usize = outcome
                 .selected
                 .iter()
@@ -835,10 +754,9 @@ mod tests {
         with_ctx(3, 24, |ctx, lattice| {
             let profile = WorkloadProfile::uniform(lattice);
             for k in 1..=3 {
-                let greedy =
-                    greedy_select(ctx, lattice, &AggValuesCost, &profile, Budget::Views(k));
+                let greedy = greedy_select(ctx, lattice, &agg_values(), &profile, Budget::Views(k));
                 let optimal =
-                    exhaustive_select(ctx, lattice, &AggValuesCost, &profile, k, 1_000_000)
+                    exhaustive_select(ctx, lattice, &agg_values(), &profile, k, 1_000_000)
                         .expect("small lattice fits the exhaustive caps");
                 assert!(
                     optimal.estimated_cost <= greedy.estimated_cost + 1e-9,
@@ -861,24 +779,36 @@ mod tests {
             }
             costs.insert(lattice.base(), 1.0);
             let model = UserDefinedCost::new(costs, f64::INFINITY);
+            let objective = Objective::query_only(&model);
             let profile = WorkloadProfile::uniform(lattice);
-            let greedy = greedy_select(ctx, lattice, &model, &profile, Budget::Views(1));
+            let greedy = greedy_select(ctx, lattice, &objective, &profile, Budget::Views(1));
             assert_eq!(greedy.selected, vec![lattice.base()]);
-            let oracle = exhaustive_select(ctx, lattice, &model, &profile, 1, 10_000).unwrap();
+            let oracle = exhaustive_select(ctx, lattice, &objective, &profile, 1, 10_000).unwrap();
             assert_eq!(oracle.selected, vec![lattice.base()]);
         });
     }
 
     #[test]
     fn random_select_is_seeded_and_sized() {
+        // The random baseline is greedy under the seeded constant-cost
+        // model: reproducible per seed, sized to the budget.
+        use sofos_cost::RandomCost;
         with_ctx(3, 24, |ctx, lattice| {
             let profile = WorkloadProfile::uniform(lattice);
-            let a = random_select(ctx, lattice, &TriplesCost, &profile, 3, 7);
-            let b = random_select(ctx, lattice, &TriplesCost, &profile, 3, 7);
-            let c = random_select(ctx, lattice, &TriplesCost, &profile, 3, 8);
-            assert_eq!(a, b);
-            assert_eq!(a.selected.len(), 3);
-            assert_ne!(a.selected, c.selected, "different seeds pick differently");
+            let pick = |seed: u64| {
+                let model = RandomCost::new(seed);
+                greedy_select(
+                    ctx,
+                    lattice,
+                    &Objective::query_only(&model),
+                    &profile,
+                    Budget::Views(3),
+                )
+            };
+            assert_eq!(pick(7), pick(7));
+            assert_eq!(pick(7).selected.len(), 3);
+            let picks: FxHashSet<Vec<ViewMask>> = (0..8).map(|seed| pick(seed).selected).collect();
+            assert!(picks.len() > 1, "different seeds pick differently");
         });
     }
 
@@ -945,7 +875,7 @@ mod tests {
                 },
             ] {
                 assert_eq!(profile.total_weight(), 0.0);
-                let outcome = greedy_select(ctx, lattice, &TriplesCost, &profile, Budget::Views(2));
+                let outcome = greedy_select(ctx, lattice, &triples(), &profile, Budget::Views(2));
                 assert_eq!(outcome.estimated_cost, 0.0);
                 assert_eq!(outcome.baseline_cost, 0.0);
                 assert_eq!(outcome.estimated_speedup(), 1.0, "no work, no speedup");
@@ -958,14 +888,14 @@ mod tests {
         use sofos_cost::{TouchedGroupsMaintenance, UpdateRates};
         with_ctx(3, 24, |ctx, lattice| {
             let profile = WorkloadProfile::uniform(lattice);
-            let frozen = greedy_select(ctx, lattice, &AggValuesCost, &profile, Budget::Views(3));
+            let frozen = greedy_select(ctx, lattice, &agg_values(), &profile, Budget::Views(3));
             let objective = Objective::maintenance_aware(
                 &AggValuesCost,
                 &TouchedGroupsMaintenance,
                 UpdateRates::new(8.0, 4.0),
                 0.0,
             );
-            let combined = greedy_select_with(ctx, lattice, &objective, &profile, Budget::Views(3));
+            let combined = greedy_select(ctx, lattice, &objective, &profile, Budget::Views(3));
             assert_eq!(frozen, combined, "lambda = 0 must be bit-identical");
         });
     }
@@ -981,7 +911,7 @@ mod tests {
             let churn = FixedMaintenance::new([(hot, 50.0)], 0.0);
             let rates = UpdateRates::new(4.0, 2.0);
 
-            let at_zero = greedy_select_with(
+            let at_zero = greedy_select(
                 ctx,
                 lattice,
                 &Objective::maintenance_aware(&AggValuesCost, &churn, rates, 0.0),
@@ -997,7 +927,7 @@ mod tests {
 
             let mut dropped_at = None;
             for lambda in [0.5, 2.0, 8.0, 32.0, 128.0] {
-                let outcome = greedy_select_with(
+                let outcome = greedy_select(
                     ctx,
                     lattice,
                     &Objective::maintenance_aware(&AggValuesCost, &churn, rates, lambda),
@@ -1026,7 +956,7 @@ mod tests {
             // the frozen objective pads to the full budget.
             let churn = FixedMaintenance::new([], 1.0);
             let rates = UpdateRates::new(10.0, 10.0);
-            let outcome = greedy_select_with(
+            let outcome = greedy_select(
                 ctx,
                 lattice,
                 &Objective::maintenance_aware(&AggValuesCost, &churn, rates, 1e12),
@@ -1044,21 +974,22 @@ mod tests {
         with_ctx(3, 24, |ctx, lattice| {
             let profile = WorkloadProfile::uniform(lattice);
             let rates = UpdateRates::new(6.0, 4.0);
-            let sweep = lambda_sweep(
-                ctx,
-                lattice,
-                &AggValuesCost,
-                &TouchedGroupsMaintenance,
-                rates,
-                &profile,
-                Budget::Views(4),
-                &[0.0, 0.1, 1e9],
-            );
-            assert_eq!(sweep.len(), 3);
-            let frozen = greedy_select(ctx, lattice, &AggValuesCost, &profile, Budget::Views(4));
-            assert_eq!(sweep[0].1, frozen, "lambda = 0 end of the sweep");
+            let sweep: Vec<SelectionOutcome> = [0.0, 0.1, 1e9]
+                .iter()
+                .map(|&lambda| {
+                    let objective = Objective::maintenance_aware(
+                        &AggValuesCost,
+                        &TouchedGroupsMaintenance,
+                        rates,
+                        lambda,
+                    );
+                    greedy_select(ctx, lattice, &objective, &profile, Budget::Views(4))
+                })
+                .collect();
+            let frozen = greedy_select(ctx, lattice, &agg_values(), &profile, Budget::Views(4));
+            assert_eq!(sweep[0], frozen, "lambda = 0 end of the sweep");
             assert!(
-                sweep[2].1.selected.is_empty(),
+                sweep[2].selected.is_empty(),
                 "at absurd lambda nothing is worth keeping fresh"
             );
         });
@@ -1077,11 +1008,9 @@ mod tests {
                     rates,
                     lambda,
                 );
-                let greedy =
-                    greedy_select_with(ctx, lattice, &objective, &profile, Budget::Views(3));
-                let oracle =
-                    exhaustive_select_with(ctx, lattice, &objective, &profile, 3, 1_000_000)
-                        .expect("small lattice fits the exhaustive caps");
+                let greedy = greedy_select(ctx, lattice, &objective, &profile, Budget::Views(3));
+                let oracle = exhaustive_select(ctx, lattice, &objective, &profile, 3, 1_000_000)
+                    .expect("small lattice fits the exhaustive caps");
                 assert!(
                     oracle.total_cost() <= greedy.total_cost() + 1e-9,
                     "lambda={lambda}: oracle {} > greedy {}",
@@ -1104,7 +1033,7 @@ mod tests {
     fn exhaustive_guards_explosion() {
         with_ctx(3, 8, |ctx, lattice| {
             let profile = WorkloadProfile::uniform(lattice);
-            let err = exhaustive_select(ctx, lattice, &TriplesCost, &profile, 4, 2)
+            let err = exhaustive_select(ctx, lattice, &triples(), &profile, 4, 2)
                 .expect_err("C(8, 4) = 70 subsets must exceed a limit of 2");
             assert_eq!(err.candidate_views, 8);
             assert_eq!(err.k, 4);
@@ -1122,7 +1051,7 @@ mod tests {
         // enumeration (or panicking).
         with_ctx(5, 8, |ctx, lattice| {
             let profile = WorkloadProfile::uniform(lattice);
-            let err = exhaustive_select(ctx, lattice, &TriplesCost, &profile, 2, u64::MAX)
+            let err = exhaustive_select(ctx, lattice, &triples(), &profile, 2, u64::MAX)
                 .expect_err("32 views exceeds the hard cap");
             assert_eq!(err.candidate_views, 32);
             assert!(err.candidate_views > MAX_EXHAUSTIVE_VIEWS);

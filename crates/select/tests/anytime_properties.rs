@@ -9,72 +9,20 @@
 //! 3. **λ = 0 agreement** — local search under a maintenance-aware
 //!    objective with λ = 0 behaves exactly as under the query-only
 //!    objective (same proposal stream, same outcome, zero upkeep).
+//! 4. **Budgets hold** — a move cap is never exceeded, and a deadline
+//!    that has already passed returns the caller's catalog untouched.
 
+mod common;
+
+use common::with_ctx;
 use proptest::prelude::*;
-use sofos_cost::{
-    size_lattice, AggValuesCost, CostContext, TouchedGroupsMaintenance, TriplesCost, UpdateRates,
-};
-use sofos_cube::{AggOp, Dimension, Facet, Lattice, ViewMask};
-use sofos_rdf::Term;
+use sofos_cost::{AggValuesCost, TouchedGroupsMaintenance, TriplesCost, UpdateRates};
+use sofos_cube::ViewMask;
 use sofos_select::{
-    combined_cost, local_search_select, local_search_select_with, Budget, LocalSearchConfig,
-    Objective, SearchBudget, WorkloadProfile,
+    combined_cost, local_search_select, Budget, LocalSearchConfig, Objective, SearchBudget,
+    WorkloadProfile,
 };
-use sofos_sparql::{GroupPattern, PatternTerm, TriplePattern};
-
-fn setup(dims: usize, rows: usize) -> (sofos_store::Dataset, Facet) {
-    let mut ds = sofos_store::Dataset::new();
-    let m = Term::iri("http://e/m");
-    for i in 0..rows {
-        let obs = Term::blank(format!("o{i}"));
-        for d in 0..dims {
-            ds.insert(
-                None,
-                &obs,
-                &Term::iri(format!("http://e/p{d}")),
-                &Term::iri(format!("http://e/D{d}_{}", i % (d + 2))),
-            );
-        }
-        ds.insert(None, &obs, &m, &Term::literal_int(i as i64));
-    }
-    let mut triples = Vec::new();
-    let mut dimensions = Vec::new();
-    for d in 0..dims {
-        triples.push(TriplePattern::new(
-            PatternTerm::var("o"),
-            PatternTerm::iri(format!("http://e/p{d}")),
-            PatternTerm::var(format!("d{d}")),
-        ));
-        dimensions.push(Dimension::new(format!("d{d}")));
-    }
-    triples.push(TriplePattern::new(
-        PatternTerm::var("o"),
-        PatternTerm::iri("http://e/m"),
-        PatternTerm::var("u"),
-    ));
-    let facet = Facet::new(
-        "t",
-        dimensions,
-        GroupPattern::triples(triples),
-        "u",
-        AggOp::Sum,
-    )
-    .unwrap();
-    (ds, facet)
-}
-
-fn with_ctx<R>(dims: usize, rows: usize, f: impl FnOnce(&CostContext<'_>, &Lattice) -> R) -> R {
-    let (ds, facet) = setup(dims, rows);
-    let lattice = Lattice::new(facet.clone());
-    let sized = size_lattice(&ds, &lattice).unwrap();
-    let base = sofos_store::GraphStats::compute(ds.default_graph());
-    let ctx = CostContext {
-        facet: &facet,
-        view_stats: &sized,
-        base: &base,
-    };
-    f(&ctx, &lattice)
-}
+use std::sync::Arc;
 
 proptest! {
     #[test]
@@ -106,7 +54,7 @@ proptest! {
             let (outcome, report) = local_search_select(
                 ctx,
                 lattice,
-                &AggValuesCost,
+                &Objective::query_only(&AggValuesCost),
                 &profile,
                 Budget::Views(k),
                 &config,
@@ -123,6 +71,7 @@ proptest! {
             let actual = combined_cost(ctx, &objective, &profile, &outcome.selected);
             prop_assert!((actual - report.final_cost).abs() <= 1e-9 * actual.abs().max(1.0));
             prop_assert!(outcome.selected.len() <= k);
+            prop_assert!(report.moves_tried <= max_moves);
             Ok(())
         })?;
     }
@@ -155,7 +104,7 @@ proptest! {
                 ..LocalSearchConfig::default()
             };
             let run = |moves: u64| {
-                local_search_select_with(
+                local_search_select(
                     ctx,
                     lattice,
                     &objective,
@@ -210,9 +159,9 @@ proptest! {
             };
             let budget = SearchBudget::moves(max_moves);
             let (frozen, frozen_report) = local_search_select(
-                ctx, lattice, query, &profile, Budget::Views(k), &config, &budget,
+                ctx, lattice, &Objective::query_only(query), &profile, Budget::Views(k), &config, &budget,
             );
-            let (combined, combined_report) = local_search_select_with(
+            let (combined, combined_report) = local_search_select(
                 ctx, lattice, &objective, &profile, Budget::Views(k), &config, &budget,
             );
             prop_assert_eq!(&frozen, &combined, "lambda = 0 must be bit-identical");
@@ -221,4 +170,80 @@ proptest! {
             Ok(())
         })?;
     }
+
+    #[test]
+    fn expired_deadline_returns_the_catalog_seed(
+        dims in 1usize..=3,
+        rows in 4usize..=20,
+        k in 1usize..=4,
+        raw_masks in proptest::collection::vec(0u64..8, 1..10),
+        seed_catalog in proptest::collection::vec(0u64..8, 1..5),
+        now_ms in 0u64..1_000,
+        lambda in 0.0f64..4.0,
+    ) {
+        with_ctx(dims, rows, |ctx, lattice| {
+            let num_views = lattice.num_views();
+            let profile = WorkloadProfile::from_masks(
+                raw_masks.iter().map(|&m| ViewMask(m % num_views)),
+            );
+            let mut catalog: Vec<ViewMask> = Vec::new();
+            for &m in &seed_catalog {
+                let view = ViewMask(m % num_views);
+                if !catalog.contains(&view) {
+                    catalog.push(view);
+                }
+            }
+            let objective = Objective::maintenance_aware(
+                &AggValuesCost,
+                &TouchedGroupsMaintenance,
+                UpdateRates::new(3.0, 2.0),
+                lambda,
+            );
+            let config = LocalSearchConfig {
+                initial: Some(catalog.clone()),
+                ..LocalSearchConfig::default()
+            };
+            // A frozen clock at or past the deadline: the search must stop
+            // before its first proposal.
+            let deadline = SearchBudget::unlimited().with_deadline(Arc::new(move || now_ms), now_ms);
+            let (outcome, report) = local_search_select(
+                ctx, lattice, &objective, &profile, Budget::Views(k), &config, &deadline,
+            );
+            prop_assert!(report.budget_exhausted);
+            prop_assert_eq!(report.moves_tried, 0);
+            catalog.truncate(k);
+            prop_assert_eq!(outcome.selected, catalog, "the catalog seed survives the interrupt");
+            Ok(())
+        })?;
+    }
+}
+
+/// A search seeded from a catalog that misses the only demand finds a
+/// covering view within a move cap.
+#[test]
+fn catalog_seeded_search_covers_a_moved_demand() {
+    with_ctx(3, 24, |ctx, lattice| {
+        let hot = lattice.base();
+        let profile = WorkloadProfile::from_masks([hot]);
+        let config = LocalSearchConfig {
+            initial: Some(vec![ViewMask::APEX]),
+            ..LocalSearchConfig::default()
+        };
+        let (outcome, report) = local_search_select(
+            ctx,
+            lattice,
+            &Objective::query_only(&AggValuesCost),
+            &profile,
+            Budget::Views(1),
+            &config,
+            &SearchBudget::moves(2_000),
+        );
+        assert!(report.moves_tried <= 2_000);
+        assert!(report.final_cost < report.seed_cost);
+        assert!(
+            outcome.selected.iter().any(|v| v.covers(hot)),
+            "{:?}",
+            outcome.selected
+        );
+    });
 }

@@ -18,7 +18,7 @@ use sofos::core::{Engine, Route, StalenessPolicy};
 use sofos::cost::{AggValuesCost, CostContext, CostModel, TriplesCost};
 use sofos::cube::{facet_query, AggOp, Lattice, ViewMask};
 use sofos::materialize::materialize_views;
-use sofos::select::{greedy_select, Budget, WorkloadProfile};
+use sofos::select::{greedy_select, Budget, Objective, WorkloadProfile};
 use sofos::sparql::{query_to_sparql, Evaluator};
 use sofos::store::{Delta, GraphStats};
 use sofos::workload::synthetic;
@@ -79,7 +79,8 @@ fn main() {
 
     // 5. Greedy selection under a budget of 3.
     let profile = WorkloadProfile::uniform(&lattice);
-    let outcome = greedy_select(&ctx, &lattice, &AggValuesCost, &profile, Budget::Views(3));
+    let objective = Objective::query_only(&AggValuesCost);
+    let outcome = greedy_select(&ctx, &lattice, &objective, &profile, Budget::Views(3));
     let names: Vec<String> = outcome
         .selected
         .iter()

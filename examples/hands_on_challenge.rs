@@ -9,7 +9,8 @@ use sofos::cost::{AggValuesCost, CostModelKind};
 use sofos::cube::ViewMask;
 use sofos::materialize::materialize_views;
 use sofos::select::{
-    exhaustive_select, greedy_select, user_select, workload_cost, Budget, WorkloadProfile,
+    exhaustive_select, greedy_select, user_select, workload_cost, Budget, Objective,
+    WorkloadProfile,
 };
 use sofos::workload::{generate_workload, swdf, WorkloadConfig};
 
@@ -62,7 +63,7 @@ fn main() {
         let outcome = greedy_select(
             &ctx,
             &sized.lattice,
-            model.as_ref(),
+            &Objective::query_only(model.as_ref()),
             &profile,
             Budget::Views(k),
         );
@@ -72,8 +73,15 @@ fn main() {
     }
 
     // --- The oracle. --------------------------------------------------------
-    let oracle = exhaustive_select(&ctx, &sized.lattice, &scorer, &profile, k, 1_000_000)
-        .expect("challenge lattices stay under the exhaustive caps");
+    let oracle = exhaustive_select(
+        &ctx,
+        &sized.lattice,
+        &Objective::query_only(&scorer),
+        &profile,
+        k,
+        1_000_000,
+    )
+    .expect("challenge lattices stay under the exhaustive caps");
     let oracle_score = oracle.estimated_cost;
 
     println!(

@@ -283,18 +283,24 @@ fn oracle_versus_greedy_on_real_data() {
     let sized = SizedLattice::compute(&generated.dataset, generated.default_facet()).unwrap();
     let ctx = sized.context();
     let profile = sofos::select::WorkloadProfile::uniform(&sized.lattice);
-    let model = sofos::cost::AggValuesCost;
+    let objective = sofos::select::Objective::query_only(&sofos::cost::AggValuesCost);
     for k in 1..=3 {
         let greedy = sofos::select::greedy_select(
             &ctx,
             &sized.lattice,
-            &model,
+            &objective,
             &profile,
             sofos::select::Budget::Views(k),
         );
-        let oracle =
-            sofos::select::exhaustive_select(&ctx, &sized.lattice, &model, &profile, k, 1_000_000)
-                .expect("small lattice fits the exhaustive caps");
+        let oracle = sofos::select::exhaustive_select(
+            &ctx,
+            &sized.lattice,
+            &objective,
+            &profile,
+            k,
+            1_000_000,
+        )
+        .expect("small lattice fits the exhaustive caps");
         assert!(
             oracle.estimated_cost <= greedy.estimated_cost + 1e-9,
             "k={k}"
