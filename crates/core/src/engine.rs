@@ -42,7 +42,7 @@ use crate::metrics::EngineInstruments;
 use crate::policy::{system_clock, Clock, Freshness, StalenessPolicy};
 use epoch::{ServingState, WriterSide};
 use sofos_cube::{Facet, ViewMask};
-use sofos_materialize::materialize_view;
+use sofos_materialize::materialize_views;
 use sofos_sparql::QueryResults;
 use sofos_store::{Dataset, DurabilityConfig, EpochStore, Persister};
 use sofos_telemetry::MetricsHandle;
@@ -198,7 +198,9 @@ impl EngineBuilder {
     /// The view catalog (mask + row count), as produced by
     /// [`crate::offline::OfflineOutcome::view_catalog`]. The views must
     /// already be materialized in the dataset. Defaults to empty (every
-    /// query falls back to the base graph).
+    /// query falls back to the base graph). A view graph the dataset holds
+    /// but the catalog leaves out is not maintained; swapping that view in
+    /// later ([`Engine::swap_views`]) replaces its graph.
     pub fn catalog(mut self, catalog: Vec<(ViewMask, usize)>) -> EngineBuilder {
         self.catalog = catalog;
         self
@@ -319,16 +321,16 @@ fn open_durable(
                 for name in dataset.graph_names() {
                     dataset.drop_graph(name);
                 }
-                for entry in catalog.iter_mut() {
-                    let view = materialize_view(&mut dataset, facet, entry.0).map_err(|e| {
-                        EngineBuildError::Persistence(format!(
-                            "re-materializing view {:#x} after replay: {e}",
-                            entry.0 .0
-                        ))
-                    })?;
+                let masks: Vec<ViewMask> = catalog.iter().map(|&(mask, _)| mask).collect();
+                let views = materialize_views(&mut dataset, facet, &masks).map_err(|e| {
+                    EngineBuildError::Persistence(format!(
+                        "re-materializing views after replay: {e}"
+                    ))
+                })?;
+                for (entry, view) in catalog.iter_mut().zip(&views) {
                     entry.1 = view.stats.rows;
-                    rematerialized += 1;
                 }
+                rematerialized = views.len();
                 // Re-materialization interned outside the log: re-anchor
                 // before the next publish or replay would hit dictionary
                 // gaps on the *next* recovery.

@@ -42,7 +42,7 @@ use crate::timing::measure_once;
 use sofos_cost::UpdateRates;
 use sofos_cube::{Facet, ViewMask};
 use sofos_maintain::{ApplyOutcome, Maintainer, MaintenanceReport, PipelineTelemetry, RowDelta};
-use sofos_materialize::{drop_view, materialize_view, MaterializedView};
+use sofos_materialize::{drop_view, materialize_views, MaterializedView};
 use sofos_rdf::{FxHashMap, FxHashSet};
 use sofos_rewrite::{analyze_query, best_view, rewrite_query};
 use sofos_select::WorkloadProfile;
@@ -789,31 +789,34 @@ impl Engine {
 
     /// Replace the materialized set with `target`, transactionally.
     ///
-    /// Incoming views are materialized *first* on the writer's master; if
-    /// any materialization fails, the half-written view graphs are
-    /// dropped, **no epoch is published**, and the catalog is untouched —
-    /// concurrent readers keep answering from the old selection and never
-    /// observe the aborted swap. Only once every new view exists are the
-    /// retired ones dropped, the catalog installed, and the whole swap
-    /// published as one epoch.
+    /// Incoming views are materialized *first* on the writer's master, in
+    /// one [`materialize_views`] call that writes nothing unless every
+    /// view evaluates; a graph already holding an incoming view's name
+    /// is replaced. If materialization fails, **no epoch is published**
+    /// and the catalog is untouched — concurrent readers keep answering
+    /// from the old selection and never observe the aborted swap. Only
+    /// once every new view exists are the retired ones dropped, the
+    /// catalog installed, and the whole swap published as one epoch.
     pub fn swap_views(&self, target: &[ViewMask]) -> Result<ViewChurn, SparqlError> {
-        let result = self.swap_views_with(target, materialize_view);
+        let result = self.swap_views_with(target, materialize_views);
         self.note_store();
         result
     }
 
-    /// [`Engine::swap_views`] with an injectable materializer —
-    /// the test seam for forcing a mid-swap failure (the real evaluator
-    /// is total over generated view queries, so materialization failures
-    /// cannot be provoked from data alone).
+    /// [`Engine::swap_views`] with an injectable materializer of the
+    /// added views — the test seam for forcing a failed swap (the real
+    /// evaluator is total over generated view queries, so materialization
+    /// failures cannot be provoked from data alone). Like
+    /// [`materialize_views`], a materializer that fails must write
+    /// nothing.
     fn swap_views_with(
         &self,
         target: &[ViewMask],
-        mut materialize: impl FnMut(
+        materialize: impl FnOnce(
             &mut Dataset,
             &Facet,
-            ViewMask,
-        ) -> Result<MaterializedView, SparqlError>,
+            &[ViewMask],
+        ) -> Result<Vec<MaterializedView>, SparqlError>,
     ) -> Result<ViewChurn, SparqlError> {
         let mut txn = self.store.begin();
         self.refuse_writes()?;
@@ -824,25 +827,16 @@ impl Engine {
         let plan = plan_swap(&current, target);
 
         // Phase 1: materialize every incoming view on the master. On
-        // failure, undo and abort without publishing.
-        let mut materialized: Vec<(ViewMask, usize)> = Vec::with_capacity(plan.added.len());
-        let (materialize_us, result) = measure_once(|| {
-            for &mask in &plan.added {
-                match materialize(txn.dataset(), &self.facet, mask) {
-                    Ok(view) => materialized.push((mask, view.stats.rows)),
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok(())
-        });
-        if let Err(e) = result {
-            for &(mask, _) in &materialized {
-                drop_view(txn.dataset(), &self.facet, mask);
-            }
-            // Dropping the transaction without publish: readers never saw
-            // any of this, and the master is back to the published state.
-            return Err(e);
-        }
+        // failure nothing was written: abort without publishing.
+        let (materialize_us, views) =
+            measure_once(|| materialize(txn.dataset(), &self.facet, &plan.added));
+        let views = views?;
+        let materialized: Vec<(ViewMask, usize)> = plan
+            .added
+            .iter()
+            .zip(&views)
+            .map(|(&mask, view)| (mask, view.stats.rows))
+            .collect();
 
         // Phase 2: retire outgoing views, then publish with the new
         // catalog installed in the swap's serving-lock hold, so readers
@@ -1057,7 +1051,7 @@ mod tests {
     }
 
     #[test]
-    fn swap_views_rolls_back_on_mid_swap_failure() {
+    fn swap_views_publishes_nothing_when_materialization_fails() {
         let (engine, workload) = setup(StalenessPolicy::Eager);
         let before = engine.views();
         let before_masks: Vec<ViewMask> = before.iter().map(|(m, _)| *m).collect();
@@ -1066,8 +1060,8 @@ mod tests {
         let graphs_before = engine.store.pin().dataset().graph_names().len();
 
         // Target keeps the existing catalog and adds two views; the
-        // injected materializer succeeds on the first addition and fails
-        // on the second — a genuine mid-swap abort.
+        // injected materializer is handed both and fails, writing nothing
+        // (the contract `materialize_views` keeps on `Err`).
         let dims = engine.facet().dim_count();
         let mut target = before_masks.clone();
         let added_ok = (1..(1u64 << dims))
@@ -1077,21 +1071,18 @@ mod tests {
         target.push(added_ok);
         target.push(ViewMask::APEX);
 
-        let mut calls = 0usize;
+        let mut handed = Vec::new();
         let err = engine
-            .swap_views_with(&target, |dataset, facet, mask| {
-                calls += 1;
-                if calls == 2 {
-                    return Err(SparqlError::Eval("injected mid-swap failure".into()));
-                }
-                materialize_view(dataset, facet, mask)
+            .swap_views_with(&target, |_, _, masks| {
+                handed = masks.to_vec();
+                Err(SparqlError::Eval("injected materialization failure".into()))
             })
-            .expect_err("second materialization fails");
+            .expect_err("materialization fails");
         assert!(matches!(err, SparqlError::Eval(_)));
-        assert_eq!(calls, 2, "first view materialized, second aborted");
+        assert_eq!(handed, vec![added_ok, ViewMask::APEX], "the added views");
 
-        // Rollback: catalog untouched, no epoch published, the
-        // successfully-materialized view graph is gone again.
+        // Abort: catalog untouched, no epoch published, no view graph
+        // added.
         assert_eq!(engine.views(), before);
         assert_eq!(engine.epoch(), epoch_before);
         assert_eq!(
@@ -1105,6 +1096,40 @@ mod tests {
         assert_eq!(churn.added.len(), 2);
         assert_eq!(engine.epoch(), epoch_before + 1);
         assert_answers_match_base(&engine, &workload);
+    }
+
+    #[test]
+    fn swapping_in_an_uncataloged_view_replaces_its_graph() {
+        // `G+` holds the apex view's graph, but the catalog leaves it out:
+        // the update does not maintain it, so it goes stale.
+        let g = synthetic::generate(&synthetic::Config {
+            observations: 120,
+            agg: AggOp::Avg,
+            ..synthetic::Config::default()
+        });
+        let facet = g.facets[0].clone();
+        let mut ds = g.dataset;
+        materialize_views(&mut ds, &facet, &[ViewMask::APEX]).unwrap();
+        let engine = Engine::builder()
+            .dataset(ds)
+            .facet(facet.clone())
+            .build()
+            .unwrap();
+        engine.update(session_delta(0)).unwrap();
+
+        engine.swap_views(&[ViewMask::APEX]).unwrap();
+        let query = sofos_cube::facet_query(&facet, ViewMask::APEX, facet.agg, Vec::new());
+        let answer = engine.query(&query).unwrap();
+        assert_eq!(answer.route, Route::View(ViewMask::APEX));
+        let reference = Evaluator::new(engine.store.pin().dataset())
+            .evaluate(&query)
+            .unwrap();
+        assert!(
+            results_equivalent(&answer.results, &reference),
+            "view answered {:?}, base graph {:?}",
+            answer.results.rows,
+            reference.rows
+        );
     }
 
     #[test]

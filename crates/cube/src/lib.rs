@@ -28,6 +28,6 @@ pub use facet::{AggOp, Dimension, Facet, FacetError, MaterialComponent};
 pub use lattice::Lattice;
 pub use mask::ViewMask;
 pub use query_gen::{
-    component_alias, facet_query, view_query, COUNT_ALIAS, MAX_ALIAS, MIN_ALIAS, SUM_ALIAS,
-    VALUE_ALIAS,
+    component_alias, component_predicate, facet_query, view_query, COUNT_ALIAS, MAX_ALIAS,
+    MIN_ALIAS, SUM_ALIAS, VALUE_ALIAS,
 };

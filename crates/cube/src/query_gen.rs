@@ -2,6 +2,7 @@
 
 use crate::facet::{AggOp, Facet, MaterialComponent};
 use crate::mask::ViewMask;
+use sofos_rdf::vocab::sofos;
 use sofos_sparql::{Aggregate, Expr, PatternElement, Query, SelectItem};
 
 /// Column alias of the materialized SUM component.
@@ -22,6 +23,17 @@ pub fn component_alias(c: MaterialComponent) -> &'static str {
         MaterialComponent::Count => COUNT_ALIAS,
         MaterialComponent::Min => MIN_ALIAS,
         MaterialComponent::Max => MAX_ALIAS,
+    }
+}
+
+/// The predicate attaching a material component to a view observation
+/// (`sofos:sum`, `sofos:count`, `sofos:min`, `sofos:max`).
+pub fn component_predicate(c: MaterialComponent) -> &'static str {
+    match c {
+        MaterialComponent::Sum => sofos::SUM,
+        MaterialComponent::Count => sofos::COUNT,
+        MaterialComponent::Min => sofos::MIN,
+        MaterialComponent::Max => sofos::MAX,
     }
 }
 

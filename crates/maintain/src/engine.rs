@@ -12,8 +12,10 @@
 use crate::pipeline::{NodeRef, ObjectRef, PatchBuilder, PatchOp, ViewPatch};
 use crate::star::StarPattern;
 use crate::{MaintenanceCost, MaintenanceReport, MaintenanceStrategy};
-use sofos_cube::{component_alias, view_query, Facet, MaterialComponent, ViewMask};
-use sofos_materialize::{encode_view, evaluate_view};
+use sofos_cube::{
+    component_alias, component_predicate, view_query, Facet, MaterialComponent, ViewMask,
+};
+use sofos_materialize::{evaluate_view, load_view, view_stats};
 use sofos_rdf::vocab::{rdf, sofos};
 use sofos_rdf::{FxHashMap, Numeric, Term, TermId};
 use sofos_sparql::{CompareOp, Evaluator, Expr, PatternElement, SparqlError};
@@ -285,10 +287,8 @@ impl Maintainer {
                     };
                     dataset.insert_encoded(Some(patch.graph), [s, *pred, o]);
                 }
-                PatchOp::Replace { encoded } => {
-                    dataset.drop_graph(patch.graph);
-                    dataset.create_graph(patch.graph);
-                    dataset.load(Some(patch.graph), encoded);
+                PatchOp::Replace { results } => {
+                    load_view(dataset, &self.facet, patch.view, results);
                 }
             }
         }
@@ -300,7 +300,7 @@ impl Maintainer {
     }
 
     /// Plan a drop + re-materialize: evaluate the view query (read-only),
-    /// encode the replacement graph, and emit one `Replace` op.
+    /// size the replacement graph, and emit one `Replace` op.
     fn plan_full_refresh(
         &self,
         dataset: &Dataset,
@@ -310,12 +310,12 @@ impl Maintainer {
     ) -> Result<ViewPatch, SparqlError> {
         let old_len = dataset.graph(Some(ids.graph)).map_or(0, |g| g.len());
         let results = evaluate_view(dataset, &self.facet, ids.mask)?;
-        let encoded = encode_view(&self.facet, ids.mask, &results);
-        let new_rows = encoded.stats.rows;
+        let stats = view_stats(&self.facet, ids.mask, &results);
+        let new_rows = stats.rows;
         let cost = MaintenanceCost {
             view: ids.mask,
             strategy: MaintenanceStrategy::FullRefresh,
-            triples_touched: old_len + encoded.stats.triples,
+            triples_touched: old_len + stats.triples,
             groups_patched: 0,
             groups_reevaluated: new_rows,
             rows_inserted: new_rows,
@@ -326,9 +326,7 @@ impl Maintainer {
             view: ids.mask,
             graph: ids.graph,
             fresh: Vec::new(),
-            ops: vec![PatchOp::Replace {
-                encoded: encoded.graph,
-            }],
+            ops: vec![PatchOp::Replace { results }],
             cost,
             rows: new_rows,
             fresh_end: fresh_start,
@@ -561,10 +559,10 @@ impl Maintainer {
         // A component can come back *unbound* even though the group kept a
         // row: MIN/MAX over SPARQL's implicit group (the apex view with
         // every binding gone) aggregate an empty multiset. The
-        // materializer encodes such cells as "no triple"
-        // ([`sofos_materialize::encode_view`] skips unbound values), so
-        // maintenance mirrors that exactly: write bound components, remove
-        // stale triples of unbound ones.
+        // materializer writes no triple for an unbound cell
+        // ([`sofos_materialize::load_view`]), so maintenance mirrors that
+        // exactly: write bound components, remove stale triples of
+        // unbound ones.
         let components: Vec<(MaterialComponent, Option<Term>)> = self
             .facet
             .agg
@@ -701,11 +699,18 @@ pub(crate) struct ViewIds {
     mask_dims: Vec<usize>,
     /// Interned `sofos:dim<d>` predicates, parallel to `mask_dims`.
     dim_preds: Vec<TermId>,
-    sum: TermId,
-    count: TermId,
-    min: TermId,
-    max: TermId,
+    /// Interned component predicates, indexed as [`COMPONENTS`].
+    components: [TermId; 4],
 }
+
+/// Every material component, in the order [`ViewIds::prepare`] interns
+/// their predicates.
+const COMPONENTS: [MaterialComponent; 4] = [
+    MaterialComponent::Sum,
+    MaterialComponent::Count,
+    MaterialComponent::Min,
+    MaterialComponent::Max,
+];
 
 impl ViewIds {
     pub(crate) fn prepare(dataset: &mut Dataset, facet: &Facet, mask: ViewMask) -> ViewIds {
@@ -725,10 +730,7 @@ impl ViewIds {
             observation: dataset.intern_iri(sofos::OBSERVATION),
             mask_dims,
             dim_preds,
-            sum: dataset.intern_iri(sofos::SUM),
-            count: dataset.intern_iri(sofos::COUNT),
-            min: dataset.intern_iri(sofos::MIN),
-            max: dataset.intern_iri(sofos::MAX),
+            components: COMPONENTS.map(|c| dataset.intern_iri(component_predicate(c))),
         };
         // Group location reads per-(predicate, value) posting lists of
         // the dimension predicates plus `rdf:type` (the apex lookup keys
@@ -742,12 +744,8 @@ impl ViewIds {
     }
 
     fn component(&self, component: MaterialComponent) -> TermId {
-        match component {
-            MaterialComponent::Sum => self.sum,
-            MaterialComponent::Count => self.count,
-            MaterialComponent::Min => self.min,
-            MaterialComponent::Max => self.max,
-        }
+        let i = COMPONENTS.iter().position(|&c| c == component);
+        self.components[i.expect("COMPONENTS lists every component")]
     }
 }
 

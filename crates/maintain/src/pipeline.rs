@@ -31,8 +31,8 @@
 use crate::engine::{RowDelta, ViewIds};
 use crate::{Maintainer, MaintenanceCost, MaintenanceReport, MaintenanceStrategy};
 use sofos_cube::ViewMask;
-use sofos_rdf::{Graph, Term, TermId};
-use sofos_sparql::SparqlError;
+use sofos_rdf::{Term, TermId};
+use sofos_sparql::{QueryResults, SparqlError};
 use sofos_store::Dataset;
 use std::time::Instant;
 
@@ -64,9 +64,10 @@ pub(crate) enum PatchOp {
         pred: TermId,
         object: ObjectRef,
     },
-    /// Drop the whole view graph and load the encoded replacement — the
+    /// Replace the whole view graph with the re-evaluated view query's
+    /// rows, written by [`sofos_materialize::load_view`] — the
     /// full-refresh regime, planned read-only like everything else.
-    Replace { encoded: Graph },
+    Replace { results: QueryResults },
 }
 
 /// One view's fully-planned maintenance: the exact writes phase 2 will

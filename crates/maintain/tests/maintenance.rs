@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use sofos_cube::{AggOp, Dimension, Facet, ViewMask};
 use sofos_maintain::{Maintainer, MaintenanceStrategy, RowDelta};
-use sofos_materialize::materialize_view;
+use sofos_materialize::{materialize_view, materialize_views};
 use sofos_rdf::vocab::sofos;
 use sofos_rdf::Term;
 use sofos_sparql::{GroupPattern, PatternTerm, TriplePattern};
@@ -346,6 +346,69 @@ fn non_star_facets_fall_back_to_full_refresh() {
     assert_eq!(catalog[0].1, 2, "catalog rows refreshed");
 }
 
+/// A full refresh writes the view graphs `materialize_views` writes: the
+/// same dictionary, graph names, id triples and catalog rows as
+/// re-materializing a clone taken just before the refresh.
+#[test]
+fn full_refresh_writes_what_materialize_views_writes() {
+    // Enough groups that label order ("…_10" < "…_2") differs from row
+    // order.
+    let facet = facet(3, AggOp::Avg);
+    let masks = [ViewMask(0b111), ViewMask::APEX, ViewMask(0b001)];
+    let mut ds = Dataset::new();
+    let mut seed = Delta::new();
+    for i in 0..40u8 {
+        obs_delta(
+            &mut seed,
+            &format!("o{i}"),
+            &[i % 13, i % 3, i % 5],
+            i64::from(i),
+        );
+    }
+    ds.apply(seed);
+    let views = materialize_views(&mut ds, &facet, &masks).unwrap();
+    let mut catalog: Vec<(ViewMask, usize)> = masks
+        .iter()
+        .zip(&views)
+        .map(|(&mask, view)| (mask, view.stats.rows))
+        .collect();
+    // A counting pass first, so the refresh below interns only what it
+    // writes.
+    let mut maintainer = Maintainer::new(&facet);
+    let mut delta = Delta::new();
+    obs_delta(&mut delta, "n0", &[13, 0, 0], 7);
+    maintainer
+        .apply_and_maintain(&mut ds, delta, &mut catalog)
+        .unwrap();
+    let mut delta = Delta::new();
+    obs_delete(&mut delta, "o5", &[5, 2, 0], 5);
+    obs_delta(&mut delta, "n1", &[2, 1, 4], 11);
+    maintainer.apply(&mut ds, delta);
+
+    let mut reference = ds.clone();
+    let rematerialized = materialize_views(&mut reference, &facet, &masks).unwrap();
+    let report = maintainer
+        .maintain(&mut ds, None, &mut catalog)
+        .unwrap()
+        .report;
+    for cost in &report.per_view {
+        assert_eq!(cost.strategy, MaintenanceStrategy::FullRefresh);
+    }
+
+    assert!(ds.dict().iter().eq(reference.dict().iter()));
+    assert_eq!(ds.graph_names(), reference.graph_names());
+    for name in reference.graph_names() {
+        let (got, want) = (ds.graph(Some(name)), reference.graph(Some(name)));
+        assert!(got.unwrap().iter().eq(want.unwrap().iter()));
+    }
+    assert_eq!(ds.estimated_bytes(), reference.estimated_bytes());
+    let rows: Vec<usize> = rematerialized.iter().map(|v| v.stats.rows).collect();
+    assert_eq!(
+        catalog.iter().map(|&(_, rows)| rows).collect::<Vec<_>>(),
+        rows
+    );
+}
+
 #[test]
 fn non_star_facets_skip_the_scan_phase() {
     // A FILTER makes the pattern a non-star: `apply` only mutates the
@@ -577,9 +640,11 @@ proptest! {
         prop_assert_eq!(walk_catalog, bitmap_catalog);
     }
 
-    /// The acceptance property: for random update batches, incrementally
-    /// maintained view graphs equal views re-materialized from scratch —
-    /// for all five aggregation operators.
+    /// The acceptance property: for random update batches, maintained
+    /// view graphs equal views re-materialized from scratch — for all
+    /// five aggregation operators, whether a batch is maintained by
+    /// counting or by a full refresh (`rows = None`, bit `b` of
+    /// `refresh` set for batch `b`).
     #[test]
     fn maintenance_equals_rematerialization(
         seed_obs in proptest::collection::vec(
@@ -587,6 +652,7 @@ proptest! {
         batches in proptest::collection::vec(
             proptest::collection::vec(arb_op(), 1..6), 1..4),
         agg_idx in 0usize..5,
+        refresh in 0u8..16,
     ) {
         let agg = AggOp::ALL[agg_idx];
         let facet = facet(3, agg);
@@ -618,7 +684,7 @@ proptest! {
         }
         let mut maintainer = Maintainer::new(&facet);
 
-        for ops in batches {
+        for (batch, ops) in batches.into_iter().enumerate() {
             let mut delta = Delta::new();
             for op in ops {
                 match op {
@@ -698,9 +764,19 @@ proptest! {
             if delta.is_empty() {
                 continue;
             }
-            maintainer
-                .apply_and_maintain(&mut ds, delta, &mut catalog)
-                .expect("maintenance succeeds");
+            if refresh >> batch & 1 == 1 {
+                maintainer.apply(&mut ds, delta);
+                let outcome = maintainer
+                    .maintain(&mut ds, None, &mut catalog)
+                    .expect("full refresh succeeds");
+                for cost in &outcome.report.per_view {
+                    prop_assert_eq!(cost.strategy, MaintenanceStrategy::FullRefresh);
+                }
+            } else {
+                maintainer
+                    .apply_and_maintain(&mut ds, delta, &mut catalog)
+                    .expect("maintenance succeeds");
+            }
             // Fidelity after *every* batch, not only at the end.
             let reference = reference_signatures(&ds, &facet, &masks);
             for (&mask, expected) in masks.iter().zip(&reference) {

@@ -28,12 +28,16 @@
 //! join that serves queries: a star facet's block takes the evaluator's
 //! star join, any other block its greedy join.
 //!
-//! [`materialize_views`] writes each view's rows straight to id-encoded
-//! triples and bulk-loads them into the view's fresh named graph.
+//! One function writes view graphs: [`load_view`]. It encodes a view's
+//! rows straight to id-encoded triples and bulk-loads them into the
+//! view's named graph, *replacing* any graph of that name, so loading a
+//! view twice leaves what loading it once leaves. Offline
+//! materialization ([`materialize_views`]), recovery, view swaps and the
+//! maintainer's full refresh all write through it.
 
-use sofos_cube::{component_alias, AggOp, Facet, MaterialComponent, ViewMask};
+use sofos_cube::{component_alias, component_predicate, Facet, MaterialComponent, ViewMask};
 use sofos_rdf::vocab::{rdf, sofos};
-use sofos_rdf::{FxHashMap, FxHashSet, Graph, Numeric, Term, TermId, Triple};
+use sofos_rdf::{FxHashMap, FxHashSet, Numeric, Term, TermId};
 use sofos_sparql::{Evaluator, QueryResults, SparqlError, Value};
 use sofos_store::{Dataset, EncodedTriple};
 use std::cmp::Ordering;
@@ -55,15 +59,6 @@ pub struct ViewStats {
     pub nodes: usize,
     /// Estimated bytes of the encoded triples (term text heap footprint).
     pub bytes: usize,
-}
-
-/// The result of encoding a view's query results as RDF.
-#[derive(Debug, Clone)]
-pub struct EncodedView {
-    /// The triples of the view graph.
-    pub graph: Graph,
-    /// Sizing statistics.
-    pub stats: ViewStats,
 }
 
 /// A view that has been written into the dataset.
@@ -302,8 +297,8 @@ fn observation_prefix(facet: &Facet, mask: ViewMask) -> String {
     format!("v{}_{}_", facet.id, mask.0)
 }
 
-/// The columns [`encode_view`] writes, each with its predicate: the
-/// mask's dimensions, then the aggregate's components.
+/// The columns [`load_view`] writes, each with its predicate: the mask's
+/// dimensions, then the aggregate's components.
 fn encoded_columns(facet: &Facet, mask: ViewMask, results: &QueryResults) -> Vec<(usize, Term)> {
     let dims = mask
         .dims()
@@ -320,46 +315,12 @@ fn encoded_columns(facet: &Facet, mask: ViewMask, results: &QueryResults) -> Vec
         let column = results
             .column(component_alias(c))
             .expect("view query projects its component aliases");
-        (column, component_term(c))
+        (column, Term::iri(component_predicate(c)))
     });
     dims.chain(components).collect()
 }
 
-/// Encode view query results as an RDF graph (without touching the dataset).
-///
-/// Rows with unbound dimension cells contribute no triple for that dimension
-/// (facet patterns are expected to bind every dimension; this mirrors how
-/// SPARQL grouping treats unbound keys).
-pub fn encode_view(facet: &Facet, mask: ViewMask, results: &QueryResults) -> EncodedView {
-    let type_pred = Term::iri(rdf::TYPE);
-    let observation = Term::iri(sofos::OBSERVATION);
-    let columns = encoded_columns(facet, mask, results);
-    let prefix = observation_prefix(facet, mask);
-    let mut graph = Graph::new();
-    for (i, row) in results.rows.iter().enumerate() {
-        let obs = Term::blank(format!("{prefix}{i}"));
-        graph.insert(Triple::new_unchecked(
-            obs.clone(),
-            type_pred.clone(),
-            observation.clone(),
-        ));
-        for (column, pred) in &columns {
-            if let Some(value) = &row[*column] {
-                graph.insert(Triple::new_unchecked(
-                    obs.clone(),
-                    pred.clone(),
-                    value.clone(),
-                ));
-            }
-        }
-    }
-    EncodedView {
-        graph,
-        stats: view_stats(facet, mask, results),
-    }
-}
-
-/// Size the graph [`encode_view`] builds from `results` in one pass over
+/// Size the graph [`load_view`] writes from `results` in one pass over
 /// the rows, without building it.
 ///
 /// Each row is one fresh observation node with an `rdf:type` triple and
@@ -416,9 +377,11 @@ pub fn materialize_view(
     Ok(views.pop().expect("one view per mask"))
 }
 
-/// Materialize a set of views from one evaluation ([`evaluate_views`]),
-/// returning stats in input order. Each view's rows are encoded straight
-/// to ids and bulk-loaded into its named graph.
+/// Materialize a set of views from one evaluation ([`evaluate_views`])
+/// and [`load_view`] each one, returning stats in input order.
+///
+/// Every view is evaluated before any is loaded, so an `Err` leaves the
+/// dataset untouched.
 pub fn materialize_views(
     dataset: &mut Dataset,
     facet: &Facet,
@@ -429,25 +392,35 @@ pub fn materialize_views(
         .iter()
         .zip(&results)
         .map(|(&mask, results)| {
-            let graph_iri = sofos::view_graph(&facet.id, mask.0);
-            let name = dataset.intern_iri(&graph_iri);
-            dataset.create_graph(name);
-            let triples = encode_view_ids(dataset, facet, mask, results);
-            dataset.load_encoded(Some(name), triples);
+            load_view(dataset, facet, mask, results);
             MaterializedView {
                 stats: view_stats(facet, mask, results),
-                graph_iri,
+                graph_iri: sofos::view_graph(&facet.id, mask.0),
             }
         })
         .collect())
 }
 
-/// The triples of [`encode_view`]'s graph, interned into `dataset`'s
-/// dictionary without building the graph.
+/// Write view `mask`'s `results` (the rows of its view query) into its
+/// named graph, replacing any graph of that name.
 ///
-/// Terms are interned in the order loading that graph would intern them
-/// (its triples in term order: rows by observation label, each row's
-/// cells by predicate), so the ids match a term-level load exactly.
+/// Each row `i` becomes the observation `_:v<facet>_<mask>_<i>` with an
+/// `rdf:type sofos:Observation` triple and one triple per bound cell;
+/// an unbound cell writes no triple. The triples are encoded straight to
+/// ids and bulk-loaded.
+pub fn load_view(dataset: &mut Dataset, facet: &Facet, mask: ViewMask, results: &QueryResults) {
+    let name = dataset.intern_iri(&sofos::view_graph(&facet.id, mask.0));
+    dataset.drop_graph(name);
+    let triples = encode_view_ids(dataset, facet, mask, results);
+    dataset.load_encoded(Some(name), triples);
+}
+
+/// The triples of view `mask`'s graph, interned into `dataset`'s
+/// dictionary.
+///
+/// Terms are interned in the graph's triple order (rows by observation
+/// label, each row's cells by predicate), the order a term-level load of
+/// the same triples would intern them in.
 fn encode_view_ids(
     dataset: &mut Dataset,
     facet: &Facet,
@@ -509,33 +482,10 @@ pub fn virtual_view_stats(
     Ok(view_stats(facet, mask, &results[0]))
 }
 
-fn component_term(c: MaterialComponent) -> Term {
-    Term::iri(match c {
-        MaterialComponent::Sum => sofos::SUM,
-        MaterialComponent::Count => sofos::COUNT,
-        MaterialComponent::Min => sofos::MIN,
-        MaterialComponent::Max => sofos::MAX,
-    })
-}
-
-/// The component columns a query aggregate needs from a view:
-/// `(primary, secondary)` — AVG needs SUM and COUNT, the rest only
-/// themselves. Shared with the rewriter.
-pub fn final_agg_components(agg: AggOp) -> (&'static str, Option<&'static str>) {
-    use sofos_cube::{COUNT_ALIAS, MAX_ALIAS, MIN_ALIAS, SUM_ALIAS};
-    match agg {
-        AggOp::Sum => (SUM_ALIAS, None),
-        AggOp::Count => (COUNT_ALIAS, None),
-        AggOp::Avg => (SUM_ALIAS, Some(COUNT_ALIAS)),
-        AggOp::Min => (MIN_ALIAS, None),
-        AggOp::Max => (MAX_ALIAS, None),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sofos_cube::Dimension;
+    use sofos_cube::{AggOp, Dimension};
     use sofos_sparql::{GroupPattern, PatternTerm, TriplePattern};
 
     const NS: &str = "http://e/";
@@ -698,45 +648,61 @@ mod tests {
         }
     }
 
-    #[test]
-    fn id_encoding_matches_a_term_level_load() {
-        // Enough groups that label order ("…_10" < "…_2") differs from
-        // row order.
-        let mut ds = Dataset::new();
-        for i in 0..40 {
-            let obs = Term::blank(format!("o{i}"));
-            let country = Term::iri(format!("{NS}c{}", i % 13));
-            let lang = Term::literal_str(format!("l{}", i % 3));
-            ds.insert(None, &obs, &Term::iri(format!("{NS}country")), &country);
-            ds.insert(None, &obs, &Term::iri(format!("{NS}lang")), &lang);
-            ds.insert(
-                None,
-                &obs,
-                &Term::iri(format!("{NS}pop")),
-                &Term::literal_int(i),
-            );
-        }
-        let facet = sample_facet(AggOp::Avg);
-        let masks = [ViewMask::full(2), ViewMask::APEX, ViewMask::from_dims(&[0])];
-        let mut by_ids = ds.clone();
-        materialize_views(&mut by_ids, &facet, &masks).unwrap();
-        let mut by_terms = ds;
-        for (mask, results) in masks
+    /// The view graph's triples, decoded and sorted.
+    fn view_triples(ds: &Dataset, facet: &Facet, mask: ViewMask) -> Vec<[Term; 3]> {
+        let name = ds
+            .dict()
+            .get_id(&Term::iri(sofos::view_graph(&facet.id, mask.0)))
+            .unwrap();
+        let mut triples: Vec<[Term; 3]> = ds
+            .graph(Some(name))
+            .unwrap()
             .iter()
-            .zip(evaluate_views(&by_terms, &facet, &masks).unwrap())
-        {
-            let encoded = encode_view(&facet, *mask, &results);
-            let name = by_terms.intern_iri(&sofos::view_graph(&facet.id, mask.0));
-            by_terms.create_graph(name);
-            by_terms.load(Some(name), &encoded.graph);
+            .map(|t| t.map(|id| ds.term(id).clone()))
+            .collect();
+        triples.sort();
+        triples
+    }
+
+    #[test]
+    fn rematerializing_replaces_the_view_graph() {
+        let mut ds = sample_dataset();
+        let facet = sample_facet(AggOp::Sum);
+        let mask = ViewMask::from_dims(&[0]); // by country
+        materialize_view(&mut ds, &facet, mask).unwrap();
+        // One more French observation: the "fr" group's sum changes.
+        let obs = Term::blank("o4");
+        ds.insert(
+            None,
+            &obs,
+            &Term::iri(format!("{NS}country")),
+            &Term::iri(format!("{NS}fr")),
+        );
+        ds.insert(
+            None,
+            &obs,
+            &Term::iri(format!("{NS}lang")),
+            &Term::literal_str("french"),
+        );
+        ds.insert(
+            None,
+            &obs,
+            &Term::iri(format!("{NS}pop")),
+            &Term::literal_int(1),
+        );
+        let again = materialize_view(&mut ds, &facet, mask).unwrap();
+
+        let mut fresh = ds.clone();
+        for name in fresh.graph_names() {
+            fresh.drop_graph(name);
         }
-        assert!(by_ids.dict().iter().eq(by_terms.dict().iter()));
-        assert_eq!(by_ids.graph_names(), by_terms.graph_names());
-        for name in by_terms.graph_names() {
-            let (got, want) = (by_ids.graph(Some(name)), by_terms.graph(Some(name)));
-            assert!(got.unwrap().iter().eq(want.unwrap().iter()));
-        }
-        assert_eq!(by_ids.estimated_bytes(), by_terms.estimated_bytes());
+        let once = materialize_view(&mut fresh, &facet, mask).unwrap();
+        assert_eq!(again, once);
+        assert_eq!(
+            view_triples(&ds, &facet, mask),
+            view_triples(&fresh, &facet, mask)
+        );
+        assert_eq!(view_triples(&ds, &facet, mask).len(), once.stats.triples);
     }
 
     #[test]
@@ -758,15 +724,5 @@ mod tests {
         let base = virtual_view_stats(&ds, &facet, ViewMask::full(2)).unwrap();
         assert!(apex.bytes > 0);
         assert!(base.bytes > apex.bytes, "finer views cost more bytes");
-    }
-
-    #[test]
-    fn final_components_table() {
-        assert_eq!(final_agg_components(AggOp::Sum).0, sofos_cube::SUM_ALIAS);
-        assert_eq!(
-            final_agg_components(AggOp::Avg).1,
-            Some(sofos_cube::COUNT_ALIAS)
-        );
-        assert_eq!(final_agg_components(AggOp::Min).1, None);
     }
 }

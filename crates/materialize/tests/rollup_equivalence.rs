@@ -9,7 +9,8 @@
 //!    aggregates; missing and multi-valued legs; non-numeric measure
 //!    literals; and the empty dataset.
 //! 2. **Stats describe the graph** — [`view_stats`], which counts without
-//!    building a graph, agrees with the graph [`encode_view`] builds.
+//!    building a graph, agrees with the graph [`materialize_views`]
+//!    loads, read back through the dictionary.
 //!
 //! Measures are integers, decimals that never equal an integer, and
 //! strings, so MIN/MAX never tie two differently spelled equal values;
@@ -19,7 +20,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sofos_cube::{AggOp, Dimension, Facet, Lattice, ViewMask};
-use sofos_materialize::{encode_view, evaluate_view, evaluate_views, view_stats};
+use sofos_materialize::{evaluate_view, evaluate_views, materialize_views, view_stats};
 use sofos_rdf::vocab::rdf;
 use sofos_rdf::{FxHashSet, Literal, Term};
 use sofos_sparql::{GroupPattern, PatternTerm, TriplePattern};
@@ -249,26 +250,31 @@ proptest! {
         subjects in 0usize..30,
         seed in any::<u64>(),
     ) {
-        let (ds, facet) = case(shape, subjects, AggOp::ALL[agg], seed);
+        let (mut ds, facet) = case(shape, subjects, AggOp::ALL[agg], seed);
         let masks = masks(&facet, 3, seed);
-        for (results, &mask) in evaluate_views(&ds, &facet, &masks).unwrap().iter().zip(&masks) {
-            let graph = encode_view(&facet, mask, results).graph;
+        let results = evaluate_views(&ds, &facet, &masks).unwrap();
+        let views = materialize_views(&mut ds, &facet, &masks).unwrap();
+        let type_pred = Term::iri(rdf::TYPE);
+        for ((results, view), &mask) in results.iter().zip(&views).zip(&masks) {
+            let name = ds.dict().get_id(&Term::iri(&view.graph_iri)).unwrap();
+            let graph = ds.graph(Some(name)).unwrap();
             // Bytes: each observation node once, plus every value it carries.
-            let type_pred = Term::iri(rdf::TYPE);
             let mut subjects: FxHashSet<&Term> = FxHashSet::default();
             let mut nodes: FxHashSet<&Term> = FxHashSet::default();
             let mut bytes = 0;
-            for triple in graph.iter() {
-                if subjects.insert(&triple.subject) {
-                    bytes += triple.subject.estimated_bytes();
+            for [s, p, o] in graph.iter() {
+                let (subject, object) = (ds.term(s), ds.term(o));
+                if subjects.insert(subject) {
+                    bytes += subject.estimated_bytes();
                 }
-                if triple.predicate != type_pred {
-                    bytes += triple.object.estimated_bytes();
+                if *ds.term(p) != type_pred {
+                    bytes += object.estimated_bytes();
                 }
-                nodes.insert(&triple.subject);
-                nodes.insert(&triple.object);
+                nodes.insert(subject);
+                nodes.insert(object);
             }
-            let stats = view_stats(&facet, mask, results);
+            let stats = &view.stats;
+            prop_assert_eq!(stats, &view_stats(&facet, mask, results));
             prop_assert_eq!(stats.rows, results.len());
             prop_assert_eq!(stats.triples, graph.len(), "mask {}", mask);
             prop_assert_eq!(stats.nodes, nodes.len(), "mask {}", mask);

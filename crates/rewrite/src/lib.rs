@@ -23,7 +23,7 @@
 //! every query, in both of its backends; a query that fails step 1, or
 //! that no view covers in step 2, runs unchanged on the base graph.
 
-use sofos_cube::{AggOp, Facet, ViewMask};
+use sofos_cube::{component_predicate, AggOp, Facet, ViewMask};
 use sofos_rdf::vocab::sofos;
 use sofos_rdf::Iri;
 use sofos_sparql::{
@@ -284,18 +284,13 @@ pub fn rewrite_query(facet: &Facet, analysis: &QueryAnalysis, view: ViewMask) ->
             PatternTerm::var(facet.dimensions[d].var.clone()),
         ));
     }
-    // Fetch the needed components.
-    let (primary, secondary) = component_predicates(analysis.agg);
-    patterns.push(TriplePattern::new(
-        obs.clone(),
-        PatternTerm::iri(primary),
-        PatternTerm::var("__c0"),
-    ));
-    if let Some(pred) = secondary {
+    // Fetch the needed components: `__c0`, `__c1`, … in component order
+    // (AVG reads SUM then COUNT).
+    for (i, &component) in analysis.agg.components().iter().enumerate() {
         patterns.push(TriplePattern::new(
             obs.clone(),
-            PatternTerm::iri(pred),
-            PatternTerm::var("__c1"),
+            PatternTerm::iri(component_predicate(component)),
+            PatternTerm::var(format!("__c{i}")),
         ));
     }
 
@@ -351,16 +346,6 @@ pub fn rewrite_query(facet: &Facet, analysis: &QueryAnalysis, view: ViewMask) ->
         order_by: analysis.order_by.clone(),
         limit: analysis.limit,
         offset: analysis.offset,
-    }
-}
-
-fn component_predicates(agg: AggOp) -> (&'static str, Option<&'static str>) {
-    match agg {
-        AggOp::Sum => (sofos::SUM, None),
-        AggOp::Count => (sofos::COUNT, None),
-        AggOp::Avg => (sofos::SUM, Some(sofos::COUNT)),
-        AggOp::Min => (sofos::MIN, None),
-        AggOp::Max => (sofos::MAX, None),
     }
 }
 

@@ -320,7 +320,7 @@ fn oracle_versus_greedy_on_real_data() {
 /// an `Engine`, which serves interleaved updates and queries within the
 /// bounded lag budget and answers exactly once drained.
 #[test]
-fn engine_front_door_serves_both_backends() {
+fn engine_front_door_serves_bounded_updates_and_queries() {
     use sofos::core::StalenessPolicy;
     use sofos::rdf::Term;
     use sofos::store::Delta;
