@@ -102,19 +102,6 @@ const VOLATILE: &[&str] = &[
     // is the deterministic maintenance counts (`groups_patched`,
     // `rows_inserted`, …), which stay exact.
     "plan_wall_us",
-    // E14 (selection at scale): selector walls and their quotient are
-    // machine-paced, and the anytime search's move/restart/pricing
-    // counters shift whenever the search internals are tuned — the
-    // deterministic costs (`greedy_cost`, `local_cost`), the
-    // `quality_ratio`, and the verdict booleans (`quality_ok`,
-    // `wall_ok`, `budget_exhausted`, `converged`) carry the gate.
-    "greedy_wall_us",
-    "local_wall_us",
-    "wall_ratio",
-    "moves_tried",
-    "moves_accepted",
-    "restarts",
-    "views_priced",
     // E3 (budget sweep): a quotient of two workload walls; the
     // deterministic `selected_views`, `view_hits`, `fallbacks` and
     // `storage_amplification` carry the gate. E1 has no baseline at

@@ -19,7 +19,6 @@
 //! | E11 network serving          | `e11_serving`     |
 //! | E12 durability               | `e12_durability`  |
 //! | E13 bitmap scan planning     | `e13_bitmap_scan` |
-//! | E14 selection at scale       | `e14_select_scale`|
 //! | CI bench-regression gate     | `bench_diff`      |
 //!
 //! Store and SPARQL substrate timings live in the claim benchmark's

@@ -18,7 +18,7 @@ use sofos_cube::{
 use sofos_materialize::{evaluate_view, load_view, view_stats};
 use sofos_rdf::vocab::{rdf, sofos};
 use sofos_rdf::{FxHashMap, Numeric, Term, TermId};
-use sofos_sparql::{CompareOp, Evaluator, Expr, PatternElement, SparqlError};
+use sofos_sparql::{CompareOp, Evaluator, Expr, PatternElement, QueryResults, SparqlError};
 use sofos_store::{Bitmap, ChangeSet, Dataset, Delta, GraphStore, IdPattern};
 use std::time::Instant;
 
@@ -241,18 +241,20 @@ impl Maintainer {
         fresh_start: u64,
     ) -> Result<ViewPatch, SparqlError> {
         let (mask, catalog_rows) = view;
-        match rows {
-            None => self.plan_full_refresh(dataset, ids, catalog_rows, fresh_start),
+        let counted = match rows {
+            None => None,
             Some(rows) if rows.is_empty() => {
-                Ok(ViewPatch::noop(mask, ids.graph, fresh_start, catalog_rows))
+                return Ok(ViewPatch::noop(mask, ids.graph, fresh_start, catalog_rows));
             }
-            Some(rows) => {
-                match self.plan_counting(dataset, rows, ids, catalog_rows, fresh_start)? {
-                    Some(patch) => Ok(patch),
-                    // Counting declined (non-numeric measure in the delta,
-                    // or the view graph is missing).
-                    None => self.plan_full_refresh(dataset, ids, catalog_rows, fresh_start),
-                }
+            Some(rows) => self.plan_counting(dataset, rows, ids, catalog_rows, fresh_start)?,
+        };
+        match counted {
+            Some(patch) => Ok(patch),
+            // No delta, or counting declined (non-numeric measure in the
+            // delta, or the view graph is missing): re-evaluate this view.
+            None => {
+                let results = evaluate_view(dataset, &self.facet, mask)?;
+                Ok(self.plan_full_refresh(dataset, ids, catalog_rows, fresh_start, results))
             }
         }
     }
@@ -299,17 +301,17 @@ impl Maintainer {
         cost
     }
 
-    /// Plan a drop + re-materialize: evaluate the view query (read-only),
-    /// size the replacement graph, and emit one `Replace` op.
-    fn plan_full_refresh(
+    /// Plan a drop + re-materialize from the view query's evaluated
+    /// `results`: size the replacement graph and emit one `Replace` op.
+    pub(crate) fn plan_full_refresh(
         &self,
         dataset: &Dataset,
         ids: &ViewIds,
         catalog_rows: usize,
         fresh_start: u64,
-    ) -> Result<ViewPatch, SparqlError> {
+        results: QueryResults,
+    ) -> ViewPatch {
         let old_len = dataset.graph(Some(ids.graph)).map_or(0, |g| g.len());
-        let results = evaluate_view(dataset, &self.facet, ids.mask)?;
         let stats = view_stats(&self.facet, ids.mask, &results);
         let new_rows = stats.rows;
         let cost = MaintenanceCost {
@@ -322,7 +324,7 @@ impl Maintainer {
             rows_retracted: catalog_rows,
             wall_us: 0,
         };
-        Ok(ViewPatch {
+        ViewPatch {
             view: ids.mask,
             graph: ids.graph,
             fresh: Vec::new(),
@@ -330,7 +332,7 @@ impl Maintainer {
             cost,
             rows: new_rows,
             fresh_end: fresh_start,
-        })
+        }
     }
 
     /// Plan the counting algorithm over one view. Returns `Ok(None)`

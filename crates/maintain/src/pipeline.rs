@@ -31,6 +31,7 @@
 use crate::engine::{RowDelta, ViewIds};
 use crate::{Maintainer, MaintenanceCost, MaintenanceReport, MaintenanceStrategy};
 use sofos_cube::ViewMask;
+use sofos_materialize::evaluate_views;
 use sofos_rdf::{Term, TermId};
 use sofos_sparql::{QueryResults, SparqlError};
 use sofos_store::Dataset;
@@ -103,11 +104,6 @@ impl ViewPatch {
     /// The planned view.
     pub fn view(&self) -> ViewMask {
         self.view
-    }
-
-    /// Planned writes (0 for a no-op patch).
-    pub fn planned_ops(&self) -> usize {
-        self.ops.len()
     }
 
     /// The planned cost (apply time not yet included).
@@ -199,7 +195,9 @@ pub struct PipelineOutcome {
 impl Maintainer {
     /// Maintain every catalog view against a row delta, updating each
     /// catalog entry's row count in place. `rows = None` forces full
-    /// refresh (non-star facets, or a caller that lost the delta).
+    /// refresh (non-star facets, or a caller that lost the delta), which
+    /// evaluates every view with one `evaluate_views` call and so writes
+    /// what `materialize_views` would write.
     ///
     /// Plans every view's patch read-only, then applies the patches in
     /// catalog order. A planning error surfaces before any write: on
@@ -220,14 +218,31 @@ impl Maintainer {
             .collect();
         let mut serial_us = pass_start.elapsed().as_micros() as u64;
 
-        // Phase 1: plan every patch against the unchanged dataset.
+        // Phase 1: plan every patch against the unchanged dataset. A full
+        // refresh evaluates the whole catalog at once, as
+        // `materialize_views` does, and each view's wall carries an equal
+        // share of that evaluation.
         let fresh_start = self.fresh_counter();
+        let mut refreshed = Vec::new();
+        let mut shared_us = 0;
+        if rows.is_none() {
+            let start = Instant::now();
+            let masks: Vec<ViewMask> = views.iter().map(|&(mask, _)| mask).collect();
+            refreshed = evaluate_views(dataset, self.facet(), &masks)?;
+            shared_us = start.elapsed().as_micros() as u64;
+        }
+        let mut refreshed = refreshed.into_iter();
+        let n = views.len() as u64;
         let mut parallel_work_us = 0;
         let mut patches = Vec::with_capacity(views.len());
-        for (&view, ids) in views.iter().zip(&ids) {
+        for (i, (&view, ids)) in views.iter().zip(&ids).enumerate() {
             let start = Instant::now();
-            let mut patch = self.plan_view(dataset, rows, view, ids, fresh_start)?;
-            patch.cost.wall_us = start.elapsed().as_micros() as u64;
+            let mut patch = match refreshed.next() {
+                Some(results) => self.plan_full_refresh(dataset, ids, view.1, fresh_start, results),
+                None => self.plan_view(dataset, rows, view, ids, fresh_start)?,
+            };
+            let share = shared_us / n + u64::from((i as u64) < shared_us % n);
+            patch.cost.wall_us = start.elapsed().as_micros() as u64 + share;
             parallel_work_us += patch.cost.wall_us;
             patches.push(patch);
         }

@@ -8,7 +8,7 @@ use sofos_cube::{AggOp, Dimension, Facet, ViewMask};
 use sofos_maintain::{Maintainer, MaintenanceStrategy, RowDelta};
 use sofos_materialize::{materialize_view, materialize_views};
 use sofos_rdf::vocab::sofos;
-use sofos_rdf::Term;
+use sofos_rdf::{Literal, Term};
 use sofos_sparql::{GroupPattern, PatternTerm, TriplePattern};
 use sofos_store::{Dataset, Delta};
 use std::collections::BTreeMap;
@@ -40,6 +40,10 @@ fn facet(dims: usize, agg: AggOp) -> Facet {
 
 /// Insert one observation: one value per dimension plus a measure.
 fn obs_delta(delta: &mut Delta, label: &str, dims: &[u8], measure: i64) {
+    obs_delta_term(delta, label, dims, Term::literal_int(measure));
+}
+
+fn obs_delta_term(delta: &mut Delta, label: &str, dims: &[u8], measure: Term) {
     let node = Term::blank(label.to_string());
     for (d, v) in dims.iter().enumerate() {
         delta.insert(
@@ -48,7 +52,7 @@ fn obs_delta(delta: &mut Delta, label: &str, dims: &[u8], measure: i64) {
             iri(format!("v{d}_{v}")),
         );
     }
-    delta.insert(node, iri("measure"), Term::literal_int(measure));
+    delta.insert(node, iri("measure"), measure);
 }
 
 fn obs_delete(delta: &mut Delta, label: &str, dims: &[u8], measure: i64) {
@@ -348,7 +352,10 @@ fn non_star_facets_fall_back_to_full_refresh() {
 
 /// A full refresh writes the view graphs `materialize_views` writes: the
 /// same dictionary, graph names, id triples and catalog rows as
-/// re-materializing a clone taken just before the refresh.
+/// re-materializing a clone taken just before the refresh. Some measures
+/// are `xsd:double`s whose SUM depends on the order it adds in, so a
+/// refresh that evaluates each view on its own, instead of rolling the
+/// coarser views up, writes different literals.
 #[test]
 fn full_refresh_writes_what_materialize_views_writes() {
     // Enough groups that label order ("…_10" < "…_2") differs from row
@@ -364,6 +371,12 @@ fn full_refresh_writes_what_materialize_views_writes() {
             &[i % 13, i % 3, i % 5],
             i64::from(i),
         );
+    }
+    // 1e16 + 1.0 rounds back to 1e16, so the finest group (20, 0, 0) loses
+    // the 1.0 while a direct sum that meets -1e16 between them keeps it.
+    for (label, d0, measure) in [("x0", 20, 1e16), ("x1", 21, -1e16), ("x2", 20, 1.0)] {
+        let measure = Term::Literal(Literal::double(measure));
+        obs_delta_term(&mut seed, label, &[d0, 0, 0], measure);
     }
     ds.apply(seed);
     let views = materialize_views(&mut ds, &facet, &masks).unwrap();

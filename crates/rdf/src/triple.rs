@@ -76,16 +76,6 @@ impl Graph {
         self.triples.insert(triple)
     }
 
-    /// Insert from raw terms, enforcing position constraints.
-    pub fn insert_terms(
-        &mut self,
-        subject: Term,
-        predicate: Term,
-        object: Term,
-    ) -> Result<bool, RdfError> {
-        Ok(self.insert(Triple::new(subject, predicate, object)?))
-    }
-
     /// Membership test.
     pub fn contains(&self, triple: &Triple) -> bool {
         self.triples.contains(triple)

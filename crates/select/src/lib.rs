@@ -12,8 +12,6 @@
 //! Also provided:
 //! * [`exhaustive_select`] — the optimal subset by enumeration (the oracle
 //!   for the demo's "Hands-on Challenge", E6);
-//! * [`local_search_select`] — anytime local search for lattices too large
-//!   for greedy (see [`anytime`]);
 //! * [`user_select`] — a user's explicit pick, validated and priced;
 //! * [`Budget::Bytes`] — the paper's "instead of selecting k views, select
 //!   up to k views up to a certain memory budget" variant;
@@ -41,10 +39,6 @@
 use sofos_cost::{CostContext, CostModel, MaintenanceCostModel, UpdateRates};
 use sofos_cube::{Lattice, ViewMask};
 use sofos_rdf::FxHashSet;
-
-pub mod anytime;
-
-pub use anytime::{local_search_select, ClockFn, LocalSearchConfig, SearchBudget, SearchReport};
 
 /// How much may be materialized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -335,20 +329,6 @@ pub fn greedy_select(
     profile: &WorkloadProfile,
     budget: Budget,
 ) -> SelectionOutcome {
-    greedy_over_candidates(ctx, objective, profile, budget, lattice.views().collect())
-}
-
-/// The greedy core, parameterized by an explicit candidate set. Shared by
-/// [`greedy_select`] (candidates = the whole lattice) and the anytime
-/// selector's greedy-on-a-sample seeding (candidates = a pool), so both
-/// inherit identical tie-breaking and budget semantics.
-pub(crate) fn greedy_over_candidates(
-    ctx: &CostContext<'_>,
-    objective: &Objective<'_>,
-    profile: &WorkloadProfile,
-    budget: Budget,
-    candidates: Vec<ViewMask>,
-) -> SelectionOutcome {
     let model = objective.query_model();
     let active = objective.is_active();
     let base_cost = base_graph_cost(ctx, model);
@@ -357,7 +337,7 @@ pub(crate) fn greedy_over_candidates(
     // Current best cost per demand.
     let mut current: Vec<f64> = vec![base_cost; profile.demands.len()];
     let mut selected: Vec<ViewMask> = Vec::new();
-    let mut remaining: Vec<ViewMask> = candidates;
+    let mut remaining: Vec<ViewMask> = lattice.views().collect();
     let mut bytes_left = match budget {
         Budget::Bytes(b) => b as isize,
         Budget::Views(_) => isize::MAX,
@@ -435,13 +415,13 @@ pub(crate) fn greedy_over_candidates(
 /// Hard cap on the candidate-view count [`exhaustive_select`] will
 /// enumerate over, regardless of the combination `limit`. 20 views is a
 /// 4-dimension lattice plus change — beyond that, brute force is the wrong
-/// tool even when C(n, k) squeaks under the limit; use
-/// [`local_search_select`] instead.
+/// tool even when C(n, k) squeaks under the limit; use [`greedy_select`]
+/// instead.
 pub const MAX_EXHAUSTIVE_VIEWS: usize = 20;
 
 /// Exhaustive enumeration refused: the lattice (or the subset count it
 /// implies) is beyond what brute force can visit. Carries the numbers so
-/// callers can report or fall back to [`local_search_select`].
+/// callers can report or fall back to [`greedy_select`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatticeTooLarge {
     /// Candidate views in the lattice.
@@ -478,8 +458,7 @@ impl std::error::Error for LatticeTooLarge {}
 ///
 /// Returns [`LatticeTooLarge`] — instead of hanging — when the lattice has
 /// more than [`MAX_EXHAUSTIVE_VIEWS`] candidate views or the enumeration
-/// would exceed `limit` combinations. At that scale use
-/// [`local_search_select`].
+/// would exceed `limit` combinations. At that scale use [`greedy_select`].
 pub fn exhaustive_select(
     ctx: &CostContext<'_>,
     lattice: &Lattice,
@@ -622,7 +601,7 @@ mod tests {
     use sofos_sparql::{GroupPattern, PatternTerm, TriplePattern};
     use sofos_store::{Dataset, GraphStats};
 
-    pub(crate) fn setup(dims: usize, rows: usize) -> (Dataset, Facet) {
+    fn setup(dims: usize, rows: usize) -> (Dataset, Facet) {
         let mut ds = Dataset::new();
         let m = Term::iri("http://e/m");
         for i in 0..rows {
@@ -664,19 +643,15 @@ mod tests {
     }
 
     /// The query-only objectives most tests select under.
-    pub(crate) fn triples() -> Objective<'static> {
+    fn triples() -> Objective<'static> {
         Objective::query_only(&TriplesCost)
     }
 
-    pub(crate) fn agg_values() -> Objective<'static> {
+    fn agg_values() -> Objective<'static> {
         Objective::query_only(&AggValuesCost)
     }
 
-    pub(crate) fn with_ctx<R>(
-        dims: usize,
-        rows: usize,
-        f: impl FnOnce(&CostContext<'_>, &Lattice) -> R,
-    ) -> R {
+    fn with_ctx<R>(dims: usize, rows: usize, f: impl FnOnce(&CostContext<'_>, &Lattice) -> R) -> R {
         let (ds, facet) = setup(dims, rows);
         let lattice = Lattice::new(facet.clone());
         let sized = size_lattice(&ds, &lattice).unwrap();

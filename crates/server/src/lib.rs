@@ -230,12 +230,6 @@ impl ServerHandle {
         &self.shared.engine
     }
 
-    /// Ask the server to stop without waiting for it to drain; pair with
-    /// [`ServerHandle::shutdown`] to join.
-    pub fn request_shutdown(&self) {
-        let _ = self.stop_accepting();
-    }
-
     /// Set the shutdown flag, wake idle workers, and wake the acceptor
     /// out of `accept()` with one connection of our own. `Err` when that
     /// connection could not be made.

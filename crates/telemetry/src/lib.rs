@@ -125,7 +125,6 @@ struct HandleInner {
     registry: Registry,
     events: EventRing,
     enabled: bool,
-    slow_query_us: AtomicU64,
 }
 
 /// Default capacity of the recent-events ring.
@@ -149,7 +148,6 @@ impl MetricsHandle {
                 registry: Registry::new(),
                 events: EventRing::new(events),
                 enabled: true,
-                slow_query_us: AtomicU64::new(DEFAULT_SLOW_QUERY_US),
             }),
         }
     }
@@ -163,7 +161,6 @@ impl MetricsHandle {
                 registry: Registry::new(),
                 events: EventRing::new(0),
                 enabled: false,
-                slow_query_us: AtomicU64::new(u64::MAX),
             }),
         }
     }
@@ -175,14 +172,14 @@ impl MetricsHandle {
     }
 
     /// Serve latencies above this (µs) get a [`EventKind::SlowQuery`]
-    /// event.
+    /// event: [`DEFAULT_SLOW_QUERY_US`], or `u64::MAX` for a disabled
+    /// handle.
     pub fn slow_query_threshold_us(&self) -> u64 {
-        self.inner.slow_query_us.load(Relaxed)
-    }
-
-    /// Change the slow-query threshold (µs).
-    pub fn set_slow_query_threshold_us(&self, us: u64) {
-        self.inner.slow_query_us.store(us, Relaxed);
+        if self.inner.enabled {
+            DEFAULT_SLOW_QUERY_US
+        } else {
+            u64::MAX
+        }
     }
 
     /// The metric registry (get-or-create named instruments).
