@@ -275,6 +275,11 @@ impl EngineBuilder {
 /// recovered one when the directory held state, the builder's otherwise.
 type DurableOpen = (EpochStore, Vec<(ViewMask, usize)>, Option<RecoveryReport>);
 
+/// The catalog as the `(mask bits, rows)` pairs the epoch log stores.
+fn catalog_pairs(views: &[(ViewMask, usize)]) -> Vec<(u64, u64)> {
+    views.iter().map(|&(m, rows)| (m.0, rows as u64)).collect()
+}
+
 fn open_durable(
     config: DurabilityConfig,
     dataset: Dataset,
@@ -291,12 +296,8 @@ fn open_durable(
             // were interned outside the logged path — a baseline
             // snapshot re-anchors the log's dictionary coverage so the
             // first record's dict tail starts where this dataset ends.
-            let pairs: Vec<(u64, u64)> = catalog
-                .iter()
-                .map(|&(mask, rows)| (mask.0, rows as u64))
-                .collect();
             persister
-                .baseline(&dataset, 0, &pairs)
+                .baseline(&dataset, 0, &catalog_pairs(&catalog))
                 .map_err(persist_err)?;
             Ok((EpochStore::recovered(dataset, 0, persister), catalog, None))
         }
@@ -334,12 +335,8 @@ fn open_durable(
                 // Re-materialization interned outside the log: re-anchor
                 // before the next publish or replay would hit dictionary
                 // gaps on the *next* recovery.
-                let pairs: Vec<(u64, u64)> = catalog
-                    .iter()
-                    .map(|&(mask, rows)| (mask.0, rows as u64))
-                    .collect();
                 persister
-                    .baseline(&dataset, rec.epoch, &pairs)
+                    .baseline(&dataset, rec.epoch, &catalog_pairs(&catalog))
                     .map_err(persist_err)?;
             }
             let report = RecoveryReport {

@@ -7,7 +7,11 @@
 //!   with its binding scans ([`sofos_maintain::Maintainer::apply`]), every
 //!   view's patch is planned and then applied on the writer's master
 //!   ([`sofos_maintain::Maintainer::maintain`]), and the whole batch
-//!   becomes visible atomically at publish;
+//!   becomes visible atomically at publish. An eager write and a bounded
+//!   flush run the same function for this (`publish_maintained`: apply,
+//!   one maintenance pass over the merged row delta, one epoch); a lazy
+//!   repair runs the same pass over the one view it repairs. Every pass
+//!   lands in the maintenance log and the pipeline telemetry;
 //! * the **staleness policies** are the [`crate::policy`] state machines
 //!   expressed over epochs. *Eager* maintains inside the update
 //!   transaction. *Lazy* publishes the base change immediately and
@@ -35,13 +39,15 @@
 //! falls back to the base graph; buffered bounded-policy batches, which
 //! can no longer publish, are dropped as a crash would drop them).
 
-use super::{Engine, Route, SessionAnswer, ViewChurn};
+use super::{catalog_pairs, Engine, Route, SessionAnswer, ViewChurn};
 use crate::metrics::UpdateStage;
 use crate::policy::{FlushMeter, Freshness, PendingLog, ProfileWindows, StalenessPolicy};
 use crate::timing::measure_once;
 use sofos_cost::UpdateRates;
 use sofos_cube::{Facet, ViewMask};
-use sofos_maintain::{ApplyOutcome, Maintainer, MaintenanceReport, PipelineTelemetry, RowDelta};
+use sofos_maintain::{
+    ApplyOutcome, Maintainer, MaintenanceReport, PipelineOutcome, PipelineTelemetry, RowDelta,
+};
 use sofos_materialize::{drop_view, materialize_views, MaterializedView};
 use sofos_rdf::{FxHashMap, FxHashSet};
 use sofos_rewrite::{analyze_query, best_view, rewrite_query};
@@ -286,9 +292,7 @@ impl Engine {
     /// nothing — and log records only carry an explicit catalog when the
     /// view set actually changed (other records carry it forward).
     fn durable_catalog(&self, views: &[(ViewMask, usize)]) -> Option<Vec<(u64, u64)>> {
-        self.store
-            .persister()
-            .map(|_| views.iter().map(|&(m, rows)| (m.0, rows as u64)).collect())
+        self.store.persister().map(|_| catalog_pairs(views))
     }
 
     fn lock_serving(&self) -> std::sync::MutexGuard<'_, ServingState> {
@@ -342,36 +346,8 @@ impl Engine {
                 })
             }
             StalenessPolicy::Eager => {
-                let applied = self.apply(&mut writer, txn.dataset(), delta);
-                // The catalog's masks cannot change concurrently — every
-                // view mutator holds the write transaction — so working on
-                // a clone and installing it back is race-free.
-                let mut views = self.lock_serving().views.clone();
-                let rows = applied.rows.as_ref();
-                let result = self.metrics.time_stage(UpdateStage::Maintain, || {
-                    writer.maintainer.maintain(txn.dataset(), rows, &mut views)
-                });
-                txn.touch_changes(&applied.changes);
-                // On a maintenance error the base delta is applied but no
-                // view was patched (planning is all-or-nothing);
-                // abandoning the transaction would leave the master
-                // diverged from the published epoch forever. Publish the
-                // batch instead and demand a full refresh of every (now
-                // stale) view — needs-refresh bars queries from routing to
-                // any of them before repair, under every policy.
-                let maintained = result.map(|outcome| {
-                    writer.telemetry.merge(&outcome.telemetry);
-                    self.metrics.record_pipeline(&outcome.telemetry);
-                    writer.log.absorb(outcome.report);
-                });
-                let catalog = self.durable_catalog(&views);
-                let epoch = self.commit(txn, catalog, |state, epoch| {
-                    state.views = views;
-                    if maintained.is_err() {
-                        state.pending.demand_refresh_all(&state.views, epoch);
-                    }
-                    epoch
-                })?;
+                let (epoch, (), maintained) =
+                    self.publish_maintained(txn, &mut writer, [delta], |_| ())?;
                 maintained.inspect_err(|e| {
                     self.metrics.record_maintenance_error(
                         self.clock.now_ms(),
@@ -471,59 +447,86 @@ impl Engine {
         self.flush_batch(txn, &mut writer, take)
     }
 
-    /// The batched-epoch flush of the `take` oldest buffered deltas
-    /// (writer lock held, transaction open).
-    fn flush_batch(
+    /// Apply `deltas` to the writer's master, maintain every view in one
+    /// pass over their merged row delta, and publish the batch as one
+    /// epoch (writer lock held, transaction open). `install` runs in the
+    /// publish's serving-lock hold, after the catalog is installed.
+    ///
+    /// On a maintenance error the base deltas are applied but no view was
+    /// patched (planning is all-or-nothing); abandoning the transaction
+    /// would leave the master diverged from the published epoch forever.
+    /// The batch is published instead and a full refresh of every (now
+    /// stale) view demanded — needs-refresh bars queries from routing to
+    /// any of them before repair, under every policy. The maintenance
+    /// result comes back beside the epoch for the caller to report.
+    fn publish_maintained<R>(
         &self,
         mut txn: WriteTxn<'_>,
         writer: &mut WriterSide,
-        take: usize,
-    ) -> Result<(), SparqlError> {
-        let deltas: Vec<Delta> = writer.buffered.drain(..take).collect();
-        // Merge the per-delta row deltas: N batches collapse into one
-        // group-patching pass (intra-batch churn cancels for free).
-        let mut merged: Option<RowDelta> = Some(RowDelta::default());
+        deltas: impl IntoIterator<Item = Delta>,
+        install: impl FnOnce(&mut ServingState) -> R,
+    ) -> Result<(u64, R, Result<(), SparqlError>), SparqlError> {
+        // N deltas collapse into one group-patching pass (intra-batch
+        // churn cancels for free). A facet's deltas all carry a row delta
+        // or none does, so the first one's is taken as it is.
+        let mut rows: Option<RowDelta> = None;
         for delta in deltas {
             let applied = self.apply(writer, txn.dataset(), delta);
             txn.touch_changes(&applied.changes);
-            match applied.rows {
-                Some(rows) => {
-                    if let Some(m) = merged.as_mut() {
-                        m.merge(&rows);
-                    }
+            rows = match (rows, applied.rows) {
+                (Some(mut merged), Some(next)) => {
+                    merged.merge(&next);
+                    Some(merged)
                 }
-                // Non-star facet: merged deltas cannot repair anything.
-                None => merged = None,
-            }
+                (_, next) => next,
+            };
         }
+        // The catalog's masks cannot change concurrently — every view
+        // mutator holds the write transaction — so working on a clone
+        // and installing it back is race-free.
         let mut views = self.lock_serving().views.clone();
         let result = self.metrics.time_stage(UpdateStage::Maintain, || {
             writer
                 .maintainer
-                .maintain(txn.dataset(), merged.as_ref(), &mut views)
+                .maintain(txn.dataset(), rows.as_ref(), &mut views)
         });
-        // On a maintenance error the base deltas are applied and the
-        // views left unpatched (all-or-nothing planning): publish the
-        // base batch with the catalog unchanged and demand a full refresh
-        // of every view.
         let maintained = result.map(|outcome| {
-            writer.telemetry.merge(&outcome.telemetry);
-            self.metrics.record_pipeline(&outcome.telemetry);
-            writer.log.absorb(outcome.report);
+            self.absorb(writer, outcome);
         });
-        let catalog = match maintained {
-            Ok(()) => self.durable_catalog(&views),
-            Err(_) => None,
-        };
-        let committed = self.commit(txn, catalog, |state, epoch| {
-            match maintained {
-                Ok(()) => state.views = views,
-                Err(_) => state.pending.demand_refresh_all(&state.views, epoch),
+        let catalog = self.durable_catalog(&views);
+        self.commit(txn, catalog, |state, epoch| {
+            state.views = views;
+            if maintained.is_err() {
+                state.pending.demand_refresh_all(&state.views, epoch);
             }
+            (epoch, install(state), maintained)
+        })
+    }
+
+    /// Fold one maintenance pass into the writer's log and telemetry and
+    /// the metric instruments.
+    fn absorb(&self, writer: &mut WriterSide, outcome: PipelineOutcome) -> u64 {
+        let us = outcome.report.total_us;
+        writer.telemetry.merge(&outcome.telemetry);
+        self.metrics.record_pipeline(&outcome.telemetry);
+        writer.log.absorb(outcome.report);
+        us
+    }
+
+    /// The batched-epoch flush of the `take` oldest buffered deltas
+    /// (writer lock held, transaction open).
+    fn flush_batch(
+        &self,
+        txn: WriteTxn<'_>,
+        writer: &mut WriterSide,
+        take: usize,
+    ) -> Result<(), SparqlError> {
+        let deltas: Vec<Delta> = writer.buffered.drain(..take).collect();
+        let published = self.publish_maintained(txn, writer, deltas, |state| {
             state.meter.drain(take);
-            (epoch, state.meter.buffered())
+            state.meter.buffered()
         });
-        let (epoch, buffered) = match committed {
+        let (epoch, buffered, maintained) = match published {
             Ok(published) => published,
             Err(e) => {
                 // Nothing published and the store is read-only: the
@@ -756,8 +759,9 @@ impl Engine {
         let result = self.metrics.time_stage(UpdateStage::Maintain, || {
             writer
                 .maintainer
-                .maintain_view(txn.dataset(), rows, &mut entry)
+                .maintain(txn.dataset(), rows, std::slice::from_mut(&mut entry))
         });
+        let result = result.map(|outcome| self.absorb(&mut writer, outcome));
         // The backlog is consumed either way (see PendingLog::consume's
         // poisoned-backlog rationale). The cursor moves in the same
         // serving-lock hold as the swap, so no reader can route to the
@@ -780,11 +784,7 @@ impl Engine {
                 format!("view {:#x} repair failed: {e}", view.0),
             );
         }
-        let cost = result?;
-        let us = cost.wall_us;
-        writer.log.per_view.push(cost);
-        writer.log.total_us += us;
-        Ok(Some((snapshot, us)))
+        Ok(Some((snapshot, result?)))
     }
 
     /// Replace the materialized set with `target`, transactionally.
@@ -943,6 +943,7 @@ mod tests {
     use crate::validate::results_equivalent;
     use sofos_cost::CostModelKind;
     use sofos_cube::AggOp;
+    use sofos_maintain::MaintenanceStrategy;
     use sofos_rdf::Term;
     use sofos_workload::{synthetic, GeneratedQuery};
 
@@ -1048,6 +1049,65 @@ mod tests {
         assert_answers_match_base(&engine, &workload);
         // Repairs published new epochs beyond the two update batches.
         assert!(engine.epoch() > 2);
+    }
+
+    #[test]
+    fn lazy_repairs_reach_the_pipeline_telemetry() {
+        // A FILTER makes the facet a non-star: an update demands a full
+        // refresh, which the next hit on the view runs as a repair.
+        let g = synthetic::generate(&synthetic::Config {
+            observations: 120,
+            agg: AggOp::Avg,
+            ..synthetic::Config::default()
+        });
+        let mut facet = g.facets[0].clone();
+        facet
+            .pattern
+            .elements
+            .push(sofos_sparql::PatternElement::Filter(
+                sofos_sparql::Expr::int(1),
+            ));
+        let mut ds = g.dataset;
+        let views = materialize_views(&mut ds, &facet, &[ViewMask::APEX]).unwrap();
+        let engine = Engine::builder()
+            .dataset(ds)
+            .facet(facet.clone())
+            .catalog(vec![(ViewMask::APEX, views[0].stats.rows)])
+            .staleness(StalenessPolicy::LazyOnHit)
+            .build()
+            .unwrap();
+        engine.update(session_delta(0)).unwrap();
+        assert_eq!(engine.stale_views(), 1);
+
+        let counters = || {
+            let snapshot = engine.metrics().snapshot();
+            ["serial", "parallel_work"].map(|part| {
+                let name = format!("sofos_pipeline_{part}_us_total");
+                let value = snapshot.counter_value(&name, &[("backend", "epoch")]);
+                value.expect("registered at build")
+            })
+        };
+        let before = (engine.pipeline_telemetry().unwrap(), counters());
+        let query = sofos_cube::facet_query(&facet, ViewMask::APEX, facet.agg, Vec::new());
+        let answer = engine.query(&query).unwrap();
+        assert_eq!(answer.route, Route::View(ViewMask::APEX));
+        assert_eq!(engine.stale_views(), 0, "the hit repaired the view");
+        let after = (engine.pipeline_telemetry().unwrap(), counters());
+
+        let repair = engine.maintenance();
+        assert_eq!(repair.per_view.len(), 1);
+        assert_eq!(
+            repair.per_view[0].strategy,
+            MaintenanceStrategy::FullRefresh
+        );
+        assert_eq!(answer.maintenance_us, repair.total_us);
+        assert!(after.0.parallel_work_us > before.0.parallel_work_us);
+        assert!(after.1[1] > before.1[1], "{:?} -> {:?}", before.1, after.1);
+        assert_eq!(
+            after.1[0] - before.1[0],
+            after.0.serial_us - before.0.serial_us,
+            "the counters move with the writer's telemetry"
+        );
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! [`sofos_telemetry::Histogram`] the engine's metrics layer records into,
 //! so a bench summary and a metrics-snapshot quantile agree on the same
 //! bucketing (exact below 32 µs, < 1/32 relative error above). Count, sum,
-//! mean, and max stay exact. Note the telemetry `noop` feature disables
-//! histogram recording entirely — benches must not enable it.
+//! mean, and max stay exact.
 
 use sofos_telemetry::Histogram;
 use std::time::Instant;

@@ -3,11 +3,11 @@
 //! The patch logic is *plan-based*: every maintenance decision — group
 //! the delta by the view's mask, locate observation nodes, patch vs.
 //! re-evaluate — runs **read-only** against the dataset and emits the
-//! exact triple writes as a [`ViewPatch`](crate::ViewPatch); a separate
-//! commit applies them. [`Maintainer::maintain`] (in the `pipeline`
-//! module) plans every view and then commits them all;
-//! [`Maintainer::maintain_view`] plans and commits one view, the lazy
-//! per-view repair.
+//! exact triple writes as a patch; a separate commit applies them.
+//! [`Maintainer::maintain`] (in the `pipeline` module) is the one pass:
+//! it plans every view it is handed and then commits them all, whether
+//! the caller hands it the whole catalog (eager writes, bounded flushes)
+//! or one view (a lazy repair).
 
 use crate::pipeline::{NodeRef, ObjectRef, PatchBuilder, PatchOp, ViewPatch};
 use crate::star::StarPattern;
@@ -15,7 +15,7 @@ use crate::{MaintenanceCost, MaintenanceReport, MaintenanceStrategy};
 use sofos_cube::{
     component_alias, component_predicate, view_query, Facet, MaterialComponent, ViewMask,
 };
-use sofos_materialize::{evaluate_view, load_view, view_stats};
+use sofos_materialize::{load_view, view_stats};
 use sofos_rdf::vocab::{rdf, sofos};
 use sofos_rdf::{FxHashMap, Numeric, Term, TermId};
 use sofos_sparql::{CompareOp, Evaluator, Expr, PatternElement, QueryResults, SparqlError};
@@ -210,55 +210,6 @@ impl Maintainer {
         Ok((outcome.changes, maintained.report))
     }
 
-    /// Maintain one view; updates the catalog entry's row count in place.
-    /// The lazy per-view repair: plan the view's patch read-only, apply
-    /// it immediately.
-    pub fn maintain_view(
-        &mut self,
-        dataset: &mut Dataset,
-        rows: Option<&RowDelta>,
-        view: &mut (ViewMask, usize),
-    ) -> Result<MaintenanceCost, SparqlError> {
-        let start = Instant::now();
-        let ids = ViewIds::prepare(dataset, &self.facet, view.0);
-        let patch = self.plan_view(dataset, rows, *view, &ids, self.fresh)?;
-        if patch.cost.strategy == MaintenanceStrategy::Noop {
-            return Ok(patch.cost);
-        }
-        let mut cost = self.commit_patch(dataset, patch, view);
-        cost.wall_us = start.elapsed().as_micros() as u64;
-        Ok(cost)
-    }
-
-    /// Phase 1 of a pass for one view: decide the maintenance
-    /// strategy and plan every triple write — entirely read-only.
-    pub(crate) fn plan_view(
-        &self,
-        dataset: &Dataset,
-        rows: Option<&RowDelta>,
-        view: (ViewMask, usize),
-        ids: &ViewIds,
-        fresh_start: u64,
-    ) -> Result<ViewPatch, SparqlError> {
-        let (mask, catalog_rows) = view;
-        let counted = match rows {
-            None => None,
-            Some(rows) if rows.is_empty() => {
-                return Ok(ViewPatch::noop(mask, ids.graph, fresh_start, catalog_rows));
-            }
-            Some(rows) => self.plan_counting(dataset, rows, ids, catalog_rows, fresh_start)?,
-        };
-        match counted {
-            Some(patch) => Ok(patch),
-            // No delta, or counting declined (non-numeric measure in the
-            // delta, or the view graph is missing): re-evaluate this view.
-            None => {
-                let results = evaluate_view(dataset, &self.facet, mask)?;
-                Ok(self.plan_full_refresh(dataset, ids, catalog_rows, fresh_start, results))
-            }
-        }
-    }
-
     /// Phase 2 for one view: apply a planned patch — pure mechanical
     /// writes — and sync the catalog entry and fresh-label counter.
     pub(crate) fn commit_patch(
@@ -335,39 +286,42 @@ impl Maintainer {
         }
     }
 
-    /// Plan the counting algorithm over one view. Returns `Ok(None)`
-    /// when the delta contains a non-numeric measure or the view graph
-    /// is absent (caller falls back to a refresh plan).
-    fn plan_counting(
+    /// The row delta with every measure parsed, or `None` when counting
+    /// cannot maintain it: the facet is not a star, or a measure is not
+    /// numeric. One decision per pass, shared by every view.
+    pub(crate) fn countable_rows<'a>(
         &self,
         dataset: &Dataset,
-        rows: &RowDelta,
+        rows: &'a RowDelta,
+    ) -> Option<Vec<CountedRow<'a>>> {
+        self.star.as_ref()?;
+        rows.counts()
+            .iter()
+            .map(|((dims, measure), &net)| {
+                let value = dataset.term(*measure).as_literal()?.numeric()?;
+                Some((dims.as_slice(), value, net))
+            })
+            .collect()
+    }
+
+    /// Plan the counting algorithm over one view whose graph exists.
+    pub(crate) fn plan_counting(
+        &self,
+        dataset: &Dataset,
+        rows: &[CountedRow<'_>],
         ids: &ViewIds,
         catalog_rows: usize,
         fresh_start: u64,
-    ) -> Result<Option<ViewPatch>, SparqlError> {
-        if dataset.graph(Some(ids.graph)).is_none() {
-            // Catalog view that was never (or no longer is) materialized:
-            // refresh is the only correct move.
-            return Ok(None);
-        }
-
+    ) -> Result<ViewPatch, SparqlError> {
         // 1. Group the delta rows by the view's dimension mask.
         let mut groups: FxHashMap<Vec<TermId>, GroupDelta> = FxHashMap::default();
-        for ((dims, measure), &net) in rows.counts() {
-            let Some(measure_num) = dataset
-                .term(*measure)
-                .as_literal()
-                .and_then(|l| l.numeric())
-            else {
-                return Ok(None);
-            };
+        for &(dims, measure, net) in rows {
             let key: Vec<TermId> = ids.mask_dims.iter().map(|&d| dims[d]).collect();
             let group = groups.entry(key).or_default();
             group.count += net;
-            group.sum = Numeric::add(group.sum, Numeric::mul(measure_num, Numeric::Integer(net)));
+            group.sum = Numeric::add(group.sum, Numeric::mul(measure, Numeric::Integer(net)));
             if net > 0 {
-                group.asserted.push(measure_num);
+                group.asserted.push(measure);
             } else {
                 group.retracted = true;
             }
@@ -383,7 +337,7 @@ impl Maintainer {
         }
         let new_rows =
             (catalog_rows + builder.cost.rows_inserted).saturating_sub(builder.cost.rows_retracted);
-        Ok(Some(builder.into_patch(ids.graph, new_rows)))
+        Ok(builder.into_patch(ids.graph, new_rows))
     }
 
     /// Plan one group of one view.
@@ -664,6 +618,10 @@ impl Maintainer {
         builder.cost.rows_inserted += 1;
     }
 }
+
+/// One row of a countable delta: its dimension values (in facet
+/// dimension order), its numeric measure and its net multiplicity.
+pub(crate) type CountedRow<'a> = (&'a [TermId], Numeric, i64);
 
 /// Per-group accumulated delta.
 #[derive(Debug, Clone)]

@@ -43,7 +43,7 @@ mod pipeline;
 mod star;
 
 pub use engine::{ApplyOutcome, Maintainer, RowDelta};
-pub use pipeline::{PipelineOutcome, PipelineTelemetry, ViewPatch};
+pub use pipeline::{PipelineOutcome, PipelineTelemetry};
 pub use star::StarPattern;
 
 use sofos_cube::ViewMask;

@@ -1,11 +1,17 @@
 //! The maintenance pass: read-only patch *planning* for every view, then
-//! patch *application*.
+//! patch *application*. [`Maintainer::maintain`] is the only pass: eager
+//! writes and bounded flushes hand it the whole catalog, a lazy repair
+//! hands it one view.
 //!
-//! * **Phase 1 — plan (read-only).** Every catalog view's patch is
-//!   computed against the already-updated base graph: the row delta is
-//!   grouped by the view's mask, observation nodes are located, patch vs.
-//!   re-evaluation is decided, and the exact triple writes are emitted as
-//!   a [`ViewPatch`] — without touching any view graph.
+//! * **Phase 1 — plan (read-only).** The pass first decides, once,
+//!   whether the row delta admits counting (a star facet, every measure
+//!   numeric). Views counting cannot patch are evaluated with **one**
+//!   `evaluate_views` call and planned as a full refresh; every other
+//!   view's patch is computed against the already-updated base graph:
+//!   the row delta is grouped by the view's mask, observation nodes are
+//!   located, patch vs. re-evaluation is decided, and the exact triple
+//!   writes are emitted as a `ViewPatch` — without touching any view
+//!   graph.
 //! * **Phase 2 — apply (cheap).** Patches are applied in catalog order:
 //!   pure mechanical triple writes — no query evaluation, no group
 //!   lookups. Callers batching several deltas apply them all inside one
@@ -73,7 +79,7 @@ pub(crate) enum PatchOp {
 
 /// One view's fully-planned maintenance: the exact writes phase 2 will
 /// apply, plus the cost accounting phase 1 already knows.
-pub struct ViewPatch {
+pub(crate) struct ViewPatch {
     pub(crate) view: ViewMask,
     pub(crate) graph: TermId,
     /// Blank labels minted by planning; interned on apply.
@@ -99,16 +105,6 @@ impl ViewPatch {
             rows,
             fresh_end,
         }
-    }
-
-    /// The planned view.
-    pub fn view(&self) -> ViewMask {
-        self.view
-    }
-
-    /// The planned cost (apply time not yet included).
-    pub fn cost(&self) -> &MaintenanceCost {
-        &self.cost
     }
 }
 
@@ -193,11 +189,16 @@ pub struct PipelineOutcome {
 }
 
 impl Maintainer {
-    /// Maintain every catalog view against a row delta, updating each
-    /// catalog entry's row count in place. `rows = None` forces full
-    /// refresh (non-star facets, or a caller that lost the delta), which
-    /// evaluates every view with one `evaluate_views` call and so writes
-    /// what `materialize_views` would write.
+    /// Maintain `views` against a row delta, updating each catalog
+    /// entry's row count in place. `rows = None` forces a full refresh
+    /// (non-star facets, or a caller that lost the delta).
+    ///
+    /// Whether the delta admits counting is decided once per pass. When
+    /// it does not, every view is refreshed; when it does, only the views
+    /// whose graph is missing are, and none if the delta is empty. The
+    /// refreshed views are evaluated with one `evaluate_views` call, so a
+    /// refresh writes what `materialize_views` would write. Counting
+    /// plans every other view.
     ///
     /// Plans every view's patch read-only, then applies the patches in
     /// catalog order. A planning error surfaces before any write: on
@@ -218,30 +219,46 @@ impl Maintainer {
             .collect();
         let mut serial_us = pass_start.elapsed().as_micros() as u64;
 
-        // Phase 1: plan every patch against the unchanged dataset. A full
-        // refresh evaluates the whole catalog at once, as
-        // `materialize_views` does, and each view's wall carries an equal
+        // Phase 1: plan every patch against the unchanged dataset.
+        // Whether counting applies is decided once for the pass. A view
+        // it cannot patch — every view when it does not apply, else one
+        // whose graph is missing — is refreshed; an empty delta writes
+        // nothing. The refreshed views are evaluated at once, as
+        // `materialize_views` does, and each one's wall carries an equal
         // share of that evaluation.
+        let counted = rows.and_then(|rows| self.countable_rows(dataset, rows));
+        let refresh = |ids: &ViewIds| match &counted {
+            None => true,
+            Some(rows) => !rows.is_empty() && dataset.graph(Some(ids.graph)).is_none(),
+        };
+        let start = Instant::now();
+        let masks: Vec<ViewMask> = ids
+            .iter()
+            .filter(|ids| refresh(ids))
+            .map(|ids| ids.mask)
+            .collect();
+        let mut refreshed = evaluate_views(dataset, self.facet(), &masks)?.into_iter();
+        let shared_us = start.elapsed().as_micros() as u64;
+        let n = masks.len() as u64;
         let fresh_start = self.fresh_counter();
-        let mut refreshed = Vec::new();
-        let mut shared_us = 0;
-        if rows.is_none() {
-            let start = Instant::now();
-            let masks: Vec<ViewMask> = views.iter().map(|&(mask, _)| mask).collect();
-            refreshed = evaluate_views(dataset, self.facet(), &masks)?;
-            shared_us = start.elapsed().as_micros() as u64;
-        }
-        let mut refreshed = refreshed.into_iter();
-        let n = views.len() as u64;
         let mut parallel_work_us = 0;
         let mut patches = Vec::with_capacity(views.len());
-        for (i, (&view, ids)) in views.iter().zip(&ids).enumerate() {
+        for (&(mask, catalog_rows), ids) in views.iter().zip(&ids) {
             let start = Instant::now();
-            let mut patch = match refreshed.next() {
-                Some(results) => self.plan_full_refresh(dataset, ids, view.1, fresh_start, results),
-                None => self.plan_view(dataset, rows, view, ids, fresh_start)?,
+            let mut share = 0;
+            let mut patch = if refresh(ids) {
+                let k = n - refreshed.len() as u64;
+                share = shared_us / n + u64::from(k < shared_us % n);
+                let results = refreshed.next().expect("one evaluation per refreshed view");
+                self.plan_full_refresh(dataset, ids, catalog_rows, fresh_start, results)
+            } else {
+                match counted.as_deref() {
+                    Some(rows) if !rows.is_empty() => {
+                        self.plan_counting(dataset, rows, ids, catalog_rows, fresh_start)?
+                    }
+                    _ => ViewPatch::noop(mask, ids.graph, fresh_start, catalog_rows),
+                }
             };
-            let share = shared_us / n + u64::from((i as u64) < shared_us % n);
             patch.cost.wall_us = start.elapsed().as_micros() as u64 + share;
             parallel_work_us += patch.cost.wall_us;
             patches.push(patch);

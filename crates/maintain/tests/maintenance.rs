@@ -358,68 +358,84 @@ fn non_star_facets_fall_back_to_full_refresh() {
 /// coarser views up, writes different literals.
 #[test]
 fn full_refresh_writes_what_materialize_views_writes() {
-    // Enough groups that label order ("…_10" < "…_2") differs from row
-    // order.
-    let facet = facet(3, AggOp::Avg);
-    let masks = [ViewMask(0b111), ViewMask::APEX, ViewMask(0b001)];
-    let mut ds = Dataset::new();
-    let mut seed = Delta::new();
-    for i in 0..40u8 {
-        obs_delta(
-            &mut seed,
-            &format!("o{i}"),
-            &[i % 13, i % 3, i % 5],
-            i64::from(i),
+    // Two ways into a full refresh: `rows = None`, and a star-facet
+    // delta with a plain-string measure, which counting cannot patch.
+    for string_measure in [false, true] {
+        // Enough groups that label order ("…_10" < "…_2") differs from
+        // row order.
+        let facet = facet(3, AggOp::Avg);
+        let masks = [ViewMask(0b111), ViewMask::APEX, ViewMask(0b001)];
+        let mut ds = Dataset::new();
+        let mut seed = Delta::new();
+        for i in 0..40u8 {
+            obs_delta(
+                &mut seed,
+                &format!("o{i}"),
+                &[i % 13, i % 3, i % 5],
+                i64::from(i),
+            );
+        }
+        // 1e16 + 1.0 rounds back to 1e16, so the finest group (20, 0, 0)
+        // loses the 1.0 while a direct sum that meets -1e16 between them
+        // keeps it: the APEX view and the `d0 = 20` group of the 0b001
+        // view.
+        for (label, dims, measure) in [
+            ("x0", [20, 0, 0], 1e16),
+            ("x1", [20, 1, 0], -1e16),
+            ("x2", [20, 0, 0], 1.0),
+        ] {
+            let measure = Term::Literal(Literal::double(measure));
+            obs_delta_term(&mut seed, label, &dims, measure);
+        }
+        ds.apply(seed);
+        let views = materialize_views(&mut ds, &facet, &masks).unwrap();
+        let mut catalog: Vec<(ViewMask, usize)> = masks
+            .iter()
+            .zip(&views)
+            .map(|(&mask, view)| (mask, view.stats.rows))
+            .collect();
+        // A counting pass first, so the refresh below interns only what
+        // it writes.
+        let mut maintainer = Maintainer::new(&facet);
+        let mut delta = Delta::new();
+        obs_delta(&mut delta, "n0", &[13, 0, 0], 7);
+        maintainer
+            .apply_and_maintain(&mut ds, delta, &mut catalog)
+            .unwrap();
+        let mut delta = Delta::new();
+        obs_delete(&mut delta, "o5", &[5, 2, 0], 5);
+        obs_delta(&mut delta, "n1", &[2, 1, 4], 11);
+        if string_measure {
+            obs_delta_term(&mut delta, "s0", &[3, 0, 1], Term::literal_str("n/a"));
+        }
+        let applied = maintainer.apply(&mut ds, delta);
+        assert!(applied.rows.is_some(), "a star facet reports its rows");
+        let rows = applied.rows.filter(|_| string_measure);
+
+        let mut reference = ds.clone();
+        let rematerialized = materialize_views(&mut reference, &facet, &masks).unwrap();
+        let report = maintainer
+            .maintain(&mut ds, rows.as_ref(), &mut catalog)
+            .unwrap()
+            .report;
+        for cost in &report.per_view {
+            assert_eq!(cost.strategy, MaintenanceStrategy::FullRefresh);
+        }
+
+        let input = format!("string measure: {string_measure}");
+        assert!(ds.dict().iter().eq(reference.dict().iter()), "{input}");
+        assert_eq!(ds.graph_names(), reference.graph_names(), "{input}");
+        for name in reference.graph_names() {
+            let (got, want) = (ds.graph(Some(name)), reference.graph(Some(name)));
+            assert!(got.unwrap().iter().eq(want.unwrap().iter()), "{input}");
+        }
+        assert_eq!(ds.estimated_bytes(), reference.estimated_bytes());
+        let rows: Vec<usize> = rematerialized.iter().map(|v| v.stats.rows).collect();
+        assert_eq!(
+            catalog.iter().map(|&(_, rows)| rows).collect::<Vec<_>>(),
+            rows
         );
     }
-    // 1e16 + 1.0 rounds back to 1e16, so the finest group (20, 0, 0) loses
-    // the 1.0 while a direct sum that meets -1e16 between them keeps it.
-    for (label, d0, measure) in [("x0", 20, 1e16), ("x1", 21, -1e16), ("x2", 20, 1.0)] {
-        let measure = Term::Literal(Literal::double(measure));
-        obs_delta_term(&mut seed, label, &[d0, 0, 0], measure);
-    }
-    ds.apply(seed);
-    let views = materialize_views(&mut ds, &facet, &masks).unwrap();
-    let mut catalog: Vec<(ViewMask, usize)> = masks
-        .iter()
-        .zip(&views)
-        .map(|(&mask, view)| (mask, view.stats.rows))
-        .collect();
-    // A counting pass first, so the refresh below interns only what it
-    // writes.
-    let mut maintainer = Maintainer::new(&facet);
-    let mut delta = Delta::new();
-    obs_delta(&mut delta, "n0", &[13, 0, 0], 7);
-    maintainer
-        .apply_and_maintain(&mut ds, delta, &mut catalog)
-        .unwrap();
-    let mut delta = Delta::new();
-    obs_delete(&mut delta, "o5", &[5, 2, 0], 5);
-    obs_delta(&mut delta, "n1", &[2, 1, 4], 11);
-    maintainer.apply(&mut ds, delta);
-
-    let mut reference = ds.clone();
-    let rematerialized = materialize_views(&mut reference, &facet, &masks).unwrap();
-    let report = maintainer
-        .maintain(&mut ds, None, &mut catalog)
-        .unwrap()
-        .report;
-    for cost in &report.per_view {
-        assert_eq!(cost.strategy, MaintenanceStrategy::FullRefresh);
-    }
-
-    assert!(ds.dict().iter().eq(reference.dict().iter()));
-    assert_eq!(ds.graph_names(), reference.graph_names());
-    for name in reference.graph_names() {
-        let (got, want) = (ds.graph(Some(name)), reference.graph(Some(name)));
-        assert!(got.unwrap().iter().eq(want.unwrap().iter()));
-    }
-    assert_eq!(ds.estimated_bytes(), reference.estimated_bytes());
-    let rows: Vec<usize> = rematerialized.iter().map(|v| v.stats.rows).collect();
-    assert_eq!(
-        catalog.iter().map(|&(_, rows)| rows).collect::<Vec<_>>(),
-        rows
-    );
 }
 
 #[test]

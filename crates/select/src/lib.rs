@@ -592,55 +592,17 @@ pub fn user_select(
     })
 }
 
+/// The cube fixture, shared with the integration tests.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod fixture;
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sofos_cost::{size_lattice, AggValuesCost, TriplesCost, UserDefinedCost};
-    use sofos_cube::{AggOp, Dimension, Facet};
-    use sofos_rdf::{FxHashMap, Term};
-    use sofos_sparql::{GroupPattern, PatternTerm, TriplePattern};
-    use sofos_store::{Dataset, GraphStats};
-
-    fn setup(dims: usize, rows: usize) -> (Dataset, Facet) {
-        let mut ds = Dataset::new();
-        let m = Term::iri("http://e/m");
-        for i in 0..rows {
-            let obs = Term::blank(format!("o{i}"));
-            for d in 0..dims {
-                ds.insert(
-                    None,
-                    &obs,
-                    &Term::iri(format!("http://e/p{d}")),
-                    &Term::iri(format!("http://e/D{d}_{}", i % (d + 2))),
-                );
-            }
-            ds.insert(None, &obs, &m, &Term::literal_int(i as i64));
-        }
-        let mut triples = Vec::new();
-        let mut dimensions = Vec::new();
-        for d in 0..dims {
-            triples.push(TriplePattern::new(
-                PatternTerm::var("o"),
-                PatternTerm::iri(format!("http://e/p{d}")),
-                PatternTerm::var(format!("d{d}")),
-            ));
-            dimensions.push(Dimension::new(format!("d{d}")));
-        }
-        triples.push(TriplePattern::new(
-            PatternTerm::var("o"),
-            PatternTerm::iri("http://e/m"),
-            PatternTerm::var("u"),
-        ));
-        let facet = Facet::new(
-            "t",
-            dimensions,
-            GroupPattern::triples(triples),
-            "u",
-            AggOp::Sum,
-        )
-        .unwrap();
-        (ds, facet)
-    }
+    use crate::fixture::with_ctx;
+    use sofos_cost::{AggValuesCost, TriplesCost, UserDefinedCost};
+    use sofos_rdf::FxHashMap;
 
     /// The query-only objectives most tests select under.
     fn triples() -> Objective<'static> {
@@ -649,19 +611,6 @@ mod tests {
 
     fn agg_values() -> Objective<'static> {
         Objective::query_only(&AggValuesCost)
-    }
-
-    fn with_ctx<R>(dims: usize, rows: usize, f: impl FnOnce(&CostContext<'_>, &Lattice) -> R) -> R {
-        let (ds, facet) = setup(dims, rows);
-        let lattice = Lattice::new(facet.clone());
-        let sized = size_lattice(&ds, &lattice).unwrap();
-        let base = GraphStats::compute(ds.default_graph());
-        let ctx = CostContext {
-            facet: &facet,
-            view_stats: &sized,
-            base: &base,
-        };
-        f(&ctx, &lattice)
     }
 
     #[test]

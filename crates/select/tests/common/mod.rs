@@ -1,5 +1,6 @@
-//! The cube fixture the selector property tests share: `dims` dimensions
-//! over `rows` observations, sized into a cost context.
+//! The cube fixture the selector tests share: `dims` dimensions over
+//! `rows` observations, sized into a cost context. The unit tests in
+//! `src/lib.rs` include this file as their `fixture` module.
 
 use sofos_cost::{size_lattice, CostContext};
 use sofos_cube::{AggOp, Dimension, Facet, Lattice};

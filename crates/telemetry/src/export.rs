@@ -375,7 +375,7 @@ fn labels_prom(labels: &[(String, String)], extra: &[(&str, &str)]) -> String {
     out
 }
 
-#[cfg(all(test, not(feature = "noop")))]
+#[cfg(test)]
 mod tests {
     use crate::{EventKind, MetricsHandle};
 

@@ -74,15 +74,10 @@ impl Histogram {
     /// Record one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        #[cfg(not(feature = "noop"))]
-        {
-            self.buckets[Self::index(v)].fetch_add(1, Relaxed);
-            self.count.fetch_add(1, Relaxed);
-            self.sum.fetch_add(v, Relaxed);
-            self.max.fetch_max(v, Relaxed);
-        }
-        #[cfg(feature = "noop")]
-        let _ = v;
+        self.buckets[Self::index(v)].fetch_add(1, Relaxed);
+        self.count.fetch_add(1, Relaxed);
+        self.sum.fetch_add(v, Relaxed);
+        self.max.fetch_max(v, Relaxed);
     }
 
     /// Samples recorded so far.
@@ -225,7 +220,7 @@ impl HistogramSnapshot {
     }
 }
 
-#[cfg(all(test, not(feature = "noop")))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

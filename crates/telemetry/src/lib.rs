@@ -29,10 +29,6 @@
 //! The intended front door is [`MetricsHandle`]: one cloneable handle
 //! owning the registry and the event ring, shared between the engine,
 //! its backends, and whoever wants to read the numbers.
-//!
-//! Compiling with the `noop` feature turns every recording operation
-//! into an empty inline function, for measuring the instrumentation's
-//! own overhead.
 
 mod events;
 mod export;
@@ -70,10 +66,7 @@ impl Counter {
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(not(feature = "noop"))]
         self.value.fetch_add(n, Relaxed);
-        #[cfg(feature = "noop")]
-        let _ = n;
     }
 
     /// Current value.
@@ -97,10 +90,7 @@ impl Gauge {
     /// Overwrite the value.
     #[inline]
     pub fn set(&self, v: u64) {
-        #[cfg(not(feature = "noop"))]
         self.value.store(v, Relaxed);
-        #[cfg(feature = "noop")]
-        let _ = v;
     }
 
     /// Current value.
@@ -113,8 +103,7 @@ impl Gauge {
 ///
 /// Cloning is cheap (one `Arc`); every clone sees the same metrics. A
 /// handle built with [`MetricsHandle::disabled`] tells instrumented
-/// call sites (via [`MetricsHandle::is_enabled`]) to skip recording —
-/// the runtime analogue of the compile-time `noop` feature.
+/// call sites (via [`MetricsHandle::is_enabled`]) to skip recording.
 #[derive(Debug, Clone)]
 pub struct MetricsHandle {
     inner: Arc<HandleInner>,
@@ -168,7 +157,7 @@ impl MetricsHandle {
     /// Whether instrumented call sites should record.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.inner.enabled && cfg!(not(feature = "noop"))
+        self.inner.enabled
     }
 
     /// Serve latencies above this (µs) get a [`EventKind::SlowQuery`]
@@ -228,7 +217,7 @@ impl Default for MetricsHandle {
     }
 }
 
-#[cfg(all(test, not(feature = "noop")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

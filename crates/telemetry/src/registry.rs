@@ -135,7 +135,7 @@ impl Registry {
     }
 }
 
-#[cfg(all(test, not(feature = "noop")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
