@@ -129,7 +129,9 @@ fn main() {
     assert_eq!(
         calibration_latencies.len(),
         calibration_requests,
-        "calibration requests must all be admitted"
+        "calibration requests must all be admitted ({} rejected, {} transport errors)",
+        calibration.rejected(),
+        calibration.transport_errors()
     );
     let service_us = TimeSummary::from_samples(&calibration_latencies).mean_us;
     let capacity_rps = effective_parallelism as f64 * 1e6 / service_us.max(1.0);
@@ -252,6 +254,18 @@ fn main() {
         "server: served={} rejected_at_door={} bad_requests={}",
         stats.served, stats.rejected_connections, stats.bad_requests
     );
+    if !(has_rejects && within_bound) {
+        // `finish` panics on the failed gate after printing the table to
+        // stdout; these numbers go to stderr with it, so a failing run
+        // can be diagnosed from whichever stream was kept.
+        eprintln!(
+            "e11 gate failed (rejections gate {}, p99 gate {}): unsaturated p99 {unsat_p99}us, \
+             overload p99 {overload_p99}us, ratio {p99_ratio:.2}x against {threshold}x, \
+             {overload_rejects} overload rejections, calibrated service {service_us:.0}us",
+            if has_rejects { "ok" } else { "FAILED" },
+            if within_bound { "ok" } else { "FAILED" },
+        );
+    }
     report.finish(
         "Reading: the in-flight cap turns overload into fast 503s instead of an\n\
          unbounded queue, so the p99 of requests that ARE admitted barely moves\n\

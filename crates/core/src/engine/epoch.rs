@@ -10,8 +10,9 @@
 //!   becomes visible atomically at publish. An eager write and a bounded
 //!   flush run the same function for this (`publish_maintained`: apply,
 //!   one maintenance pass over the merged row delta, one epoch); a lazy
-//!   repair runs the same pass over the one view it repairs. Every pass
-//!   lands in the maintenance log and the pipeline telemetry;
+//!   repair runs the same pass over the one view it repairs. A pass
+//!   lands in the maintenance log and the pipeline telemetry once
+//!   `Engine::commit` has logged its epoch, never before;
 //! * the **staleness policies** are the [`crate::policy`] state machines
 //!   expressed over epochs. *Eager* maintains inside the update
 //!   transaction. *Lazy* publishes the base change immediately and
@@ -169,18 +170,19 @@ fn rebuild_catalog(
 }
 
 impl Engine {
-    /// [`Maintainer::apply`] one delta to the writer's master, counting
-    /// its wall time as serial pipeline work in the writer's telemetry
-    /// and the metric instruments.
-    fn apply(&self, writer: &mut WriterSide, dataset: &mut Dataset, delta: Delta) -> ApplyOutcome {
+    /// [`Maintainer::apply`] one delta to the writer's master, adding
+    /// its wall time to `pass` as serial pipeline work (folded by
+    /// [`Engine::absorb`] once the epoch is logged).
+    fn apply(
+        &self,
+        writer: &mut WriterSide,
+        dataset: &mut Dataset,
+        delta: Delta,
+        pass: &mut PipelineOutcome,
+    ) -> ApplyOutcome {
         let (serial_us, outcome) = measure_once(|| writer.maintainer.apply(dataset, delta));
         self.metrics.record_stage(UpdateStage::Apply, serial_us);
-        let split = PipelineTelemetry {
-            serial_us,
-            ..PipelineTelemetry::default()
-        };
-        writer.telemetry.merge(&split);
-        self.metrics.record_pipeline(&split);
+        pass.telemetry.serial_us += serial_us;
         outcome
     }
 
@@ -381,7 +383,8 @@ impl Engine {
                 }
             }
             StalenessPolicy::LazyOnHit => {
-                let applied = self.apply(&mut writer, txn.dataset(), delta);
+                let mut pass = PipelineOutcome::default();
+                let applied = self.apply(&mut writer, txn.dataset(), delta, &mut pass);
                 txn.touch_changes(&applied.changes);
                 self.commit(txn, None, |state, epoch| match applied.rows {
                     Some(rows) if rows.is_empty() => {}
@@ -396,7 +399,9 @@ impl Engine {
                         state.pending.demand_refresh_all(&state.views, epoch);
                         self.metrics.record_pending(state.pending.len(), 0);
                     }
-                })
+                })?;
+                self.absorb(&mut writer, pass);
+                Ok(())
             }
         }
     }
@@ -469,9 +474,10 @@ impl Engine {
         // N deltas collapse into one group-patching pass (intra-batch
         // churn cancels for free). A facet's deltas all carry a row delta
         // or none does, so the first one's is taken as it is.
+        let mut pass = PipelineOutcome::default();
         let mut rows: Option<RowDelta> = None;
         for delta in deltas {
-            let applied = self.apply(writer, txn.dataset(), delta);
+            let applied = self.apply(writer, txn.dataset(), delta, &mut pass);
             txn.touch_changes(&applied.changes);
             rows = match (rows, applied.rows) {
                 (Some(mut merged), Some(next)) => {
@@ -491,25 +497,29 @@ impl Engine {
                 .maintain(txn.dataset(), rows.as_ref(), &mut views)
         });
         let maintained = result.map(|outcome| {
-            self.absorb(writer, outcome);
+            pass.telemetry.merge(&outcome.telemetry);
+            pass.report = outcome.report;
         });
         let catalog = self.durable_catalog(&views);
-        self.commit(txn, catalog, |state, epoch| {
+        let (epoch, installed) = self.commit(txn, catalog, |state, epoch| {
             state.views = views;
             if maintained.is_err() {
                 state.pending.demand_refresh_all(&state.views, epoch);
             }
-            (epoch, install(state), maintained)
-        })
+            (epoch, install(state))
+        })?;
+        self.absorb(writer, pass);
+        Ok((epoch, installed, maintained))
     }
 
-    /// Fold one maintenance pass into the writer's log and telemetry and
-    /// the metric instruments.
-    fn absorb(&self, writer: &mut WriterSide, outcome: PipelineOutcome) -> u64 {
-        let us = outcome.report.total_us;
-        writer.telemetry.merge(&outcome.telemetry);
-        self.metrics.record_pipeline(&outcome.telemetry);
-        writer.log.absorb(outcome.report);
+    /// Fold one published pass into the writer's log and telemetry and
+    /// the metric instruments. Runs only after `commit` logged the
+    /// epoch: a pass whose append failed was thrown away with it.
+    fn absorb(&self, writer: &mut WriterSide, pass: PipelineOutcome) -> u64 {
+        let us = pass.report.total_us;
+        writer.telemetry.merge(&pass.telemetry);
+        self.metrics.record_pipeline(&pass.telemetry);
+        writer.log.absorb(pass.report);
         us
     }
 
@@ -761,7 +771,6 @@ impl Engine {
                 .maintainer
                 .maintain(txn.dataset(), rows, std::slice::from_mut(&mut entry))
         });
-        let result = result.map(|outcome| self.absorb(&mut writer, outcome));
         // The backlog is consumed either way (see PendingLog::consume's
         // poisoned-backlog rationale). The cursor moves in the same
         // serving-lock hold as the swap, so no reader can route to the
@@ -778,6 +787,7 @@ impl Engine {
             self.metrics.record_pending(state.pending.len(), 0);
             self.store.pin()
         })?;
+        let result = result.map(|outcome| self.absorb(&mut writer, outcome));
         if let Err(e) = &result {
             self.metrics.record_maintenance_error(
                 self.clock.now_ms(),

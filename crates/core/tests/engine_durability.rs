@@ -7,6 +7,7 @@ use sofos_core::{results_equivalent, run_offline, SizedLattice};
 use sofos_core::{DurabilityConfig, Engine, EngineConfig, RecoveryReport, StalenessPolicy};
 use sofos_cost::CostModelKind;
 use sofos_cube::{AggOp, Facet, ViewMask};
+use sofos_maintain::PipelineTelemetry;
 use sofos_rdf::Term;
 use sofos_select::WorkloadProfile;
 use sofos_sparql::{Evaluator, QueryResults, SparqlError};
@@ -331,6 +332,81 @@ fn read_only_engine_keeps_serving_under_deferred_policies() {
         assert_eq!(engine.buffered_updates(), 0, "{policy}: meter drained");
         answers(&engine, &queries);
         assert_eq!(engine.epoch(), epoch);
+        drop(engine);
+        fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// What a maintenance pass leaves behind once its epoch is logged: the
+/// maintenance log (total µs, per-view entries), the writer's pipeline
+/// telemetry and the `sofos_pipeline_*_us_total` counters.
+fn maintenance_record(engine: &Engine) -> (u64, usize, PipelineTelemetry, [u64; 2]) {
+    let log = engine.maintenance();
+    let snapshot = engine.metrics().snapshot();
+    let counters = ["serial", "parallel_work"].map(|part| {
+        let name = format!("sofos_pipeline_{part}_us_total");
+        let value = snapshot.counter_value(&name, &[("backend", "epoch")]);
+        value.expect("registered at build")
+    });
+    let telemetry = engine
+        .pipeline_telemetry()
+        .expect("the epoch engine reports it");
+    (log.total_us, log.per_view.len(), telemetry, counters)
+}
+
+#[test]
+fn a_pass_whose_append_fails_is_not_recorded() {
+    let queries = workload();
+    let cases = [
+        ("eager update", StalenessPolicy::Eager),
+        ("bounded flush", StalenessPolicy::bounded(2, 8)),
+        ("lazy repair", StalenessPolicy::LazyOnHit),
+    ];
+    for (case, policy) in cases {
+        let dir = scratch_dir("fail-record");
+        let engine = durable_builder(&dir)
+            .staleness(policy)
+            .build()
+            .expect("durable engine builds");
+        // One published pass first, so the record has moved once.
+        engine.update(star_delta(0)).expect("first update");
+        engine.update(star_delta(1)).expect("second update");
+        if policy == StalenessPolicy::LazyOnHit {
+            answers(&engine, &queries);
+            engine.update(star_delta(2)).expect("third update");
+            assert!(engine.stale_views() > 0, "{case}: a repair is due");
+        }
+        let published = engine.maintenance().per_view.len();
+        assert!(published > 0, "{case}: the first pass is logged");
+        let before = maintenance_record(&engine);
+        let epoch = engine.epoch();
+
+        engine.fail_next_log_append();
+        match policy {
+            StalenessPolicy::Eager => {
+                let err = engine.update(star_delta(3)).expect_err("unlogged");
+                assert!(matches!(err, SparqlError::Storage(_)), "{err:?}");
+            }
+            StalenessPolicy::Bounded { .. } => {
+                engine.update(star_delta(3)).expect("buffered, no flush");
+                let err = engine.update(star_delta(4)).expect_err("the flush fails");
+                assert!(matches!(err, SparqlError::Storage(_)), "{err:?}");
+            }
+            _ => {
+                // The first hit on a stale view repairs it, fails to log
+                // and falls back to the base graph: the store is
+                // read-only after the reads, so a repair consumed the
+                // injected failure.
+                answers(&engine, &queries);
+                let refusal = engine.update(star_delta(3)).expect_err("read-only");
+                assert!(
+                    matches!(&refusal, SparqlError::Storage(why) if why.contains("read-only")),
+                    "{case}: {refusal:?}"
+                );
+            }
+        }
+        assert_eq!(engine.epoch(), epoch, "{case}: nothing published");
+        assert_eq!(maintenance_record(&engine), before, "{case}");
         drop(engine);
         fs::remove_dir_all(&dir).ok();
     }

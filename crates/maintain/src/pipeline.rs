@@ -181,6 +181,7 @@ impl PipelineTelemetry {
 }
 
 /// Result of one [`Maintainer::maintain`] pass.
+#[derive(Default)]
 pub struct PipelineOutcome {
     /// Per-view costs, in catalog order.
     pub report: MaintenanceReport,

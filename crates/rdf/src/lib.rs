@@ -40,7 +40,7 @@ pub use dictionary::{Dictionary, TermId};
 pub use error::RdfError;
 pub use hash::{FxHashMap, FxHashSet};
 pub use literal::{Literal, LiteralKind, Numeric};
-pub use ntriples::{parse_ntriples, write_ntriples};
+pub use ntriples::{parse_ntriples, write_ntriples, write_term};
 pub use term::{BlankNode, Iri, Term};
 pub use triple::{Graph, Triple};
 pub use turtle::{parse_turtle, write_turtle};

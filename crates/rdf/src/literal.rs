@@ -205,23 +205,7 @@ impl Literal {
 impl fmt::Display for Literal {
     /// N-Triples-compatible rendering with escaping.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "\"")?;
-        for c in self.lexical.chars() {
-            match c {
-                '"' => write!(f, "\\\"")?,
-                '\\' => write!(f, "\\\\")?,
-                '\n' => write!(f, "\\n")?,
-                '\r' => write!(f, "\\r")?,
-                '\t' => write!(f, "\\t")?,
-                c => write!(f, "{c}")?,
-            }
-        }
-        write!(f, "\"")?;
-        match &self.kind {
-            LiteralKind::Plain => Ok(()),
-            LiteralKind::Lang(tag) => write!(f, "@{tag}"),
-            LiteralKind::Typed(dt) => write!(f, "^^{dt}"),
-        }
+        crate::ntriples::write_literal(self, f)
     }
 }
 

@@ -4,13 +4,14 @@
 //! Supported per the W3C N-Triples grammar: IRIs in angle brackets, `_:`
 //! blank nodes, literals with `\"` escapes, language tags and `^^` datatypes,
 //! `#` comment lines, and blank lines. Unicode escapes `\uXXXX`/`\UXXXXXXXX`
-//! are decoded.
+//! are decoded. [`write_term`] is the one term writer: every term's and
+//! triple's `Display` and [`write_ntriples`] go through it.
 
 use crate::error::RdfError;
-use crate::literal::Literal;
+use crate::literal::{Literal, LiteralKind};
 use crate::term::{BlankNode, Iri, Term};
 use crate::triple::{Graph, Triple};
-use std::fmt::Write as _;
+use std::fmt;
 
 /// Parse an N-Triples document into a [`Graph`].
 pub fn parse_ntriples(input: &str) -> Result<Graph, RdfError> {
@@ -30,10 +31,74 @@ pub fn parse_ntriples(input: &str) -> Result<Graph, RdfError> {
 pub fn write_ntriples(graph: &Graph) -> String {
     let mut out = String::new();
     for triple in graph.iter() {
-        // Triple's Display is already N-Triples-compatible.
-        let _ = writeln!(out, "{triple}");
+        let _ = write_triple(triple, &mut out);
+        out.push('\n');
     }
     out
+}
+
+/// Append `term`'s N-Triples form to `out`: `<iri>`, `_:label`, or a
+/// quoted literal with its `@lang` or `^^<datatype>`. A literal's
+/// lexical form is copied in runs between the characters it escapes
+/// (`"`, `\`, `\n`, `\r`, `\t`), not one character at a time. Writing
+/// to a `String` never fails.
+pub fn write_term<W: fmt::Write + ?Sized>(term: &Term, out: &mut W) -> fmt::Result {
+    match term {
+        Term::Iri(iri) => write_iri(iri, out),
+        Term::Blank(b) => {
+            out.write_str("_:")?;
+            out.write_str(b.as_str())
+        }
+        Term::Literal(lit) => write_literal(lit, out),
+    }
+}
+
+pub(crate) fn write_iri<W: fmt::Write + ?Sized>(iri: &Iri, out: &mut W) -> fmt::Result {
+    out.write_char('<')?;
+    out.write_str(iri.as_str())?;
+    out.write_char('>')
+}
+
+pub(crate) fn write_literal<W: fmt::Write + ?Sized>(lit: &Literal, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    let text = lit.lexical();
+    let mut run = 0;
+    for (i, b) in text.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.write_str(&text[run..i])?;
+        out.write_str(escaped)?;
+        run = i + 1;
+    }
+    out.write_str(&text[run..])?;
+    out.write_char('"')?;
+    match lit.kind() {
+        LiteralKind::Plain => Ok(()),
+        LiteralKind::Lang(tag) => {
+            out.write_char('@')?;
+            out.write_str(tag)
+        }
+        LiteralKind::Typed(datatype) => {
+            out.write_str("^^")?;
+            write_iri(datatype, out)
+        }
+    }
+}
+
+pub(crate) fn write_triple<W: fmt::Write + ?Sized>(triple: &Triple, out: &mut W) -> fmt::Result {
+    write_term(&triple.subject, out)?;
+    out.write_char(' ')?;
+    write_term(&triple.predicate, out)?;
+    out.write_char(' ')?;
+    write_term(&triple.object, out)?;
+    out.write_str(" .")
 }
 
 struct Cursor<'a> {

@@ -39,7 +39,7 @@ impl Iri {
 
 impl fmt::Display for Iri {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "<{}>", self.0)
+        crate::ntriples::write_iri(self, f)
     }
 }
 
@@ -84,7 +84,8 @@ impl BlankNode {
 
 impl fmt::Display for BlankNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "_:{}", self.0)
+        f.write_str("_:")?;
+        f.write_str(&self.0)
     }
 }
 
@@ -167,12 +168,9 @@ impl Term {
 }
 
 impl fmt::Display for Term {
+    /// The N-Triples form ([`crate::ntriples::write_term`]).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Term::Iri(iri) => iri.fmt(f),
-            Term::Blank(b) => b.fmt(f),
-            Term::Literal(lit) => lit.fmt(f),
-        }
+        crate::ntriples::write_term(self, f)
     }
 }
 

@@ -51,7 +51,7 @@ impl Triple {
 
 impl fmt::Display for Triple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {} {} .", self.subject, self.predicate, self.object)
+        crate::ntriples::write_triple(self, f)
     }
 }
 

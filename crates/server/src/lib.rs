@@ -110,6 +110,7 @@ pub(crate) struct ServerInstruments {
     latency_query: Arc<Histogram>,
     latency_update: Arc<Histogram>,
     queue_wait: Arc<Histogram>,
+    pub(crate) render: Arc<Histogram>,
     requests: Arc<Counter>,
     responses_ok: Arc<Counter>,
     responses_client_error: Arc<Counter>,
@@ -138,6 +139,11 @@ impl ServerInstruments {
             queue_wait: handle.histogram(
                 "sofos_http_queue_wait_us",
                 "Time an admitted connection waited between accept and a worker (µs)",
+                &[],
+            ),
+            render: handle.histogram(
+                "sofos_http_render_us",
+                "Time to render a /query answer into its JSON body (µs)",
                 &[],
             ),
             requests: handle.counter("sofos_http_requests_total", "HTTP requests dispatched", &[]),

@@ -1,20 +1,24 @@
 //! Request dispatch: the four endpoints over one shared [`Engine`].
 //!
 //! Wire formats are JSON (via the shared [`sofos_telemetry::Json`] value)
-//! with RDF terms carried as their N-Triples renderings — `Term`'s
-//! `Display` *is* N-Triples, and `/update` bodies embed N-Triples
-//! documents that `sofos_rdf::parse_ntriples` reads back, so no second
-//! term serialization exists.
+//! with RDF terms carried as their N-Triples renderings — written by
+//! [`sofos_rdf::write_term`], the writer behind `Term`'s `Display` — and
+//! `/update` bodies embed N-Triples documents that
+//! `sofos_rdf::parse_ntriples` reads back, so no second term
+//! serialization exists. A `/query` answer, the one large body, is
+//! rendered in one pass into one buffer ([`render_answer`]).
 //!
 //! [`Engine`]: sofos_core::Engine
 
 use crate::http::{Request, Response};
 use crate::Shared;
 use sofos_core::{Route, SessionAnswer};
-use sofos_rdf::parse_ntriples;
+use sofos_rdf::{parse_ntriples, write_term};
 use sofos_sparql::{parse_query, SparqlError};
 use sofos_store::Delta;
+use sofos_telemetry::json::escape_into;
 use sofos_telemetry::Json;
+use std::fmt::Write as _;
 
 /// Dispatch one parsed request, recording per-route instruments.
 pub(crate) fn handle(shared: &Shared, req: &Request) -> Response {
@@ -71,58 +75,77 @@ fn query(shared: &Shared, req: &Request) -> Response {
         Err(e) => return error(400, &format!("query does not parse: {e}")),
     };
     match shared.engine.query(&parsed) {
-        Ok(answer) => Response::json(200, answer_json(&answer).to_string()),
+        Ok(answer) => {
+            let start = std::time::Instant::now();
+            let body = render_answer(&answer);
+            shared
+                .instruments
+                .render
+                .record(crate::micros(start.elapsed()));
+            Response::json(200, body)
+        }
         Err(e) => error(400, &format!("query failed: {e}")),
     }
 }
 
-/// `SessionAnswer` → the wire shape documented in the crate README.
-fn answer_json(answer: &SessionAnswer) -> Json {
-    let route = match &answer.route {
-        Route::View(mask) => Json::object([
-            ("kind", Json::from("view")),
-            ("view", Json::from(mask.to_string())),
-        ]),
-        Route::BaseGraph => Json::object([("kind", Json::from("base"))]),
-    };
-    let rows = answer
-        .results
-        .rows
-        .iter()
-        .map(|row| {
-            Json::Array(
-                row.iter()
-                    .map(|cell| match cell {
-                        Some(term) => Json::from(term.to_string()),
-                        None => Json::Null,
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
-    Json::object([
-        ("route", route),
-        (
-            "freshness",
-            Json::object([
-                ("lag", Json::from(answer.freshness.lag)),
-                ("epoch", Json::from(answer.freshness.epoch)),
-            ]),
-        ),
-        ("maintenance_us", Json::from(answer.maintenance_us)),
-        (
-            "vars",
-            Json::Array(
-                answer
-                    .results
-                    .vars
-                    .iter()
-                    .map(|v| Json::from(v.as_str()))
-                    .collect(),
-            ),
-        ),
-        ("rows", Json::Array(rows)),
-    ])
+/// `SessionAnswer` → the wire shape documented in the crate README,
+/// written straight into one `String`: the small envelope (route,
+/// freshness, `maintenance_us`, vars) first, then each cell, written by
+/// [`write_term`] into one reused scratch buffer and JSON-escaped onto
+/// the body. The body is sized from its first row once that is written.
+fn render_answer(answer: &SessionAnswer) -> String {
+    let mut out = String::with_capacity(256);
+    out.push_str("{\"route\":");
+    match &answer.route {
+        Route::View(mask) => {
+            out.push_str("{\"kind\":\"view\",\"view\":");
+            escape_into(&mask.to_string(), &mut out);
+            out.push('}');
+        }
+        Route::BaseGraph => out.push_str("{\"kind\":\"base\"}"),
+    }
+    // Counters render as `Json::Int` did: the u64 read as an i64.
+    let _ = write!(
+        out,
+        ",\"freshness\":{{\"lag\":{},\"epoch\":{}}},\"maintenance_us\":{},\"vars\":[",
+        answer.freshness.lag as i64, answer.freshness.epoch as i64, answer.maintenance_us as i64
+    );
+    let results = &answer.results;
+    for (i, var) in results.vars.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        escape_into(var, &mut out);
+    }
+    out.push_str("],\"rows\":[");
+    let mut term = String::new();
+    for (i, row) in results.rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let row_start = out.len();
+        out.push('[');
+        for (j, cell) in row.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            match cell {
+                Some(cell) => {
+                    term.clear();
+                    let _ = write_term(cell, &mut term);
+                    escape_into(&term, &mut out);
+                }
+                None => out.push_str("null"),
+            }
+        }
+        out.push(']');
+        if i == 0 {
+            let row_len = out.len() - row_start + 1;
+            out.reserve(row_len * (results.rows.len() - 1) + 2);
+        }
+    }
+    out.push_str("]}");
+    out
 }
 
 fn update(shared: &Shared, req: &Request) -> Response {
@@ -240,3 +263,6 @@ fn index() -> Response {
          GET  /healthz  liveness + engine summary\n",
     )
 }
+
+#[cfg(test)]
+mod tests;

@@ -187,8 +187,15 @@ fn end_to_end_read_your_write_over_keep_alive() {
     assert!(body.contains("\"status\":\"ok\""), "{body}");
     assert!(body.contains("\"backend\":\"epoch\""), "{body}");
 
+    let renders = || {
+        let snapshot = handle.engine().metrics().snapshot();
+        let render = snapshot.histogram("sofos_http_render_us", &[]);
+        render.expect("registered at boot").snapshot.count
+    };
+    assert_eq!(renders(), 0);
     let (status, body) = roundtrip(&mut stream, "POST", "/query", COUNT_QUERY, true);
     assert_eq!(status, 200, "{body}");
+    assert_eq!(renders(), 1, "the answer's render time is recorded");
     let (count, _) = count_and_epoch(&body);
     assert_eq!(count, BASE_OBS as i64);
     let freshness = sofos_telemetry::Json::parse(&body)
@@ -229,6 +236,10 @@ fn end_to_end_read_your_write_over_keep_alive() {
     assert!(
         body.contains("sofos_http_queue_wait_us"),
         "accept-to-worker queue wait exported: {body}"
+    );
+    assert!(
+        body.contains("sofos_http_render_us_count 2"),
+        "two answers rendered: {body}"
     );
     assert!(
         body.contains("sofos_index_bytes"),

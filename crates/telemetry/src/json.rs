@@ -279,60 +279,90 @@ impl From<bool> for Json {
 /// writer's escaping rules, exposed for callers that emit JSON by hand,
 /// e.g. `BenchReport::to_json`).
 pub fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+    let _ = escape_to(s, out);
+}
+
+/// The bytes a JSON string escapes: `"`, `\` and the C0 controls.
+const ESCAPED: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = true;
+        b += 1;
     }
-    out.push('"');
+    table[b'"' as usize] = true;
+    table[b'\\' as usize] = true;
+    table
+};
+
+/// [`escape_into`] for any writer. Unescaped runs are copied whole:
+/// every escaped byte is ASCII, so a cut always lands on a char
+/// boundary.
+fn escape_to<W: fmt::Write + ?Sized>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !ESCAPED[b as usize] {
+            continue;
+        }
+        out.write_str(&s[run..i])?;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
+        }
+        run = i + 1;
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+        self.write_to(f)
     }
 }
 
 impl Json {
     /// Append this value's JSON rendering to `out`.
     pub fn write(&self, out: &mut String) {
+        let _ = self.write_to(out);
+    }
+
+    /// The one renderer behind [`Json::write`] and `Display`, so
+    /// `to_string` renders straight into its result.
+    fn write_to<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Str(s) => escape_into(s, out),
-            Json::Int(v) => out.push_str(&v.to_string()),
-            Json::Num(v) if v.is_finite() => out.push_str(&format!("{v}")),
-            Json::Num(_) => out.push_str("null"),
-            Json::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
+            Json::Null => out.write_str("null"),
+            Json::Str(s) => escape_to(s, out),
+            Json::Int(v) => write!(out, "{v}"),
+            Json::Num(v) if v.is_finite() => write!(out, "{v}"),
+            Json::Num(_) => out.write_str("null"),
+            Json::Bool(v) => out.write_str(if *v { "true" } else { "false" }),
             Json::Array(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write(out);
+                    item.write_to(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Object(pairs) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (key, value)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    escape_into(key, out);
-                    out.push(':');
-                    value.write(out);
+                    escape_to(key, out)?;
+                    out.write_char(':')?;
+                    value.write_to(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
