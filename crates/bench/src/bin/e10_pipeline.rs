@@ -235,8 +235,8 @@ fn main() {
             ("lag_p50", Json::from(lag_hist.p50())),
             ("lag_p95", Json::from(lag_hist.p95())),
             ("lag_p99", Json::from(lag_hist.p99())),
-            // The last serve-time tag, built field-by-field (same keys as
-            // Freshness::to_json_string) — structured data, not a
+            // The last serve-time tag, built field-by-field from
+            // `Freshness`'s `lag` and `epoch` — structured data, not a
             // Display → parse round-trip.
             (
                 "final_freshness",

@@ -23,10 +23,12 @@
 //! the writer; one writer applies each batch, plans and applies every
 //! view's patch, and publishes the batch as a single epoch (the write and
 //! read paths live in `engine/epoch.rs`). The staleness policies — eager /
-//! lazy-on-hit / invalidate / bounded — are the [`crate::policy`] state
-//! machines (pending-log cursors, freshness tagging, flush accounting)
-//! expressed over epochs, next to the sliding demand and update-rate
-//! windows the adaptive layer ([`crate::adaptive`]) reads. The
+//! lazy-on-hit / bounded, where eager is bounded staleness with a flush
+//! cadence of 1 — are the [`crate::policy`] state machines (pending-log
+//! cursors, freshness tagging, flush accounting) expressed over epochs,
+//! next to the sliding demand and update-rate windows the adaptive layer
+//! ([`crate::adaptive`]) reads. Serving the base graph alone is a catalog
+//! choice, not a policy: `engine.swap_views(&[])`. The
 //! conformance suite (`crates/core/tests/engine_conformance.rs`) checks
 //! every answer against a plain [`Dataset`] that the same deltas are
 //! applied to.
@@ -627,9 +629,10 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_engine_drops_views_and_falls_back() {
-        let (engine, workload) = setup(StalenessPolicy::Invalidate);
+    fn empty_swap_drops_views_and_falls_back() {
+        let (engine, workload) = setup(StalenessPolicy::Eager);
         assert!(!engine.views().is_empty());
+        engine.swap_views(&[]).unwrap();
         engine.update(session_delta(0)).unwrap();
         assert!(engine.views().is_empty(), "catalog dropped");
         assert!(

@@ -7,24 +7,26 @@
 //!   with its binding scans ([`sofos_maintain::Maintainer::apply`]), every
 //!   view's patch is planned and then applied on the writer's master
 //!   ([`sofos_maintain::Maintainer::maintain`]), and the whole batch
-//!   becomes visible atomically at publish. An eager write and a bounded
-//!   flush run the same function for this (`publish_maintained`: apply,
-//!   one maintenance pass over the merged row delta, one epoch); a lazy
-//!   repair runs the same pass over the one view it repairs. A pass
-//!   lands in the maintenance log and the pipeline telemetry once
-//!   `Engine::commit` has logged its epoch, never before;
+//!   becomes visible atomically at publish. Every publishing write runs
+//!   one function for this (`flush_batch`: apply, one maintenance pass
+//!   over the merged row delta, one epoch); a lazy repair runs the same
+//!   pass over the one view it repairs. A pass lands in the maintenance
+//!   log and the pipeline telemetry once `Engine::commit` has logged its
+//!   epoch, never before;
 //! * the **staleness policies** are the [`crate::policy`] state machines
-//!   expressed over epochs. *Eager* maintains inside the update
-//!   transaction. *Lazy* publishes the base change immediately and
-//!   buffers the row delta stamped with its epoch; a view is repaired on
-//!   its next hit by replaying exactly the epochs it missed. *Invalidate*
-//!   drops the catalog inside the update transaction. *Bounded* buffers
-//!   whole deltas writer-side and flushes on cadence — and the serve path
-//!   enforces both the epoch-lag and wall-clock budgets, flushing **one
-//!   buffered batch at a time** when a read finds itself over budget, so
-//!   the maintenance work a single read can absorb is bounded (the
-//!   check–flush–recheck loop under the serving lock still guarantees the
-//!   bound holds against racing updates).
+//!   expressed over epochs, and an update takes one of two arms. *Lazy*
+//!   publishes the base change immediately and buffers the row delta
+//!   stamped with its epoch; a view is repaired on its next hit by
+//!   replaying exactly the epochs it missed. Every other policy is
+//!   *buffered* with a flush cadence (1 under eager): an update below the
+//!   cadence only joins the writer-side buffer, and the one that reaches
+//!   it publishes the buffer and its own delta as one epoch. That delta is
+//!   never counted as buffered, so readers never wait on it. The serve
+//!   path enforces both the epoch-lag and wall-clock budgets, flushing
+//!   **one buffered batch at a time** when a read finds itself over
+//!   budget, so the maintenance work a single read can absorb is bounded
+//!   (the check–flush–recheck loop under the serving lock still
+//!   guarantees the bound holds against racing updates).
 //!
 //! Lock discipline (in acquisition order): write transaction → writer
 //! side (maintenance engine) → serving state (catalog routing). The
@@ -42,7 +44,7 @@
 
 use super::{catalog_pairs, Engine, Route, SessionAnswer, ViewChurn};
 use crate::metrics::UpdateStage;
-use crate::policy::{FlushMeter, Freshness, PendingLog, ProfileWindows, StalenessPolicy};
+use crate::policy::{FlushMeter, Freshness, PendingLog, ProfileWindows};
 use crate::timing::measure_once;
 use sofos_cost::UpdateRates;
 use sofos_cube::{Facet, ViewMask};
@@ -324,65 +326,33 @@ impl Engine {
             state.update_batches += 1;
             state.windows.observe_batch(inserted, deleted);
         }
-        // Invariant for every branch below: the catalog change and the
-        // swap happen under one serving-lock hold (`Engine::commit`), so
-        // a reader can never pair the new catalog with the old epoch (or
-        // vice versa).
-        match self.policy {
-            StalenessPolicy::Invalidate => {
-                let views: Vec<ViewMask> = {
-                    let state = self.lock_serving();
-                    state.views.iter().map(|(m, _)| *m).collect()
-                };
-                for mask in views {
-                    drop_view(txn.dataset(), &self.facet, mask);
+        // Invariant for both arms: the catalog change and the swap happen
+        // under one serving-lock hold (`Engine::commit`), so a reader can
+        // never pair the new catalog with the old epoch (or vice versa).
+        match self.policy.flush_cadence() {
+            Some(cadence) => {
+                let take = writer.buffered.len();
+                if take + 1 >= cadence {
+                    // The cadence is reached: the buffered batches and
+                    // this delta publish as one epoch. The delta is never
+                    // enqueued, so a racing reader's lag counts only
+                    // batches that earlier calls left buffered, and no
+                    // reader waits on this write.
+                    return self.flush_batch(txn, &mut writer, take, Some(delta));
                 }
-                let changes = self
-                    .metrics
-                    .time_stage(UpdateStage::Apply, || txn.dataset().apply(delta));
-                txn.touch_changes(&changes);
-                let catalog = self.durable_catalog(&[]);
-                self.commit(txn, catalog, |state, _| {
-                    state.views.clear();
-                    state.pending.clear();
-                })
-            }
-            StalenessPolicy::Eager => {
-                let (epoch, (), maintained) =
-                    self.publish_maintained(txn, &mut writer, [delta], |_| ())?;
-                maintained.inspect_err(|e| {
-                    self.metrics.record_maintenance_error(
-                        self.clock.now_ms(),
-                        format!("eager maintenance failed at epoch {epoch}: {e}"),
-                    );
-                })
-            }
-            StalenessPolicy::Bounded { .. } => {
+                // Below the cadence: the delta joins the writer-side
+                // buffer, and dropping `txn` publishes nothing.
                 writer.buffered.push(delta);
-                // Publish the new lag to readers *before* deciding to
-                // flush: a racing reader must either see the full buffer
-                // count (and spin on the budget check until the flush
-                // publishes) or serve a tag that includes this delta —
-                // never an undercounted lag.
                 let buffered = {
                     let mut state = self.lock_serving();
                     state.meter.enqueue(self.clock.now_ms());
                     state.meter.buffered()
                 };
+                debug_assert_eq!(buffered, writer.buffered.len(), "meter mirrors the buffer");
                 self.metrics.record_buffered(buffered);
-                if buffered >= self.policy.flush_cadence().unwrap_or(1) {
-                    // Scheduled cadence flush: drain the whole buffer into
-                    // one batched epoch (the update path can afford it —
-                    // it IS the maintenance path).
-                    self.flush_batch(txn, &mut writer, buffered)
-                } else {
-                    // Dropped without publish: nothing was mutated, the
-                    // delta only joined the writer-side buffer.
-                    drop(txn);
-                    Ok(())
-                }
+                Ok(())
             }
-            StalenessPolicy::LazyOnHit => {
+            None => {
                 let mut pass = PipelineOutcome::default();
                 let applied = self.apply(&mut writer, txn.dataset(), delta, &mut pass);
                 txn.touch_changes(&applied.changes);
@@ -449,28 +419,32 @@ impl Engine {
             return Err(e);
         }
         let take = writer.buffered.len().min(limit.max(1));
-        self.flush_batch(txn, &mut writer, take)
+        self.flush_batch(txn, &mut writer, take, None)
     }
 
-    /// Apply `deltas` to the writer's master, maintain every view in one
-    /// pass over their merged row delta, and publish the batch as one
-    /// epoch (writer lock held, transaction open). `install` runs in the
-    /// publish's serving-lock hold, after the catalog is installed.
+    /// Publish the `take` oldest buffered deltas, followed by `incoming`
+    /// (the calling update's own delta, which is never buffered), as one
+    /// epoch (writer lock held, transaction open): apply them to the
+    /// writer's master, maintain every view in one pass over their merged
+    /// row delta, publish. Only an epoch that publishes a buffered batch
+    /// (`take > 0`) records a flush.
     ///
     /// On a maintenance error the base deltas are applied but no view was
     /// patched (planning is all-or-nothing); abandoning the transaction
     /// would leave the master diverged from the published epoch forever.
-    /// The batch is published instead and a full refresh of every (now
+    /// The batch is published instead, a full refresh of every (now
     /// stale) view demanded — needs-refresh bars queries from routing to
-    /// any of them before repair, under every policy. The maintenance
-    /// result comes back beside the epoch for the caller to report.
-    fn publish_maintained<R>(
+    /// any of them before repair, under every policy — and the error
+    /// returned.
+    fn flush_batch(
         &self,
         mut txn: WriteTxn<'_>,
         writer: &mut WriterSide,
-        deltas: impl IntoIterator<Item = Delta>,
-        install: impl FnOnce(&mut ServingState) -> R,
-    ) -> Result<(u64, R, Result<(), SparqlError>), SparqlError> {
+        take: usize,
+        incoming: Option<Delta>,
+    ) -> Result<(), SparqlError> {
+        let deltas: Vec<Delta> = writer.buffered.drain(..take).chain(incoming).collect();
+        let (batches, remaining) = (deltas.len(), writer.buffered.len());
         // N deltas collapse into one group-patching pass (intra-batch
         // churn cancels for free). A facet's deltas all carry a row delta
         // or none does, so the first one's is taken as it is.
@@ -501,15 +475,47 @@ impl Engine {
             pass.report = outcome.report;
         });
         let catalog = self.durable_catalog(&views);
-        let (epoch, installed) = self.commit(txn, catalog, |state, epoch| {
+        let committed = self.commit(txn, catalog, |state, epoch| {
             state.views = views;
             if maintained.is_err() {
                 state.pending.demand_refresh_all(&state.views, epoch);
             }
-            (epoch, install(state))
-        })?;
+            state.meter.drain(take);
+            debug_assert_eq!(
+                state.meter.buffered(),
+                remaining,
+                "meter mirrors the buffer"
+            );
+            epoch
+        });
+        let epoch = match committed {
+            Ok(epoch) => epoch,
+            Err(e) => {
+                // Nothing published and the store is read-only: the
+                // drained batches are lost, as a crash before this flush
+                // would lose them.
+                self.discard_buffered(take);
+                return Err(e);
+            }
+        };
         self.absorb(writer, pass);
-        Ok((epoch, installed, maintained))
+        let now = self.clock.now_ms();
+        if take > 0 {
+            self.metrics.record_flush(
+                batches,
+                now,
+                format!("drained {batches} batches -> epoch {epoch}"),
+            );
+            self.metrics.record_buffered(remaining);
+        }
+        match &maintained {
+            Ok(()) if take > 0 => self.metrics.record_epoch_publish(epoch, now),
+            Ok(()) => {}
+            Err(e) => self
+                .metrics
+                .record_maintenance_error(now, format!("maintenance failed at epoch {epoch}: {e}")),
+        }
+        maintained
     }
 
     /// Fold one published pass into the writer's log and telemetry and
@@ -521,51 +527,6 @@ impl Engine {
         self.metrics.record_pipeline(&pass.telemetry);
         writer.log.absorb(pass.report);
         us
-    }
-
-    /// The batched-epoch flush of the `take` oldest buffered deltas
-    /// (writer lock held, transaction open).
-    fn flush_batch(
-        &self,
-        txn: WriteTxn<'_>,
-        writer: &mut WriterSide,
-        take: usize,
-    ) -> Result<(), SparqlError> {
-        let deltas: Vec<Delta> = writer.buffered.drain(..take).collect();
-        let published = self.publish_maintained(txn, writer, deltas, |state| {
-            state.meter.drain(take);
-            state.meter.buffered()
-        });
-        let (epoch, buffered, maintained) = match published {
-            Ok(published) => published,
-            Err(e) => {
-                // Nothing published and the store is read-only: the
-                // drained batches are lost, as a crash before this flush
-                // would lose them.
-                self.discard_buffered(take);
-                return Err(e);
-            }
-        };
-        let now = self.clock.now_ms();
-        self.metrics.record_flush(
-            take,
-            now,
-            format!("drained {take} batches -> epoch {epoch}"),
-        );
-        self.metrics.record_buffered(buffered);
-        match maintained {
-            Ok(()) => {
-                self.metrics.record_epoch_publish(epoch, now);
-                Ok(())
-            }
-            Err(e) => {
-                self.metrics.record_maintenance_error(
-                    now,
-                    format!("batched flush maintenance failed at epoch {epoch}: {e}"),
-                );
-                Err(e)
-            }
-        }
     }
 
     /// Answer one query from a pinned snapshot. Under the lazy policy a
@@ -595,139 +556,94 @@ impl Engine {
     }
 
     fn query_inner(&self, query: &Query) -> Result<SessionAnswer, SparqlError> {
-        let Ok(analysis) = analyze_query(&self.facet, query) else {
-            let (snapshot, freshness, flush_us) = self.pin_within_bound()?;
-            self.lock_serving().fallbacks += 1;
-            let results = Evaluator::new(snapshot.dataset()).evaluate(query)?;
-            return Ok(SessionAnswer {
-                route: Route::BaseGraph,
-                results,
-                maintenance_us: flush_us,
-                freshness,
+        let analysis = analyze_query(&self.facet, query).ok();
+        let (snapshot, lag, flush_us, planned) = self.pin_within_budget(|state, epoch| {
+            let planned = analysis.as_ref().and_then(|analysis| {
+                state.windows.observe_demand(analysis.required);
+                best_view(&state.views, analysis.required)
             });
-        };
-
-        // Route against the catalog and pin an epoch under one short
-        // lock, so the staleness decision, the freshness tag, and the
-        // snapshot agree.
-        let mut demand_recorded = false;
-        let mut flush_us = 0u64;
-        let (planned, snapshot, freshness) = loop {
-            {
-                let mut state = self.lock_serving();
-                if !demand_recorded {
-                    state.windows.observe_demand(analysis.required);
-                    demand_recorded = true;
-                }
-                let lag = state.meter.buffered() as u64;
-                let time_lag = state.meter.time_lag_ms(self.clock.now_ms());
-                if self.policy.within_budget(lag, time_lag) {
-                    let snapshot = self.store.pin();
-                    let freshness = Self::freshness_of(&snapshot, lag);
-                    let planned = best_view(&state.views, analysis.required).map(|view| {
-                        // Needs-refresh gates every policy (a failed
-                        // maintenance pass demands repair too); the
-                        // epoch-replay staleness check is lazy-only.
-                        let stale = state.pending.needs_refresh(view)
-                            || (self.policy == StalenessPolicy::LazyOnHit
-                                && state.pending.stale_at(view, snapshot.epoch()));
-                        (view, stale)
-                    });
-                    match planned {
-                        Some(_) => state.view_hits += 1,
-                        None => state.fallbacks += 1,
-                    }
-                    break (planned, snapshot, freshness);
-                }
+            match planned {
+                Some(_) => state.view_hits += 1,
+                None => state.fallbacks += 1,
             }
-            // Past the staleness budget: flush ONE buffered batch, then
-            // re-check (a racing update may have buffered more batches in
-            // between — and another reader may already have flushed for
-            // us). Capping the per-iteration work keeps a single read's
-            // tail latency bounded by one batch of maintenance.
-            let (us, result) = measure_once(|| self.flush_upto(1));
-            Self::tolerate_read_only(result)?;
-            flush_us += us;
+            // Only a lazy update buffers pending rows, and a failed
+            // maintenance pass demands a refresh under every policy:
+            // `stale_at` covers both.
+            planned.map(|view| (view, state.pending.stale_at(view, epoch)))
+        })?;
+        let (Some(analysis), Some((view, stale))) = (&analysis, planned) else {
+            return Self::answer(Route::BaseGraph, query, &snapshot, lag, flush_us);
         };
-
-        match planned {
-            None => {
-                let results = Evaluator::new(snapshot.dataset()).evaluate(query)?;
-                Ok(SessionAnswer {
-                    route: Route::BaseGraph,
-                    results,
-                    maintenance_us: flush_us,
-                    freshness,
-                })
+        let rewritten = rewrite_query(&self.facet, analysis, view);
+        if !stale {
+            return Self::answer(Route::View(view), &rewritten, &snapshot, lag, flush_us);
+        }
+        match self.repair_view(view) {
+            Ok(Some((snapshot, us))) => {
+                Self::answer(Route::View(view), &rewritten, &snapshot, lag, flush_us + us)
             }
-            Some((view, stale)) => {
-                let rewritten = rewrite_query(&self.facet, &analysis, view);
-                let (snapshot, maintenance_us, freshness) = if stale {
-                    match self.repair_view(view) {
-                        Ok(Some((snapshot, us))) => {
-                            let freshness = Self::freshness_of(&snapshot, freshness.lag);
-                            (snapshot, flush_us + us, freshness)
-                        }
-                        Ok(None) | Err(SparqlError::Storage(_)) => {
-                            // The view was swapped out while we waited for
-                            // the writer, or the store is read-only and
-                            // cannot publish its repair: it is not
-                            // answerable. Re-route to the base graph on a
-                            // fresh pin.
-                            let snapshot = {
-                                let mut state = self.lock_serving();
-                                state.view_hits -= 1;
-                                state.fallbacks += 1;
-                                self.store.pin()
-                            };
-                            let freshness = Self::freshness_of(&snapshot, freshness.lag);
-                            let results = Evaluator::new(snapshot.dataset()).evaluate(query)?;
-                            return Ok(SessionAnswer {
-                                route: Route::BaseGraph,
-                                results,
-                                maintenance_us: flush_us,
-                                freshness,
-                            });
-                        }
-                        Err(e) => return Err(e),
-                    }
-                } else {
-                    (snapshot, flush_us, freshness)
+            Ok(None) | Err(SparqlError::Storage(_)) => {
+                // The view was swapped out while we waited for the
+                // writer, or the store is read-only and cannot publish
+                // its repair: it is not answerable. Re-route to the base
+                // graph on a fresh pin.
+                let snapshot = {
+                    let mut state = self.lock_serving();
+                    state.view_hits -= 1;
+                    state.fallbacks += 1;
+                    self.store.pin()
                 };
-                let results = Evaluator::new(snapshot.dataset()).evaluate(&rewritten)?;
-                Ok(SessionAnswer {
-                    route: Route::View(view),
-                    results,
-                    maintenance_us,
-                    freshness,
-                })
+                Self::answer(Route::BaseGraph, query, &snapshot, lag, flush_us)
             }
+            Err(e) => Err(e),
         }
     }
 
-    /// The freshness tag of one pinned snapshot: the buffered-batch lag
-    /// plus the snapshot's epoch.
-    fn freshness_of(snapshot: &PinnedSnapshot, lag: u64) -> Freshness {
-        Freshness {
-            lag,
-            epoch: snapshot.epoch(),
-        }
+    /// Evaluate `query` on `snapshot`, tagged with the buffered-batch
+    /// `lag` and the snapshot's epoch.
+    fn answer(
+        route: Route,
+        query: &Query,
+        snapshot: &PinnedSnapshot,
+        lag: u64,
+        maintenance_us: u64,
+    ) -> Result<SessionAnswer, SparqlError> {
+        Ok(SessionAnswer {
+            route,
+            results: Evaluator::new(snapshot.dataset()).evaluate(query)?,
+            maintenance_us,
+            freshness: Freshness {
+                lag,
+                epoch: snapshot.epoch(),
+            },
+        })
     }
 
-    /// Pin a snapshot whose lag respects the staleness budgets (flushing
-    /// one batch per check as needed), returning it with its freshness
-    /// tag and the flush time this read absorbed.
-    fn pin_within_bound(&self) -> Result<(PinnedSnapshot, Freshness, u64), SparqlError> {
+    /// Pin a snapshot whose lag respects the staleness budgets and run
+    /// `route` on the serving state and the pinned epoch in the same lock
+    /// hold, so the routing decision, the lag and the snapshot agree.
+    /// Returns the snapshot, its lag, the flush µs this read absorbed and
+    /// what `route` returned.
+    ///
+    /// Past a budget, the read flushes ONE buffered batch and re-checks (a
+    /// racing update may have buffered more batches in between, and
+    /// another reader may already have flushed for us). Capping the
+    /// per-iteration work keeps a single read's tail latency bounded by
+    /// one batch of maintenance.
+    fn pin_within_budget<R>(
+        &self,
+        route: impl FnOnce(&mut ServingState, u64) -> R,
+    ) -> Result<(PinnedSnapshot, u64, u64, R), SparqlError> {
         let mut flush_us = 0u64;
         loop {
             {
-                let state = self.lock_serving();
+                let mut state = self.lock_serving();
                 let lag = state.meter.buffered() as u64;
                 let time_lag = state.meter.time_lag_ms(self.clock.now_ms());
                 if self.policy.within_budget(lag, time_lag) {
                     let snapshot = self.store.pin();
-                    let freshness = Self::freshness_of(&snapshot, lag);
-                    return Ok((snapshot, freshness, flush_us));
+                    let routed = route(&mut state, snapshot.epoch());
+                    return Ok((snapshot, lag, flush_us, routed));
                 }
             }
             let (us, result) = measure_once(|| self.flush_upto(1));
@@ -950,6 +866,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::offline::{run_offline, SizedLattice};
+    use crate::policy::StalenessPolicy;
     use crate::validate::results_equivalent;
     use sofos_cost::CostModelKind;
     use sofos_cube::AggOp;
@@ -1030,15 +947,16 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_drops_catalog_atomically() {
-        let (engine, workload) = setup(StalenessPolicy::Invalidate);
+    fn empty_swap_drops_catalog_atomically() {
+        let (engine, workload) = setup(StalenessPolicy::Eager);
         assert!(!engine.views().is_empty());
         let pinned = engine.store.pin();
+        engine.swap_views(&[]).unwrap();
         engine.update(session_delta(0)).unwrap();
         assert!(engine.views().is_empty());
         assert!(
             !pinned.dataset().graph_names().is_empty(),
-            "the pre-update pin still holds every view graph"
+            "the pre-swap pin still holds every view graph"
         );
         assert!(
             engine.store.pin().dataset().graph_names().is_empty(),

@@ -109,16 +109,14 @@ pub fn system_clock() -> Arc<dyn Clock> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StalenessPolicy {
     /// Maintain every view inside the update call: queries always see
-    /// fresh views; updates pay the full maintenance bill.
+    /// fresh views; updates pay the full maintenance bill. The engine
+    /// runs it as bounded staleness with a flush cadence of 1, which is
+    /// what `bounded(1, 0)` does too.
     Eager,
     /// Buffer row deltas per view; a view is repaired only when the
     /// rewriter routes a query to it. Updates are cheap, the first hit on
     /// a stale view pays its backlog.
     LazyOnHit,
-    /// Drop every materialized view on the first update: all subsequent
-    /// queries fall back to the base graph (zero maintenance, full
-    /// benefit loss) — the paper's implicit baseline.
-    Invalidate,
     /// The middle ground between eager and lazy: updates are coalesced
     /// and views maintained in *batched* flushes — every `max_batches`
     /// update batches — while reads are served from the standing state
@@ -127,8 +125,13 @@ pub enum StalenessPolicy {
     /// behind the latest state — nor, when `max_lag_ms` is set, to serve
     /// state whose oldest unflushed update is older than that wall-clock
     /// budget (per the injected [`Clock`]): past either bound, the serve
-    /// path flushes or repairs first. `Bounded { max_batches: 1,
-    /// max_epoch_lag: 0, .. }` degenerates to eager.
+    /// path flushes or repairs first.
+    ///
+    /// A delta counts as buffered only once its own update call returns
+    /// without publishing it: the call that reaches the cadence publishes
+    /// the buffered batches and its own delta as one epoch, and readers
+    /// never wait on that in-flight delta. So `max_batches: 1` *is*
+    /// eager: every update publishes itself and nothing is ever buffered.
     Bounded {
         /// Flush cadence: maintain and publish after this many buffered
         /// update batches. Minimum 1.
@@ -145,14 +148,6 @@ pub enum StalenessPolicy {
 }
 
 impl StalenessPolicy {
-    /// The three classic policies (for sweeps; `Bounded` is a family, so
-    /// sweeps pick their own parameter grid).
-    pub const ALL: [StalenessPolicy; 3] = [
-        StalenessPolicy::Eager,
-        StalenessPolicy::LazyOnHit,
-        StalenessPolicy::Invalidate,
-    ];
-
     /// A bounded-staleness policy (see [`StalenessPolicy::Bounded`])
     /// without a wall-clock budget; `max_batches` is clamped to at
     /// least 1.
@@ -180,16 +175,18 @@ impl StalenessPolicy {
         match self {
             StalenessPolicy::Eager => "eager",
             StalenessPolicy::LazyOnHit => "lazy-on-hit",
-            StalenessPolicy::Invalidate => "invalidate",
             StalenessPolicy::Bounded { .. } => "bounded",
         }
     }
 
-    /// The bounded flush cadence (`None` outside the bounded policy).
+    /// How many update batches a flush publishes together: 1 under
+    /// eager, `max_batches` under bounded, `None` under lazy-on-hit (whose
+    /// updates publish the base change and buffer row deltas per view).
     pub fn flush_cadence(self) -> Option<usize> {
         match self {
+            StalenessPolicy::Eager => Some(1),
             StalenessPolicy::Bounded { max_batches, .. } => Some(max_batches.max(1)),
-            _ => None,
+            StalenessPolicy::LazyOnHit => None,
         }
     }
 
@@ -266,12 +263,6 @@ impl Freshness {
     /// True when the answer reflected the latest state.
     pub fn is_fresh(&self) -> bool {
         self.lag == 0
-    }
-
-    /// JSON object (`{"lag":..,"epoch":..}`) — the shape bench reports
-    /// embed.
-    pub fn to_json_string(&self) -> String {
-        format!("{{\"lag\":{},\"epoch\":{}}}", self.lag, self.epoch)
     }
 }
 
@@ -470,13 +461,6 @@ impl PendingLog {
             .filter(|&&(mask, _)| self.stale_at(mask, stamp))
             .count()
     }
-
-    /// Drop everything (the invalidate policy's catalog wipe).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.cursor.clear();
-        self.needs_refresh.clear();
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -640,17 +624,18 @@ mod tests {
         assert!(!p.within_budget(3, 0), "epoch budget exceeded");
         assert!(!p.within_budget(0, 101), "clock budget exceeded");
         assert!(StalenessPolicy::Eager.within_budget(u64::MAX, u64::MAX));
+        assert_eq!(StalenessPolicy::Eager.flush_cadence(), Some(1));
+        assert_eq!(StalenessPolicy::LazyOnHit.flush_cadence(), None);
         assert_eq!(p.to_string(), "bounded(4,2,100ms)");
         assert_eq!(StalenessPolicy::bounded(2, 1).to_string(), "bounded(2,1)");
     }
 
     #[test]
-    fn freshness_display_and_json() {
+    fn freshness_display() {
         let fresh = Freshness::fresh(5);
         assert_eq!(fresh.to_string(), "fresh@5");
         let stale = Freshness { lag: 2, epoch: 7 };
         assert_eq!(stale.to_string(), "lag 2 @epoch 7");
-        assert_eq!(stale.to_json_string(), "{\"lag\":2,\"epoch\":7}");
     }
 
     #[test]

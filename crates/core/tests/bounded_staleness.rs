@@ -4,21 +4,26 @@
 //! wall-clock budget is set, older than `max_lag_ms` milliseconds under a
 //! hand-driven clock — and once drained (flushed), answers are exactly
 //! the base-graph answers.
+//!
+//! Beside the properties: eager behaves exactly as `bounded(1, 0)`, and a
+//! reader racing the writer never counts the writer's in-flight delta as
+//! buffered.
 
 use proptest::prelude::*;
 use sofos_core::{
-    results_equivalent, run_offline, Clock, Engine, EngineConfig, ManualClock, Route, SizedLattice,
-    StalenessPolicy,
+    results_equivalent, run_offline, Clock, Engine, EngineConfig, EventKind, ManualClock, Route,
+    SizedLattice, StalenessPolicy,
 };
 use sofos_cost::CostModelKind;
 use sofos_cube::{AggOp, Facet, ViewMask};
+use sofos_maintain::MaintenanceStrategy;
 use sofos_rdf::Term;
 use sofos_select::WorkloadProfile;
 use sofos_sparql::Evaluator;
 use sofos_store::{Dataset, Delta};
 use sofos_workload::{generate_workload, synthetic, GeneratedQuery, WorkloadConfig};
-use std::sync::Arc;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 
 struct Setup {
     expanded: Dataset,
@@ -209,5 +214,113 @@ proptest! {
             }
         }
         drain_and_verify(&engine)?;
+    }
+}
+
+/// Per-view maintenance outcomes without their wall times.
+fn maintained(engine: &Engine) -> Vec<(ViewMask, MaintenanceStrategy, usize, [usize; 2])> {
+    engine
+        .maintenance()
+        .per_view
+        .iter()
+        .map(|c| {
+            let groups = [c.groups_patched, c.groups_reevaluated];
+            (c.view, c.strategy, c.triples_touched, groups)
+        })
+        .collect()
+}
+
+/// Eager is bounded staleness with a cadence of 1: driven with the same
+/// deltas and queries, `Eager` and `bounded(1, 0)` publish the same
+/// epochs, keep the same catalog, run the same maintenance and answer
+/// alike, and neither records a flush: no update ever buffers a batch.
+#[test]
+fn eager_is_bounded_staleness_with_a_cadence_of_1() {
+    let s = setup();
+    let engines = [StalenessPolicy::Eager, StalenessPolicy::bounded(1, 0)]
+        .map(|policy| bounded_engine(policy, ManualClock::shared(0)));
+    let [eager, bounded] = &engines;
+    let agree = |what: &str| {
+        assert_eq!(eager.epoch(), bounded.epoch(), "epochs after {what}");
+        assert_eq!(eager.views(), bounded.views(), "catalogs after {what}");
+        assert_eq!(
+            maintained(eager),
+            maintained(bounded),
+            "maintenance after {what}"
+        );
+    };
+    for batch in 0..6 {
+        for engine in &engines {
+            engine.update(update_delta(batch)).expect("update runs");
+        }
+        agree(&format!("update {batch}"));
+        for q in &s.workload {
+            let [a, b] = engines
+                .each_ref()
+                .map(|e| e.query(&q.query).expect("query runs"));
+            assert_eq!(a.route, b.route, "{}", q.text);
+            assert_eq!(a.results, b.results, "{}", q.text);
+            assert_eq!(a.freshness, b.freshness, "{}", q.text);
+            assert!(a.freshness.is_fresh());
+            agree(&q.text);
+        }
+    }
+    assert!(
+        !maintained(eager).is_empty(),
+        "the updates maintained views"
+    );
+    for engine in &engines {
+        let snapshot = engine.metrics().snapshot();
+        for counter in ["sofos_flushes_total", "sofos_flushed_batches_total"] {
+            let value = snapshot.counter_value(counter, &[("backend", "epoch")]);
+            assert_eq!(value, Some(0), "{}: {counter}", engine.policy());
+        }
+        assert!(
+            snapshot
+                .events
+                .iter()
+                .all(|e| !matches!(e.kind, EventKind::Flush | EventKind::EpochPublish)),
+            "{}: {:?}",
+            engine.policy(),
+            snapshot.events
+        );
+    }
+}
+
+/// An update that publishes its own delta never counts it as buffered,
+/// so a reader racing the writer never sees it in `buffered_updates()`
+/// or in a freshness tag: never above 0 under eager, and never 2 or more
+/// under `bounded(2, 1)`, whose second update publishes both batches.
+#[test]
+fn readers_never_see_the_in_flight_delta_as_buffered() {
+    let s = setup();
+    for (policy, ceiling) in [
+        (StalenessPolicy::Eager, 0u64),
+        (StalenessPolicy::bounded(2, 1), 1),
+    ] {
+        let engine = bounded_engine(policy, ManualClock::shared(0));
+        let done = AtomicBool::new(false);
+        let worst = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let (mut worst, mut reads) = (0u64, 0usize);
+                while !done.load(Ordering::Acquire) {
+                    worst = worst.max(engine.buffered_updates() as u64);
+                    let q = &s.workload[reads % s.workload.len()];
+                    let answer = engine.query(&q.query).expect("query runs");
+                    worst = worst.max(answer.freshness.lag);
+                    reads += 1;
+                }
+                worst
+            });
+            for batch in 0..200 {
+                engine.update(update_delta(batch)).expect("update runs");
+            }
+            done.store(true, Ordering::Release);
+            reader.join().expect("reader ran clean")
+        });
+        assert!(
+            worst <= ceiling,
+            "{policy}: a reader saw {worst} buffered batches"
+        );
     }
 }

@@ -8,13 +8,14 @@
 //! through identical operation sequences and asserts:
 //!
 //! * **exact answers** at every read under the always-current policies
-//!   (eager / lazy-on-hit / invalidate), and at every read served fresh
-//!   under bounded staleness — which is every read after a drain;
+//!   (eager / lazy-on-hit), and at every read served fresh under bounded
+//!   staleness — which is every read after a drain, and every read under
+//!   `bounded(1, 0)`, the grid's spelling of eager as bounded staleness;
 //! * **in-budget freshness** on every answered read: the batch-lag
 //!   budget, and the wall-clock budget model-checked against the test's
 //!   own enqueue-time mirror;
-//! * after a final drain, **the initial catalog** (empty under invalidate
-//!   once an update arrived) and exact answers everywhere.
+//! * after a final drain, **the initial catalog** and exact answers
+//!   everywhere.
 
 use proptest::prelude::*;
 use sofos_core::{
@@ -126,7 +127,7 @@ fn policy_grid(idx: usize) -> StalenessPolicy {
     match idx {
         0 => StalenessPolicy::Eager,
         1 => StalenessPolicy::LazyOnHit,
-        2 => StalenessPolicy::Invalidate,
+        2 => StalenessPolicy::bounded(1, 0),
         3 => StalenessPolicy::bounded(2, 1),
         _ => StalenessPolicy::bounded_ms(3, 2, 100),
     }
@@ -224,17 +225,12 @@ proptest! {
             }
         }
 
-        // Drain: the catalog is back to the initial one (or empty once
-        // invalidate saw an update), and every answer is exact.
+        // Drain: the catalog is back to the initial one, and every answer
+        // is exact.
         engine.flush().expect("flush runs");
         prop_assert_eq!(engine.buffered_updates(), 0);
         prop_assert_eq!(engine.update_batches(), batch);
-        let expected_catalog = if policy == StalenessPolicy::Invalidate && batch > 0 {
-            Vec::new()
-        } else {
-            mask_set(&s.catalog)
-        };
-        prop_assert_eq!(mask_set(&engine.views()), expected_catalog, "catalog after drain");
+        prop_assert_eq!(mask_set(&engine.views()), mask_set(&s.catalog), "catalog after drain");
         let evaluator = Evaluator::new(&reference);
         for q in &s.workload {
             let answer = engine.query(&q.query).expect("query runs");

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! sofos-server [--host 127.0.0.1] [--port 7878] [--dataset synthetic|dbpedia|lubm|swdf]
-//!              [--staleness eager|lazy|invalidate|bounded=<batches>,<epochs>[,<ms>]]
+//!              [--staleness eager|lazy|bounded=<batches>,<epochs>[,<ms>]]
 //!              [--workers N] [--max-inflight N] [--max-pending N] [--no-views]
 //!              [--data-dir PATH] [--snapshot-every N]
 //! ```
@@ -43,7 +43,7 @@ sofos-server: serve a SOFOS engine over HTTP/1.1
   --host <addr>        bind host (default 127.0.0.1)
   --port <port>        bind port (default 7878; 0 picks a free port)
   --dataset <name>     synthetic | dbpedia | lubm | swdf (default synthetic)
-  --staleness <p>      eager | lazy | invalidate | bounded=<batches>,<epochs>[,<ms>]
+  --staleness <p>      eager | lazy | bounded=<batches>,<epochs>[,<ms>]
                        (default eager)
   --workers <n>        HTTP worker threads (default 4)
   --max-inflight <n>   connection admission cap (default 64)
@@ -112,7 +112,6 @@ fn parse_staleness(text: &str) -> Result<StalenessPolicy, String> {
     match text {
         "eager" => return Ok(StalenessPolicy::Eager),
         "lazy" => return Ok(StalenessPolicy::LazyOnHit),
-        "invalidate" => return Ok(StalenessPolicy::Invalidate),
         _ => {}
     }
     let Some(spec) = text.strip_prefix("bounded=") else {

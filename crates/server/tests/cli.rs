@@ -33,6 +33,27 @@ fn unknown_flags_exit_1_and_name_the_flag() {
     }
 }
 
+/// `invalidate` is no staleness policy (`--no-views` serves the base
+/// graph alone): it exits 1 before booting.
+#[test]
+fn invalidate_is_an_unknown_staleness_policy() {
+    let output = server()
+        .args(["--port", "0", "--staleness", "invalidate"])
+        .output()
+        .expect("sofos-server runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("unknown staleness policy `invalidate`"),
+        "{stderr}"
+    );
+    assert!(
+        output.stdout.is_empty(),
+        "nothing booted: {}",
+        String::from_utf8_lossy(&output.stdout)
+    );
+}
+
 #[test]
 fn known_flags_still_boot() {
     let mut child = server()

@@ -45,8 +45,8 @@
 //!   built via
 //!   `Engine::builder().dataset(..).facet(..).catalog(..).staleness(..)
 //!   .clock(..)`. The engine serves interleaved updates and queries
-//!   under a [`core::StalenessPolicy`] (eager, lazy-on-hit, invalidate,
-//!   or bounded — by batch count, epoch lag, *and* wall-clock
+//!   under a [`core::StalenessPolicy`] (eager, lazy-on-hit, or
+//!   bounded — by batch count, epoch lag, *and* wall-clock
 //!   `max_lag_ms` via an injectable [`core::Clock`]): readers pin
 //!   immutable epoch snapshots while one writer publishes batched
 //!   epochs, the policies run on [`core::policy`], and a conformance
