@@ -316,11 +316,14 @@ fn open_durable(
             if rec.replayed_records > 0 {
                 // The log tail only covers base-graph mutations (and
                 // catalog identity); view graph *contents* are exact only
-                // in full snapshots. Drop every named graph the snapshot
-                // carried — including views the replayed tail retired —
-                // and rebuild the recovered catalog from the recovered
-                // base. Maintenance correctness makes this bit-equal to
-                // the views the crashed process served.
+                // in full snapshots. Every named graph is a view:
+                // `Engine::update` refuses named-graph writes, so no
+                // acknowledged write lives there. Dropping every named
+                // graph the snapshot carried — including views the
+                // replayed tail retired — and rebuilding the recovered
+                // catalog from the recovered base is therefore exact;
+                // maintenance correctness makes it bit-equal to the views
+                // the crashed process served.
                 for name in dataset.graph_names() {
                     dataset.drop_graph(name);
                 }

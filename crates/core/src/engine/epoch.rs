@@ -310,7 +310,18 @@ impl Engine {
     /// Apply an update batch under the engine's staleness policy. The
     /// batch becomes visible to readers atomically at publish; readers
     /// keep answering from the previous epoch until then.
+    ///
+    /// A batch writes the default graph only: G+'s named graphs hold the
+    /// engine's views, which only maintenance writes (and recovery
+    /// rebuilds from the base graph). A batch with a named-graph op is
+    /// refused with [`SparqlError::Plan`] before any lock is taken, so
+    /// nothing of it is applied or logged.
     pub fn update(&self, delta: Delta) -> Result<(), SparqlError> {
+        if delta.ops().any(|op| op.graph.is_some()) {
+            return Err(SparqlError::Plan(
+                "updates write the default graph only: named graphs hold the views".to_string(),
+            ));
+        }
         let result = self.update_inner(delta);
         self.note_store();
         result

@@ -309,7 +309,7 @@ impl PendingLog {
     /// otherwise pin the log forever; past the cap, views behind the
     /// dropped entries are downgraded to a full refresh on their next hit
     /// (which a view that stale would effectively need anyway).
-    pub const CAP: usize = 64;
+    pub(crate) const CAP: usize = 64;
 
     /// Buffer one batch's row delta under `stamp`. Empty deltas are
     /// dropped. Callers must enforce the cap afterwards
@@ -424,8 +424,8 @@ impl PendingLog {
         }
     }
 
-    /// Keep the log bounded (see [`PendingLog::CAP`]): past the cap, the
-    /// laggiest views are downgraded to a full refresh as of
+    /// Keep the log bounded (at most `PendingLog::CAP` batches): past
+    /// the cap, the laggiest views are downgraded to a full refresh as of
     /// `current_stamp` so the oldest entries can drop. Returns how many
     /// entries the cap evicted (for telemetry; compaction of
     /// fully-consumed entries is not counted).
@@ -535,15 +535,12 @@ impl ProfileWindows {
         }
     }
 
-    /// A batch's default-graph `(inserted, deleted)` op counts — what
+    /// A batch's `(inserted, deleted)` op counts — what
     /// [`ProfileWindows::observe_batch`] records. Counted by the caller
     /// before it takes the serving lock, so the lock only pays O(1).
     pub fn batch_counts(delta: &Delta) -> (usize, usize) {
         let (mut inserted, mut deleted) = (0usize, 0usize);
         for op in delta.ops() {
-            if op.graph.is_some() {
-                continue; // view graphs are ours, not workload pressure
-            }
             match op.kind {
                 OpKind::Insert => inserted += 1,
                 OpKind::Delete => deleted += 1,

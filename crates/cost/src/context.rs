@@ -53,60 +53,6 @@ pub fn size_lattice(
         .collect())
 }
 
-/// Size every view of the lattice *analytically* from generator-level
-/// knowledge — per-dimension cardinalities and the observation count —
-/// instead of evaluating the base view and rolling the lattice up from it
-/// like [`size_lattice`].
-///
-/// A view's row count is bounded both by the product of its retained
-/// dimensions' cardinalities and by the observation count; triples, nodes
-/// and bytes follow the encoded-view shape (each row binds one value per
-/// retained dimension plus the aggregate). Skewed generators produce
-/// fewer distinct groups than the bound, so these are uniform *upper*
-/// estimates — consistent across views, which is what relative
-/// selection-quality and wall-time comparisons need. O(2^d) arithmetic
-/// with no dataset access: the piece that lets selection-at-scale
-/// experiments price 10–100× larger lattices without evaluating (and
-/// holding) a base view whose rows grow with the lattice.
-pub fn estimate_lattice(
-    lattice: &Lattice,
-    cardinalities: &[usize],
-    observations: usize,
-) -> FxHashMap<ViewMask, ViewStats> {
-    // Encoded terms are IRIs/literals of modest length; one shared
-    // estimate keeps byte budgets proportional to triple counts.
-    const BYTES_PER_TRIPLE: usize = 48;
-    let facet_id = lattice.facet().id.clone();
-    let mut out = FxHashMap::default();
-    for mask in lattice.views() {
-        let mut groups: u128 = 1;
-        let mut value_pool: usize = 0;
-        for d in mask.dims() {
-            let card = cardinalities.get(d).copied().unwrap_or(1).max(1);
-            groups = groups.saturating_mul(card as u128);
-            value_pool += card;
-        }
-        let rows = groups.min(observations.max(1) as u128) as usize;
-        let dims = mask.dim_count() as usize;
-        let triples = rows * (dims + 1);
-        // Group nodes + aggregate literals (≈ one distinct per row) +
-        // the dimension-value pool.
-        let nodes = rows * 2 + value_pool;
-        out.insert(
-            mask,
-            ViewStats {
-                facet_id: facet_id.clone(),
-                mask,
-                rows,
-                triples,
-                nodes,
-                bytes: triples * BYTES_PER_TRIPLE,
-            },
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,27 +125,5 @@ mod tests {
         assert_eq!(ctx.dim_cardinality(1), Some(4));
         assert!(ctx.stats(ViewMask::APEX).is_some());
         assert!(ctx.stats(ViewMask(0b1000000)).is_none());
-    }
-
-    #[test]
-    fn analytic_estimates_cover_the_lattice_and_respect_bounds() {
-        let (_, facet) = dataset_and_facet();
-        let lattice = Lattice::new(facet);
-        let estimated = estimate_lattice(&lattice, &[3, 4], 12);
-        assert_eq!(estimated.len() as u64, lattice.num_views());
-        // Apex groups everything into one row.
-        assert_eq!(estimated[&ViewMask::APEX].rows, 1);
-        // The base view is capped by min(3 × 4, 12 observations).
-        assert_eq!(estimated[&lattice.base()].rows, 12);
-        // Singleton views are capped by their cardinality.
-        assert_eq!(estimated[&ViewMask::from_dims(&[0])].rows, 3);
-        assert_eq!(estimated[&ViewMask::from_dims(&[1])].rows, 4);
-        // Coarser views never estimate more rows than finer ones, and
-        // sizing fields scale together.
-        for (&mask, stats) in &estimated {
-            assert!(stats.rows <= 12);
-            assert_eq!(stats.triples, stats.rows * (mask.dim_count() as usize + 1));
-            assert!(stats.bytes >= stats.triples);
-        }
     }
 }

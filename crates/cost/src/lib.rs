@@ -30,7 +30,7 @@ pub mod maintenance;
 pub mod models;
 pub mod nn;
 
-pub use context::{estimate_lattice, size_lattice, CostContext};
+pub use context::{size_lattice, CostContext};
 pub use features::{feature_dim, view_features, Normalizer};
 pub use learned::{
     regression_metrics, spearman, LearnedCostModel, RegressionMetrics, TrainingSample,

@@ -166,23 +166,15 @@ impl Maintainer {
         let affected = star.affected_subjects(dataset, &delta);
         let leg_ids = star.leg_ids(dataset);
 
-        let candidates = scan_candidates(dataset.default_graph(), &leg_ids);
         let mut pre: Vec<(Vec<TermId>, TermId, i64)> = Vec::new();
         for &subject in &affected {
-            if !candidates.contains(subject.0) {
-                continue;
-            }
             star.subject_rows(dataset.default_graph(), &leg_ids, subject, &mut pre);
         }
         let changes = dataset.apply(delta);
         let mut rows = RowDelta::default();
         if !changes.default_graph.is_empty() {
-            let candidates = scan_candidates(dataset.default_graph(), &leg_ids);
             let mut post: Vec<(Vec<TermId>, TermId, i64)> = Vec::new();
             for &subject in &affected {
-                if !candidates.contains(subject.0) {
-                    continue;
-                }
                 star.subject_rows(dataset.default_graph(), &leg_ids, subject, &mut post);
             }
             for (dims, measure, mult) in post {
@@ -781,27 +773,6 @@ fn find_obs_run_walk(store: &GraphStore, ids: &ViewIds, key: &[TermId]) -> Optio
         }
     }
     candidates.and_then(|c| c.into_iter().min())
-}
-
-/// Intersection of the star legs' per-predicate subject bitmaps on the
-/// base graph: the subjects that can possibly bind a complete star row
-/// (every leg present at least once). Skipping a subject outside it is
-/// equivalent to `StarPattern::subject_rows`' empty-leg early return —
-/// the filter only rules out subjects that would bind no row anyway.
-fn scan_candidates(base: &GraphStore, leg_ids: &[TermId]) -> Bitmap {
-    let mut acc: Option<Bitmap> = None;
-    for &pred in leg_ids {
-        let bm = base.pred_subjects(pred).cloned().unwrap_or_default();
-        let next = match acc {
-            None => bm,
-            Some(prev) => prev.and(&bm),
-        };
-        if next.is_empty() {
-            return next;
-        }
-        acc = Some(next);
-    }
-    acc.unwrap_or_default()
 }
 
 /// Read a component value of an observation.

@@ -91,8 +91,9 @@ impl StarPattern {
             .collect()
     }
 
-    /// Subjects a delta's default-graph operations can affect: subjects of
-    /// ops whose predicate is one of the star's predicates.
+    /// Subjects a delta can affect: subjects of ops whose predicate is one
+    /// of the star's predicates. Deltas write the default graph only
+    /// (`Engine::update` refuses named-graph ops).
     pub fn affected_subjects(
         &self,
         dataset: &mut Dataset,
@@ -100,9 +101,6 @@ impl StarPattern {
     ) -> FxHashSet<TermId> {
         let mut affected = FxHashSet::default();
         for op in delta.ops() {
-            if op.graph.is_some() {
-                continue;
-            }
             let [s, p, _] = &op.triple;
             if !self.legs.iter().any(|l| l.predicate == *p) {
                 continue;

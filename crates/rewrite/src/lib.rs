@@ -20,7 +20,7 @@
 //!    SUM of counts, MIN of minima, ...; AVG = SUM(sums)/SUM(counts)).
 //!
 //! The serving engine (`sofos_core::Engine::query`) runs these steps for
-//! every query, in both of its backends; a query that fails step 1, or
+//! every query; a query that fails step 1, or
 //! that no view covers in step 2, runs unchanged on the base graph.
 
 use sofos_cube::{component_predicate, AggOp, Facet, ViewMask};

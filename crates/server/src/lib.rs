@@ -14,13 +14,14 @@
 //!
 //! **Admission control.** Overload degrades instead of collapsing: the
 //! acceptor refuses new connections with `503` + `Retry-After` once
-//! `queued + in-service` reaches [`ServerConfig::max_inflight`], and
-//! `/update` refuses writes the same way while the engine's buffered
-//! update backlog is at [`ServerConfig::max_pending`] (defaulting to the
-//! pending log's own cap, [`sofos_core::policy::PendingLog::CAP`]). Both
-//! refusals are cheap — a rejected request costs a header write, not a
-//! worker — which is what keeps the p99 of *admitted* requests flat past
-//! saturation (measured in `e11_serving`).
+//! `queued + in-service` reaches [`ServerConfig::max_inflight`]. The
+//! refusal is cheap — it costs a header write, not a worker — which is
+//! what keeps the p99 of *admitted* requests flat past saturation
+//! (measured in `e11_serving`). The only other `503` is `/update` on a
+//! durable engine whose log failed: the store is read-only from then on.
+//! The write backlog has no cap of its own: the engine's staleness policy
+//! bounds it (eager and lazy never buffer a write, `bounded(k, …)`
+//! publishes on its k-th).
 //!
 //! **Shutdown.** [`ServerHandle::shutdown`] (or a SIGTERM to the
 //! `sofos-server` binary) stops accepting, lets workers finish queued
@@ -42,7 +43,7 @@ pub mod http;
 mod routes;
 
 use http::{HttpError, Limits, RequestReader, Response};
-use sofos_core::{policy::PendingLog, Engine};
+use sofos_core::Engine;
 use sofos_telemetry::{Counter, Histogram};
 use std::collections::VecDeque;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -61,9 +62,6 @@ pub struct ServerConfig {
     /// Admission cap: maximum connections queued + in service before the
     /// acceptor starts refusing with 503.
     pub max_inflight: usize,
-    /// Admission cap for `/update`: refuse writes while
-    /// `engine.buffered_updates()` is at or above this.
-    pub max_pending: usize,
     /// Per-read socket timeout; also bounds how long an idle keep-alive
     /// connection can pin a worker (and thus shutdown latency).
     pub read_timeout: Duration,
@@ -77,7 +75,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
             max_inflight: 64,
-            max_pending: PendingLog::CAP,
             read_timeout: Duration::from_secs(2),
             limits: Limits::default(),
         }
@@ -116,14 +113,12 @@ pub(crate) struct ServerInstruments {
     responses_client_error: Arc<Counter>,
     responses_server_error: Arc<Counter>,
     rejected_queue: Arc<Counter>,
-    pub(crate) rejected_pending: Arc<Counter>,
 }
 
 impl ServerInstruments {
     fn new(engine: &Engine) -> ServerInstruments {
         let handle = engine.metrics();
         let latency_help = "HTTP request service latency (µs)";
-        let rejected_help = "Requests refused by admission control";
         let responses_help = "HTTP responses by status class";
         ServerInstruments {
             latency_query: handle.histogram(
@@ -164,13 +159,8 @@ impl ServerInstruments {
             ),
             rejected_queue: handle.counter(
                 "sofos_http_rejected_total",
-                rejected_help,
+                "Requests refused by admission control",
                 &[("reason", "inflight_cap")],
-            ),
-            rejected_pending: handle.counter(
-                "sofos_http_rejected_total",
-                rejected_help,
-                &[("reason", "pending_cap")],
             ),
         }
     }

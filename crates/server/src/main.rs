@@ -4,7 +4,7 @@
 //! ```text
 //! sofos-server [--host 127.0.0.1] [--port 7878] [--dataset synthetic|dbpedia|lubm|swdf]
 //!              [--staleness eager|lazy|bounded=<batches>,<epochs>[,<ms>]]
-//!              [--workers N] [--max-inflight N] [--max-pending N] [--no-views]
+//!              [--workers N] [--max-inflight N] [--no-views]
 //!              [--data-dir PATH] [--snapshot-every N]
 //! ```
 //!
@@ -47,7 +47,6 @@ sofos-server: serve a SOFOS engine over HTTP/1.1
                        (default eager)
   --workers <n>        HTTP worker threads (default 4)
   --max-inflight <n>   connection admission cap (default 64)
-  --max-pending <n>    /update admission cap on buffered batches (default 64)
   --no-views           skip offline view selection (serve the base graph)
   --data-dir <path>    persist published epochs under <path> and recover
                        from it on restart
@@ -62,7 +61,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--staleness",
     "--workers",
     "--max-inflight",
-    "--max-pending",
     "--data-dir",
     "--snapshot-every",
 ];
@@ -224,7 +222,6 @@ fn run(args: &[String]) -> Result<(), String> {
         addr: format!("{host}:{port}"),
         workers: parsed_flag(args, "--workers", 4)?,
         max_inflight: parsed_flag(args, "--max-inflight", 64)?,
-        max_pending: parsed_flag(args, "--max-pending", ServerConfig::default().max_pending)?,
         ..ServerConfig::default()
     };
     let handle = serve(Arc::new(engine), config).map_err(|e| format!("bind failed: {e}"))?;

@@ -47,8 +47,8 @@ fn error(status: u16, message: &str) -> Response {
     )
 }
 
-/// 503 with a `Retry-After` hint — the admission-control refusal shape
-/// shared by the accept loop and `/update`.
+/// 503 with a `Retry-After` hint — the accept loop's refusal past the
+/// in-flight cap.
 pub(crate) fn overloaded(message: &str) -> Response {
     error(503, message).with_header("Retry-After", "1")
 }
@@ -149,12 +149,6 @@ fn render_answer(answer: &SessionAnswer) -> String {
 }
 
 fn update(shared: &Shared, req: &Request) -> Response {
-    // Admission control: refuse new write work while the maintenance
-    // path's buffered backlog is at the configured cap.
-    if shared.engine.buffered_updates() >= shared.config.max_pending {
-        shared.instruments.rejected_pending.inc();
-        return overloaded("pending update log at capacity; retry shortly");
-    }
     let body = match parse_body(req) {
         Ok(body) => body,
         Err(resp) => return resp,

@@ -11,10 +11,12 @@ fn server() -> Command {
 /// before booting and names the flag next to the usage text.
 #[test]
 fn unknown_flags_exit_1_and_name_the_flag() {
-    let cases: [(&[&str], &str); 3] = [
+    let cases: [(&[&str], &str); 4] = [
         (&["--shards", "0"], "--shards"),
         (&["--port", "0", "--bogus"], "--bogus"),
         (&["--backend", "serial"], "--backend"),
+        // The staleness policy is the only bound on buffered writes.
+        (&["--max-pending", "2"], "--max-pending"),
     ];
     for (args, flag) in cases {
         let output = server().args(args).output().expect("sofos-server runs");

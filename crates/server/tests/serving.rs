@@ -424,28 +424,34 @@ fn acceptor_refuses_connections_past_the_inflight_cap() {
 }
 
 #[test]
-fn update_refuses_past_the_pending_cap() {
-    // Bounded policy with a huge flush threshold: every update buffers.
-    let handle = boot(
-        StalenessPolicy::bounded(100, 100),
-        ServerConfig {
-            max_pending: 2,
-            ..ServerConfig::default()
-        },
-    );
-    for i in 0..2 {
+fn bounded_server_admits_every_update_and_publishes_on_its_cadence() {
+    // The staleness policy is the only bound on the write backlog: a
+    // cadence past any server default still admits every update.
+    let handle = boot(StalenessPolicy::bounded(100, 100), ServerConfig::default());
+    let engine = Arc::clone(handle.engine());
+    let start_epoch = engine.epoch();
+    for i in 1..=99 {
         let (status, body) = one_shot(
             &handle,
             "POST",
             "/update",
             &insert_body(&format!("b{i}"), 1),
         );
-        assert_eq!(status, 200, "{body}");
+        assert_eq!(status, 200, "update {i}: {body}");
+        assert_eq!(engine.buffered_updates(), i, "update {i} buffers");
+        let (status, body) = one_shot(&handle, "POST", "/query", COUNT_QUERY);
+        assert_eq!(status, 200, "query after update {i}: {body}");
     }
-    assert_eq!(handle.engine().buffered_updates(), 2);
-    let (status, body) = one_shot(&handle, "POST", "/update", &insert_body("overflow", 1));
-    assert_eq!(status, 503, "{body}");
-    assert!(body.contains("pending"), "{body}");
+    assert_eq!(engine.epoch(), start_epoch, "nothing published yet");
+
+    let (status, body) = one_shot(&handle, "POST", "/update", &insert_body("b100", 1));
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"buffered\":0"), "{body}");
+    assert_eq!(engine.buffered_updates(), 0, "the 100th update publishes");
+    assert!(engine.epoch() > start_epoch, "the epoch moves");
+    let (_, body) = one_shot(&handle, "POST", "/query", COUNT_QUERY);
+    let (count, _) = count_and_epoch(&body);
+    assert_eq!(count, (BASE_OBS + 100) as i64);
     handle.shutdown();
 }
 

@@ -1,8 +1,6 @@
-//! Point-in-time snapshots and their two renderings: hand-rolled JSON
-//! (matching the repo's `Json` conventions — objects, arrays, integer
-//! and float literals) and the Prometheus text exposition format
-//! (`# HELP` / `# TYPE` lines, escaped label values, histograms as
-//! `summary` quantiles plus `_sum` / `_count`).
+//! Point-in-time snapshots and their one rendering, the Prometheus text
+//! exposition format (`# HELP` / `# TYPE` lines, escaped label values,
+//! histograms as `summary` quantiles plus `_sum` / `_count`).
 
 use crate::events::Event;
 use crate::histogram::HistogramSnapshot;
@@ -127,76 +125,6 @@ impl MetricsSnapshot {
             .find(|h| h.name == name && labels_match(&h.labels, labels))
     }
 
-    /// Render the whole snapshot as one JSON object:
-    /// `{"counters":[…],"gauges":[…],"histograms":[…],"events":[…],
-    /// "events_dropped":N}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":[");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"labels\":{},\"value\":{}}}",
-                json_escape(&c.name),
-                labels_json(&c.labels),
-                c.value
-            );
-        }
-        out.push_str("],\"gauges\":[");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"labels\":{},\"value\":{}}}",
-                json_escape(&g.name),
-                labels_json(&g.labels),
-                g.value
-            );
-        }
-        out.push_str("],\"histograms\":[");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let s = &h.snapshot;
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"labels\":{},\"count\":{},\"sum\":{},\"max\":{},\
-                 \"mean\":{},\"p50\":{},\"p90\":{},\"p95\":{},\"p99\":{}}}",
-                json_escape(&h.name),
-                labels_json(&h.labels),
-                s.count,
-                s.sum,
-                s.max,
-                s.mean(),
-                s.p50(),
-                s.p90(),
-                s.p95(),
-                s.p99()
-            );
-        }
-        out.push_str("],\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"seq\":{},\"at_ms\":{},\"kind\":\"{}\",\"detail\":\"{}\"}}",
-                e.seq,
-                e.at_ms,
-                e.kind.name(),
-                json_escape(&e.detail)
-            );
-        }
-        let _ = write!(out, "],\"events_dropped\":{}}}", self.events_dropped);
-        out
-    }
-
     /// Render the Prometheus text exposition format. Counters and
     /// gauges map directly; histograms render as `summary` metrics
     /// (`quantile` labels plus `_sum` and `_count` series). Samples of
@@ -290,38 +218,6 @@ fn labels_match(have: &[(String, String)], want: &[(&str, &str)]) -> bool {
             .all(|((k, v), (wk, wv))| k == wk && v == wv)
 }
 
-/// Escape a string for a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// `{"k":"v",…}` for a label set.
-fn labels_json(labels: &[(String, String)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":\"{}\"", json_escape(k), json_escape(v));
-    }
-    out.push('}');
-    out
-}
-
 /// Escape a Prometheus label *value*: backslash, double-quote, newline.
 fn prom_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -403,36 +299,6 @@ mod tests {
         h.record_all(&[10, 20, 30]);
         m.event(99, EventKind::Flush, "drained 2 batches");
         m
-    }
-
-    #[test]
-    fn json_round_trips_structure() {
-        let json = populated().snapshot().to_json();
-        assert!(json.starts_with("{\"counters\":["), "{json}");
-        assert!(
-            json.contains(
-                "{\"name\":\"sofos_route_hits_total\",\"labels\":{\"backend\":\"serial\"},\"value\":3}"
-            ),
-            "{json}"
-        );
-        assert!(json.contains("\"count\":3,\"sum\":60,\"max\":30"), "{json}");
-        assert!(json.contains("\"p50\":20"), "{json}");
-        assert!(
-            json.contains("\"kind\":\"flush\",\"detail\":\"drained 2 batches\""),
-            "{json}"
-        );
-        assert!(json.ends_with("\"events_dropped\":0}"), "{json}");
-    }
-
-    #[test]
-    fn json_escapes_details() {
-        let m = MetricsHandle::new();
-        m.event(1, EventKind::MaintenanceError, "broke \"here\"\nbadly\\");
-        let json = m.snapshot().to_json();
-        assert!(
-            json.contains("\"detail\":\"broke \\\"here\\\"\\nbadly\\\\\""),
-            "{json}"
-        );
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! see `sofos-bench`) and moved here when the serving tier needed the
 //! same value type for request/response bodies — telemetry is the one
 //! dependency-free crate every consumer (bench, server, workload) can
-//! share without a cycle. [`MetricsSnapshot::to_json`] renders through
-//! the same escaping rules.
-//!
-//! [`MetricsSnapshot::to_json`]: crate::MetricsSnapshot::to_json
+//! share without a cycle. [`escape_into`] is the one JSON string
+//! escaper: the server's `/query` renderer and the open-loop harness's
+//! request bodies write through it too.
 
 use std::fmt;
 

@@ -20,8 +20,8 @@
 //!   (get-or-create) takes a lock; recording through the returned
 //!   `Arc` never does.
 //! - [`MetricsSnapshot`] — a point-in-time read of everything, rendered
-//!   to JSON ([`MetricsSnapshot::to_json`]) or the Prometheus text
-//!   exposition format ([`MetricsSnapshot::to_prometheus_text`]).
+//!   in the Prometheus text exposition format
+//!   ([`MetricsSnapshot::to_prometheus_text`]).
 //! - [`Json`] — a minimal hand-rolled JSON value (writer *and* parser),
 //!   hosted here because this is the one dependency-free crate that the
 //!   bench reports, the HTTP server, and the load harness can all share.
@@ -127,15 +127,10 @@ impl MetricsHandle {
     /// An enabled handle with default event capacity and slow-query
     /// threshold.
     pub fn new() -> MetricsHandle {
-        MetricsHandle::with_capacity(DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// An enabled handle keeping the last `events` events.
-    pub fn with_capacity(events: usize) -> MetricsHandle {
         MetricsHandle {
             inner: Arc::new(HandleInner {
                 registry: Registry::new(),
-                events: EventRing::new(events),
+                events: EventRing::new(DEFAULT_EVENT_CAPACITY),
                 enabled: true,
             }),
         }

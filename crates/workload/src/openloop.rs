@@ -32,6 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::zipf::Zipf;
+use sofos_telemetry::json::escape_into;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -90,22 +91,12 @@ pub struct PlannedRequest {
     pub body: String,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// `{"<key>": "<text>"}`, with `text` escaped by the one JSON writer.
+fn json_body(key: &str, text: &str) -> String {
+    let mut body = format!("{{\"{key}\": ");
+    escape_into(text, &mut body);
+    body.push('}');
+    body
 }
 
 /// Build a deterministic open-loop schedule.
@@ -136,7 +127,7 @@ pub fn plan(
             (
                 PlannedKind::Query(pick),
                 "/query",
-                format!("{{\"query\": {}}}", json_escape(&queries[pick])),
+                json_body("query", &queries[pick]),
             )
         } else {
             assert!(!updates.is_empty(), "write mix needs at least one update");
@@ -145,7 +136,7 @@ pub fn plan(
             (
                 PlannedKind::Update(pick),
                 "/update",
-                format!("{{\"insert\": {}}}", json_escape(&updates[pick])),
+                json_body("insert", &updates[pick]),
             )
         };
         schedule.push(PlannedRequest {
