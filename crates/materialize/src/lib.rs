@@ -26,7 +26,9 @@
 //! the selected views each touch the data once. That one evaluation
 //! ([`evaluate_view`]) is the view query run by [`Evaluator`], the same
 //! join that serves queries: a star facet's block takes the evaluator's
-//! star join, any other block its greedy join.
+//! star join (one predicate scan per leg, read into columns by candidate
+//! subject), any other block its greedy join. Queries rewritten onto a
+//! view's named graph take the same star join.
 //!
 //! One function writes view graphs: [`load_view`]. It encodes a view's
 //! rows straight to id-encoded triples and bulk-loads them into the

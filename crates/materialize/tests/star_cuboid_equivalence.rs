@@ -12,14 +12,20 @@
 //! including differently spelled equal numbers, under all five
 //! aggregates; triples in named graphs that share the facet's subjects
 //! and predicates; and, in half the cases, a live store whose run is
-//! overlaid by the pending inserts and removes of [`Dataset::apply`]
-//! batches. Shapes that are not stars (a chain leg, a shared object
-//! variable, a constant object, FILTER, OPTIONAL, a named graph block)
-//! must agree too. So must the star blocks serving meets: after a `BIND`
-//! or `VALUES` that binds an unrelated variable (the star join extends a
-//! seeded row), and where the star join declines: under `GRAPH <g>`,
-//! after a `VALUES` that binds the subject or an object, and with a
-//! pushed `?o = <iri>` FILTER.
+//! overlaid by the delta and tombstones of frozen [`Dataset::apply`]
+//! batches and the pending inserts and removes of later ones. Shapes
+//! that are not stars (a chain leg, a shared object variable, a constant
+//! object, FILTER, OPTIONAL, a named graph block beside a default one)
+//! must agree too. So must the star blocks serving meets: under
+//! `GRAPH <g0>` (a rewritten view query), after a `BIND` or `VALUES`
+//! that binds an unrelated variable (the star join extends a seeded
+//! row), and where the star join declines: after a `VALUES` that binds
+//! the subject or an object, and with a pushed `?o = <iri>` FILTER.
+//! Both ways of reading a later leg are covered, on the default graph
+//! and under `GRAPH <g0>`: the predicate scan, and the `(s, p)` probes
+//! taken when a leg has far more triples than the star has candidates
+//! (many subjects carry that leg alone), with functional, multi-valued
+//! and one-leg stars.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -212,7 +218,13 @@ fn dataset(
         };
     };
     if live {
-        for batch in default[split..].chunks(7) {
+        let batches = default[split..].chunks(7).count();
+        for (b, batch) in default[split..].chunks(7).enumerate() {
+            // The first half of the batches lands in the delta and
+            // tombstone slices, the rest stays in the pending overlay.
+            if b == batches / 2 {
+                ds.freeze();
+            }
             let mut delta = Delta::new();
             for t in batch {
                 put(&mut delta, t, true);
@@ -261,6 +273,58 @@ proptest! {
         let home = (shape == 0).then(|| iri("g0"));
         let ds = dataset(&default, &named, home.as_ref(), live, &mut rng);
         let pattern = serving_shape(shape, &facet, &default, &mut rng);
+        check_pattern(&ds, &facet, &pattern)?;
+    }
+
+    #[test]
+    fn probe_and_named_graph_reads_agree(
+        legs in 1usize..=4,
+        agg in 0usize..5,
+        subjects in 0usize..8,
+        wide in prop_oneof![Just(0usize), 150usize..300],
+        multi in any::<bool>(),
+        named in any::<bool>(),
+        live in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut default, named_data, facet) =
+            star_case(legs, subjects, AggOp::ALL[agg], &mut rng);
+        let [PatternElement::Triples { patterns, .. }] = facet.pattern.elements.as_slice() else {
+            unreachable!("a star facet is one triples block")
+        };
+        let leg_pred = |i: usize| match &patterns[i].predicate {
+            PatternTerm::Const(p) => p.clone(),
+            PatternTerm::Var(_) => unreachable!("star legs have constant predicates"),
+        };
+        // A multi-valued leg: every triple of the last leg's predicate
+        // gets a second object.
+        if multi {
+            let pred = leg_pred(legs - 1);
+            let extra: Vec<Triple> = default
+                .iter()
+                .filter(|t| t.predicate == pred)
+                .map(|t| Triple::new_unchecked(t.subject.clone(), pred.clone(), iri(format!("m{}", rng.gen_range(0..4)))))
+                .collect();
+            default.extend(extra);
+        }
+        // Subjects that carry one leg alone: that leg has far more
+        // triples than the star has candidates, so it is probed.
+        let pred = leg_pred(rng.gen_range(0..legs));
+        for w in 0..wide {
+            for _ in 0..rng.gen_range(1..=2) {
+                default.push(Triple::new_unchecked(iri(format!("w{w}")), pred.clone(), value(&mut rng, 0)));
+            }
+        }
+        let home = named.then(|| iri("g0"));
+        let ds = dataset(&default, &named_data, home.as_ref(), live, &mut rng);
+        let graph = match home {
+            Some(_) => GraphSpec::Named(Iri::new_unchecked(format!("{NS}g0"))),
+            None => GraphSpec::Default,
+        };
+        let pattern = GroupPattern {
+            elements: vec![PatternElement::Triples { graph, patterns: patterns.clone() }],
+        };
         check_pattern(&ds, &facet, &pattern)?;
     }
 

@@ -688,14 +688,23 @@ fn unmerged_store_answers_like_merged() {
         format!("SELECT ?o ?p WHERE {{ ?o ?p <{NS}c1> . ?o <{NS}country> ?c }}"),
         format!("SELECT ?p WHERE {{ <{NS}obs7> ?p ?x . <{NS}obs7> ?p <{NS}c3> }}"),
         "SELECT ?s ?p ?o WHERE { ?s ?p ?o }".to_string(),
+        // A view-graph star: every triple is mirrored into graph <g>.
+        format!(
+            "SELECT * WHERE {{ GRAPH <{NS}g> {{ ?o <{NS}country> ?c . ?o <{NS}year> ?y . \
+             ?o <{NS}language> ?l }} }}"
+        ),
+        format!("SELECT * WHERE {{ GRAPH <{NS}g> {{ ?o <{NS}population> ?n }} }}"),
     ];
+    let graph = iri("g");
 
     for seed in 0..8u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut base = Dataset::new();
+        let g = base.intern(&graph);
         for _ in 0..1500 {
             let [s, p, o] = triple(&mut rng);
             base.insert(None, &s, &p, &o);
+            base.insert(Some(g), &s, &p, &o);
         }
         base.optimize();
         let mut removed = Vec::new();
@@ -709,10 +718,12 @@ fn unmerged_store_answers_like_merged() {
                     _ => {
                         let [s, p, o] = triple(&mut rng);
                         delta.delete(s.clone(), p.clone(), o.clone());
+                        delta.delete_from(graph.clone(), s.clone(), p.clone(), o.clone());
                         removed.push([s, p, o]);
                         continue;
                     }
                 };
+                delta.insert_into(graph.clone(), s.clone(), p.clone(), o.clone());
                 delta.insert(s, p, o);
             }
             batches.push(delta);
