@@ -20,12 +20,12 @@
 //! tombstoned keys by walking the tombstone range in step with the run's.
 //! The greedy join's rows come in its first leg's index order, so a
 //! later leg's probes ascend in runs (a `?s <p> ?o` first leg yields
-//! subjects ascending within each object); the star join's `(s, p)`
-//! probes ascend throughout (see below). Any other prefix — a repeat,
+//! subjects ascending within each object). Any other prefix — a repeat,
 //! or one going back — falls back to the binary searches of the whole
-//! slices a plain `GraphStore::scan` does. A probe yields exactly the triples a plain
-//! scan yields, in the same order, so answers and row order do not
-//! depend on the cursor.
+//! slices a plain `GraphStore::scan` does. A probe yields exactly the
+//! triples a plain scan yields, in the same order, so answers and row
+//! order do not depend on the cursor. The star join (below) probes
+//! nothing: it reads each leg with one scan of its predicate.
 //!
 //! # Star blocks
 //!
@@ -40,17 +40,15 @@
 //! legs' objects in ascending order, the last leg innermost.
 //!
 //! - **Candidates.** The subjects every leg has: the AND of the legs'
-//!   `pred_subjects` bitmaps. A subject's position among them is one
-//!   word read and a popcount of a bitset over their id span (`Ranks`);
-//!   no hash.
-//! - **Later legs.** Each is read into a column by candidate position:
-//!   one value per candidate for a functional leg (as many triples as
-//!   subjects), offsets plus objects otherwise. It is read with one POS
-//!   scan of its predicate, whose (object, subject) order keeps each
-//!   subject's objects ascending; or, when it has far more triples than
-//!   there are candidates, with one `(s, p)` probe per candidate in
-//!   ascending order through the [`ScanCursor`]. The store's exact
-//!   triple and subject counts decide both.
+//!   `pred_subjects` bitmaps. A subject's position among them comes from
+//!   the bitmap's [`Ranks`]: a search of its few containers, then one
+//!   word read and a popcount, or a binary search of a sparse
+//!   container. No hash, and nothing sized by the candidates' id span.
+//! - **Later legs.** Each is read into a column by candidate position
+//!   with one POS scan of its predicate, whose (object, subject) order
+//!   keeps each subject's objects ascending: one value per candidate for
+//!   a functional leg (as many triples as subjects, by the store's exact
+//!   counts), offsets plus objects otherwise.
 //! - **First leg.** One POS scan of its predicate yields the rows' order
 //!   directly; each match of a candidate extends the seed by the
 //!   columns' objects. A one-leg star is that scan alone.
@@ -129,7 +127,7 @@ use crate::results::QueryResults;
 use crate::value::{DistinctKey, Value};
 use sofos_rdf::hash::FxHasher;
 use sofos_rdf::{Dictionary, FxHashMap, FxHashSet, Numeric, Term, TermId};
-use sofos_store::{Bitmap, Dataset, GraphStore, IdPattern, ScanCursor};
+use sofos_store::{Dataset, GraphStore, IdPattern, Ranks, ScanCursor};
 use std::cmp::Ordering;
 use std::hash::Hasher;
 
@@ -761,13 +759,12 @@ impl Star {
             legs.push(self.legs.swap_remove(next));
         }
         let (first, first_slot) = legs[0];
-        let mut cursor = store.scan_cursor();
         // The greedy join's rows: the first leg's matches in (object,
         // subject) order, which is the POS index's order.
-        let firsts = IdPattern::new(None, Some(first), None);
+        let firsts = store.scan(IdPattern::new(None, Some(first), None));
         if legs.len() == 1 {
             let mut out = Table::with_capacity(seed.len(), count(first));
-            for [s, _, o] in cursor.scan(firsts) {
+            for [s, _, o] in firsts {
                 let row = out.push(seed);
                 row[self.subject] = Some(s);
                 row[first_slot] = Some(o);
@@ -785,10 +782,11 @@ impl Star {
         if candidates.is_empty() {
             return Table::with_capacity(seed.len(), 0);
         }
-        let ranks = Ranks::new(&candidates);
+        let n = candidates.cardinality() as usize;
+        let ranks = candidates.ranks();
         let columns: Vec<Column> = legs[1..]
             .iter()
-            .map(|&leg| Column::read(store, &mut cursor, leg, &candidates, &ranks))
+            .map(|&leg| Column::read(store, leg, n, &ranks))
             .collect();
 
         // Each first-leg match of a candidate extends the seed once per
@@ -796,11 +794,22 @@ impl Star {
         // innermost; a functional leg adds its one object to every row.
         let (functional, multi): (Vec<Column>, Vec<Column>) =
             columns.into_iter().partition(|c| c.offsets.is_empty());
+        // Every candidate has a first-leg object, so it yields at least
+        // the product of its multi-valued legs' counts: exactly that when
+        // the first leg is functional too.
+        let rows = (0..n)
+            .map(|i| {
+                multi
+                    .iter()
+                    .map(|c| c.offsets[i + 1] - c.offsets[i])
+                    .product::<usize>()
+            })
+            .sum();
         let k = multi.len();
         let (mut lo, mut hi, mut at) = (vec![0; k], vec![0; k], vec![0; k]);
-        let mut out = Table::with_capacity(seed.len(), count(first));
-        'matches: for [s, _, o] in cursor.scan(firsts) {
-            let Some(i) = ranks.rank(s) else {
+        let mut out = Table::with_capacity(seed.len(), rows);
+        'matches: for [s, _, o] in firsts {
+            let Some(i) = ranks.rank(s.0) else {
                 continue;
             };
             for (j, column) in multi.iter().enumerate() {
@@ -834,48 +843,6 @@ impl Star {
     }
 }
 
-/// A scan step costs a few ns; an `(s, p)` probe gallops across the
-/// `len / n` keys of the SPO index that lie between two of `n` ascending
-/// candidates in about `log2(len / n)` steps, each about as dear as
-/// reading this many triples of a scan (measured at 10^5 and 5×10^5
-/// triples, 10 to 20 000 candidates).
-const PROBE_STEP: usize = 3;
-
-/// The star's candidates numbered in id order: a bitset over their id
-/// span, 64 ids to a word, with the number of candidates before each
-/// word. A subject's position is one word read and a popcount; the words
-/// take a quarter of a byte per id of the span.
-struct Ranks {
-    /// The id of bit 0 of word 0.
-    base: u32,
-    /// `(bits, candidates before this word)`.
-    words: Vec<(u64, u32)>,
-}
-
-impl Ranks {
-    fn new(candidates: &Bitmap) -> Ranks {
-        let base = candidates.min().map_or(0, |min| min & !63);
-        let mut words: Vec<(u64, u32)> = Vec::new();
-        for (i, id) in candidates.iter().enumerate() {
-            let w = ((id - base) >> 6) as usize;
-            if w >= words.len() {
-                words.resize(w + 1, (0, i as u32));
-            }
-            words[w].0 |= 1 << (id & 63);
-        }
-        Ranks { base, words }
-    }
-
-    /// The position of `s` among the candidates, if it is one.
-    #[inline]
-    fn rank(&self, s: TermId) -> Option<usize> {
-        let at = s.0.wrapping_sub(self.base) as usize;
-        let &(bits, before) = self.words.get(at >> 6)?;
-        let bit = 1u64 << (at & 63);
-        (bits & bit != 0).then(|| before as usize + (bits & (bit - 1)).count_ones() as usize)
-    }
-}
-
 /// One later leg's objects by candidate position, each candidate's in
 /// ascending order as an `(s, p)` scan yields them.
 struct Column {
@@ -888,43 +855,21 @@ struct Column {
 }
 
 impl Column {
-    /// Read `(pred, slot)`'s objects for every candidate: one POS scan of
-    /// the predicate, or one `(s, p)` probe per candidate when the leg
-    /// has many more triples than there are candidates.
+    /// Read `(pred, slot)`'s objects for the `n` candidates `ranks`
+    /// numbers, with one POS scan of the predicate.
     fn read(
         store: &GraphStore,
-        cursor: &mut ScanCursor<'_>,
         (pred, slot): (TermId, usize),
-        candidates: &Bitmap,
-        ranks: &Ranks,
+        n: usize,
+        ranks: &Ranks<'_>,
     ) -> Column {
-        let n = candidates.cardinality() as usize;
         let triples = store.count(IdPattern::new(None, Some(pred), None));
+        let scan = store.scan(IdPattern::new(None, Some(pred), None));
+        let matches = scan.filter_map(|[s, _, o]| Some((ranks.rank(s.0)?, o)));
         // Every subject of a functional leg has exactly one object.
         let functional = store
             .pred_subjects(pred)
             .is_some_and(|subjects| subjects.cardinality() == triples as u64);
-        let steps = (store.len() / n).max(1).ilog2() as usize + 1;
-        if triples > n * steps * PROBE_STEP {
-            let mut offsets = Vec::with_capacity(n + 1);
-            offsets.push(0);
-            let mut objects = Vec::with_capacity(n);
-            for s in candidates.iter() {
-                let probe = cursor.scan(IdPattern::new(Some(TermId(s)), Some(pred), None));
-                objects.extend(probe.map(|[_, _, o]| o));
-                offsets.push(objects.len());
-            }
-            if functional {
-                offsets.clear();
-            }
-            return Column {
-                slot,
-                offsets,
-                objects,
-            };
-        }
-        let scan = cursor.scan(IdPattern::new(None, Some(pred), None));
-        let matches = scan.filter_map(|[s, _, o]| Some((ranks.rank(s)?, o)));
         if functional {
             let mut objects = vec![TermId(0); n];
             for (i, o) in matches {

@@ -22,8 +22,9 @@
 //!
 //! Deliberately minimal and std-only (no registry deps): membership,
 //! AND / OR / AND-NOT / NOT-within-universe, cardinality, min, iteration,
-//! and a heap estimate. That is the full surface the posting lists and
-//! the maintenance planner need.
+//! ranks (a member's position in ascending order, [`Ranks`]) and a heap
+//! estimate. That is the full surface the posting lists, the maintenance
+//! planner and the evaluator's star join need.
 
 use std::sync::Arc;
 
@@ -574,6 +575,39 @@ impl Bitmap {
         })
     }
 
+    /// The members' positions in ascending order (see [`Ranks`]).
+    pub fn ranks(&self) -> Ranks<'_> {
+        let mut before = 0;
+        let chunks = self
+            .containers
+            .iter()
+            .map(|(hi, c)| {
+                let shape = match &**c {
+                    Container::Array(v) => {
+                        let first = (v[0] >> 6) as usize;
+                        let span = (v[v.len() - 1] >> 6) as usize - first + 1;
+                        if span > v.len() {
+                            RankShape::Array(v)
+                        } else {
+                            let mut words = vec![(0, 0); span];
+                            for &lo in v {
+                                words[(lo >> 6) as usize - first].0 |= 1u64 << (lo & 63);
+                            }
+                            RankShape::words(first, words)
+                        }
+                    }
+                    Container::Bits { words, .. } => {
+                        RankShape::words(0, words.iter().map(|&w| (w, 0)).collect())
+                    }
+                };
+                let chunk = (*hi, before, shape);
+                before += c.len();
+                chunk
+            })
+            .collect();
+        Ranks { chunks }
+    }
+
     /// Heap footprint estimate (the posting-list side of the store's
     /// memory accounting).
     pub fn estimated_bytes(&self) -> usize {
@@ -582,6 +616,61 @@ impl Bitmap {
             .iter()
             .map(|(_, c)| 16 + c.estimated_bytes())
             .sum::<usize>()
+    }
+}
+
+/// A bitmap's members numbered from 0 in ascending order, for many
+/// lookups against one set. A container with at least one member per
+/// 64-value word of its span gets a table of those words, each with the
+/// members before it: a lookup there is one word read and a popcount.
+/// A sparser container is binary-searched. Building takes one step per
+/// member or word, whichever is fewer per container, so its cost follows
+/// the members, not the span of their values.
+pub struct Ranks<'a> {
+    /// `(high 16 bits, members in earlier containers, container)`.
+    chunks: Vec<(u16, u32, RankShape<'a>)>,
+}
+
+enum RankShape<'a> {
+    Array(&'a [u16]),
+    /// The container's words from word `first` on, each with the
+    /// container's members in the words before it.
+    Words {
+        first: usize,
+        words: Vec<(u64, u32)>,
+    },
+}
+
+impl RankShape<'_> {
+    fn words(first: usize, mut words: Vec<(u64, u32)>) -> Self {
+        let mut count = 0;
+        for (bits, before) in &mut words {
+            *before = count;
+            count += bits.count_ones();
+        }
+        RankShape::Words { first, words }
+    }
+}
+
+impl Ranks<'_> {
+    /// The position of `value` among the members, if it is one.
+    #[inline]
+    pub fn rank(&self, value: u32) -> Option<usize> {
+        let (hi, lo) = split(value);
+        let i = self.chunks.binary_search_by_key(&hi, |c| c.0).ok()?;
+        let (_, before, shape) = &self.chunks[i];
+        let within = match shape {
+            RankShape::Array(v) => v.binary_search(&lo).ok()?,
+            RankShape::Words { first, words } => {
+                let (bits, earlier) = *words.get(((lo >> 6) as usize).wrapping_sub(*first))?;
+                let bit = 1u64 << (lo & 63);
+                if bits & bit == 0 {
+                    return None;
+                }
+                earlier as usize + (bits & (bit - 1)).count_ones() as usize
+            }
+        };
+        Some(*before as usize + within)
     }
 }
 
@@ -790,6 +879,28 @@ mod proptests {
             let not_ref: Vec<u32> = (0..universe).filter(|v| !set_a.contains(v)).collect();
             prop_assert_eq!(not.cardinality(), not_ref.len() as u64);
             prop_assert_eq!(not.iter().collect::<Vec<_>>(), not_ref);
+        }
+
+        /// `Ranks::rank` is each member's position in ascending order and
+        /// `None` for every other value, over array and bitset containers
+        /// alike (a dense run makes the first chunk a bitset).
+        #[test]
+        fn ranks_agree_with_positions(
+            values in arb_values(),
+            dense in proptest::option::of(0u32..60_000),
+            probes in proptest::collection::vec(0u32..210_000, 0..200),
+        ) {
+            let mut set = model(&values);
+            set.extend(dense.into_iter().flat_map(|start| start..start + 5000));
+            let bm: Bitmap = set.iter().copied().collect();
+            let ranks = bm.ranks();
+            for (i, &v) in set.iter().enumerate() {
+                prop_assert_eq!(ranks.rank(v), Some(i));
+            }
+            for v in probes {
+                let expected = set.contains(&v).then(|| set.range(..v).count());
+                prop_assert_eq!(ranks.rank(v), expected);
+            }
         }
 
         /// Mixed insert/remove sequences crossing the promotion cutoff in

@@ -43,7 +43,7 @@ pub mod persist;
 pub mod posting;
 pub mod stats;
 
-pub use bitmap::Bitmap;
+pub use bitmap::{Bitmap, Ranks};
 pub use dataset::{Dataset, GraphName};
 pub use delta::{ChangeSet, Delta, DeltaOp, GraphChanges, OpKind};
 pub use epoch::{
